@@ -23,7 +23,6 @@ run (a live soundness check for both implementations).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
@@ -93,12 +92,7 @@ def compare(
     example: Optional[History] = None
     scheduler_name = scheduler_factory().name
     for seed in range(n_seeds):
-        scheduler = scheduler_factory()
-        # Factories are caller-supplied and may hand-build schedulers; that
-        # is this API's contract, so don't surface the Database deprecation.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            db = Database(scheduler)
+        db = Database(scheduler_factory())
         db.load(initial_state)
         Simulator(
             db, programs_factory(seed), seed=seed, max_retries=max_retries

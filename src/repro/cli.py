@@ -272,13 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="crash the server after this many commits (then restart)",
         )
         p.add_argument("--restart-delay", type=int, default=25)
-        p.add_argument(
-            "--no-pipeline",
-            dest="pipeline",
-            action="store_false",
-            help="deliver the due message batch one step at a time instead "
-            "of one drain_due() sweep (same schedule, more driver overhead)",
-        )
 
     p_serve = sub.add_parser(
         "serve", help="in-process client/server service demo"
@@ -906,7 +899,6 @@ def _stress_config(args, *, cluster=None):
         ),
         crash_after_commits=args.crash_after,
         restart_delay=args.restart_delay,
-        pipeline=args.pipeline,
         cluster=cluster,
         read_preference=getattr(args, "read_preference", "primary"),
         session_guarantees=guarantees,

@@ -27,7 +27,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from ..exceptions import MalformedHistoryError, VersionOrderError
 from .events import Abort, Begin, Commit, Event, PredicateRead, Read, Write
 from .interning import (
-    ARRAY_CORE_DEFAULT,
     EventLog,
     K_ABORT,
     K_BEGIN,
@@ -66,13 +65,6 @@ class History:
         Whether to run full well-formedness validation (on by default;
         generators that construct histories correct by construction may skip
         it for speed).
-    array_core:
-        Whether the index builders read the flat :class:`EventLog` arrays
-        (kind codes and interned ids) instead of re-scanning the event
-        objects with ``isinstance`` chains.  ``None`` (the default) follows
-        :data:`~repro.core.interning.ARRAY_CORE_DEFAULT`; the equivalence
-        suite passes ``False`` to pin the legacy object path.  Both paths
-        produce identical indexes.
     """
 
     def __init__(
@@ -83,7 +75,6 @@ class History:
         default_level: Optional[object] = None,
         auto_complete: bool = False,
         validate: bool = True,
-        array_core: Optional[bool] = None,
     ):
         evs = tuple(events)
         if auto_complete:
@@ -91,18 +82,13 @@ class History:
         self.events: Tuple[Event, ...] = evs
         self.default_level = default_level
         self._explicit_order = version_order is not None
-        self._array_core = (
-            ARRAY_CORE_DEFAULT if array_core is None else bool(array_core)
-        )
         # Per-predicate memoization (keyed by predicate identity, holding a
         # reference so the id stays valid): match results per version, match-
         # change results per version, and per-object changer positions.  A
         # history is immutable, so these never need invalidation.
         self._pred_caches: Dict[int, Tuple[object, Dict, Dict, Dict]] = {}
-        self.version_order: Dict[str, Tuple[Version, ...]] = (
-            self._build_order_array(version_order)
-            if self._array_core
-            else self._build_order(version_order)
+        self.version_order: Dict[str, Tuple[Version, ...]] = self._build_order(
+            version_order
         )
         if validate:
             from .validation import validate_history
@@ -116,74 +102,16 @@ class History:
     @cached_property
     def log(self) -> EventLog:
         """Array-of-struct mirror of the event sequence (built lazily; the
-        array-core index builders all read from it)."""
+        index builders all read from it)."""
         return EventLog(self.events)
 
     def _build_order(
         self, supplied: Optional[Mapping[str, Sequence[Version]]]
     ) -> Dict[str, Tuple[Version, ...]]:
-        order: Dict[str, List[Version]] = {}
-        if supplied is not None:
-            for obj, versions in supplied.items():
-                chain: List[Version] = []
-                for v in versions:
-                    if v.is_unborn:
-                        continue  # the unborn version is implicit
-                    if v.obj != obj:
-                        raise VersionOrderError(
-                            f"version order for {obj!r} contains version of {v.obj!r}"
-                        )
-                    chain.append(v)
-                order[obj] = chain
-        # Objects not covered by an explicit order default to the order of
-        # the committed transactions' final write events.
-        for ev in self.events:
-            if isinstance(ev, Write) and ev.tid in self.committed:
-                obj = ev.version.obj
-                if supplied is not None and obj in supplied:
-                    continue
-                v = self.final_version(obj, ev.tid)
-                if v == ev.version:
-                    order.setdefault(obj, []).append(v)
-        # Every object mentioned anywhere gets an order entry so lookups are
-        # uniform, and *setup versions* — versions that are read (directly or
-        # in a version set) but never written by any event, representing the
-        # paper's implicit initial database state (e.g. ``x0`` in
-        # ``H_phantom``, or ``y0`` in ``H_pred-read`` where T0 has events but
-        # no write of ``y``) — are installed right after the unborn version.
-        setup: Dict[str, List[Version]] = {}
-        written = {ev.version for ev in self.events if isinstance(ev, Write)}
-
-        def note(version: Version) -> None:
-            obj = version.obj
-            chain = order.setdefault(obj, [])
-            if (
-                not version.is_unborn
-                and version not in written
-                and version not in chain
-                and version not in setup.get(obj, ())
-            ):
-                setup.setdefault(obj, []).append(version)
-
-        for ev in self.events:
-            if isinstance(ev, (Read, Write)):
-                order.setdefault(ev.version.obj, [])
-                if isinstance(ev, Read):
-                    note(ev.version)
-            elif isinstance(ev, PredicateRead):
-                for v in ev.vset.versions():
-                    note(v)
-        return {
-            obj: (Version.unborn(obj),) + tuple(setup.get(obj, ())) + tuple(chain)
-            for obj, chain in order.items()
-        }
-
-    def _build_order_array(
-        self, supplied: Optional[Mapping[str, Sequence[Version]]]
-    ) -> Dict[str, Tuple[Version, ...]]:
-        """``_build_order`` over the flat event log: kind codes replace the
-        isinstance chains and interned ids replace per-event attribute walks.
-        Produces exactly the same mapping as the object path."""
+        """The version order of every object: the supplied chains, else the
+        committed transactions' final writes in event order, each prefixed
+        with the unborn version and the object's setup versions.  One pass
+        over the flat event log (kind codes and interned ids)."""
         log = self.log
         inn = log.interner
         kind, vids = log.kind, log.vid
@@ -223,6 +151,12 @@ class History:
                         continue
                     if ver_seq[vid] == fin[(oid, tid)]:
                         order.setdefault(obj, []).append(versions[vid])
+        # Every object mentioned anywhere gets an order entry so lookups are
+        # uniform, and *setup versions* — versions that are read (directly or
+        # in a version set) but never written by any event, representing the
+        # paper's implicit initial database state (e.g. ``x0`` in
+        # ``H_phantom``, or ``y0`` in ``H_pred-read`` where T0 has events but
+        # no write of ``y``) — are installed right after the unborn version.
         setup: Dict[str, List[Version]] = {}
 
         def note(vid: int) -> None:
@@ -260,45 +194,26 @@ class History:
     @cached_property
     def tids(self) -> Tuple[int, ...]:
         """All application transaction ids, in order of first appearance."""
-        if self._array_core:
-            return tuple(dict.fromkeys(self.log.tid))
-        seen: Dict[int, None] = {}
-        for ev in self.events:
-            seen.setdefault(ev.tid, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.log.tid))
 
     @cached_property
     def committed(self) -> frozenset[int]:
-        if self._array_core:
-            log = self.log
-            return frozenset(
-                t for k, t in zip(log.kind, log.tid) if k == K_COMMIT
-            )
-        return frozenset(ev.tid for ev in self.events if isinstance(ev, Commit))
+        log = self.log
+        return frozenset(t for k, t in zip(log.kind, log.tid) if k == K_COMMIT)
 
     @cached_property
     def aborted(self) -> frozenset[int]:
-        if self._array_core:
-            log = self.log
-            return frozenset(
-                t for k, t in zip(log.kind, log.tid) if k == K_ABORT
-            )
-        return frozenset(ev.tid for ev in self.events if isinstance(ev, Abort))
+        log = self.log
+        return frozenset(t for k, t in zip(log.kind, log.tid) if k == K_ABORT)
 
     @cached_property
     def writes(self) -> Dict[Version, Write]:
         """Every write event indexed by the version it creates."""
-        if self._array_core:
-            return {
-                ev.version: ev
-                for k, ev in zip(self.log.kind, self.events)
-                if k == K_WRITE
-            }
-        out: Dict[Version, Write] = {}
-        for ev in self.events:
-            if isinstance(ev, Write):
-                out[ev.version] = ev
-        return out
+        return {
+            ev.version: ev
+            for k, ev in zip(self.log.kind, self.events)
+            if k == K_WRITE
+        }
 
     @cached_property
     def _final_seq(self) -> Dict[Tuple[str, int], int]:
@@ -518,19 +433,10 @@ class History:
 
     @cached_property
     def _all_objects(self) -> Tuple[str, ...]:
-        if self._array_core:
-            # The interner allocated object ids in exactly the legacy
-            # first-appearance order (EventLog interns a predicate read's
-            # vset objects before its versions for this reason).
-            return tuple(self.log.interner.objects)
-        seen: Dict[str, None] = {}
-        for ev in self.events:
-            if isinstance(ev, (Read, Write)):
-                seen.setdefault(ev.version.obj, None)
-            elif isinstance(ev, PredicateRead):
-                for obj in ev.vset.objects():
-                    seen.setdefault(obj, None)
-        return tuple(seen)
+        # The interner allocates object ids in first-appearance order
+        # (EventLog interns a predicate read's vset objects before its
+        # versions for this reason).
+        return tuple(self.log.interner.objects)
 
     def vset_objects(self, pread: PredicateRead) -> Tuple[str, ...]:
         """All objects conceptually covered by a predicate read's version
@@ -559,29 +465,17 @@ class History:
     @cached_property
     def _event_positions(self) -> Dict[int, Dict[str, int]]:
         pos: Dict[int, Dict[str, int]] = {}
-        if self._array_core:
-            log = self.log
-            for i, (k, t) in enumerate(zip(log.kind, log.tid)):
-                slot = pos.get(t)
-                if slot is None:
-                    slot = pos[t] = {"first": i}
-                slot["last"] = i
-                if k == K_BEGIN:
-                    slot["begin"] = i
-                elif k == K_COMMIT:
-                    slot["commit"] = i
-                elif k == K_ABORT:
-                    slot["abort"] = i
-            return pos
-        for i, ev in enumerate(self.events):
-            slot = pos.setdefault(ev.tid, {})
-            slot.setdefault("first", i)
+        log = self.log
+        for i, (k, t) in enumerate(zip(log.kind, log.tid)):
+            slot = pos.get(t)
+            if slot is None:
+                slot = pos[t] = {"first": i}
             slot["last"] = i
-            if isinstance(ev, Begin):
+            if k == K_BEGIN:
                 slot["begin"] = i
-            elif isinstance(ev, Commit):
+            elif k == K_COMMIT:
                 slot["commit"] = i
-            elif isinstance(ev, Abort):
+            elif k == K_ABORT:
                 slot["abort"] = i
         return pos
 
@@ -621,26 +515,18 @@ class History:
     @cached_property
     def reads(self) -> Tuple[Tuple[int, Read], ...]:
         """All item reads with their event indexes."""
-        if self._array_core:
-            return tuple(
-                (i, ev)
-                for i, (k, ev) in enumerate(zip(self.log.kind, self.events))
-                if k == K_READ
-            )
         return tuple(
-            (i, ev) for i, ev in enumerate(self.events) if isinstance(ev, Read)
+            (i, ev)
+            for i, (k, ev) in enumerate(zip(self.log.kind, self.events))
+            if k == K_READ
         )
 
     @cached_property
     def predicate_reads(self) -> Tuple[Tuple[int, PredicateRead], ...]:
-        if self._array_core:
-            return tuple(
-                (i, ev)
-                for i, (k, ev) in enumerate(zip(self.log.kind, self.events))
-                if k == K_PREAD
-            )
         return tuple(
-            (i, ev) for i, ev in enumerate(self.events) if isinstance(ev, PredicateRead)
+            (i, ev)
+            for i, (k, ev) in enumerate(zip(self.log.kind, self.events))
+            if k == K_PREAD
         )
 
     # ------------------------------------------------------------------

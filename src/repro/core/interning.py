@@ -17,8 +17,8 @@ indexed by int or a dict keyed by int:
   :class:`~repro.core.history.History`'s index builders.
 
 Ids are allocated in first-appearance order, so iterating ``objects`` or
-``versions`` reproduces the deterministic orders the object-path code
-derived by scanning events.
+``versions`` is deterministic: it is the order a scan of the events meets
+them.
 """
 
 from __future__ import annotations
@@ -37,13 +37,7 @@ __all__ = [
     "K_PREAD",
     "K_COMMIT",
     "K_ABORT",
-    "ARRAY_CORE_DEFAULT",
 ]
-
-#: Module default for ``History(array_core=...)``: the array-backed index
-#: builders are on unless a caller (e.g. the equivalence suite) opts a
-#: history out to exercise the legacy object path.
-ARRAY_CORE_DEFAULT: bool = True
 
 #: Event kind codes of :class:`EventLog` (dense, branch-friendly).
 K_BEGIN, K_READ, K_WRITE, K_PREAD, K_COMMIT, K_ABORT = range(6)
@@ -147,8 +141,8 @@ class EventLog:
                 vids[i] = intern_version(ev.version)
                 flags[i] = ev.dead
             elif k == K_PREAD:
-                # Objects before versions, so the interner's object order
-                # matches the legacy first-appearance scan of vset.objects().
+                # Objects before versions, so the interner's object order is
+                # the first-appearance order of vset.objects().
                 for obj in ev.vset.objects():
                     intern_object(obj)
                 for v in ev.vset.versions():

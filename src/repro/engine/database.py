@@ -20,7 +20,6 @@ paper's ``T_init``-then-load story in Section 4.1.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..core.events import Begin, Write
@@ -32,10 +31,6 @@ from .scheduler import PredicateResult, Scheduler
 from .transaction import Transaction, TxnState
 
 __all__ = ["Database", "TransactionHandle"]
-
-#: The direct-scheduler deprecation notice fires at most once per process
-#: (tests reset this to re-arm it).
-_DIRECT_SCHEDULER_WARNED = False
 
 
 class TransactionHandle:
@@ -135,14 +130,12 @@ class TransactionHandle:
 class Database:
     """A database instance bound to one scheduler.
 
-    The supported way to open one is :func:`repro.connect` (or passing a
-    scheduler family name here, which routes through the same factory)::
+    Pass a :class:`Scheduler` instance, or a scheduler family name, which
+    :func:`~repro.engine.factory.create_scheduler` builds — the same
+    factory :func:`repro.connect` routes through::
 
+        db = Database(SnapshotIsolationScheduler())
         db = repro.connect("snapshot-isolation", seed=7)
-
-    Passing a hand-built :class:`Scheduler` instance still works as a thin
-    deprecation shim for pre-``connect`` code, but new code should name the
-    family and let :class:`~repro.engine.factory.SchedulerConfig` build it.
     """
 
     def __init__(
@@ -155,17 +148,6 @@ class Database:
             from .factory import create_scheduler
 
             scheduler = create_scheduler(scheduler)
-        elif getattr(scheduler, "config", None) is None:
-            global _DIRECT_SCHEDULER_WARNED
-            if not _DIRECT_SCHEDULER_WARNED:
-                _DIRECT_SCHEDULER_WARNED = True
-                warnings.warn(
-                    "constructing Database from a hand-built scheduler is "
-                    "deprecated; use repro.connect(...) or "
-                    "Database('<scheduler name>')",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
         self.scheduler = scheduler
         self._next_tid = 1
         #: Optional shared tid source (a sharded cluster hands every member

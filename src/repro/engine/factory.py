@@ -17,8 +17,8 @@ database (``db.config``) so higher layers — the simulator, the
 :mod:`repro.service` client/server stack, crash recovery — can rebuild an
 identical scheduler from it.
 
-The legacy path (``Database(SnapshotIsolationScheduler())``) still works
-but is deprecated; see :class:`~repro.engine.database.Database`.
+``Database(SnapshotIsolationScheduler())`` — a scheduler built by hand — is
+equally supported; such a database has ``db.config is None``.
 """
 
 from __future__ import annotations

@@ -299,8 +299,8 @@ class Simulator:
         Age is the tid of the program's first attempt, not the current one:
         a restarted victim keeps its seniority, so it cannot be selected
         forever (the naive abort-the-current-youngest rule starves restarts,
-        which always re-enter with the largest tid — measured live in
-        ``bench_scaling_engine``'s history).
+        which always re-enter with the largest tid — measured live on
+        32-program fleets).
         """
         waits: Dict[int, frozenset[int]] = {}
         by_tid: Dict[int, _Run] = {}

@@ -13,8 +13,8 @@ deliberately tiny and allocation-light:
   pay a dict lookup plus an integer add per observation;
 * **disabled is free**: components default to ``metrics=None`` and guard
   every emission with an ``is not None`` check — no null objects, no
-  indirection, nothing on the hot path (the ``benchguard`` overhead test
-  pins this).
+  indirection, nothing on the hot path (the ladder benchmark's
+  ``observability.self_s`` measures this).
 
 The registry also carries the engine's *logical clock* (:attr:`clock`):
 the simulator ticks it once per scheduling step, and duration-style

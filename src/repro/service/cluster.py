@@ -45,13 +45,12 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.events import Abort, Begin, Commit, PredicateRead, Read, Write
 from ..core.history import History
 from ..core.levels import IsolationLevel
 from ..engine.factory import SchedulerConfig
-from ..engine.simulator import _find_cycle
 from ..engine.transaction import TxnState
 from .client import Client
 from .config import (
@@ -64,7 +63,7 @@ from .coordinator import Coordinator
 from .errors import ServiceUnavailable
 from .network import SimulatedNetwork
 from .replication import ReplicaServer, SessionVector, route_key as _route_key
-from .server import Server
+from .server import Server, break_deadlock, record_verdict
 from .shardmap import ShardMap
 
 __all__ = ["Cluster", "ClusterClient", "ShardServer", "connect_cluster"]
@@ -607,41 +606,20 @@ class ShardServer(Server):
     # crash / deadlocks
     # ------------------------------------------------------------------
 
+    def _undo_in_flight(self, txn) -> None:
+        """*Prepared* transactions get no recovery-undo abort: their fate
+        belongs to the coordinator, and their redo records survive in the
+        durable prepared state."""
+        if txn.tid not in self._prepared:
+            self._cluster.state.dead.add(txn.tid)
+            txn.abort()
+
     def crash(self) -> None:
-        """Like :meth:`Server.crash`, but *prepared* transactions do not get
-        recovery-undo aborts: their fate belongs to the coordinator, and
-        their redo records survive in the durable prepared state."""
+        """:meth:`Server.crash`, plus the shard's own volatile state."""
         if not self.up:
             return
-        self.crashes += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                "server.crash",
-                active=[
-                    s.txn.tid
-                    for s in self._sessions.values()
-                    if s.txn is not None and s.txn.state is TxnState.ACTIVE
-                ],
-            )
-        for sess in self._sessions.values():
-            if (
-                sess.txn is not None
-                and sess.txn.state is TxnState.ACTIVE
-                and sess.txn.tid not in self._prepared
-            ):
-                self._cluster.state.dead.add(sess.txn.tid)
-                sess.txn.abort()
-        self._sessions.clear()
-        self._waits.clear()
+        super().crash()
         self._detached.clear()  # engine txns die with the db; snapshots stay
-        self.db = None
-        self.up = False
-        self.network.down(self.name)
-        self.network.flush(self.name)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "service_server_crashes_total", "injected server crashes"
-            ).inc()
         self._note_event_ticks()
 
     def _resolve_deadlock(self) -> None:
@@ -1112,19 +1090,7 @@ class Cluster:
             return None
         ok = self.analysis.provides(level)
         self._certified[gid] = ok
-        if self.metrics is not None:
-            self.metrics.counter(
-                "service_commits_certified_total",
-                "commits live-certified at their declared level",
-            ).inc(ok=str(ok).lower())
-        if self.tracer is not None:
-            self.tracer.event(
-                "commit.certified", tid=gid, level=str(level), ok=ok
-            )
-            if not ok:
-                self.tracer.event(
-                    "certification.failure", tid=gid, level=str(level)
-                )
+        record_verdict(self.metrics, self.tracer, gid, level, ok)
         return ok
 
     def _active_at_home(self, gid: int) -> bool:
@@ -1172,61 +1138,13 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def resolve_deadlock(self, origin: ShardServer) -> None:
-        """Union every shard's waits-for edges (tids are global, so edges
-        compose) and abort the cycle transaction whose *session* is
-        globally youngest — the same aging rule as the single server,
-        applied cluster-wide."""
-        by_tid: Dict[int, List[Tuple[ShardServer, str]]] = {}
-        for shard in self.shards:
-            if not shard.up:
-                continue
-            for sid, s in shard._sessions.items():
-                if s.txn is not None and s.txn.state is TxnState.ACTIVE:
-                    by_tid.setdefault(s.txn.tid, []).append((shard, sid))
-        waits: Dict[int, FrozenSet[int]] = {}
-        for shard in self.shards:
-            if not shard.up:
-                continue
-            for sid, holders in shard._waits.items():
-                s = shard._sessions.get(sid)
-                if s is None or s.txn is None or s.txn.state is not TxnState.ACTIVE:
-                    continue
-                live = frozenset(h for h in holders if h in by_tid)
-                if live:
-                    waits[s.txn.tid] = waits.get(s.txn.tid, frozenset()) | live
-        cycle = _find_cycle(waits)
-        if not cycle:
+        """:func:`~repro.service.server.break_deadlock` over every shard:
+        the single server's victim rule, applied cluster-wide."""
+        broken = break_deadlock(self.shards, origin)
+        if broken is None:
             return
-        candidates = [tid for tid in cycle if tid in by_tid]
-        if not candidates:
-            return
-
-        def seniority(tid: int) -> int:
-            # The single server's aging rule, cluster-wide: a session's
-            # seniority is its oldest live first_tid across shards (with one
-            # shard this is exactly the base server's session first_tid,
-            # crash resets included).
-            return min(
-                shard._sessions[sid].first_tid or 0
-                for shard, sid in by_tid[tid]
-            )
-
-        victim = max(candidates, key=seniority)
-        origin.deadlock_victims += 1
-        if origin.metrics is not None:
-            origin.metrics.counter(
-                "service_deadlock_victims_total",
-                "transactions aborted to break service-level deadlocks",
-            ).inc()
-        if origin.tracer is not None:
-            origin.tracer.event(
-                "service.deadlock", cycle=list(cycle), victim=victim
-            )
-        for shard, sid in by_tid[victim]:
-            sess = shard._sessions[sid]
-            sess.txn.abort()
-            sess.pending_abort = "deadlock"
-            shard._waits.pop(sid, None)
+        victim, aborted_on = broken
+        for shard in aborted_on:
             if shard is not origin:
                 shard._note_event_ticks()
         self.state.dead.add(victim)

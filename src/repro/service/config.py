@@ -423,12 +423,10 @@ class ClusterConfig:
 @dataclass(frozen=True, kw_only=True)
 class StressConfig:
     """Everything that shapes one :func:`~repro.service.stress.run_stress`
-    run, as a single frozen config (the former kwarg pile).
+    run, as a single frozen config.
 
-    Two runs built from equal configs replay byte-for-byte.  The loose
-    keyword arguments ``run_stress`` used to take are still accepted as a
-    thin deprecation shim; new code builds a ``StressConfig`` and passes it
-    to :func:`~repro.service.stress.run_stress`,
+    Two runs built from equal configs replay byte-for-byte.  Build one and
+    pass it to :func:`~repro.service.stress.run_stress`,
     :func:`~repro.service.capacity.run_capacity` or the CLI.
     """
 
@@ -456,8 +454,6 @@ class StressConfig:
     restart_delay: int = 25
     #: Hard budget on the run's logical ticks.
     max_ticks: int = 2_000_000
-    #: Deliver due message batches in one sweep (byte-identical either way).
-    pipeline: bool = True
     #: Open-loop arrival process (None = closed loop).
     arrivals: Optional[Any] = None
     #: Offered-load horizon in ticks (open loop only).

@@ -275,25 +275,13 @@ class SimulatedNetwork:
             self._inboxes.setdefault(dst, []).append((src, payload))
         return True
 
-    @property
-    def has_due(self) -> bool:
-        """Whether a queued message is due at or before the current tick
-        (the unpipelined driver uses this to finish a delivery batch)."""
-        return bool(self._queue) and self._queue[0][0] <= self.now
-
     def drain_due(self) -> int:
-        """Pipelined delivery: pop the next queued message (advancing the
+        """Batch delivery: pop the next queued message (advancing the
         clock to its tick) and then every further message due by the new
         ``now`` — including zero-delay replies scheduled during the sweep —
-        in one call.  Returns the number of messages processed (0 with an
-        idle queue).
-
-        The sweep processes exactly the messages that repeated
-        :meth:`step` calls (continued while :attr:`has_due`) would, in the
-        same heap order, drawing from the fault RNG in the same sequence —
-        so pipelined and unpipelined drivers replay identical schedules.
-        The win is batching: one network call delivers the whole tick's
-        backlog to the server instead of bouncing through the driver loop
+        in one call, in heap order.  Returns the number of messages
+        processed (0 with an idle queue).  One network call delivers the
+        whole tick's backlog instead of bouncing through the driver loop
         once per message.
         """
         if not self._queue:

@@ -31,7 +31,7 @@ an unreliable boundary forces:
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.events import Commit
 from ..core.levels import IsolationLevel
@@ -152,10 +152,11 @@ class Server:
         if self.metrics is not None or self.tracer is not None:
             scheduler.instrument(metrics=self.metrics, tracer=self.tracer)
         if recover_from is not None:
-            # Replacement boot: recover from an existing durable log (a
-            # retired server's WAL).  Any online monitor is already attached
-            # to that recorder — re-attaching would replay the log into it a
-            # second time, so the monitor is left alone here.
+            # Recovery boot: from an existing durable log (this server's
+            # own WAL on restart, a retired server's on replacement).  Any
+            # online monitor is already attached to that recorder —
+            # re-attaching would replay the log into it a second time, so
+            # the monitor is left alone here.
             self.db = Database.recover(
                 scheduler, recover_from, tid_allocator=self._tid_allocator
             )
@@ -193,7 +194,7 @@ class Server:
             )
         for sess in self._sessions.values():
             if sess.txn is not None and sess.txn.state is TxnState.ACTIVE:
-                sess.txn.abort()
+                self._undo_in_flight(sess.txn)
         self._sessions.clear()
         self._waits.clear()
         self.db = None
@@ -205,21 +206,18 @@ class Server:
                 "service_server_crashes_total", "injected server crashes"
             ).inc()
 
+    def _undo_in_flight(self, txn: TransactionHandle) -> None:
+        """Crash hook: record the recovery-undo abort of one transaction
+        that was active when the server went down."""
+        txn.abort()
+
     def restart(self) -> None:
         """Recover from the WAL: a fresh scheduler, its store seeded with
         the log's committed state, attached to the same recorder (so the
         history — and any online monitor — continues seamlessly)."""
         if self.up:
             return
-        scheduler = create_scheduler(self.config)
-        if self.metrics is not None or self.tracer is not None:
-            scheduler.instrument(metrics=self.metrics, tracer=self.tracer)
-        self.db = Database.recover(
-            scheduler, self.recorder, tid_allocator=self._tid_allocator
-        )
-        self._committed_tids = {
-            ev.tid for ev in self.recorder.events if isinstance(ev, Commit)
-        }
+        self._boot(None, self.recorder)
         self.restarts += 1
         self.up = True
         self.network.up(self.name)
@@ -506,19 +504,7 @@ class Server:
             return None
         ok = self.monitor.provides(level)
         self.certified[tid] = ok
-        if self.metrics is not None:
-            self.metrics.counter(
-                "service_commits_certified_total",
-                "commits live-certified at their declared level",
-            ).inc(ok=str(ok).lower())
-        if self.tracer is not None:
-            self.tracer.event(
-                "commit.certified", tid=tid, level=str(level), ok=ok
-            )
-            if not ok:
-                self.tracer.event(
-                    "certification.failure", tid=tid, level=str(level)
-                )
+        record_verdict(self.metrics, self.tracer, tid, level, ok)
         if ok is False:
             self._on_uncertified(tid, level)
         return ok
@@ -583,46 +569,84 @@ class Server:
     # ------------------------------------------------------------------
 
     def _resolve_deadlock(self) -> None:
-        """Busy replies carry waits-for edges; a cycle aborts the session
-        whose *first* transaction is youngest (the simulator's aging rule:
-        restarted victims keep their seniority)."""
-        by_tid: Dict[int, str] = {}
-        for sid, s in self._sessions.items():
-            if s.txn is not None and s.txn.state is TxnState.ACTIVE:
-                by_tid[s.txn.tid] = sid
-        waits = {}
-        for sid, holders in self._waits.items():
-            s = self._sessions.get(sid)
-            if s is None or s.txn is None or s.txn.state is not TxnState.ACTIVE:
-                continue
-            live = frozenset(h for h in holders if h in by_tid)
-            if live:
-                waits[s.txn.tid] = live
-        cycle = _find_cycle(waits)
-        if not cycle:
-            return
-        sessions = [self._sessions[by_tid[tid]] for tid in cycle if tid in by_tid]
-        if not sessions:
-            return
-        victim = max(sessions, key=lambda s: s.first_tid or 0)
-        assert victim.txn is not None
-        self.deadlock_victims += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "service_deadlock_victims_total",
-                "transactions aborted to break service-level deadlocks",
-            ).inc()
-        if self.tracer is not None:
-            self.tracer.event(
-                "service.deadlock", cycle=list(cycle), victim=victim.txn.tid
-            )
-        victim_sid = by_tid[victim.txn.tid]
-        victim.txn.abort()
-        victim.pending_abort = "deadlock"
-        self._waits.pop(victim_sid, None)
+        """Break a waits-for cycle among this server's sessions, if any."""
+        break_deadlock([self], self)
 
     # ------------------------------------------------------------------
 
     def history(self, *, validate: bool = True):
         """The full service-side history (the durable log, materialised)."""
         return self.recorder.history(validate=validate)
+
+
+def record_verdict(
+    metrics: Optional[object],
+    tracer: Optional[object],
+    tid: int,
+    level: IsolationLevel,
+    ok: bool,
+) -> None:
+    """Count and trace one live-certification verdict."""
+    if metrics is not None:
+        metrics.counter(
+            "service_commits_certified_total",
+            "commits live-certified at their declared level",
+        ).inc(ok=str(ok).lower())
+    if tracer is not None:
+        tracer.event("commit.certified", tid=tid, level=str(level), ok=ok)
+        if not ok:
+            tracer.event("certification.failure", tid=tid, level=str(level))
+
+
+def break_deadlock(
+    servers: Sequence["Server"], origin: "Server"
+) -> Optional[Tuple[int, List["Server"]]]:
+    """Busy replies carry waits-for edges; union them over ``servers``
+    (tids are global, so edges compose) and, on a cycle, abort the
+    transaction whose *session* is youngest — the simulator's aging rule:
+    restarted victims keep their seniority.  The victim is charged to
+    ``origin`` (the server whose busy reply triggered the search).  Returns
+    ``(victim tid, servers it was aborted on)``, or ``None`` without a
+    cycle."""
+    live = [server for server in servers if server.up]
+    by_tid: Dict[int, List[Tuple[Server, str]]] = {}
+    for server in live:
+        for sid, s in server._sessions.items():
+            if s.txn is not None and s.txn.state is TxnState.ACTIVE:
+                by_tid.setdefault(s.txn.tid, []).append((server, sid))
+    waits: Dict[int, FrozenSet[int]] = {}
+    for server in live:
+        for sid, holders in server._waits.items():
+            s = server._sessions.get(sid)
+            if s is None or s.txn is None or s.txn.state is not TxnState.ACTIVE:
+                continue
+            held = frozenset(h for h in holders if h in by_tid)
+            if held:
+                waits[s.txn.tid] = waits.get(s.txn.tid, frozenset()) | held
+    cycle = _find_cycle(waits)
+    candidates = [tid for tid in cycle or () if tid in by_tid]
+    if not candidates:
+        return None
+
+    def seniority(tid: int) -> int:
+        # A session's seniority is its oldest live first_tid across the
+        # servers it has a transaction on (crash resets included).
+        return min(
+            server._sessions[sid].first_tid or 0 for server, sid in by_tid[tid]
+        )
+
+    victim = max(candidates, key=seniority)
+    origin.deadlock_victims += 1
+    if origin.metrics is not None:
+        origin.metrics.counter(
+            "service_deadlock_victims_total",
+            "transactions aborted to break service-level deadlocks",
+        ).inc()
+    if origin.tracer is not None:
+        origin.tracer.event("service.deadlock", cycle=list(cycle), victim=victim)
+    for server, sid in by_tid[victim]:
+        sess = server._sessions[sid]
+        sess.txn.abort()
+        sess.pending_abort = "deadlock"
+        server._waits.pop(sid, None)
+    return victim, [server for server, _sid in by_tid[victim]]

@@ -25,7 +25,6 @@ client-centric thesis needs end to end:
 from __future__ import annotations
 
 import random
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -43,10 +42,6 @@ from .network import SimulatedNetwork
 from .server import Server
 
 __all__ = ["StressResult", "run_stress"]
-
-#: The legacy-kwargs deprecation notice fires at most once per process
-#: (tests reset this to re-arm it).
-_LEGACY_KWARGS_WARNED = False
 
 
 def _rank_percentile(ordered: List[int], q: float) -> int:
@@ -420,18 +415,13 @@ def run_stress(
     metrics: Optional[object] = None,
     tracer: Optional[object] = None,
     flight: Optional[object] = None,
-    **legacy: Any,
 ) -> StressResult:
     """Run one seeded stress workload; see the module docstring.
 
     The run's shape is a :class:`~repro.service.config.StressConfig`
-    (``run_stress(StressConfig(clients=8, seed=3))``); ``metrics`` and
-    ``tracer`` stay separate because they are live observability objects,
-    not config values.  The loose keyword arguments this function
-    historically took (``run_stress(clients=8, seed=3)``) are still
-    accepted as a thin deprecation shim — they are packed into a
-    ``StressConfig`` verbatim, with a once-per-process
-    :class:`DeprecationWarning`.
+    (``run_stress(StressConfig(clients=8, seed=3))``); ``metrics``,
+    ``tracer`` and ``flight`` stay separate because they are live
+    observability objects, not config values.
 
     Determinism contract: equal configs (including all seeds) produce a
     byte-for-byte identical :attr:`StressResult.history_text` and journals.
@@ -458,31 +448,10 @@ def run_stress(
     journals and certification to the plain single-server run.
 
     The driver is tick-synchronized: whenever every script is blocked, the
-    network's whole due message batch is delivered before any client gets
-    to run again.  ``pipeline=True`` delivers that batch in one
-    :meth:`~repro.service.network.SimulatedNetwork.drain_due` sweep;
-    ``pipeline=False`` steps it one message at a time.  Both process the
-    same messages in the same order with the same fault draws, so the two
-    modes produce byte-identical histories, journals and traces — the flag
-    only changes how much per-message driver overhead the run pays.
+    network's whole due message batch is delivered in one
+    :meth:`~repro.service.network.SimulatedNetwork.drain_due` sweep before
+    any client gets to run again.
     """
-    if legacy:
-        if config is not None:
-            raise TypeError(
-                "pass either a StressConfig or legacy keyword arguments, "
-                f"not both (got both config= and {sorted(legacy)})"
-            )
-        global _LEGACY_KWARGS_WARNED
-        if not _LEGACY_KWARGS_WARNED:
-            _LEGACY_KWARGS_WARNED = True
-            warnings.warn(
-                "run_stress(scheduler=..., clients=..., ...) keyword "
-                "arguments are deprecated; build a StressConfig and pass "
-                "run_stress(StressConfig(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        config = StressConfig(**legacy)
     cfg = config or StressConfig()
     scheduler = cfg.scheduler
     level = cfg.level
@@ -496,7 +465,6 @@ def run_stress(
     crash_after_commits = cfg.crash_after_commits
     restart_delay = cfg.restart_delay
     max_ticks = cfg.max_ticks
-    pipeline = cfg.pipeline
     arrivals = cfg.arrivals
     horizon = cfg.horizon
     hot_keys = cfg.hot_keys
@@ -604,7 +572,6 @@ def run_stress(
         },
         "crash_after_commits": crash_after_commits,
         "restart_delay": restart_delay,
-        "pipeline": pipeline,
     }
     if cfg.cluster is not None:
         config_summary["cluster"] = {
@@ -788,14 +755,7 @@ def run_stress(
             continue
         # Every script is blocked: deliver the network's whole due batch
         # before any client runs again (tick-synchronized; see docstring).
-        if pipeline:
-            delivered = net.drain_due()
-        else:
-            delivered = 1 if net.step() else 0
-            while delivered and net.has_due:
-                net.step()
-                delivered += 1
-        if not delivered:
+        if not net.drain_due():
             # Nothing in flight: jump to the earliest client wake-up (or
             # the server restart) instead of idling tick by tick.
             wakes = [

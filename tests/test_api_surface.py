@@ -1,14 +1,15 @@
 """The public API surface stays coherent: every top-level export is real,
 documented in docs/API.md, and listed in ``__all__`` exactly once; the
-legacy ``run_stress`` keyword interface survives as a deprecation shim
-over :class:`StressConfig`."""
+options and shims earlier releases carried stay removed."""
 
+import warnings
 from pathlib import Path
 
 import pytest
 
 import repro
 import repro.service as service
+from repro.engine import LockingScheduler
 
 API_MD = Path(__file__).resolve().parent.parent / "docs" / "API.md"
 
@@ -55,42 +56,18 @@ class TestServiceSurface:
             with pytest.raises(TypeError):
                 cls(1)  # positional args rejected: keyword-only
 
+    def test_removed_options_stay_removed(self):
+        with pytest.raises(TypeError):
+            repro.History([], array_core=False)
+        with pytest.raises(TypeError):
+            repro.StressConfig(pipeline=False)
+        with pytest.raises(TypeError):
+            repro.run_stress(clients=2)
+        small = repro.StressConfig(clients=1, txns_per_client=1)
+        assert "pipeline" not in repro.run_stress(small).config
 
-class TestLegacyKwargsShim:
-    def _reset_warn_once(self):
-        import repro.service.stress as stress_mod
-
-        stress_mod._LEGACY_KWARGS_WARNED = False
-
-    def test_legacy_kwargs_warn_and_still_work(self):
-        self._reset_warn_once()
-        with pytest.warns(DeprecationWarning, match="StressConfig"):
-            legacy = repro.run_stress(clients=2, txns_per_client=4, seed=5)
-        modern = repro.run_stress(
-            repro.StressConfig(clients=2, txns_per_client=4, seed=5)
-        )
-        assert legacy.history_text == modern.history_text
-        assert legacy.journals == modern.journals
-
-    def test_warning_fires_once(self):
-        import warnings
-
-        self._reset_warn_once()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.run_stress(clients=1, txns_per_client=2)
-            repro.run_stress(clients=1, txns_per_client=2)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_config_plus_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="both"):
-            repro.run_stress(repro.StressConfig(), clients=2)
-
-    def test_unknown_kwarg_rejected(self):
-        self._reset_warn_once()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                repro.run_stress(not_a_knob=1)
+    def test_hand_built_scheduler_is_a_supported_constructor(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            db = repro.Database(LockingScheduler())
+        assert db.config is None

@@ -20,6 +20,7 @@ from repro.service import (
     Server,
     ServiceUnavailable,
     SimulatedNetwork,
+    StressConfig,
     build_capacity_report,
     find_knee,
     run_capacity,
@@ -40,7 +41,7 @@ def _open_loop(**overrides):
         horizon=600,
     )
     kwargs.update(overrides)
-    return run_stress(**kwargs)
+    return run_stress(StressConfig(**kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +61,7 @@ class TestOpenLoopStress:
 
     def test_arrivals_require_horizon(self):
         with pytest.raises(ValueError):
-            run_stress(arrivals=PoissonArrivals(rate=0.1))
+            StressConfig(arrivals=PoissonArrivals(rate=0.1))
 
     def test_deterministic_per_seed(self):
         a, b = _open_loop(), _open_loop()
@@ -109,7 +110,7 @@ class TestOpenLoopStress:
         assert cfg["admission"]["max_active"] == 3
 
     def test_closed_loop_unchanged_fields(self):
-        result = run_stress(clients=2, txns_per_client=5, seed=3)
+        result = run_stress(StressConfig(clients=2, txns_per_client=5, seed=3))
         assert result.offered == 10
         assert result.windows is None
         assert "arrivals" not in result.config
@@ -126,7 +127,7 @@ class TestOpenLoopStress:
         p99 = result.latency_percentile(99)
         assert p50 is not None and p99 is not None and p50 <= p99
         assert run_stress(
-            clients=1, txns_per_client=0
+            StressConfig(clients=1, txns_per_client=0)
         ).latency_percentile(50) is None
 
 
@@ -463,7 +464,7 @@ class TestCapacityReport:
         json.dumps(data)  # JSON-ready throughout
 
     def test_reports_without_capacity_are_unchanged(self):
-        result = run_stress(clients=2, txns_per_client=3, seed=1)
+        result = run_stress(StressConfig(clients=2, txns_per_client=3, seed=1))
         report = build_run_report(result=result, config={}, title="t")
         assert report.capacity is None
         assert "## Capacity" not in report.to_markdown()

@@ -4,6 +4,7 @@ import io
 import subprocess
 import sys
 
+import pytest
 
 from repro.cli import main
 
@@ -307,6 +308,11 @@ class TestStress:
     def test_stress_bad_scheduler(self):
         status, _ = run_cli("stress", "--scheduler", "bogus")
         assert status == 2
+
+    def test_no_pipeline_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("stress", "--no-pipeline")
+        assert exit_info.value.code == 2
 
 
 class TestObservabilityFlags:

@@ -137,23 +137,7 @@ class TestConnect:
         assert isinstance(db.scheduler, SnapshotIsolationScheduler)
         assert db.config.scheduler == "snapshot-isolation"
 
-    def test_hand_built_scheduler_warns_once(self):
-        from repro.engine import database as database_mod
-
-        database_mod._DIRECT_SCHEDULER_WARNED = False
-        try:
-            with pytest.warns(DeprecationWarning, match="repro.connect"):
-                Database(LockingScheduler())
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                Database(LockingScheduler())  # second time: silent
-        finally:
-            database_mod._DIRECT_SCHEDULER_WARNED = False
-
     def test_factory_built_scheduler_does_not_warn(self):
-        from repro.engine import database as database_mod
-
-        database_mod._DIRECT_SCHEDULER_WARNED = False
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             repro.connect("locking")
@@ -561,17 +545,19 @@ class TestRecoverPlumbing:
 class TestInstrumentation:
     def test_stress_run_emits_service_metrics_and_trace(self):
         from repro.observability import MetricsRegistry, Tracer
-        from repro.service import run_stress
+        from repro.service import StressConfig, run_stress
 
         metrics, tracer = MetricsRegistry(), Tracer()
         result = run_stress(
-            clients=3,
-            txns_per_client=6,
-            seed=7,
-            network=NetworkConfig(
-                drop=0.05, duplicate=0.05, min_delay=1, max_delay=4
+            StressConfig(
+                clients=3,
+                txns_per_client=6,
+                seed=7,
+                network=NetworkConfig(
+                    drop=0.05, duplicate=0.05, min_delay=1, max_delay=4
+                ),
+                crash_after_commits=8,
             ),
-            crash_after_commits=8,
             metrics=metrics,
             tracer=tracer,
         )

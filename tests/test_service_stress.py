@@ -13,6 +13,7 @@ from repro.service import (
     RetryPolicy,
     Server,
     SimulatedNetwork,
+    StressConfig,
     run_stress,
 )
 
@@ -25,14 +26,14 @@ class TestAcceptance:
 
     @pytest.fixture(scope="class")
     def runs(self):
-        kwargs = dict(
+        config = StressConfig(
             clients=4,
             txns_per_client=25,
             seed=7,
             network=FAULTY,
             crash_after_commits=30,
         )
-        return run_stress(**kwargs), run_stress(**kwargs)
+        return run_stress(config), run_stress(config)
 
     def test_completes_with_faults_and_crash(self, runs):
         result, _ = runs
@@ -66,13 +67,13 @@ class TestAcceptance:
 
     def test_different_seed_differs(self, runs):
         first, _ = runs
-        other = run_stress(
+        other = run_stress(StressConfig(
             clients=4,
             txns_per_client=25,
             seed=8,
             network=FAULTY,
             crash_after_commits=30,
-        )
+        ))
         assert other.history_text != first.history_text
 
 
@@ -87,14 +88,14 @@ SCHEDULES = {
 class TestDeterminismAcrossSchedules:
     @pytest.mark.parametrize("name", sorted(SCHEDULES))
     def test_identical_seed_identical_run(self, name):
-        kwargs = dict(
+        config = StressConfig(
             clients=3,
             txns_per_client=6,
             seed=13,
             network=SCHEDULES[name],
             crash_after_commits=8,
         )
-        a, b = run_stress(**kwargs), run_stress(**kwargs)
+        a, b = run_stress(config), run_stress(config)
         assert a.history_text == b.history_text
         assert a.journals == b.journals
         # identical CheckReport, not just identical bytes
@@ -145,7 +146,7 @@ class TestSchedulerFamilies:
         ],
     )
     def test_stress_certifies_each_family(self, family, floor):
-        result = run_stress(
+        result = run_stress(StressConfig(
             scheduler=family,
             clients=3,
             txns_per_client=6,
@@ -154,21 +155,21 @@ class TestSchedulerFamilies:
                 drop=0.03, duplicate=0.03, min_delay=1, max_delay=3
             ),
             crash_after_commits=8,
-        )
+        ))
         assert result.committed == 18
         assert result.all_certified
         strongest = result.strongest_level()
         assert strongest is not None and strongest.implies(floor)
 
     def test_declared_level_override(self):
-        result = run_stress(
+        result = run_stress(StressConfig(
             scheduler="locking",
             level="PL-1",
             clients=2,
             txns_per_client=4,
             seed=5,
             network=NetworkConfig(min_delay=1, max_delay=2),
-        )
+        ))
         assert result.all_certified
         levels = {lvl for _t, (lvl, _ok) in result.certification.items() if lvl}
         assert levels == {IsolationLevel.PL_1}
@@ -195,10 +196,9 @@ def _traced_stress(seed=7, **overrides):
         network=TRACED_FAULTY,
         crash_after_commits=12,
         restart_delay=30,
-        tracer=Tracer(),
     )
     kwargs.update(overrides)
-    return run_stress(**kwargs)
+    return run_stress(StressConfig(**kwargs), tracer=Tracer())
 
 
 def _records_by_trace(records):

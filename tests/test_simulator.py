@@ -199,7 +199,7 @@ class TestVictimSelection:
     def test_original_age_prevents_starvation(self):
         """A restarted deadlock victim keeps its original seniority, so
         crossing writers at scale all eventually commit (the naive
-        current-youngest rule starved them; see bench_scaling_engine)."""
+        current-youngest rule starved them on 32-program fleets)."""
         programs = [
             Program(f"p{i}", [Write("x", 1), Write("y", 1)] if i % 2 == 0
                     else [Write("y", 2), Write("x", 2)])

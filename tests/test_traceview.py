@@ -21,7 +21,7 @@ from repro.observability.traceview import (
     waterfall,
     write_chrome_trace,
 )
-from repro.service import NetworkConfig, run_stress
+from repro.service import NetworkConfig, StressConfig, run_stress
 
 FAULTY = NetworkConfig(drop=0.05, duplicate=0.08, min_delay=1, max_delay=5)
 
@@ -36,10 +36,9 @@ def _traced_run(seed=3, **overrides):
         network=FAULTY,
         crash_after_commits=6,
         restart_delay=30,
-        tracer=Tracer(),
     )
     kwargs.update(overrides)
-    return run_stress(**kwargs)
+    return run_stress(StressConfig(**kwargs), tracer=Tracer())
 
 
 @pytest.fixture(scope="module")
