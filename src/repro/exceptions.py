@@ -113,13 +113,26 @@ class WouldBlock(EngineError):
     """
 
     def __init__(self, tid: int, resource: str, holders):
+        # No ``super().__init__(message)``: schedulers raise this on every
+        # lock conflict and the simulator and the service catch it without
+        # reading the text, so the message is formatted on demand.
         self.tid = tid
         self.resource = resource
         self.holders = frozenset(holders)
+
+    @property
+    def args(self):
         pretty = ", ".join(f"T{t}" for t in sorted(self.holders))
-        super().__init__(
-            f"T{tid} must wait for {resource} held by {pretty or 'nobody'}"
+        return (
+            f"T{self.tid} must wait for {self.resource} "
+            f"held by {pretty or 'nobody'}",
         )
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.args[0]!r})"
 
 
 class InvalidOperation(EngineError):

@@ -201,6 +201,18 @@ class PendingCall:
             return None
         return self.deadline if self.deadline is not None else self.resume_at
 
+    def due(self, now: int) -> bool:
+        """Whether :meth:`poll` can change an unsettled pending at tick
+        ``now``: only with mail in the client's inbox or a deadline/backoff
+        that has come due.  Both change only when the network delivers or
+        the clock moves, so a driver need not poll in between (polling
+        anyway stays harmless)."""
+        return (
+            bool(self.client._inbox)
+            or (self.deadline is not None and self.deadline <= now)
+            or (self.resume_at is not None and self.resume_at <= now)
+        )
+
 
 class Client:
     """One session against one server endpoint."""
@@ -244,6 +256,8 @@ class Client:
     def _drain(self, rid: int) -> List[Dict[str, Any]]:
         """Replies matching ``rid``; stale replies (earlier rids, network
         duplicates) are discarded."""
+        if not self._inbox:
+            return []
         matched, keep = [], []
         for src, payload in self._inbox:
             if payload.get("rid") == rid:

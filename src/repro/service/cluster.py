@@ -466,11 +466,8 @@ class ShardServer(Server):
             else:
                 sess.txn.abort()  # stale orphan from an earlier transaction
         sess.pending_abort = None
-        sess.txn = self.db.begin(meta.level, tid=gid)
-        if sess.first_tid is None:
-            sess.first_tid = gid
+        self._adopt(sess, session, self.db.begin(meta.level, tid=gid))
         self.declared[gid] = meta.declared
-        self._tid_session[gid] = session
         meta.participants.add(self.index)
         return True
 
@@ -599,6 +596,7 @@ class ShardServer(Server):
                         "requests answered busy (lock waits)",
                     ).inc()
                 self._waits[session_id] = frozenset({gid})
+                self._waits_acyclic = False  # an edge no search follows
                 return {"error": "busy", "holders": [gid], "in_doubt": True}
         return None
 
@@ -622,8 +620,8 @@ class ShardServer(Server):
         self._detached.clear()  # engine txns die with the db; snapshots stay
         self._note_event_ticks()
 
-    def _resolve_deadlock(self) -> None:
-        self._cluster.resolve_deadlock(self)
+    def _resolve_deadlock(self, waiter: int) -> None:
+        self._cluster.resolve_deadlock(self, waiter)
 
 
 class ClusterClient(Client):
@@ -1137,10 +1135,10 @@ class Cluster:
     # global deadlock resolution
     # ------------------------------------------------------------------
 
-    def resolve_deadlock(self, origin: ShardServer) -> None:
+    def resolve_deadlock(self, origin: ShardServer, waiter: int) -> None:
         """:func:`~repro.service.server.break_deadlock` over every shard:
         the single server's victim rule, applied cluster-wide."""
-        broken = break_deadlock(self.shards, origin)
+        broken = break_deadlock(self.shards, origin, waiter)
         if broken is None:
             return
         victim, aborted_on = broken

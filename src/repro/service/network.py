@@ -152,9 +152,7 @@ class SimulatedNetwork:
 
     def _msg_span(
         self, src: str, dst: str, payload: Dict[str, Any], duplicate: bool
-    ) -> Optional[object]:
-        if self.tracer is None:
-            return None
+    ) -> object:
         ctx = payload.get("trace")
         return self.tracer.span(
             "net.msg",
@@ -172,22 +170,20 @@ class SimulatedNetwork:
         self, src: str, dst: str, payload: Dict[str, Any], *,
         duplicate: bool = False,
     ) -> None:
+        config = self.config
         delay = (
-            self.config.min_delay
-            if self.config.min_delay == self.config.max_delay
-            else self.rng.randint(self.config.min_delay, self.config.max_delay)
+            config.min_delay
+            if config.min_delay == config.max_delay
+            else self.rng.randint(config.min_delay, config.max_delay)
         )
         self._seq += 1
+        span = (
+            self._msg_span(src, dst, payload, duplicate)
+            if self.tracer is not None
+            else None
+        )
         heapq.heappush(
-            self._queue,
-            (
-                self.now + delay,
-                self._seq,
-                src,
-                dst,
-                payload,
-                self._msg_span(src, dst, payload, duplicate),
-            ),
+            self._queue, (self.now + delay, self._seq, src, dst, payload, span)
         )
 
     def send(self, src: str, dst: str, payload: Dict[str, Any]) -> None:
@@ -251,14 +247,16 @@ class SimulatedNetwork:
         if not self._queue:
             return False
         deliver_at, _seq, src, dst, payload, span = heapq.heappop(self._queue)
-        self.now = max(self.now, deliver_at)
-        self._sync_clock()
+        if deliver_at > self.now:
+            self.now = deliver_at
+        if self.metrics is not None:
+            self._sync_clock()
         if dst in self._down or src in self._down:
             self._count("lost_down")
             if span is not None:
                 span.end(fate="lost-down")
             return True
-        if not self.reachable(src, dst):
+        if self._group and not self.reachable(src, dst):
             self._count("lost_partition")
             if span is not None:
                 span.end(fate="lost-partition")
@@ -284,13 +282,11 @@ class SimulatedNetwork:
         whole tick's backlog instead of bouncing through the driver loop
         once per message.
         """
-        if not self._queue:
-            return 0
+        # The alias stays valid across a crash triggered inside a delivery:
+        # ``flush`` edits the queue list in place, it never rebinds it.
+        queue = self._queue
         count = 0
-        # Read ``self._queue`` afresh each iteration: a crash triggered
-        # inside a delivery (``flush``) rebinds the queue list, and a
-        # stale local alias would spin on the dropped snapshot forever.
-        while self._queue and (count == 0 or self._queue[0][0] <= self.now):
+        while queue and (count == 0 or queue[0][0] <= self.now):
             self.step()
             count += 1
         return count

@@ -31,6 +31,7 @@ an unreliable boundary forces:
 from __future__ import annotations
 
 import random
+from math import inf
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.events import Commit
@@ -50,14 +51,17 @@ class _Session:
     """Per-client-session server state (volatile — lost on crash)."""
 
     __slots__ = (
-        "txn", "replies", "last_rid", "first_tid", "pending_abort",
-        "downgraded", "level_override",
+        "txn", "replies", "oldest_reply", "last_rid", "first_tid",
+        "pending_abort", "downgraded", "level_override",
     )
 
     def __init__(self) -> None:
         self.txn: Optional[TransactionHandle] = None
         #: Final replies by rid (the at-most-once dedup cache).
         self.replies: Dict[int, Dict[str, Any]] = {}
+        #: Lowest rid in ``replies`` (infinite when empty): a request whose
+        #: ``acked`` watermark is below it has nothing to prune.
+        self.oldest_reply: float = inf
         #: Highest rid with a final (non-busy) reply — the stale guard: a
         #: delayed duplicate of an already-acked request must not
         #: re-execute after its cache entry was pruned.
@@ -121,6 +125,10 @@ class Server:
         self.counters = {"requests": 0, "dedup_hits": 0, "busy": 0, "shed": 0}
         self._sessions: Dict[str, _Session] = {}
         self._waits: Dict[str, frozenset] = {}  # session -> holder tids
+        #: The last deadlock search left the waits-for graph acyclic and no
+        #: wait edge has appeared here since without a search following it
+        #: (see :func:`break_deadlock`).
+        self._waits_acyclic = True
         #: Declared level per tid (for certification) and live verdicts.
         self.declared: Dict[int, Optional[IsolationLevel]] = {}
         self.certified: Dict[int, bool] = {}
@@ -279,11 +287,16 @@ class Server:
             self.metrics.counter(
                 "service_requests_total", "service requests handled by verb"
             ).inc(verb=kind)
-        sess = self._sessions.setdefault(request["session"], _Session())
+        session_id = request["session"]
+        sess = self._sessions.get(session_id)
+        if sess is None:
+            sess = self._sessions[session_id] = _Session()
         acked = request.get("acked")
-        if acked is not None:
-            for old in [r for r in sess.replies if r <= acked]:
-                del sess.replies[old]
+        if acked is not None and acked >= sess.oldest_reply:
+            replies = sess.replies
+            for old in [r for r in replies if r <= acked]:
+                del replies[old]
+            sess.oldest_reply = min(replies, default=inf)
         cached = sess.replies.get(rid)
         if cached is not None:
             self.counters["dedup_hits"] += 1
@@ -311,6 +324,8 @@ class Server:
             # Busy, shed and moved replies are not cached: the operation
             # never ran, so the retry must actually execute it.
             sess.replies[rid] = reply
+            if rid < sess.oldest_reply:
+                sess.oldest_reply = rid
             sess.last_rid = max(sess.last_rid, rid)
         return reply
 
@@ -406,7 +421,7 @@ class Server:
                     tid=txn.tid,
                 )
             self._waits[session_id] = block.holders
-            self._resolve_deadlock()
+            self._resolve_deadlock(txn.tid)
             if sess.pending_abort is not None:
                 reason, sess.pending_abort = sess.pending_abort, None
                 sess.txn = None
@@ -480,12 +495,23 @@ class Server:
         elif level is None and self.config.level is not None:
             level = self.config.level
         txn = self.db.begin(level)
+        self._adopt(sess, request["session"], txn)
+        self.declared[txn.tid] = self._declared_level(level)
+        return {"ok": True, "tid": txn.tid}
+
+    def _adopt(
+        self, sess: _Session, session_id: str, txn: TransactionHandle
+    ) -> None:
+        """Make ``txn`` the session's transaction — the one way a session
+        gets an active transaction, which the deadlock search relies on:
+        ``_tid_session`` finds it, and a wait the session never retried now
+        speaks for ``txn`` without any search having seen that edge."""
         sess.txn = txn
         if sess.first_tid is None:
             sess.first_tid = txn.tid
-        self.declared[txn.tid] = self._declared_level(level)
-        self._tid_session[txn.tid] = request["session"]
-        return {"ok": True, "tid": txn.tid}
+        self._tid_session[txn.tid] = session_id
+        if session_id in self._waits:
+            self._waits_acyclic = False
 
     def _declared_level(self, level) -> Optional[IsolationLevel]:
         if level is None:
@@ -568,9 +594,10 @@ class Server:
     # deadlock resolution
     # ------------------------------------------------------------------
 
-    def _resolve_deadlock(self) -> None:
-        """Break a waits-for cycle among this server's sessions, if any."""
-        break_deadlock([self], self)
+    def _resolve_deadlock(self, waiter: int) -> None:
+        """Break a waits-for cycle among this server's sessions, if any;
+        ``waiter`` is the transaction whose busy reply asks."""
+        break_deadlock([self], self, waiter)
 
     # ------------------------------------------------------------------
 
@@ -598,17 +625,13 @@ def record_verdict(
             tracer.event("certification.failure", tid=tid, level=str(level))
 
 
-def break_deadlock(
-    servers: Sequence["Server"], origin: "Server"
-) -> Optional[Tuple[int, List["Server"]]]:
-    """Busy replies carry waits-for edges; union them over ``servers``
-    (tids are global, so edges compose) and, on a cycle, abort the
-    transaction whose *session* is youngest — the simulator's aging rule:
-    restarted victims keep their seniority.  The victim is charged to
-    ``origin`` (the server whose busy reply triggered the search).  Returns
-    ``(victim tid, servers it was aborted on)``, or ``None`` without a
-    cycle."""
-    live = [server for server in servers if server.up]
+def _waits_for(
+    live: Sequence["Server"],
+) -> Tuple[Dict[int, List[Tuple["Server", str]]], Dict[int, FrozenSet[int]]]:
+    """The waits-for graph the busy replies of ``live`` imply: where each
+    active transaction runs (``tid -> [(server, session)]``; tids are
+    global, so edges compose across shards) and, per waiting transaction,
+    the active transactions it waits on."""
     by_tid: Dict[int, List[Tuple[Server, str]]] = {}
     for server in live:
         for sid, s in server._sessions.items():
@@ -623,8 +646,63 @@ def break_deadlock(
             held = frozenset(h for h in holders if h in by_tid)
             if held:
                 waits[s.txn.tid] = waits.get(s.txn.tid, frozenset()) | held
+    return by_tid, waits
+
+
+def _waits_on_itself(live: Sequence["Server"], waiter: int) -> bool:
+    """Whether ``waiter`` can reach itself along the recorded wait edges of
+    ``live`` — followed through ``_tid_session`` instead of a rebuilt graph.
+    Holders that are no longer active have no session and end the walk."""
+    seen = {waiter}
+    stack = [waiter]
+    while stack:
+        tid = stack.pop()
+        for server in live:
+            sid = server._tid_session.get(tid)
+            s = server._sessions.get(sid)
+            if (
+                s is None
+                or s.txn is None
+                or s.txn.tid != tid
+                or s.txn.state is not TxnState.ACTIVE
+            ):
+                continue
+            for holder in server._waits.get(sid, ()):
+                if holder == waiter:
+                    return True
+                if holder not in seen:
+                    seen.add(holder)
+                    stack.append(holder)
+    return False
+
+
+def break_deadlock(
+    servers: Sequence["Server"], origin: "Server", waiter: int
+) -> Optional[Tuple[int, List["Server"]]]:
+    """Busy replies carry waits-for edges; union them over ``servers`` and,
+    on a cycle, abort the transaction whose *session* is youngest — the
+    simulator's aging rule: restarted victims keep their seniority.  The
+    victim is charged to ``origin`` (the server whose busy reply to
+    transaction ``waiter`` triggered the search).  Returns ``(victim tid,
+    servers it was aborted on)``, or ``None`` without a cycle.
+
+    The search is incremental.  While every server's ``_waits_acyclic``
+    holds, the graph was acyclic when last searched and has only lost edges
+    since, except for the out-edges ``waiter`` just gained — so any cycle
+    passes through ``waiter``, and if it cannot reach itself there is none.
+    Only otherwise is the graph rebuilt and searched in full, which alone
+    decides *which* cycle and victim are reported."""
+    live = [server for server in servers if server.up]
+    if all(server._waits_acyclic for server in live) and not _waits_on_itself(
+        live, waiter
+    ):
+        return None
+    by_tid, waits = _waits_for(live)
     cycle = _find_cycle(waits)
     candidates = [tid for tid in cycle or () if tid in by_tid]
+    for server in live:
+        # After a victim, other cycles through ``waiter`` may remain.
+        server._waits_acyclic = not candidates
     if not candidates:
         return None
 

@@ -25,7 +25,7 @@ client-centric thesis needs end to end:
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -183,11 +183,15 @@ class StressResult:
 class _ScriptRun:
     """One client's transaction script, driven as a coroutine."""
 
-    def __init__(self, client: Client, gen) -> None:
+    def __init__(self, index: int, client: Client, gen) -> None:
+        #: Position in the driver's client order (poll and choice order).
+        self.index = index
         self.client = client
         self.gen = gen
         self.pending = None
         self.done = False
+        #: Waiting on an unsettled ``pending`` (neither ready nor done).
+        self.blocked = False
 
     def resume(self) -> None:
         try:
@@ -218,6 +222,9 @@ class _TickWait:
 
     def poll(self) -> bool:
         return self.settled
+
+    def due(self, now: int) -> bool:
+        return now >= self.tick
 
     @property
     def next_wake(self) -> Optional[int]:
@@ -447,10 +454,13 @@ def run_stress(
     workload.  A ``shards=1`` cluster produces byte-identical histories,
     journals and certification to the plain single-server run.
 
-    The driver is tick-synchronized: whenever every script is blocked, the
-    network's whole due message batch is delivered in one
+    The driver is tick-synchronized and event-driven: whenever every script
+    is blocked, the network's whole due message batch is delivered in one
     :meth:`~repro.service.network.SimulatedNetwork.drain_due` sweep before
-    any client gets to run again.
+    any client gets to run again; after the sweep (or an idle clock jump)
+    only the pendings with mail or a due deadline/backoff are polled, in
+    client order, and the fault schedule is consulted once per clock change
+    (see ``docs/performance.md``, "Service delivery").
     """
     cfg = config or StressConfig()
     scheduler = cfg.scheduler
@@ -681,15 +691,30 @@ def run_stress(
                 read_only_fraction=cfg.read_only_fraction,
                 ops_out=ops_log,
             )
-        runs.append(_ScriptRun(client, script))
+        runs.append(_ScriptRun(i, client, script))
     restart_at: Optional[int] = None
     crashed_once = False
     start_tick = net.now
     arrivals_seen = 0
     sheds_seen = 0
+    # Event-driven: a poll can only have an effect when its client has mail
+    # or its deadline/backoff has come due, and both change only inside
+    # ``drain_due``/``advance``.  After each of those the blocked scripts are
+    # scanned once for due pendings (``wake``) and only those are polled, in
+    # client-index order — poll order decides the order of ``_send()`` draws
+    # from ``net.rng``.  ``ready`` holds the indices of the unblocked scripts
+    # in ascending order, so ``driver_rng.choice`` sees the list a
+    # poll-everything loop would rebuild.  The fault schedule likewise reads
+    # only the clock and counters that move inside a delivery.
+    ready = list(range(clients))
+    wake: List[_ScriptRun] = []
+    live = clients
+    clock_moved = faults_due = True
     while True:
         if windows is not None:
-            # Observation only: nothing below may influence the run.
+            # Observation only: nothing below may influence the run.  Every
+            # iteration, not once per clock change: ``arrival_state["next"]``
+            # moves when a resumed script claims an arrival.
             now = net.now
             while (
                 arrivals_seen < len(schedule)
@@ -721,37 +746,56 @@ def run_stress(
             windows.maybe_sample(now)
             if flight is not None:
                 flight.check_slos(now)
-        if cluster is not None:
-            # The cluster owns its whole deterministic fault schedule
-            # (stress crash included) — one tick per driver iteration, in
-            # the same loop position as the single-server crash block.
-            cluster.tick()
-        else:
-            if (
-                crash_after_commits is not None
-                and not crashed_once
-                and server.commit_count >= crash_after_commits
-            ):
-                server.crash()
-                crashed_once = True
-                restart_at = net.now + restart_delay
-            if restart_at is not None and net.now >= restart_at:
-                server.restart()
-                restart_at = None
-        active = [r for r in runs if not r.done]
-        if not active:
+        if faults_due:
+            if cluster is not None:
+                # The cluster owns its whole deterministic fault schedule
+                # (stress crash included), in the same loop position as the
+                # single-server crash block.  A restart armed with a zero
+                # delay is due again at the very next step.
+                cluster.tick()
+                wake_at = cluster.next_wake
+                faults_due = wake_at is not None and wake_at <= net.now
+            else:
+                if (
+                    crash_after_commits is not None
+                    and not crashed_once
+                    and server.commit_count >= crash_after_commits
+                ):
+                    server.crash()
+                    crashed_once = True
+                    restart_at = net.now + restart_delay
+                if restart_at is not None and net.now >= restart_at:
+                    server.restart()
+                    restart_at = None
+                faults_due = False
+        if not live:
             break
-        if net.now - start_tick > max_ticks:
+        now = net.now
+        if now - start_tick > max_ticks:
             raise RuntimeError(
                 f"stress run exceeded {max_ticks} ticks "
-                f"({sum(1 for r in runs if r.done)}/{len(runs)} scripts done)"
+                f"({len(runs) - live}/{len(runs)} scripts done)"
             )
-        for run in active:
-            if run.pending is not None:
-                run.pending.poll()
-        ready = [r for r in active if r.ready]
+        if clock_moved:
+            wake = [r for r in runs if r.blocked and r.pending.due(now)]
+            clock_moved = False
+        if wake:
+            polled, wake = wake, []
+            for run in polled:
+                if run.pending.poll():
+                    run.blocked = False
+                    insort(ready, run.index)
+                elif run.pending.due(now):
+                    wake.append(run)  # a zero backoff is due again at once
         if ready:
-            driver_rng.choice(ready).resume()
+            run = runs[driver_rng.choice(ready)]
+            run.resume()
+            if not run.ready:
+                ready.remove(run.index)
+                if run.done:
+                    live -= 1
+                else:
+                    run.blocked = True
             continue
         # Every script is blocked: deliver the network's whole due batch
         # before any client runs again (tick-synchronized; see docstring).
@@ -760,15 +804,16 @@ def run_stress(
             # the server restart) instead of idling tick by tick.
             wakes = [
                 r.pending.next_wake
-                for r in active
-                if r.pending is not None and r.pending.next_wake is not None
+                for r in runs
+                if r.blocked and r.pending.next_wake is not None
             ]
             if cluster is not None:
                 if cluster.next_wake is not None:
                     wakes.append(cluster.next_wake)
             elif restart_at is not None:
                 wakes.append(restart_at)
-            net.advance(max(1, min(wakes) - net.now) if wakes else 1)
+            net.advance(max(1, min(wakes) - now) if wakes else 1)
+        clock_moved = faults_due = True
     if cluster is not None:
         cluster.settle()
     elif restart_at is not None:

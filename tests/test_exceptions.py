@@ -73,6 +73,20 @@ class TestMessages:
         assert exc.holders == {3, 5}
         assert "T3, T5" in str(exc)
 
+    def test_would_block_message_is_lazy_but_reads_the_same(self):
+        # The text is formatted on demand; str/args/repr read exactly as
+        # they did when it was built in the constructor.
+        message = "T2 must wait for write lock on 'x' held by T3, T5"
+        exc = WouldBlock(2, "write lock on 'x'", {5, 3})
+        assert str(exc) == message
+        assert exc.args == (message,)
+        assert repr(exc) == f"WouldBlock({message!r})"
+        assert str(WouldBlock(1, "predicate lock on relation 'r'", ())) == (
+            "T1 must wait for predicate lock on relation 'r' held by nobody"
+        )
+        with pytest.raises(WouldBlock, match="held by T3, T5"):
+            raise exc
+
     def test_parse_error_position(self):
         exc = ParseError("bad", token="zzz", position=4)
         assert "zzz" in str(exc) and "4" in str(exc)

@@ -1,0 +1,220 @@
+"""Structural guards for the event-driven service hot path.
+
+Counts, not timings: every number here is exact per seed, so nothing can
+flake.  ``test_stress_golden`` pins *what* a run produces; this module pins
+*how little work* the driver, the deadlock search and the dedup cache do to
+produce it, and that their shortcuts agree with the exhaustive versions.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.engine.factory import SchedulerConfig
+from repro.engine.simulator import _find_cycle
+from repro.service import (
+    ClusterConfig,
+    NetworkConfig,
+    RetryPolicy,
+    StressConfig,
+    client as client_mod,
+    cluster as cluster_mod,
+    network as network_mod,
+    run_stress,
+    server as server_mod,
+)
+
+CONTENDED = dict(
+    scheduler="locking", clients=8, txns_per_client=10, keys=8, ops_per_txn=3,
+    network=NetworkConfig(min_delay=1, max_delay=3),
+)
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestWakeList:
+    """The driver polls a pending only with mail or a due wake, and runs
+    the fault schedule once per clock change."""
+
+    def test_polls_per_submit_are_bounded(self, monkeypatch):
+        counts = {}
+        _count_calls(monkeypatch, client_mod.PendingCall, "poll", counts)
+        _count_calls(monkeypatch, client_mod.Client, "submit", counts)
+        result = run_stress(StressConfig(seed=3, **CONTENDED))
+        assert result.committed == 80
+        # Two polls per operation are co_call's own (at submit and at
+        # resume); the rest is one per reply, timeout or due backoff.  The
+        # poll-everything loop this replaced sat at ~24 per submit.
+        assert counts["poll"] <= 5 * counts["submit"]
+
+    def test_fault_schedule_runs_once_per_clock_change(self, monkeypatch):
+        counts = {}
+        _count_calls(monkeypatch, cluster_mod.Cluster, "tick", counts)
+        _count_calls(monkeypatch, network_mod.SimulatedNetwork, "drain_due", counts)
+        _count_calls(monkeypatch, network_mod.SimulatedNetwork, "advance", counts)
+        result = run_stress(StressConfig(
+            seed=3, cluster=ClusterConfig(shards=2, replicas=1), **CONTENDED
+        ))
+        assert result.committed == 80
+        assert counts["tick"] <= (
+            counts["drain_due"] + counts.get("advance", 0) + 1
+        )
+
+    def test_zero_delay_restart_lands_before_the_next_delivery(self, monkeypatch):
+        # restart_delay=0 arms a restart that is due in the tick of the
+        # crash: the fault schedule must run again at the driver's next
+        # step, not at the next clock change (on this seed a script is
+        # ready at the crash, so shard 0 is back before anything is
+        # delivered, and no delivery sweep ever starts with it down).
+        down_at_sweep = []
+        original = network_mod.SimulatedNetwork.drain_due
+
+        def drain_due(net):
+            down_at_sweep.append(not net.is_up("shard0"))
+            return original(net)
+
+        monkeypatch.setattr(network_mod.SimulatedNetwork, "drain_due", drain_due)
+        result = run_stress(StressConfig(
+            seed=1,
+            crash_after_commits=20,
+            restart_delay=0,
+            cluster=ClusterConfig(shards=2),
+            retry=RetryPolicy(backoff=0),
+            **{**CONTENDED, "network": NetworkConfig(
+                drop=0.05, min_delay=0, max_delay=2
+            )},
+        ))
+        assert result.crashes == result.restarts == 1
+        assert not any(down_at_sweep)
+
+    def test_polling_a_pending_that_is_not_due_changes_nothing(self):
+        # `due` is a hint, never a precondition: hand-driven loops (and
+        # `co_call`) poll whenever they like.
+        net = network_mod.SimulatedNetwork(NetworkConfig(min_delay=2, max_delay=2))
+        server_mod.Server(net, "locking", initial={"x": 0})
+        client = client_mod.Client(net)
+        pending = client.submit("begin")
+        assert not pending.due(net.now)
+        before = (pending.attempts, pending.deadline, pending.resume_at, net.pending)
+        assert pending.poll() is False
+        assert before == (
+            pending.attempts, pending.deadline, pending.resume_at, net.pending
+        )
+        net.drain_due()  # request delivered, reply in flight
+        assert not pending.due(net.now)
+        net.drain_due()  # reply delivered
+        assert pending.due(net.now) and pending.poll() is True
+
+
+def _checked_searches(monkeypatch, log):
+    """Run every ``break_deadlock`` call next to the exhaustive search it
+    may skip: rebuild the whole graph first, then require the same verdict."""
+    original = server_mod.break_deadlock
+
+    def checked(servers, origin, waiter):
+        live = [server for server in servers if server.up]
+        by_tid, waits = server_mod._waits_for(live)
+        cycle = _find_cycle(waits)
+        full_calls = log["full"]
+        broken = original(servers, origin, waiter)
+        log["searches"] += 1
+        log["skipped"] += log["full"] == full_calls
+        if cycle is None:
+            assert broken is None
+        else:
+            assert broken is not None and broken[0] in cycle
+        return broken
+
+    def counting_find_cycle(waits):
+        log["full"] += 1
+        return _find_cycle(waits)
+
+    monkeypatch.setattr(server_mod, "break_deadlock", checked)
+    monkeypatch.setattr(cluster_mod, "break_deadlock", checked)
+    monkeypatch.setattr(server_mod, "_find_cycle", counting_find_cycle)
+
+
+DEADLOCK_CASES = {
+    "single": {},
+    # Shared read locks: waiters with several holders at once.
+    "read_mix": dict(read_only_fraction=0.5),
+    # Wounded transactions die out-of-band and leave their wait entry behind.
+    "wound_wait": dict(
+        scheduler=SchedulerConfig(scheduler="locking", deadlock="wound-wait")
+    ),
+    # Clients that give up on a lock begin afresh over a stale wait entry.
+    "give_up": dict(retry=RetryPolicy(max_attempts=2)),
+    "cluster": dict(cluster=ClusterConfig(shards=2, replicas=1)),
+    # A shard crash between prepare and commit: in-doubt fences add wait
+    # edges that no search follows.
+    "cluster_in_doubt": dict(
+        cluster=ClusterConfig(
+            shards=2,
+            crash_shard_after_prepares=(1, 4),
+            partition_coordinator_after_prepares=9,
+        ),
+        network=NetworkConfig(drop=0.03, duplicate=0.03, min_delay=1, max_delay=3),
+    ),
+}
+
+
+class TestIncrementalDeadlockSearch:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", DEADLOCK_CASES)
+    def test_shortcut_agrees_with_the_full_search(self, monkeypatch, case, seed):
+        log = {"searches": 0, "skipped": 0, "full": 0}
+        _checked_searches(monkeypatch, log)
+        run_stress(StressConfig(
+            seed=seed, **{**CONTENDED, **DEADLOCK_CASES[case]}
+        ))
+        assert log["searches"] > 0
+
+    def test_most_busy_replies_skip_the_rebuild(self, monkeypatch):
+        log = {"searches": 0, "skipped": 0, "full": 0}
+        _checked_searches(monkeypatch, log)
+        result = run_stress(StressConfig(seed=3, **CONTENDED))
+        assert result.deadlock_victims > 0
+        # A full search per victim to name it, one more to re-establish an
+        # acyclic graph, and whatever cycles-through-the-waiter turn up.
+        assert log["skipped"] >= log["searches"] // 2
+        assert log["full"] <= 3 * result.deadlock_victims + 1
+
+
+class TestDedupCacheWatermark:
+    @pytest.mark.parametrize("extra", [
+        dict(network=NetworkConfig(
+            drop=0.05, duplicate=0.2, min_delay=1, max_delay=6
+        )),
+        # The coordinator's multiplexed session: replayable 2PC verbs are
+        # re-cached below the acked watermark.
+        dict(
+            cluster=ClusterConfig(shards=2, retry_every=4),
+            network=NetworkConfig(duplicate=0.2, min_delay=1, max_delay=6),
+        ),
+    ], ids=["single", "cluster"])
+    def test_oldest_reply_tracks_the_cache(self, monkeypatch, extra):
+        original = server_mod.Server._handle
+
+        def checked(server, request, span):
+            reply = original(server, request, span)
+            sess = server._sessions[request["session"]]
+            assert sess.oldest_reply == min(sess.replies, default=float("inf"))
+            # Pruned exactly as a scan on every request would: nothing at or
+            # below the acked watermark survives, bar this request's own reply.
+            acked = request.get("acked")
+            assert acked is None or all(
+                rid > acked for rid in sess.replies if rid != request["rid"]
+            )
+            return reply
+
+        monkeypatch.setattr(server_mod.Server, "_handle", checked)
+        result = run_stress(StressConfig(seed=5, **{**CONTENDED, **extra}))
+        assert result.server_counters["dedup_hits"] > 0
