@@ -25,7 +25,7 @@ import pytest
 from repro.engine import connect
 from repro.observability import SLO, WindowedTelemetry
 from repro.service import AdmissionConfig, StressConfig, run_capacity, run_stress
-from repro.workloads import PoissonArrivals
+from repro.workloads import PoissonArrivals, ZipfianKeys
 
 _KEYS = 8
 _RATE = 0.1
@@ -112,13 +112,15 @@ def test_windowed_telemetry_overhead_bounded():
 
 def test_capacity_ladder_table(record_table):
     sweep = run_capacity(
+        StressConfig(
+            clients=4,
+            keys=6,
+            admission=AdmissionConfig(max_active=3, retry_after=8),
+            hot_keys=ZipfianKeys(6, theta=0.9),
+        ),
         rates=[0.03, 0.08, 0.16],
         horizon=500,
         seed=11,
-        clients=4,
-        keys=6,
-        admission=AdmissionConfig(max_active=3, retry_after=8),
-        zipf_theta=0.9,
         slos=(SLO(name="p99", kind="latency", threshold=400, verb="txn"),),
         window=200,
         sample_every=50,

@@ -81,6 +81,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .baseline.preventative import PreventativeAnalysis, PreventativePhenomenon
@@ -93,6 +95,100 @@ from .exceptions import ReproError
 
 __all__ = ["main", "build_parser"]
 
+#: Every flag that names a field of the run's ``StressConfig`` tree, declared
+#: once: ``(group, flag, config field, type, default, help[, further argparse
+#: keywords])``.  A command picks its groups with :func:`_add_run_args`;
+#: :func:`_run_config` puts whatever the command declared back onto the tree.
+_RUN_FLAGS = (
+    ("engine", "--scheduler", "scheduler", None, "locking", None),
+    ("engine", "--seed", "seed", int, 0, None),
+    ("load", "--level", "level", None, None,
+     "declared isolation level for every transaction (default: the "
+     "scheduler's natural level)"),
+    ("load", "--clients", "clients", int, 4, None),
+    ("load", "--keys", "keys", int, 8, None),
+    ("load", "--ops", "ops_per_txn", int, 2, "RMW pairs per txn"),
+    ("closed", "--txns", "txns_per_client", int, 25,
+     "committed txns per client"),
+    ("network", "--drop", "network.drop", float, 0.05, None),
+    ("network", "--duplicate", "network.duplicate", float, 0.05, None),
+    ("network", "--min-delay", "network.min_delay", int, 1, None),
+    ("network", "--max-delay", "network.max_delay", int, 4, None),
+    ("crash", "--crash-after", "crash_after_commits", int, None,
+     "crash the server after this many commits (then restart)"),
+    ("crash", "--restart-delay", "restart_delay", int, 25, None),
+    ("replicated", "--shards", "cluster.shards", int, 3,
+     "shard servers in the cluster (default: %(default)s)"),
+    ("replicated", "--replicas", "cluster.replicas", int, 0,
+     "backup replicas per shard, fed from the primary's replication log "
+     "with seeded lag (default: %(default)s)"),
+    ("replicated", "--read-preference", "read_preference", None, "primary",
+     "where replica-eligible reads route (default: %(default)s)",
+     dict(choices=("primary", "replica", "nearest"))),
+    ("replicated", "--read-only-fraction", "read_only_fraction", float, 0.0,
+     "fraction of transactions that are read-only probes, the ones "
+     "eligible for replica routing (default: %(default)s)"),
+    ("replicated", "--replication-every", "cluster.replication_every", int, 4,
+     "primary replication pump period in ticks (default: %(default)s)"),
+    ("replicated", "--replication-lag", "cluster.replication_lag", None, "1:4",
+     "seeded per-batch replication delay range (default: %(default)s)",
+     dict(metavar="MIN:MAX")),
+    ("faults", "--slots", "cluster.slots", int, 16,
+     "hash slots in the shard map (default: %(default)s)"),
+    ("faults", "--crash-shard", "cluster.crash_shard_after_prepares", None, None,
+     "crash shard SHARD right after its N-th prepare (the "
+     "between-prepare-and-commit WAL-recovery fault)",
+     dict(metavar="SHARD:N")),
+    ("faults", "--shard-restart-delay", "cluster.shard_restart_delay", int, 30,
+     "ticks until a fault-schedule-crashed shard restarts"),
+    ("faults", "--partition-coordinator",
+     "cluster.partition_coordinator_after_prepares", int, None,
+     "partition the coordinator from every shard once it has sent N "
+     "prepares (mid-prepare), healing after --heal-after ticks",
+     dict(metavar="N")),
+    ("faults", "--heal-after", "cluster.heal_after", int, 40,
+     "ticks until the coordinator partition heals"),
+    ("faults", "--retry-every", "cluster.retry_every", int, 25,
+     "coordinator retransmit period for unacked 2PC messages"),
+    ("faults", "--session-guarantees", "session_guarantees", None, None,
+     "comma-separated session guarantees for replica reads: "
+     "ryw/read-your-writes, mr/monotonic-reads, causal, plus wait|redirect "
+     "for the lag reaction; 'none' (the default) reads stale-by-choice and "
+     "records violation witnesses instead",
+     dict(metavar="SPEC")),
+    ("admission", "--zipf", "hot_keys", float, None,
+     "Zipf-skew the key picks with this theta (default: uniform)",
+     dict(metavar="THETA")),
+    ("admission", "--max-active", "admission.max_active", int, 0,
+     "admission control: shed begins past this many active transactions "
+     "(0 = no shedding)"),
+    ("admission", "--retry-after", "admission.retry_after", int, 8, None),
+    ("admission", "--certify-every", "admission.certify_every", int, 1,
+     "batch commit certification in groups of this size"),
+    ("admission", "--on-uncertified", "admission.on_uncertified", None,
+     "ignore", "reaction to a failed live certification",
+     dict(choices=("ignore", "downgrade", "repair"))),
+)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _add_run_args(p: argparse.ArgumentParser, groups: str, **overrides) -> None:
+    """Declare the :data:`_RUN_FLAGS` of ``groups`` on ``p``.  An override
+    (keyed by dest) is the command's own ``default`` or ``(default, help)``:
+    a command that restates a flag words its own help, or shows none."""
+    for group, flag, _field, kind, default, text, *more in _RUN_FLAGS:
+        if group not in groups.split():
+            continue
+        if _dest(flag) in overrides:
+            own = overrides[_dest(flag)]
+            default, text = own if isinstance(own, tuple) else (own, None)
+        p.add_argument(
+            flag, type=kind, default=default, help=text, **dict(*more)
+        )
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -101,26 +197,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_history_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "history",
-            nargs="?",
-            help="history in the paper's notation (default: read stdin)",
-        )
-        p.add_argument("--file", "-f", help="read the history from a file")
+    def command(name: str, run, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=run)
+        return p
+
+    def add_auto_complete(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--auto-complete",
             action="store_true",
             help="append aborts for unfinished transactions (Section 4.2)",
         )
 
-    p_check = sub.add_parser("check", help="full phenomenon/level analysis")
-    add_history_args(p_check)
-    p_check.add_argument(
-        "--extensions",
-        action="store_true",
-        help="also test PL-CS, PL-2+ and PL-SI",
+    def history_command(name: str, run, **kwargs) -> argparse.ArgumentParser:
+        p = command(name, _on_history(run), **kwargs)
+        p.add_argument(
+            "history",
+            nargs="?",
+            help="history in the paper's notation (default: read stdin)",
+        )
+        p.add_argument("--file", "-f", help="read the history from a file")
+        add_auto_complete(p)
+        return p
+
+    def add_extensions(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--extensions",
+            action="store_true",
+            help="also test PL-CS, PL-2+ and PL-SI",
+        )
+
+    p_check = history_command(
+        "check", _run_check, help="full phenomenon/level analysis"
     )
+    add_extensions(p_check)
     p_check.add_argument(
         "--level",
         help="test only this level (name or alias, e.g. 'PL-3', 'repeatable read')",
@@ -137,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
         "print the top-20 functions by cumulative time",
     )
 
-    p_many = sub.add_parser(
+    p_many = command(
         "check-many",
+        _run_check_many,
         help="check a batch of history files, optionally in parallel",
     )
     p_many.add_argument(
@@ -158,78 +269,65 @@ def build_parser() -> argparse.ArgumentParser:
         help="histories per pickled worker task (default: a heuristic "
         "targeting ~4 tasks per worker)",
     )
-    p_many.add_argument(
-        "--extensions",
-        action="store_true",
-        help="also test PL-CS, PL-2+ and PL-SI",
-    )
-    p_many.add_argument(
-        "--auto-complete",
-        action="store_true",
-        help="append aborts for unfinished transactions (Section 4.2)",
-    )
+    add_extensions(p_many)
+    add_auto_complete(p_many)
     p_many.add_argument(
         "--metrics",
         action="store_true",
         help="also print collected metrics (forces the serial path)",
     )
 
-    p_classify = sub.add_parser("classify", help="print the strongest ANSI level")
-    add_history_args(p_classify)
-
-    p_dsg = sub.add_parser("dsg", help="print the DSG as GraphViz dot")
-    add_history_args(p_dsg)
-
-    p_phen = sub.add_parser("phenomena", help="list exhibited phenomena")
-    add_history_args(p_phen)
-
-    p_mix = sub.add_parser("mixing", help="Definition 9 mixing-correctness")
-    add_history_args(p_mix)
-
-    p_prev = sub.add_parser(
-        "preventative", help="Berenson et al. P0-P3 baseline verdicts"
+    history_command(
+        "classify", _run_classify, help="print the strongest ANSI level"
     )
-    add_history_args(p_prev)
-
-    p_timeline = sub.add_parser(
-        "timeline", help="render the history as a transaction/time grid"
+    history_command("dsg", _run_dsg, help="print the DSG as GraphViz dot")
+    history_command("phenomena", _run_phenomena, help="list exhibited phenomena")
+    history_command(
+        "mixing", _run_mixing, help="Definition 9 mixing-correctness"
     )
-    add_history_args(p_timeline)
-
-    p_repair = sub.add_parser(
-        "repair", help="abort set needed to certify the history at a level"
+    history_command(
+        "preventative",
+        _run_preventative,
+        help="Berenson et al. P0-P3 baseline verdicts",
     )
-    add_history_args(p_repair)
+    history_command(
+        "timeline",
+        _run_timeline,
+        help="render the history as a transaction/time grid",
+    )
+
+    p_repair = history_command(
+        "repair",
+        _run_repair,
+        help="abort set needed to certify the history at a level",
+    )
     p_repair.add_argument(
         "--level", default="PL-3", help="target level (default PL-3)"
     )
 
-    p_trace = sub.add_parser(
+    p_trace = history_command(
         "trace",
+        _run_trace,
         help="replay the history under a tracer and emit the JSONL trace",
     )
-    add_history_args(p_trace)
     p_trace.add_argument(
         "--out",
         "-o",
         help="write the JSONL trace to this file (default: stdout)",
     )
 
-    p_stats = sub.add_parser(
-        "stats", help="check the history and print the collected metrics"
+    p_stats = history_command(
+        "stats",
+        _run_stats,
+        help="check the history and print the collected metrics",
     )
-    add_history_args(p_stats)
     p_stats.add_argument(
         "--format",
         choices=("text", "json", "prometheus"),
         default="text",
         help="output format (default: text)",
     )
-    p_stats.add_argument(
-        "--extensions",
-        action="store_true",
-        help="also test PL-CS, PL-2+ and PL-SI",
-    )
+    add_extensions(p_stats)
 
     def add_observability_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -248,33 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="write the metrics snapshot to this JSON file",
         )
 
-    def add_stress_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scheduler", default="locking")
+    def add_artifact_args(p: argparse.ArgumentParser, which: str) -> None:
         p.add_argument(
-            "--level", default=None, help="declared isolation level for every "
-            "transaction (default: the scheduler's natural level)"
+            "--journal",
+            action="store_true",
+            help="also print the client-observed journals",
         )
-        p.add_argument("--clients", type=int, default=4)
         p.add_argument(
-            "--txns", type=int, default=25, help="committed txns per client"
+            "--history",
+            action="store_true",
+            help=f"also print the {which} history",
         )
-        p.add_argument("--keys", type=int, default=8)
-        p.add_argument("--ops", type=int, default=2, help="RMW pairs per txn")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--drop", type=float, default=0.05)
-        p.add_argument("--duplicate", type=float, default=0.05)
-        p.add_argument("--min-delay", type=int, default=1)
-        p.add_argument("--max-delay", type=int, default=4)
-        p.add_argument(
-            "--crash-after",
-            type=int,
-            default=None,
-            help="crash the server after this many commits (then restart)",
-        )
-        p.add_argument("--restart-delay", type=int, default=25)
 
-    p_serve = sub.add_parser(
-        "serve", help="in-process client/server service demo"
+    p_serve = command(
+        "serve", _run_serve, help="in-process client/server service demo"
     )
     p_serve.add_argument(
         "--selftest",
@@ -282,29 +367,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a seeded fault+crash exchange and verify determinism "
         "and live certification",
     )
-    p_serve.add_argument(
-        "--scheduler",
-        default="locking",
-        help="engine family (locking, optimistic, snapshot-isolation, "
-        "mv-read-committed, mixed-optimistic, or an alias)",
+    _add_run_args(
+        p_serve,
+        "engine",
+        scheduler=(
+            "locking",
+            "engine family (locking, optimistic, snapshot-isolation, "
+            "mv-read-committed, mixed-optimistic, or an alias)",
+        ),
+        seed=(0, "fault seed"),
     )
-    p_serve.add_argument("--seed", type=int, default=0, help="fault seed")
     add_observability_args(p_serve)
 
-    p_stress = sub.add_parser(
-        "stress", help="seeded fault-injection stress run over the service"
+    p_stress = command(
+        "stress",
+        _run_stress_cmd,
+        help="seeded fault-injection stress run over the service",
     )
-    add_stress_args(p_stress)
-    p_stress.add_argument(
-        "--journal",
-        action="store_true",
-        help="also print the client-observed journals",
-    )
-    p_stress.add_argument(
-        "--history",
-        action="store_true",
-        help="also print the resulting server-side history",
-    )
+    _add_run_args(p_stress, "engine load closed network crash")
+    add_artifact_args(p_stress, "resulting server-side")
     p_stress.add_argument(
         "--profile",
         metavar="FILE",
@@ -313,84 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_observability_args(p_stress)
 
-    p_cluster = sub.add_parser(
+    p_cluster = command(
         "cluster-stress",
+        _run_cluster_stress_cmd,
         help="seeded stress run over a sharded cluster with cross-shard "
         "2PC and global certification",
     )
-    add_stress_args(p_cluster)
-    p_cluster.add_argument(
-        "--shards", type=int, default=3,
-        help="shard servers in the cluster (default: %(default)s)",
+    _add_run_args(
+        p_cluster, "engine load closed network crash replicated faults"
     )
-    p_cluster.add_argument(
-        "--slots", type=int, default=16,
-        help="hash slots in the shard map (default: %(default)s)",
-    )
-    p_cluster.add_argument(
-        "--crash-shard", default=None, metavar="SHARD:N",
-        help="crash shard SHARD right after its N-th prepare (the "
-        "between-prepare-and-commit WAL-recovery fault)",
-    )
-    p_cluster.add_argument(
-        "--shard-restart-delay", type=int, default=30,
-        help="ticks until a fault-schedule-crashed shard restarts",
-    )
-    p_cluster.add_argument(
-        "--partition-coordinator", type=int, default=None, metavar="N",
-        help="partition the coordinator from every shard once it has sent "
-        "N prepares (mid-prepare), healing after --heal-after ticks",
-    )
-    p_cluster.add_argument(
-        "--heal-after", type=int, default=40,
-        help="ticks until the coordinator partition heals",
-    )
-    p_cluster.add_argument(
-        "--retry-every", type=int, default=25,
-        help="coordinator retransmit period for unacked 2PC messages",
-    )
-    p_cluster.add_argument(
-        "--replicas", type=int, default=0,
-        help="backup replicas per shard, fed from the primary's "
-        "replication log with seeded lag (default: %(default)s)",
-    )
-    p_cluster.add_argument(
-        "--read-preference", default="primary",
-        choices=("primary", "replica", "nearest"),
-        help="where replica-eligible reads route (default: %(default)s)",
-    )
-    p_cluster.add_argument(
-        "--session-guarantees", default=None, metavar="SPEC",
-        help="comma-separated session guarantees for replica reads: "
-        "ryw/read-your-writes, mr/monotonic-reads, causal, plus "
-        "wait|redirect for the lag reaction; 'none' (the default) reads "
-        "stale-by-choice and records violation witnesses instead",
-    )
-    p_cluster.add_argument(
-        "--read-only-fraction", type=float, default=0.0,
-        help="fraction of transactions that are read-only probes, the "
-        "ones eligible for replica routing (default: %(default)s)",
-    )
-    p_cluster.add_argument(
-        "--replication-every", type=int, default=4,
-        help="primary replication pump period in ticks "
-        "(default: %(default)s)",
-    )
-    p_cluster.add_argument(
-        "--replication-lag", default="1:4", metavar="MIN:MAX",
-        help="seeded per-batch replication delay range "
-        "(default: %(default)s)",
-    )
-    p_cluster.add_argument(
-        "--journal",
-        action="store_true",
-        help="also print the client-observed journals",
-    )
-    p_cluster.add_argument(
-        "--history",
-        action="store_true",
-        help="also print the merged cross-shard history",
-    )
+    add_artifact_args(p_cluster, "merged cross-shard")
     p_cluster.add_argument(
         "--selftest",
         action="store_true",
@@ -403,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_observability_args(p_cluster)
 
-    p_capacity = sub.add_parser(
+    p_capacity = command(
         "capacity",
+        _run_capacity_cmd,
         help="open-loop offered-load sweep: saturation knee, SLO verdicts, "
         "contention heatmap",
     )
@@ -418,38 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=int, default=1500,
         help="ticks of offered load per rung (default: %(default)s)",
     )
-    p_capacity.add_argument("--scheduler", default="locking")
-    p_capacity.add_argument(
-        "--level", default=None, help="declared isolation level for every "
-        "transaction (default: the scheduler's natural level)"
-    )
-    p_capacity.add_argument("--clients", type=int, default=8)
-    p_capacity.add_argument("--keys", type=int, default=8)
-    p_capacity.add_argument("--ops", type=int, default=2)
-    p_capacity.add_argument("--seed", type=int, default=0)
-    p_capacity.add_argument("--drop", type=float, default=0.0)
-    p_capacity.add_argument("--duplicate", type=float, default=0.0)
-    p_capacity.add_argument("--min-delay", type=int, default=1)
-    p_capacity.add_argument("--max-delay", type=int, default=2)
-    p_capacity.add_argument(
-        "--zipf", type=float, default=None, metavar="THETA",
-        help="Zipf-skew the key picks with this theta (default: uniform)",
-    )
-    p_capacity.add_argument(
-        "--max-active", type=int, default=0,
-        help="admission control: shed begins past this many active "
-        "transactions (0 = no shedding)",
-    )
-    p_capacity.add_argument("--retry-after", type=int, default=8)
-    p_capacity.add_argument(
-        "--certify-every", type=int, default=1,
-        help="batch commit certification in groups of this size",
-    )
-    p_capacity.add_argument(
-        "--on-uncertified",
-        choices=("ignore", "downgrade", "repair"),
-        default="ignore",
-        help="reaction to a failed live certification",
+    # ``ops`` restates the table's default: this command lists it bare.
+    _add_run_args(
+        p_capacity,
+        "engine load network admission",
+        clients=8, ops=2, drop=0.0, duplicate=0.0, max_delay=2,
     )
     p_capacity.add_argument(
         "--slo-p99", type=float, default=None, metavar="TICKS",
@@ -483,37 +470,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_dossier_workload_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scheduler", default="locking")
-        p.add_argument(
-            "--level", default="PL-2",
-            help="declared isolation level (default: %(default)s)",
+        _add_run_args(
+            p,
+            "engine load closed network replicated",
+            level=("PL-2", "declared isolation level (default: %(default)s)"),
+            txns=10, keys=6, ops=4, seed=7, shards=2,
+            replicas=(
+                2,
+                "backup replicas per shard (default: %(default)s); with "
+                "--read-preference replica and no session guarantees the "
+                "stale reads latch phenomena for the recorder to dossier",
+            ),
+            read_preference="replica", read_only_fraction=0.5,
+            replication_every=12, replication_lag="4:10",
         )
-        p.add_argument("--clients", type=int, default=4)
-        p.add_argument("--txns", type=int, default=10)
-        p.add_argument("--keys", type=int, default=6)
-        p.add_argument("--ops", type=int, default=4)
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--shards", type=int, default=2)
-        p.add_argument(
-            "--replicas", type=int, default=2,
-            help="backup replicas per shard (default: %(default)s); with "
-            "--read-preference replica and no session guarantees the "
-            "stale reads latch phenomena for the recorder to dossier",
-        )
-        p.add_argument(
-            "--read-preference", default="replica",
-            choices=("primary", "replica", "nearest"),
-        )
-        p.add_argument("--read-only-fraction", type=float, default=0.5)
-        p.add_argument("--replication-every", type=int, default=12)
-        p.add_argument("--replication-lag", default="4:10", metavar="MIN:MAX")
-        p.add_argument("--drop", type=float, default=0.05)
-        p.add_argument("--duplicate", type=float, default=0.05)
-        p.add_argument("--min-delay", type=int, default=1)
-        p.add_argument("--max-delay", type=int, default=4)
 
-    p_dossier = sub.add_parser(
+    p_dossier = command(
         "dossier",
+        _run_dossier_cmd,
         help="run a seeded replicated cluster workload under the anomaly "
         "flight recorder and render the dossiers it captures (witness "
         "cycle + trace slice + replica/2PC state per latched anomaly)",
@@ -547,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
         "leave the run's artifacts untouched",
     )
 
-    p_creport = sub.add_parser(
+    p_creport = command(
         "cluster-report",
+        _run_cluster_report_cmd,
         help="run a seeded replicated cluster workload and emit the "
         "unified run report with its Cluster section (per-shard latency, "
         "replication lag, 2PC in-doubt durations, session violations)",
@@ -566,13 +541,15 @@ def build_parser() -> argparse.ArgumentParser:
         "per-shard/per-replica Perfetto tracks",
     )
 
-    sub.add_parser(
+    command(
         "corpus",
+        _run_corpus,
         help="self-test against the paper corpus; print the admission matrix",
     )
 
-    p_report = sub.add_parser(
+    p_report = command(
         "report",
+        _run_report_cmd,
         help="paper reproduction report, or (--stress/--trace) a unified "
         "run report for one stress run",
     )
@@ -582,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one seeded stress workload (options below) and emit its "
         "unified run report instead of the paper report",
     )
-    add_stress_args(p_report)
+    _add_run_args(p_report, "engine load closed network crash")
     p_report.add_argument(
         "--trace",
         metavar="FILE",
@@ -604,167 +581,155 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_history(args, out=sys.stdout):
-    if args.file:
-        with open(args.file, encoding="utf-8") as handle:
-            text = handle.read()
-    elif args.history is not None:
-        text = args.history
-    else:
-        text = sys.stdin.read()
-    return parse_history(text, auto_complete=args.auto_complete)
+class _BadInput(Exception):
+    """The command line named something unusable: :func:`main` reports it
+    as ``error: ...`` on stderr with exit status 2."""
+
+
+@contextmanager
+def _input_errors(*kinds):
+    """Inside the block, exceptions of ``kinds`` are the user's input being
+    wrong (unknown level or scheduler, out-of-range value, missing file)."""
+    try:
+        yield
+    except kinds as exc:
+        raise _BadInput(f"{exc}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """Entry point; returns the process exit status."""
-    out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "corpus":
-        return _run_corpus(out)
-
-    if args.command == "report":
-        if args.stress or args.trace:
-            return _run_report_cmd(args, out)
-        from .analysis.report_gen import generate_report
-
-        text, all_ok = generate_report()
-        print(text, file=out)
-        return 0 if all_ok else 1
-
-    if args.command == "serve":
-        return _run_serve(args, out)
-
-    if args.command == "stress":
-        return _run_stress_cmd(args, out)
-
-    if args.command == "cluster-stress":
-        return _run_cluster_stress_cmd(args, out)
-
-    if args.command == "capacity":
-        return _run_capacity_cmd(args, out)
-
-    if args.command == "dossier":
-        return _run_dossier_cmd(args, out)
-
-    if args.command == "cluster-report":
-        return _run_cluster_report_cmd(args, out)
-
-    if args.command == "check-many":
-        return _run_check_many(args, out)
-
+    args = build_parser().parse_args(argv)
     try:
-        history = _read_history(args)
-    except (ReproError, OSError) as exc:
+        return args.func(args, out or sys.stdout)
+    except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "check":
-        registry = None
-        if args.metrics:
-            from .observability import MetricsRegistry
 
-            registry = MetricsRegistry()
-        if args.level:
-            try:
-                level = IsolationLevel.from_string(args.level)
-            except KeyError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            profiler = _maybe_profile(args.profile)
+def _on_history(run):
+    """The command ``run(args, history, out)`` over the history named by the
+    positional argument, ``--file`` or stdin."""
+
+    def command(args, out) -> int:
+        with _input_errors(ReproError, OSError):
+            if args.file:
+                with open(args.file, encoding="utf-8") as handle:
+                    text = handle.read()
+            elif args.history is not None:
+                text = args.history
+            else:
+                text = sys.stdin.read()
+            history = parse_history(text, auto_complete=args.auto_complete)
+        return run(args, history, out)
+
+    return command
+
+
+def _level(name: str) -> IsolationLevel:
+    with _input_errors(KeyError):
+        return IsolationLevel.from_string(name)
+
+
+def _say(out, label: str, value) -> None:
+    """One ``label : value`` line, aligned like ``StressResult.summary()``."""
+    print(f"{label:23}: {value}", file=out)
+
+
+def _print_metrics(registry, out) -> None:
+    if registry is not None:
+        print("\nmetrics:", file=out)
+        print(registry.render_text(), file=out)
+
+
+def _run_check(args, history, out) -> int:
+    registry = None
+    if args.metrics:
+        from .observability import MetricsRegistry
+
+        registry = MetricsRegistry()
+    level = _level(args.level) if args.level else None
+    with _profile(args.profile) as profiler:
+        if level is not None:
             report = check(history, levels=(level,), metrics=registry)
-            verdict = report.verdicts[level]
-            print(verdict.describe(), file=out)
-            if registry is not None:
-                print("\nmetrics:", file=out)
-                print(registry.render_text(), file=out)
-            _dump_profile(profiler, args.profile, out)
-            return 0 if verdict.ok else 1
-        profiler = _maybe_profile(args.profile)
-        report = check(history, extensions=args.extensions, metrics=registry)
+        else:
+            report = check(
+                history, extensions=args.extensions, metrics=registry
+            )
+    if level is not None:
+        print(report.verdicts[level].describe(), file=out)
+    else:
         print(report.explain(), file=out)
-        if registry is not None:
-            print("\nmetrics:", file=out)
-            print(registry.render_text(), file=out)
-        _dump_profile(profiler, args.profile, out)
-        return 0
-
-    if args.command == "classify":
-        level = classify(history)
-        print(str(level) if level is not None else "none", file=out)
-        return 0
-
-    if args.command == "dsg":
-        print(DSG(history).to_dot(), file=out)
-        return 0
-
-    if args.command == "phenomena":
-        report = check(history)
-        for item in report.phenomena():
-            print(item.describe(), file=out)
-        return 0
-
-    if args.command == "mixing":
-        result = mixing_correct(history)
-        print(result.describe(), file=out)
-        return 0 if result.ok else 1
-
-    if args.command == "preventative":
-        analysis = PreventativeAnalysis(history)
-        for phenomenon in PreventativePhenomenon:
-            print(analysis.report(phenomenon).describe(), file=out)
-        return 0
-
-    if args.command == "timeline":
-        from .core.timeline import timeline
-
-        print(timeline(history), file=out)
-        return 0
-
-    if args.command == "trace":
-        return _run_trace(args, history, out)
-
-    if args.command == "stats":
-        return _run_stats(args, history, out)
-
-    if args.command == "repair":
-        from .analysis.repair import repair as run_repair
-
-        try:
-            level = IsolationLevel.from_string(args.level)
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        result = run_repair(history, level)
-        print(result.describe(), file=out)
-        if not result.clean:
-            print(f"repaired history: {result.history}", file=out)
-        return 0
-
-    raise AssertionError("unreachable")  # pragma: no cover
+    _print_metrics(registry, out)
+    _dump_profile(profiler, args.profile, out)
+    return 0 if level is None or report.verdicts[level].ok else 1
 
 
-def _maybe_profile(path: Optional[str]):
-    """Start a cProfile profiler when ``--profile FILE`` was given."""
+def _run_classify(args, history, out) -> int:
+    level = classify(history)
+    print(str(level) if level is not None else "none", file=out)
+    return 0
+
+
+def _run_dsg(args, history, out) -> int:
+    print(DSG(history).to_dot(), file=out)
+    return 0
+
+
+def _run_phenomena(args, history, out) -> int:
+    for item in check(history).phenomena():
+        print(item.describe(), file=out)
+    return 0
+
+
+def _run_mixing(args, history, out) -> int:
+    result = mixing_correct(history)
+    print(result.describe(), file=out)
+    return 0 if result.ok else 1
+
+
+def _run_preventative(args, history, out) -> int:
+    analysis = PreventativeAnalysis(history)
+    for phenomenon in PreventativePhenomenon:
+        print(analysis.report(phenomenon).describe(), file=out)
+    return 0
+
+
+def _run_timeline(args, history, out) -> int:
+    from .core.timeline import timeline
+
+    print(timeline(history), file=out)
+    return 0
+
+
+def _run_repair(args, history, out) -> int:
+    from .analysis.repair import repair
+
+    result = repair(history, _level(args.level))
+    print(result.describe(), file=out)
+    if not result.clean:
+        print(f"repaired history: {result.history}", file=out)
+    return 0
+
+
+def _profile(path: Optional[str]):
+    """Context manager: a running cProfile profiler when ``--profile FILE``
+    was given, ``None`` otherwise."""
     if not path:
-        return None
+        return nullcontext()
     import cProfile
 
-    profiler = cProfile.Profile()
-    profiler.enable()
-    return profiler
+    return cProfile.Profile()
 
 
 def _dump_profile(profiler, path: Optional[str], out) -> None:
-    """Stop the profiler, dump raw pstats to ``path`` and print the top-20
-    functions by cumulative time (loadable later with ``pstats.Stats``)."""
+    """Dump the stopped profiler's raw pstats to ``path`` and print the
+    top-20 functions by cumulative time (loadable later with
+    ``pstats.Stats``)."""
     if profiler is None:
         return
     import io
     import pstats
 
-    profiler.disable()
     profiler.dump_stats(path)
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
@@ -788,16 +753,20 @@ def _observability_sinks(args):
     return metrics, tracer
 
 
+def _write_jsonl(tracer, path: str) -> None:
+    from .observability import JsonlSink
+
+    with JsonlSink(path) as sink:
+        for record in tracer.records:
+            sink(record)
+
+
 def _flush_observability(args, metrics, tracer, out) -> None:
     """Write/print whatever the observability flags requested."""
     import json
 
     if tracer is not None and args.trace:
-        from .observability import JsonlSink
-
-        with JsonlSink(args.trace) as sink:
-            for record in tracer.records:
-                sink(record)
+        _write_jsonl(tracer, args.trace)
         print(
             f"wrote {len(tracer.records)} trace records to {args.trace}",
             file=out,
@@ -807,9 +776,13 @@ def _flush_observability(args, metrics, tracer, out) -> None:
             json.dump(metrics.snapshot(), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote metrics snapshot to {args.metrics_out}", file=out)
-    if metrics is not None and args.metrics:
-        print("\nmetrics:", file=out)
-        print(metrics.render_text(), file=out)
+    if args.metrics:
+        _print_metrics(metrics, out)
+
+
+def _same_artifacts(a, b) -> bool:
+    """Two runs left the same server history and the same client journals."""
+    return a.history_text == b.history_text and a.journals == b.journals
 
 
 def _run_serve(args, out) -> int:
@@ -831,10 +804,7 @@ def _run_serve(args, out) -> int:
         )
         first = run_stress(cfg, metrics=metrics, tracer=tracer)
         second = run_stress(cfg)
-        reproducible = (
-            first.history_text == second.history_text
-            and first.journals == second.journals
-        )
+        reproducible = _same_artifacts(first, second)
         ok = (
             reproducible
             and first.all_certified
@@ -843,11 +813,8 @@ def _run_serve(args, out) -> int:
             and first.committed == 30
         )
         print(first.summary(), file=out)
-        print(
-            f"reproducible           : {'yes' if reproducible else 'NO'}",
-            file=out,
-        )
-        print(f"selftest               : {'ok' if ok else 'FAILED'}", file=out)
+        _say(out, "reproducible", "yes" if reproducible else "NO")
+        _say(out, "selftest", "ok" if ok else "FAILED")
         _flush_observability(args, metrics, tracer, out)
         return 0 if ok else 1
 
@@ -877,102 +844,117 @@ def _run_serve(args, out) -> int:
     return 0
 
 
-def _stress_config(args, *, cluster=None):
-    """The :class:`StressConfig` the shared stress CLI options map to."""
-    from .service import NetworkConfig, SessionGuarantees, StressConfig
+def _int_pair(flag: str, shape: str, text: str, second: Optional[int] = None):
+    """``"A:B"`` as ``(A, B)``; a bare ``"A"`` pairs with ``second``, or
+    with itself."""
+    first, _, rest = text.partition(":")
+    try:
+        return int(first), int(rest or second or first)
+    except ValueError:
+        raise ValueError(f"bad {flag} {text!r}; expected {shape}") from None
 
-    spec = getattr(args, "session_guarantees", None)
-    guarantees = SessionGuarantees.parse(spec) if spec is not None else None
+
+def _run_config(args):
+    """The :class:`StressConfig` the command line describes: every run flag
+    the command declared lands on the field :data:`_RUN_FLAGS` names for
+    it; a section none of whose flags were declared stays at its default."""
+    from .service import (
+        AdmissionConfig,
+        ClusterConfig,
+        NetworkConfig,
+        SessionGuarantees,
+        StressConfig,
+    )
+    from .workloads import ZipfianKeys
+
+    given = vars(args)
+    tree = {"network": {}, "cluster": {}, "admission": {}}
+    for _group, flag, path, *_argparse in _RUN_FLAGS:
+        if _dest(flag) in given:
+            section, _, name = path.rpartition(".")
+            (tree[section] if section else tree)[name] = given[_dest(flag)]
+    network, cluster, admission = (
+        tree.pop(section) for section in ("network", "cluster", "admission")
+    )
+    if cluster:
+        crash = cluster.get("crash_shard_after_prepares")
+        cluster["crash_shard_after_prepares"] = (
+            _int_pair("--crash-shard", "SHARD or SHARD:N", crash, 1)
+            if crash
+            else None
+        )
+        cluster["replication_lag"] = _int_pair(
+            "--replication-lag", "MIN:MAX", cluster["replication_lag"]
+        )
+    if tree.get("session_guarantees") is not None:
+        tree["session_guarantees"] = SessionGuarantees.parse(
+            tree["session_guarantees"]
+        )
+    if tree.get("hot_keys") is not None:
+        tree["hot_keys"] = ZipfianKeys(tree["keys"], theta=tree["hot_keys"])
+    # Admission control stays off until a flag other than the shed reply's
+    # --retry-after asks for it.
+    if admission and (
+        admission["max_active"]
+        or admission["certify_every"] > 1
+        or admission["on_uncertified"] != "ignore"
+    ):
+        tree["admission"] = AdmissionConfig(**admission)
     return StressConfig(
-        scheduler=args.scheduler,
-        level=args.level,
-        clients=args.clients,
-        txns_per_client=args.txns,
-        keys=args.keys,
-        ops_per_txn=args.ops,
-        seed=args.seed,
-        network=NetworkConfig(
-            drop=args.drop,
-            duplicate=args.duplicate,
-            min_delay=args.min_delay,
-            max_delay=args.max_delay,
-        ),
-        crash_after_commits=args.crash_after,
-        restart_delay=args.restart_delay,
-        cluster=cluster,
-        read_preference=getattr(args, "read_preference", "primary"),
-        session_guarantees=guarantees,
-        read_only_fraction=getattr(args, "read_only_fraction", 0.0),
+        network=NetworkConfig(**network) if network else None,
+        cluster=ClusterConfig(**cluster) if cluster else None,
+        **tree,
     )
 
 
-def _run_stress_cmd(args, out) -> int:
-    """Run one seeded stress workload and print the summary."""
+def _stress(args, config=_run_config, **sinks):
+    """``run_stress`` over the command line's config; a flag the config
+    tree, the engine factory or the cluster rejects is bad input."""
     from .service import run_stress
 
-    metrics, tracer = _observability_sinks(args)
-    profiler = _maybe_profile(args.profile)
-    try:
-        result = run_stress(
-            _stress_config(args), metrics=metrics, tracer=tracer
-        )
-    except (KeyError, ValueError) as exc:
-        if profiler is not None:
-            profiler.disable()
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(result.summary(), file=out)
+    with _input_errors(KeyError, ValueError):
+        return run_stress(config(args), **sinks)
+
+
+def _print_artifacts(args, result, out) -> None:
+    """The ``--journal`` / ``--history`` dumps."""
     if args.journal:
         print("\nclient journals:", file=out)
         print(result.journal_text(), file=out)
     if args.history:
         print("\nhistory:", file=out)
         print(result.history_text, file=out)
+
+
+def _print_2pc(coord, out) -> None:
+    _say(
+        out,
+        "2pc decisions",
+        f"commit={coord.decisions['commit']} "
+        f"abort={coord.decisions['abort']} "
+        f"retransmits={coord.retransmits}",
+    )
+
+
+def _run_stress_cmd(args, out) -> int:
+    """Run one seeded stress workload and print the summary."""
+    metrics, tracer = _observability_sinks(args)
+    with _profile(args.profile) as profiler:
+        result = _stress(args, metrics=metrics, tracer=tracer)
+    print(result.summary(), file=out)
+    _print_artifacts(args, result, out)
     _dump_profile(profiler, args.profile, out)
     _flush_observability(args, metrics, tracer, out)
     return 0 if result.all_certified else 1
-
-
-def _cluster_config(args):
-    """The :class:`ClusterConfig` the cluster CLI options map to."""
-    from .service import ClusterConfig
-
-    crash = None
-    if args.crash_shard:
-        shard, _, nth = args.crash_shard.partition(":")
-        try:
-            crash = (int(shard), int(nth) if nth else 1)
-        except ValueError:
-            raise ValueError(f"bad --crash-shard {args.crash_shard!r}; "
-                             "expected SHARD or SHARD:N") from None
-    lo, _, hi = args.replication_lag.partition(":")
-    try:
-        lag = (int(lo), int(hi) if hi else int(lo))
-    except ValueError:
-        raise ValueError(f"bad --replication-lag {args.replication_lag!r}; "
-                         "expected MIN:MAX") from None
-    return ClusterConfig(
-        shards=args.shards,
-        slots=args.slots,
-        crash_shard_after_prepares=crash,
-        shard_restart_delay=args.shard_restart_delay,
-        partition_coordinator_after_prepares=args.partition_coordinator,
-        heal_after=args.heal_after,
-        retry_every=args.retry_every,
-        replicas=args.replicas,
-        replication_every=args.replication_every,
-        replication_lag=lag,
-    )
 
 
 def _cluster_selftest(args, metrics, tracer, out) -> int:
     """Fault-matrix + equivalence selftest for the sharded cluster: the
     faulty cross-shard run replays byte for byte, and a one-shard cluster
     is byte-identical to the plain single-server service."""
-    from dataclasses import replace
-
     from .service import ClusterConfig, NetworkConfig, StressConfig, run_stress
 
+    net = NetworkConfig(drop=0.05, duplicate=0.05, min_delay=1, max_delay=4)
     faulty = StressConfig(
         scheduler="locking",
         clients=4,
@@ -980,9 +962,7 @@ def _cluster_selftest(args, metrics, tracer, out) -> int:
         keys=8,
         ops_per_txn=2,
         seed=args.seed,
-        network=NetworkConfig(
-            drop=0.05, duplicate=0.05, min_delay=1, max_delay=4
-        ),
+        network=net,
         cluster=ClusterConfig(
             shards=3,
             crash_shard_after_prepares=(1, 1),
@@ -992,10 +972,7 @@ def _cluster_selftest(args, metrics, tracer, out) -> int:
     )
     first = run_stress(faulty, metrics=metrics, tracer=tracer)
     second = run_stress(faulty)
-    reproducible = (
-        first.history_text == second.history_text
-        and first.journals == second.journals
-    )
+    reproducible = _same_artifacts(first, second)
     coord = first.cluster.coordinator
     matrix_ok = (
         first.cluster.crashes >= 1
@@ -1009,47 +986,28 @@ def _cluster_selftest(args, metrics, tracer, out) -> int:
         clients=3,
         txns_per_client=8,
         seed=args.seed,
-        network=NetworkConfig(
-            drop=0.05, duplicate=0.05, min_delay=1, max_delay=4
-        ),
+        network=net,
     )
     solo = run_stress(single)
     one = run_stress(replace(single, cluster=ClusterConfig(shards=1)))
-    equivalent = (
-        one.history_text == solo.history_text
-        and one.journals == solo.journals
-    )
+    equivalent = _same_artifacts(one, solo)
 
-    replica_ok, replica_lines = _replica_selftest(args)
+    replica_ok, replica_report = _replica_selftest(args)
 
     ok = (
         reproducible and matrix_ok and equivalent and first.all_certified
         and replica_ok
     )
     print(first.summary(), file=out)
-    print(
-        "2pc decisions          : "
-        f"commit={coord.decisions['commit']} "
-        f"abort={coord.decisions['abort']} "
-        f"retransmits={coord.retransmits}",
-        file=out,
+    _print_2pc(coord, out)
+    _say(out, "fault matrix", "exercised" if matrix_ok else "NOT HIT")
+    _say(out, "reproducible", "yes" if reproducible else "NO")
+    _say(
+        out, "shards=1 == single", "byte-identical" if equivalent else "DIVERGED"
     )
-    print(
-        f"fault matrix           : {'exercised' if matrix_ok else 'NOT HIT'}",
-        file=out,
-    )
-    print(
-        f"reproducible           : {'yes' if reproducible else 'NO'}",
-        file=out,
-    )
-    print(
-        "shards=1 == single     : "
-        f"{'byte-identical' if equivalent else 'DIVERGED'}",
-        file=out,
-    )
-    for line in replica_lines:
-        print(line, file=out)
-    print(f"selftest               : {'ok' if ok else 'FAILED'}", file=out)
+    for label, value in replica_report.items():
+        _say(out, label, value)
+    _say(out, "selftest", "ok" if ok else "FAILED")
     _flush_observability(args, metrics, tracer, out)
     return 0 if ok else 1
 
@@ -1090,8 +1048,7 @@ def _replica_selftest(args):
     c2 = run_stress(crash_cfg)
     backup = c1.cluster.replica_of(0, 0)
     crash_ok = (
-        c1.history_text == c2.history_text
-        and c1.journals == c2.journals
+        _same_artifacts(c1, c2)
         and c1.ops == c2.ops
         and backup is not None
         and backup.crashes >= 1
@@ -1149,90 +1106,64 @@ def _replica_selftest(args):
     p2 = run_stress(promote_cfg)
     promote_verdict = p1.opcheck()
     promote_ok = (
-        p1.history_text == p2.history_text
-        and p1.journals == p2.journals
+        _same_artifacts(p1, p2)
         and p1.cluster.shards[0].name == "shard0.r2"
         and promote_verdict.ok
         and p1.all_certified
     )
 
-    lines = [
-        "backup crash+catch-up  : "
-        + ("replayed, 0 violations" if crash_ok else "FAILED"),
-        "partitioned primary    : "
-        + (
+    report = {
+        "backup crash+catch-up": (
+            "replayed, 0 violations" if crash_ok else "FAILED"
+        ),
+        "partitioned primary": (
             f"{len(s1.session_violations)} stale witnesses, "
             + ("opcheck diverged (explained)" if not stale_verdict.ok
                else "opcheck agreed")
             if stale_ok else "FAILED"
         ),
-        "promote via shard map  : "
-        + ("opcheck+DSG agree" if promote_ok else "FAILED"),
-    ]
-    return crash_ok and stale_ok and promote_ok, lines
+        "promote via shard map": (
+            "opcheck+DSG agree" if promote_ok else "FAILED"
+        ),
+    }
+    return crash_ok and stale_ok and promote_ok, report
 
 
 def _run_cluster_stress_cmd(args, out) -> int:
     """Seeded stress over a sharded cluster; ``--selftest`` runs the
     cross-shard fault matrix and the shards=1 equivalence check."""
-    from .service import run_stress
-
     metrics, tracer = _observability_sinks(args)
     if args.selftest:
         return _cluster_selftest(args, metrics, tracer, out)
-    try:
-        result = run_stress(
-            _stress_config(args, cluster=_cluster_config(args)),
-            metrics=metrics,
-            tracer=tracer,
-        )
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = _stress(args, metrics=metrics, tracer=tracer)
     print(result.summary(), file=out)
     cluster = result.cluster
-    coord = cluster.coordinator
-    print(
-        f"shards                 : {args.shards} "
-        f"(map v{cluster.shard_map.version})",
-        file=out,
-    )
-    print(
-        "2pc decisions          : "
-        f"commit={coord.decisions['commit']} "
-        f"abort={coord.decisions['abort']} "
-        f"retransmits={coord.retransmits}",
-        file=out,
-    )
+    _say(out, "shards", f"{args.shards} (map v{cluster.shard_map.version})")
+    _print_2pc(cluster.coordinator, out)
     if args.replicas:
         counters = cluster.counters
-        print(
-            f"replication            : replicas={args.replicas}/shard "
+        _say(
+            out,
+            "replication",
+            f"replicas={args.replicas}/shard "
             f"serves={counters['replica_serves']} "
             f"lagging={counters['replica_lagging']} "
             f"applied={counters['replica_applied']}",
-            file=out,
         )
-        print(
-            "session violations     : "
+        _say(
+            out, "session violations",
             f"{len(result.session_violations)} witnessed",
-            file=out,
         )
         verdict = result.opcheck()
-        print(
-            "opcheck                : "
+        _say(
+            out,
+            "opcheck",
             f"{'strict-serializable' if verdict.ok else 'DIVERGED'} "
             f"({verdict.states_explored} states)",
-            file=out,
         )
         if not verdict.ok:
             print(verdict.explain(), file=out)
-    if args.journal:
-        print("\nclient journals:", file=out)
-        print(result.journal_text(), file=out)
-    if args.history:
-        print("\nhistory:", file=out)
-        print(result.history_text, file=out)
+    _print_artifacts(args, result, out)
     _flush_observability(args, metrics, tracer, out)
     return 0 if result.all_certified else 1
 
@@ -1241,38 +1172,38 @@ def _capacity_slos(args) -> tuple:
     """The SLO tuple the ``--slo-*`` flags describe."""
     from .observability import SLO
 
-    slos = []
-    if args.slo_p99 is not None:
-        slos.append(
-            SLO(name="p99-commit", kind="latency", threshold=args.slo_p99,
-                verb="txn", q=99.0)
-        )
-    if args.slo_certified is not None:
-        slos.append(
-            SLO(name="certified-fraction", kind="certified_fraction",
-                threshold=args.slo_certified)
-        )
-    if args.slo_queue is not None:
-        slos.append(
-            SLO(name="queue-depth", kind="queue_depth",
-                threshold=args.slo_queue)
-        )
-    return tuple(slos)
+    described = (
+        ("p99-commit", "latency", args.slo_p99, dict(verb="txn", q=99.0)),
+        ("certified-fraction", "certified_fraction", args.slo_certified, {}),
+        ("queue-depth", "queue_depth", args.slo_queue, {}),
+    )
+    return tuple(
+        SLO(name=name, kind=kind, threshold=threshold, **more)
+        for name, kind, threshold, more in described
+        if threshold is not None
+    )
 
 
-def _capacity_report(args, kwargs):
+def _print_report(args, report, out) -> None:
+    print(
+        report.to_json() if args.format == "json" else report.to_markdown(),
+        file=out,
+    )
+
+
+def _capacity_report(template, **sweep_args):
     """One sweep → (CapacityResult, RunReport with the capacity section)."""
     from .observability.traceview import build_run_report
     from .service import build_capacity_report, run_capacity
 
-    sweep = run_capacity(**kwargs)
+    sweep = run_capacity(template, **sweep_args)
     knee = sweep.knee or sweep.rungs[-1]
     report = build_run_report(
         result=knee.stress,
         config=sweep.config,
         title=(
-            f"capacity sweep scheduler={kwargs['scheduler']} "
-            f"seed={kwargs['seed']}"
+            f"capacity sweep scheduler={template.scheduler} "
+            f"seed={sweep.seed}"
         ),
         capacity=build_capacity_report(sweep),
     )
@@ -1282,20 +1213,23 @@ def _capacity_report(args, kwargs):
 def _run_capacity_cmd(args, out) -> int:
     """Offered-load capacity sweep; ``--selftest`` verifies the report is
     deterministic and well-formed on a small fixed ladder."""
-    from .observability import SLO
-    from .service import AdmissionConfig, NetworkConfig
-
     if args.selftest:
-        kwargs = dict(
-            rates=[0.03, 0.08, 0.16],
-            horizon=500,
-            seed=args.seed,
+        from .observability import SLO
+        from .service import AdmissionConfig, StressConfig
+        from .workloads import ZipfianKeys
+
+        template = StressConfig(
             scheduler=args.scheduler,
             clients=4,
             keys=6,
             ops_per_txn=2,
             admission=AdmissionConfig(max_active=3, retry_after=8),
-            zipf_theta=0.9,
+            hot_keys=ZipfianKeys(6, theta=0.9),
+        )
+        sweep_args = dict(
+            rates=[0.03, 0.08, 0.16],
+            horizon=500,
+            seed=args.seed,
             slos=_capacity_slos(args)
             or (
                 SLO(name="p99-commit", kind="latency", threshold=400,
@@ -1304,8 +1238,8 @@ def _run_capacity_cmd(args, out) -> int:
             window=200,
             sample_every=50,
         )
-        first_sweep, first = _capacity_report(args, kwargs)
-        _second_sweep, second = _capacity_report(args, kwargs)
+        first_sweep, first = _capacity_report(template, **sweep_args)
+        _second_sweep, second = _capacity_report(template, **sweep_args)
         text = first.to_markdown()
         reproducible = text == second.to_markdown()
         committed = sum(r.committed for r in first_sweep.rungs)
@@ -1316,120 +1250,72 @@ def _run_capacity_cmd(args, out) -> int:
                            "### Contention heatmap")
         )
         ok = reproducible and sections_ok and committed > 0 and shed > 0
-        print(
-            f"rungs                  : {len(first_sweep.rungs)}", file=out
-        )
-        print(f"committed (all rungs)  : {committed}", file=out)
-        print(f"shed (all rungs)       : {shed}", file=out)
+        _say(out, "rungs", len(first_sweep.rungs))
+        _say(out, "committed (all rungs)", committed)
+        _say(out, "shed (all rungs)", shed)
         knee = first_sweep.knee
-        print(
-            "saturation knee        : "
-            + (f"rate={knee.rate:g}/tick" if knee is not None else "none"),
-            file=out,
+        _say(
+            out, "saturation knee",
+            f"rate={knee.rate:g}/tick" if knee is not None else "none",
         )
-        print(
-            f"reproducible           : {'yes' if reproducible else 'NO'}",
-            file=out,
-        )
-        print(f"selftest               : {'ok' if ok else 'FAILED'}", file=out)
+        _say(out, "reproducible", "yes" if reproducible else "NO")
+        _say(out, "selftest", "ok" if ok else "FAILED")
         return 0 if ok else 1
 
     try:
         rates = [float(r) for r in args.rates.split(",") if r.strip()]
     except ValueError:
-        print(f"error: bad --rates {args.rates!r}", file=sys.stderr)
-        return 2
+        raise _BadInput(f"bad --rates {args.rates!r}") from None
     if not rates:
-        print("error: --rates named no offered loads", file=sys.stderr)
-        return 2
-    admission = None
-    if args.max_active or args.certify_every > 1 or args.on_uncertified != "ignore":
-        admission = AdmissionConfig(
-            max_active=args.max_active,
-            retry_after=args.retry_after,
-            certify_every=args.certify_every,
-            on_uncertified=args.on_uncertified,
+        raise _BadInput("--rates named no offered loads")
+    with _input_errors(KeyError, ValueError):
+        sweep, report = _capacity_report(
+            _run_config(args),
+            rates=rates,
+            horizon=args.horizon,
+            seed=args.seed,
+            slos=_capacity_slos(args),
+            window=args.window,
+            sample_every=args.sample_every,
+            trace=args.heatmap,
         )
-    kwargs = dict(
-        rates=rates,
-        horizon=args.horizon,
-        seed=args.seed,
-        scheduler=args.scheduler,
-        level=args.level,
-        clients=args.clients,
-        keys=args.keys,
-        ops_per_txn=args.ops,
-        network=NetworkConfig(
-            drop=args.drop,
-            duplicate=args.duplicate,
-            min_delay=args.min_delay,
-            max_delay=args.max_delay,
-        ),
-        admission=admission,
-        zipf_theta=args.zipf,
-        slos=_capacity_slos(args),
-        window=args.window,
-        sample_every=args.sample_every,
-        trace=args.heatmap,
-    )
-    try:
-        sweep, report = _capacity_report(args, kwargs)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        report.to_json() if args.format == "json" else report.to_markdown(),
-        file=out,
-    )
+    _print_report(args, report, out)
     return 0 if sweep.all_slos_ok else 1
 
 
 def _dossier_workload_config(args):
     """The seeded replicated-cluster workload the ``dossier`` and
-    ``cluster-report`` commands run: stale-by-choice replica reads under
-    faults, which reliably latches phenomena for the recorder."""
-    from .service import ClusterConfig, NetworkConfig, StressConfig
-
-    lo, _, hi = args.replication_lag.partition(":")
-    return StressConfig(
-        scheduler=args.scheduler,
-        level=args.level,
-        clients=args.clients,
-        txns_per_client=args.txns,
-        keys=args.keys,
-        ops_per_txn=args.ops,
-        seed=args.seed,
-        network=NetworkConfig(
-            drop=args.drop,
-            duplicate=args.duplicate,
-            min_delay=args.min_delay,
-            max_delay=args.max_delay,
-        ),
-        cluster=ClusterConfig(
-            shards=args.shards,
-            replicas=args.replicas,
-            replication_every=args.replication_every,
-            replication_lag=(int(lo), int(hi or lo)),
+    ``cluster-report`` commands run: stale-by-choice replica reads behind
+    a partitioned primary, which reliably latches phenomena for the
+    recorder."""
+    cfg = _run_config(args)
+    return replace(
+        cfg,
+        cluster=replace(
+            cfg.cluster,
             partition_primary_after_commits=(1, 5) if args.replicas else None,
             heal_after=60,
         ),
-        read_preference=args.read_preference if args.replicas else "primary",
-        read_only_fraction=args.read_only_fraction,
+        read_preference=cfg.read_preference if args.replicas else "primary",
     )
 
 
 def _run_dossier_workload(args):
-    """One instrumented run of the dossier workload; returns the result
+    """One instrumented run of the dossier workload (followed by the
+    operation-interval checker under ``--opcheck``); returns the result
     (its ``flight`` holds the recorder)."""
     from .observability import FlightRecorder, MetricsRegistry, Tracer
-    from .service import run_stress
 
-    return run_stress(
-        _dossier_workload_config(args),
+    result = _stress(
+        args,
+        _dossier_workload_config,
         metrics=MetricsRegistry(),
         tracer=Tracer(),
         flight=FlightRecorder(capacity=getattr(args, "capacity", 256)),
     )
+    if getattr(args, "opcheck", False):
+        result.flight.opcheck_dossier(result)
+    return result
 
 
 def _dossier_witness_covered(dossier) -> bool:
@@ -1448,16 +1334,11 @@ def _run_dossier_cmd(args, out) -> int:
     import json
 
     from .observability import dossier_json, render_dossier
-    from .service import run_stress
 
     if args.selftest:
         first = _run_dossier_workload(args)
-        if args.opcheck:
-            first.flight.opcheck_dossier(first)
         second = _run_dossier_workload(args)
-        if args.opcheck:
-            second.flight.opcheck_dossier(second)
-        bare = run_stress(_dossier_workload_config(args))
+        bare = _stress(args, _dossier_workload_config)
         a = [dossier_json(d) for d in first.dossiers()]
         b = [dossier_json(d) for d in second.dossiers()]
         reproducible = a == b
@@ -1465,32 +1346,19 @@ def _run_dossier_cmd(args, out) -> int:
             _dossier_witness_covered(d) for d in first.dossiers()
         )
         unobserved = (
-            bare.history_text == first.history_text
-            and bare.journals == first.journals
+            _same_artifacts(bare, first)
             and bare.certification == first.certification
         )
         captured = len(a) > 0
         ok = reproducible and covered and unobserved and captured
-        print(f"dossiers captured      : {len(a)}", file=out)
-        print(
-            f"byte-identical reruns  : {'yes' if reproducible else 'NO'}",
-            file=out,
-        )
-        print(
-            f"witness spans covered  : {'yes' if covered else 'NO'}",
-            file=out,
-        )
-        print(
-            f"artifacts undisturbed  : {'yes' if unobserved else 'NO'}",
-            file=out,
-        )
-        print(f"selftest               : {'ok' if ok else 'FAILED'}", file=out)
+        _say(out, "dossiers captured", len(a))
+        _say(out, "byte-identical reruns", "yes" if reproducible else "NO")
+        _say(out, "witness spans covered", "yes" if covered else "NO")
+        _say(out, "artifacts undisturbed", "yes" if unobserved else "NO")
+        _say(out, "selftest", "ok" if ok else "FAILED")
         return 0 if ok else 1
 
-    result = _run_dossier_workload(args)
-    if args.opcheck:
-        result.flight.opcheck_dossier(result)
-    dossiers = result.dossiers()
+    dossiers = _run_dossier_workload(args).dossiers()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(
@@ -1518,15 +1386,11 @@ def _run_cluster_report_cmd(args, out) -> int:
     from .observability import build_run_report, write_chrome_trace
 
     result = _run_dossier_workload(args)
-    report = build_run_report(result=result, title="cluster run")
-    if args.format == "json":
-        print(report.to_json(), file=out)
-    else:
-        print(report.to_markdown(), file=out)
+    _print_report(
+        args, build_run_report(result=result, title="cluster run"), out
+    )
     if args.chrome_out:
-        data = write_chrome_trace(
-            result.tracer.records, args.chrome_out, cluster_tracks=True
-        )
+        data = write_chrome_trace(result.tracer.records, args.chrome_out)
         print(
             f"wrote {len(data['traceEvents'])} Chrome trace events "
             f"(per-shard tracks) to {args.chrome_out}",
@@ -1536,57 +1400,43 @@ def _run_cluster_report_cmd(args, out) -> int:
 
 
 def _run_report_cmd(args, out) -> int:
-    """Unified run report: from a live stress run (``--stress``) or from a
-    previously recorded trace/metrics pair (``--trace``/``--metrics-file``)."""
+    """The paper reproduction report, or a unified run report: from a live
+    stress run (``--stress``) or from a previously recorded trace/metrics
+    pair (``--trace``/``--metrics-file``)."""
     import json
 
-    from .observability import read_trace
-    from .observability.traceview import build_run_report
+    from .observability import build_run_report
 
-    if args.trace and not args.stress:
-        try:
-            records = read_trace(args.trace)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if not (args.stress or args.trace):
+        from .analysis.report_gen import generate_report
+
+        text, all_ok = generate_report()
+        print(text, file=out)
+        return 0 if all_ok else 1
+    if not args.stress:
+        from .observability import read_trace
+
         metrics = None
-        if args.metrics_file:
-            try:
+        with _input_errors(OSError, ValueError):
+            records = read_trace(args.trace)
+            if args.metrics_file:
                 with open(args.metrics_file, encoding="utf-8") as handle:
                     metrics = json.load(handle)
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
         report = build_run_report(
             records, metrics=metrics, title=f"trace {args.trace}"
         )
     else:
         from .observability import MetricsRegistry, Tracer
-        from .service import run_stress
 
         tracer = Tracer()
-        registry = MetricsRegistry()
-        try:
-            result = run_stress(
-                _stress_config(args), metrics=registry, tracer=tracer
-            )
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        result = _stress(args, metrics=MetricsRegistry(), tracer=tracer)
         if args.trace:
-            from .observability import JsonlSink
-
-            with JsonlSink(args.trace) as sink:
-                for record in tracer.records:
-                    sink(record)
+            _write_jsonl(tracer, args.trace)
         report = build_run_report(
             result=result,
             title=f"stress scheduler={args.scheduler} seed={args.seed}",
         )
-    print(
-        report.to_json() if args.format == "json" else report.to_markdown(),
-        file=out,
-    )
+    _print_report(args, report, out)
     return 0
 
 
@@ -1595,7 +1445,7 @@ def _run_trace(args, history, out) -> int:
     under one tracer; write the JSONL trace to ``--out`` or stdout."""
     import json
 
-    from .observability import JsonlSink, Tracer, watching_analysis
+    from .observability import Tracer, watching_analysis
 
     tracer = Tracer()
     with tracer.span("trace.replay", events=len(history.events)):
@@ -1607,9 +1457,7 @@ def _run_trace(args, history, out) -> int:
         analysis.finish()
     check(history, tracer=tracer)
     if args.out:
-        with JsonlSink(args.out) as sink:
-            for record in tracer.records:
-                sink(record)
+        _write_jsonl(tracer, args.out)
         phenomena = sorted(
             {e["attrs"]["phenomenon"] for e in tracer.events("phenomenon")}
         )
@@ -1658,8 +1506,7 @@ def _run_check_many(args, out) -> int:
                 text = handle.read()
             histories.append(parse_history(text, auto_complete=args.auto_complete))
         except (ReproError, OSError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
+            raise _BadInput(f"{path}: {exc}") from None
     registry = None
     processes = args.processes
     if args.metrics:
@@ -1685,13 +1532,11 @@ def _run_check_many(args, out) -> int:
             f"{path:{width}}  {str(level) if level else 'none':>8}{detail}",
             file=out,
         )
-    if registry is not None:
-        print("\nmetrics:", file=out)
-        print(registry.render_text(), file=out)
+    _print_metrics(registry, out)
     return 0
 
 
-def _run_corpus(out) -> int:
+def _run_corpus(args, out) -> int:
     """Check every documented verdict in the corpus; print the matrix."""
     from .core.canonical import ALL_CANONICAL
     from .workloads.anomalies import ALL_ANOMALIES

@@ -73,9 +73,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     if not values:
         raise ValueError("percentile of empty sequence")
     ordered = sorted(values)
-    if q <= 0:
-        return ordered[0]
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil(n*q/100)
+    rank = max(1, -(-len(ordered) * q // 100))  # ceil(n*q/100), at least 1
     return ordered[min(int(rank), len(ordered)) - 1]
 
 
@@ -430,9 +428,7 @@ def contention_table(
 _TICK_US = 1000.0
 
 
-def to_chrome_trace(
-    records: Iterable[Dict[str, Any]], *, cluster_tracks: bool = False
-) -> Dict[str, Any]:
+def to_chrome_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Convert trace records to Chrome trace-event JSON (Perfetto-loadable).
 
     Spans become ``ph: "X"`` complete events, point events become
@@ -440,25 +436,19 @@ def to_chrome_trace(
     The original record fields ride along under ``args._repro`` so
     :func:`from_chrome_trace` round-trips exactly.
 
-    With ``cluster_tracks=True`` the lanes reorganize for cluster traces:
-    every shard becomes its own Perfetto *process* (records carrying a
-    ``shard`` attribute — ``server.handle`` on that shard, its
-    ``repl.ship``/``repl.apply`` batches), with one ``primary`` thread
-    and one thread per replica ordinal; everything shard-less (clients,
-    coordinator 2PC spans, the run span) stays in the ``cluster`` process
-    on per-trace threads.  The ``args._repro`` stash is identical in both
-    layouts, so :func:`from_chrome_trace` round-trips either.
+    The layout is read off the records: every shard becomes its own
+    Perfetto *process* (records carrying an integer ``shard`` attribute —
+    ``server.handle`` on that shard, its ``repl.ship``/``repl.apply``
+    batches), with one ``primary`` thread and one thread per replica
+    ordinal; everything shard-less (clients, coordinator 2PC spans, the run
+    span) stays in the ``cluster`` process on per-trace threads.  A trace
+    with no shard attribute (a single server) is that one process alone,
+    which then goes unnamed.
     """
-    lanes: Dict[Any, int] = {}
+    lanes: Dict[tuple, int] = {}
     processes: Dict[str, int] = {}
 
-    def flat_lane(attrs: Dict[str, Any]) -> tuple:
-        label = str(attrs.get("trace_id") or attrs.get("scheduler") or "run")
-        if label not in lanes:
-            lanes[label] = len(lanes) + 1
-        return 1, lanes[label]
-
-    def cluster_lane(attrs: Dict[str, Any]) -> tuple:
+    def lane(attrs: Dict[str, Any]) -> tuple:
         shard = attrs.get("shard")
         if isinstance(shard, int):
             group = f"shard {shard}"
@@ -471,14 +461,9 @@ def to_chrome_trace(
             thread = str(
                 attrs.get("trace_id") or attrs.get("scheduler") or "run"
             )
-        if group not in processes:
-            processes[group] = len(processes) + 1
-        key = (group, thread)
-        if key not in lanes:
-            lanes[key] = len(lanes) + 1
-        return processes[group], lanes[key]
+        pid = processes.setdefault(group, len(processes) + 1)
+        return pid, lanes.setdefault((group, thread), len(lanes) + 1)
 
-    lane = cluster_lane if cluster_tracks else flat_lane
     events: List[Dict[str, Any]] = []
     for r in sorted(records, key=lambda r: r["seq"]):
         attrs = r.get("attrs", {})
@@ -525,44 +510,33 @@ def to_chrome_trace(
                     "args": args,
                 }
             )
-    if cluster_tracks:
-        meta = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "args": {"name": group},
-            }
-            for group, pid in processes.items()
-        ] + [
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": processes[group],
-                "tid": tid,
-                "args": {"name": thread},
-            }
-            for (group, thread), tid in lanes.items()
-        ]
-    else:
-        meta = [
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "args": {"name": label},
-            }
-            for label, tid in lanes.items()
-        ]
+    meta = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "args": {"name": group},
+        }
+        for group, pid in processes.items()
+        if len(processes) > 1  # a lone process needs no name row
+    ] + [
+        {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": processes[group],
+            "tid": tid,
+            "args": {"name": thread},
+        }
+        for (group, thread), tid in lanes.items()
+    ]
     return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(
-    records: Iterable[Dict[str, Any]], path: str, **kwargs: Any
+    records: Iterable[Dict[str, Any]], path: str
 ) -> Dict[str, Any]:
     """Write :func:`to_chrome_trace` output to ``path``; returns the dict."""
-    data = to_chrome_trace(records, **kwargs)
+    data = to_chrome_trace(records)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, sort_keys=True)
         handle.write("\n")

@@ -32,6 +32,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from .traceview import percentile
+
 __all__ = [
     "WindowedCounter",
     "WindowedValues",
@@ -39,14 +41,6 @@ __all__ = [
     "SLOStatus",
     "WindowedTelemetry",
 ]
-
-
-def _percentile(ordered: List[float], q: float) -> float:
-    """Nearest-rank percentile of a pre-sorted non-empty list."""
-    if q <= 0:
-        return ordered[0]
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil(n*q/100)
-    return ordered[min(int(rank), len(ordered)) - 1]
 
 
 class WindowedCounter:
@@ -121,10 +115,8 @@ class WindowedValues:
 
     def percentile(self, q: float, now: int) -> Optional[float]:
         """Rolling nearest-rank percentile; ``None`` with an empty window."""
-        values = sorted(self.values(now))
-        if not values:
-            return None
-        return _percentile(values, q)
+        values = self.values(now)
+        return percentile(values, q) if values else None
 
     def stats(self, now: int) -> Dict[str, float]:
         """``{count, p50, p95, p99, mean, max}`` over the window (empty
@@ -134,9 +126,9 @@ class WindowedValues:
             return {"count": 0}
         return {
             "count": len(values),
-            "p50": _percentile(values, 50),
-            "p95": _percentile(values, 95),
-            "p99": _percentile(values, 99),
+            "p50": percentile(values, 50),
+            "p95": percentile(values, 95),
+            "p99": percentile(values, 99),
             "mean": sum(values) / len(values),
             "max": values[-1],
         }

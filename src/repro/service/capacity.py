@@ -31,14 +31,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..observability.trace import Tracer
 from ..observability.traceview import contention_summary
 from ..observability.windows import SLO, WindowedTelemetry
-from ..workloads.arrivals import PoissonArrivals, ZipfianKeys
-from .config import (
-    AdmissionConfig,
-    NetworkConfig,
-    RetryPolicy,
-    SchedulerConfig,
-    StressConfig,
-)
+from ..workloads.arrivals import PoissonArrivals
+from .config import SchedulerConfig, StressConfig
 from .stress import StressResult, run_stress
 
 __all__ = [
@@ -159,20 +153,11 @@ def find_knee(
 
 
 def run_capacity(
+    template: Optional[StressConfig] = None,
     *,
     rates: Sequence[float],
     horizon: int = 1500,
     seed: int = 0,
-    template: Optional[StressConfig] = None,
-    scheduler: SchedulerConfig | str = "locking",
-    level: Optional[str] = None,
-    clients: int = 8,
-    keys: int = 8,
-    ops_per_txn: int = 2,
-    network: Optional[NetworkConfig] = None,
-    retry: Optional[RetryPolicy] = None,
-    admission: Optional[AdmissionConfig] = None,
-    zipf_theta: Optional[float] = None,
     slos: Tuple[SLO, ...] = (),
     window: int = 500,
     sample_every: int = 100,
@@ -180,35 +165,21 @@ def run_capacity(
 ) -> CapacityResult:
     """Run the offered-load ladder; see the module docstring.
 
-    Each rung is an independent open-loop :func:`~repro.service.stress.
-    run_stress` at ``PoissonArrivals(rate)`` over ``horizon`` ticks, with
-    the same ``seed`` — so the sweep as a whole is deterministic per seed.
-    ``trace=False`` skips the per-rung tracer (no contention heatmap, much
-    lighter).
-
     ``template`` names the run shape as a :class:`~repro.service.config.
-    StressConfig` (cluster mode included); the sweep replaces only the
-    per-rung fields (``arrivals``, ``horizon``, ``seed``, ``windows``) on
-    it.  Without a template the remaining keyword arguments build one.
+    StressConfig` (scheduler, level, worker pool, key space and skew,
+    network, retry, admission, cluster mode), exactly as
+    :func:`~repro.service.stress.run_stress` takes it; the sweep replaces
+    only the per-rung fields (``arrivals``, ``horizon``, ``seed``,
+    ``windows``) on it.
+
+    Each rung is an independent open-loop run at ``PoissonArrivals(rate)``
+    over ``horizon`` ticks, with the same ``seed`` — so the sweep as a whole
+    is deterministic per seed.  ``trace=False`` skips the per-rung tracer
+    (no contention heatmap, much lighter).
     """
     if not rates:
         raise ValueError("rates must name at least one offered load")
-    hot = ZipfianKeys(keys, theta=zipf_theta) if zipf_theta is not None else None
-    base = template or StressConfig(
-        scheduler=scheduler,
-        level=level,
-        clients=clients,
-        keys=keys,
-        ops_per_txn=ops_per_txn,
-        network=network,
-        retry=retry,
-        admission=admission,
-        hot_keys=hot,
-        # StressConfig requires a horizon alongside arrivals; both are
-        # replaced per rung below.
-        arrivals=None,
-        horizon=None,
-    )
+    base = template or StressConfig()
     rungs: List[CapacityRung] = []
     for rate in rates:
         tracer = Tracer() if trace else None

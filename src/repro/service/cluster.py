@@ -893,6 +893,14 @@ class Cluster:
                 "coordinator's decision is already final); run shards=1 or "
                 "scheduler='locking'"
             )
+        if self.config.shards > 1 and self.scheduler_config.deadlock == "wound-wait":
+            raise ValueError(
+                "deadlock='wound-wait' cannot run across shards: a wound "
+                "aborts its victim wherever it holds a lock, prepared "
+                "participants included, so a transaction the coordinator "
+                "commits can be aborted on one shard (2PC atomicity); run "
+                "shards=1 or deadlock='detect'"
+            )
         self.metrics = metrics
         self.tracer = tracer
         self.admission = admission

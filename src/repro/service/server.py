@@ -41,6 +41,7 @@ from ..engine.factory import SchedulerConfig, create_scheduler
 from ..engine.simulator import _find_cycle
 from ..engine.transaction import TxnState
 from ..exceptions import InvalidOperation, TransactionAborted, WouldBlock
+from .client import Client
 from .config import AdmissionConfig
 from .network import SimulatedNetwork
 
@@ -145,6 +146,10 @@ class Server:
         #: Optional shared tid source (a cluster hands every shard the same
         #: allocator so tids are globally unique); ``None`` = private counter.
         self._tid_allocator = tid_allocator
+        #: The driver's fault schedule (see :meth:`schedule_crash`): the
+        #: armed ``(after_commits, restart_delay)`` and the pending restart.
+        self._crash_schedule: Optional[Tuple[int, int]] = None
+        self._restart_at: Optional[int] = None
         self.db: Optional[Database] = None
         self._boot(initial, recover_from)
         #: The durable WAL: survives crashes, feeds recovery.
@@ -233,6 +238,49 @@ class Server:
             self.tracer.event(
                 "server.restart", committed=len(self._committed_tids)
             )
+
+    # ------------------------------------------------------------------
+    # the driver's surface (the same five members as ``Cluster``)
+    # ------------------------------------------------------------------
+
+    def client(
+        self, name: str, *, policy=None, read_preference=None, guarantees=None
+    ) -> Client:
+        """A client session of this server (``read_preference`` and
+        ``guarantees`` route replica reads: nothing to do without replicas)."""
+        return Client(
+            self.network, name=name, server=self.name, policy=policy,
+            metrics=self.metrics, tracer=self.tracer,
+        )
+
+    def schedule_crash(self, after_commits: int, restart_delay: int) -> None:
+        """Arm one crash for when the commit count reaches ``after_commits``,
+        with the restart ``restart_delay`` ticks after it."""
+        self._crash_schedule = (after_commits, restart_delay)
+
+    def tick(self) -> None:
+        """Advance the fault schedule one driver step: fire the armed crash
+        once its commit count is reached, restart once the delay is over (in
+        the same step when the delay is zero)."""
+        armed = self._crash_schedule
+        if armed is not None and self.commit_count >= armed[0]:
+            self._crash_schedule = None
+            self.crash()
+            self._restart_at = self.network.now + armed[1]
+        if self._restart_at is not None and self.network.now >= self._restart_at:
+            self.settle()
+
+    @property
+    def next_wake(self) -> Optional[int]:
+        """The tick the pending restart is due at (``None`` without one)."""
+        return self._restart_at
+
+    def settle(self) -> None:
+        """End of run: a server still waiting out its restart delay comes
+        back now."""
+        if self._restart_at is not None:
+            self._restart_at = None
+            self.restart()
 
     # ------------------------------------------------------------------
     # request handling

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.opcheck import Op, check_operations
 from ..core.incremental import IncrementalAnalysis
 from ..core.levels import IsolationLevel
 from ..observability.provenance import watching_analysis
+from ..observability.traceview import percentile
 from ..workloads.arrivals import ZipfianKeys
 from .client import Client
 from .cluster import Cluster
@@ -42,12 +43,6 @@ from .network import SimulatedNetwork
 from .server import Server
 
 __all__ = ["StressResult", "run_stress"]
-
-
-def _rank_percentile(ordered: List[int], q: float) -> int:
-    """Nearest-rank percentile of a pre-sorted non-empty list."""
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil(n*q/100)
-    return ordered[min(int(rank), len(ordered)) - 1]
 
 
 @dataclass
@@ -124,7 +119,7 @@ class StressResult:
         transaction committed)."""
         if not self.commit_latencies:
             return None
-        return _rank_percentile(sorted(self.commit_latencies), q)
+        return percentile(self.commit_latencies, q)
 
     def strongest_level(self):
         return self.monitor.strongest_level()
@@ -158,9 +153,8 @@ class StressResult:
             f"certified/aborted/shed : {certified_n}/{self.client_aborts}/{shed}"
         )
         if self.commit_latencies:
-            ordered = sorted(self.commit_latencies)
             p50, p95, p99 = (
-                _rank_percentile(ordered, q) for q in (50, 95, 99)
+                percentile(self.commit_latencies, q) for q in (50, 95, 99)
             )
             lines.append(
                 f"commit latency p50/p95/p99 : {p50}/{p95}/{p99} ticks"
@@ -231,6 +225,11 @@ class _TickWait:
         return None if self.settled else self.tick
 
 
+def _fields(obj: Any, *names: str) -> Dict[str, Any]:
+    """The named attributes of a config, as the run summary lists them."""
+    return {name: getattr(obj, name) for name in names}
+
+
 def _op(client: Client, windows, kind: str, **fields: Any):
     """One timed logical operation: ``co_call`` plus a per-verb latency
     observation into the windowed telemetry (success path only — failed
@@ -243,15 +242,25 @@ def _op(client: Client, windows, kind: str, **fields: Any):
     return reply
 
 
-def _pick_objs(
-    rng: random.Random, keys: int, ops: int, hot: Optional[ZipfianKeys]
-) -> List[int]:
-    """The transaction's key set: uniform without a hot-key sampler,
-    Zipf-skewed with one (both draw from the script's own RNG stream)."""
+def _draw_txn(
+    rng: random.Random,
+    *,
+    keys: int,
+    ops: int,
+    hot: Optional[ZipfianKeys] = None,
+    read_only_fraction: float = 0.0,
+) -> Tuple[List[int], bool]:
+    """A script's next transaction, drawn from its own RNG stream: whether
+    it is read-only (``read_only_fraction`` of them are plain-read-only
+    probes, the replica-servable share of the mix; the draw is skipped
+    entirely at 0.0, keeping the RNG stream byte-identical to
+    pre-replication runs), then its key set (uniform without a hot-key
+    sampler, Zipf-skewed with one)."""
+    read_only = bool(read_only_fraction) and rng.random() < read_only_fraction
     n = min(ops, keys)
     if hot is not None:
-        return hot.sample_distinct(rng, n)
-    return rng.sample(range(keys), n)
+        return hot.sample_distinct(rng, n), read_only
+    return rng.sample(range(keys), n), read_only
 
 
 def _run_one_txn(
@@ -335,42 +344,16 @@ def _run_one_txn(
     return True
 
 
-def _transfer_script(
-    client: Client,
-    rng: random.Random,
-    *,
-    txns: int,
-    keys: int,
-    ops: int,
-    level: Optional[str],
-    counters: Dict[str, int],
-    windows=None,
-    latencies: Optional[List[int]] = None,
-    hot: Optional[ZipfianKeys] = None,
-    read_only_fraction: float = 0.0,
-    ops_out: Optional[List[Op]] = None,
-):
+def _transfer_script(client: Client, rng: random.Random, *, txns: int, mix, **txn):
     """The closed-loop stress mix: read-modify-write over a small hot key
     space (``for_update`` reads, so locking engines do not drown in upgrade
     deadlocks), with client-side restart on aborts — a miniature of a real
-    service's request handler.  ``read_only_fraction`` of transactions are
-    plain-read-only instead — the replica-servable share of the mix (the
-    draw is skipped entirely at 0.0, keeping the RNG stream byte-identical
-    to pre-replication runs)."""
-    if latencies is None:
-        latencies = []
+    service's request handler.  ``mix`` is :func:`_draw_txn`'s keywords,
+    ``txn`` :func:`_run_one_txn`'s."""
     committed = 0
     while committed < txns:
-        read_only = (
-            bool(read_only_fraction) and rng.random() < read_only_fraction
-        )
-        objs = _pick_objs(rng, keys, ops, hot)
-        ok = yield from _run_one_txn(
-            client, objs, level=level, counters=counters,
-            windows=windows, latencies=latencies,
-            read_only=read_only, ops_out=ops_out,
-        )
-        if ok:
+        objs, read_only = _draw_txn(rng, **mix)
+        if (yield from _run_one_txn(client, objs, read_only=read_only, **txn)):
             committed += 1
 
 
@@ -380,15 +363,8 @@ def _open_loop_script(
     *,
     schedule: List[int],
     state: Dict[str, int],
-    keys: int,
-    ops: int,
-    level: Optional[str],
-    counters: Dict[str, int],
-    windows,
-    latencies: List[int],
-    hot: Optional[ZipfianKeys],
-    read_only_fraction: float = 0.0,
-    ops_out: Optional[List[Op]] = None,
+    mix,
+    **txn,
 ):
     """The open-loop worker: claim the next arrival off the shared
     schedule, sleep until its tick (or start immediately if it is already
@@ -405,15 +381,8 @@ def _open_loop_script(
         tick = schedule[idx]
         if net.now < tick:
             yield _TickWait(net, tick)
-        read_only = (
-            bool(read_only_fraction) and rng.random() < read_only_fraction
-        )
-        objs = _pick_objs(rng, keys, ops, hot)
-        yield from _run_one_txn(
-            client, objs, level=level, counters=counters,
-            windows=windows, latencies=latencies,
-            read_only=read_only, ops_out=ops_out,
-        )
+        objs, read_only = _draw_txn(rng, **mix)
+        yield from _run_one_txn(client, objs, read_only=read_only, **txn)
 
 
 def run_stress(
@@ -454,6 +423,12 @@ def run_stress(
     workload.  A ``shards=1`` cluster produces byte-identical histories,
     journals and certification to the plain single-server run.
 
+    Either way the driver sees one service surface: ``client()`` for its
+    sessions, ``schedule_crash()`` for ``crash_after_commits``, ``tick()``
+    and ``next_wake`` for the fault schedule, ``settle()`` at the end
+    (:class:`~repro.service.server.Server` and :class:`~repro.service.
+    cluster.Cluster` both have all five).
+
     The driver is tick-synchronized and event-driven: whenever every script
     is blocked, the network's whole due message batch is delivered in one
     :meth:`~repro.service.network.SimulatedNetwork.drain_due` sweep before
@@ -463,43 +438,25 @@ def run_stress(
     (see ``docs/performance.md``, "Service delivery").
     """
     cfg = config or StressConfig()
-    scheduler = cfg.scheduler
-    level = cfg.level
-    clients = cfg.clients
-    txns_per_client = cfg.txns_per_client
-    keys = cfg.keys
-    ops_per_txn = cfg.ops_per_txn
     seed = cfg.seed
-    network = cfg.network
-    retry = cfg.retry
-    crash_after_commits = cfg.crash_after_commits
-    restart_delay = cfg.restart_delay
-    max_ticks = cfg.max_ticks
-    arrivals = cfg.arrivals
-    horizon = cfg.horizon
-    hot_keys = cfg.hot_keys
-    admission = cfg.admission
     windows = cfg.windows
     config = (
-        scheduler
-        if isinstance(scheduler, SchedulerConfig)
-        else SchedulerConfig(scheduler=scheduler, seed=seed)
+        cfg.scheduler
+        if isinstance(cfg.scheduler, SchedulerConfig)
+        else SchedulerConfig(scheduler=cfg.scheduler, seed=seed)
     )
-    if level is not None and config.level is None:
-        from dataclasses import replace
-
+    if cfg.level is not None and config.level is None:
         config = replace(
             config,
             level=(
-                IsolationLevel.from_string(level)
-                if isinstance(level, str)
-                else level
+                IsolationLevel.from_string(cfg.level)
+                if isinstance(cfg.level, str)
+                else cfg.level
             ),
         )
-    netcfg = (network or NetworkConfig()).with_seed(
-        (network.seed if network is not None and network.seed else seed * 7919 + 1)
-    )
-    policy = retry or RetryPolicy()
+    network = cfg.network or NetworkConfig()
+    netcfg = network.with_seed(network.seed or seed * 7919 + 1)
+    policy = cfg.retry or RetryPolicy()
     net = SimulatedNetwork(netcfg, metrics=metrics, tracer=tracer)
     if tracer is not None:
         # The determinism contract extends to traces: re-clock the tracer
@@ -524,32 +481,24 @@ def run_stress(
         if tracer is not None
         else IncrementalAnalysis(order_mode="commit")
     )
+    # ``server`` is the service under load, one Server or a Cluster: both
+    # offer the driver client()/schedule_crash()/tick()/next_wake/settle()
+    # and the same counters.  ``cluster`` names it again only where a
+    # cluster has more to show (flight lanes, 2PC gauges, the summary).
+    parts = dict(
+        initial={f"k{i}": 0 for i in range(cfg.keys)},
+        monitor=monitor,
+        metrics=metrics,
+        tracer=tracer,
+        admission=cfg.admission,
+    )
     cluster: Optional[Cluster] = None
-    initial = {f"k{i}": 0 for i in range(keys)}
     if cfg.cluster is not None:
-        cluster = Cluster(
-            net,
-            config,
-            config=cfg.cluster,
-            initial=initial,
-            monitor=monitor,
-            metrics=metrics,
-            tracer=tracer,
-            admission=admission,
-        )
-        server = cluster  # the facade mirrors the single-Server surface
-        if crash_after_commits is not None:
-            cluster.schedule_crash(crash_after_commits, restart_delay)
+        server = cluster = Cluster(net, config, config=cfg.cluster, **parts)
     else:
-        server = Server(
-            net,
-            config,
-            initial=initial,
-            monitor=monitor,
-            metrics=metrics,
-            tracer=tracer,
-            admission=admission,
-        )
+        server = Server(net, config, **parts)
+    if cfg.crash_after_commits is not None:
+        server.schedule_crash(cfg.crash_after_commits, cfg.restart_delay)
     if flight is not None:
         flight.bind(
             network=net,
@@ -563,79 +512,58 @@ def run_stress(
     config_summary = {
         "scheduler": config.scheduler,
         "level": level_name,
-        "clients": clients,
-        "txns_per_client": txns_per_client,
-        "keys": keys,
-        "ops_per_txn": ops_per_txn,
-        "seed": seed,
-        "network": {
-            "seed": netcfg.seed,
-            "drop": netcfg.drop,
-            "duplicate": netcfg.duplicate,
-            "min_delay": netcfg.min_delay,
-            "max_delay": netcfg.max_delay,
-        },
-        "retry": {
-            "timeout": policy.timeout,
-            "max_attempts": policy.max_attempts,
-            "backoff": policy.backoff,
-        },
-        "crash_after_commits": crash_after_commits,
-        "restart_delay": restart_delay,
+        **_fields(cfg, "clients", "txns_per_client", "keys", "ops_per_txn", "seed"),
+        "network": _fields(
+            netcfg, "seed", "drop", "duplicate", "min_delay", "max_delay"
+        ),
+        "retry": _fields(policy, "timeout", "max_attempts", "backoff"),
+        **_fields(cfg, "crash_after_commits", "restart_delay"),
     }
-    if cfg.cluster is not None:
+    if cluster is not None:
+        shape = cfg.cluster
         config_summary["cluster"] = {
-            "shards": cfg.cluster.shards,
-            "slots": cfg.cluster.slots,
-            "map_changes": len(cfg.cluster.map_changes),
-            "retry_every": cfg.cluster.retry_every,
-            "crash_shard_after_prepares": cfg.cluster.crash_shard_after_prepares,
-            "partition_coordinator_after_prepares": (
-                cfg.cluster.partition_coordinator_after_prepares
+            **_fields(shape, "shards", "slots"),
+            "map_changes": len(shape.map_changes),
+            **_fields(
+                shape,
+                "retry_every",
+                "crash_shard_after_prepares",
+                "partition_coordinator_after_prepares",
             ),
         }
-        if cfg.cluster.replicas:
-            config_summary["cluster"]["replicas"] = cfg.cluster.replicas
-            config_summary["cluster"]["replication_every"] = (
-                cfg.cluster.replication_every
-            )
-            config_summary["cluster"]["replication_lag"] = list(
-                cfg.cluster.replication_lag
+        if shape.replicas:
+            config_summary["cluster"].update(
+                _fields(shape, "replicas", "replication_every"),
+                replication_lag=list(shape.replication_lag),
             )
             config_summary["read_preference"] = cfg.read_preference
             config_summary["session_guarantees"] = (
-                {
-                    "read_your_writes": cfg.session_guarantees.read_your_writes,
-                    "monotonic_reads": cfg.session_guarantees.monotonic_reads,
-                    "causal": cfg.session_guarantees.causal,
-                    "on_lag": cfg.session_guarantees.on_lag,
-                }
+                _fields(
+                    cfg.session_guarantees,
+                    "read_your_writes", "monotonic_reads", "causal", "on_lag",
+                )
                 if cfg.session_guarantees is not None
                 else None
             )
             config_summary["read_only_fraction"] = cfg.read_only_fraction
+    arrivals = cfg.arrivals
     schedule: List[int] = []
     if arrivals is not None:
-        schedule = arrivals.schedule(horizon=horizon, seed=seed * 8191 + 3)
+        schedule = arrivals.schedule(horizon=cfg.horizon, seed=seed * 8191 + 3)
         config_summary["arrivals"] = {
             "kind": type(arrivals).__name__,
-            "mean_rate": round(arrivals.mean_rate(horizon), 6),
-            "horizon": horizon,
+            "mean_rate": round(arrivals.mean_rate(cfg.horizon), 6),
+            "horizon": cfg.horizon,
             "offered": len(schedule),
         }
-    if hot_keys is not None:
-        config_summary["hot_keys"] = {
-            "keys": hot_keys.keys,
-            "theta": hot_keys.theta,
-        }
-    if admission is not None:
-        config_summary["admission"] = {
-            "max_active": admission.max_active,
-            "retry_after": admission.retry_after,
-            "shed_probability": admission.shed_probability,
-            "on_uncertified": admission.on_uncertified,
-            "certify_every": admission.certify_every,
-        }
+    if cfg.hot_keys is not None:
+        config_summary["hot_keys"] = _fields(cfg.hot_keys, "keys", "theta")
+    if cfg.admission is not None:
+        config_summary["admission"] = _fields(
+            cfg.admission,
+            "max_active", "retry_after", "shed_probability",
+            "on_uncertified", "certify_every",
+        )
     run_span = None
     if tracer is not None:
         # Stacked root: parentless events anywhere below (server crashes,
@@ -646,57 +574,75 @@ def run_stress(
     latencies: List[int] = []
     ops_log: List[Op] = []
     arrival_state = {"next": 0}
+    script_args = dict(
+        mix=dict(
+            keys=cfg.keys,
+            ops=cfg.ops_per_txn,
+            hot=cfg.hot_keys,
+            read_only_fraction=cfg.read_only_fraction,
+        ),
+        level=level_name,
+        counters=counters,
+        windows=windows,
+        latencies=latencies,
+        ops_out=ops_log,
+    )
     runs: List[_ScriptRun] = []
-    for i in range(clients):
-        if cluster is not None:
-            client = cluster.client(
-                f"c{i}", policy=policy,
-                read_preference=cfg.read_preference,
-                guarantees=cfg.session_guarantees,
-            )
-        else:
-            client = Client(
-                net, name=f"c{i}", policy=policy, metrics=metrics,
-                tracer=tracer,
-            )
+    for i in range(cfg.clients):
+        client = server.client(
+            f"c{i}", policy=policy,
+            read_preference=cfg.read_preference,
+            guarantees=cfg.session_guarantees,
+        )
         script_rng = random.Random(seed * 1_000_003 + i + 1)
         if arrivals is not None:
             script = _open_loop_script(
-                client,
-                script_rng,
-                schedule=schedule,
-                state=arrival_state,
-                keys=keys,
-                ops=ops_per_txn,
-                level=level_name,
-                counters=counters,
-                windows=windows,
-                latencies=latencies,
-                hot=hot_keys,
-                read_only_fraction=cfg.read_only_fraction,
-                ops_out=ops_log,
+                client, script_rng,
+                schedule=schedule, state=arrival_state, **script_args,
             )
         else:
             script = _transfer_script(
-                client,
-                script_rng,
-                txns=txns_per_client,
-                keys=keys,
-                ops=ops_per_txn,
-                level=level_name,
-                counters=counters,
-                windows=windows,
-                latencies=latencies,
-                hot=hot_keys,
-                read_only_fraction=cfg.read_only_fraction,
-                ops_out=ops_log,
+                client, script_rng, txns=cfg.txns_per_client, **script_args
             )
         runs.append(_ScriptRun(i, client, script))
-    restart_at: Optional[int] = None
-    crashed_once = False
     start_tick = net.now
     arrivals_seen = 0
     sheds_seen = 0
+
+    def observe(final: bool) -> None:
+        """Feed the windowed telemetry.  Observation only: nothing here may
+        influence the run.  The ``final`` call counts the arrivals no worker
+        ever reached, zeroes the queue gauges and samples unconditionally."""
+        nonlocal arrivals_seen, sheds_seen
+        now = net.now
+        due = len(schedule) if final else bisect_right(schedule, now)
+        for tick in schedule[arrivals_seen:due]:
+            windows.observe_arrival(tick)
+        arrivals_seen = due
+        shed_total = server.counters["shed"]
+        if shed_total > sheds_seen:
+            windows.sheds.inc(now, shed_total - sheds_seen)
+            sheds_seen = shed_total
+        if final:
+            windows.set_gauges(queue_depth=0, certification_lag=0)
+        else:
+            windows.set_gauges(
+                queue_depth=max(due - arrival_state["next"], 0),
+                certification_lag=server.certification_lag if server.up else 0,
+            )
+        if cluster is not None and len(cluster.shards) > 1:
+            windows.set_cluster_gauges(
+                in_doubt=cluster.in_doubt,
+                shard_certification_lag=cluster.shard_certification_lags(),
+                shard_queue_depth=cluster.shard_queue_depths(),
+            )
+        if final:
+            windows.sample(now)
+        else:
+            windows.maybe_sample(now)
+        if flight is not None:
+            flight.check_slos(now)
+
     # Event-driven: a poll can only have an effect when its client has mail
     # or its deadline/backoff has come due, and both change only inside
     # ``drain_due``/``advance``.  After each of those the blocked scripts are
@@ -706,68 +652,24 @@ def run_stress(
     # in ascending order, so ``driver_rng.choice`` sees the list a
     # poll-everything loop would rebuild.  The fault schedule likewise reads
     # only the clock and counters that move inside a delivery.
-    ready = list(range(clients))
+    max_ticks = cfg.max_ticks
+    ready = list(range(cfg.clients))
     wake: List[_ScriptRun] = []
-    live = clients
+    live = cfg.clients
     clock_moved = faults_due = True
     while True:
         if windows is not None:
-            # Observation only: nothing below may influence the run.  Every
-            # iteration, not once per clock change: ``arrival_state["next"]``
-            # moves when a resumed script claims an arrival.
-            now = net.now
-            while (
-                arrivals_seen < len(schedule)
-                and schedule[arrivals_seen] <= now
-            ):
-                windows.observe_arrival(schedule[arrivals_seen])
-                arrivals_seen += 1
-            shed_total = server.counters["shed"]
-            if shed_total > sheds_seen:
-                windows.sheds.inc(now, shed_total - sheds_seen)
-                sheds_seen = shed_total
-            backlog = (
-                bisect_right(schedule, now) - arrival_state["next"]
-                if schedule
-                else 0
-            )
-            windows.set_gauges(
-                queue_depth=max(backlog, 0),
-                certification_lag=server.certification_lag if server.up else 0,
-            )
-            if cluster is not None and len(cluster.shards) > 1:
-                windows.set_cluster_gauges(
-                    in_doubt=cluster.in_doubt,
-                    shard_certification_lag=(
-                        cluster.shard_certification_lags()
-                    ),
-                    shard_queue_depth=cluster.shard_queue_depths(),
-                )
-            windows.maybe_sample(now)
-            if flight is not None:
-                flight.check_slos(now)
+            # Every iteration, not once per clock change:
+            # ``arrival_state["next"]`` moves when a resumed script claims an
+            # arrival.
+            observe(final=False)
         if faults_due:
-            if cluster is not None:
-                # The cluster owns its whole deterministic fault schedule
-                # (stress crash included), in the same loop position as the
-                # single-server crash block.  A restart armed with a zero
-                # delay is due again at the very next step.
-                cluster.tick()
-                wake_at = cluster.next_wake
-                faults_due = wake_at is not None and wake_at <= net.now
-            else:
-                if (
-                    crash_after_commits is not None
-                    and not crashed_once
-                    and server.commit_count >= crash_after_commits
-                ):
-                    server.crash()
-                    crashed_once = True
-                    restart_at = net.now + restart_delay
-                if restart_at is not None and net.now >= restart_at:
-                    server.restart()
-                    restart_at = None
-                faults_due = False
+            # The service owns its whole deterministic fault schedule
+            # (stress crash included).  A cluster restart armed with a zero
+            # delay is due again at the very next step.
+            server.tick()
+            wake_at = server.next_wake
+            faults_due = wake_at is not None and wake_at <= net.now
         if not live:
             break
         now = net.now
@@ -801,42 +703,20 @@ def run_stress(
         # before any client runs again (tick-synchronized; see docstring).
         if not net.drain_due():
             # Nothing in flight: jump to the earliest client wake-up (or
-            # the server restart) instead of idling tick by tick.
+            # the fault schedule's) instead of idling tick by tick.
             wakes = [
                 r.pending.next_wake
                 for r in runs
                 if r.blocked and r.pending.next_wake is not None
             ]
-            if cluster is not None:
-                if cluster.next_wake is not None:
-                    wakes.append(cluster.next_wake)
-            elif restart_at is not None:
-                wakes.append(restart_at)
+            if server.next_wake is not None:
+                wakes.append(server.next_wake)
             net.advance(max(1, min(wakes) - now) if wakes else 1)
         clock_moved = faults_due = True
-    if cluster is not None:
-        cluster.settle()
-    elif restart_at is not None:
-        server.restart()
+    server.settle()
     server.flush_certification()  # settle any batched verdicts
     if windows is not None:
-        now = net.now
-        while arrivals_seen < len(schedule):
-            windows.observe_arrival(schedule[arrivals_seen])
-            arrivals_seen += 1
-        shed_total = server.counters["shed"]
-        if shed_total > sheds_seen:
-            windows.sheds.inc(now, shed_total - sheds_seen)
-        windows.set_gauges(queue_depth=0, certification_lag=0)
-        if cluster is not None and len(cluster.shards) > 1:
-            windows.set_cluster_gauges(
-                in_doubt=cluster.in_doubt,
-                shard_certification_lag=cluster.shard_certification_lags(),
-                shard_queue_depth=cluster.shard_queue_depths(),
-            )
-        windows.sample(now)
-        if flight is not None:
-            flight.check_slos(now)
+        observe(final=True)
     if tracer is not None:
         for run in runs:
             run.client.close_trace()
@@ -897,7 +777,9 @@ def run_stress(
         config=config_summary,
         commit_latencies=tuple(latencies),
         offered=(
-            len(schedule) if arrivals is not None else clients * txns_per_client
+            len(schedule)
+            if arrivals is not None
+            else cfg.clients * cfg.txns_per_client
         ),
         windows=windows,
         cluster=cluster,

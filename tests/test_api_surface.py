@@ -2,6 +2,7 @@
 documented in docs/API.md, and listed in ``__all__`` exactly once; the
 options and shims earlier releases carried stay removed."""
 
+import inspect
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import repro
 import repro.service as service
 from repro.engine import LockingScheduler
+from repro.observability import to_chrome_trace, write_chrome_trace
 
 API_MD = Path(__file__).resolve().parent.parent / "docs" / "API.md"
 
@@ -65,6 +67,30 @@ class TestServiceSurface:
             repro.run_stress(clients=2)
         small = repro.StressConfig(clients=1, txns_per_client=1)
         assert "pipeline" not in repro.run_stress(small).config
+
+    def test_a_run_is_described_by_a_stress_config_only(self):
+        run_shape = {
+            "scheduler", "level", "clients", "keys", "ops_per_txn",
+            "network", "retry", "admission", "zipf_theta",
+        }
+        capacity = inspect.signature(service.run_capacity).parameters
+        assert not run_shape & set(capacity)
+        assert list(capacity) == [
+            "template", "rates", "horizon", "seed",
+            "slos", "window", "sample_every", "trace",
+        ]
+        assert list(inspect.signature(repro.run_stress).parameters) == [
+            "config", "metrics", "tracer", "flight",
+        ]
+        assert list(inspect.signature(to_chrome_trace).parameters) == ["records"]
+        assert list(inspect.signature(write_chrome_trace).parameters) == [
+            "records", "path",
+        ]
+
+    def test_server_and_cluster_share_the_driver_surface(self):
+        for member in ("client", "schedule_crash", "tick", "next_wake", "settle"):
+            assert hasattr(service.Server, member), member
+            assert hasattr(service.Cluster, member), member
 
     def test_hand_built_scheduler_is_a_supported_constructor(self):
         with warnings.catch_warnings():

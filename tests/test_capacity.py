@@ -16,6 +16,7 @@ from repro.observability import (
 from repro.service import (
     AdmissionConfig,
     Client,
+    ClusterConfig,
     RetryPolicy,
     Server,
     ServiceUnavailable,
@@ -352,13 +353,15 @@ class TestOnUncertified:
 
 def _small_sweep(**overrides):
     kwargs = dict(
+        template=StressConfig(
+            clients=4,
+            keys=6,
+            admission=AdmissionConfig(max_active=3, retry_after=8),
+            hot_keys=ZipfianKeys(6, theta=0.9),
+        ),
         rates=[0.03, 0.08, 0.16],
         horizon=500,
         seed=11,
-        clients=4,
-        keys=6,
-        admission=AdmissionConfig(max_active=3, retry_after=8),
-        zipf_theta=0.9,
         slos=(SLO(name="p99", kind="latency", threshold=400, verb="txn"),),
         window=200,
         sample_every=50,
@@ -377,6 +380,28 @@ class TestRunCapacity:
             assert rung.stress is not None
             assert rung.slos and rung.slos[0]["name"] == "p99"
         assert sum(r.committed for r in sweep.rungs) > 0
+
+    def test_cluster_template_reports_in_doubt_on_every_rung(self):
+        sweep = run_capacity(
+            StressConfig(
+                clients=4, keys=6, ops_per_txn=3,
+                cluster=ClusterConfig(shards=2),
+            ),
+            rates=[0.03, 0.08],
+            horizon=300,
+            seed=11,
+            trace=False,
+        )
+        assert sweep.config["cluster"] == {"shards": 2, "slots": 16}
+        for rung in sweep.rungs:
+            assert rung.committed > 0
+            assert rung.stress.cluster is not None
+            assert isinstance(rung.max_in_doubt, int)
+            assert rung.to_dict()["max_in_doubt"] == rung.max_in_doubt
+        # Cross-shard commits do sit in doubt between prepare and decide.
+        assert max(r.max_in_doubt for r in sweep.rungs) >= 1
+        # A single-server sweep has no such column.
+        assert all(r.max_in_doubt is None for r in _small_sweep(trace=False).rungs)
 
     def test_empty_rates_rejected(self):
         with pytest.raises(ValueError):

@@ -507,3 +507,30 @@ class TestCapacity:
             "--zipf", "0.9", "--max-active", "2",
         )
         assert run_cli(*args) == run_cli(*args)
+
+
+class TestClusterWorkloadCommands:
+    """``dossier`` and ``cluster-report`` build their config through the
+    same checked path as ``cluster-stress``: bad input is ``error: ...``
+    and status 2, never a traceback."""
+
+    def test_dossier_bad_input_exit_2(self, capsys):
+        status, text = run_cli("dossier", "--replication-lag", "a:b")
+        assert (status, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: bad --replication-lag 'a:b'; expected MIN:MAX\n"
+        )
+        status, _ = run_cli("dossier", "--scheduler", "bogus")
+        assert status == 2
+
+    def test_cluster_report_bad_input_exit_2(self, capsys):
+        status, text = run_cli("cluster-report", "--shards", "0")
+        assert (status, text) == (2, "")
+        assert capsys.readouterr().err == "error: shards must be >= 1\n"
+        status, _ = run_cli("cluster-report", "--replication-lag", "9:2")
+        assert status == 2
+
+    def test_cluster_stress_bad_pairs_exit_2(self, capsys):
+        status, _ = run_cli("cluster-stress", "--crash-shard", "x")
+        assert status == 2
+        assert "expected SHARD or SHARD:N" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from repro.service import (
     ClusterConfig,
     MapChange,
     NetworkConfig,
+    SchedulerConfig,
     ShardMap,
     StressConfig,
     connect_cluster,
@@ -224,6 +225,26 @@ class TestFacade:
             "optimistic", cluster=ClusterConfig(shards=1)
         )
         assert len(cluster.shards) == 1
+
+    def test_cluster_rejects_wound_wait_cross_shard(self):
+        # A wound aborts its victim on whatever shard it holds the lock,
+        # prepared participants included: 2PC atomicity breaks ("T<n> both
+        # committed and aborted across shards").  Fail closed instead.
+        wound_wait = SchedulerConfig(scheduler="locking", deadlock="wound-wait")
+        with pytest.raises(ValueError, match="wound-wait"):
+            connect_cluster(wound_wait, cluster=ClusterConfig(shards=2))
+        with pytest.raises(ValueError, match="prepared"):
+            run_stress(StressConfig(
+                scheduler=wound_wait, cluster=ClusterConfig(shards=2)
+            ))
+
+    def test_single_shard_wound_wait_still_runs(self):
+        result = run_stress(StressConfig(
+            scheduler=SchedulerConfig(scheduler="locking", deadlock="wound-wait"),
+            clients=6, txns_per_client=15, keys=8, ops_per_txn=3,
+            cluster=ClusterConfig(shards=1),
+        ))
+        assert result.committed == 90 and result.all_certified
 
     def test_shard_map_routing_is_stable(self):
         m = ShardMap(("shard0", "shard1"), slots=16)

@@ -22,6 +22,7 @@ The contracts this suite pins:
   Cluster section) is a pure function of the records.
 """
 
+import hashlib
 import io
 import json
 
@@ -421,7 +422,7 @@ class TestClusterTraceview:
 
     def test_cluster_tracks_round_trip(self, replicated):
         records = replicated.tracer.records
-        data = to_chrome_trace(records, cluster_tracks=True)
+        data = to_chrome_trace(records)
         names = {
             e["args"]["name"]
             for e in data["traceEvents"]
@@ -436,10 +437,28 @@ class TestClusterTraceview:
         assert {"primary", "replica 0", "replica 1"} <= threads
         assert list(from_chrome_trace(data)) == list(records)
 
-    def test_flat_export_unchanged_by_flag(self, replicated):
-        records = replicated.tracer.records
+    def test_flat_export_unchanged_by_flag(self):
+        # The `cluster_tracks=` flag is gone: the layout is read off the
+        # records.  A trace with no shard attribute (a single server) still
+        # exports as one unnamed process, byte for byte what it was before
+        # (the digest was taken at the commit that still had the flag).
+        single = run_stress(
+            StressConfig(
+                clients=3, txns_per_client=5, seed=5,
+                network=NetworkConfig(drop=0.05, duplicate=0.05, max_delay=3),
+            ),
+            tracer=Tracer(),
+        )
+        records = single.tracer.records
         flat = to_chrome_trace(records)
         assert all(e["pid"] == 1 for e in flat["traceEvents"])
+        assert not any(e["name"] == "process_name" for e in flat["traceEvents"])
+        digest = hashlib.sha256(
+            json.dumps(flat, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        assert digest == (
+            "0dba01252accedbbe24212c3a6f0169796f57c9f93627eba2e1ea38b3658516f"
+        )
         assert list(from_chrome_trace(flat)) == list(records)
 
     def test_replication_lag_timeline(self, replicated):

@@ -8,8 +8,12 @@ produce it, and that their shortcuts agree with the exhaustive versions.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.core.formatting import format_history
+from repro.core.incremental import IncrementalAnalysis
 from repro.engine.factory import SchedulerConfig
 from repro.engine.simulator import _find_cycle
 from repro.service import (
@@ -22,6 +26,7 @@ from repro.service import (
     network as network_mod,
     run_stress,
     server as server_mod,
+    stress as stress_mod,
 )
 
 CONTENDED = dict(
@@ -73,27 +78,78 @@ class TestWakeList:
         # crash: the fault schedule must run again at the driver's next
         # step, not at the next clock change (on this seed a script is
         # ready at the crash, so shard 0 is back before anything is
-        # delivered, and no delivery sweep ever starts with it down).
+        # delivered, and no delivery sweep ever starts with it down).  A
+        # single server restarts inside the very `tick()` that crashed it.
         down_at_sweep = []
         original = network_mod.SimulatedNetwork.drain_due
 
         def drain_due(net):
-            down_at_sweep.append(not net.is_up("shard0"))
+            down_at_sweep.append(not net.is_up(endpoint))
             return original(net)
 
         monkeypatch.setattr(network_mod.SimulatedNetwork, "drain_due", drain_due)
-        result = run_stress(StressConfig(
-            seed=1,
-            crash_after_commits=20,
-            restart_delay=0,
-            cluster=ClusterConfig(shards=2),
-            retry=RetryPolicy(backoff=0),
-            **{**CONTENDED, "network": NetworkConfig(
-                drop=0.05, min_delay=0, max_delay=2
-            )},
-        ))
-        assert result.crashes == result.restarts == 1
-        assert not any(down_at_sweep)
+        for endpoint, cluster in (
+            ("shard0", ClusterConfig(shards=2)),
+            ("server", None),
+        ):
+            result = run_stress(StressConfig(
+                seed=1,
+                crash_after_commits=20,
+                restart_delay=0,
+                cluster=cluster,
+                retry=RetryPolicy(backoff=0),
+                **{**CONTENDED, "network": NetworkConfig(
+                    drop=0.05, min_delay=0, max_delay=2
+                )},
+            ))
+            assert result.crashes == result.restarts == 1, endpoint
+            assert down_at_sweep and not any(down_at_sweep), endpoint
+            down_at_sweep.clear()
+
+    @pytest.mark.parametrize("restart_delay", [0, 25])
+    def test_server_schedule_driven_by_hand_matches_the_driver(self, restart_delay):
+        # The five-member surface `run_stress` drives (`client`,
+        # `schedule_crash`, `tick`, `next_wake`, `settle`) is all a driver
+        # needs: one client's script stepped by hand against a `Server`
+        # leaves the artifacts of the same config under `run_stress`.
+        cfg = StressConfig(
+            clients=1, txns_per_client=12, seed=4,
+            network=NetworkConfig(drop=0.05, duplicate=0.05, max_delay=3),
+            crash_after_commits=5, restart_delay=restart_delay,
+        )
+        driven = run_stress(cfg)
+        assert driven.crashes == driven.restarts == 1
+
+        net = network_mod.SimulatedNetwork(cfg.network.with_seed(cfg.seed * 7919 + 1))
+        engine = SchedulerConfig(scheduler=cfg.scheduler, seed=cfg.seed)
+        server = server_mod.Server(
+            net,
+            engine,
+            initial={f"k{i}": 0 for i in range(cfg.keys)},
+            monitor=IncrementalAnalysis(order_mode="commit"),
+        )
+        server.schedule_crash(cfg.crash_after_commits, cfg.restart_delay)
+        client = server.client("c0", policy=RetryPolicy())
+        script = stress_mod._transfer_script(
+            client, random.Random(cfg.seed * 1_000_003 + 1),
+            txns=cfg.txns_per_client,
+            mix=dict(keys=cfg.keys, ops=cfg.ops_per_txn),
+            level=str(engine.declared_level), counters={"aborts": 0},
+            windows=None, latencies=[],
+        )
+        pending = next(script)
+        while pending is not None:
+            server.tick()
+            if pending.poll():
+                pending = next(script, None)
+            elif not net.drain_due():
+                wakes = [pending.next_wake, server.next_wake]
+                net.advance(max(1, min(w for w in wakes if w is not None) - net.now))
+        server.settle()
+        assert (server.crashes, server.restarts) == (1, 1)
+        assert format_history(server.history()) == driven.history_text
+        assert tuple(client.journal) == driven.journals["c0"]
+        assert net.now == driven.ticks
 
     def test_polling_a_pending_that_is_not_due_changes_nothing(self):
         # `due` is a hint, never a precondition: hand-driven loops (and
