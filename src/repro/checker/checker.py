@@ -80,10 +80,12 @@ def check(
     edges are extracted exactly once (``Analysis.edges``), the DSG and the
     SSG of the extension levels are built over that shared edge list, and
     per-phenomenon reports are memoized.  Checking all four ANSI levels
-    therefore costs one edge extraction plus one SCC pass per distinct
-    phenomenon, not one extraction per level.  The caches live on the
-    analysis/history pair and histories are immutable, so nothing needs
-    invalidation; see ``docs/performance.md`` for the full cost model.
+    therefore costs one edge extraction plus at most one SCC pass per
+    distinct phenomenon (G2 and G2-item share theirs when no predicate
+    anti-dependency edge exists), not one extraction per level.  The
+    caches live on the analysis/history pair and histories are immutable,
+    so nothing needs invalidation; see ``docs/performance.md`` for the
+    full cost model.
     """
     h = as_history(history, auto_complete=auto_complete)
     wanted = list(levels)

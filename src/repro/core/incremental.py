@@ -14,11 +14,13 @@ G0/G1/G2 queries are then O(1) in the steady state: each cycle phenomenon
 has a :class:`_CycleMonitor` — a Pearce–Kelly dynamic topological order
 over its filtered edge set — that detects the cycle at the *edge insert*
 that closes it, and presence is monotone over a growing history so a
-positive verdict is cached permanently.  Only the anti-dependency
-phenomena (G2/G2-item) ever fall back to a full SCC pass
-(:mod:`repro.core.graph`), and only in the narrow regime where their view
-contains a cycle that has not yet been proven to thread an anti-dependency
-edge.  Appending one transaction and re-querying therefore costs amortised
+positive verdict is cached permanently.  The anti-dependency phenomena
+(G2/G2-item) read the same monitors: a cycle in their view while the
+ww+wr view is still acyclic threads an anti-dependency edge by
+definition.  Only once G1c is itself present do they fall back to an SCC
+pass (:func:`repro.core.graph.component_index` over the interned edge
+keys), one per edge generation until the verdict latches.  Appending one
+transaction and re-querying therefore costs amortised
 O(new edges), not O(history) — the asymptotic gap
 ``bench_scaling_incremental`` pins.
 
@@ -89,6 +91,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -99,6 +102,7 @@ from . import graph as _g
 from .conflicts import DepKind, Edge, PredicateDepMode
 from .events import Abort, Begin, Commit, Event, PredicateRead, Read, Write
 from .interning import Interner
+from .levels import ANSI_CHAIN, IsolationLevel
 from .objects import INIT_TID, Version, relation_of
 from .phenomena import Phenomenon, PhenomenonReport, Witness
 from .predicates import Predicate, VersionSet
@@ -116,6 +120,14 @@ CORE_PHENOMENA: Tuple[Phenomenon, ...] = (
     Phenomenon.G2,
 )
 
+#: The levels :meth:`IncrementalAnalysis.provides` can certify — those
+#: proscribing core phenomena only — with their proscribed phenomena.
+_CORE_PROSCRIBED: Dict[IsolationLevel, Tuple[Phenomenon, ...]] = {
+    level: level.proscribed
+    for level in IsolationLevel
+    if all(p in CORE_PHENOMENA for p in level.proscribed)
+}
+
 #: Edge kind codes used in interned edge keys (indexes into ``_KINDS``).
 _KW, _KR, _KA = 0, 1, 2  # ww, wr, rw
 _KINDS: Tuple[DepKind, ...] = (DepKind.WW, DepKind.WR, DepKind.RW)
@@ -123,6 +135,13 @@ _KINDS: Tuple[DepKind, ...] = (DepKind.WW, DepKind.WR, DepKind.RW)
 #: Interned edge key: (src, dst, kind code, oid, vid, pid) — pid 0 = no
 #: predicate.  The dict value is the cursor flag.
 _IKey = Tuple[int, int, int, int, int, int]
+
+
+class _Arc(NamedTuple):
+    """The ends of an interned edge key: all :mod:`repro.core.graph` reads."""
+
+    src: int
+    dst: int
 
 
 class _PreadRec:
@@ -1308,37 +1327,64 @@ class IncrementalAnalysis:
         """The predicates ``T_tid`` issued predicate reads for."""
         return tuple(rec.predicate for rec in self._preads_of_tid.get(tid, ()))
 
-    def _cycle_presence(self, keep: Callable[[Edge], bool], special=None) -> bool:
-        """Whether the kept subgraph has a cycle (``special is None``) or a
-        cycle through at least one ``special`` edge."""
-        kept = [e for e in self.edges if keep(e)]
-        adj = _g.adjacency(kept)
-        comp = _g.component_index(adj)
-        if special is None:
-            counts: Dict[int, int] = {}
-            for node, c in comp.items():
-                counts[c] = counts.get(c, 0) + 1
-            return any(n >= 2 for n in counts.values())
-        return any(
-            special(e) and comp.get(e.src) == comp.get(e.dst) for e in kept
-        )
+    def _anti_cycle(self, phenomenon: Phenomenon) -> bool:
+        """Presence of G2 / G2-item: a cycle of the phenomenon's view (every
+        edge, resp. every edge but predicate anti-dependencies) through an
+        anti-dependency edge of that view.
 
-    def _gated_cycle(self, monitor: _CycleMonitor, phenomenon, keep, special) -> bool:
-        """Presence of a special-edge cycle, gated on the cheap monitor.
-
-        While ``monitor``'s view is acyclic the phenomenon is trivially
-        absent (O(1)).  Once the view has *some* cycle it may still be a
-        pure ww/wr (G1c) cycle, so the anti-dependency question falls back
-        to the full SCC test, cached against the edge-set generation — the
-        slow path runs only until the verdict flips to (permanently) True.
+        Read off the inclusion chain ww+wr ⊆ item ⊆ full.  While the view's
+        own monitor is acyclic the answer is False.  Once it has latched
+        and the frontier is still the item or ww+wr monitor, that monitor
+        is live, exact and acyclic, and its view contains every dependency
+        edge: no cycle consists of ww/wr edges alone, so the view's cycle
+        threads one of its anti-dependency edges — True, in O(1).  Only
+        with G1c itself present (frontier past the ww+wr monitor) can the
+        view's cycle be a pure dependency cycle, and the question goes to
+        :meth:`_anti_cycle_pass`, cached against the edge-set generation
+        until the verdict flips to (permanently) True.
         """
+        item_only = phenomenon is Phenomenon.G2_ITEM
+        monitor = self._mon_item if item_only else self._mon_full
         if not monitor.has_cycle:
             return False
+        if self._frontier <= 2:
+            return True
         cached = self._presence_cache.get(phenomenon)
         if cached is not None and cached[0] == self._gen:
             return cached[1]
-        present = self._cycle_presence(keep, special)
-        self._presence_cache[phenomenon] = (self._gen, present)
+        if self.metrics is not None:
+            self.metrics.counter(
+                "incremental_scc_fallbacks_total",
+                "SCC passes run for G2/G2-item while G1c is present",
+            ).inc(phenomenon=str(phenomenon))
+        return self._anti_cycle_pass(phenomenon)
+
+    def _anti_cycle_pass(self, phenomenon: Phenomenon) -> bool:
+        """One SCC pass over the interned edge keys — ``(src, dst)`` arcs,
+        no :class:`Edge` objects: does an anti-dependency edge of the
+        phenomenon's view lie inside a component of it?  The answer is
+        recorded in ``_presence_cache`` for this edge generation; without a
+        predicate anti-dependency key the G2 and G2-item views coincide and
+        it is recorded for both."""
+        item_only = phenomenon is Phenomenon.G2_ITEM
+        arcs: List[_Arc] = []
+        anti: List[_Arc] = []
+        predicate_rw = False
+        for src, dst, kcode, _oid, _vid, pid in self._edges:
+            arc = _Arc(src, dst)
+            if kcode == _KA:
+                if pid:
+                    predicate_rw = True
+                    if item_only:
+                        continue
+                anti.append(arc)
+            arcs.append(arc)
+        comp = _g.component_index(_g.adjacency(arcs))
+        present = any(comp[arc.src] == comp[arc.dst] for arc in anti)
+        cache = self._presence_cache
+        cache[phenomenon] = (self._gen, present)
+        if not predicate_rw:
+            cache[Phenomenon.G2] = cache[Phenomenon.G2_ITEM] = cache[phenomenon]
         return present
 
     def exhibits(self, phenomenon: Phenomenon) -> bool:
@@ -1366,20 +1412,8 @@ class IncrementalAnalysis:
                 or self.exhibits(Phenomenon.G1B)
                 or self.exhibits(Phenomenon.G1C)
             )
-        elif phenomenon is Phenomenon.G2:
-            present = self._gated_cycle(
-                self._mon_full,
-                phenomenon,
-                lambda e: True,
-                lambda e: e.kind is DepKind.RW,
-            )
-        elif phenomenon is Phenomenon.G2_ITEM:
-            present = self._gated_cycle(
-                self._mon_item,
-                phenomenon,
-                lambda e: not (e.kind is DepKind.RW and e.via_predicate),
-                lambda e: e.kind is DepKind.RW and not e.via_predicate,
-            )
+        elif phenomenon is Phenomenon.G2 or phenomenon is Phenomenon.G2_ITEM:
+            present = self._anti_cycle(phenomenon)
         else:
             raise ValueError(
                 f"{phenomenon} is not maintained incrementally; materialise "
@@ -1420,8 +1454,6 @@ class IncrementalAnalysis:
         """The strongest ANSI-chain level the history-so-far provides
         (``None`` when even PL-1 is violated), matching batch
         :func:`repro.core.levels.classify`."""
-        from .levels import ANSI_CHAIN
-
         strongest = None
         for level in levels or ANSI_CHAIN:
             if not any(self.exhibits(p) for p in level.proscribed):
@@ -1439,17 +1471,16 @@ class IncrementalAnalysis:
         the service layer calls after every commit to certify committed
         transactions at their declared levels while the workload runs.
         """
-        from .levels import IsolationLevel
-
         if isinstance(level, str):
             level = IsolationLevel.from_string(level)
-        for p in level.proscribed:
-            if p not in CORE_PHENOMENA:
-                raise ValueError(
-                    f"{level} proscribes {p}, which is not maintained "
-                    "incrementally; use check() for extension levels"
-                )
-        return not any(self.exhibits(p) for p in level.proscribed)
+        proscribed = _CORE_PROSCRIBED.get(level)
+        if proscribed is None:
+            p = next(p for p in level.proscribed if p not in CORE_PHENOMENA)
+            raise ValueError(
+                f"{level} proscribes {p}, which is not maintained "
+                "incrementally; use check() for extension levels"
+            )
+        return not any(self.exhibits(p) for p in proscribed)
 
     # ------------------------------------------------------------------
     # materialisation

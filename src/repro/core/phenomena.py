@@ -220,12 +220,19 @@ class Analysis:
                 "directed cycle with one or more anti-dependency edges",
             )
         if phenomenon is Phenomenon.G2_ITEM:
-            return self._cycle_report(
-                Phenomenon.G2_ITEM,
-                self.dsg.find_cycle_with(
+            if any(e.kind is DepKind.RW and e.via_predicate for e in self.edges):
+                cycle = self.dsg.find_cycle_with(
                     special=lambda e: e.kind is DepKind.RW and not e.via_predicate,
                     keep=lambda e: not (e.kind is DepKind.RW and e.via_predicate),
-                ),
+                )
+            else:
+                # No predicate anti-dependency edge: G2's filter pair selects
+                # the same cycles, so its (memoized) witness serves both.
+                g2 = self.report(Phenomenon.G2)
+                cycle = g2.witnesses[0].cycle if g2.present else None
+            return self._cycle_report(
+                Phenomenon.G2_ITEM,
+                cycle,
                 "directed cycle with one or more item-anti-dependency edges",
             )
         if phenomenon in (

@@ -135,6 +135,31 @@ class TestG2Item:
         assert not a.exhibits(G.G2_ITEM)
         assert a.exhibits(G.G2)
 
+    def test_shares_g2_witness_without_predicate_anti_edges(self):
+        # No predicate anti-dependency edge: the G2 and G2-item filters
+        # select the same cycles, so one pass finds one witness for both —
+        # in either query order, each under its own wording.
+        text = "r1(x0) r2(x0) w2(x2) c2 w1(x1) c1 [x0 << x2 << x1]"
+        for first, second in ((G.G2_ITEM, G.G2), (G.G2, G.G2_ITEM)):
+            a = analysis(text)
+            one, other = a.report(first), a.report(second)
+            assert one.witnesses[0].cycle is other.witnesses[0].cycle
+            assert "item-anti-dependency" in a.report(G.G2_ITEM).describe()
+            assert "item-anti-dependency" not in a.report(G.G2).describe()
+            assert {"G2", "G2-item"} <= set(a.timings)
+
+    def test_own_pass_with_predicate_anti_edges(self):
+        # A phantom cycle next to an item one: G2-item must avoid the
+        # predicate edge, so it cannot borrow G2's witness.
+        a = analysis(
+            "r1(Dept=Sales: x0*) w2(y2) c2 r1(y2) c1 "
+            "r3(z0) r4(z0) w4(z4) c4 w3(z3) c3 "
+            "[z0 << z4 << z3] [Dept=Sales matches: y2]"
+        )
+        assert a.exhibits(G.G2) and a.exhibits(G.G2_ITEM)
+        item_cycle = a.report(G.G2_ITEM).witnesses[0].cycle
+        assert not any(e.via_predicate for e in item_cycle.edges)
+
 
 class TestReports:
     def test_report_memoized(self):
