@@ -8,8 +8,10 @@ the concurrency a real system gets from threads without any actual threads:
 * each scheduling round picks a random unfinished program and runs its next
   step;
 * a step that raises :class:`~repro.exceptions.WouldBlock` leaves the
-  program *waiting* on the lock holders; waiting programs are retried once
-  a holder finishes;
+  program *waiting* on the lock holders, but still a scheduling candidate:
+  whenever a later round picks it, the blocked step is retried against the
+  lock tables (nothing is parked until a holder finishes — the rounds a
+  waiter burns are part of the schedule, and of the seed's history);
 * deadlocks (cycles in the waits-for graph assembled from the ``WouldBlock``
   holders) abort the youngest transaction of the cycle, which restarts with
   a fresh tid if retries remain — so histories genuinely contain the abort
@@ -19,6 +21,19 @@ the concurrency a real system gets from threads without any actual threads:
 
 ``Simulator.run`` returns a :class:`SimulationResult` with the history, the
 per-program outcomes, and counters the benchmarks report.
+
+The loop is event-driven: the candidate list and the count of waiting
+programs are updated where a program finishes, blocks or resumes, and the
+deadlock search is incremental.  ``_acyclic`` records that the last search
+left the waits-for graph without a cycle; from then on edges only *vanish*
+(a waiter resumes, commits, or restarts under a fresh tid, so edges into
+its old tid dead-end; the everyone-blocked branch drops every edge, and
+each is re-added by a blocked step that searches) — except the out-edges of
+the program that has just blocked.  So while the flag is up any cycle runs
+through the newly blocked tid: unchanged holders mean no search at all, new
+holders a walk from that tid alone, and only a walk that comes back — or a
+flag lowered by a victim, whose cycle may have had siblings — pays for the
+full rebuild and :func:`_find_cycle`, which alone choose cycle and victim.
 """
 
 from __future__ import annotations
@@ -84,16 +99,10 @@ class _Run:
         self.regs: Dict[str, Any] = {}
         self.txn: Optional[TransactionHandle] = None
         self.waiting_on: Optional[frozenset[int]] = None
-        self.done = False
-        self.failed = False
         #: Registry clock when the current lock wait began (observability).
         self.wait_started: Optional[int] = None
         #: Open tracer span for the current attempt (observability).
         self.span: Optional[object] = None
-
-    @property
-    def active(self) -> bool:
-        return not self.done and not self.failed
 
     def start(self, db: Database) -> None:
         self.txn = db.begin(self.program.level)
@@ -153,6 +162,13 @@ class Simulator:
                 programs=[p.name for p in self.programs],
             )
         runs = [_Run(p, i) for i, p in enumerate(self.programs)]
+        #: Unfinished programs in index order: what ``rng.choice`` draws from.
+        candidates = self._candidates = list(runs)
+        #: How many of them are waiting (``waiting_on is not None``).
+        self._waiting = 0
+        #: Live tid -> its unfinished program (the nodes of the waits-for graph).
+        self._by_tid: Dict[int, _Run] = {}
+        self._acyclic = True
         for run in runs:
             self._start(run)
         steps = 0
@@ -161,32 +177,28 @@ class Simulator:
             steps_counter = metrics.counter(
                 "sim_steps_total", "scheduling rounds executed"
             ).labels(scheduler=sched_name)
-        while steps < self.max_steps:
-            candidates = [r for r in runs if r.active]
-            if not candidates:
-                break
-            run = self.rng.choice(candidates)
+        choice = self.rng.choice
+        while steps < self.max_steps and candidates:
+            run = choice(candidates)
             steps += 1
             if steps_counter is not None:
                 metrics.tick()
                 steps_counter.inc()
-            self._step(run, runs)
-            if all(r.waiting_on is not None for r in runs if r.active):
+            self._step(run)
+            if self._waiting == len(candidates):
                 # Everyone is blocked but no waits-for cycle was found — the
                 # blockers must be committed/aborted already; clear waits and
                 # retry (lock tables are re-consulted on the next attempt).
-                for r in runs:
-                    if r.active:
-                        r.waiting_on = None
+                for r in candidates:
+                    r.waiting_on = None
+                self._waiting = 0
         # Step budget exhausted: abort whatever is still running so the
         # history is complete.
-        for run in runs:
-            if run.active and run.txn is not None:
-                run.txn.abort()
-                run.failed = True
-                if run.span is not None:
-                    run.span.end(outcome="cut-off")
-                    run.span = None
+        for run in candidates:
+            run.txn.abort()
+            if run.span is not None:
+                run.span.end(outcome="cut-off")
+                run.span = None
         if self.monitor is not None and hasattr(self.monitor, "finish"):
             # Apply the completion rule so the monitor's verdicts line up
             # with the auto-completed history below.
@@ -207,6 +219,7 @@ class Simulator:
     def _start(self, run: _Run) -> None:
         """(Re)start a program, opening its per-attempt transaction span."""
         run.start(self.db)
+        self._by_tid[run.txn.tid] = run
         if self.tracer is not None:
             run.span = self.tracer.span(
                 "txn",
@@ -217,7 +230,21 @@ class Simulator:
                 attempt=len(run.outcome.tids),
             )
 
-    def _step(self, run: _Run, runs: List["_Run"]) -> None:
+    def _retire(self, run: _Run, *, finished: bool) -> None:
+        """``run``'s transaction is over: drop its node from the waits-for
+        graph (edges into it dead-end from here on) and, when the program
+        will not start another, drop the program from the candidates."""
+        del self._by_tid[run.txn.tid]
+        self._stop_waiting(run)
+        if finished:
+            self._candidates.remove(run)
+
+    def _stop_waiting(self, run: _Run) -> None:
+        if run.waiting_on is not None:
+            run.waiting_on = None
+            self._waiting -= 1
+
+    def _step(self, run: _Run) -> None:
         assert run.txn is not None
         metrics = self.metrics
         if metrics is not None and run.waiting_on is not None:
@@ -240,7 +267,7 @@ class Simulator:
                 run.txn.commit()
                 run.outcome.committed_tid = run.txn.tid
                 run.outcome.regs = dict(run.regs)
-                run.done = True
+                self._retire(run, finished=True)
                 if run.span is not None:
                     run.span.end(outcome="committed")
                     run.span = None
@@ -252,8 +279,11 @@ class Simulator:
                     scheduler=self.db.scheduler.name,
                 )
             run.wait_started = None
-            run.waiting_on = None
+            self._stop_waiting(run)
         except WouldBlock as block:
+            waited_on = run.waiting_on
+            if waited_on is None:
+                self._waiting += 1
             run.waiting_on = block.holders
             if metrics is not None and run.wait_started is None:
                 run.wait_started = metrics.clock
@@ -266,19 +296,19 @@ class Simulator:
                     resource=block.resource,
                     holders=sorted(block.holders),
                 )
-            self._resolve_deadlock(run, runs)
+            self._resolve_deadlock(run, waited_on)
         except TransactionAborted as aborted:
             self._handle_abort(run, reason=aborted.reason)
 
     def _handle_abort(self, run: _Run, reason: str = "aborted") -> None:
         run.outcome.aborts += 1
-        run.waiting_on = None
         run.wait_started = None  # the wait ended in an abort, not a grant
         if run.span is not None:
             run.span.end(outcome="aborted", reason=reason)
             run.span = None
-        if run.outcome.aborts > self.max_retries:
-            run.failed = True
+        gives_up = run.outcome.aborts > self.max_retries
+        self._retire(run, finished=gives_up)
+        if gives_up:
             return
         if self.metrics is not None:
             # Reasons carry per-incident detail ("occ-validation against
@@ -293,7 +323,28 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
-    def _resolve_deadlock(self, blocked: _Run, runs: List["_Run"]) -> None:
+    def _waits_on_itself(self, blocked: _Run) -> bool:
+        """Whether ``blocked`` can reach its own tid along the wait edges,
+        followed through ``_by_tid`` instead of a rebuilt graph.  Holders
+        that have finished or restarted are no longer in it and end the walk."""
+        by_tid = self._by_tid
+        start = blocked.txn.tid
+        seen = {start}
+        stack = [blocked]
+        while stack:
+            for tid in stack.pop().waiting_on or ():
+                if tid == start:
+                    return True
+                if tid not in seen:
+                    seen.add(tid)
+                    holder = by_tid.get(tid)
+                    if holder is not None:
+                        stack.append(holder)
+        return False
+
+    def _resolve_deadlock(
+        self, blocked: _Run, waited_on: Optional[frozenset[int]]
+    ) -> None:
         """Abort the *originally* youngest transaction on a waits-for cycle.
 
         Age is the tid of the program's first attempt, not the current one:
@@ -301,23 +352,29 @@ class Simulator:
         forever (the naive abort-the-current-youngest rule starves restarts,
         which always re-enter with the largest tid — measured live on
         32-program fleets).
+
+        While ``_acyclic`` holds (see the module docstring) a cycle must pass
+        through ``blocked``: there is none if it still waits on the holders
+        it had before this step (``waited_on``), or cannot reach itself.  The
+        graph is rebuilt and searched in full only otherwise, or after a
+        victim.
         """
-        waits: Dict[int, frozenset[int]] = {}
-        by_tid: Dict[int, _Run] = {}
-        for r in runs:
-            if r.active and r.txn is not None:
-                by_tid[r.txn.tid] = r
-                if r.waiting_on:
-                    waits[r.txn.tid] = r.waiting_on
+        if self._acyclic and (
+            waited_on == blocked.waiting_on or not self._waits_on_itself(blocked)
+        ):
+            return
+        # Index order, as ``_find_cycle`` reports the first cycle it meets.
+        waits: Dict[int, frozenset[int]] = {
+            r.txn.tid: r.waiting_on for r in self._candidates if r.waiting_on
+        }
         cycle = _find_cycle(waits)
+        # After a victim, other cycles through ``blocked`` may remain.
+        self._acyclic = not cycle
         if not cycle:
             return
-        candidates = [by_tid[tid] for tid in cycle if tid in by_tid]
-        if not candidates:
-            return
-        victim = max(candidates, key=lambda r: r.outcome.tids[0])
-        if victim.txn is None:
-            return
+        victim = max(
+            (self._by_tid[tid] for tid in cycle), key=lambda r: r.outcome.tids[0]
+        )
         self.deadlocks += 1
         if self.metrics is not None:
             sched = self.db.scheduler.name
@@ -340,7 +397,6 @@ class Simulator:
                 victim_program=victim.program.name,
             )
         victim.txn.abort()
-        victim.waiting_on = None
         self._handle_abort(victim, reason="deadlock")
 
 

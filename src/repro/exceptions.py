@@ -107,9 +107,10 @@ class WriteConflict(TransactionAborted):
 
 class WouldBlock(EngineError):
     """A (locking) scheduler cannot grant the lock an operation needs right
-    now.  The simulator catches this, parks the transaction, and retries the
-    operation once a holder releases; direct callers driving transactions by
-    hand see it raised with the holders listed.
+    now.  The simulator catches this, records the holders as wait edges, and
+    retries the operation whenever the program is scheduled again; direct
+    callers driving transactions by hand see it raised with the holders
+    listed.
     """
 
     def __init__(self, tid: int, resource: str, holders):

@@ -62,7 +62,12 @@ from .config import (
 from .coordinator import Coordinator
 from .errors import ServiceUnavailable
 from .network import SimulatedNetwork
-from .replication import ReplicaServer, SessionVector, route_key as _route_key
+from .replication import (
+    ReplicaServer,
+    SessionVector,
+    _ReadSession,
+    route_key as _route_key,
+)
 from .server import Server, break_deadlock, record_verdict
 from .shardmap import ShardMap
 
@@ -963,7 +968,9 @@ class Cluster:
         #: Per-shard shared read-reply caches (at-most-once across the
         #: whole replica group: a retry landing on a different backup —
         #: or the new primary after a promote — still dedups).
-        self._replica_replies: List[Dict[str, dict]] = [{} for _ in range(n)]
+        self._replica_replies: List[Dict[str, _ReadSession]] = [
+            {} for _ in range(n)
+        ]
         self._replica_restart_at: Dict[Tuple[int, int], int] = {}
         self._replica_crash_fired = False
         self._primary_partition_fired = False

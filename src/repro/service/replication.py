@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine.recorder import HistoryRecorder
 from .network import SimulatedNetwork
+from .server import _ReplyCache
 
 __all__ = ["ReplicaServer", "SessionVector"]
 
@@ -291,13 +292,14 @@ class ReplicaServer:
         rid = payload["rid"]
         ctx = payload.get("trace")
         cache = self.cluster._replica_replies[self.shard_index]
-        sess = cache.setdefault(session, {"replies": {}, "acked": -1})
+        sess = cache.get(session)
+        if sess is None:
+            sess = cache[session] = _ReadSession()
         acked = payload.get("acked")
-        if acked is not None and acked > sess["acked"]:
-            sess["acked"] = acked
-            for old in [r for r in sess["replies"] if r <= acked]:
-                del sess["replies"][old]
-        cached = sess["replies"].get(rid)
+        if acked is not None and acked > sess.acked:
+            sess.acked = acked
+            sess.prune(acked)
+        cached = sess.replies.get(rid)
         if cached is not None:
             # Duplicate delivery: re-send the cached reply carrying the
             # *original* request's trace context (``setdefault``, exactly
@@ -308,7 +310,7 @@ class ReplicaServer:
             if ctx is not None:
                 cached.setdefault("trace", ctx)
             return cached
-        if rid <= sess["acked"]:
+        if rid <= sess.acked:
             return self._reply(ctx, {"error": "stale", "rid": rid})
         obj = payload["obj"]
         owner = self.cluster.shard_map.owner(route_key(obj))
@@ -356,7 +358,7 @@ class ReplicaServer:
             "shard": self.shard_index,
             "offset": self.applied,
         }
-        sess["replies"][rid] = reply
+        sess.remember(rid, reply)
         return self._reply(ctx, reply)
 
     @staticmethod
@@ -374,6 +376,18 @@ class ReplicaServer:
             f"<ReplicaServer {self.name} applied={self.applied} "
             f"up={self.up}>"
         )
+
+
+class _ReadSession(_ReplyCache):
+    """A client session's read-reply cache at one shard's replica group."""
+
+    __slots__ = ("acked",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Highest ``acked`` watermark seen — the stale guard: a late
+        #: duplicate of an acknowledged read is not served again.
+        self.acked = -1
 
 
 def route_key(obj: str) -> str:

@@ -48,21 +48,44 @@ from .network import SimulatedNetwork
 __all__ = ["Server"]
 
 
-class _Session:
-    """Per-client-session server state (volatile — lost on crash)."""
+class _ReplyCache:
+    """One session's at-most-once dedup cache, pruned as the client's
+    ``acked`` watermark advances (shared with the replicas' read cache)."""
 
-    __slots__ = (
-        "txn", "replies", "oldest_reply", "last_rid", "first_tid",
-        "pending_abort", "downgraded", "level_override",
-    )
+    __slots__ = ("replies", "oldest_reply")
 
     def __init__(self) -> None:
-        self.txn: Optional[TransactionHandle] = None
-        #: Final replies by rid (the at-most-once dedup cache).
+        #: Final replies by rid.
         self.replies: Dict[int, Dict[str, Any]] = {}
         #: Lowest rid in ``replies`` (infinite when empty): a request whose
         #: ``acked`` watermark is below it has nothing to prune.
         self.oldest_reply: float = inf
+
+    def prune(self, acked: int) -> None:
+        """Forget every reply the client has acknowledged."""
+        if acked >= self.oldest_reply:
+            replies = self.replies
+            for old in [r for r in replies if r <= acked]:
+                del replies[old]
+            self.oldest_reply = min(replies, default=inf)
+
+    def remember(self, rid: int, reply: Dict[str, Any]) -> None:
+        self.replies[rid] = reply
+        if rid < self.oldest_reply:
+            self.oldest_reply = rid
+
+
+class _Session(_ReplyCache):
+    """Per-client-session server state (volatile — lost on crash)."""
+
+    __slots__ = (
+        "txn", "last_rid", "first_tid",
+        "pending_abort", "downgraded", "level_override",
+    )
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.txn: Optional[TransactionHandle] = None
         #: Highest rid with a final (non-busy) reply — the stale guard: a
         #: delayed duplicate of an already-acked request must not
         #: re-execute after its cache entry was pruned.
@@ -340,11 +363,8 @@ class Server:
         if sess is None:
             sess = self._sessions[session_id] = _Session()
         acked = request.get("acked")
-        if acked is not None and acked >= sess.oldest_reply:
-            replies = sess.replies
-            for old in [r for r in replies if r <= acked]:
-                del replies[old]
-            sess.oldest_reply = min(replies, default=inf)
+        if acked is not None:
+            sess.prune(acked)
         cached = sess.replies.get(rid)
         if cached is not None:
             self.counters["dedup_hits"] += 1
@@ -371,9 +391,7 @@ class Server:
         if reply.get("error") not in ("busy", "shed", "moved"):
             # Busy, shed and moved replies are not cached: the operation
             # never ran, so the retry must actually execute it.
-            sess.replies[rid] = reply
-            if rid < sess.oldest_reply:
-                sess.oldest_reply = rid
+            sess.remember(rid, reply)
             sess.last_rid = max(sess.last_rid, rid)
         return reply
 

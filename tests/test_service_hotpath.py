@@ -24,6 +24,7 @@ from repro.service import (
     client as client_mod,
     cluster as cluster_mod,
     network as network_mod,
+    replication as replication_mod,
     run_stress,
     server as server_mod,
     stress as stress_mod,
@@ -274,3 +275,31 @@ class TestDedupCacheWatermark:
         monkeypatch.setattr(server_mod.Server, "_handle", checked)
         result = run_stress(StressConfig(seed=5, **{**CONTENDED, **extra}))
         assert result.server_counters["dedup_hits"] > 0
+
+    def test_replica_read_cache_shares_the_watermark(self, monkeypatch):
+        original = replication_mod.ReplicaServer._on_read
+        seen = {"reads": 0, "pruned": 0}
+
+        def checked(replica, payload):
+            cache = replica.cluster._replica_replies[replica.shard_index]
+            before = set(getattr(cache.get(payload["session"]), "replies", ()))
+            reply = original(replica, payload)
+            sess = cache[payload["session"]]
+            assert sess.oldest_reply == min(sess.replies, default=float("inf"))
+            # Pruned exactly as a scan on every read would.
+            assert all(rid > sess.acked for rid in sess.replies)
+            seen["reads"] += 1
+            seen["pruned"] += not before <= set(sess.replies)
+            return reply
+
+        monkeypatch.setattr(replication_mod.ReplicaServer, "_on_read", checked)
+        result = run_stress(StressConfig(
+            seed=5, level="PL-2", read_preference="replica",
+            read_only_fraction=0.5,
+            cluster=ClusterConfig(shards=2, replicas=2),
+            **{**CONTENDED, "network": NetworkConfig(
+                duplicate=0.2, min_delay=1, max_delay=6
+            )},
+        ))
+        assert result.committed == 80
+        assert seen["reads"] > 50 and seen["pruned"] > 0

@@ -32,7 +32,7 @@ import pytest
 import repro
 from repro.core.formatting import format_history
 from repro.core.levels import IsolationLevel
-from repro.engine import Database, LockingScheduler, Simulator
+from repro.engine import Database, Simulator, create_scheduler
 from repro.engine.locking import PROFILES
 from repro.observability import MetricsRegistry, Tracer
 from repro.workloads import WorkloadConfig, random_programs
@@ -62,50 +62,43 @@ FLEET = WorkloadConfig(
 MIXED_LEVELS = (IsolationLevel.PL_3, IsolationLevel.PL_2, IsolationLevel.PL_1)
 
 
-def _simulate(scheduler, cfg: WorkloadConfig, seed: int, *, levels=(), **kwargs):
-    programs = random_programs(cfg, seed=seed)
-    for i, program in enumerate(programs):
-        if levels:
-            program.level = levels[i % len(levels)]
-    db = Database(scheduler)
-    db.load(cfg.initial_state())
-    return Simulator(db, programs, seed=seed, **kwargs).run()
+def _config(
+    family: str, cfg: WorkloadConfig = CONTENDED, *, levels=(), engine=None, **sim
+):
+    """One pinned configuration: ``run(seed, **observe)`` builds the programs
+    and a fresh ``family`` engine (``engine``: scheduler options) and runs a
+    ``Simulator(..., **sim, **observe)`` over them."""
 
-
-def _locking(profile: str, cfg: WorkloadConfig = CONTENDED, **sim):
     def run(seed: int, **observe):
-        return _simulate(LockingScheduler(profile), cfg, seed, **sim, **observe)
+        programs = random_programs(cfg, seed=seed)
+        for i, program in enumerate(programs):
+            if levels:
+                program.level = levels[i % len(levels)]
+        db = Database(create_scheduler(family, **(engine or {})))
+        db.load(cfg.initial_state())
+        return Simulator(db, programs, seed=seed, **sim, **observe).run()
 
     return run
-
-
-def _family(family: str, cfg: WorkloadConfig = CONTENDED, **sim):
-    def run(seed: int, **observe):
-        return _simulate(family, cfg, seed, **sim, **observe)
-
-    return run
-
-
-def _wound_wait(seed: int, **observe):
-    scheduler = LockingScheduler("serializable", deadlock="wound-wait")
-    return _simulate(scheduler, CONTENDED, seed, **observe)
 
 
 CONFIGS: Dict[str, Callable[..., Any]] = {
     # Figure 1, row by row.
-    **{f"locking_{name}": _locking(name) for name in PROFILES},
-    "locking_predicates": _locking("serializable", PREDICATES),
-    "locking_fleet": _locking("serializable", FLEET, max_retries=1000),
-    "wound_wait": _wound_wait,
-    "optimistic": _family("optimistic"),
-    "snapshot_isolation": _family("snapshot-isolation"),
-    "snapshot_isolation_predicates": _family("snapshot-isolation", PREDICATES),
-    "mixed_optimistic": _family("mixed-optimistic", levels=MIXED_LEVELS),
+    **{
+        f"locking_{name}": _config("locking", engine=dict(profile=name))
+        for name in PROFILES
+    },
+    "locking_predicates": _config("locking", PREDICATES),
+    "locking_fleet": _config("locking", FLEET, max_retries=1000),
+    "wound_wait": _config("locking", engine=dict(deadlock="wound-wait")),
+    "optimistic": _config("optimistic"),
+    "snapshot_isolation": _config("snapshot-isolation"),
+    "snapshot_isolation_predicates": _config("snapshot-isolation", PREDICATES),
+    "mixed_optimistic": _config("mixed-optimistic", levels=MIXED_LEVELS),
     # Programs that give up: one abort is one too many.
-    "retries_exhausted": _locking("serializable", max_retries=0),
-    "retries_exhausted_occ": _family("optimistic", max_retries=0),
+    "retries_exhausted": _config("locking", max_retries=0),
+    "retries_exhausted_occ": _config("optimistic", max_retries=0),
     # The step budget runs out mid-flight: the cut-off aborts close the history.
-    "max_steps_cut_off": _locking("serializable", max_steps=60),
+    "max_steps_cut_off": _config("locking", max_steps=60),
 }
 
 
