@@ -227,6 +227,7 @@ class LockingScheduler(Scheduler):
         self._acquire(
             txn, lambda: self.locks.acquire_item(txn.tid, obj, LockMode.WRITE)
         )
+        self._refuse_deleted(txn, obj, self._top(obj))
         self.store.register(obj)
         version = txn.next_version(obj)
         entry = _CellEntry(version, None if dead else value, dead)

@@ -59,6 +59,9 @@ class LockManager:
         self._scheduler = ""
         #: (scope, tid, resource) -> registry clock at first grant
         self._acquired_at: Dict[tuple, int] = {}
+        #: Series bound at first use: ``("grants" | "blocks", scope, mode)``
+        #: counters and ``("hold", scope)`` histograms.
+        self._series: Dict[tuple, object] = {}
 
     def instrument(self, *, metrics=None, tracer=None, scheduler: str = "") -> None:
         """Attach a metrics registry and/or tracer: counts grants/blocks
@@ -71,21 +74,28 @@ class LockManager:
         self._metrics = metrics
         self._tracer = tracer
         self._scheduler = scheduler
+        self._series.clear()
 
     def _note_grant(self, scope: str, mode: str, tid: int, resource: str) -> None:
         m = self._metrics
-        m.counter("lock_grants_total", "lock acquisitions granted").inc(
-            scope=scope, mode=mode, scheduler=self._scheduler
-        )
+        counter = self._series.get(("grants", scope, mode))
+        if counter is None:
+            counter = self._series["grants", scope, mode] = m.counter(
+                "lock_grants_total", "lock acquisitions granted"
+            ).labels(scope=scope, mode=mode, scheduler=self._scheduler)
+        counter.inc()
         self._acquired_at.setdefault((scope, tid, resource), m.clock)
 
     def _note_block(
         self, scope: str, mode: str, tid: int, resource: str, holders
     ) -> None:
         if self._metrics is not None:
-            self._metrics.counter(
-                "lock_blocks_total", "lock acquisitions that had to wait"
-            ).inc(scope=scope, mode=mode, scheduler=self._scheduler)
+            counter = self._series.get(("blocks", scope, mode))
+            if counter is None:
+                counter = self._series["blocks", scope, mode] = self._metrics.counter(
+                    "lock_blocks_total", "lock acquisitions that had to wait"
+                ).labels(scope=scope, mode=mode, scheduler=self._scheduler)
+            counter.inc()
         if self._tracer is not None:
             self._tracer.event(
                 "lock.blocked",
@@ -101,9 +111,12 @@ class LockManager:
         m = self._metrics
         held_since = self._acquired_at.pop((scope, tid, resource), None)
         if held_since is not None:
-            m.histogram(
-                "lock_hold_steps", "lock hold durations in logical steps"
-            ).observe(m.clock - held_since, scope=scope, scheduler=self._scheduler)
+            histogram = self._series.get(("hold", scope))
+            if histogram is None:
+                histogram = self._series["hold", scope] = m.histogram(
+                    "lock_hold_steps", "lock hold durations in logical steps"
+                ).labels(scope=scope, scheduler=self._scheduler)
+            histogram.observe(m.clock - held_since)
 
     # ------------------------------------------------------------------
     # item locks

@@ -68,6 +68,9 @@ class _MultiVersionBase(Scheduler):
         self, txn: Transaction, obj: str, value: Any, *, dead: bool = False
     ) -> None:
         txn.require_active()
+        self._refuse_deleted(
+            txn, obj, txn.buffer.get(obj) or self._visible(txn, obj)
+        )
         self.store.register(obj)
         version = txn.next_version(obj)
         self.recorder.write(txn.tid, version, None if dead else value, dead=dead)
@@ -152,6 +155,9 @@ class ReadCommittedMVScheduler(_MultiVersionBase):
 
     def commit(self, txn: Transaction) -> None:
         txn.require_active()
+        # Commits are unvalidated here, bar the one install the model
+        # itself rules out: a version after a committed delete.
+        self._refuse_install_after_delete(txn)
         self.store.install(txn.final_values())
         self.recorder.commit(txn.tid, txn.finals())
         txn.state = TxnState.COMMITTED

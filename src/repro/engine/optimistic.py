@@ -83,6 +83,9 @@ class OptimisticScheduler(Scheduler):
         self, txn: Transaction, obj: str, value: Any, *, dead: bool = False
     ) -> None:
         txn.require_active()
+        self._refuse_deleted(
+            txn, obj, txn.buffer.get(obj) or self.store.latest(obj)
+        )
         self.store.register(obj)
         version = txn.next_version(obj)
         self.recorder.write(txn.tid, version, None if dead else value, dead=dead)
@@ -121,6 +124,7 @@ class OptimisticScheduler(Scheduler):
 
     def commit(self, txn: Transaction) -> None:
         txn.require_active()
+        self._refuse_install_after_delete(txn)
         self._validate(txn)
         self.store.install(txn.final_values())
         self._log.append(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Tuple
 
 from ..core.predicates import Predicate
+from ..exceptions import InvalidOperation, TransactionAborted
 from .recorder import HistoryRecorder
 from .storage import MultiVersionStore
 from .transaction import Transaction
@@ -92,8 +93,9 @@ class Scheduler:
 
     def _abort_metric(self, reason: str) -> None:
         """Count one scheduler-initiated abort by machine-readable reason
-        (``validation-failure``, ``first-committer-wins``, ``wounded``;
-        the simulator adds ``deadlock`` for its victims)."""
+        (``validation-failure``, ``first-committer-wins``, ``wounded``,
+        ``deleted-object``; the simulator adds ``deadlock`` for its
+        victims)."""
         if self.metrics is not None:
             self.metrics.counter(
                 "txn_aborts_total", "transaction aborts by reason"
@@ -122,8 +124,45 @@ class Scheduler:
     def write(
         self, txn: Transaction, obj: str, value: Any, *, dead: bool = False
     ) -> None:
-        """Write (or, with ``dead=True``, delete) ``obj``."""
+        """Write (or, with ``dead=True``, delete) ``obj``.
+
+        A deleted object is never written again (Section 4.1: the dead
+        version is the last of the object's version order; re-insertion
+        creates a new object).  Every scheme refuses a write or delete that
+        would follow a dead version: after the transaction's own delete it
+        raises :class:`~repro.exceptions.InvalidOperation`; after another
+        transaction's delete it aborts the writer
+        (:class:`~repro.exceptions.TransactionAborted`, reason
+        ``deleted-object``) — at the write when the delete is in its view,
+        at commit when the deleter committed in between."""
         raise NotImplementedError
+
+    def _refuse_deleted(self, txn: Transaction, obj: str, latest: Any) -> None:
+        """``latest`` is the version a write of ``obj`` by ``txn`` would
+        follow: its own last write, else what its view holds."""
+        if latest is None or not latest.dead:
+            return
+        if latest.version.tid == txn.tid:
+            raise InvalidOperation(
+                f"T{txn.tid} cannot write {obj!r} after deleting it"
+            )
+        self._abort_deleted(txn, obj, latest.version.tid)
+
+    def _refuse_install_after_delete(self, txn: Transaction) -> None:
+        """Commit-time half, for schemes that buffer writes and would
+        install them unvalidated: the deleter committed after ``txn`` wrote
+        (:meth:`_refuse_deleted` saw a live object)."""
+        for obj in sorted(txn.write_set):
+            latest = self.store.latest(obj)
+            if latest is not None and latest.dead:
+                self._abort_deleted(txn, obj, latest.version.tid)
+
+    def _abort_deleted(self, txn: Transaction, obj: str, deleter: int) -> None:
+        self._abort_metric("deleted-object")
+        self.abort(txn)
+        raise TransactionAborted(
+            txn.tid, f"deleted-object {obj} (deleted by T{deleter})"
+        )
 
     def predicate_read(
         self, txn: Transaction, predicate: Predicate

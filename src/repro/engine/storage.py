@@ -46,12 +46,15 @@ class MultiVersionStore:
         self._commit_seq = 0
         self._metrics = None
         self._scheduler = ""
+        #: The ``version_chain_len`` series, bound at the first install.
+        self._chain_len = None
 
     def instrument(self, *, metrics=None, scheduler: str = "") -> None:
         """Observe per-object version-chain lengths
         (``version_chain_len{scheduler}``) at each install."""
         self._metrics = metrics
         self._scheduler = scheduler
+        self._chain_len = None
 
     # ------------------------------------------------------------------
     # registration and installs
@@ -81,10 +84,12 @@ class MultiVersionStore:
             chain = self._chains[version.obj]
             chain.append(StoredVersion(version, value, dead, seq))
             if self._metrics is not None:
-                self._metrics.histogram(
-                    "version_chain_len",
-                    "committed version-chain length at install",
-                ).observe(len(chain), scheduler=self._scheduler)
+                if self._chain_len is None:
+                    self._chain_len = self._metrics.histogram(
+                        "version_chain_len",
+                        "committed version-chain length at install",
+                    ).labels(scheduler=self._scheduler)
+                self._chain_len.observe(len(chain))
         return seq
 
     # ------------------------------------------------------------------

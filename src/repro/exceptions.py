@@ -138,7 +138,8 @@ class WouldBlock(EngineError):
 
 class InvalidOperation(EngineError):
     """An operation was issued against a transaction in the wrong state
-    (e.g. reading after commit, or committing twice)."""
+    (e.g. reading after commit, or committing twice, or writing an object
+    after deleting it)."""
 
 
 class WorkloadError(ReproError):

@@ -209,6 +209,8 @@ class FlightRecorder:
         self.seed: Optional[int] = None
         self._endpoint_lane: Dict[str, str] = {}
         self._lanes_version: Optional[int] = None
+        #: ``"shard<n>"`` per shard index seen: built once, not per record.
+        self._shard_lane: Dict[int, str] = {}
         self._slo_latched: set = set()
         #: Dossiers captured at latch time (trace slice deferred to read).
         self._captured: List[Dict[str, Any]] = []
@@ -217,14 +219,21 @@ class FlightRecorder:
 
     def attach(self, tracer) -> "FlightRecorder":
         """Chain onto ``tracer``'s sink; existing sinks keep receiving
-        every record after the ring observes it."""
+        every record after the ring observes it.  Attaching again to the
+        tracer the recorder is already on is a no-op (a recorder reused
+        across runs on one tracer would otherwise ring every record
+        twice)."""
+        if self._tracer is tracer:
+            return self
         self._tracer = tracer
         prev = tracer._sink
+        if prev is None:
+            tracer._sink = self._observe
+            return self
 
-        def sink(record: Dict[str, Any], _prev=prev) -> None:
+        def sink(record: Dict[str, Any]) -> None:
             self._observe(record)
-            if _prev is not None:
-                _prev(record)
+            prev(record)
 
         tracer._sink = sink
         return self
@@ -267,30 +276,37 @@ class FlightRecorder:
         self._endpoint_lane = lanes
         self._lanes_version = cluster.shard_map.version
 
-    def _lane_of(self, record: Dict[str, Any]) -> str:
-        attrs = record.get("attrs") or {}
+    def _lane_of(self, attrs: Dict[str, Any]) -> str:
+        """The ring a record with these attrs lands in: its ``shard``
+        attr, else the lane of its ``dst``, else of its ``src`` endpoint
+        (retried once on a fresh table after a map change), else the
+        shared ``"cluster"`` lane."""
         shard = attrs.get("shard")
-        if isinstance(shard, int):
-            return f"shard{shard}"
-        for key in ("dst", "src"):
-            endpoint = attrs.get(key)
-            if endpoint in self._endpoint_lane:
-                return self._endpoint_lane[endpoint]
+        if shard is not None:
+            if type(shard) is int:
+                lane = self._shard_lane.get(shard)
+                if lane is None:
+                    lane = self._shard_lane[shard] = f"shard{shard}"
+                return lane
+            if isinstance(shard, int):  # bool / int subclass: not memoised
+                return f"shard{shard}"
+        dst, src = attrs.get("dst"), attrs.get("src")
+        lanes = self._endpoint_lane
+        lane = lanes.get(dst) or lanes.get(src)
         if (
-            self._cluster is not None
+            lane is None
+            and self._cluster is not None
             and self._lanes_version != self._cluster.shard_map.version
         ):
             # Reconfiguration renamed an endpoint: rebuild once per map
             # version and retry the endpoint match.
             self._refresh_lanes()
-            for key in ("dst", "src"):
-                endpoint = attrs.get(key)
-                if endpoint in self._endpoint_lane:
-                    return self._endpoint_lane[endpoint]
-        return "cluster"
+            lanes = self._endpoint_lane
+            lane = lanes.get(dst) or lanes.get(src)
+        return lane or "cluster"
 
     def _observe(self, record: Dict[str, Any]) -> None:
-        lane = self._lane_of(record)
+        lane = self._lane_of(record["attrs"])
         ring = self._rings.get(lane)
         if ring is None:
             ring = self._rings[lane] = deque(maxlen=self.capacity)

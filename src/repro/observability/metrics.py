@@ -9,8 +9,15 @@ deliberately tiny and allocation-light:
 * instruments are registered once by name (re-registration returns the
   existing instrument, so call sites never coordinate);
 * one instrument holds one time series per distinct label combination;
-* hot paths bind a labelled series once (``counter.labels(...)``) and then
-  pay a dict lookup plus an integer add per observation;
+* hot paths — everything observed per message, request, lock or batch —
+  bind a labelled series **at first use** (``counter.labels(...)``,
+  ``gauge.labels(...)``, ``histogram.labels(...)``), keep the handle, and
+  then pay one dict operation per observation: no registry lookup, no
+  label-key build.  Binding is lazy on purpose: an instrument is exported
+  from the moment it is registered, so a component that registered its
+  instruments at construction would export families it never observed.
+  Only cold paths (a crash, a deadlock victim, a certification verdict)
+  call ``registry.counter(name, help).inc(**labels)`` each time;
 * **disabled is free**: components default to ``metrics=None`` and guard
   every emission with an ``is not None`` check — no null objects, no
   indirection, nothing on the hot path (the ladder benchmark's
@@ -111,6 +118,10 @@ class Gauge(_Instrument):
     def set(self, value: float, **labels: Any) -> None:
         self._series[_label_key(labels)] = value
 
+    def labels(self, **labels: Any) -> "_BoundGauge":
+        """Pre-resolve a label combination for hot loops."""
+        return _BoundGauge(self, _label_key(labels))
+
     def inc(self, amount: float = 1, **labels: Any) -> None:
         key = _label_key(labels)
         self._series[key] = self._series.get(key, 0) + amount
@@ -120,6 +131,19 @@ class Gauge(_Instrument):
 
     def value(self, **labels: Any) -> float:
         return self._series.get(_label_key(labels), 0)
+
+
+class _BoundGauge:
+    """A gauge bound to one label key: one dict op per ``set``."""
+
+    __slots__ = ("_gauge", "_key")
+
+    def __init__(self, gauge: Gauge, key: LabelKey):
+        self._gauge = gauge
+        self._key = key
+
+    def set(self, value: float) -> None:
+        self._gauge._series[self._key] = value
 
 
 class _HistogramSeries:
@@ -133,6 +157,19 @@ class _HistogramSeries:
         self.min: Optional[float] = None
         self.max: Optional[float] = None
         self.bucket_counts = [0] * (n_buckets + 1)  # +1 for +Inf
+
+    def observe(self, value: float, buckets: Tuple[float, ...]) -> None:
+        self.count += 1
+        self.sum += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        for i, bound in enumerate(buckets):
+            if value <= bound:
+                self.bucket_counts[i] += 1
+                return
+        self.bucket_counts[-1] += 1
 
 
 class Histogram(_Instrument):
@@ -149,22 +186,18 @@ class Histogram(_Instrument):
         super().__init__(name, help)
         self.buckets: Tuple[float, ...] = tuple(sorted(buckets))
 
-    def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
+    def _series_at(self, key: LabelKey) -> _HistogramSeries:
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = _HistogramSeries(len(self.buckets))
-        series.count += 1
-        series.sum += value
-        if series.min is None or value < series.min:
-            series.min = value
-        if series.max is None or value > series.max:
-            series.max = value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                series.bucket_counts[i] += 1
-                return
-        series.bucket_counts[-1] += 1
+        return series
+
+    def observe(self, value: float, **labels: Any) -> None:
+        self._series_at(_label_key(labels)).observe(value, self.buckets)
+
+    def labels(self, **labels: Any) -> "_BoundHistogram":
+        """Pre-resolve a label combination for hot loops."""
+        return _BoundHistogram(self, _label_key(labels))
 
     def count(self, **labels: Any) -> int:
         series = self._series.get(_label_key(labels))
@@ -208,6 +241,21 @@ class Histogram(_Instrument):
                 cumulative += bucket_count
             lower = bound
         return series.max  # rank lands in the +Inf bucket
+
+
+class _BoundHistogram:
+    """A histogram bound to one label key: one dict op per ``observe``
+    (the series appears at the first observation, as unbound)."""
+
+    __slots__ = ("_histogram", "_key")
+
+    def __init__(self, histogram: Histogram, key: LabelKey):
+        self._histogram = histogram
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        histogram = self._histogram
+        histogram._series_at(self._key).observe(value, histogram.buckets)
 
 
 class MetricsRegistry:

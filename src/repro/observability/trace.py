@@ -25,9 +25,12 @@ Sinks are attachable: any callable taking one record dict.  The bundled
 :func:`read_trace` parses the file back.  Without a sink, records
 accumulate in memory (:attr:`Tracer.records`).
 
-Attribute values are sanitised to JSON-compatible types on emission
-(:class:`~repro.core.objects.Version`, edges, predicates and events render
-through ``str``), so a trace is always serialisable.
+Attribute values are sanitised to JSON-compatible types **once, at
+emission** (:class:`~repro.core.objects.Version`, edges, predicates and
+events render through ``str``), so a trace is always serialisable.  A
+record is built once: exact ``None``/``bool``/``int``/``float``/``str``
+values are not copied, and a record whose attrs are all such scalars keeps
+the very dict the caller's keywords arrived in.
 """
 
 from __future__ import annotations
@@ -60,11 +63,51 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
+#: Exact types :func:`_jsonable` returns as they are.  (It also returns
+#: instances of their subclasses unchanged; those take the slow path.)
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
+def _sanitised(attrs: Dict[str, Any]) -> Dict[str, Any]:
+    """``attrs`` as :func:`_jsonable` would render it, built at most once.
+
+    Keys arrive as keywords, so they are ``str`` already.  Exact scalars —
+    all but a handful of attrs — need no work, and a dict holding nothing
+    else is returned as it is; a flat list or tuple of scalars is copied
+    with ``list``; anything else (sets, nested containers, enums,
+    ``Version``/edge objects) goes through :func:`_jsonable`.  The first
+    value that has to be replaced copies the dict, so the caller's own is
+    never modified."""
+    out = attrs
+    scalars = _SCALARS
+    for key, value in attrs.items():
+        kind = type(value)
+        if kind in scalars:
+            continue
+        if (kind is list or kind is tuple) and scalars.issuperset(
+            map(type, value)
+        ):
+            value = list(value)
+        else:
+            value = _jsonable(value)
+        if out is attrs:
+            out = dict(attrs)
+        out[key] = value
+    return out
+
+
 class Span:
     """One open span; close it with :meth:`end` or use it as a context
-    manager.  More attributes can be attached any time before closing."""
+    manager.  More attributes can be attached any time before closing.
 
-    __slots__ = ("_tracer", "id", "parent", "name", "start", "attrs", "_open")
+    After the close the record is out: a second :meth:`end` is a no-op, a
+    late :meth:`set` changes :attr:`attrs` but never the emitted record,
+    and :meth:`event` still emits an event parented to this span's id."""
+
+    __slots__ = (
+        "_tracer", "id", "parent", "name", "start", "attrs", "_open",
+        "_stacked",
+    )
 
     def __init__(
         self,
@@ -73,17 +116,24 @@ class Span:
         parent: Optional[int],
         name: str,
         attrs: Dict[str, Any],
+        stacked: bool,
     ):
         self._tracer = tracer
         self.id = span_id
         self.parent = parent
         self.name = name
-        self.start = tracer._now()
+        self.start = tracer._clock() - tracer._epoch
         self.attrs = attrs
         self._open = True
+        #: On the tracer's implicit nesting stack (``stack=True``).
+        self._stacked = stacked
 
     def set(self, **attrs: Any) -> "Span":
-        self.attrs.update(attrs)
+        if self._open:
+            self.attrs.update(attrs)
+        else:
+            # The emitted record may hold this very dict: leave it alone.
+            self.attrs = {**self.attrs, **attrs}
         return self
 
     def event(self, name: str, **attrs: Any) -> None:
@@ -91,6 +141,8 @@ class Span:
         self._tracer.event(name, span=self, **attrs)
 
     def end(self, **attrs: Any) -> None:
+        """Close the span and emit its record; closing twice is a no-op
+        (the second call's ``attrs`` are dropped)."""
         if not self._open:
             return
         self._open = False
@@ -131,9 +183,6 @@ class Tracer:
 
     # -- internals -------------------------------------------------------
 
-    def _now(self) -> float:
-        return self._clock() - self._epoch
-
     def use_clock(
         self, clock: Callable[[], float], *, epoch: float = 0.0
     ) -> "Tracer":
@@ -147,29 +196,26 @@ class Tracer:
         self._epoch = epoch
         return self
 
-    def _emit(self, record: Dict[str, Any]) -> None:
-        self._seq += 1
-        record["seq"] = self._seq
+    def _close_span(self, span: Span) -> None:
+        if span._stacked:
+            stack = self._stack
+            if stack and stack[-1] == span.id:
+                stack.pop()
+            elif span.id in stack:  # out-of-order close (interleaved spans)
+                stack.remove(span.id)
+        record = {
+            "kind": "span",
+            "id": span.id,
+            "parent": span.parent,
+            "name": span.name,
+            "start": span.start,
+            "end": self._clock() - self._epoch,
+            "attrs": _sanitised(span.attrs),
+        }
+        self._seq = record["seq"] = self._seq + 1
         self.records.append(record)
         if self._sink is not None:
             self._sink(record)
-
-    def _close_span(self, span: Span) -> None:
-        if self._stack and self._stack[-1] == span.id:
-            self._stack.pop()
-        elif span.id in self._stack:  # out-of-order close (interleaved spans)
-            self._stack.remove(span.id)
-        self._emit(
-            {
-                "kind": "span",
-                "id": span.id,
-                "parent": span.parent,
-                "name": span.name,
-                "start": span.start,
-                "end": self._now(),
-                "attrs": _jsonable(span.attrs),
-            }
-        )
 
     # -- public API ------------------------------------------------------
 
@@ -192,7 +238,8 @@ class Tracer:
             parent_id = self._stack[-1] if self._stack else None
         else:
             parent_id = parent.id if isinstance(parent, Span) else parent
-        span = Span(self, span_id, parent_id, name, dict(attrs))
+        # ``attrs`` is this call's own keyword dict: the span keeps it.
+        span = Span(self, span_id, parent_id, name, attrs, stack)
         if stack:
             self._stack.append(span_id)
         return span
@@ -217,10 +264,13 @@ class Tracer:
             "id": span_id,
             "span": parent_id,
             "name": name,
-            "time": self._now(),
-            "attrs": _jsonable(attrs),
+            "time": self._clock() - self._epoch,
+            "attrs": _sanitised(attrs),
         }
-        self._emit(record)
+        self._seq = record["seq"] = self._seq + 1
+        self.records.append(record)
+        if self._sink is not None:
+            self._sink(record)
         return record
 
     def events(self, name: Optional[str] = None) -> List[Dict[str, Any]]:

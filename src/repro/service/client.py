@@ -250,6 +250,8 @@ class Client:
         self._txn_span: Optional[object] = None
         self._trace_id: Optional[str] = None
         self._trace_seq = 0
+        #: This session's series per counter name, bound at first use.
+        self._counters: Dict[str, Any] = {}
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -269,7 +271,12 @@ class Client:
 
     def _count(self, name: str, help: str) -> None:
         if self.metrics is not None:
-            self.metrics.counter(name, help).inc(session=self.name)
+            counter = self._counters.get(name)
+            if counter is None:
+                counter = self._counters[name] = self.metrics.counter(
+                    name, help
+                ).labels(session=self.name)
+            counter.inc()
 
     def _on_abort_reply(self) -> None:
         self.tid = None

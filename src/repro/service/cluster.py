@@ -248,6 +248,9 @@ class ShardServer(Server):
         self._detached: Dict[int, Any] = {}
         #: First-time prepares executed (the fault schedule's trigger).
         self.prepare_count = 0
+        #: ``service_replication_lag`` series per backup ordinal (always an
+        #: ``int`` of this cluster's own making), bound at first use.
+        self._lag_gauges: Dict[int, Any] = {}
         #: Network tick of every recorded event, parallel to
         #: ``recorder.events`` (shared with replacements; the merged
         #: history sorts by these).
@@ -352,11 +355,14 @@ class ShardServer(Server):
         (observation only)."""
         if self.metrics is None:
             return
+        gauge = self._lag_gauges.get(ordinal)
+        if gauge is None:
+            gauge = self._lag_gauges[ordinal] = self.metrics.gauge(
+                "service_replication_lag",
+                "log entries a backup trails its primary by (acked)",
+            ).labels(shard=self.index, replica=ordinal)
         log = self.recorder.repl_log or ()
-        self.metrics.gauge(
-            "service_replication_lag",
-            "log entries a backup trails its primary by (acked)",
-        ).set(max(len(log) - acked, 0), shard=self.index, replica=ordinal)
+        gauge.set(max(len(log) - acked, 0))
 
     def restart(self) -> None:
         if self.up:
@@ -594,12 +600,7 @@ class ShardServer(Server):
             else:
                 conflict = obj in snap["write_objs"] or obj in snap["read_objs"]
             if conflict:
-                self.counters["busy"] += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "service_busy_total",
-                        "requests answered busy (lock waits)",
-                    ).inc()
+                self._count_busy()
                 self._waits[session_id] = frozenset({gid})
                 self._waits_acyclic = False  # an edge no search follows
                 return {"error": "busy", "holders": [gid], "in_doubt": True}

@@ -77,6 +77,8 @@ class SimulatedNetwork:
         }
         self.metrics = metrics
         self.tracer = tracer
+        #: ``service_messages_total{kind}`` series, bound at first use.
+        self._message_counters: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # membership
@@ -146,9 +148,12 @@ class SimulatedNetwork:
     def _count(self, kind: str, amount: int = 1) -> None:
         self.counters[kind] += amount
         if self.metrics is not None:
-            self.metrics.counter(
-                "service_messages_total", "service network messages by fate"
-            ).inc(amount, kind=kind)
+            counter = self._message_counters.get(kind)
+            if counter is None:
+                counter = self._message_counters[kind] = self.metrics.counter(
+                    "service_messages_total", "service network messages by fate"
+                ).labels(kind=kind)
+            counter.inc(amount)
 
     def _msg_span(
         self, src: str, dst: str, payload: Dict[str, Any], duplicate: bool

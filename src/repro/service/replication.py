@@ -136,6 +136,9 @@ class ReplicaServer:
         self.counters = {
             "serves": 0, "lagging": 0, "applied": 0, "dedup_hits": 0,
         }
+        #: This backup's ``service_replication_applied_total`` series,
+        #: bound at the first applied batch.
+        self._applied_counter: Optional[object] = None
         network.register_handler(name, self.handle)
 
     # ------------------------------------------------------------------
@@ -274,14 +277,12 @@ class ReplicaServer:
             ).end()
         metrics = self.cluster.metrics
         if metrics is not None:
-            metrics.counter(
-                "service_replication_applied_total",
-                "replication-log entries applied at backups",
-            ).inc(
-                self.applied - from_offset,
-                shard=self.shard_index,
-                replica=self.ordinal,
-            )
+            if self._applied_counter is None:
+                self._applied_counter = metrics.counter(
+                    "service_replication_applied_total",
+                    "replication-log entries applied at backups",
+                ).labels(shard=self.shard_index, replica=self.ordinal)
+            self._applied_counter.inc(self.applied - from_offset)
 
     # ------------------------------------------------------------------
     # serving reads

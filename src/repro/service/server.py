@@ -147,6 +147,10 @@ class Server:
         self.commit_count = 0
         self.deadlock_victims = 0
         self.counters = {"requests": 0, "dedup_hits": 0, "busy": 0, "shed": 0}
+        #: Per-request series, bound at first use: ``service_requests_total``
+        #: by verb and ``service_busy_total``.
+        self._request_counters: Dict[str, Any] = {}
+        self._busy_counter: Optional[object] = None
         self._sessions: Dict[str, _Session] = {}
         self._waits: Dict[str, frozenset] = {}  # session -> holder tids
         #: The last deadlock search left the waits-for graph acyclic and no
@@ -355,9 +359,7 @@ class Server:
         kind = request["kind"]
         self.counters["requests"] += 1
         if self.metrics is not None:
-            self.metrics.counter(
-                "service_requests_total", "service requests handled by verb"
-            ).inc(verb=kind)
+            self._count_request(kind)
         session_id = request["session"]
         sess = self._sessions.get(session_id)
         if sess is None:
@@ -474,11 +476,7 @@ class Server:
             else:
                 return {"error": "bad-request", "reason": f"unknown verb {kind!r}"}
         except WouldBlock as block:
-            self.counters["busy"] += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "service_busy_total", "requests answered busy (lock waits)"
-                ).inc()
+            self._count_busy()
             if span is not None:
                 span.event(
                     "blocked",
@@ -501,6 +499,29 @@ class Server:
             return {"error": "bad-request", "reason": str(exc)}
         self._waits.pop(session_id, None)
         return result
+
+    def _count_request(self, kind: Any) -> None:
+        # Only ``str`` verbs are memoised: 1, True and 1.0 are one dict key
+        # and three label values (and a malformed verb need not hash).
+        known = type(kind) is str
+        counter = self._request_counters.get(kind) if known else None
+        if counter is None:
+            counter = self.metrics.counter(
+                "service_requests_total", "service requests handled by verb"
+            ).labels(verb=kind)
+            if known:
+                self._request_counters[kind] = counter
+        counter.inc()
+
+    def _count_busy(self) -> None:
+        """One request answered ``busy`` (a lock wait or an in-doubt fence)."""
+        self.counters["busy"] += 1
+        if self.metrics is not None:
+            if self._busy_counter is None:
+                self._busy_counter = self.metrics.counter(
+                    "service_busy_total", "requests answered busy (lock waits)"
+                ).labels()
+            self._busy_counter.inc()
 
     def _active_count(self) -> int:
         return sum(

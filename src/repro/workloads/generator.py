@@ -94,6 +94,11 @@ def random_programs(
     group0 = FieldPredicate(cfg.relation, "group", "==", 0, name="group=0")
     group1 = FieldPredicate(cfg.relation, "group", "==", 1, name="group=1")
     programs: List[Program] = []
+    # Preloaded rows not yet handed to a ``Delete`` step.  A deleted object
+    # is never written again (its dead version is the last of its order), so
+    # across the whole program set each row is deleted at most once; when
+    # the rows run out, later delete steps are dropped.
+    deletable = iter(range(1, cfg.n_keys + 1))
     for p in range(cfg.n_programs):
         steps: List[object] = []
         for s in range(cfg.steps_per_program):
@@ -136,14 +141,12 @@ def random_programs(
                 )
             else:
                 steps.append(Read(key, into=f"v{s}"))
-        # Resolve delete placeholders to concrete preloaded rows so each
-        # program deletes a distinct object (repeat deletes would violate E7).
         resolved = []
-        delete_target = (p % cfg.n_keys) + 1
         for step in steps:
             if isinstance(step, str) and step.startswith("__delete_one__"):
-                resolved.append(Delete(f"{cfg.relation}:{delete_target}"))
-                delete_target = (delete_target % cfg.n_keys) + 1
+                row = next(deletable, None)
+                if row is not None:
+                    resolved.append(Delete(f"{cfg.relation}:{row}"))
             else:
                 resolved.append(step)
         programs.append(Program(f"p{p}", resolved, level=cfg.level))

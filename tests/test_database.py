@@ -4,7 +4,13 @@ import pytest
 
 from repro.core.predicates import FieldPredicate
 from repro.engine import Database, SnapshotIsolationScheduler
-from repro.exceptions import InvalidOperation, WriteConflict
+from repro.engine.transaction import TxnState
+from repro.exceptions import (
+    InvalidOperation,
+    TransactionAborted,
+    WouldBlock,
+    WriteConflict,
+)
 
 
 def make_db():
@@ -164,3 +170,72 @@ class TestCompositeOperations:
         t2 = db.begin()
         assert t2.read("emp:1") is None
         assert t2.read("emp:2") == {"dept": "Legal"}
+
+
+FAMILIES = (
+    "locking", "optimistic", "mixed-optimistic", "snapshot-isolation",
+    "mv-read-committed",
+)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+class TestDeletedObjectsAreNeverWritten:
+    """Section 4.1: a dead version is the last of its object's version
+    order, so no scheme may install anything after it (re-insertion creates
+    a new object).  Every case used to be accepted and fail V1/E7 validation
+    at ``db.history()``."""
+
+    @pytest.mark.parametrize("delete_again", [False, True])
+    def test_write_after_a_committed_delete_aborts_the_writer(
+        self, family, delete_again
+    ):
+        db = Database(family)
+        db.load({"x": 1, "y": 1})
+        db.run(lambda t: t.delete("x"))
+        t = db.begin()
+        t.write("y", 2)
+        with pytest.raises(TransactionAborted, match="deleted-object x"):
+            t.delete("x") if delete_again else t.write("x", 2)
+        assert t.state is TxnState.ABORTED
+        history = db.history()  # validates
+        assert history.committed == {0, 1}
+
+    def test_write_after_own_delete_is_refused_and_the_transaction_lives(
+        self, family
+    ):
+        db = Database(family)
+        db.load({"x": 1, "y": 1})
+        t = db.begin()
+        t.delete("x")
+        with pytest.raises(InvalidOperation, match="after deleting it"):
+            t.write("x", 2)
+        t.write("y", 2)
+        t.commit()
+        assert db.history().committed == {0, t.tid}
+        assert db.begin().read("x") is None
+
+    def test_blind_write_racing_a_delete_cannot_commit_after_it(self, family):
+        db = Database(family)
+        db.load({"x": 1})
+        deleter, writer = db.begin(), db.begin()
+        deleter.delete("x")
+        try:
+            writer.write("x", 2)  # buffered (or, under locking, blocked)
+            deleter.commit()
+            writer.commit()
+        except WouldBlock:
+            deleter.commit()
+            with pytest.raises(TransactionAborted, match="deleted-object"):
+                writer.write("x", 2)
+        except TransactionAborted:
+            pass
+        assert writer.state is TxnState.ABORTED
+        assert db.history().committed == {0, deleter.tid}
+
+    def test_reinsertion_is_a_new_object(self, family):
+        db = Database(family)
+        db.load({"emp:1": {"dept": "Sales"}})
+        db.run(lambda t: t.delete("emp:1"))
+        obj = db.run(lambda t: t.insert("emp", {"dept": "Sales"}))
+        assert obj != "emp:1"
+        db.history()  # validates

@@ -91,6 +91,60 @@ class TestRandomPrograms:
             random_programs(WorkloadConfig(write_fraction=2.0))
 
 
+def _deleted_rows(programs):
+    from repro.engine.programs import Delete
+
+    return [s.obj for p in programs for s in p.steps if isinstance(s, Delete)]
+
+
+class TestDeleteFraction:
+    """A deleted object is never written again: the generator hands each
+    preloaded row to at most one ``Delete`` across the whole program set
+    (two programs used to collide on the same row, and every history with
+    a double delete failed V1 validation)."""
+
+    #: Seeds 1, 5 and 6 of the first config used to delete a row twice; the
+    #: second has more delete steps than rows on most seeds.
+    CONFIGS = {
+        "few_deletes": WorkloadConfig(n_programs=4, n_keys=8, delete_fraction=0.2),
+        "more_deletes_than_rows": WorkloadConfig(
+            n_programs=8, n_keys=6, delete_fraction=0.3,
+            predicate_fraction=0.3, insert_fraction=0.1,
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_each_row_is_deleted_at_most_once(self, name, seed):
+        cfg = self.CONFIGS[name]
+        rows = _deleted_rows(random_programs(cfg, seed=seed))
+        assert len(rows) == len(set(rows)) <= cfg.n_keys
+        assert set(rows) <= set(cfg.initial_state())
+
+    def test_deletes_stop_when_the_rows_run_out(self):
+        cfg = self.CONFIGS["more_deletes_than_rows"]
+        counts = [
+            len(_deleted_rows(random_programs(cfg, seed=seed))) for seed in range(8)
+        ]
+        assert max(counts) == cfg.n_keys and min(counts) > 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize(
+        "family", ["locking", "optimistic", "snapshot-isolation"]
+    )
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_histories_validate_on_every_family(self, name, family, seed):
+        cfg = self.CONFIGS[name]
+        db = Database(family)
+        db.load(cfg.initial_state())
+        result = Simulator(
+            db, random_programs(cfg, seed=seed), seed=seed, max_retries=100
+        ).run()
+        assert result.committed_count == cfg.n_programs
+        history = db.history()  # validates: V1 puts a dead version last
+        assert any(write.dead for write in history.writes.values())
+
+
 class TestSyntheticHistory:
     def test_validates_by_construction(self):
         h = synthetic_history(n_txns=50, seed=3)
