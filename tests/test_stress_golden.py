@@ -163,6 +163,24 @@ def _zero_delays(seed: int):
     ))
 
 
+def _cluster_windows(seed: int):
+    # The cluster rows of the windows timeline (`in_doubt`, per-shard
+    # certification lag and queue depth): batched certification keeps the
+    # lag gauge off zero, the 2x2 shape keeps 2PC and queues busy.
+    return run_stress(StressConfig(
+        seed=seed,
+        network=NetworkConfig(**DELAYS),
+        cluster=ClusterConfig(shards=2, replicas=2),
+        admission=AdmissionConfig(certify_every=3),
+        windows=WindowedTelemetry(
+            window=100,
+            sample_every=25,
+            slos=(SLO(name="doubt", kind="in_doubt", threshold=0),),
+        ),
+        **{**BASE, "txns_per_client": 5},
+    ))
+
+
 CONFIGS: Dict[str, Callable[[int], Any]] = {
     "single": _single,
     "single_faulty_crash": _single_faulty_crash,
@@ -173,6 +191,7 @@ CONFIGS: Dict[str, Callable[[int], Any]] = {
     "admission_shed": _admission_shed,
     "read_mix": _read_mix,
     "zero_delays": _zero_delays,
+    "cluster_windows": _cluster_windows,
 }
 
 
