@@ -266,15 +266,12 @@ class FlightRecorder:
         cluster = self._cluster
         if cluster is None:
             return
-        lanes: Dict[str, str] = {cluster.coordinator.name: "cluster"}
-        for shard in cluster.shards:
-            lanes[shard.name] = f"shard{shard.index}"
-        for group in cluster.replicas:
-            for replica in group:
-                if replica is not None:
-                    lanes[replica.name] = f"shard{replica.shard_index}"
+        state = cluster.snapshot()
+        lanes: Dict[str, str] = {cluster.config.coordinator: "cluster"}
+        for row in state["shards"] + state.get("replicas", []):
+            lanes[row["name"]] = f"shard{row['shard']}"
         self._endpoint_lane = lanes
-        self._lanes_version = cluster.shard_map.version
+        self._lanes_version = state["map_version"]
 
     def _lane_of(self, attrs: Dict[str, Any]) -> str:
         """The ring a record with these attrs lands in: its ``shard``
@@ -384,60 +381,18 @@ class FlightRecorder:
     # -- state snapshot --------------------------------------------------
 
     def _state_snapshot(self) -> Dict[str, Any]:
-        state: Dict[str, Any] = {}
-        cluster = self._cluster
-        if cluster is not None:
-            coordinator = cluster.coordinator
-            state["two_pc"] = {
-                "pending": [
-                    {
-                        "gid": gid,
-                        "phase": st.phase,
-                        "decision": st.decision,
-                        "participants": list(st.participants),
-                        "prepared": sorted(st.prepared),
-                        "opened_at": st.opened_at,
-                    }
-                    for gid, st in sorted(coordinator._pending.items())
-                ],
-                "decisions": dict(coordinator.decisions),
-                "retransmits": coordinator.retransmits,
-            }
-            state["shards"] = [
-                {
-                    "shard": shard.index,
-                    "name": shard.name,
-                    "up": shard.up,
-                    "commits": shard.commit_count,
-                    "certification_lag": shard.certification_lag,
-                }
-                for shard in cluster.shards
-            ]
-            if cluster.config.replicas:
-                lags = cluster.replica_lags()
-                state["replicas"] = [
-                    {
-                        "shard": i,
-                        "replica": j,
-                        "name": replica.name,
-                        "up": replica.up,
-                        "applied": replica.applied,
-                        "lag": lags.get((i, j)),
-                    }
-                    for i in range(len(cluster.shards))
-                    for j in range(cluster.config.replicas)
-                    for replica in (cluster.replica_of(i, j),)
-                    if replica is not None
-                ]
-            state["map_version"] = cluster.shard_map.version
-        elif self._server is not None:
+        if self._cluster is not None:
+            return self._cluster.snapshot()
+        if self._server is not None:
             server = self._server
-            state["server"] = {
-                "up": server.up,
-                "commits": server.commit_count,
-                "certification_lag": server.certification_lag,
+            return {
+                "server": {
+                    "up": server.up,
+                    "commits": server.commit_count,
+                    "certification_lag": server.certification_lag,
+                }
             }
-        return state
+        return {}
 
     # -- dossiers --------------------------------------------------------
 

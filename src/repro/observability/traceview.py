@@ -724,14 +724,13 @@ def cluster_summary(
     cluster = getattr(result, "cluster", None) if result is not None else None
     if cluster is not None:
         by_index = {row["shard"]: row for row in shard_rows}
-        for shard in cluster.shards:
-            row = by_index.get(shard.index)
+        for state in cluster.snapshot()["shards"]:
+            row = by_index.get(state["shard"])
             if row is None:
-                row = {"shard": shard.index}
+                row = {"shard": state["shard"]}
                 shard_rows.append(row)
-            row["commits"] = shard.commit_count
-            row["certification_lag"] = shard.certification_lag
-            row["up"] = shard.up
+            for key in ("commits", "certification_lag", "up"):
+                row[key] = state[key]
         shard_rows.sort(key=lambda row: row["shard"])
     lag_rows: List[Dict[str, Any]] = []
     for key, samples in replication_lag_timeline(records).items():

@@ -316,15 +316,10 @@ class Coordinator:
                 reply["certified"] = certified
             if st.offsets:
                 reply["offsets"] = dict(st.offsets)
+        elif st.verb == "abort":
+            reply = {"ok": True}
         else:
-            self.cluster.state.aborted.add(st.gid)
-            if st.verb == "abort":
-                reply = {"ok": True}
-            else:
-                reply = {
-                    "error": "aborted",
-                    "reason": st.reason or "aborted",
-                }
+            reply = {"error": "aborted", "reason": st.reason or "aborted"}
         self._completed[st.gid] = dict(reply)
         reply["rid"] = st.client_rid
         if st.trace is not None:
@@ -389,6 +384,22 @@ class Coordinator:
     def pending(self) -> int:
         """Cross-shard transactions whose 2PC is still in flight."""
         return len(self._pending)
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Read-only 2PC state (the dossier's ``two_pc`` block): one row per
+        in-flight transaction by gid, the decision tally, the retransmits."""
+        return {
+            "pending": [
+                {
+                    "gid": gid, "phase": st.phase, "decision": st.decision,
+                    "participants": list(st.participants),
+                    "prepared": sorted(st.prepared), "opened_at": st.opened_at,
+                }
+                for gid, st in sorted(self._pending.items())
+            ],
+            "decisions": dict(self.decisions),
+            "retransmits": self.retransmits,
+        }
 
     def __repr__(self) -> str:
         return (

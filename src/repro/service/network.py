@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Queue entries: ``(deliver_at, seq, src, dst, payload, span)`` — the heap
@@ -328,6 +329,11 @@ class SimulatedNetwork:
     @property
     def pending(self) -> int:
         return len(self._queue)
+
+    def queued_by_destination(self) -> Dict[str, int]:
+        """Queued (sent, not yet delivered) messages per destination
+        endpoint — observation only."""
+        return Counter(message[3] for message in self._queue)
 
     def __repr__(self) -> str:
         return (

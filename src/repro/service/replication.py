@@ -35,7 +35,7 @@ certifies PL-SI / session levels over.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..engine.recorder import HistoryRecorder
 from .network import SimulatedNetwork
@@ -101,21 +101,21 @@ class ReplicaServer:
     recorder that merges into the cluster's global history.
     """
 
-    def __init__(
-        self,
-        cluster,
-        shard_index: int,
-        ordinal: int,
-        network: SimulatedNetwork,
-        *,
-        name: str,
-    ) -> None:
+    def __init__(self, cluster, slot, ordinal: int, *, name: str) -> None:
         self.cluster = cluster
-        self.shard_index = shard_index
+        #: The shard's :class:`~repro.service.shard.ShardSlot`: the current
+        #: primary and the read-reply cache the replica group shares.
+        self.slot = slot
+        self.shard_index = slot.index
         self.ordinal = ordinal
-        self.network = network
+        self.network: SimulatedNetwork = cluster.network
         self.name = name
         self.up = True
+        #: Set once promoted: the endpoint name now belongs to a primary.
+        self.retired = False
+        #: Called after every entry applied off the replication stream (the
+        #: fault schedule polls its crash-mid-catch-up trigger here).
+        self.after_apply: Optional[Callable[[], None]] = None
         self.crashes = 0
         self.restarts = 0
         #: Durable applied prefix of the primary WAL (its own repl_log is
@@ -139,7 +139,7 @@ class ReplicaServer:
         #: This backup's ``service_replication_applied_total`` series,
         #: bound at the first applied batch.
         self._applied_counter: Optional[object] = None
-        network.register_handler(name, self.handle)
+        self.network.register_handler(name, self.handle)
 
     # ------------------------------------------------------------------
     # state
@@ -149,6 +149,12 @@ class ReplicaServer:
     def applied(self) -> int:
         """Replication-log entries applied (the backup's offset)."""
         return len(self.wal.events)
+
+    @property
+    def lag(self) -> int:
+        """Log entries this backup trails its primary's durable log by."""
+        log = self.slot.primary.recorder.repl_log or ()
+        return max(len(log) - self.applied, 0)
 
     def _apply_values(self, entry: tuple) -> None:
         """Fold one log entry into the volatile value table."""
@@ -187,6 +193,11 @@ class ReplicaServer:
         self._pending.clear()
         self.network.down(self.name)
         self.network.flush(self.name)
+        if self.cluster.tracer is not None:
+            self.cluster.tracer.event(
+                "replica.crash", shard=self.shard_index, replica=self.ordinal,
+                applied=self.applied,
+            )
 
     def restart(self) -> None:
         """Come back from the durable WAL copy: rebuild the value table by
@@ -204,6 +215,7 @@ class ReplicaServer:
         """Stop serving as a backup (the endpoint is being promoted: a new
         :class:`~repro.service.cluster.ShardServer` takes over the name)."""
         self.up = False
+        self.retired = True
 
     # ------------------------------------------------------------------
     # network entry point
@@ -240,7 +252,8 @@ class ReplicaServer:
                 break  # gap: a lost earlier batch; the pump re-ships
             self.apply(entry)
             applied_tids.append(entry[0].tid)
-            self.cluster._note_replica_apply(self)
+            if self.after_apply is not None:
+                self.after_apply()
             if not self.up:
                 # Crashed mid-catch-up: no ack, state is durable.
                 self._trace_apply(from_offset, applied_tids)
@@ -292,7 +305,7 @@ class ReplicaServer:
         session = payload["session"]
         rid = payload["rid"]
         ctx = payload.get("trace")
-        cache = self.cluster._replica_replies[self.shard_index]
+        cache = self.slot.read_replies
         sess = cache.get(session)
         if sess is None:
             sess = cache[session] = _ReadSession()
@@ -315,7 +328,7 @@ class ReplicaServer:
             return self._reply(ctx, {"error": "stale", "rid": rid})
         obj = payload["obj"]
         owner = self.cluster.shard_map.owner(route_key(obj))
-        if owner != self.cluster.endpoint(self.shard_index):
+        if owner != self.slot.primary.name:
             return self._reply(ctx, {
                 "error": "moved",
                 "owner": owner,
@@ -344,14 +357,11 @@ class ReplicaServer:
             self.read_ticks.append(self.network.now)
         self.counters["serves"] += 1
         metrics = self.cluster.metrics
-        if metrics is not None:
-            primary = self.cluster.shards[self.shard_index]
-            behind = len(primary.recorder.repl_log or ()) - self.applied
-            if behind > 0:
-                metrics.counter(
-                    "service_stale_reads",
-                    "replica reads served behind the primary's durable log",
-                ).inc(shard=self.shard_index, replica=self.ordinal)
+        if metrics is not None and self.lag > 0:
+            metrics.counter(
+                "service_stale_reads",
+                "replica reads served behind the primary's durable log",
+            ).inc(shard=self.shard_index, replica=self.ordinal)
         reply = {
             "ok": True,
             "rid": rid,

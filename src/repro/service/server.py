@@ -44,6 +44,7 @@ from ..exceptions import InvalidOperation, TransactionAborted, WouldBlock
 from .client import Client
 from .config import AdmissionConfig
 from .network import SimulatedNetwork
+from .schedule import FaultSchedule
 
 __all__ = ["Server"]
 
@@ -102,6 +103,14 @@ class _Session(_ReplyCache):
         self.downgraded = False
         self.level_override: Optional[str] = None
 
+    def live(self, tid: Optional[int] = None) -> Optional[TransactionHandle]:
+        """The session's live transaction — its handle while that is still
+        active (and, given ``tid``, is that transaction) — else ``None``."""
+        txn = self.txn
+        if txn is None or txn.state is not TxnState.ACTIVE:
+            return None
+        return txn if tid is None or txn.tid == tid else None
+
 
 class Server:
     """A database server on the simulated network."""
@@ -109,6 +118,9 @@ class Server:
     #: Request kinds exempt from the stale-rid guard (idempotent verbs on
     #: a session that multiplexes transactions; see ShardServer).
     _replayable_kinds: FrozenSet[str] = frozenset()
+    #: Shard index carried on ``server.handle`` spans (cluster shards set
+    #: it; a plain server has none).
+    index: Optional[int] = None
 
     def __init__(
         self,
@@ -173,10 +185,8 @@ class Server:
         #: Optional shared tid source (a cluster hands every shard the same
         #: allocator so tids are globally unique); ``None`` = private counter.
         self._tid_allocator = tid_allocator
-        #: The driver's fault schedule (see :meth:`schedule_crash`): the
-        #: armed ``(after_commits, restart_delay)`` and the pending restart.
-        self._crash_schedule: Optional[Tuple[int, int]] = None
-        self._restart_at: Optional[int] = None
+        #: The driver's fault schedule (see :meth:`schedule_crash`).
+        self.faults = FaultSchedule()
         self.db: Optional[Database] = None
         self._boot(initial, recover_from)
         #: The durable WAL: survives crashes, feeds recovery.
@@ -223,18 +233,11 @@ class Server:
         if not self.up:
             return
         self.crashes += 1
+        active = self._live_txns()
         if self.tracer is not None:
-            self.tracer.event(
-                "server.crash",
-                active=[
-                    s.txn.tid
-                    for s in self._sessions.values()
-                    if s.txn is not None and s.txn.state is TxnState.ACTIVE
-                ],
-            )
-        for sess in self._sessions.values():
-            if sess.txn is not None and sess.txn.state is TxnState.ACTIVE:
-                self._undo_in_flight(sess.txn)
+            self.tracer.event("server.crash", active=[txn.tid for txn in active])
+        for txn in active:
+            self._undo_in_flight(txn)
         self._sessions.clear()
         self._waits.clear()
         self.db = None
@@ -283,31 +286,31 @@ class Server:
     def schedule_crash(self, after_commits: int, restart_delay: int) -> None:
         """Arm one crash for when the commit count reaches ``after_commits``,
         with the restart ``restart_delay`` ticks after it."""
-        self._crash_schedule = (after_commits, restart_delay)
+
+        def crash() -> None:
+            self.crash()
+            self.faults.at(
+                ("restart",), self.network.now + restart_delay, self.restart
+            )
+
+        self.faults.trigger(lambda: self.commit_count >= after_commits, crash)
 
     def tick(self) -> None:
         """Advance the fault schedule one driver step: fire the armed crash
         once its commit count is reached, restart once the delay is over (in
         the same step when the delay is zero)."""
-        armed = self._crash_schedule
-        if armed is not None and self.commit_count >= armed[0]:
-            self._crash_schedule = None
-            self.crash()
-            self._restart_at = self.network.now + armed[1]
-        if self._restart_at is not None and self.network.now >= self._restart_at:
-            self.settle()
+        self.faults.fire()
+        self.faults.run_due(self.network.now)
 
     @property
     def next_wake(self) -> Optional[int]:
         """The tick the pending restart is due at (``None`` without one)."""
-        return self._restart_at
+        return self.faults.next_wake
 
     def settle(self) -> None:
         """End of run: a server still waiting out its restart delay comes
         back now."""
-        if self._restart_at is not None:
-            self._restart_at = None
-            self.restart()
+        self.faults.settle()
 
     # ------------------------------------------------------------------
     # request handling
@@ -336,9 +339,8 @@ class Server:
             attrs["trace_id"] = ctx.get("id")
         # Shard servers (cluster mode) carry their shard index so the span
         # lands on the right per-shard track/ring; plain servers add nothing.
-        shard = getattr(self, "index", None)
-        if shard is not None:
-            attrs["shard"] = shard
+        if self.index is not None:
+            attrs["shard"] = self.index
         obj = request.get("obj") or request.get("relation")
         if obj is not None:
             attrs["obj"] = obj
@@ -429,12 +431,12 @@ class Server:
             )
             sess.txn = None
             return {"error": "aborted", "reason": reason}
-        if sess.txn is None or sess.txn.state is not TxnState.ACTIVE:
+        txn = sess.live()
+        if txn is None:
             return {
                 "error": "aborted",
                 "reason": "no active transaction (server restarted?)",
             }
-        txn = sess.txn
         if span is not None:
             span.set(tid=txn.tid)
         try:
@@ -523,12 +525,13 @@ class Server:
                 ).labels()
             self._busy_counter.inc()
 
-    def _active_count(self) -> int:
-        return sum(
-            1
-            for s in self._sessions.values()
-            if s.txn is not None and s.txn.state is TxnState.ACTIVE
-        )
+    def _live_txns(self) -> List[TransactionHandle]:
+        """Every session's live transaction, in session order."""
+        return [
+            txn
+            for txn in (s.live() for s in self._sessions.values())
+            if txn is not None
+        ]
 
     def _maybe_shed(
         self, request: Dict[str, Any], sess: _Session
@@ -539,9 +542,9 @@ class Server:
         cfg = self.admission
         if cfg is None or not cfg.max_active:
             return None
-        if sess.txn is not None and sess.txn.state is TxnState.ACTIVE:
+        if sess.live() is not None:
             return None  # re-begin on an open session frees a slot anyway
-        active = self._active_count()
+        active = len(self._live_txns())
         if active < cfg.max_active:
             return None
         if (
@@ -570,11 +573,12 @@ class Server:
         }
 
     def _do_begin(self, request: Dict[str, Any], sess: _Session) -> Dict[str, Any]:
-        if sess.txn is not None and sess.txn.state is TxnState.ACTIVE:
+        orphan = sess.live()
+        if orphan is not None:
             # A duplicate of a begin whose reply was lost would have hit the
             # dedup cache; reaching here means the client really wants a
             # fresh transaction while one is open — abort the orphan first.
-            sess.txn.abort()
+            orphan.abort()
         sess.pending_abort = None
         level = request.get("level")
         if sess.downgraded:
@@ -722,17 +726,19 @@ def _waits_for(
     by_tid: Dict[int, List[Tuple[Server, str]]] = {}
     for server in live:
         for sid, s in server._sessions.items():
-            if s.txn is not None and s.txn.state is TxnState.ACTIVE:
-                by_tid.setdefault(s.txn.tid, []).append((server, sid))
+            txn = s.live()
+            if txn is not None:
+                by_tid.setdefault(txn.tid, []).append((server, sid))
     waits: Dict[int, FrozenSet[int]] = {}
     for server in live:
         for sid, holders in server._waits.items():
             s = server._sessions.get(sid)
-            if s is None or s.txn is None or s.txn.state is not TxnState.ACTIVE:
+            txn = s.live() if s is not None else None
+            if txn is None:
                 continue
             held = frozenset(h for h in holders if h in by_tid)
             if held:
-                waits[s.txn.tid] = waits.get(s.txn.tid, frozenset()) | held
+                waits[txn.tid] = waits.get(txn.tid, frozenset()) | held
     return by_tid, waits
 
 
@@ -747,12 +753,7 @@ def _waits_on_itself(live: Sequence["Server"], waiter: int) -> bool:
         for server in live:
             sid = server._tid_session.get(tid)
             s = server._sessions.get(sid)
-            if (
-                s is None
-                or s.txn is None
-                or s.txn.tid != tid
-                or s.txn.state is not TxnState.ACTIVE
-            ):
+            if s is None or s.live(tid) is None:
                 continue
             for holder in server._waits.get(sid, ()):
                 if holder == waiter:

@@ -97,7 +97,7 @@ class TestFaultMatrix:
         assert cluster.crashes >= 1 and cluster.restarts >= 1
         assert result.all_certified
         # Nothing stayed in doubt: every prepared record was decided.
-        assert all(not p for p in cluster._prepared_by_shard)
+        assert all(not slot.prepared for slot in cluster.shard_slots)
         parse_history(result.history_text, auto_complete=True)
 
     def test_crash_replays_byte_for_byte(self, crashed):
@@ -184,7 +184,10 @@ class TestReconfiguration:
         # count with the retired endpoint gone proves every in-flight
         # retry rebound.
         result, _ = replaced
-        retired = result.cluster._retired
+        retired = [
+            s for slot in result.cluster.shard_slots
+            for s in slot.incarnations[:-1]
+        ]
         assert len(retired) == 1
         live = {s.name for s in result.cluster.shards}
         assert retired[0].name not in live

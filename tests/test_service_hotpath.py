@@ -281,7 +281,7 @@ class TestDedupCacheWatermark:
         seen = {"reads": 0, "pruned": 0}
 
         def checked(replica, payload):
-            cache = replica.cluster._replica_replies[replica.shard_index]
+            cache = replica.slot.read_replies
             before = set(getattr(cache.get(payload["session"]), "replies", ()))
             reply = original(replica, payload)
             sess = cache[payload["session"]]
