@@ -639,7 +639,8 @@ class Server:
         verdicts: Dict[int, Optional[bool]] = {}
         if not self._pending_certify:
             return verdicts
-        pending, self._pending_certify = self._pending_certify, []
+        pending = self._pending_certify[:]
+        del self._pending_certify[:]  # in place: a shard's is its slot's
         for tid in pending:
             verdicts[tid] = self._certify(tid)
         return verdicts

@@ -55,6 +55,14 @@ class ShardSlot:
         self.lag_rng = random.Random(
             zlib.crc32(f"repl:{index}:{seed}".encode())
         )
+        #: Certification state — the backlog batched by ``certify_every``,
+        #: declared levels, verdicts and the reactions to failed ones — so
+        #: a replacement flushes what its predecessor left pending.
+        self.pending_certify: List[int] = []
+        self.declared: Dict[int, Any] = {}
+        self.certified: Dict[int, bool] = {}
+        self.repair_suggestions: List[Dict[str, Any]] = []
+        self.downgrades: List[Dict[str, Any]] = []
         #: Read-reply cache shared by the whole replica group (at-most-once
         #: across it: a retry landing on a different backup — or the new
         #: primary after a promote — still dedups).
@@ -110,6 +118,11 @@ class ShardServer(Server):
             tid_allocator=cluster.state.allocate_tid,
         )
         self.monitor = cluster.analysis  # base _certify consults it
+        self._pending_certify = slot.pending_certify
+        self.declared = slot.declared
+        self.certified = slot.certified
+        self.repair_suggestions = slot.repair_suggestions
+        self.downgrades = slot.downgrades
         slot.incarnations.append(self)
         self.note_event_ticks()
 

@@ -8,7 +8,9 @@ import pytest
 from repro.checker import check
 from repro.core.levels import IsolationLevel
 from repro.core.parser import parse_history
+from repro.observability import MetricsRegistry, Tracer
 from repro.service import (
+    AdmissionConfig,
     ClusterConfig,
     MapChange,
     NetworkConfig,
@@ -197,6 +199,51 @@ class TestReconfiguration:
         a, b = replaced
         assert a.history_text == b.history_text
         assert a.journals == b.journals
+
+
+class TestBatchedVerdictsOutliveTheEndpoint:
+    """With ``certify_every > 1`` a shard holds a backlog of commits
+    awaiting their verdict.  The backlog is the slot's, not the
+    incarnation's: a `replace`/`promote` map change hands it to the next
+    endpoint, so every commit still gets its live verdict (once 1-6 of
+    60 were dropped with the retired endpoint)."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shard", [0, 1])
+    @pytest.mark.parametrize("kind", ["replace", "promote"])
+    def test_every_commit_gets_a_live_verdict(self, kind, shard, seed):
+        extra = {"replica": 0} if kind == "promote" else {}
+        tracer, metrics = Tracer(), MetricsRegistry()
+        result = run_stress(
+            StressConfig(
+                seed=seed, clients=6, txns_per_client=10, keys=8, ops_per_txn=1,
+                admission=AdmissionConfig(certify_every=7),
+                cluster=ClusterConfig(
+                    shards=2,
+                    replicas=1 if kind == "promote" else 0,
+                    map_changes=(
+                        MapChange(
+                            kind=kind, after_commits=10, shard=shard, **extra
+                        ),
+                    ),
+                ),
+            ),
+            tracer=tracer,
+            metrics=metrics,
+        )
+        cluster = result.cluster
+        assert cluster.shard_map.version == 2 and result.committed == 60
+        verdicts = [
+            r["attrs"]["tid"] for r in tracer.records
+            if r["name"] == "commit.certified"
+        ]
+        assert sorted(verdicts) == sorted(result.certification)
+        counted = metrics.snapshot()["service_commits_certified_total"]
+        assert sum(row["value"] for row in counted["series"]) == 60
+        # Single-shard verdicts live in the slot, across incarnations.
+        kept = set().union(*(slot.certified for slot in cluster.shard_slots))
+        assert kept <= set(verdicts)
+        assert cluster.certification_lag == 0
 
 
 class TestFacade:
