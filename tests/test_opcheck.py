@@ -188,12 +188,12 @@ class TestAgreementWithDSG:
 
 
 #: Divergence table: weak configurations serving stale replica reads.
-#: Each row: declared level, seed, cluster config — every row is a run
-#: whose client-visible values admit no witness order while its history
+#: Each row: declared level, cluster config — every row is a run whose
+#: client-visible values admit no witness order while its history
 #: certifies at the declared level.
 DIVERGENCE_TABLE = [
     pytest.param(
-        "PL-2", 1,
+        "PL-2",
         ClusterConfig(
             shards=2, replicas=2, replication_every=12,
             replication_lag=(4, 10),
@@ -201,7 +201,7 @@ DIVERGENCE_TABLE = [
         id="pl2-slow-replication",
     ),
     pytest.param(
-        "PL-2", 0,
+        "PL-2",
         ClusterConfig(
             shards=2, replicas=2, replication_every=12,
             replication_lag=(4, 10),
@@ -212,17 +212,31 @@ DIVERGENCE_TABLE = [
 ]
 
 
-class TestExplainedDivergence:
-    """Weak runs: opcheck fails with witnesses, the DSG still certifies."""
-
-    @pytest.mark.parametrize("level,seed,cluster", DIVERGENCE_TABLE)
-    def test_stale_replica_reads_diverge(self, level, seed, cluster):
-        config = StressConfig(
+def _first_divergent_run(level, cluster):
+    """The row's run on the first seed whose client-visible values admit no
+    witness order.  Every seed has replica reads behind their session's
+    offset (``session_violations``), but offsets count the shard's whole
+    log: the value served is *visibly* stale only if the key itself was
+    rewritten in the gap, and whether it was is the schedule's business —
+    so the seed is searched for, not pinned; the row then says what such a
+    run looks like from both ends."""
+    for seed in range(16):
+        result = run_stress(StressConfig(
             scheduler="locking", level=level, clients=4, txns_per_client=10,
             keys=4, ops_per_txn=2, seed=seed, network=FAULTY, cluster=cluster,
             read_preference="replica", read_only_fraction=0.5,
-        )
-        result = run_stress(config)
+        ))
+        if not result.opcheck().ok:
+            return result
+    pytest.fail("no seed in range(16) served a visibly stale replica read")
+
+
+class TestExplainedDivergence:
+    """Weak runs: opcheck fails with witnesses, the DSG still certifies."""
+
+    @pytest.mark.parametrize("level,cluster", DIVERGENCE_TABLE)
+    def test_stale_replica_reads_diverge(self, level, cluster):
+        result = _first_divergent_run(level, cluster)
         # The DSG end: every commit certified at the declared weak level.
         assert result.all_certified
         # The client end: stale values were really served...
