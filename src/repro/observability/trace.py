@@ -37,7 +37,10 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Union
+from contextlib import contextmanager
+from typing import (
+    Any, Callable, Dict, IO, Iterable, Iterator, List, Optional, Union,
+)
 
 __all__ = [
     "Tracer",
@@ -243,6 +246,21 @@ class Tracer:
         if stack:
             self._stack.append(span_id)
         return span
+
+    @contextmanager
+    def nest(self, span: Span) -> Iterator[Span]:
+        """Re-enter an open ``stack=False`` span: inside the block, spans
+        and events without an explicit parent nest under it (work resumed
+        on behalf of a span that was opened earlier, elsewhere)."""
+        stack = self._stack
+        stack.append(span.id)
+        try:
+            yield span
+        finally:
+            if stack[-1] == span.id:
+                stack.pop()
+            else:  # an interleaved stacked span is still open above it
+                stack.remove(span.id)
 
     def event(
         self,

@@ -15,7 +15,7 @@ traces (live ``tracer.records`` or a JSONL file read back with
 * :func:`waterfall` — an ASCII Gantt of a trace, one bar per span, events
   marked in place;
 * :func:`contention_summary` / :func:`contention_table` — which object
-  keys accrue busy replies, lock blocks and client wait ticks;
+  keys accrue busy replies, lock blocks and parked-wait ticks;
 * :func:`to_chrome_trace` / :func:`write_chrome_trace` — Chrome
   trace-event JSON loadable in Perfetto (``ui.perfetto.dev``) or
   ``chrome://tracing``; the original records ride along in ``args`` so
@@ -344,10 +344,10 @@ def contention_summary(
 
     Per object: ``busy_replies`` (server ``server.handle`` spans answered
     busy), ``lock_blocks`` (lock-manager ``lock.blocked`` events plus
-    engine ``blocked`` events naming the object), and ``wait_ticks`` —
-    total duration of client request spans that saw at least one busy
-    reply, i.e. the client-observed time attributable to waiting for that
-    key (network round trips and backoff included).
+    engine ``blocked`` events naming the object), and ``wait_ticks`` — the
+    total duration of the ``server.wait`` spans on the object: the ticks
+    requests for that key stayed parked at a server, from the block to the
+    grant (or to the abort, crash or walk-away that ended the wait).
     """
     stats: Dict[str, Dict[str, float]] = {}
 
@@ -356,8 +356,6 @@ def contention_summary(
             str(obj), {"busy_replies": 0, "lock_blocks": 0, "wait_ticks": 0.0}
         )
 
-    records = list(records)
-    busy_request_spans: Dict[int, bool] = {}
     for r in records:
         attrs = r.get("attrs", {})
         if r["kind"] == "event":
@@ -367,20 +365,11 @@ def contention_summary(
                 obj = _obj_of_resource(str(attrs["resource"]))
                 if obj is not None:
                     bucket(obj)["lock_blocks"] += 1
-            elif r["name"] == "busy" and r.get("span") is not None:
-                busy_request_spans[r["span"]] = True
-        elif r["kind"] == "span" and r["name"] == "server.handle":
-            if attrs.get("outcome") == "busy" and attrs.get("obj") is not None:
+        elif r["kind"] == "span" and attrs.get("obj") is not None:
+            if r["name"] == "server.wait":
+                bucket(attrs["obj"])["wait_ticks"] += r["end"] - r["start"]
+            elif r["name"] == "server.handle" and attrs.get("outcome") == "busy":
                 bucket(attrs["obj"])["busy_replies"] += 1
-    for r in records:
-        if (
-            r["kind"] == "span"
-            and r["name"] == "client.request"
-            and busy_request_spans.get(r["id"])
-        ):
-            obj = r.get("attrs", {}).get("obj")
-            if obj is not None:
-                bucket(obj)["wait_ticks"] += r["end"] - r["start"]
     return [
         {"obj": obj, **{k: v for k, v in s.items()}}
         for obj, s in sorted(

@@ -2,10 +2,21 @@
 
 A :class:`Client` owns one server session.  Every logical operation gets a
 fresh request id; ``(session, rid)`` is the idempotency token, and every
-retry — after a timeout or a ``busy`` reply — reuses it, so the server can
-never apply an operation twice no matter how the network mangles the
-exchange.  Retries follow the session's :class:`~repro.service.config.
-RetryPolicy`: deterministic exponential backoff in logical ticks.
+retry after a timeout reuses it, so the server can never apply an operation
+twice no matter how the network mangles the exchange.  Retries follow the
+session's :class:`~repro.service.config.RetryPolicy`: deterministic
+exponential backoff in logical ticks.
+
+A ``busy`` reply is not a refusal and is not retried: the server has parked
+the request behind a lock holder and will push the final reply when the
+lock is granted (or the transaction is aborted to break a deadlock).  The
+request stays in flight under one *liveness deadline* — ``timeout *
+max_attempts`` ticks, the whole silence the policy would have granted an
+unresponsive server — whose expiry goes down the ordinary timeout path: the
+retransmit finds the request still parked (the notice again), finished (the
+cached reply a lost push carried) or gone with a crashed server.  So a lock
+wait on a healthy network is one request, one notice and one pushed reply,
+journalled ``[attempts=1]``.
 
 Two call styles:
 
@@ -108,18 +119,18 @@ class PendingCall:
         for reply in client._drain(self.rid):
             error = reply.get("error")
             if error == "busy":
+                # Parked at the server: stay in flight (no resend) and wait
+                # for the pushed reply, under the liveness deadline only.
                 client._busy_total += 1
                 client._count("service_client_busy_total",
                               "busy replies observed by clients")
                 if self.span is not None:
                     self.span.event("busy", holders=reply.get("holders"))
-                self._backoff_or_fail(
-                    ServiceUnavailable(
-                        f"{self.kind} rid={self.rid}: still locked after "
-                        f"{self.attempts} attempts"
-                    )
+                self.deadline = (
+                    now + client.policy.timeout * client.policy.max_attempts
                 )
-                return self.settled
+                self.resume_at = None
+                continue  # the pushed reply may be in this very batch
             if error == "shed":
                 # Admission control turned the begin away: back off for the
                 # server-directed interval, not the client's own schedule.

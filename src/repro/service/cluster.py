@@ -291,8 +291,8 @@ class Cluster:
             return
         victim, aborted_on = broken
         for shard in aborted_on:
-            if shard is not origin:
-                shard.note_event_ticks()
+            if shard is not origin:  # origin wakes as its own delivery ends
+                shard.wake()
         self.state.dead.add(victim)
 
     # ------------------------------------------------------------------
@@ -485,9 +485,7 @@ class Cluster:
         """Retire ``old`` and stand its slot's next incarnation up on the
         durable log ``wal``, under ``name`` (default: the next
         ``shard<i>r<n>``).  Returns it with the new map version."""
-        self.network.down(old.name)
-        self.network.flush(old.name)
-        old.up = False
+        old.retire()
         self._replacements += 1
         if name is None:
             name = f"shard{old.index}r{self._replacements}"

@@ -2,9 +2,11 @@
 
 These mirror engine conditions across the unreliable boundary: the engine's
 :class:`~repro.exceptions.TransactionAborted` becomes
-:class:`ServiceAborted` in the client, lock waits surface as bounded
-busy-retries ending in :class:`ServiceUnavailable`, and unanswered requests
-end in :class:`RequestTimeout`.
+:class:`ServiceAborted` in the client, a service that keeps turning the
+request away (admission shedding, shard-map churn, a lagging replica) ends
+in :class:`ServiceUnavailable`, and unanswered requests — a lock wait that
+outlasts the liveness deadline on every attempt included — end in
+:class:`RequestTimeout`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class ServiceAborted(ServiceError):
 
 
 class ServiceUnavailable(ServiceError):
-    """Busy replies (lock waits) outlasted the retry policy."""
+    """Shed, moved or lagging replies outlasted the retry policy."""
 
 
 class RequestTimeout(ServiceError):

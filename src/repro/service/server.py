@@ -9,15 +9,24 @@ an unreliable boundary forces:
 * **at-most-once execution** — every request carries an idempotency token
   ``(session, rid)``; final replies are cached per session, so a duplicated
   or retried request that already executed is answered from the cache
-  without re-applying.  Busy replies are *not* cached: the operation never
-  ran, so the retry must actually execute it.
-* **bounded waiting** — a lock wait (:class:`~repro.exceptions.WouldBlock`)
-  becomes a ``busy`` reply; the client backs off and retries.  The server
-  keeps the waits-for edges implied by busy replies and aborts the youngest
-  transaction of any cycle (same victim rule as the in-process simulator),
-  so two clients blocking each other cannot livelock.
+  without re-applying.
+* **parked waiting** — a request that meets a lock wait
+  (:class:`~repro.exceptions.WouldBlock`) stays at the server: it is
+  *parked* behind the transactions holding the lock, and the client gets an
+  uncached ``busy`` reply that is a notice, not a refusal — "queued behind
+  ``holders``, the final reply follows".  Whenever a transaction ends here
+  (its commit or abort reaches the WAL) the parked requests that waited on
+  it run again, in park order; one that completes has its final reply
+  cached and *pushed* through the network like any reply, one that blocks
+  again stays parked in its place.  A retransmit or duplicate of a parked
+  request is answered with the notice again and never runs; a later request
+  of the same session means the client walked away and drops the park.  The
+  parks are the waits-for graph: every (re-)park is followed by a deadlock
+  search that aborts the youngest transaction of any cycle (same victim
+  rule as the in-process simulator), and a parked victim's ``aborted`` is
+  pushed like any other final reply.
 * **crash/restart** — :meth:`crash` drops every volatile structure (store,
-  sessions, dedup cache, waits) and records recovery-undo aborts for the
+  sessions, dedup cache, parks) and records recovery-undo aborts for the
   transactions in flight; :meth:`restart` rebuilds the engine from the
   durable recorder log via :meth:`~repro.engine.database.Database.recover`.
   Committed transactions survive byte-for-byte; commit retries that cross
@@ -34,7 +43,7 @@ import random
 from math import inf
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..core.events import Commit
+from ..core.events import Abort, Commit
 from ..core.levels import IsolationLevel
 from ..engine.database import Database, TransactionHandle
 from ..engine.factory import SchedulerConfig, create_scheduler
@@ -76,6 +85,34 @@ class _ReplyCache:
             self.oldest_reply = rid
 
 
+class _Park:
+    """One blocked request kept at the server until its holders end."""
+
+    __slots__ = ("request", "src", "tid", "holders", "since", "span")
+
+    def __init__(
+        self,
+        request: Dict[str, Any],
+        src: str,
+        tid: Optional[int],
+        holders: FrozenSet[int],
+        since: int,
+        span: Optional[object],
+    ) -> None:
+        self.request = request
+        #: The endpoint the final reply is pushed to.
+        self.src = src
+        #: The requester's own transaction: when *it* ends (deadlock victim,
+        #: wound) the request runs again too, to collect its ``aborted``.
+        self.tid = tid
+        #: The transactions the request waits on — this session's out-edges
+        #: in the waits-for graph, replaced whenever it blocks again.
+        self.holders = holders
+        #: Park tick, and the open ``server.wait`` span (tracing).
+        self.since = since
+        self.span = span
+
+
 class _Session(_ReplyCache):
     """Per-client-session server state (volatile — lost on crash)."""
 
@@ -87,7 +124,7 @@ class _Session(_ReplyCache):
     def __init__(self) -> None:
         super().__init__()
         self.txn: Optional[TransactionHandle] = None
-        #: Highest rid with a final (non-busy) reply — the stale guard: a
+        #: Highest rid with a final reply — the stale guard: a
         #: delayed duplicate of an already-acked request must not
         #: re-execute after its cache entry was pruned.
         self.last_rid = -1
@@ -160,11 +197,21 @@ class Server:
         self.deadlock_victims = 0
         self.counters = {"requests": 0, "dedup_hits": 0, "busy": 0, "shed": 0}
         #: Per-request series, bound at first use: ``service_requests_total``
-        #: by verb and ``service_busy_total``.
+        #: by verb, ``service_busy_total`` and ``service_lock_wait_ticks`` by
+        #: outcome.
         self._request_counters: Dict[str, Any] = {}
         self._busy_counter: Optional[object] = None
+        self._wait_histograms: Dict[str, Any] = {}
         self._sessions: Dict[str, _Session] = {}
-        self._waits: Dict[str, frozenset] = {}  # session -> holder tids
+        #: The blocked request of each waiting session, in park order (a
+        #: session has one request in flight; blocking again keeps the
+        #: place).  Volatile, and the waits-for graph: ``holders`` are the
+        #: session's out-edges.
+        self._parked: Dict[str, _Park] = {}
+        #: How much of the WAL :meth:`_wake` has read for transaction ends
+        #: (current while anything is parked).
+        self._wal_seen = 0
+        self._waking = False
         #: The last deadlock search left the waits-for graph acyclic and no
         #: wait edge has appeared here since without a search following it
         #: (see :func:`break_deadlock`).
@@ -228,8 +275,8 @@ class Server:
     def crash(self) -> None:
         """Lose everything volatile.  Transactions in flight get their
         recovery-undo abort recorded in the WAL; sessions, dedup cache and
-        waits vanish; the endpoint goes dark (in-flight messages to and
-        from it are lost)."""
+        parked requests vanish; the endpoint goes dark (in-flight messages
+        to and from it are lost)."""
         if not self.up:
             return
         self.crashes += 1
@@ -239,7 +286,7 @@ class Server:
         for txn in active:
             self._undo_in_flight(txn)
         self._sessions.clear()
-        self._waits.clear()
+        self._drop_parks("lost-crash")
         self.db = None
         self.up = False
         self.network.down(self.name)
@@ -326,15 +373,38 @@ class Server:
         nests under it without further plumbing.  The trace context is
         echoed into the reply so the reply's ``net.msg`` span parents
         correctly too.
+
+        A delivery that ended a transaction also runs the requests parked
+        behind it (:meth:`_wake`) before it returns.
         """
         if self.tracer is None:
-            return self._handle(request, None)
-        ctx = request.get("trace")
+            reply = self._handle(request, None, src)
+        else:
+            ctx = request.get("trace")
+            with self.tracer.span(
+                "server.handle",
+                parent=ctx.get("span") if ctx else None,
+                verb=request["kind"],
+                **self._request_attrs(request),
+            ) as span:
+                reply = self._handle(request, span, src)
+                span.attrs.setdefault("outcome", reply.get("error", "ok"))
+                if ctx is not None:
+                    reply.setdefault("trace", ctx)
+        if self._parked:
+            # After this request has run and before its own reply is sent:
+            # the replies of the requests it woke are pushed first.
+            self._wake()
+        return reply
+
+    def _request_attrs(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """What a ``server.handle`` and a ``server.wait`` span both say
+        about their request."""
         attrs: Dict[str, Any] = {
-            "verb": request["kind"],
             "session": request["session"],
             "rid": request["rid"],
         }
+        ctx = request.get("trace")
         if ctx:
             attrs["trace_id"] = ctx.get("id")
         # Shard servers (cluster mode) carry their shard index so the span
@@ -344,19 +414,11 @@ class Server:
         obj = request.get("obj") or request.get("relation")
         if obj is not None:
             attrs["obj"] = obj
-        with self.tracer.span(
-            "server.handle", parent=ctx.get("span") if ctx else None, **attrs
-        ) as span:
-            reply = self._handle(request, span)
-            if reply is not None:
-                span.attrs.setdefault("outcome", reply.get("error", "ok"))
-                if ctx is not None:
-                    reply.setdefault("trace", ctx)
-        return reply
+        return attrs
 
     def _handle(
-        self, request: Dict[str, Any], span: Optional[object]
-    ) -> Optional[Dict[str, Any]]:
+        self, request: Dict[str, Any], span: Optional[object], src: str
+    ) -> Dict[str, Any]:
         rid = request["rid"]
         kind = request["kind"]
         self.counters["requests"] += 1
@@ -371,16 +433,26 @@ class Server:
             sess.prune(acked)
         cached = sess.replies.get(rid)
         if cached is not None:
-            self.counters["dedup_hits"] += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "service_dedup_hits_total",
-                    "duplicate/retried requests answered from the reply cache",
-                ).inc()
+            self._count_dedup()
             if span is not None:
                 span.set(outcome="dedup-hit")
             return cached
-        if rid <= sess.last_rid and kind not in self._replayable_kinds:
+        park = self._parked.get(session_id)
+        if park is not None:
+            parked_rid = park.request["rid"]
+            if rid == parked_rid:
+                # A retransmit or network duplicate of the parked request:
+                # it never runs again, the notice is simply repeated.
+                self._count_dedup()
+                return {
+                    "error": "busy", "holders": sorted(park.holders), "rid": rid,
+                }
+            if rid > parked_rid:
+                # The client walked away from the request it had parked.
+                self._unpark(session_id, "abandoned")
+        if (
+            rid <= sess.last_rid or (park is not None and rid < parked_rid)
+        ) and kind not in self._replayable_kinds:
             # A late duplicate of a request that already got its final
             # reply (cache since pruned): never re-execute it.  Replayable
             # kinds (a cluster's 2PC verbs, idempotent by construction) are
@@ -390,11 +462,17 @@ class Server:
             if span is not None:
                 span.set(outcome="stale")
             return {"error": "stale", "rid": rid}
-        reply = self._execute(kind, request, sess, span)
+        return self._settle(
+            sess, rid, self._execute(kind, request, sess, span, src)
+        )
+
+    @staticmethod
+    def _settle(sess: _Session, rid: int, reply: Dict[str, Any]) -> Dict[str, Any]:
+        """Stamp ``reply`` with its rid and, if it is final, cache it.
+        Busy, shed and moved replies are not: the operation has not run (a
+        parked request's final reply is cached when it is pushed)."""
         reply["rid"] = rid
         if reply.get("error") not in ("busy", "shed", "moved"):
-            # Busy, shed and moved replies are not cached: the operation
-            # never ran, so the retry must actually execute it.
             sess.remember(rid, reply)
             sess.last_rid = max(sess.last_rid, rid)
         return reply
@@ -405,8 +483,8 @@ class Server:
         request: Dict[str, Any],
         sess: _Session,
         span: Optional[object] = None,
+        src: str = "",
     ) -> Dict[str, Any]:
-        session_id = request["session"]
         if kind == "ping":
             return {"ok": True, "t": self.network.now}
         if kind == "begin":
@@ -478,7 +556,6 @@ class Server:
             else:
                 return {"error": "bad-request", "reason": f"unknown verb {kind!r}"}
         except WouldBlock as block:
-            self._count_busy()
             if span is not None:
                 span.event(
                     "blocked",
@@ -486,21 +563,142 @@ class Server:
                     holders=sorted(block.holders),
                     tid=txn.tid,
                 )
-            self._waits[session_id] = block.holders
+            self._park(request, src, txn.tid, block.holders)
             self._resolve_deadlock(txn.tid)
             if sess.pending_abort is not None:
+                # The requester is itself the victim: nothing to wait for.
                 reason, sess.pending_abort = sess.pending_abort, None
                 sess.txn = None
+                self._unpark(request["session"], "aborted")
                 return {"error": "aborted", "reason": reason}
             return {"error": "busy", "holders": sorted(block.holders)}
         except TransactionAborted as aborted:
             sess.txn = None
-            self._waits.pop(session_id, None)
             return {"error": "aborted", "reason": aborted.reason}
         except InvalidOperation as exc:
             return {"error": "bad-request", "reason": str(exc)}
-        self._waits.pop(session_id, None)
         return result
+
+    # ------------------------------------------------------------------
+    # parked requests
+    # ------------------------------------------------------------------
+
+    def _park(
+        self,
+        request: Dict[str, Any],
+        src: str,
+        tid: Optional[int],
+        holders: FrozenSet[int],
+    ) -> None:
+        """Keep blocked ``request`` here behind ``holders``; one that was
+        parked already (it ran again and blocked again) keeps its place and
+        takes the fresh holders.  A new park is what the ``busy`` notice
+        reports, so it is what ``busy`` counts."""
+        session_id = request["session"]
+        park = self._parked.get(session_id)
+        if park is not None:
+            park.holders = holders
+            return
+        self._count_busy()
+        if not self._parked:
+            # Nothing was parked, so nothing can have missed an ending.
+            self._wal_seen = len(self.recorder.events)
+        span = None
+        if self.tracer is not None:
+            ctx = request.get("trace")
+            span = self.tracer.span(
+                "server.wait",
+                parent=ctx.get("span") if ctx else None,
+                stack=False,
+                tid=tid,
+                holders=sorted(holders),
+                **self._request_attrs(request),
+            )
+        self._parked[session_id] = _Park(
+            request, src, tid, holders, self.network.now, span
+        )
+
+    def _unpark(self, session_id: str, outcome: str) -> None:
+        """Forget the session's parked request, if it has one: its wait is
+        over as ``outcome`` (``granted``/``aborted``: the final reply is on
+        its way; ``abandoned``: the client walked away; ``lost-crash``)."""
+        park = self._parked.pop(session_id, None)
+        if park is None:
+            return
+        if park.span is not None:
+            park.span.end(outcome=outcome)
+        if self.metrics is not None:
+            histogram = self._wait_histograms.get(outcome)
+            if histogram is None:
+                histogram = self._wait_histograms[outcome] = self.metrics.histogram(
+                    "service_lock_wait_ticks",
+                    "ticks a blocked request stayed parked at its server",
+                ).labels(outcome=outcome)
+            histogram.observe(self.network.now - park.since)
+
+    def _drop_parks(self, outcome: str) -> None:
+        for session_id in list(self._parked):
+            self._unpark(session_id, outcome)
+
+    def parked(self) -> Dict[str, List[int]]:
+        """The sessions with a request parked here, in park order, each with
+        the transactions it waits on."""
+        return {sid: sorted(park.holders) for sid, park in self._parked.items()}
+
+    def _wake(self) -> None:
+        """Run again, in park order, every parked request behind a
+        transaction that has ended here — or whose own transaction has
+        (deadlock victim, wound) — until nothing more is due.  What ended is
+        read off the WAL: the commits and aborts recorded since the last
+        look, whoever recorded them."""
+        if self._waking:
+            return  # re-entered from a woken request's search: already looking
+        self._waking = True
+        try:
+            events = self.recorder.events
+            while self._parked and self._wal_seen < len(events):
+                ended = {
+                    ev.tid
+                    for ev in events[self._wal_seen:]
+                    if isinstance(ev, (Commit, Abort))
+                }
+                self._wal_seen = len(events)
+                if not ended:
+                    continue
+                for session_id, park in list(self._parked.items()):
+                    if (
+                        park.tid in ended or not ended.isdisjoint(park.holders)
+                    ) and self._parked.get(session_id) is park:
+                        self._resume(session_id, park)
+        finally:
+            self._waking = False
+
+    def _resume(self, session_id: str, park: _Park) -> None:
+        """Run a parked request again.  If it completes, its final reply is
+        cached and pushed to the client through the network — drops,
+        duplicates and delays included; if it blocks again it stays parked,
+        silently (:meth:`_park` has recorded the fresh edges and
+        :meth:`_execute` searched them)."""
+        request = park.request
+        sess = self._sessions[session_id]
+        park.holders = frozenset()  # void from here on, whatever happens
+        if self.tracer is None:
+            reply = self._execute(request["kind"], request, sess, None, park.src)
+        else:
+            # Engine events of the new attempt belong to the wait, not to
+            # the request that happened to end the holder.
+            with self.tracer.nest(park.span):
+                reply = self._execute(
+                    request["kind"], request, sess, park.span, park.src
+                )
+        if reply.get("error") == "busy":
+            return
+        self._settle(sess, request["rid"], reply)
+        self._unpark(session_id, "aborted" if "error" in reply else "granted")
+        ctx = request.get("trace")
+        if ctx is not None:
+            reply.setdefault("trace", ctx)
+        self.network.send(self.name, park.src, reply)
 
     def _count_request(self, kind: Any) -> None:
         # Only ``str`` verbs are memoised: 1, True and 1.0 are one dict key
@@ -515,8 +713,18 @@ class Server:
                 self._request_counters[kind] = counter
         counter.inc()
 
+    def _count_dedup(self) -> None:
+        """One duplicate or retransmit answered without running it."""
+        self.counters["dedup_hits"] += 1
+        if self.metrics is not None:
+            self.metrics.counter(
+                "service_dedup_hits_total",
+                "duplicate/retried requests answered from the reply cache",
+            ).inc()
+
     def _count_busy(self) -> None:
-        """One request answered ``busy`` (a lock wait or an in-doubt fence)."""
+        """One request parked and answered ``busy`` (a lock wait or an
+        in-doubt fence)."""
         self.counters["busy"] += 1
         if self.metrics is not None:
             if self._busy_counter is None:
@@ -595,14 +803,13 @@ class Server:
     ) -> None:
         """Make ``txn`` the session's transaction — the one way a session
         gets an active transaction, which the deadlock search relies on:
-        ``_tid_session`` finds it, and a wait the session never retried now
-        speaks for ``txn`` without any search having seen that edge."""
+        ``_tid_session`` finds it.  (A session that adopts has no wait edge:
+        a later request drops the park, a parked request running again has
+        voided its holders.)"""
         sess.txn = txn
         if sess.first_tid is None:
             sess.first_tid = txn.tid
         self._tid_session[txn.tid] = session_id
-        if session_id in self._waits:
-            self._waits_acyclic = False
 
     def _declared_level(self, level) -> Optional[IsolationLevel]:
         if level is None:
@@ -688,7 +895,7 @@ class Server:
 
     def _resolve_deadlock(self, waiter: int) -> None:
         """Break a waits-for cycle among this server's sessions, if any;
-        ``waiter`` is the transaction whose busy reply asks."""
+        ``waiter`` is the transaction that has just been parked."""
         break_deadlock([self], self, waiter)
 
     # ------------------------------------------------------------------
@@ -720,7 +927,7 @@ def record_verdict(
 def _waits_for(
     live: Sequence["Server"],
 ) -> Tuple[Dict[int, List[Tuple["Server", str]]], Dict[int, FrozenSet[int]]]:
-    """The waits-for graph the busy replies of ``live`` imply: where each
+    """The waits-for graph the parked requests of ``live`` make: where each
     active transaction runs (``tid -> [(server, session)]``; tids are
     global, so edges compose across shards) and, per waiting transaction,
     the active transactions it waits on."""
@@ -732,12 +939,12 @@ def _waits_for(
                 by_tid.setdefault(txn.tid, []).append((server, sid))
     waits: Dict[int, FrozenSet[int]] = {}
     for server in live:
-        for sid, holders in server._waits.items():
+        for sid, park in server._parked.items():
             s = server._sessions.get(sid)
             txn = s.live() if s is not None else None
             if txn is None:
                 continue
-            held = frozenset(h for h in holders if h in by_tid)
+            held = frozenset(h for h in park.holders if h in by_tid)
             if held:
                 waits[txn.tid] = waits.get(txn.tid, frozenset()) | held
     return by_tid, waits
@@ -756,7 +963,8 @@ def _waits_on_itself(live: Sequence["Server"], waiter: int) -> bool:
             s = server._sessions.get(sid)
             if s is None or s.live(tid) is None:
                 continue
-            for holder in server._waits.get(sid, ()):
+            park = server._parked.get(sid)
+            for holder in park.holders if park is not None else ():
                 if holder == waiter:
                     return True
                 if holder not in seen:
@@ -768,12 +976,15 @@ def _waits_on_itself(live: Sequence["Server"], waiter: int) -> bool:
 def break_deadlock(
     servers: Sequence["Server"], origin: "Server", waiter: int
 ) -> Optional[Tuple[int, List["Server"]]]:
-    """Busy replies carry waits-for edges; union them over ``servers`` and,
-    on a cycle, abort the transaction whose *session* is youngest — the
+    """Parked requests carry waits-for edges; union them over ``servers``
+    and, on a cycle, abort the transaction whose *session* is youngest — the
     simulator's aging rule: restarted victims keep their seniority.  The
-    victim is charged to ``origin`` (the server whose busy reply to
-    transaction ``waiter`` triggered the search).  Returns ``(victim tid,
-    servers it was aborted on)``, or ``None`` without a cycle.
+    victim is charged to ``origin`` (the server that parked transaction
+    ``waiter``, which triggered the search).  Returns ``(victim tid,
+    servers it was aborted on)``, or ``None`` without a cycle.  A victim
+    with a parked request is not answered here: its abort is in the WAL, so
+    each server's next :meth:`Server._wake` runs the request again and
+    pushes the ``aborted`` it finds.
 
     The search is incremental.  While every server's ``_waits_acyclic``
     holds, the graph was acyclic when last searched and has only lost edges
@@ -815,5 +1026,4 @@ def break_deadlock(
         sess = server._sessions[sid]
         sess.txn.abort()
         sess.pending_abort = "deadlock"
-        server._waits.pop(sid, None)
     return victim, [server for server, _sid in by_tid[victim]]

@@ -14,8 +14,9 @@ backup); what must outlive any one of them lives in the index's
   final writes into durable per-shard prepared state; a shard crash
   between prepare and commit recovers by *redoing* the prepared writes
   when the (retransmitted) decision arrives.  Objects touched by a
-  prepared-but-in-doubt transaction are fenced with ``busy`` replies
-  until the decision lands.
+  prepared-but-in-doubt transaction are fenced: a request for one is
+  parked behind the in-doubt transaction like behind any lock holder
+  (``busy`` notice now, the final reply pushed when the decision lands).
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ class ShardServer(Server):
     # request execution
     # ------------------------------------------------------------------
 
-    def _execute(self, kind, request, sess, span=None):
+    def _execute(self, kind, request, sess, span=None, src=""):
         cluster = self._cluster
         if kind == "prepare":
             return self._do_prepare(request, span)
@@ -259,14 +260,14 @@ class ShardServer(Server):
                     "map_version": cluster.shard_map.version,
                 }
             if kind != "insert":
-                fenced = self._prepared_fence(kind, request["obj"], request["session"])
+                fenced = self._prepared_fence(kind, request, src)
                 if fenced is not None:
                     return fenced
             gid = request.get("tid")
             if gid is not None and sess.live(gid) is None:
                 self._join(gid, request["session"], sess)
         txn_before = sess.txn
-        reply = super()._execute(kind, request, sess, span)
+        reply = super()._execute(kind, request, sess, span, src)
         if (
             kind == "commit"
             and txn_before is not None
@@ -424,11 +425,14 @@ class ShardServer(Server):
             reply["offset"] = len(self.recorder.events)
         return reply
 
-    def _prepared_fence(self, kind, obj, session_id):
+    def _prepared_fence(self, kind, request, src):
         """Fence operations on objects belonging to an in-doubt prepared
         transaction whose engine state died with a crash (while the engine
         transaction lives, its own locks do this job).  Readers block on
-        the prepared write set; writers on its whole footprint."""
+        the prepared write set; writers on its whole footprint.  A fenced
+        request is parked behind the in-doubt transaction: the decide that
+        settles it is a commit or abort in this WAL like any other."""
+        obj = request["obj"]
         for gid, snap in self._prepared.items():
             sess = self._sessions.get(snap["session"])
             if sess is not None and sess.live(gid) is not None:
@@ -436,10 +440,9 @@ class ShardServer(Server):
             if obj in snap["write_objs"] or (
                 kind != "read" and obj in snap["read_objs"]
             ):
-                self._count_busy()
-                self._waits[session_id] = frozenset({gid})
+                self._park(request, src, request.get("tid"), frozenset({gid}))
                 self._waits_acyclic = False  # an edge no search follows
-                return {"error": "busy", "holders": [gid], "in_doubt": True}
+                return {"error": "busy", "holders": [gid]}
         return None
 
     # ------------------------------------------------------------------
@@ -460,9 +463,28 @@ class ShardServer(Server):
         sess = self._sessions[session]
         sess.txn.abort()
         sess.txn = None
-        self._waits.pop(session, None)
-        self.note_event_ticks()
+        self._unpark(session, "abandoned")
+        self.wake()
         return True
+
+    def wake(self) -> None:
+        """A transaction was ended here from outside a delivery to this
+        shard (a reaped orphan, the victim of a deadlock found at another
+        shard): run what was parked behind it now, and note the tick of the
+        events — in the handler that ended it, or the merged history would
+        order them by a later delivery."""
+        if self._parked:
+            self._wake()
+        self.note_event_ticks()
+
+    def retire(self) -> None:
+        """Go dark for good (the slot's next incarnation takes over): what
+        is queued for this endpoint or parked at it is lost with it, and
+        the clients' own deadlines re-route them."""
+        self.network.down(self.name)
+        self.network.flush(self.name)
+        self.up = False
+        self._drop_parks("lost-crash")
 
     def quiescent(self, *, allow_prepared: bool) -> bool:
         """Whether a map change may touch this endpoint now: it is up and

@@ -225,6 +225,35 @@ class _TickWait:
         return None if self.settled else self.tick
 
 
+def _stuck_report(runs: List[_ScriptRun], servers) -> str:
+    """Who waits for whom in a run that made no progress: each unfinished
+    script's pending operation and next wake-up, each server's parked
+    sessions with the transactions they wait on (a park nobody woke shows
+    as a session parked behind a transaction no script is running)."""
+    lines = []
+    for run in runs:
+        if run.done:
+            continue
+        pending = run.pending
+        if isinstance(pending, _TickWait):
+            what = f"sleeping until its arrival at tick {pending.tick}"
+        elif pending is None or pending.settled:
+            what = "ready to run"
+        else:
+            what = (
+                f"{pending.kind} rid={pending.rid} at {pending.dest} "
+                f"(attempt {pending.attempts}), next wake {pending.next_wake}"
+            )
+        lines.append(f"  {run.client.name}: {what}")
+    for srv in servers:
+        parked = ", ".join(
+            f"{session} behind {holders}"
+            for session, holders in srv.parked().items()
+        )
+        lines.append(f"  {srv.name}: parked {parked or 'nothing'}")
+    return "\n".join(lines)
+
+
 def _fields(obj: Any, *names: str) -> Dict[str, Any]:
     """The named attributes of a config, as the run summary lists them."""
     return {name: getattr(obj, name) for name in names}
@@ -314,10 +343,10 @@ def _run_one_txn(
             windows.observe_abort(client.network.now)
         return False
     except (RequestTimeout, ServiceUnavailable):
-        # Outcome unknown (crashed server, exhausted busy-retries, or a
-        # shed begin the policy gave up on): walk away; the transaction is
-        # dead or will be undone at recovery, and the session's next begin
-        # discards it.
+        # Outcome unknown (crashed server, a lock wait past every liveness
+        # deadline, or a shed begin the policy gave up on): walk away; the
+        # transaction is dead or will be undone at recovery, and the
+        # session's next begin discards it.
         counters["aborts"] += 1
         client.tid = None
         if ops_out is not None and committing and writes:
@@ -676,7 +705,10 @@ def run_stress(
         if now - start_tick > max_ticks:
             raise RuntimeError(
                 f"stress run exceeded {max_ticks} ticks "
-                f"({len(runs) - live}/{len(runs)} scripts done)"
+                f"({len(runs) - live}/{len(runs)} scripts done)\n"
+                + _stuck_report(
+                    runs, cluster.shards if cluster is not None else [server]
+                )
             )
         if clock_moved:
             wake = [r for r in runs if r.blocked and r.pending.due(now)]

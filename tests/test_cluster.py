@@ -15,6 +15,7 @@ from repro.service import (
     MapChange,
     NetworkConfig,
     SchedulerConfig,
+    ServiceAborted,
     ShardMap,
     StressConfig,
     connect_cluster,
@@ -244,6 +245,102 @@ class TestBatchedVerdictsOutliveTheEndpoint:
         kept = set().union(*(slot.certified for slot in cluster.shard_slots))
         assert kept <= set(verdicts)
         assert cluster.certification_lag == 0
+
+
+def deliver(net, *pendings):
+    """Deliver what is due now, polling the pendings as a driver would
+    (the replication-free clusters below arm no timers, so this ends)."""
+    while net.step():
+        for pending in pendings:
+            pending.poll()
+    return [pending.poll() for pending in pendings]
+
+
+class TestParkedAcrossShards:
+    """A transaction ended from another shard's delivery — a cross-shard
+    deadlock victim — and a 2PC decide are wake-ups like any other."""
+
+    def two_shards(self):
+        cluster = connect_cluster(
+            cluster=ClusterConfig(shards=2),
+            initial={f"k{i}": 0 for i in range(8)},
+        )
+        keys = [
+            next(k for k in (f"k{i}" for i in range(8))
+                 if cluster.owner_index(k) == shard)
+            for shard in (0, 1)
+        ]
+        return cluster, keys
+
+    def test_cross_shard_victim_wakes_the_remote_park(self):
+        cluster, (k0, k1) = self.two_shards()
+        net, (shard0, shard1) = cluster.network, cluster.shards
+        a, v, w = (cluster.client(n) for n in ("a", "v", "w"))
+        # a's session is the oldest, v's younger.
+        ta, tv, tw = (client.begin() for client in (a, v, w))
+        a.write(k1, 1)
+        v.write(k0, 2)
+        pw = w.submit("write", obj=k0, value=3)
+        pa = a.submit("write", obj=k0, value=4)
+        assert deliver(net, pw, pa) == [False, False]
+        assert shard0.parked() == {"w": [tv], "a": [tv]}
+        handled = shard0.counters["requests"]
+        # v asks shard 1 for a's key and closes the cycle there; v is the
+        # victim and dies on both shards in that one delivery at shard 1 —
+        # which must also run what waited on it at shard 0.
+        pv = v.submit("write", obj=k1, value=5)
+        while not shard1.parked() and shard1.deadlock_victims == 0:
+            assert net.step()
+        at = net.now
+        assert shard1.deadlock_victims == 1 and shard1.parked() == {}
+        assert shard0.parked() == {"a": [tw]}  # w took the lock, a re-parked
+        assert shard0.counters["requests"] == handled  # nothing was delivered there
+        for slot in cluster.shard_slots:
+            events = slot.primary.recorder.events
+            assert len(slot.event_ticks) == len(events)
+        # v's abort and w's write at shard 0 carry the tick of the delivery
+        # at shard 1 that caused them.
+        assert shard0.event_ticks[-2:] == [at, at]
+        assert deliver(net, pv, pw, pa) == [True, True, False]
+        with pytest.raises(ServiceAborted, match="deadlock"):
+            pv.result()
+        assert pw.result()["ok"] and pw.attempts == 1
+        w._finish(pw)
+        w.commit()
+        assert deliver(net, pa) == [True]
+        a._finish(pa)
+        a.commit()  # cross-shard: through the coordinator
+        history = cluster.history(validate=True)
+        assert {ta, tw} <= history.committed and tv in history.aborted
+
+    def test_in_doubt_fence_parks_until_the_retransmitted_decide(self):
+        cluster, (k0, k1) = self.two_shards()
+        net, shard1 = cluster.network, cluster.shards[1]
+        t, r = cluster.client("t"), cluster.client("r")
+        gid = t.begin()
+        t.write(k0, 7)
+        t.write(k1, 8)
+        commit = t.submit("commit")
+        while shard1.prepare_count == 0:
+            assert net.step()
+        # Prepared, then the engine state dies: k1 is in doubt until the
+        # coordinator's retransmitted decide reaches the restarted shard.
+        shard1.crash()
+        shard1.restart()
+        r.begin()
+        read = r.submit("read", obj=k1)
+        while not shard1.parked():
+            assert net.step()
+            read.poll()
+        assert shard1.parked() == {"r": [gid]}
+        assert net.run_until(lambda: commit.poll() and read.poll())
+        assert commit.result()["ok"]
+        assert r._finish(read)["value"] == 8 and read.attempts == 1
+        assert shard1.parked() == {} and not cluster.shard_slots[1].prepared
+        assert shard1.counters["busy"] == 1
+        assert cluster.coordinator.retransmits >= 1
+        r.commit()
+        cluster.history(validate=True)
 
 
 class TestFacade:

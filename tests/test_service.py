@@ -313,6 +313,7 @@ class TestClientServer:
                 return  # observed an actual retry answered from the cache
         pytest.fail("no seed exercised a dedup-cache retry")
 
+
     def test_busy_then_success(self):
         net, server = make_stack()
         holder = Client(net, name="holder")
@@ -385,6 +386,224 @@ class TestClientServer:
         with pytest.raises(ServiceAborted):
             b.commit()
         assert server.commit_count == 1
+
+
+# ---------------------------------------------------------------------------
+# parked waiting: a lock wait is one request, one notice, one pushed reply
+# ---------------------------------------------------------------------------
+
+
+def deliver(net, *pendings):
+    """Deliver everything in flight (no idle time passes), polling the
+    pendings the way a driver would."""
+    while net.step():
+        for pending in pendings:
+            pending.poll()
+    return [pending.poll() for pending in pendings]
+
+
+def lose_next(monkeypatch, net, match):
+    """Lose the next message ``match(src, dst, payload)`` accepts: the
+    seeded drop, aimed."""
+    send = net.send
+    armed = [True]
+
+    def lossy(src, dst, payload):
+        if armed and match(src, dst, payload):
+            armed.clear()
+            return
+        send(src, dst, payload)
+
+    monkeypatch.setattr(net, "send", lossy)
+
+
+def count_executions(monkeypatch, server):
+    """How often the server took a request to the engine."""
+    execute = server._execute
+    calls = []
+
+    def counted(kind, request, *rest):
+        calls.append((request["session"], request["rid"]))
+        return execute(kind, request, *rest)
+
+    monkeypatch.setattr(server, "_execute", counted)
+    return calls
+
+
+class TestParkedWaiting:
+    POLICY = RetryPolicy(timeout=5, max_attempts=3, backoff=1)
+    #: What a parked request is given before its client asks again.
+    LIVENESS = POLICY.timeout * POLICY.max_attempts
+
+    def blocked(self, verb="read", **fields):
+        """``holder`` has written x; ``waiter``'s request for x is parked."""
+        net, server = make_stack()
+        holder = Client(net, name="holder")
+        waiter = Client(net, name="waiter", policy=self.POLICY)
+        holder.begin()
+        holder.write("x", 10)
+        waiter.begin()
+        if verb == "read":
+            fields.setdefault("for_update", True)
+        pending = waiter.submit(verb, obj="x", **fields)
+        return net, server, holder, waiter, pending
+
+    def test_grant_pushes_the_final_reply(self):
+        net, server, holder, waiter, pending = self.blocked()
+        assert deliver(net, pending) == [False]
+        assert server.parked() == {"waiter": [holder.tid]}
+        assert server.counters["busy"] == waiter.stats["busy"] == 1
+        net.advance(self.POLICY.timeout + 1)  # a notice is no ordinary wait
+        assert pending.poll() is False and pending.attempts == 1
+        requests = server.counters["requests"]
+        holder.commit()
+        assert deliver(net, pending) == [True]
+        assert waiter._finish(pending)["value"] == 10
+        assert waiter.journal[-1].endswith("-> value=10 [attempts=1]")
+        # One request, one notice, one pushed reply: nothing was re-sent.
+        assert server.counters["requests"] == requests + 1  # holder's commit
+        assert waiter.stats["retries"] == waiter.stats["timeouts"] == 0
+        assert server.parked() == {}
+        waiter.commit()
+
+    def test_waiters_wake_in_park_order_and_are_answered_first(self, monkeypatch):
+        net, server = make_stack()
+        holder, b, a = (Client(net, name=n) for n in ("holder", "b", "a"))
+        for client in (holder, b, a):
+            client.begin()
+        holder.write("x", 10)
+        pb = b.submit("read", obj="x")  # shared locks: both can be granted
+        pa = a.submit("read", obj="x")
+        deliver(net, pb, pa)
+        assert list(server.parked()) == ["b", "a"]
+        sent = []
+        send = net.send
+        monkeypatch.setattr(
+            net, "send", lambda src, dst, m: (sent.append(dst), send(src, dst, m))
+        )
+        commit = holder.submit("commit")
+        assert deliver(net, commit, pb, pa) == [True, True, True]
+        # The commit's delivery pushes the woken replies in park order, and
+        # only then is the commit's own reply sent.
+        assert sent == ["server", "b", "a", "holder"]
+
+    def test_blocking_again_keeps_the_place(self):
+        net, server = make_stack()
+        holder, b, a = (Client(net, name=n) for n in ("holder", "b", "a"))
+        for client in (holder, b, a):
+            client.begin()
+        holder.write("x", 10)
+        pb = b.submit("read", obj="x", for_update=True)
+        pa = a.submit("read", obj="x", for_update=True)
+        deliver(net, pb, pa)
+        holder.commit()
+        # b was parked first and takes the lock; a runs again, blocks on b
+        # and stays parked — silently, with fresh holders.
+        assert deliver(net, pb, pa) == [True, False]
+        assert server.parked() == {"a": [b.tid]}
+        assert server.counters["busy"] == 2 and a.stats["busy"] == 1
+        b._finish(pb)
+        b.commit()
+        assert deliver(net, pa) == [True]
+        assert a._finish(pa)["value"] == 10 and pa.attempts == 1
+
+    def test_retransmit_and_duplicate_never_run_again(self, monkeypatch):
+        net, server, holder, waiter, pending = self.blocked()
+        calls = count_executions(monkeypatch, server)
+        deliver(net, pending)
+        ran = len(calls)
+        net.send(waiter.name, "server", dict(pending.payload))  # a duplicate
+        deliver(net, pending)
+        net.advance(self.LIVENESS)  # the client's own retransmit
+        assert pending.poll() is False
+        net.advance(self.POLICY.backoff)
+        pending.poll()
+        assert deliver(net, pending) == [False]
+        assert pending.attempts == 2 and waiter.stats["timeouts"] == 1
+        assert len(calls) == ran
+        assert server.counters["dedup_hits"] == 2
+        assert server.counters["busy"] == 1 and waiter.stats["busy"] == 3
+        assert server.parked() == {"waiter": [holder.tid]}
+        holder.commit()
+        assert deliver(net, pending) == [True]
+        assert len(calls) == ran + 2  # the commit, and the one run it woke
+
+    def test_parked_victim_gets_aborted(self):
+        net, server = make_stack()
+        a, b = Client(net, name="a"), Client(net, name="b")
+        a.begin()
+        b.begin()
+        a.write("x", 100)
+        b.write("y", 200)
+        pb = b.submit("write", obj="x", value=201)
+        assert deliver(net, pb) == [False]  # parked behind a, no cycle yet
+        pa = a.submit("write", obj="y", value=101)
+        assert deliver(net, pa, pb) == [True, True]
+        # The younger session is the victim though the older one asked: its
+        # parked request collects the abort, and the asker the lock.
+        with pytest.raises(ServiceAborted, match="deadlock"):
+            pb.result()
+        assert pa.result()["ok"] and pa.attempts == pb.attempts == 1
+        assert server.deadlock_victims == 1 and server.parked() == {}
+        a.commit()
+
+    def test_crash_recovers_through_the_liveness_deadline(self):
+        net, server, holder, waiter, pending = self.blocked()
+        deliver(net, pending)
+        server.crash()
+        assert server.parked() == {}
+        server.restart()
+        start = net.now
+        assert net.run_until(pending.poll)
+        with pytest.raises(ServiceAborted, match="server restarted"):
+            pending.result()
+        assert pending.attempts == 2 and waiter.stats["timeouts"] == 1
+        assert net.now - start >= self.LIVENESS
+
+    def test_walking_away_drops_the_park(self):
+        net, server, holder, waiter, pending = self.blocked()
+        deliver(net, pending)
+        waiter.tid = None
+        again = waiter.submit("begin")  # a later rid from the parked session
+        deliver(net, again)
+        assert server.parked() == {}
+        holder.commit()
+        deliver(net, pending)
+        assert not pending.settled and not waiter._inbox  # nothing was pushed
+        # A late copy of the abandoned request is stale, not executed.
+        net.send(waiter.name, "server", dict(pending.payload))
+        net.step()
+        assert net._queue[0][4]["error"] == "stale"
+
+    def test_lost_notice_is_repeated_to_the_retransmit(self, monkeypatch):
+        net, server, holder, waiter, pending = self.blocked()
+        calls = count_executions(monkeypatch, server)
+        lose_next(monkeypatch, net, lambda src, dst, m: m.get("error") == "busy")
+        deliver(net, pending)
+        assert waiter.stats["busy"] == 0  # the notice never arrived
+        assert net.run_until(lambda: pending.poll() or pending.attempts == 2)
+        assert deliver(net, pending) == [False]
+        assert waiter.stats == {"retries": 1, "timeouts": 1, "busy": 1, "shed": 0}
+        assert server.counters["dedup_hits"] == 1 and len(calls) == 1
+        holder.commit()
+        assert deliver(net, pending) == [True]
+        assert pending.result()["value"] == 10
+
+    def test_lost_push_is_answered_from_the_dedup_cache(self, monkeypatch):
+        net, server, holder, waiter, pending = self.blocked("write", value=11)
+        calls = count_executions(monkeypatch, server)
+        deliver(net, pending)
+        lose_next(monkeypatch, net, lambda src, dst, m: dst == "waiter")
+        holder.commit()
+        assert deliver(net, pending) == [False]  # granted, but the push is lost
+        assert server.parked() == {}
+        ran = len(calls)
+        assert net.run_until(pending.poll)
+        assert pending.result()["ok"] and pending.attempts == 2
+        assert len(calls) == ran and server.counters["dedup_hits"] == 1
+        waiter.commit()
+        # init, load, holder's 10, waiter's 11 — the write applied once.
+        assert len(server.history().version_order["x"]) == 4
 
 
 # ---------------------------------------------------------------------------

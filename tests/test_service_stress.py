@@ -9,6 +9,7 @@ from repro.core.levels import IsolationLevel
 from repro.core.parser import parse_history
 from repro.service import (
     Client,
+    ClusterConfig,
     NetworkConfig,
     RetryPolicy,
     Server,
@@ -132,6 +133,25 @@ class TestDeterminismAcrossSchedules:
         outcomes = first[0]
         assert "ok" in outcomes  # commits before and after the partition
         assert any(o != "ok" for o in outcomes)  # partition really bit
+
+
+class TestStuckRunsSayWhy:
+    def test_exceeding_max_ticks_lists_pendings_and_parks(self):
+        # Far too few ticks for the load: the error names what every
+        # unfinished script was waiting for and who is parked behind whom.
+        with pytest.raises(RuntimeError) as stuck:
+            run_stress(StressConfig(
+                clients=8, txns_per_client=20, keys=4, ops_per_txn=3, seed=2,
+                max_ticks=120, cluster=ClusterConfig(shards=2),
+            ))
+        report = str(stuck.value)
+        assert "exceeded 120 ticks (0/8 scripts done)" in report
+        lines = report.splitlines()[1:]
+        assert [line.split(":")[0].strip() for line in lines] == [
+            *(f"c{i}" for i in range(8)), "shard0", "shard1",
+        ]
+        assert any(" rid=" in line and "next wake" in line for line in lines[:8])
+        assert any(" behind [" in line for line in lines[8:])
 
 
 class TestSchedulerFamilies:
@@ -275,6 +295,7 @@ class TestEndToEndTracing:
             "client.request",
             "net.msg",
             "server.handle",
+            "server.wait",
             "send",
             "commit.certified",
         } <= names

@@ -160,6 +160,18 @@ class TestContention:
         assert top["lock_blocks"] > 0
         assert top["wait_ticks"] > 0
 
+    def test_wait_ticks_are_the_parked_time(self, traced):
+        records = traced.tracer.records
+        parked = [
+            r for r in records
+            if r["kind"] == "span" and r["name"] == "server.wait"
+        ]
+        assert parked and all(r["attrs"]["obj"] for r in parked)
+        rows = contention_summary(records)
+        assert sum(row["wait_ticks"] for row in rows) == sum(
+            r["end"] - r["start"] for r in parked
+        )
+
     def test_contention_table_renders(self, traced):
         table = contention_table(traced.tracer.records, top=3)
         assert len(table.splitlines()) <= 4

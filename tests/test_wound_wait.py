@@ -104,3 +104,46 @@ class TestNoDeadlocks:
             result = Simulator(db, programs, seed=seed).run()
             assert result.committed_count == 5
             assert db.begin().read("x") == 5
+
+
+class TestWoundsReachParkedSessions:
+    """Behind the service, a wound ends a transaction whose session may be
+    parked: its ``aborted`` is pushed, and whoever waited on it runs again."""
+
+    def test_wounded_parked_session_gets_its_abort_pushed(self):
+        from repro.service import (
+            Client, SchedulerConfig, Server, ServiceAborted, SimulatedNetwork,
+        )
+
+        net = SimulatedNetwork()
+        server = Server(
+            net,
+            SchedulerConfig(scheduler="locking", deadlock="wound-wait"),
+            initial={"a": 0, "b": 0},
+        )
+        old, mid, young, last = (
+            Client(net, name=n) for n in ("old", "mid", "young", "last")
+        )
+        t_old, t_mid, t_young, _ = (c.begin() for c in (old, mid, young, last))
+        old.write("a", 1)
+        young.write("b", 3)
+        # Younger waits for older: young parks behind old, last behind young.
+        p_young = young.submit("write", obj="a", value=33)
+        p_last = last.submit("write", obj="b", value=4)
+        while net.step():
+            pass
+        assert server.parked() == {"young": [t_old], "last": [t_young]}
+        # mid is older than young: it wounds young and takes b at once.
+        mid.write("b", 2)
+        while net.step():
+            pass
+        assert p_young.poll() and p_young.attempts == 1
+        with pytest.raises(ServiceAborted, match=f"wounded by older T{t_mid}"):
+            p_young.result()
+        # last ran again when young ended and now waits behind the wounder.
+        assert not p_last.poll()
+        assert server.parked() == {"last": [t_mid]}
+        mid.commit()
+        while net.step():
+            pass
+        assert p_last.poll() and p_last.result()["ok"] and p_last.attempts == 1
