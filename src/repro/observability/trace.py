@@ -252,15 +252,11 @@ class Tracer:
         """Re-enter an open ``stack=False`` span: inside the block, spans
         and events without an explicit parent nest under it (work resumed
         on behalf of a span that was opened earlier, elsewhere)."""
-        stack = self._stack
-        stack.append(span.id)
+        self._stack.append(span.id)
         try:
             yield span
         finally:
-            if stack[-1] == span.id:
-                stack.pop()
-            else:  # an interleaved stacked span is still open above it
-                stack.remove(span.id)
+            self._stack.remove(span.id)  # wherever interleaving left it
 
     def event(
         self,

@@ -381,11 +381,10 @@ class Server:
             reply = self._handle(request, None, src)
         else:
             ctx = request.get("trace")
+            attrs = self._request_attrs(request)
+            attrs["verb"] = request["kind"]
             with self.tracer.span(
-                "server.handle",
-                parent=ctx.get("span") if ctx else None,
-                verb=request["kind"],
-                **self._request_attrs(request),
+                "server.handle", parent=ctx.get("span") if ctx else None, **attrs
             ) as span:
                 reply = self._handle(request, span, src)
                 span.attrs.setdefault("outcome", reply.get("error", "ok"))
@@ -437,6 +436,7 @@ class Server:
             if span is not None:
                 span.set(outcome="dedup-hit")
             return cached
+        answered = sess.last_rid
         park = self._parked.get(session_id)
         if park is not None:
             parked_rid = park.request["rid"]
@@ -450,14 +450,15 @@ class Server:
             if rid > parked_rid:
                 # The client walked away from the request it had parked.
                 self._unpark(session_id, "abandoned")
-        if (
-            rid <= sess.last_rid or (park is not None and rid < parked_rid)
-        ) and kind not in self._replayable_kinds:
+            else:
+                answered = parked_rid  # older than what is in flight
+        if rid <= answered and kind not in self._replayable_kinds:
             # A late duplicate of a request that already got its final
-            # reply (cache since pruned): never re-execute it.  Replayable
-            # kinds (a cluster's 2PC verbs, idempotent by construction) are
-            # exempt: their session multiplexes concurrent transactions, so
-            # rids do not arrive in order and "old" is not "answered".
+            # reply (cache since pruned) or was given up on: never
+            # re-execute it.  Replayable kinds (a cluster's 2PC verbs,
+            # idempotent by construction) are exempt: their session
+            # multiplexes concurrent transactions, so rids do not arrive in
+            # order and "old" is not "answered".
             self.counters["dedup_hits"] += 1
             if span is not None:
                 span.set(outcome="stale")
@@ -606,13 +607,13 @@ class Server:
         span = None
         if self.tracer is not None:
             ctx = request.get("trace")
+            attrs = self._request_attrs(request)
+            attrs.update(tid=tid, holders=sorted(holders))
             span = self.tracer.span(
                 "server.wait",
                 parent=ctx.get("span") if ctx else None,
                 stack=False,
-                tid=tid,
-                holders=sorted(holders),
-                **self._request_attrs(request),
+                **attrs,
             )
         self._parked[session_id] = _Park(
             request, src, tid, holders, self.network.now, span

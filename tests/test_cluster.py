@@ -22,6 +22,8 @@ from repro.service import (
     run_stress,
 )
 
+from .test_service import deliver
+
 FAULTY = NetworkConfig(drop=0.05, duplicate=0.05, min_delay=1, max_delay=4)
 
 
@@ -247,18 +249,10 @@ class TestBatchedVerdictsOutliveTheEndpoint:
         assert cluster.certification_lag == 0
 
 
-def deliver(net, *pendings):
-    """Deliver what is due now, polling the pendings as a driver would
-    (the replication-free clusters below arm no timers, so this ends)."""
-    while net.step():
-        for pending in pendings:
-            pending.poll()
-    return [pending.poll() for pending in pendings]
-
-
 class TestParkedAcrossShards:
     """A transaction ended from another shard's delivery — a cross-shard
-    deadlock victim — and a 2PC decide are wake-ups like any other."""
+    deadlock victim — and a 2PC decide are wake-ups like any other.  (The
+    replication-free clusters here arm no timers, so ``deliver`` ends.)"""
 
     def two_shards(self):
         cluster = connect_cluster(

@@ -73,8 +73,8 @@ VOCABULARY = DATA / "observability_vocabulary.json"
 DOC = Path(__file__).parents[1] / "docs" / "observability.md"
 SEEDS = range(8)
 
-#: The contended closed-loop shape of ``test_stress_golden``: lock waits,
-#: busy retries and deadlock victims on every seed.
+#: The contended closed-loop shape of ``test_stress_golden``: lock waits
+#: (parked requests) and deadlock victims on every seed.
 BASE = dict(scheduler="locking", clients=8, txns_per_client=8, keys=8, ops_per_txn=3)
 DELAYS = dict(min_delay=1, max_delay=3)
 

@@ -49,7 +49,7 @@ SEEDS = range(8)
 
 #: One contended shape for every closed-loop config: 8 clients so poll order
 #: and ``driver_rng.choice(ready)`` have something to decide, few keys so
-#: lock waits, busy retries and deadlock victims are frequent.
+#: lock waits (parked requests) and deadlock victims are frequent.
 BASE = dict(scheduler="locking", clients=8, txns_per_client=8, keys=8, ops_per_txn=3)
 DELAYS = dict(min_delay=1, max_delay=3)
 
@@ -150,8 +150,8 @@ def _read_mix(seed: int):
 
 
 def _zero_delays(seed: int):
-    # Degenerate-but-legal timing: a busy backoff that is due in the tick it
-    # was armed, and a cluster restart due in the tick of its crash.
+    # Degenerate-but-legal timing: a timeout backoff that is due in the tick
+    # it was armed, and a cluster restart due in the tick of its crash.
     return run_stress(StressConfig(
         seed=seed,
         network=NetworkConfig(drop=0.05, min_delay=0, max_delay=2),
