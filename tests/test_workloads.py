@@ -1,8 +1,11 @@
 """Tests for workload generators and scenarios (repro.workloads)."""
 
+import hashlib
+
 import pytest
 
 import repro
+from repro.core.formatting import format_history
 from repro.core.levels import IsolationLevel as L
 from repro.engine import (
     Database,
@@ -145,7 +148,89 @@ class TestDeleteFraction:
         assert any(write.dead for write in history.writes.values())
 
 
+#: ``(keyword arguments, events, sha256 of format_history)`` — generated on
+#: the commit before ``synthetic_history`` stopped rescanning its active
+#: list, so a change to the generator has to make the same draws.
+SYNTHETIC_DIGESTS = [
+    (
+        dict(n_txns=100, seed=0),
+        721,
+        "29f4bf21b2d47188d542754a1c4dcd10668ff1e0c81e407e73964acf6a2c04c0",
+    ),
+    (  # the ladder's checker rungs
+        dict(
+            n_txns=5000,
+            n_objects=500,
+            ops_per_txn=5,
+            stale_read_fraction=0.5,
+            write_fraction=0.6,
+            seed=1,
+        ),
+        35501,
+        "db24b11e2edc638f61ad75cc0844ef0c540343774da7786d1d2a2b7bb186dfcc",
+    ),
+    (
+        dict(
+            n_txns=500,
+            n_objects=50,
+            ops_per_txn=5,
+            stale_read_fraction=0.5,
+            write_fraction=0.6,
+            seed=2,
+        ),
+        3551,
+        "963968aab0a18473c1a45c818dcc99b49eb5df9303009255270759269bee5f90",
+    ),
+    (
+        dict(
+            n_txns=300,
+            n_objects=12,
+            predicate_fraction=0.2,
+            stale_read_fraction=0.3,
+            seed=3,
+        ),
+        2113,
+        "2204e2b3b6606fac5a1a403c8433404895befddf779de79767ec494d7c4376a9",
+    ),
+    (
+        dict(n_txns=400, n_objects=15, abort_fraction=0.3, seed=4),
+        2816,
+        "10075216dcb9db2aff7fd3cf45c5f6adba111f53f3aed4de083daa92cf5af8e2",
+    ),
+    (
+        dict(
+            n_txns=300,
+            n_objects=8,
+            ops_per_txn=7,
+            write_fraction=0.8,
+            abort_fraction=0.15,
+            stale_read_fraction=0.4,
+            predicate_fraction=0.1,
+            seed=5,
+        ),
+        2709,
+        "64128406cb1df3e5e0c386bfef6d3c91fb981308e19f4ab47896bc67a2b22cb3",
+    ),
+    (
+        dict(n_txns=3, n_objects=2, ops_per_txn=1, seed=6),
+        12,
+        "d5f626ab6f9ad876deebd6918482d9625b76f77fb6bfebcbc823e1234d665c39",
+    ),
+]
+
+
 class TestSyntheticHistory:
+    @pytest.mark.parametrize(
+        "kwargs, events, digest",
+        SYNTHETIC_DIGESTS,
+        ids=[f"seed{kwargs['seed']}" for kwargs, _n, _d in SYNTHETIC_DIGESTS],
+    )
+    def test_same_draws_same_events(self, kwargs, events, digest):
+        h = synthetic_history(validate=False, **kwargs)
+        assert len(h.events) == events
+        text = format_history(h)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_validates_by_construction(self):
         h = synthetic_history(n_txns=50, seed=3)
         assert len(h) > 50
