@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import MalformedHistoryError, VersionOrderError
-from .events import Abort, Begin, Commit, Event, PredicateRead, Read, Write
+from .events import Abort, Begin, Event, PredicateRead, Read, Write
 from .interning import (
     EventLog,
     K_ABORT,
@@ -37,6 +37,7 @@ from .interning import (
 )
 from .objects import INIT_TID, Version, VersionKind, relation_of
 from .predicates import Predicate
+from .validation import validate_history
 
 __all__ = ["History"]
 
@@ -76,10 +77,12 @@ class History:
         auto_complete: bool = False,
         validate: bool = True,
     ):
-        evs = tuple(events)
+        self.events: Tuple[Event, ...] = tuple(events)
         if auto_complete:
-            evs = _complete(evs)
-        self.events: Tuple[Event, ...] = evs
+            aborts = _missing_aborts(self.log)
+            if aborts:
+                self.events += aborts
+                del self.log  # rebuilt on first use, over the completed events
         self.default_level = default_level
         self._explicit_order = version_order is not None
         # Per-predicate memoization (keyed by predicate identity, holding a
@@ -87,12 +90,24 @@ class History:
         # change results per version, and per-object changer positions.  A
         # history is immutable, so these never need invalidation.
         self._pred_caches: Dict[int, Tuple[object, Dict, Dict, Dict]] = {}
+        #: Transactions with a commit / an abort event.
+        self.committed: frozenset[int]
+        self.aborted: frozenset[int]
+        #: Every write event indexed by the version it creates.
+        self.writes: Dict[Version, Write]
+        #: ``(obj, tid)`` -> the largest ``seq`` among ``T_tid``'s writes of
+        #: ``obj`` (see :meth:`final_version`).
+        self._final_seq: Dict[Tuple[str, int], int]
+        #: Versions referenced by reads, version sets or a supplied order
+        #: but never written by any event — the paper's implicit initial
+        #: database state (e.g. ``x0`` in ``H_phantom``).  They are installed
+        #: right after the unborn version and treated as visible versions of
+        #: committed transactions.
+        self.setup_versions: frozenset[Version]
         self.version_order: Dict[str, Tuple[Version, ...]] = self._build_order(
             version_order
         )
         if validate:
-            from .validation import validate_history
-
             validate_history(self)
 
     # ------------------------------------------------------------------
@@ -110,78 +125,100 @@ class History:
     ) -> Dict[str, Tuple[Version, ...]]:
         """The version order of every object: the supplied chains, else the
         committed transactions' final writes in event order, each prefixed
-        with the unborn version and the object's setup versions.  One pass
-        over the flat event log (kind codes and interned ids)."""
+        with the unborn version and the object's setup versions.
+
+        One sweep over the flat event log (kind codes and interned ids),
+        which also leaves the tables it has in hand on the history:
+        :attr:`committed`, :attr:`aborted`, :attr:`writes`,
+        :attr:`setup_versions` and the final-write index behind
+        :meth:`final_version` / :meth:`is_final`.
+        """
         log = self.log
         inn = log.interner
-        kind, vids = log.kind, log.vid
+        kind, tids, vids = log.kind, log.tid, log.vid
         versions, objects = inn.versions, inn.objects
         ver_obj, ver_tid, ver_seq = inn.ver_obj, inn.ver_tid, inn.ver_seq
+        version_id = inn.version_id
+        events = self.events
+        commits: List[int] = []
+        aborts: List[int] = []
+        writes: Dict[Version, Write] = {}
+        final_seq: Dict[Tuple[str, int], int] = {}
+        write_rows: List[int] = []  # the vid of every write, in event order
+        # Versions read, or selected by a version set, in first-appearance
+        # order: the candidates for setup versions.
+        observed: Dict[int, None] = {}
+        for i, k in enumerate(kind):
+            if k == K_WRITE:
+                vid = vids[i]
+                writes[versions[vid]] = events[i]
+                write_rows.append(vid)
+                key = (objects[ver_obj[vid]], ver_tid[vid])
+                seq = ver_seq[vid]
+                if seq > final_seq.setdefault(key, seq):
+                    final_seq[key] = seq
+            elif k == K_READ:
+                observed[vids[i]] = None
+            elif k == K_COMMIT:
+                commits.append(tids[i])
+            elif k == K_ABORT:
+                aborts.append(tids[i])
+            elif k == K_PREAD:
+                for v in events[i].vset.versions():
+                    observed[version_id[v]] = None
+        committed = frozenset(commits)
+        self.committed = committed
+        self.aborted = frozenset(aborts)
+        self.writes = writes
+        self._final_seq = final_seq
+
         order: Dict[str, List[Version]] = {}
+        unwritten: List[Version] = []  # in a supplied chain, written by no event
         if supplied is not None:
             for obj, chain_vs in supplied.items():
                 chain: List[Version] = []
                 for v in chain_vs:
-                    if v.is_unborn:
+                    if v.tid == INIT_TID:
                         continue  # the unborn version is implicit
                     if v.obj != obj:
                         raise VersionOrderError(
                             f"version order for {obj!r} contains version of {v.obj!r}"
                         )
+                    if v not in writes:
+                        unwritten.append(v)
                     chain.append(v)
                 order[obj] = chain
-        committed = self.committed
-        # Final write seq per (object, writer): one pass over the write rows.
-        fin: Dict[Tuple[int, int], int] = {}
-        for k, vid in zip(kind, vids):
-            if k == K_WRITE:
-                key = (ver_obj[vid], ver_tid[vid])
-                if ver_seq[vid] > fin.get(key, 0):
-                    fin[key] = ver_seq[vid]
-        supplied_objs = frozenset(supplied) if supplied is not None else frozenset()
-        written = set()
-        for k, vid in zip(kind, vids):
-            if k == K_WRITE:
-                written.add(vid)
-                tid = ver_tid[vid]
-                if tid in committed:
-                    oid = ver_obj[vid]
-                    obj = objects[oid]
-                    if obj in supplied_objs:
-                        continue
-                    if ver_seq[vid] == fin[(oid, tid)]:
-                        order.setdefault(obj, []).append(versions[vid])
+        supplied_objs = frozenset(order)
+        for vid in write_rows:
+            tid = ver_tid[vid]
+            if tid in committed:
+                obj = objects[ver_obj[vid]]
+                if obj not in supplied_objs and ver_seq[vid] == final_seq[(obj, tid)]:
+                    order.setdefault(obj, []).append(versions[vid])
         # Every object mentioned anywhere gets an order entry so lookups are
-        # uniform, and *setup versions* — versions that are read (directly or
-        # in a version set) but never written by any event, representing the
+        # uniform (the interner holds them in first-appearance order), and
+        # *setup versions* — versions that are read (directly or in a
+        # version set) but never written by any event, representing the
         # paper's implicit initial database state (e.g. ``x0`` in
         # ``H_phantom``, or ``y0`` in ``H_pred-read`` where T0 has events but
         # no write of ``y``) — are installed right after the unborn version.
+        for obj in objects:
+            order.setdefault(obj, [])
         setup: Dict[str, List[Version]] = {}
-
-        def note(vid: int) -> None:
+        in_chain: Dict[str, frozenset[Version]] = {}
+        for vid in observed:
             v = versions[vid]
+            if ver_tid[vid] == INIT_TID or v in writes:
+                continue
             obj = objects[ver_obj[vid]]
-            chain = order.setdefault(obj, [])
-            if (
-                ver_tid[vid] != INIT_TID
-                and vid not in written
-                and v not in chain
-                and v not in setup.get(obj, ())
-            ):
-                setup.setdefault(obj, []).append(v)
-
-        version_id = inn.version_id
-        events = self.events
-        for i, k in enumerate(kind):
-            if k == K_READ:
-                order.setdefault(objects[ver_obj[vids[i]]], [])
-                note(vids[i])
-            elif k == K_WRITE:
-                order.setdefault(objects[ver_obj[vids[i]]], [])
-            elif k == K_PREAD:
-                for v in events[i].vset.versions():
-                    note(version_id[v])
+            if obj in supplied_objs:  # only a supplied chain can hold it
+                placed = in_chain.get(obj)
+                if placed is None:
+                    placed = in_chain[obj] = frozenset(order[obj])
+                if v in placed:
+                    continue
+            setup.setdefault(obj, []).append(v)
+        self.setup_versions = frozenset(unwritten).union(*setup.values())
         return {
             obj: (Version.unborn(obj),) + tuple(setup.get(obj, ())) + tuple(chain)
             for obj, chain in order.items()
@@ -195,34 +232,6 @@ class History:
     def tids(self) -> Tuple[int, ...]:
         """All application transaction ids, in order of first appearance."""
         return tuple(dict.fromkeys(self.log.tid))
-
-    @cached_property
-    def committed(self) -> frozenset[int]:
-        log = self.log
-        return frozenset(t for k, t in zip(log.kind, log.tid) if k == K_COMMIT)
-
-    @cached_property
-    def aborted(self) -> frozenset[int]:
-        log = self.log
-        return frozenset(t for k, t in zip(log.kind, log.tid) if k == K_ABORT)
-
-    @cached_property
-    def writes(self) -> Dict[Version, Write]:
-        """Every write event indexed by the version it creates."""
-        return {
-            ev.version: ev
-            for k, ev in zip(self.log.kind, self.events)
-            if k == K_WRITE
-        }
-
-    @cached_property
-    def _final_seq(self) -> Dict[Tuple[str, int], int]:
-        out: Dict[Tuple[str, int], int] = {}
-        for v in self.writes:
-            key = (v.obj, v.tid)
-            if v.seq > out.get(key, 0):
-                out[key] = v.seq
-        return out
 
     def final_version(self, obj: str, tid: int) -> Optional[Version]:
         """``x_i``: the last version of ``obj`` written by ``T_tid``, or
@@ -269,16 +278,6 @@ class History:
     # ------------------------------------------------------------------
     # version attributes
     # ------------------------------------------------------------------
-
-    @cached_property
-    def setup_versions(self) -> frozenset[Version]:
-        """Versions referenced by reads or version sets but never written by
-        any event — the paper's implicit initial database state (e.g. ``x0``
-        in ``H_phantom``).  They are installed right after the unborn version
-        and treated as visible versions of committed transactions."""
-        return frozenset(
-            v for v in self.installed if not v.is_unborn and v not in self.writes
-        )
 
     @cached_property
     def setup_tids(self) -> frozenset[int]:
@@ -567,17 +566,10 @@ class History:
         return f"History({len(self.events)} events, {len(self.tids)} txns)"
 
 
-def _complete(events: Tuple[Event, ...]) -> Tuple[Event, ...]:
-    """Append abort events for transactions without a final commit/abort
-    (Section 4.2's completion rule)."""
+def _missing_aborts(log: EventLog) -> Tuple[Abort, ...]:
+    """Abort events for the transactions without a final commit/abort, in
+    order of first appearance (Section 4.2's completion rule)."""
     finished = {
-        ev.tid for ev in events if isinstance(ev, (Commit, Abort))
+        t for k, t in zip(log.kind, log.tid) if k == K_COMMIT or k == K_ABORT
     }
-    pending = []
-    seen: Dict[int, None] = {}
-    for ev in events:
-        seen.setdefault(ev.tid, None)
-    for tid in seen:
-        if tid not in finished:
-            pending.append(Abort(tid))
-    return events + tuple(pending)
+    return tuple(Abort(t) for t in dict.fromkeys(log.tid) if t not in finished)

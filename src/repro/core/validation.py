@@ -33,15 +33,22 @@ A :class:`~repro.core.history.History` must satisfy:
 ``validate_history`` raises :class:`~repro.exceptions.MalformedHistoryError`
 or :class:`~repro.exceptions.VersionOrderError` with a message naming the
 violated rule.
+
+The cost is linear in the history: E1–E7 are one loop over the flat
+:class:`~repro.core.interning.EventLog` (kind codes and interned ids, no
+event objects unless a message needs one), V1–V2 one walk of the version
+orders, both reading the tables the constructor's sweep left on the history.
+``tests/reference_validation.py`` keeps the rule-by-rule formulation this
+replaced; ``tests/test_validation_differential.py`` holds the two together.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from ..exceptions import MalformedHistoryError, VersionOrderError
-from .events import Abort, Begin, Commit, PredicateRead, Read, Write
-from .objects import Version, VersionKind
+from .interning import K_ABORT, K_BEGIN, K_COMMIT, K_READ, K_WRITE
+from .objects import Version
 
 if TYPE_CHECKING:  # pragma: no cover
     from .history import History
@@ -50,127 +57,153 @@ __all__ = ["validate_history"]
 
 
 def validate_history(history: "History") -> None:
-    """Validate all Section 4.2 constraints; raise on the first violation."""
-    _check_event_structure(history)
-    _check_reads(history)
-    _check_write_numbering(history)
-    _check_dead_usage(history)
-    _check_version_order(history)
+    """Validate all Section 4.2 constraints; raise on the first violation.
+
+    A history that breaks several constraints reports them in a fixed order:
+    transaction structure (E1, E2), then reads (E3, E5), own writes (E4),
+    write numbering (E6), dead usage (E7), and last the version order
+    (V1, V2) — within one of these, the first violation in event order.
+    """
+    log = history.log
+    versions, writes = log.interner.versions, history.writes
+    # The dead versions, by id.  Deletes are rare, so few rows carry the
+    # flag; ``writes`` has the last word (as in ``History.kind_of``) should
+    # a malformed history write one version twice.
+    dead = {
+        vid
+        for k, vid, flag in zip(log.kind, log.vid, log.flag)
+        if flag and k == K_WRITE and writes[versions[vid]].dead
+    }
+    _check_events(history, dead)
+    _check_version_order(history, {versions[vid] for vid in dead})
 
 
 # ----------------------------------------------------------------------
 # event constraints
 # ----------------------------------------------------------------------
 
+#: Report order of the event checks a later event can still outrank (a
+#: structure violation outranks them all and raises where it is met).
+_READS, _OWN_WRITES, _NUMBERING, _DEAD_USAGE, _CLEAN = range(5)
 
-def _check_event_structure(history: "History") -> None:
-    finished: Set[int] = set()
-    started: Set[int] = set()
-    seen: Set[int] = set()
-    for ev in history.events:
-        if ev.tid in finished:
+
+def _check_events(history: "History", dead: Set[int]) -> None:
+    """E1–E7 in one loop over the flat event log.
+
+    Per transaction the loop keeps whether it is live and, per object it
+    wrote, the row of its last write: that row's version is what an own read
+    must observe (E4), its sequence number plus one is what the next write
+    must carry (E6), and its dead flag bars any further operation (E7).
+    """
+    log = history.log
+    inn = log.interner
+    vids, flags = log.vid, log.flag
+    versions, ver_obj, ver_seq = inn.versions, inn.ver_obj, inn.ver_seq
+    version_id = inn.version_id
+    events = history.events
+    setup_ok, aborted = history.setup_versions, history.aborted
+    # tid -> {object id: row of the transaction's last write to it} while the
+    # transaction is live, None once it has committed or aborted.
+    txns: Dict[int, Optional[Dict[int, int]]] = {}
+    unseen: Dict[int, int] = {}
+    written: Set[int] = set()  # version ids written so far
+    # The violation to report unless a higher-ranked one turns up later.
+    rank, message = _CLEAN, ""
+    for i, (k, t) in enumerate(zip(log.kind, log.tid)):
+        own = txns.get(t, unseen)
+        if own is None:
             raise MalformedHistoryError(
-                f"E1: event {ev} follows T{ev.tid}'s commit/abort"
+                f"E1: event {events[i]} follows T{t}'s commit/abort"
             )
-        if isinstance(ev, Begin):
-            if ev.tid in seen:
-                raise MalformedHistoryError(
-                    f"E2: begin of T{ev.tid} is not its first event"
+        if k == K_WRITE:
+            if own is unseen:
+                own = txns[t] = {}
+            vid = vids[i]
+            written.add(vid)
+            oid = ver_obj[vid]
+            last = own.get(oid)
+            own[oid] = i
+            expected = 1
+            if last is not None:
+                expected = ver_seq[vids[last]] + 1
+                if flags[last] and rank > _DEAD_USAGE:
+                    ev = events[i]
+                    rank, message = _DEAD_USAGE, (
+                        f"E7: {ev} operates on {ev.version.obj!r} after "
+                        f"T{t} deleted it"
+                    )
+            if ver_seq[vid] != expected and rank > _NUMBERING:
+                ev = events[i]
+                rank, message = _NUMBERING, (
+                    f"E6: {ev} has sequence {ev.version.seq}, expected {expected} "
+                    f"(T{t}'s writes to {ev.version.obj!r} must be numbered in order)"
                 )
-            if ev.tid in started:
-                raise MalformedHistoryError(f"E2: duplicate begin for T{ev.tid}")
-            started.add(ev.tid)
-        if isinstance(ev, (Commit, Abort)):
-            finished.add(ev.tid)
-        seen.add(ev.tid)
-    unfinished = seen - finished
+        elif k == K_READ:
+            if own is unseen:
+                own = txns[t] = {}
+            vid = vids[i]
+            if rank > _READS:
+                problem = ""
+                if vid not in written:
+                    problem = _unwritten_read(events[i], setup_ok, aborted)
+                elif vid in dead:
+                    problem = f"E5: read of dead version at {events[i]}"
+                if problem:
+                    rank, message = _READS, problem
+            # E7 needs no check here: a read after the transaction's own
+            # delete observes the dead version (E5) or another one (E4).
+            last = own.get(ver_obj[vid])
+            if last is not None and vids[last] != vid and rank > _OWN_WRITES:
+                rank, message = _OWN_WRITES, (
+                    f"E4: {events[i]} must observe the transaction's own "
+                    f"last write {versions[vids[last]]}"
+                )
+        elif k == K_COMMIT or k == K_ABORT:
+            txns[t] = None
+        elif k == K_BEGIN:
+            if own is not unseen:
+                raise MalformedHistoryError(
+                    f"E2: begin of T{t} is not its first event"
+                )
+            txns[t] = {}
+        else:  # a predicate read
+            if own is unseen:
+                txns[t] = {}
+            if rank > _READS:
+                for v in events[i].vset.versions():
+                    if version_id[v] in written or v.is_unborn or v in setup_ok:
+                        continue
+                    rank, message = _READS, (
+                        f"E3: version set of {events[i]} selects {v} before "
+                        "it is written"
+                    )
+                    break
+    unfinished = sorted(t for t, own in txns.items() if own is not None)
     if unfinished:
-        pretty = ", ".join(f"T{t}" for t in sorted(unfinished))
+        pretty = ", ".join(f"T{t}" for t in unfinished)
         raise MalformedHistoryError(
             f"E1: history is not complete — {pretty} never commit or abort "
             "(pass auto_complete=True to append aborts)"
         )
+    if message:
+        raise MalformedHistoryError(message)
 
 
-def _check_reads(history: "History") -> None:
-    written: Set[Version] = set()
-    setup_ok = history.setup_versions
-    for i, ev in enumerate(history.events):
-        if isinstance(ev, Write):
-            written.add(ev.version)
-            continue
-        if isinstance(ev, Read):
-            v = ev.version
-            if v.is_unborn:
-                raise MalformedHistoryError(f"E5: read of unborn version at {ev}")
-            if v not in written:
-                if v not in setup_ok:
-                    raise MalformedHistoryError(
-                        f"E3: {ev} reads version {v} before it is written"
-                    )
-                if v.tid in history.aborted:
-                    raise MalformedHistoryError(
-                        f"E3: {ev} reads setup version {v} attributed to an "
-                        "aborted transaction"
-                    )
-            elif history.kind_of(v) is VersionKind.DEAD:
-                raise MalformedHistoryError(f"E5: read of dead version at {ev}")
-        elif isinstance(ev, PredicateRead):
-            for v in ev.vset.versions():
-                if v.is_unborn or v in setup_ok:
-                    continue
-                if v not in written:
-                    raise MalformedHistoryError(
-                        f"E3: version set of {ev} selects {v} before it is written"
-                    )
-    _check_read_own_writes(history)
-
-
-def _check_read_own_writes(history: "History") -> None:
-    # Last own write per (tid, obj) as the scan proceeds.
-    last_own: Dict[Tuple[int, str], Version] = {}
-    for ev in history.events:
-        if isinstance(ev, Write):
-            last_own[(ev.tid, ev.version.obj)] = ev.version
-        elif isinstance(ev, Read):
-            own = last_own.get((ev.tid, ev.version.obj))
-            if own is not None and ev.version != own:
-                raise MalformedHistoryError(
-                    f"E4: {ev} must observe the transaction's own last write {own}"
-                )
-
-
-def _check_write_numbering(history: "History") -> None:
-    counters: Dict[Tuple[int, str], int] = {}
-    for ev in history.events:
-        if not isinstance(ev, Write):
-            continue
-        key = (ev.tid, ev.version.obj)
-        expected = counters.get(key, 0) + 1
-        if ev.version.seq != expected:
-            raise MalformedHistoryError(
-                f"E6: {ev} has sequence {ev.version.seq}, expected {expected} "
-                f"(T{ev.tid}'s writes to {ev.version.obj!r} must be numbered in order)"
-            )
-        counters[key] = expected
-
-
-def _check_dead_usage(history: "History") -> None:
-    deleted: Set[Tuple[int, str]] = set()
-    for ev in history.events:
-        if isinstance(ev, Write):
-            key = (ev.tid, ev.version.obj)
-            if key in deleted:
-                raise MalformedHistoryError(
-                    f"E7: {ev} operates on {ev.version.obj!r} after T{ev.tid} deleted it"
-                )
-            if ev.dead:
-                deleted.add(key)
-        elif isinstance(ev, Read):
-            if (ev.tid, ev.version.obj) in deleted:
-                raise MalformedHistoryError(
-                    f"E7: {ev} reads {ev.version.obj!r} after T{ev.tid} deleted it"
-                )
+def _unwritten_read(ev, setup_ok, aborted) -> str:
+    """What is wrong with an item read of a version no earlier event wrote
+    (empty if nothing is: a setup version of a transaction that did not
+    abort)."""
+    v = ev.version
+    if v.is_unborn:
+        return f"E5: read of unborn version at {ev}"
+    if v not in setup_ok:
+        return f"E3: {ev} reads version {v} before it is written"
+    if v.tid in aborted:
+        return (
+            f"E3: {ev} reads setup version {v} attributed to an "
+            "aborted transaction"
+        )
+    return ""
 
 
 # ----------------------------------------------------------------------
@@ -178,50 +211,54 @@ def _check_dead_usage(history: "History") -> None:
 # ----------------------------------------------------------------------
 
 
-def _check_version_order(history: "History") -> None:
-    setup = history.setup_versions
+def _check_version_order(history: "History", dead: Set[Version]) -> None:
+    setup, final_seq = history.setup_versions, history._final_seq
+    committed, aborted = history.committed, history.aborted
+    # How many versions of committed transactions each order must hold: one
+    # per (object, committed writer), its final one.
+    due: Dict[str, int] = {}
+    for obj, tid in final_seq:
+        if tid in committed:
+            due[obj] = due.get(obj, 0) + 1
     for obj, chain in history.version_order.items():
         assert chain[0].is_unborn  # by construction
         seen: Set[Version] = set()
         dead_seen = False
-        for v in chain[1:]:
-            if v in seen:
-                raise VersionOrderError(f"V2: duplicate version {v} in order of {obj!r}")
+        finals = 0
+        for n, v in enumerate(chain[1:], 1):
             seen.add(v)
-            if v in setup:
-                if v.tid in history.aborted:
+            if len(seen) < n:
+                raise VersionOrderError(f"V2: duplicate version {v} in order of {obj!r}")
+            if setup and v in setup:
+                if v.tid in aborted:
                     raise VersionOrderError(
                         f"V2: setup version {v} attributed to aborted T{v.tid}"
                     )
-                kind = VersionKind.VISIBLE
             else:
-                write = history.writes.get(v)
-                if write is None:
-                    raise VersionOrderError(
-                        f"V2: version order of {obj!r} contains {v}, which is "
-                        "never written"
-                    )
-                if v.tid not in history.committed:
+                if v.tid not in committed:
                     raise VersionOrderError(
                         f"V2: version order of {obj!r} contains {v} of an "
                         "uncommitted or aborted transaction"
                     )
-                if not history.is_final(v):
+                if final_seq[(obj, v.tid)] != v.seq:
                     raise VersionOrderError(
                         f"V2: version order of {obj!r} contains intermediate "
                         f"version {v}; only final versions are installed"
                     )
-                kind = VersionKind.DEAD if write.dead else VersionKind.VISIBLE
+                finals += 1
             if dead_seen:
                 raise VersionOrderError(
                     f"V1: version order of {obj!r} places {v} after a dead version"
                 )
-            if kind is VersionKind.DEAD:
+            if dead and v in dead:
                 dead_seen = True
-        # every committed final write must be installed
-        for tid in history.committed:
-            final = history.final_version(obj, tid)
-            if final is not None and final not in seen:
-                raise VersionOrderError(
-                    f"V2: committed version {final} missing from version order of {obj!r}"
-                )
+        # Every committed final write must be installed.  The versions
+        # counted above are distinct final versions of ``obj``, so only an
+        # order that holds too few can be missing one.
+        if finals < due.get(obj, 0):
+            for tid in committed:
+                final = history.final_version(obj, tid)
+                if final is not None and final not in seen:
+                    raise VersionOrderError(
+                        f"V2: committed version {final} missing from version order of {obj!r}"
+                    )
