@@ -226,9 +226,12 @@ def synthetic_history(
             active.append(txn)
             events.append(Begin(txn.tid))
             continue
-        txn = rng.choice(active)
+        # The same draw as ``rng.choice(active)``, keeping the index so a
+        # finished transaction leaves the list without a scan for it.
+        at = rng.randrange(len(active))
+        txn = active[at]
         if txn.remaining <= 0:
-            active.remove(txn)
+            active.pop(at)
             if rng.random() < abort_fraction:
                 events.append(Abort(txn.tid))
             else:
