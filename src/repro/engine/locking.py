@@ -30,9 +30,10 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.levels import IsolationLevel
 from ..core.objects import Version
 from ..core.predicates import Predicate, VersionSet
+from ..exceptions import WouldBlock
 from .locks import LockDuration, LockManager, LockMode
 from .scheduler import PredicateResult, Scheduler
-from .transaction import Transaction, TxnState
+from .transaction import BufferedWrite, Transaction, TxnState
 
 __all__ = ["LockProfile", "PROFILES", "profile_for_level", "LockingScheduler"]
 
@@ -141,8 +142,6 @@ class LockingScheduler(Scheduler):
         only ever waits for *older* transactions, so waits-for edges all
         point at smaller tids and no cycle can form.
         """
-        from ..exceptions import WouldBlock
-
         while True:
             try:
                 attempt()
@@ -313,6 +312,4 @@ class LockingScheduler(Scheduler):
 
 
 def _make_buffered(version: Version, value: Any, dead: bool):
-    from .transaction import BufferedWrite
-
     return BufferedWrite(version, value, dead, -1)
