@@ -106,7 +106,7 @@ def _check_events(history: "History", dead: Set[int]) -> None:
     # transaction is live, None once it has committed or aborted.
     txns: Dict[int, Optional[Dict[int, int]]] = {}
     unseen: Dict[int, int] = {}
-    written: Set[int] = set()  # version ids written so far
+    written = bytearray(len(versions))  # by version id: written so far?
     # The violation to report unless a higher-ranked one turns up later.
     rank, message = _CLEAN, ""
     for i, (k, t) in enumerate(zip(log.kind, log.tid)):
@@ -119,7 +119,7 @@ def _check_events(history: "History", dead: Set[int]) -> None:
             if own is unseen:
                 own = txns[t] = {}
             vid = vids[i]
-            written.add(vid)
+            written[vid] = 1
             oid = ver_obj[vid]
             last = own.get(oid)
             own[oid] = i
@@ -144,7 +144,7 @@ def _check_events(history: "History", dead: Set[int]) -> None:
             vid = vids[i]
             if rank > _READS:
                 problem = ""
-                if vid not in written:
+                if not written[vid]:
                     problem = _unwritten_read(events[i], setup_ok, aborted)
                 elif vid in dead:
                     problem = f"E5: read of dead version at {events[i]}"
@@ -171,7 +171,7 @@ def _check_events(history: "History", dead: Set[int]) -> None:
                 txns[t] = {}
             if rank > _READS:
                 for v in events[i].vset.versions():
-                    if version_id[v] in written or v.is_unborn or v in setup_ok:
+                    if written[version_id[v]] or v.is_unborn or v in setup_ok:
                         continue
                     rank, message = _READS, (
                         f"E3: version set of {events[i]} selects {v} before "
@@ -212,19 +212,20 @@ def _unwritten_read(ev, setup_ok, aborted) -> str:
 
 
 def _check_version_order(history: "History", dead: Set[Version]) -> None:
-    setup, final_seq = history.setup_versions, history._final_seq
-    committed, aborted = history.committed, history.aborted
-    # How many versions of committed transactions each order must hold: one
-    # per (object, committed writer), its final one.
-    due: Dict[str, int] = {}
-    for obj, tid in final_seq:
+    setup, aborted = history.setup_versions, history.aborted
+    committed = history.committed
+    # What each order must hold besides setup versions: per object, the
+    # final sequence number of every committed transaction that wrote it.
+    finals: Dict[str, Dict[int, int]] = {}
+    for (obj, tid), seq in history._final_seq.items():
         if tid in committed:
-            due[obj] = due.get(obj, 0) + 1
+            finals.setdefault(obj, {})[tid] = seq
     for obj, chain in history.version_order.items():
         assert chain[0].is_unborn  # by construction
+        due = finals.get(obj, {})
         seen: Set[Version] = set()
         dead_seen = False
-        finals = 0
+        installed = 0
         for n, v in enumerate(chain[1:], 1):
             seen.add(v)
             if len(seen) < n:
@@ -235,17 +236,18 @@ def _check_version_order(history: "History", dead: Set[Version]) -> None:
                         f"V2: setup version {v} attributed to aborted T{v.tid}"
                     )
             else:
-                if v.tid not in committed:
+                seq = due.get(v.tid)
+                if seq is None:
                     raise VersionOrderError(
                         f"V2: version order of {obj!r} contains {v} of an "
                         "uncommitted or aborted transaction"
                     )
-                if final_seq[(obj, v.tid)] != v.seq:
+                if seq != v.seq:
                     raise VersionOrderError(
                         f"V2: version order of {obj!r} contains intermediate "
                         f"version {v}; only final versions are installed"
                     )
-                finals += 1
+                installed += 1
             if dead_seen:
                 raise VersionOrderError(
                     f"V1: version order of {obj!r} places {v} after a dead version"
@@ -253,12 +255,12 @@ def _check_version_order(history: "History", dead: Set[Version]) -> None:
             if dead and v in dead:
                 dead_seen = True
         # Every committed final write must be installed.  The versions
-        # counted above are distinct final versions of ``obj``, so only an
-        # order that holds too few can be missing one.
-        if finals < due.get(obj, 0):
-            for tid in committed:
-                final = history.final_version(obj, tid)
-                if final is not None and final not in seen:
+        # counted above are distinct and each is some due writer's final
+        # one, so only an order that holds too few can be missing one.
+        if installed < len(due):
+            for tid in committed:  # this order picks the one reported
+                if tid in due and Version(obj, tid, due[tid]) not in seen:
                     raise VersionOrderError(
-                        f"V2: committed version {final} missing from version order of {obj!r}"
+                        f"V2: committed version {Version(obj, tid, due[tid])} "
+                        f"missing from version order of {obj!r}"
                     )
