@@ -259,8 +259,10 @@ def _check_version_order(history: "History", dead: Set[Version]) -> None:
         # one, so only an order that holds too few can be missing one.
         if installed < len(due):
             for tid in committed:  # this order picks the one reported
-                if tid in due and Version(obj, tid, due[tid]) not in seen:
+                if tid not in due:
+                    continue
+                final = Version(obj, tid, due[tid])
+                if final not in seen:
                     raise VersionOrderError(
-                        f"V2: committed version {Version(obj, tid, due[tid])} "
-                        f"missing from version order of {obj!r}"
+                        f"V2: committed version {final} missing from version order of {obj!r}"
                     )

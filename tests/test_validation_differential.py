@@ -505,60 +505,50 @@ def test_base_history_is_accepted_alike(name):
     assert agree(base(name)) is None
 
 
-#: One message prefix per rule (and per way of breaking it) the validator
-#: words differently; the mutants together must reach every one.  Three of
-#: the reference's messages no history reaches, and the validator leaves
-#: them out: E2 "duplicate begin" (a second begin is never a first event),
-#: V2 "never written" (an unwritten version in an order is a setup version)
+#: One phrase per rule (and per way of breaking it) the validator words
+#: differently; the mutants together must reach every one.  Three of the
+#: reference's messages no history reaches, and the validator leaves them
+#: out: E2 "duplicate begin" (a second begin is never a first event), V2
+#: "never written" (an unwritten version in an order is a setup version)
 #: and E7 on a read (after its own delete a transaction reads the dead
 #: version, E5, or some other one, E4 — both reported first).
 RULES = (
     "E1: event",
     "E1: history is not complete",
     "E2: begin",
+    "before it is written",  # E3, item read
     "E3: version set of",
+    "attributed to an aborted transaction",  # E3, setup version
+    "E4: ",
     "E5: read of unborn",
     "E5: read of dead",
-    "E4: ",
     "E6: ",
     "E7: ",
     "V1: ",
     "V2: duplicate version",
     "V2: setup version",
+    "of an uncommitted or aborted transaction",  # V2
+    "contains intermediate version",  # V2
     "V2: committed version",
-    "version order for",
-)
-#: Worded with the event first, so matched by what follows it.
-RULE_PHRASES = (
-    "before it is written",
-    "attributed to an aborted transaction",
-    "of an uncommitted or aborted transaction",
-    "contains intermediate version",
+    "version order for",  # a chain naming another object's version
 )
 
-_seen_messages: List[str] = []
 
-
-@pytest.mark.parametrize("name", BASES)
-def test_mutants_are_judged_alike(name):
-    for faults, case in mutants(name, base(name)):
-        try:
-            message = agree(case)
-        except AssertionError as exc:
-            raise AssertionError(f"{name}: mutant [{faults}] is judged apart") from exc
-        if message is not None:
-            _seen_messages.append(message)
-
-
-def test_the_mutants_reach_every_rule():
-    """Runs after the mutant tests (file order): together they must have
-    been rejected under every rule, and accepted often enough to compare
-    orders of histories that differ from their base."""
-    if len(_seen_messages) < len(BASES):  # a -k selection ran a few only
-        pytest.skip("needs the whole mutant corpus")
-    for prefix in RULES:
-        assert any(m.startswith(prefix) for m in _seen_messages), prefix
-    for phrase in RULE_PHRASES:
-        assert any(phrase in m for m in _seen_messages), phrase
+def test_mutants_are_judged_alike_and_reach_every_rule():
+    messages: List[str] = []
+    for name in BASES:
+        for faults, case in mutants(name, base(name)):
+            try:
+                message = agree(case)
+            except AssertionError as exc:
+                raise AssertionError(
+                    f"{name}: mutant [{faults}] is judged apart"
+                ) from exc
+            if message is not None:
+                messages.append(message)
+    for rule in RULES:
+        assert any(rule in message for message in messages), rule
+    # ... and enough mutants are still well-formed to compare the orders of
+    # histories that differ from their base.
     total = 2 * MUTANTS * len(BASES)
-    assert total // 4 < len(_seen_messages) < total
+    assert total // 4 < len(messages) < total
