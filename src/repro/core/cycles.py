@@ -1,0 +1,273 @@
+"""Cycle verdicts over the nested views of one DSG.
+
+The paper states G0, G1c, G2-item and G2 as cycles over four subsets of the
+same edge set, and the subsets nest::
+
+    full  ⊇  item (no predicate rw)  ⊇  dependency (ww + wr)  ⊇  write (ww)
+     G2        G2-item                    G1c                     G0
+
+:class:`ViewChain` takes flavoured edges in and gives those four verdicts
+out.  :data:`_DEPTH` is the one statement of which flavour belongs to which
+views; the feed, the removal, the replay and the SCC pass all index it.
+
+A subgraph of an acyclic graph is acyclic, so only one view is ever
+maintained: the *live* one, the largest that has not closed a cycle yet, as
+a :class:`_CycleMonitor` (a Pearce–Kelly dynamic topological order).  Every
+larger view is latched cyclic, every smaller one is trivially acyclic.
+When the live view closes its first cycle the next smaller view is brought
+live by replaying the accumulated edge set once, and so on down the chain:
+a workload pays for one Pearce–Kelly structure at a time, and a latched
+view costs nothing.
+
+G0 and G1c are "the view has a cycle".  G2 and G2-item also need the cycle
+to thread an anti-dependency edge — an edge of the view that is not in the
+dependency view.  While the dependency view is acyclic no cycle consists of
+ww/wr edges alone, so a latched full (resp. item) view *is* the verdict, in
+O(1).  Only once G1c is itself present can the view's cycle be a pure
+dependency cycle, and the question goes to an SCC pass
+(:func:`repro.core.graph.component_index` over bare arcs), one per edge
+generation until the verdict turns True.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+
+from . import graph as _g
+from .phenomena import Phenomenon
+
+__all__ = ["ViewChain", "WW", "WR", "RW"]
+
+#: Edge kind codes (``kind`` below, and field 2 of an edge key).
+WW, WR, RW = 0, 1, 2
+
+#: The views, largest first; a view's index is its depth in the chain.
+FULL, ITEM, DEPENDENCY, WRITE = range(4)
+
+#: ``_DEPTH[kind][predicate?]``: an edge of that flavour belongs to views
+#: ``0..depth``.
+_DEPTH: Tuple[Tuple[int, int], ...] = (
+    (WRITE, WRITE),  # ww
+    (DEPENDENCY, DEPENDENCY),  # wr, item and predicate
+    (ITEM, FULL),  # rw: a predicate anti-dependency is in the full view only
+)
+
+#: The view each cycle phenomenon is a cycle of.
+_VIEW_OF: Dict[Phenomenon, int] = {
+    Phenomenon.G2: FULL,
+    Phenomenon.G2_ITEM: ITEM,
+    Phenomenon.G1C: DEPENDENCY,
+    Phenomenon.G0: WRITE,
+}
+
+
+class _Arc(NamedTuple):
+    """The ends of an edge key: all :mod:`repro.core.graph` reads."""
+
+    src: int
+    dst: int
+
+
+class _CycleMonitor:
+    """Incremental cycle detection over one graph.
+
+    Maintains a topological order of the collapsed transaction graph with
+    the Pearce–Kelly dynamic algorithm: inserting an edge that already
+    respects the order costs O(1) (the overwhelmingly common case — DSG
+    edges mostly point from older commits to newer ones), and a violating
+    insert reorders only the affected region between the two endpoints'
+    ranks.  :meth:`add` returns True for the insert that closes a cycle;
+    the order is not maintained past that point and the monitor is done.
+    """
+
+    __slots__ = ("order", "_next_rank", "fwd", "back", "count")
+
+    def __init__(self) -> None:
+        self.order: Dict[int, int] = {}
+        self._next_rank = 0
+        self.fwd: Dict[int, Set[int]] = {}
+        self.back: Dict[int, Set[int]] = {}
+        self.count: Dict[Tuple[int, int], int] = {}
+
+    def add(self, u: int, v: int) -> bool:
+        if u == v:
+            return False  # a self-loop is a singleton SCC, not a cycle
+        key = (u, v)
+        count = self.count
+        refs = count.get(key)
+        if refs is not None:
+            count[key] = refs + 1
+            return False  # collapsed pair already in the graph
+        count[key] = 1
+        order = self.order
+        rank_u = order.get(u)
+        if rank_u is None:
+            rank_u = order[u] = self._next_rank
+            self._next_rank += 1
+            self.fwd[u] = {v}
+            self.back[u] = set()
+        else:
+            self.fwd[u].add(v)
+        rank_v = order.get(v)
+        if rank_v is None:
+            rank_v = order[v] = self._next_rank
+            self._next_rank += 1
+            self.fwd[v] = set()
+            self.back[v] = {u}
+        else:
+            self.back[v].add(u)
+        return rank_u > rank_v and self._reorder(u, v, rank_u, rank_v)
+
+    def _reorder(self, u: int, v: int, rank_u: int, rank_v: int) -> bool:
+        # Order violated: discover the affected region (Pearce–Kelly).
+        # Forward from v, pruned to ranks below rank(u): in a valid order
+        # any v=>u path stays inside that window, so meeting u here is the
+        # definitive cycle test for the new edge.
+        order, fwd, back = self.order, self.fwd, self.back
+        lower, upper = rank_v, rank_u
+        delta_f: List[int] = []
+        seen = {v}
+        stack = [v]
+        while stack:
+            node = stack.pop()
+            delta_f.append(node)
+            for succ in fwd[node]:
+                if succ == u:
+                    return True
+                if succ not in seen and order[succ] < upper:
+                    seen.add(succ)
+                    stack.append(succ)
+        # Backward from u, pruned to ranks above rank(v).
+        delta_b: List[int] = []
+        seen = {u}
+        stack = [u]
+        while stack:
+            node = stack.pop()
+            delta_b.append(node)
+            for pred in back[node]:
+                if pred not in seen and order[pred] > lower:
+                    seen.add(pred)
+                    stack.append(pred)
+        # Re-rank: the affected nodes permute among their own old ranks —
+        # ancestors of u first, then descendants of v, each group keeping
+        # its relative order.  Nodes outside the region are untouched.
+        delta_b.sort(key=order.__getitem__)
+        delta_f.sort(key=order.__getitem__)
+        moved = delta_b + delta_f
+        for rank, node in zip(sorted(order[n] for n in moved), moved):
+            order[node] = rank
+        return False
+
+    def remove(self, u: int, v: int) -> None:
+        if u == v:
+            return
+        refs = self.count[(u, v)] - 1
+        if refs:
+            self.count[(u, v)] = refs
+        else:
+            del self.count[(u, v)]
+            self.fwd[u].discard(v)
+            self.back[v].discard(u)
+
+
+class ViewChain:
+    """G0 / G1c / G2-item / G2 presence over a growing set of flavoured edges.
+
+    ``edges`` is the owner's edge store, held by reference: a dict (insertion
+    ordered) keyed by ``(src, dst, kind, oid, vid, pid)`` tuples, of which
+    only ``src``, ``dst``, ``kind`` and ``pid`` (0 = no predicate) are read
+    here.  The owner inserts a key *before* calling :meth:`add` and deletes
+    it before calling :meth:`remove`; the replay on a latch and the SCC pass
+    iterate the store itself.
+
+    Verdicts are permanent.  That is sound for a growing edge set, and for
+    the one removal the online analysis performs — a version-chain repair,
+    which replaces edges with transitive refinements (a mid-chain insert
+    turns ``u->w`` into ``u->v, v->w``) and so can reroute a cycle but never
+    break the last one.  :meth:`remove` is correct for removals of that
+    shape only: it keeps the live view's monitor exact and never re-opens a
+    latched view.
+    """
+
+    __slots__ = ("_edges", "_metrics", "_live", "_monitor", "generation", "_passes")
+
+    def __init__(self, edges: Dict[tuple, bool], metrics: Optional[object] = None):
+        self._edges = edges
+        self._metrics = metrics
+        #: Depth of the live view: views above it are latched cyclic, it and
+        #: the views below are acyclic.  ``len(_VIEW_OF)`` = all latched.
+        self._live = FULL
+        self._monitor: Optional[_CycleMonitor] = _CycleMonitor()
+        #: Bumped on every add/remove; SCC pass answers are cached against it.
+        self.generation = 0
+        self._passes: Dict[int, Tuple[int, bool]] = {}  # view -> (generation, present)
+
+    def add(self, u: int, v: int, kind: int, pid: int) -> None:
+        self.generation += 1
+        if _DEPTH[kind][pid != 0] >= self._live and self._monitor.add(u, v):
+            self._latch()
+
+    def remove(self, u: int, v: int, kind: int, pid: int) -> None:
+        self.generation += 1
+        if _DEPTH[kind][pid != 0] >= self._live:
+            self._monitor.remove(u, v)
+
+    def _latch(self) -> None:
+        """The live view closed its first cycle: bring the next smaller
+        view live by replaying the accumulated edge set once (cascading
+        further if the replay itself closes a cycle)."""
+        while True:
+            self._live = live = self._live + 1
+            if live == len(_VIEW_OF):
+                self._monitor = None
+                return
+            monitor = self._monitor = _CycleMonitor()
+            add = monitor.add
+            for src, dst, kind, _oid, _vid, pid in self._edges:
+                if _DEPTH[kind][pid != 0] >= live and add(src, dst):
+                    break
+            else:
+                return
+
+    def present(self, phenomenon: Phenomenon) -> bool:
+        """Presence of ``phenomenon`` (G0, G1c, G2-item or G2) over the
+        edges added so far."""
+        view = _VIEW_OF[phenomenon]
+        if view >= self._live:
+            return False
+        if view >= DEPENDENCY or self._live <= DEPENDENCY:
+            return True
+        cached = self._passes.get(view)
+        if cached is not None and cached[0] == self.generation:
+            return cached[1]
+        if self._metrics is not None:
+            self._metrics.counter(
+                "incremental_scc_fallbacks_total",
+                "SCC passes run for G2/G2-item while G1c is present",
+            ).inc(phenomenon=str(phenomenon))
+        return self._anti_pass(view)
+
+    def _anti_pass(self, view: int) -> bool:
+        """One SCC pass over the edge keys — ``(src, dst)`` arcs, no
+        :class:`Edge` objects: does an anti-dependency edge of ``view`` lie
+        inside a component of it?  Without an edge that separates them the
+        full and item views coincide and the answer is recorded for both."""
+        arcs: List[_Arc] = []
+        anti: List[_Arc] = []
+        coincide = True
+        for src, dst, kind, _oid, _vid, pid in self._edges:
+            depth = _DEPTH[kind][pid != 0]
+            if depth < ITEM:
+                coincide = False
+            if depth < view:
+                continue
+            arc = _Arc(src, dst)
+            if depth < DEPENDENCY:
+                anti.append(arc)
+            arcs.append(arc)
+        comp = _g.component_index(_g.adjacency(arcs))
+        present = any(comp[arc.src] == comp[arc.dst] for arc in anti)
+        answer = (self.generation, present)
+        for same in (FULL, ITEM) if coincide else (view,):
+            self._passes[same] = answer
+        return present

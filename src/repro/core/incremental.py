@@ -10,19 +10,14 @@ maintains, between events, everything the batch checker derives from a full
   item and predicate flavours — keyed for O(1) dedup and cursor-flag merge;
 * the G1a/G1b witness sets.
 
-G0/G1/G2 queries are then O(1) in the steady state: each cycle phenomenon
-has a :class:`_CycleMonitor` — a Pearce–Kelly dynamic topological order
-over its filtered edge set — that detects the cycle at the *edge insert*
-that closes it, and presence is monotone over a growing history so a
-positive verdict is cached permanently.  The anti-dependency phenomena
-(G2/G2-item) read the same monitors: a cycle in their view while the
-ww+wr view is still acyclic threads an anti-dependency edge by
-definition.  Only once G1c is itself present do they fall back to an SCC
-pass (:func:`repro.core.graph.component_index` over the interned edge
-keys), one per edge generation until the verdict latches.  Appending one
-transaction and re-querying therefore costs amortised
-O(new edges), not O(history) — the asymptotic gap
-``bench_scaling_incremental`` pins.
+G0/G1/G2 queries are then O(1) in the steady state: every new edge is
+handed, with its flavour, to a :class:`~repro.core.cycles.ViewChain`, which
+detects each cycle phenomenon at the *edge insert* that closes it (see
+:mod:`repro.core.cycles` for the nested views and the one monitor that is
+live at a time), and presence is monotone over a growing history so a
+positive verdict is cached permanently.  Appending one transaction and
+re-querying therefore costs amortised O(new edges), not O(history) — the
+asymptotic gap ``bench_scaling_incremental`` pins.
 
 Interned hot path
 -----------------
@@ -35,21 +30,8 @@ traffic instead of dataclass hashing.  :class:`~repro.core.conflicts.Edge`
 objects are materialised lazily (the :attr:`edges` property and reports);
 verdicts are unchanged.
 
-There are four cycle monitors, but their views nest — ww ⊆ ww+wr ⊆
-item-only ⊆ full — and a subgraph of an acyclic graph is acyclic, so only
-the first *non-latched* monitor in that chain (the frontier) is actually
-maintained.  While the full view is acyclic it alone runs; when it latches
-its first cycle the next monitor is brought live by replaying the
-accumulated edge set once, and so on down the chain.  Workloads therefore
-pay for one Pearce–Kelly structure at a time instead of four, and latched
-monitors stop doing any maintenance at all.
-
-:meth:`add_all` is a true batch path: events are consumed through an
-inlined type-dispatched loop and the chunk's Pearce–Kelly insertions are
-buffered and applied in bulk (:meth:`_CycleMonitor.add_many`), amortising
-the per-edge bookkeeping; any structural repair or per-event ``watch``
-probe flushes the buffer first, so the final state is identical to feeding
-events one at a time.
+:meth:`add` is the one way in; :meth:`add_all` is ``add`` in a loop,
+returning the analysis so a constructor call can be chained.
 
 Edges are *activated* lazily: a conflict materialises only once both
 endpoint transactions have committed, mirroring the batch extractors'
@@ -91,15 +73,14 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
 )
 
-from . import graph as _g
 from .conflicts import DepKind, Edge, PredicateDepMode
+from .cycles import RW as _KA, WR as _KR, WW as _KW, ViewChain
 from .events import Abort, Begin, Commit, Event, PredicateRead, Read, Write
 from .interning import Interner
 from .levels import ANSI_CHAIN, IsolationLevel
@@ -128,20 +109,13 @@ _CORE_PROSCRIBED: Dict[IsolationLevel, Tuple[Phenomenon, ...]] = {
     if all(p in CORE_PHENOMENA for p in level.proscribed)
 }
 
-#: Edge kind codes used in interned edge keys (indexes into ``_KINDS``).
-_KW, _KR, _KA = 0, 1, 2  # ww, wr, rw
+#: Edge kind codes ``_KW``/``_KR``/``_KA`` (ww, wr, rw), as used in interned
+#: edge keys, index into ``_KINDS``.
 _KINDS: Tuple[DepKind, ...] = (DepKind.WW, DepKind.WR, DepKind.RW)
 
 #: Interned edge key: (src, dst, kind code, oid, vid, pid) — pid 0 = no
 #: predicate.  The dict value is the cursor flag.
 _IKey = Tuple[int, int, int, int, int, int]
-
-
-class _Arc(NamedTuple):
-    """The ends of an interned edge key: all :mod:`repro.core.graph` reads."""
-
-    src: int
-    dst: int
 
 
 class _PreadRec:
@@ -154,165 +128,6 @@ class _PreadRec:
         self.predicate = predicate
         self.vset = vset
         self.committed = False
-
-
-class _CycleMonitor:
-    """Incremental cycle detection over one filtered view of the DSG.
-
-    Maintains a topological order of the collapsed transaction graph with
-    the Pearce–Kelly dynamic algorithm: inserting an edge that already
-    respects the order costs O(1) (the overwhelmingly common case — DSG
-    edges mostly point from older commits to newer ones), and a violating
-    insert reorders only the affected region between the two endpoints'
-    ranks.  The first insert that closes a cycle latches :attr:`has_cycle`.
-
-    The latch is permanent because cycle presence in every view we monitor
-    is monotone over a growing history: chain repairs replace edges with
-    transitive refinements (a mid-chain insert turns ``u->w`` into
-    ``u->v, v->w``), so a repair can reroute a cycle but never break the
-    last one.  Removals therefore only decrement the pair refcounts; they
-    never re-open the latch — which makes every subsequent presence query
-    O(1).  For the same reason a latched monitor stops maintaining its
-    order and adjacency outright: nothing downstream reads them once the
-    verdict is permanently True.
-    """
-
-    __slots__ = ("order", "_next_rank", "fwd", "back", "count", "has_cycle")
-
-    def __init__(self) -> None:
-        self.order: Dict[int, int] = {}
-        self._next_rank = 0
-        self.fwd: Dict[int, Set[int]] = {}
-        self.back: Dict[int, Set[int]] = {}
-        self.count: Dict[Tuple[int, int], int] = {}
-        self.has_cycle = False
-
-    def add(self, u: int, v: int) -> None:
-        if u == v or self.has_cycle:
-            return  # a self-loop is a singleton SCC, not a cycle
-        key = (u, v)
-        count = self.count
-        refs = count.get(key)
-        if refs is not None:
-            count[key] = refs + 1
-            return  # collapsed pair already in the graph
-        count[key] = 1
-        order = self.order
-        rank_u = order.get(u)
-        if rank_u is None:
-            rank_u = order[u] = self._next_rank
-            self._next_rank += 1
-            self.fwd[u] = {v}
-            self.back[u] = set()
-        else:
-            self.fwd[u].add(v)
-        rank_v = order.get(v)
-        if rank_v is None:
-            rank_v = order[v] = self._next_rank
-            self._next_rank += 1
-            self.fwd[v] = set()
-            self.back[v] = {u}
-        else:
-            self.back[v].add(u)
-        if rank_u > rank_v:
-            self._reorder(u, v, rank_u, rank_v)
-
-    def add_many(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Bulk insert of collapsed pairs — one locals-hoisted pass, with
-        the Pearce–Kelly reorder firing only on order-violating inserts."""
-        if self.has_cycle:
-            return
-        count = self.count
-        order = self.order
-        fwd = self.fwd
-        back = self.back
-        count_get = count.get
-        order_get = order.get
-        next_rank = self._next_rank
-        for pair in pairs:
-            u, v = pair
-            if u == v:
-                continue
-            refs = count_get(pair)
-            if refs is not None:
-                count[pair] = refs + 1
-                continue
-            count[pair] = 1
-            rank_u = order_get(u)
-            if rank_u is None:
-                rank_u = order[u] = next_rank
-                next_rank += 1
-                fwd[u] = {v}
-                back[u] = set()
-            else:
-                fwd[u].add(v)
-            rank_v = order_get(v)
-            if rank_v is None:
-                rank_v = order[v] = next_rank
-                next_rank += 1
-                fwd[v] = set()
-                back[v] = {u}
-            else:
-                back[v].add(u)
-            if rank_u > rank_v:
-                self._next_rank = next_rank
-                self._reorder(u, v, rank_u, rank_v)
-                if self.has_cycle:
-                    return
-                next_rank = self._next_rank
-        self._next_rank = next_rank
-
-    def _reorder(self, u: int, v: int, rank_u: int, rank_v: int) -> None:
-        # Order violated: discover the affected region (Pearce–Kelly).
-        # Forward from v, pruned to ranks below rank(u): in a valid order
-        # any v=>u path stays inside that window, so meeting u here is the
-        # definitive cycle test for the new edge.
-        order, fwd, back = self.order, self.fwd, self.back
-        lower, upper = rank_v, rank_u
-        delta_f: List[int] = []
-        seen = {v}
-        stack = [v]
-        while stack:
-            node = stack.pop()
-            delta_f.append(node)
-            for succ in fwd[node]:
-                if succ == u:
-                    self.has_cycle = True
-                    return
-                if succ not in seen and order[succ] < upper:
-                    seen.add(succ)
-                    stack.append(succ)
-        # Backward from u, pruned to ranks above rank(v).
-        delta_b: List[int] = []
-        seen = {u}
-        stack = [u]
-        while stack:
-            node = stack.pop()
-            delta_b.append(node)
-            for pred in back[node]:
-                if pred not in seen and order[pred] > lower:
-                    seen.add(pred)
-                    stack.append(pred)
-        # Re-rank: the affected nodes permute among their own old ranks —
-        # ancestors of u first, then descendants of v, each group keeping
-        # its relative order.  Nodes outside the region are untouched.
-        delta_b.sort(key=order.__getitem__)
-        delta_f.sort(key=order.__getitem__)
-        moved = delta_b + delta_f
-        for rank, node in zip(sorted(order[n] for n in moved), moved):
-            order[node] = rank
-
-    def remove(self, u: int, v: int) -> None:
-        if u == v:
-            return
-        refs = self.count.get((u, v), 0)
-        if refs <= 1:
-            self.count.pop((u, v), None)
-            if refs:
-                self.fwd[u].discard(v)
-                self.back[v].discard(u)
-        else:
-            self.count[(u, v)] = refs - 1
 
 
 class IncrementalAnalysis:
@@ -335,8 +150,6 @@ class IncrementalAnalysis:
     """
 
     __slots__ = (
-        "metrics",
-        "tracer",
         "_ev_counter",
         "_edge_counter",
         "mode",
@@ -372,19 +185,10 @@ class IncrementalAnalysis:
         "_keyed_built",
         "_g1a",
         "_g1b",
-        "_gen",
         "_preds",
         "_pred_ids",
-        "_mon_g0",
-        "_mon_g1c",
-        "_mon_full",
-        "_mon_item",
-        "_cascade",
-        "_frontier",
-        "_deferring",
-        "_pending",
+        "_cycles",
         "_present",
-        "_presence_cache",
         "_match_caches",
         "watch",
         "on_phenomenon",
@@ -400,14 +204,11 @@ class IncrementalAnalysis:
         watch: Iterable[Phenomenon] = (),
         on_phenomenon: Optional[Callable[[Phenomenon, "IncrementalAnalysis"], None]] = None,
         metrics: Optional[object] = None,
-        tracer: Optional[object] = None,
     ):
         if order_mode not in ("event", "commit"):
             raise ValueError(f"unknown order_mode {order_mode!r}")
-        # Optional observability sinks (see :mod:`repro.observability`):
-        # per-event/per-edge counters and phenomenon events.
-        self.metrics = metrics
-        self.tracer = tracer
+        # Optional observability sink (see :mod:`repro.observability`):
+        # per-event/per-edge counters here, SCC fallbacks in the view chain.
         self._ev_counter = (
             metrics.counter(
                 "incremental_events_total", "events consumed by online analyses"
@@ -474,30 +275,13 @@ class IncrementalAnalysis:
         self._keyed_built = False
         self._g1a: Set[Tuple[int, int]] = set()  # (reader tid, vid)
         self._g1b: Set[Tuple[int, int]] = set()
-        self._gen = 0
         self._preds: List[Optional[Predicate]] = [None]  # pid -> predicate
         self._pred_ids: Dict[Predicate, int] = {}
-        # Incremental cycle monitors, one per phenomenon edge filter:
-        # ww only (G0), ww+wr (G1c), everything (gates G2), and everything
-        # except predicate anti-dependencies (gates G2-item).  The views
-        # nest (g0 ⊆ g1c ⊆ item ⊆ full), so only the first non-latched
-        # monitor in that chain — the *frontier* — is actually maintained:
-        # while it is acyclic every smaller view is trivially acyclic, and
-        # when it latches the next monitor is brought live by replaying the
-        # accumulated edge set once (see the module docstring).
-        self._mon_g0 = _CycleMonitor()
-        self._mon_g1c = _CycleMonitor()
-        self._mon_full = _CycleMonitor()
-        self._mon_item = _CycleMonitor()
-        self._cascade = (self._mon_full, self._mon_item, self._mon_g1c, self._mon_g0)
-        self._frontier = 0  # index into _cascade; 4 = everything latched
-        # Batch mode: edge->monitor feeds buffered for bulk insertion.
-        self._deferring = False
-        self._pending: List[_IKey] = []
+        # G0/G1c/G2-item/G2 verdicts; reads ``_edges`` by reference.
+        self._cycles = ViewChain(self._edges, metrics)
         # Phenomena already proven present — permanent (presence over a
         # growing history is monotone), so re-queries are O(1).
         self._present: Set[Phenomenon] = set()
-        self._presence_cache: Dict[Phenomenon, Tuple[int, bool]] = {}
         self._match_caches: Dict[int, Dict[int, bool]] = {}  # pid -> {vid: bool}
         # --- monitoring -------------------------------------------------
         self.watch: Tuple[Phenomenon, ...] = tuple(watch)
@@ -607,76 +391,10 @@ class IncrementalAnalysis:
                     self._fired.add(ph)
                     self.on_phenomenon(ph, self)
 
-    def add_all(
-        self, events: Iterable[Event], *, chunk: int = 8192
-    ) -> "IncrementalAnalysis":
-        """Feed a whole event sequence through the batch path.
-
-        Equivalent to ``add()`` in a loop, but events go through an inlined
-        dispatch and the chunk's Pearce–Kelly edge insertions are buffered
-        and applied in bulk every ``chunk`` events, so per-edge monitor
-        bookkeeping amortises across the batch.  With an active ``watch``
-        hook the per-event path is used instead (the hook must fire at the
-        exact latching event).
-        """
-        if self.watch and self.on_phenomenon is not None:
-            for ev in events:
-                self.add(ev)
-            return self
-        ev_list = self.events
-        append = ev_list.append
-        on_write = self._on_write
-        on_read = self._on_read
-        on_commit = self._on_commit
-        on_abort = self._on_abort
-        on_pread = self._on_pread
-        counter = 0
-        self._deferring = True
-        try:
-            for ev in events:
-                t = type(ev)
-                if t is Write:
-                    index = len(ev_list)
-                    append(ev)
-                    on_write(ev, index)
-                elif t is Read:
-                    append(ev)
-                    on_read(ev)
-                elif t is Commit:
-                    append(ev)
-                    on_commit(ev.tid, None, None)
-                elif t is Abort:
-                    append(ev)
-                    on_abort(ev.tid)
-                elif t is Begin:
-                    append(ev)
-                elif t is PredicateRead:
-                    append(ev)
-                    on_pread(ev)
-                else:  # subclassed events: full isinstance dispatch
-                    index = len(ev_list)
-                    ev_list.append(ev)
-                    if isinstance(ev, Write):
-                        on_write(ev, index)
-                    elif isinstance(ev, Read):
-                        on_read(ev)
-                    elif isinstance(ev, PredicateRead):
-                        self._on_pread(ev)
-                    elif isinstance(ev, Commit):
-                        self._on_commit(ev.tid, None, None)
-                    elif isinstance(ev, Abort):
-                        self._on_abort(ev.tid)
-                counter += 1
-                if counter >= chunk:
-                    if self._ev_counter is not None:
-                        self._ev_counter.inc(counter)
-                    counter = 0
-                    self._flush_pending()
-        finally:
-            self._flush_pending()
-            self._deferring = False
-        if counter and self._ev_counter is not None:
-            self._ev_counter.inc(counter)
+    def add_all(self, events: Iterable[Event]) -> "IncrementalAnalysis":
+        """``add()`` in a loop; returns the analysis for chaining."""
+        for event in events:
+            self.add(event)
         return self
 
     def finish(self) -> None:
@@ -1006,7 +724,6 @@ class IncrementalAnalysis:
     def _repair_object(self, oid: int) -> None:
         """Localized rebuild after a structural (non-append) chain change:
         drop and recompute every chain-dependent edge of ``oid``."""
-        self._flush_pending()
         if not self._keyed_built:
             self._keyed_built = True
             index: Dict[int, Set[_IKey]] = {}
@@ -1016,9 +733,8 @@ class IncrementalAnalysis:
             self._edge_keys_by_obj = index
         for key in self._edge_keys_by_obj.get(oid, ()):
             if self._edges.pop(key, None) is not None:
-                self._feed_remove(key[0], key[1], key[2], key[5])
+                self._cycles.remove(key[0], key[1], key[2], key[5])
         self._edge_keys_by_obj[oid] = set()
-        self._gen += 1
         chain = self._chains[oid]
         pos_map = self._pos
         for i, vid in enumerate(chain):
@@ -1142,7 +858,6 @@ class IncrementalAnalysis:
         existing = edges.get(key)
         if existing is None:
             edges[key] = cursor
-            self._gen += 1
             if self._edge_counter is not None:
                 self._edge_counter.inc()
             # Chain-dependent flavours are re-derived on object repair; the
@@ -1153,111 +868,17 @@ class IncrementalAnalysis:
                     self._edge_keys_by_obj[oid] = {key}
                 else:
                     by_obj.add(key)
-            if self._deferring:
-                self._pending.append(key)
-            else:
-                self._feed_add(src, dst, kcode, pid)
+            self._cycles.add(src, dst, kcode, pid)
         elif cursor and not existing:
             edges[key] = True
-            self._gen += 1
-
-    def _feed_add(self, u: int, v: int, kcode: int, pid: int) -> None:
-        """Feed one new collapsed pair to the frontier cycle monitor."""
-        lvl = self._frontier
-        if lvl == 0:
-            mon = self._mon_full
-        elif lvl == 1:
-            if kcode == _KA and pid:
-                return
-            mon = self._mon_item
-        elif lvl == 2:
-            if kcode == _KA:
-                return
-            mon = self._mon_g1c
-        elif lvl == 3:
-            if kcode != _KW:
-                return
-            mon = self._mon_g0
-        else:
-            return
-        mon.add(u, v)
-        if mon.has_cycle:
-            self._advance_frontier()
-
-    def _feed_remove(self, u: int, v: int, kcode: int, pid: int) -> None:
-        # Only the frontier has live state; dormant monitors are rebuilt by
-        # replay when activated and latched monitors never read theirs.
-        lvl = self._frontier
-        if lvl == 0:
-            self._mon_full.remove(u, v)
-        elif lvl == 1:
-            if kcode != _KA or not pid:
-                self._mon_item.remove(u, v)
-        elif lvl == 2:
-            if kcode != _KA:
-                self._mon_g1c.remove(u, v)
-        elif lvl == 3:
-            if kcode == _KW:
-                self._mon_g0.remove(u, v)
-
-    def _advance_frontier(self) -> None:
-        """The frontier monitor latched: bring the next monitor in the
-        inclusion chain live by replaying the accumulated edge set once.
-        Until this moment its view was a subgraph of an acyclic graph, so
-        its answer was trivially False; afterwards it is fed per edge
-        (cascading further if the replay itself latches it)."""
-        while self._frontier < 4 and self._cascade[self._frontier].has_cycle:
-            self._frontier += 1
-            nxt = self._frontier
-            if nxt >= 4:
-                return
-            pairs: List[Tuple[int, int]] = []
-            for key in self._edges:
-                kcode = key[2]
-                if nxt == 1:
-                    if kcode == _KA and key[5]:
-                        continue
-                elif nxt == 2:
-                    if kcode == _KA:
-                        continue
-                elif kcode != _KW:
-                    continue
-                pairs.append((key[0], key[1]))
-            self._cascade[nxt].add_many(pairs)
-
-    def _flush_pending(self) -> None:
-        """Apply buffered (batch-mode) monitor insertions in bulk."""
-        pend = self._pending
-        if not pend:
-            return
-        self._pending = []
-        lvl = self._frontier
-        if lvl >= 4:
-            return
-        if lvl == 0:
-            pairs = [(k[0], k[1]) for k in pend]
-        elif lvl == 1:
-            pairs = [(k[0], k[1]) for k in pend if k[2] != _KA or not k[5]]
-        elif lvl == 2:
-            pairs = [(k[0], k[1]) for k in pend if k[2] != _KA]
-        else:
-            pairs = [(k[0], k[1]) for k in pend if k[2] == _KW]
-        mon = self._cascade[lvl]
-        mon.add_many(pairs)
-        if mon.has_cycle:
-            self._advance_frontier()
 
     def _add_g1a(self, tid: int, vid: int) -> None:
-        if (tid, vid) not in self._g1a:
-            self._g1a.add((tid, vid))
-            self._gen += 1
+        self._g1a.add((tid, vid))
 
     def _add_g1b(self, tid: int, vid: int) -> None:
         if vid in self._setup_versions:
             return  # setup versions are never intermediate
-        if (tid, vid) not in self._g1b:
-            self._g1b.add((tid, vid))
-            self._gen += 1
+        self._g1b.add((tid, vid))
 
     def _is_intermediate(self, vid: int) -> bool:
         return vid in self._intermediate
@@ -1327,71 +948,11 @@ class IncrementalAnalysis:
         """The predicates ``T_tid`` issued predicate reads for."""
         return tuple(rec.predicate for rec in self._preads_of_tid.get(tid, ()))
 
-    def _anti_cycle(self, phenomenon: Phenomenon) -> bool:
-        """Presence of G2 / G2-item: a cycle of the phenomenon's view (every
-        edge, resp. every edge but predicate anti-dependencies) through an
-        anti-dependency edge of that view.
-
-        Read off the inclusion chain ww+wr ⊆ item ⊆ full.  While the view's
-        own monitor is acyclic the answer is False.  Once it has latched
-        and the frontier is still the item or ww+wr monitor, that monitor
-        is live, exact and acyclic, and its view contains every dependency
-        edge: no cycle consists of ww/wr edges alone, so the view's cycle
-        threads one of its anti-dependency edges — True, in O(1).  Only
-        with G1c itself present (frontier past the ww+wr monitor) can the
-        view's cycle be a pure dependency cycle, and the question goes to
-        :meth:`_anti_cycle_pass`, cached against the edge-set generation
-        until the verdict flips to (permanently) True.
-        """
-        item_only = phenomenon is Phenomenon.G2_ITEM
-        monitor = self._mon_item if item_only else self._mon_full
-        if not monitor.has_cycle:
-            return False
-        if self._frontier <= 2:
-            return True
-        cached = self._presence_cache.get(phenomenon)
-        if cached is not None and cached[0] == self._gen:
-            return cached[1]
-        if self.metrics is not None:
-            self.metrics.counter(
-                "incremental_scc_fallbacks_total",
-                "SCC passes run for G2/G2-item while G1c is present",
-            ).inc(phenomenon=str(phenomenon))
-        return self._anti_cycle_pass(phenomenon)
-
-    def _anti_cycle_pass(self, phenomenon: Phenomenon) -> bool:
-        """One SCC pass over the interned edge keys — ``(src, dst)`` arcs,
-        no :class:`Edge` objects: does an anti-dependency edge of the
-        phenomenon's view lie inside a component of it?  The answer is
-        recorded in ``_presence_cache`` for this edge generation; without a
-        predicate anti-dependency key the G2 and G2-item views coincide and
-        it is recorded for both."""
-        item_only = phenomenon is Phenomenon.G2_ITEM
-        arcs: List[_Arc] = []
-        anti: List[_Arc] = []
-        predicate_rw = False
-        for src, dst, kcode, _oid, _vid, pid in self._edges:
-            arc = _Arc(src, dst)
-            if kcode == _KA:
-                if pid:
-                    predicate_rw = True
-                    if item_only:
-                        continue
-                anti.append(arc)
-            arcs.append(arc)
-        comp = _g.component_index(_g.adjacency(arcs))
-        present = any(comp[arc.src] == comp[arc.dst] for arc in anti)
-        cache = self._presence_cache
-        cache[phenomenon] = (self._gen, present)
-        if not predicate_rw:
-            cache[Phenomenon.G2] = cache[Phenomenon.G2_ITEM] = cache[phenomenon]
-        return present
-
     def exhibits(self, phenomenon: Phenomenon) -> bool:
         """Presence of one core phenomenon over the events consumed so far.
 
         O(1) in the common case: G1a/G1b read their witness sets, the
-        cycle phenomena read the incremental monitors, and any phenomenon
+        cycle phenomena ask the view chain, and any phenomenon
         proven present stays present (growing a history never removes
         events, so presence is monotone) and is answered from a permanent
         cache.
@@ -1402,18 +963,14 @@ class IncrementalAnalysis:
             present = bool(self._g1a)
         elif phenomenon is Phenomenon.G1B:
             present = bool(self._g1b)
-        elif phenomenon is Phenomenon.G0:
-            present = self._mon_g0.has_cycle
-        elif phenomenon is Phenomenon.G1C:
-            present = self._mon_g1c.has_cycle
         elif phenomenon is Phenomenon.G1:
             present = (
                 self.exhibits(Phenomenon.G1A)
                 or self.exhibits(Phenomenon.G1B)
                 or self.exhibits(Phenomenon.G1C)
             )
-        elif phenomenon is Phenomenon.G2 or phenomenon is Phenomenon.G2_ITEM:
-            present = self._anti_cycle(phenomenon)
+        elif phenomenon in CORE_PHENOMENA:  # G0, G1c, G2-item, G2
+            present = self._cycles.present(phenomenon)
         else:
             raise ValueError(
                 f"{phenomenon} is not maintained incrementally; materialise "

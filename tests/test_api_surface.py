@@ -65,6 +65,10 @@ class TestServiceSurface:
             repro.StressConfig(pipeline=False)
         with pytest.raises(TypeError):
             repro.run_stress(clients=2)
+        with pytest.raises(TypeError):
+            repro.IncrementalAnalysis(tracer=None)
+        with pytest.raises(TypeError):
+            repro.IncrementalAnalysis().add_all([], chunk=1)
         small = repro.StressConfig(clients=1, txns_per_client=1)
         assert "pipeline" not in repro.run_stress(small).config
 

@@ -7,9 +7,8 @@ Generated histories (predicate reads and aborts included) pin down:
   basic indexes, and for the default version order the rule "unborn
   version, then setup versions in first-read order, then the committed
   transactions' final writes in event order";
-* the incremental analysis's batch path (``add_all``) replays exactly like
-  the one-event-at-a-time path: same edges, same phenomena, same witness
-  cycles;
+* whenever the incremental analysis reports a cycle phenomenon, its
+  witness is a real chained cycle drawn from the analysis's own edges;
 * the incremental analysis agrees with the batch checker on every
   phenomenon and level verdict.
 """
@@ -123,7 +122,7 @@ def test_history_indexes_identical(params, drop_loader):
 
 
 # ----------------------------------------------------------------------
-# Incremental core: batch path, batch checker, witnesses
+# Incremental core: batch checker, witnesses
 # ----------------------------------------------------------------------
 
 _CYCLE_PHENOMENA = (
@@ -132,30 +131,6 @@ _CYCLE_PHENOMENA = (
     Phenomenon.G2_ITEM,
     Phenomenon.G2,
 )
-
-#: The phenomena the incremental core maintains online (extension
-#: phenomena like G-single require materialising the full history).
-_INCREMENTAL_PHENOMENA = _CYCLE_PHENOMENA + (
-    Phenomenon.G1A,
-    Phenomenon.G1B,
-    Phenomenon.G1,
-)
-
-
-@given(history_params)
-@settings(max_examples=40, deadline=None)
-def test_batch_add_all_matches_per_event_add(params):
-    h = synthetic_history(**params)
-    one = IncrementalAnalysis(order_mode="commit")
-    for ev in h.events:
-        one.add(ev)
-    batch = IncrementalAnalysis(order_mode="commit").add_all(h.events)
-    assert set(batch.edges) == set(one.edges)
-    for ph in _INCREMENTAL_PHENOMENA:
-        assert batch.exhibits(ph) == one.exhibits(ph), str(ph)
-    assert batch.strongest_level() == one.strongest_level()
-    for level in ANSI_CHAIN:
-        assert batch.provides(level) == one.provides(level)
 
 
 @given(history_params)
@@ -178,7 +153,7 @@ def test_incremental_matches_batch_checker(params):
 @given(history_params)
 @settings(max_examples=25, deadline=None)
 def test_batch_witness_cycles_are_valid(params):
-    """Whenever the batch path latches a cycle phenomenon, its witness is a
+    """Whenever the analysis latches a cycle phenomenon, its witness is a
     real chained cycle drawn from the analysis's own edges."""
     h = synthetic_history(**params)
     inc = IncrementalAnalysis(order_mode="commit").add_all(h.events)

@@ -9,7 +9,8 @@ answers, after *every* event, with an oracle written from the definitions
 over the materialised edge list — build the kept subgraph, take strongly
 connected components, look for a qualifying edge inside one — and pins the
 two properties the fast path is there for: no level query materialises an
-``Edge``, and the SCC pass runs only while G1c is present.
+``Edge``, and the SCC pass runs only while G1c is present.  The monitors
+are tested on their own, on denser graphs, in ``test_cycle_views.py``.
 """
 
 import itertools
@@ -18,7 +19,7 @@ import random
 import pytest
 
 import repro
-from repro.core import graph
+from repro.core import cycles, graph
 from repro.core.conflicts import DepKind, PredicateDepMode
 from repro.core.events import Commit
 from repro.core.incremental import CORE_PHENOMENA, IncrementalAnalysis
@@ -179,14 +180,15 @@ def test_every_prefix_matches_definition_through_repairs(make_hint, monkeypatch)
     # (A hint covering every version decides the order: no ``order_mode``.)
     # A latched monitor stops tracking, so a repair that removed a view's
     # last cycle would leave a stale True.  Count the repairs that put that
-    # to the test — view latched, verdict read from the monitors alone
-    # (frontier <= 2) — and let ``compare`` check the oracle after each.
+    # to the test — item view latched, verdict read from the monitors alone
+    # (dependency view still acyclic) — and let ``compare`` check the oracle
+    # after each.
     repairs = {"any": 0, "monitor_only": 0}
     repair_object = IncrementalAnalysis._repair_object
 
     def counting(self, oid):
         repairs["any"] += 1
-        if self._mon_item.has_cycle and self._frontier <= 2:
+        if cycles.ITEM < self._cycles._live <= cycles.DEPENDENCY:
             repairs["monitor_only"] += 1
         repair_object(self, oid)
 
@@ -224,21 +226,6 @@ def test_predicate_only_cycles_separate_g2_from_g2_item():
         feed_comparing(history.events, f"predicates seed {seed}", tally,
                        order_mode="commit")
     assert tally.g2_without_g2_item > 0
-
-
-@pytest.mark.parametrize("order_mode", ["event", "commit"])
-def test_add_all_matches_definition_at_every_slice(order_mode):
-    for seed, pred in itertools.product(range(4), (0.0, 0.2)):
-        history = small_history(
-            seed, stale_read_fraction=0.5, write_fraction=0.6,
-            predicate_fraction=pred, abort_fraction=0.1,
-        )
-        analysis = IncrementalAnalysis(order_mode=order_mode)
-        events = history.events
-        for start in range(0, len(events), 7):
-            # chunk < slice: the buffered monitor feed flushes mid-slice too.
-            analysis.add_all(events[start : start + 7], chunk=3)
-            compare(analysis, f"add_all seed {seed} pred {pred}")
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +330,7 @@ def test_scc_pass_at_most_once_per_generation_with_g1c():
             compare(analysis, "g1c-then-g2")
             analysis.provides(IsolationLevel.PL_3)
         if analysis.exhibits(G1C):
-            generations.add(analysis._gen)
+            generations.add(analysis._cycles.generation)
     fallbacks = registry.counter(FALLBACKS)
     assert fallbacks.total >= 1
     for phenomenon in (G2, G2_ITEM):
