@@ -544,16 +544,6 @@ class History:
             state[obj] = self.value_of(last)
         return state
 
-    def restricted_to_committed(self) -> "History":
-        """A copy containing only events of committed transactions (version
-        order unchanged).  Useful for displaying the committed projection."""
-        return History(
-            (ev for ev in self.events if ev.tid in self.committed),
-            {obj: chain[1:] for obj, chain in self.version_order.items()},
-            default_level=self.default_level,
-            validate=False,
-        )
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -207,9 +207,3 @@ class Scheduler:
         dead)`` triples are re-installed here (the events are already in the
         recorder log — the caller records the Commit itself)."""
         self.store.install(writes)
-
-    # -- introspection ---------------------------------------------------
-
-    def waits_of(self, txn: Transaction):
-        """Transactions ``txn`` is currently waiting for (locking only)."""
-        return frozenset()

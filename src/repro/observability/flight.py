@@ -267,7 +267,7 @@ class FlightRecorder:
         if cluster is None:
             return
         state = cluster.snapshot()
-        lanes: Dict[str, str] = {cluster.config.coordinator: "cluster"}
+        lanes: Dict[str, str] = {cluster.coordinator.name: "cluster"}
         for row in state["shards"] + state.get("replicas", []):
             lanes[row["name"]] = f"shard{row['shard']}"
         self._endpoint_lane = lanes

@@ -332,8 +332,9 @@ class JsonlSink:
 
 class TraceRecords(List[Dict[str, Any]]):
     """The records of one parsed trace — a plain ``list`` plus
-    :attr:`skipped`, the number of undecodable lines :func:`read_trace`
-    dropped (a crash mid-write leaves a partial final line)."""
+    :attr:`skipped`, the number of lines :func:`read_trace` dropped:
+    undecodable ones (a crash mid-write leaves a partial final line) and
+    JSON values that are not a span or event record."""
 
     skipped: int = 0
 
@@ -350,8 +351,11 @@ def read_trace(
 
     Undecodable lines are **skipped, not fatal**: a crash mid-write leaves
     a truncated final line, and the rest of the trace must stay readable.
-    The returned :class:`TraceRecords` counts the drops in ``.skipped``;
-    pass ``strict=True`` to raise instead.
+    So is a line that decodes to something other than a record (a dict
+    whose ``kind`` is ``"span"`` or ``"event"``): the analytics index
+    ``record["kind"]`` without asking again.  The returned
+    :class:`TraceRecords` counts the drops in ``.skipped``; pass
+    ``strict=True`` to raise ``ValueError`` instead.
     """
     if isinstance(source, str):
         with open(source, encoding="utf-8") as handle:
@@ -374,11 +378,17 @@ def read_trace(
         if not line:
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
+            if not (
+                isinstance(record, dict) and record.get("kind") in ("span", "event")
+            ):
+                raise ValueError(f"not a trace record: {line[:80]}")
         except ValueError:
             if strict:
                 raise
             records.skipped += 1
+        else:
+            records.append(record)
     return records
 
 

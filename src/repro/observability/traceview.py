@@ -13,7 +13,8 @@ traces (live ``tracer.records`` or a JSONL file read back with
 * :func:`critical_path` — the latest-finisher chain through a span tree,
   the hops that actually determined when the root ended;
 * :func:`waterfall` — an ASCII Gantt of a trace, one bar per span, events
-  marked in place;
+  marked in place (a truncated trace with nothing but orphan events still
+  draws its synthetic ``orphans`` row);
 * :func:`contention_summary` / :func:`contention_table` — which object
   keys accrue busy replies, lock blocks and parked-wait ticks;
 * :func:`to_chrome_trace` / :func:`write_chrome_trace` — Chrome
@@ -28,14 +29,21 @@ traces (live ``tracer.records`` or a JSONL file read back with
 
 Everything here is a pure function of the records, so equal traces give
 byte-equal analytics — the determinism contract of the service layer
-extends through the toolkit.
+extends through the toolkit, and ``tests/test_report_golden.py`` pins the
+bytes of every rendering across commits.  The records are trusted to be
+records: :func:`read_trace` and :func:`from_chrome_trace` count anything
+else in ``.skipped`` at the boundary.  Each thing is said once —
+:func:`_select` picks records, :func:`stats_row` summarises values,
+:func:`_table` renders markdown — and every summary below reads through
+them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .trace import TraceRecords, span_tree
 
@@ -58,14 +66,31 @@ __all__ = [
     "build_run_report",
 ]
 
-#: Span names the service layer emits, outermost first (reference for
-#: consumers; the functions below key off these).
-SERVICE_SPANS = ("stress.run", "client.txn", "client.request", "net.msg", "server.handle")
+Record = Dict[str, Any]
 
 
 # ---------------------------------------------------------------------------
-# latency percentiles
+# the shared pieces: record selector, stats row, table renderers
 # ---------------------------------------------------------------------------
+
+
+def _select(
+    records: Iterable[Record],
+    kind: Optional[str] = None,
+    name: Optional[str] = None,
+) -> List[Record]:
+    """Closed spans (``kind="span"``) or point events (``kind="event"``),
+    optionally of one ``name``, in emission (``seq``) order; with no
+    ``kind``, every record in that order."""
+    return sorted(
+        (
+            r
+            for r in records
+            if (kind is None or r["kind"] == kind)
+            and (name is None or r["name"] == name)
+        ),
+        key=lambda r: r["seq"],
+    )
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -77,59 +102,126 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[min(int(rank), len(ordered)) - 1]
 
 
-def verb_latencies(
-    records: Iterable[Dict[str, Any]],
-    *,
-    span_name: str = "client.request",
-    key: str = "verb",
-) -> Dict[str, Dict[str, float]]:
+def stats_row(values: Sequence[float], *quantiles: int) -> Dict[str, float]:
+    """``{count, p<q>..., mean, max}`` of a non-empty sequence, one
+    nearest-rank ``p<q>`` per quantile asked, in that key order."""
+    return {
+        "count": len(values),
+        **{f"p{q}": percentile(values, q) for q in quantiles},
+        "mean": sum(values) / len(values),
+        "max": max(values),
+    }
+
+
+def _fmt(value: float) -> str:
+    return f"{int(value)}" if float(value).is_integer() else f"{value:g}"
+
+
+def _table(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> List[str]:
+    """A markdown table, as lines: header, rule, one line per row of cells.
+    Numbers print through :func:`_fmt`, a missing value (``None``) as ``-``,
+    anything else as its ``str``."""
+
+    def cell(value: Any) -> str:
+        if value is None:
+            return "-"
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return _fmt(value) if number else str(value)
+
+    return [
+        "| " + " | ".join(headers) + " |",
+        "|---" * len(headers) + "|",
+        *("| " + " | ".join(map(cell, row)) + " |" for row in rows),
+    ]
+
+
+def _kv_table(mapping: Dict[str, Any]) -> List[str]:
+    return _table(("key", "value"), ((key, str(v)) for key, v in mapping.items()))
+
+
+def _aligned(
+    headers: Sequence[str],
+    head: str,
+    body: str,
+    rows: Sequence[Sequence[Any]],
+    empty: str,
+) -> str:
+    """An aligned text table: ``head`` formats the headers, ``body`` each
+    row; ``empty`` is the line that stands in for no rows."""
+    lines = [head.format(*headers), *(body.format(*row) for row in rows)]
+    return "\n".join(lines if rows else lines + [empty])
+
+
+# ---------------------------------------------------------------------------
+# latency percentiles
+# ---------------------------------------------------------------------------
+
+
+def verb_latencies(records: Iterable[Record]) -> Dict[str, Dict[str, float]]:
     """Per-verb logical-latency summary over request span durations.
 
-    Durations are ``end - start`` of every closed ``span_name`` span —
+    Durations are ``end - start`` of every closed ``client.request`` span —
     for service traces that is the full client-observed latency of one
     logical operation, retries and backoff included, in logical ticks.
     Returns ``{verb: {count, p50, p95, p99, mean, max}}``.
     """
     by_verb: Dict[str, List[float]] = {}
-    for r in records:
-        if r.get("kind") != "span" or r.get("name") != span_name:
-            continue
-        verb = str(r.get("attrs", {}).get(key, "?"))
+    for r in _select(records, "span", "client.request"):
+        verb = str(r.get("attrs", {}).get("verb", "?"))
         by_verb.setdefault(verb, []).append(r["end"] - r["start"])
-    out: Dict[str, Dict[str, float]] = {}
-    for verb in sorted(by_verb):
-        durations = by_verb[verb]
-        out[verb] = {
-            "count": len(durations),
-            "p50": percentile(durations, 50),
-            "p95": percentile(durations, 95),
-            "p99": percentile(durations, 99),
-            "mean": sum(durations) / len(durations),
-            "max": max(durations),
-        }
-    return out
+    return {verb: stats_row(by_verb[verb], 50, 95, 99) for verb in sorted(by_verb)}
 
 
-def latency_table(records: Iterable[Dict[str, Any]], **kwargs: Any) -> str:
+_LATENCY_HEADERS = ("verb", "count", "p50", "p95", "p99", "mean", "max")
+
+
+def latency_table(records: Iterable[Record]) -> str:
     """:func:`verb_latencies` rendered as an aligned text table."""
-    stats = verb_latencies(records, **kwargs)
-    lines = [
-        f"{'verb':10} {'count':>6} {'p50':>8} {'p95':>8} {'p99':>8} "
-        f"{'mean':>8} {'max':>8}"
-    ]
-    for verb, s in stats.items():
-        lines.append(
-            f"{verb:10} {s['count']:6d} {s['p50']:8g} {s['p95']:8g} "
-            f"{s['p99']:8g} {s['mean']:8.1f} {s['max']:8g}"
-        )
-    if not stats:
-        lines.append("(no request spans)")
-    return "\n".join(lines)
+    stats = verb_latencies(records)
+    return _aligned(
+        _LATENCY_HEADERS,
+        "{:10} {:>6} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "{:10} {:6d} {:8g} {:8g} {:8g} {:8.1f} {:8g}",
+        [(verb, *(s[h] for h in _LATENCY_HEADERS[1:])) for verb, s in stats.items()],
+        "(no request spans)",
+    )
 
 
 # ---------------------------------------------------------------------------
 # critical path
 # ---------------------------------------------------------------------------
+
+
+def _hop(record: Record, tail_from: float) -> Dict[str, Any]:
+    """One critical-path hop: the span's extent plus ``self``, the tail of
+    it after ``tail_from`` (when whatever it waited for finished)."""
+    return {
+        "name": record["name"],
+        "id": record["id"],
+        "start": record["start"],
+        "end": record["end"],
+        "duration": record["end"] - record["start"],
+        "self": max(0.0, record["end"] - tail_from),
+        "attrs": record.get("attrs", {}),
+    }
+
+
+def _walk_depth(
+    roots: List[Dict[str, Any]], depth: int = 0
+) -> Iterator[Tuple[Dict[str, Any], int]]:
+    """Every node of a span tree with its depth, parents before children."""
+    for node in roots:
+        yield node, depth
+        yield from _walk_depth(node["children"], depth + 1)
+
+
+def _first_by_tid(records: Iterable[Record], name: str) -> Dict[Any, Record]:
+    """Per global transaction id, its first ``name`` span (2PC attempts
+    repeat), in order of first appearance."""
+    first: Dict[Any, Record] = {}
+    for r in _select(records, "span", name):
+        first.setdefault(r.get("attrs", {}).get("tid"), r)
+    return first
 
 
 def critical_path(node: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -142,34 +234,23 @@ def critical_path(node: Dict[str, Any]) -> List[Dict[str, Any]]:
     after the chosen child finished (attributable to the span itself).
     """
     hops: List[Dict[str, Any]] = []
-    current = node
-    while True:
+    current: Optional[Dict[str, Any]] = node
+    while current is not None:
         record = current["record"]
-        children = current["children"]
-        nxt = (
-            max(children, key=lambda c: (c["record"]["end"], c["record"]["seq"]))
-            if children
-            else None
+        latest = max(
+            current["children"],
+            key=lambda c: (c["record"]["end"], c["record"]["seq"]),
+            default=None,
         )
-        tail_from = nxt["record"]["end"] if nxt is not None else record["start"]
         hops.append(
-            {
-                "name": record["name"],
-                "id": record["id"],
-                "start": record["start"],
-                "end": record["end"],
-                "duration": record["end"] - record["start"],
-                "self": max(0.0, record["end"] - tail_from),
-                "attrs": record.get("attrs", {}),
-            }
+            _hop(record, latest["record"]["end"] if latest else record["start"])
         )
-        if nxt is None:
-            return hops
-        current = nxt
+        current = latest
+    return hops
 
 
 def cross_shard_critical_path(
-    records: Iterable[Dict[str, Any]], gid: Optional[int] = None
+    records: Iterable[Record], gid: Optional[int] = None
 ) -> List[Dict[str, Any]]:
     """The critical path of one global (cross-shard) commit, phase by phase.
 
@@ -187,58 +268,25 @@ def cross_shard_critical_path(
     one in the trace.  Returns ``[]`` when the trace has no 2PC spans.
     """
     records = list(records)
-    nodes: Dict[Any, Dict[str, Any]] = {}
-
-    def index(node: Dict[str, Any]) -> None:
-        rid = node["record"].get("id")
-        if rid is not None:
-            nodes[rid] = node
-        for child in node["children"]:
-            index(child)
-
-    for root in span_tree(records):
-        index(root)
-    prepares = [
-        n
-        for n in nodes.values()
-        if n["record"]["name"] == "2pc.prepare"
-        and (gid is None or n["record"].get("attrs", {}).get("tid") == gid)
-    ]
-    if not prepares:
+    prepares = _first_by_tid(records, "2pc.prepare")
+    if gid is None:
+        gid = next(iter(prepares), None)
+    prepare = prepares.get(gid)
+    if prepare is None:
         return []
-    prepare = min(prepares, key=lambda n: n["record"]["seq"])
-    gid = prepare["record"].get("attrs", {}).get("tid")
-    decide = next(
-        (
-            n
-            for n in sorted(nodes.values(), key=lambda n: n["record"]["seq"])
-            if n["record"]["name"] == "2pc.decide"
-            and n["record"].get("attrs", {}).get("tid") == gid
-        ),
-        None,
-    )
+    decide = _first_by_tid(records, "2pc.decide").get(gid)
+    nodes = {
+        node["record"]["id"]: node
+        for node, _depth in _walk_depth(span_tree(records))
+        if node["record"]["id"] is not None
+    }
     hops: List[Dict[str, Any]] = []
-    parent = nodes.get(prepare["record"].get("parent"))
+    parent = nodes.get(prepare.get("parent"))
     if parent is not None:
-        record = parent["record"]
-        fanout_end = (
-            decide["record"]["end"] if decide is not None
-            else prepare["record"]["end"]
-        )
-        hops.append(
-            {
-                "name": record["name"],
-                "id": record["id"],
-                "start": record["start"],
-                "end": record["end"],
-                "duration": record["end"] - record["start"],
-                "self": max(0.0, record["end"] - fanout_end),
-                "attrs": record.get("attrs", {}),
-            }
-        )
-    hops += critical_path(prepare)
+        hops.append(_hop(parent["record"], (decide or prepare)["end"]))
+    hops += critical_path(nodes[prepare["id"]])
     if decide is not None:
-        hops += critical_path(decide)
+        hops += critical_path(nodes[decide["id"]])
     return hops
 
 
@@ -247,89 +295,66 @@ def cross_shard_critical_path(
 # ---------------------------------------------------------------------------
 
 _LABEL_KEYS = ("verb", "fate", "outcome", "trace_id")
+#: Columns of the time axis and of the span-label gutter.
+_WIDTH = 64
+_LABEL_WIDTH = 34
 
 
-def _span_label(record: Dict[str, Any]) -> str:
+def _span_label(record: Record) -> str:
     attrs = record.get("attrs", {})
-    bits = [record["name"]]
     for key in _LABEL_KEYS:
         value = attrs.get(key)
         if value is not None and value is not False:
-            bits.append(f"{key}={value}")
-            break
-    return " ".join(bits)
+            return f"{record['name']} {key}={value}"
+    return record["name"]
 
 
-def waterfall(
-    records: Iterable[Dict[str, Any]],
-    *,
-    width: int = 64,
-    label_width: int = 34,
-    max_lines: int = 200,
-) -> str:
+def waterfall(records: Iterable[Record], *, max_lines: int = 200) -> str:
     """ASCII Gantt of a trace: one line per span, indented by tree depth,
     bar positioned on the shared time axis, events marked with ``*``.
 
     Feed it the records of one trace (e.g. filtered to one ``trace_id``)
     or a whole run; ``max_lines`` truncates runaway traces with a note.
+    The synthetic ``orphans`` row of a truncated trace is drawn too, and
+    the axis spans every row — so a trace with only orphan events renders.
     """
-    roots = span_tree(records)
-    if not roots:
-        return "(no closed spans)"
-    spans = [
-        r for r in (n["record"] for n in _walk(roots)) if r.get("id") is not None
+    rows = [
+        (node, depth)
+        for node, depth in _walk_depth(span_tree(records))
+        if node["record"].get("id") is not None
+        or node["record"].get("name") == "orphans"
     ]
-    t0 = min(r["start"] for r in spans)
-    t1 = max(r["end"] for r in spans)
-    scale = (width - 1) / (t1 - t0) if t1 > t0 else 0.0
+    if not rows:
+        return "(no closed spans)"
+    t0 = min(node["record"]["start"] for node, _depth in rows)
+    t1 = max(node["record"]["end"] for node, _depth in rows)
+    scale = (_WIDTH - 1) / (t1 - t0) if t1 > t0 else 0.0
 
     def col(t: float) -> int:
-        return min(width - 1, max(0, int((t - t0) * scale)))
+        return min(_WIDTH - 1, max(0, int((t - t0) * scale)))
 
     lines = [
-        f"{'span':{label_width}} |{'t=' + _fmt(t0):<{width // 2}}"
-        f"{_fmt(t1) + '=t':>{width - width // 2}}|"
+        f"{'span':{_LABEL_WIDTH}} |{'t=' + _fmt(t0):<{_WIDTH // 2}}"
+        f"{_fmt(t1) + '=t':>{_WIDTH - _WIDTH // 2}}|"
     ]
-    count = 0
-    truncated = 0
-    for node, depth in _walk_depth(roots):
+    for node, depth in rows[:max_lines]:
         record = node["record"]
-        if record.get("id") is None and record.get("name") != "orphans":
-            continue
-        if count >= max_lines:
-            truncated += 1
-            continue
-        count += 1
-        bar = ["."] * width
-        a, b = col(record["start"]), col(record["end"])
-        for i in range(a, b + 1):
+        bar = ["."] * _WIDTH
+        for i in range(col(record["start"]), col(record["end"]) + 1):
             bar[i] = "="
         for event in node["events"]:
             bar[col(event["time"])] = "*"
-        label = ("  " * depth + _span_label(record))[:label_width]
+        label = ("  " * depth + _span_label(record))[:_LABEL_WIDTH]
         lines.append(
-            f"{label:{label_width}} |{''.join(bar)}| "
+            f"{label:{_LABEL_WIDTH}} |{''.join(bar)}| "
             f"{_fmt(record['start'])}-{_fmt(record['end'])} "
             f"({_fmt(record['end'] - record['start'])})"
         )
-    if truncated:
-        lines.append(f"... {truncated} more spans (max_lines={max_lines})")
+    if len(rows) > max_lines:
+        lines.append(
+            f"... {len(rows) - max_lines} more spans (max_lines={max_lines})"
+        )
     return "\n".join(lines)
-
-
-def _fmt(value: float) -> str:
-    return f"{int(value)}" if float(value).is_integer() else f"{value:g}"
-
-
-def _walk(roots: List[Dict[str, Any]]) -> Iterable[Dict[str, Any]]:
-    for node, _depth in _walk_depth(roots):
-        yield node
-
-
-def _walk_depth(roots: List[Dict[str, Any]], depth: int = 0):
-    for node in roots:
-        yield node, depth
-        yield from _walk_depth(node["children"], depth + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +362,7 @@ def _walk_depth(roots: List[Dict[str, Any]], depth: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def contention_summary(
-    records: Iterable[Dict[str, Any]],
-) -> List[Dict[str, Any]]:
+def contention_summary(records: Iterable[Record]) -> List[Dict[str, Any]]:
     """Which object keys accrue contention, sorted hottest first.
 
     Per object: ``busy_replies`` (server ``server.handle`` spans answered
@@ -349,63 +372,49 @@ def contention_summary(
     requests for that key stayed parked at a server, from the block to the
     grant (or to the abort, crash or walk-away that ended the wait).
     """
+    records = list(records)
     stats: Dict[str, Dict[str, float]] = {}
 
-    def bucket(obj: Any) -> Dict[str, float]:
-        return stats.setdefault(
-            str(obj), {"busy_replies": 0, "lock_blocks": 0, "wait_ticks": 0.0}
-        )
+    def add(obj: Any, counter: str, amount: float = 1) -> None:
+        if obj is not None:
+            row = stats.setdefault(
+                str(obj), {"busy_replies": 0, "lock_blocks": 0, "wait_ticks": 0.0}
+            )
+            row[counter] += amount
 
-    for r in records:
-        attrs = r.get("attrs", {})
-        if r["kind"] == "event":
-            if r["name"] == "lock.blocked" and attrs.get("obj") is not None:
-                bucket(attrs["obj"])["lock_blocks"] += 1
-            elif r["name"] == "blocked" and attrs.get("resource"):
-                obj = _obj_of_resource(str(attrs["resource"]))
-                if obj is not None:
-                    bucket(obj)["lock_blocks"] += 1
-        elif r["kind"] == "span" and attrs.get("obj") is not None:
-            if r["name"] == "server.wait":
-                bucket(attrs["obj"])["wait_ticks"] += r["end"] - r["start"]
-            elif r["name"] == "server.handle" and attrs.get("outcome") == "busy":
-                bucket(attrs["obj"])["busy_replies"] += 1
+    for r in _select(records, "event", "lock.blocked"):
+        add(r.get("attrs", {}).get("obj"), "lock_blocks")
+    for r in _select(records, "event", "blocked"):
+        # A ``WouldBlock`` resource string quotes its object:
+        # "write lock on 'k3'".
+        quoted = str(r.get("attrs", {}).get("resource") or "").split("'")
+        add(quoted[1] if len(quoted) > 1 else None, "lock_blocks")
+    for r in _select(records, "span", "server.wait"):
+        add(r.get("attrs", {}).get("obj"), "wait_ticks", r["end"] - r["start"])
+    for r in _select(records, "span", "server.handle"):
+        if r.get("attrs", {}).get("outcome") == "busy":
+            add(r.get("attrs", {}).get("obj"), "busy_replies")
     return [
-        {"obj": obj, **{k: v for k, v in s.items()}}
-        for obj, s in sorted(
+        {"obj": obj, **row}
+        for obj, row in sorted(
             stats.items(),
             key=lambda kv: (-kv[1]["wait_ticks"], -kv[1]["busy_replies"], kv[0]),
         )
     ]
 
 
-def _obj_of_resource(resource: str) -> Optional[str]:
-    """Extract the quoted object from a ``WouldBlock`` resource string
-    (``"write lock on 'k3'"``)."""
-    if "'" in resource:
-        try:
-            return resource.split("'")[1]
-        except IndexError:  # pragma: no cover - malformed resource
-            return None
-    return None
-
-
-def contention_table(
-    records: Iterable[Dict[str, Any]], *, top: int = 10
-) -> str:
+def contention_table(records: Iterable[Record], *, top: int = 10) -> str:
     """:func:`contention_summary` rendered as an aligned text table."""
-    rows = contention_summary(records)[:top]
-    lines = [
-        f"{'object':10} {'busy':>6} {'blocks':>7} {'wait ticks':>11}"
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['obj']:10} {int(row['busy_replies']):6d} "
-            f"{int(row['lock_blocks']):7d} {row['wait_ticks']:11g}"
-        )
-    if not rows:
-        lines.append("(no contention observed)")
-    return "\n".join(lines)
+    return _aligned(
+        ("object", "busy", "blocks", "wait ticks"),
+        "{:10} {:>6} {:>7} {:>11}",
+        "{:10} {:6d} {:7d} {:11g}",
+        [
+            (r["obj"], int(r["busy_replies"]), int(r["lock_blocks"]), r["wait_ticks"])
+            for r in contention_summary(records)[:top]
+        ],
+        "(no contention observed)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +425,17 @@ def contention_table(
 #: Perfetto timeline has a sensible scale.
 _TICK_US = 1000.0
 
+#: Per record kind: the Chrome phase fields, the record field the event is
+#: placed at, and the record fields stashed under ``args._repro`` (``name``
+#: and ``attrs`` travel as the Chrome event's own name and args).  Read by
+#: :func:`to_chrome_trace` and, in reverse, by :func:`from_chrome_trace`.
+_CHROME_KINDS = {
+    "span": ({"ph": "X"}, "start", ("id", "parent", "seq", "start", "end")),
+    "event": ({"ph": "i", "s": "t"}, "time", ("id", "span", "seq", "time")),
+}
 
-def to_chrome_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+
+def to_chrome_trace(records: Iterable[Record]) -> Dict[str, Any]:
     """Convert trace records to Chrome trace-event JSON (Perfetto-loadable).
 
     Spans become ``ph: "X"`` complete events, point events become
@@ -442,88 +460,41 @@ def to_chrome_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         if isinstance(shard, int):
             group = f"shard {shard}"
             replica = attrs.get("replica")
-            thread = (
-                f"replica {replica}" if isinstance(replica, int) else "primary"
-            )
+            thread = f"replica {replica}" if isinstance(replica, int) else "primary"
         else:
             group = "cluster"
-            thread = str(
-                attrs.get("trace_id") or attrs.get("scheduler") or "run"
-            )
+            thread = str(attrs.get("trace_id") or attrs.get("scheduler") or "run")
         pid = processes.setdefault(group, len(processes) + 1)
         return pid, lanes.setdefault((group, thread), len(lanes) + 1)
 
     events: List[Dict[str, Any]] = []
-    for r in sorted(records, key=lambda r: r["seq"]):
+    for r in _select(records):
         attrs = r.get("attrs", {})
-        args = dict(attrs)
+        kind = r["kind"]
+        phase, at, stashed = _CHROME_KINDS[kind]
         pid, tid = lane(attrs)
-        if r["kind"] == "span":
-            args["_repro"] = {
-                "kind": "span",
-                "id": r["id"],
-                "parent": r.get("parent"),
-                "seq": r["seq"],
-                "start": r["start"],
-                "end": r["end"],
-            }
-            events.append(
-                {
-                    "name": r["name"],
-                    "cat": "span",
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": r["start"] * _TICK_US,
-                    "dur": (r["end"] - r["start"]) * _TICK_US,
-                    "args": args,
-                }
-            )
-        else:
-            args["_repro"] = {
-                "kind": "event",
-                "id": r["id"],
-                "span": r.get("span"),
-                "seq": r["seq"],
-                "time": r["time"],
-            }
-            events.append(
-                {
-                    "name": r["name"],
-                    "cat": "event",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": r["time"] * _TICK_US,
-                    "args": args,
-                }
-            )
+        stash = {"kind": kind, **{key: r.get(key) for key in stashed}}
+        event = {"name": r["name"], "cat": kind, **phase, "pid": pid, "tid": tid}
+        event.update(ts=r[at] * _TICK_US, args={**attrs, "_repro": stash})
+        if kind == "span":
+            event["dur"] = (r["end"] - r["start"]) * _TICK_US
+        events.append(event)
+
+    def named(what: str, pid: int, name: str, **tid: int) -> Dict[str, Any]:
+        return {"name": what, "ph": "M", "pid": pid, **tid, "args": {"name": name}}
+
     meta = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "args": {"name": group},
-        }
+        named("process_name", pid, group)
         for group, pid in processes.items()
         if len(processes) > 1  # a lone process needs no name row
     ] + [
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": processes[group],
-            "tid": tid,
-            "args": {"name": thread},
-        }
+        named("thread_name", processes[group], thread, tid=tid)
         for (group, thread), tid in lanes.items()
     ]
     return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    records: Iterable[Dict[str, Any]], path: str
-) -> Dict[str, Any]:
+def write_chrome_trace(records: Iterable[Record], path: str) -> Dict[str, Any]:
     """Write :func:`to_chrome_trace` output to ``path``; returns the dict."""
     data = to_chrome_trace(records)
     with open(path, "w", encoding="utf-8") as handle:
@@ -539,42 +510,26 @@ def from_chrome_trace(data: Dict[str, Any]) -> TraceRecords:
     module) are reconstructed; foreign Chrome-trace events are counted in
     ``.skipped`` like undecodable JSONL lines.
     """
-    records = TraceRecords()
+    found: List[Record] = []
+    skipped = 0
     for event in data.get("traceEvents", ()):
         if event.get("ph") == "M":
             continue
         args = event.get("args") or {}
         stash = args.get("_repro")
-        if not isinstance(stash, dict):
-            records.skipped += 1
+        if not isinstance(stash, dict) or stash.get("kind") not in _CHROME_KINDS:
+            skipped += 1
             continue
-        attrs = {k: v for k, v in args.items() if k != "_repro"}
-        if stash.get("kind") == "span":
-            records.append(
-                {
-                    "kind": "span",
-                    "id": stash["id"],
-                    "parent": stash.get("parent"),
-                    "name": event["name"],
-                    "start": stash["start"],
-                    "end": stash["end"],
-                    "attrs": attrs,
-                    "seq": stash["seq"],
-                }
-            )
-        else:
-            records.append(
-                {
-                    "kind": "event",
-                    "id": stash["id"],
-                    "span": stash.get("span"),
-                    "name": event["name"],
-                    "time": stash["time"],
-                    "attrs": attrs,
-                    "seq": stash["seq"],
-                }
-            )
-    records.sort(key=lambda r: r["seq"])
+        found.append(
+            {
+                "kind": stash["kind"],
+                "name": event["name"],
+                "attrs": {k: v for k, v in args.items() if k != "_repro"},
+                **{key: stash.get(key) for key in _CHROME_KINDS[stash["kind"]][2]},
+            }
+        )
+    records = TraceRecords(_select(found))
+    records.skipped = skipped
     return records
 
 
@@ -584,7 +539,7 @@ def from_chrome_trace(data: Dict[str, Any]) -> TraceRecords:
 
 
 def replication_lag_timeline(
-    records: Iterable[Dict[str, Any]],
+    records: Iterable[Record],
 ) -> Dict[str, List[Dict[str, Any]]]:
     """Replication lag over time, per ``"shard:replica"`` stream.
 
@@ -595,9 +550,7 @@ def replication_lag_timeline(
     timeline the Perfetto tracks show.
     """
     timeline: Dict[str, List[Dict[str, Any]]] = {}
-    for r in sorted(records, key=lambda r: r["seq"]):
-        if r.get("kind") != "span" or r.get("name") != "repl.ship":
-            continue
+    for r in _select(records, "span", "repl.ship"):
         attrs = r.get("attrs", {})
         key = f"{attrs.get('shard')}:{attrs.get('replica')}"
         timeline.setdefault(key, []).append(
@@ -612,7 +565,7 @@ def replication_lag_timeline(
     return {key: timeline[key] for key in sorted(timeline)}
 
 
-def twopc_summary(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+def twopc_summary(records: Iterable[Record]) -> Dict[str, Any]:
     """Cross-shard 2PC outcomes and in-doubt durations from the trace.
 
     Pairs each global transaction's ``2pc.prepare`` span (first attempt)
@@ -622,30 +575,15 @@ def twopc_summary(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     duration percentiles and the per-transaction table (decide-less
     transactions report ``in_doubt=None``: still pending at trace end).
     """
-    prepares: Dict[Any, Dict[str, Any]] = {}
-    decides: Dict[Any, Dict[str, Any]] = {}
-    for r in sorted(records, key=lambda r: r["seq"]):
-        if r.get("kind") != "span":
-            continue
-        tid = r.get("attrs", {}).get("tid")
-        if r["name"] == "2pc.prepare":
-            prepares.setdefault(tid, r)
-        elif r["name"] == "2pc.decide":
-            decides.setdefault(tid, r)
+    records = list(records)
+    prepares = _first_by_tid(records, "2pc.prepare")
+    decides = _first_by_tid(records, "2pc.decide")
     transactions: List[Dict[str, Any]] = []
-    durations: List[float] = []
     outcomes: Dict[str, int] = {}
     for tid in sorted(prepares):
         prepare = prepares[tid]
         decide = decides.get(tid)
-        outcome = (
-            decide["attrs"].get("outcome") if decide is not None else None
-        )
-        in_doubt = (
-            decide["end"] - prepare["start"] if decide is not None else None
-        )
-        if in_doubt is not None:
-            durations.append(in_doubt)
+        outcome = decide["attrs"].get("outcome") if decide is not None else None
         outcomes[str(outcome)] = outcomes.get(str(outcome), 0) + 1
         transactions.append(
             {
@@ -653,7 +591,9 @@ def twopc_summary(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
                 "outcome": outcome,
                 "prepared_at": prepare["start"],
                 "decided_at": decide["end"] if decide is not None else None,
-                "in_doubt": in_doubt,
+                "in_doubt": (
+                    decide["end"] - prepare["start"] if decide is not None else None
+                ),
                 "participants": prepare["attrs"].get("participants"),
             }
         )
@@ -662,18 +602,15 @@ def twopc_summary(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         "outcomes": outcomes,
         "per_txn": transactions,
     }
+    durations = [t["in_doubt"] for t in transactions if t["in_doubt"] is not None]
     if durations:
-        summary["in_doubt_ticks"] = {
-            "count": len(durations),
-            "p50": percentile(durations, 50),
-            "p95": percentile(durations, 95),
-            "max": max(durations),
-        }
+        summary["in_doubt_ticks"] = stats_row(durations, 50, 95)
+        del summary["in_doubt_ticks"]["mean"]
     return summary
 
 
 def cluster_summary(
-    records: Iterable[Dict[str, Any]],
+    records: Iterable[Record],
     *,
     result: Optional[object] = None,
 ) -> Optional[Dict[str, Any]]:
@@ -683,69 +620,47 @@ def cluster_summary(
     violation tally.  ``None`` when the trace carries no cluster signal
     (no shard-attributed spans and no cluster on the result)."""
     records = list(records)
+    handled: Dict[int, List[Record]] = {}
+    for r in _select(records, "span", "server.handle"):
+        shard = r.get("attrs", {}).get("shard")
+        if isinstance(shard, int):
+            handled.setdefault(shard, []).append(r)
     shards: Dict[int, Dict[str, Any]] = {}
-    for r in records:
-        if r.get("kind") != "span" or r.get("name") != "server.handle":
-            continue
-        attrs = r.get("attrs", {})
-        shard = attrs.get("shard")
-        if not isinstance(shard, int):
-            continue
-        row = shards.setdefault(
-            shard, {"requests": 0, "busy": 0, "durations": []}
-        )
-        row["requests"] += 1
-        if attrs.get("outcome") == "busy":
-            row["busy"] += 1
-        row["durations"].append(r["end"] - r["start"])
-    shard_rows: List[Dict[str, Any]] = []
-    for shard in sorted(shards):
-        row = shards[shard]
-        durations = row.pop("durations")
-        shard_rows.append(
-            {
-                "shard": shard,
-                **row,
-                "p50": percentile(durations, 50) if durations else None,
-                "p95": percentile(durations, 95) if durations else None,
-            }
-        )
-    cluster = getattr(result, "cluster", None) if result is not None else None
-    if cluster is not None:
-        by_index = {row["shard"]: row for row in shard_rows}
-        for state in cluster.snapshot()["shards"]:
-            row = by_index.get(state["shard"])
-            if row is None:
-                row = {"shard": state["shard"]}
-                shard_rows.append(row)
-            for key in ("commits", "certification_lag", "up"):
-                row[key] = state[key]
-        shard_rows.sort(key=lambda row: row["shard"])
+    for shard, spans in handled.items():
+        stats = stats_row([r["end"] - r["start"] for r in spans], 50, 95)
+        shards[shard] = {
+            "shard": shard,
+            "requests": stats["count"],
+            "busy": sum(
+                1 for r in spans if r.get("attrs", {}).get("outcome") == "busy"
+            ),
+            "p50": stats["p50"],
+            "p95": stats["p95"],
+        }
+    cluster = getattr(result, "cluster", None)
+    for state in cluster.snapshot()["shards"] if cluster is not None else ():
+        row = shards.setdefault(state["shard"], {"shard": state["shard"]})
+        for key in ("commits", "certification_lag", "up"):
+            row[key] = state[key]
+    shard_rows = [shards[shard] for shard in sorted(shards)]
     lag_rows: List[Dict[str, Any]] = []
     for key, samples in replication_lag_timeline(records).items():
-        lags = [s["lag"] for s in samples]
+        stats = stats_row([s["lag"] for s in samples], 50, 95)
         lag_rows.append(
             {
                 "stream": key,
-                "batches": len(samples),
-                "p50": percentile(lags, 50),
-                "p95": percentile(lags, 95),
-                "max": max(lags),
+                "batches": stats["count"],
+                "p50": stats["p50"],
+                "p95": stats["p95"],
+                "max": stats["max"],
                 "final_offset": samples[-1]["offset"],
             }
         )
     two_pc = twopc_summary(records)
-    violations: Dict[str, int] = {}
-    witnessed = (
-        getattr(result, "session_violations", ()) if result is not None else ()
-    ) or [
-        r.get("attrs", {})
-        for r in records
-        if r.get("kind") == "event" and r.get("name") == "session.violation"
+    witnessed = getattr(result, "session_violations", ()) or [
+        r.get("attrs", {}) for r in _select(records, "event", "session.violation")
     ]
-    for violation in witnessed:
-        kind = str(violation.get("kind"))
-        violations[kind] = violations.get(kind, 0) + 1
+    violations = dict(Counter(str(v.get("kind")) for v in witnessed))
     if not (shard_rows or lag_rows or two_pc["transactions"] or violations):
         return None
     return {
@@ -786,18 +701,7 @@ class RunReport:
     cluster: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "title": self.title,
-            "config": self.config,
-            "summary": self.summary,
-            "latencies": self.latencies,
-            "contention": self.contention,
-            "phenomena": self.phenomena,
-            "metrics": self.metrics,
-            "trace_stats": self.trace_stats,
-            "capacity": self.capacity,
-            "cluster": self.cluster,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -806,91 +710,77 @@ class RunReport:
         lines: List[str] = [f"# Run report — {self.title}", ""]
         if self.config:
             lines += ["## Fault schedule and configuration", ""]
-            lines += _kv_table(_flatten(self.config))
-            lines.append("")
+            lines += [*_kv_table(_flatten(self.config)), ""]
         if self.summary:
-            lines += ["## Outcome", ""]
-            lines += _kv_table(self.summary)
-            lines.append("")
+            lines += ["## Outcome", "", *_kv_table(self.summary), ""]
         if self.capacity:
             lines += _capacity_markdown(self.capacity)
         if self.cluster:
             lines += _cluster_markdown(self.cluster)
         lines += ["## Logical latency by verb (ticks)", ""]
         if self.latencies:
-            lines.append(
-                "| verb | count | p50 | p95 | p99 | mean | max |"
+            lines += _table(
+                _LATENCY_HEADERS,
+                (
+                    (
+                        verb, s["count"], s["p50"], s["p95"], s["p99"],
+                        f"{s['mean']:.1f}", s["max"],
+                    )
+                    for verb, s in self.latencies.items()
+                ),
             )
-            lines.append("|---|---|---|---|---|---|---|")
-            for verb, s in self.latencies.items():
-                lines.append(
-                    f"| {verb} | {s['count']} | {_fmt(s['p50'])} "
-                    f"| {_fmt(s['p95'])} | {_fmt(s['p99'])} "
-                    f"| {s['mean']:.1f} | {_fmt(s['max'])} |"
-                )
         else:
             lines.append("no request spans in the trace.")
-        lines.append("")
-        lines += ["## Top contended objects", ""]
+        lines += ["", "## Top contended objects", ""]
         if self.contention:
-            lines.append("| object | busy replies | lock blocks | wait ticks |")
-            lines.append("|---|---|---|---|")
-            for row in self.contention[:10]:
-                lines.append(
-                    f"| {row['obj']} | {int(row['busy_replies'])} "
-                    f"| {int(row['lock_blocks'])} | {_fmt(row['wait_ticks'])} |"
-                )
+            lines += _table(
+                ("object", "busy replies", "lock blocks", "wait ticks"),
+                (
+                    (r["obj"], r["busy_replies"], r["lock_blocks"], r["wait_ticks"])
+                    for r in self.contention[:10]
+                ),
+            )
         else:
             lines.append("no contention observed.")
-        lines.append("")
-        lines += ["## Phenomena", ""]
-        if self.phenomena:
-            for p in self.phenomena:
-                name = p.get("phenomenon", "?")
-                lines.append(
-                    f"### {name} (latched at event {p.get('at_event', '?')})"
-                )
-                lines.append("")
-                for edge in p.get("cycle", []):
-                    lines.append(f"- {edge.get('describe', edge)}")
-                for witness in p.get("witnesses", []):
-                    lines.append(
-                        f"- {witness.get('phenomenon')}: "
-                        f"{witness.get('description')}"
-                    )
-                events = p.get("events")
-                if events:
-                    lines.append(
-                        "- witness events: "
-                        + ", ".join(
-                            f"`{e['event']}` (#{e['index']})" for e in events
-                        )
-                    )
-                lines.append("")
-        else:
+        lines += ["", "## Phenomena", ""]
+        for p in self.phenomena:
+            lines.append(
+                f"### {p.get('phenomenon', '?')} "
+                f"(latched at event {p.get('at_event', '?')})"
+            )
+            lines.append("")
+            lines += [f"- {e.get('describe', e)}" for e in p.get("cycle", [])]
+            lines += [
+                f"- {w.get('phenomenon')}: {w.get('description')}"
+                for w in p.get("witnesses", [])
+            ]
+            if p.get("events"):
+                events = (f"`{e['event']}` (#{e['index']})" for e in p["events"])
+                lines.append("- witness events: " + ", ".join(events))
+            lines.append("")
+        if not self.phenomena:
             lines += ["none latched.", ""]
         if self.metrics:
             lines += ["## Metrics", ""]
-            lines.append("| metric | labels | value |")
-            lines.append("|---|---|---|")
-            for name in sorted(self.metrics):
-                inst = self.metrics[name]
-                for series in inst.get("series", []):
-                    labels = ", ".join(
-                        f"{k}={v}" for k, v in sorted(series["labels"].items())
+            lines += _table(
+                ("metric", "labels", "value"),
+                (
+                    (
+                        name,
+                        ", ".join(
+                            f"{k}={v}" for k, v in sorted(series["labels"].items())
+                        ),
+                        series["value"]
+                        if "value" in series
+                        else f"count={series['count']} sum={_fmt(series['sum'])}",
                     )
-                    if "value" in series:
-                        value = _fmt(series["value"])
-                    else:
-                        value = (
-                            f"count={series['count']} sum={_fmt(series['sum'])}"
-                        )
-                    lines.append(f"| {name} | {labels} | {value} |")
+                    for name in sorted(self.metrics)
+                    for series in self.metrics[name].get("series", [])
+                ),
+            )
             lines.append("")
         if self.trace_stats:
-            lines += ["## Trace", ""]
-            lines += _kv_table(self.trace_stats)
-            lines.append("")
+            lines += ["## Trace", "", *_kv_table(self.trace_stats), ""]
         return "\n".join(lines).rstrip() + "\n"
 
 
@@ -900,41 +790,35 @@ def _cluster_markdown(cluster: Dict[str, Any]) -> List[str]:
     lines: List[str] = ["## Cluster", ""]
     shard_rows = cluster.get("shards") or []
     if shard_rows:
-        lines.append(
-            "| shard | requests | p50 | p95 | busy | commits "
-            "| certification lag | up |"
+        lines += _table(
+            (
+                "shard", "requests", "p50", "p95", "busy", "commits",
+                "certification lag", "up",
+            ),
+            (
+                (
+                    row["shard"], row.get("requests", 0), row.get("p50"),
+                    row.get("p95"), row.get("busy", 0), row.get("commits"),
+                    row.get("certification_lag"), row.get("up"),
+                )
+                for row in shard_rows
+            ),
         )
-        lines.append("|---|---|---|---|---|---|---|---|")
-        for row in shard_rows:
-            lines.append(
-                f"| {row['shard']} | {row.get('requests', 0)} "
-                f"| {_fmt_opt(row.get('p50'))} | {_fmt_opt(row.get('p95'))} "
-                f"| {row.get('busy', 0)} | {_fmt_opt(row.get('commits'))} "
-                f"| {_fmt_opt(row.get('certification_lag'))} "
-                f"| {row.get('up', '-')} |"
-            )
         lines.append("")
     lag_rows = cluster.get("replication") or []
     if lag_rows:
         lines += ["### Replication lag (entries behind primary, per batch)", ""]
-        lines.append("| stream | batches | p50 | p95 | max | final offset |")
-        lines.append("|---|---|---|---|---|---|")
-        for row in lag_rows:
-            lines.append(
-                f"| {row['stream']} | {row['batches']} | {_fmt(row['p50'])} "
-                f"| {_fmt(row['p95'])} | {_fmt(row['max'])} "
-                f"| {_fmt_opt(row['final_offset'])} |"
-            )
+        keys = ("stream", "batches", "p50", "p95", "max", "final_offset")
+        lines += _table(
+            [key.replace("_", " ") for key in keys],
+            ([row[key] for key in keys] for row in lag_rows),
+        )
         lines.append("")
     two_pc = cluster.get("two_pc") or {}
     if two_pc.get("transactions"):
         lines += ["### Cross-shard 2PC", ""]
-        outcomes = ", ".join(
-            f"{k}={v}" for k, v in sorted(two_pc["outcomes"].items())
-        )
-        lines.append(
-            f"{two_pc['transactions']} global transactions ({outcomes})."
-        )
+        outcomes = ", ".join(f"{k}={v}" for k, v in sorted(two_pc["outcomes"].items()))
+        lines.append(f"{two_pc['transactions']} global transactions ({outcomes}).")
         in_doubt = two_pc.get("in_doubt_ticks")
         if in_doubt:
             lines.append(
@@ -947,33 +831,23 @@ def _cluster_markdown(cluster: Dict[str, Any]) -> List[str]:
             (t for t in two_pc.get("per_txn", []) if t["in_doubt"] is not None),
             key=lambda t: (-t["in_doubt"], t["tid"]),
         )[:10]
-        pending = [
-            t for t in two_pc.get("per_txn", []) if t["in_doubt"] is None
-        ]
+        pending = [t for t in two_pc.get("per_txn", []) if t["in_doubt"] is None]
         if longest:
-            lines.append("| gid | outcome | prepared at | in-doubt ticks |")
-            lines.append("|---|---|---|---|")
-            for txn in longest:
-                lines.append(
-                    f"| {txn['tid']} | {txn['outcome']} "
-                    f"| {_fmt(txn['prepared_at'])} "
-                    f"| {_fmt(txn['in_doubt'])} |"
-                )
-            lines.append("")
-        if pending:
-            lines.append(
-                "Still in doubt at trace end: "
-                + ", ".join(str(t["tid"]) for t in pending)
-                + "."
+            lines += _table(
+                ("gid", "outcome", "prepared at", "in-doubt ticks"),
+                (
+                    (t["tid"], str(t["outcome"]), t["prepared_at"], t["in_doubt"])
+                    for t in longest
+                ),
             )
             lines.append("")
+        if pending:
+            tids = ", ".join(str(t["tid"]) for t in pending)
+            lines += [f"Still in doubt at trace end: {tids}.", ""]
     violations = cluster.get("session_violations") or {}
     lines += ["### Session-guarantee violations", ""]
     if violations:
-        lines.append("| kind | count |")
-        lines.append("|---|---|")
-        for kind in sorted(violations):
-            lines.append(f"| {kind} | {violations[kind]} |")
+        lines += _table(("kind", "count"), sorted(violations.items()))
     else:
         lines.append("none witnessed.")
     lines.append("")
@@ -1000,79 +874,69 @@ def _capacity_markdown(capacity: Dict[str, Any]) -> List[str]:
     lines.append("")
     ladder = capacity.get("ladder", [])
     if ladder:
-        lines.append(
-            "| offered rate | offered | committed | completion | "
-            "commits/ktick | p50 | p99 | shed | aborts | max queue | SLOs |"
+        lines += _table(
+            (
+                "offered rate", "offered", "committed", "completion",
+                "commits/ktick", "p50", "p99", "shed", "aborts", "max queue",
+                "SLOs",
+            ),
+            (
+                (
+                    f"{rung['rate']:g}", rung["offered"], rung["committed"],
+                    f"{rung['completion_ratio']:.0%}",
+                    f"{rung['throughput_per_kilotick']:g}", rung["p50"],
+                    rung["p99"], rung["shed"], rung["aborted"],
+                    rung["max_queue_depth"],
+                    "ok" if rung["slos_ok"] else "VIOLATED",
+                )
+                for rung in ladder
+            ),
         )
-        lines.append("|---|---|---|---|---|---|---|---|---|---|---|")
-        for rung in ladder:
-            lines.append(
-                f"| {rung['rate']:g} | {rung['offered']} "
-                f"| {rung['committed']} | {rung['completion_ratio']:.0%} "
-                f"| {rung['throughput_per_kilotick']:g} "
-                f"| {_fmt_opt(rung['p50'])} | {_fmt_opt(rung['p99'])} "
-                f"| {rung['shed']} | {rung['aborted']} "
-                f"| {rung['max_queue_depth']} "
-                f"| {'ok' if rung['slos_ok'] else 'VIOLATED'} |"
-            )
         lines.append("")
     slo_names = [s["name"] for s in (ladder[0]["slos"] if ladder else [])]
     if slo_names:
         lines += ["### SLO verdicts", ""]
-        header = "| offered rate | " + " | ".join(slo_names) + " |"
-        lines.append(header)
-        lines.append("|---" * (len(slo_names) + 1) + "|")
-        for rung in ladder:
-            cells = []
-            for status in rung["slos"]:
-                if status["ok"]:
-                    cells.append("ok")
-                else:
-                    cells.append(f"violated@t={status['violated_at']}")
-            lines.append(
-                f"| {rung['rate']:g} | " + " | ".join(cells) + " |"
-            )
+        lines += _table(
+            ("offered rate", *slo_names),
+            (
+                (
+                    f"{rung['rate']:g}",
+                    *(
+                        "ok" if status["ok"]
+                        else f"violated@t={status['violated_at']}"
+                        for status in rung["slos"]
+                    ),
+                )
+                for rung in ladder
+            ),
+        )
         lines.append("")
     heatmap = capacity.get("heatmap") or {}
     if heatmap.get("objects"):
         lines += ["### Contention heatmap (wait ticks by object × rate)", ""]
-        rates = heatmap["rates"]
-        lines.append(
-            "| object | " + " | ".join(f"{r:g}" for r in rates) + " |"
+        lines += _table(
+            ("object", *(f"{r:g}" for r in heatmap["rates"])),
+            (
+                (obj, *row)
+                for obj, row in zip(heatmap["objects"], heatmap["wait_ticks"])
+            ),
         )
-        lines.append("|---" * (len(rates) + 1) + "|")
-        for obj, row in zip(heatmap["objects"], heatmap["wait_ticks"]):
-            lines.append(
-                f"| {obj} | " + " | ".join(_fmt(v) for v in row) + " |"
-            )
         lines.append("")
     return lines
-
-
-def _fmt_opt(value: Optional[float]) -> str:
-    return "-" if value is None else _fmt(value)
 
 
 def _flatten(mapping: Dict[str, Any], prefix: str = "") -> Dict[str, Any]:
     flat: Dict[str, Any] = {}
     for key, value in mapping.items():
-        name = f"{prefix}{key}"
         if isinstance(value, dict):
-            flat.update(_flatten(value, f"{name}."))
+            flat.update(_flatten(value, f"{prefix}{key}."))
         else:
-            flat[name] = value
+            flat[f"{prefix}{key}"] = value
     return flat
 
 
-def _kv_table(mapping: Dict[str, Any]) -> List[str]:
-    lines = ["| key | value |", "|---|---|"]
-    for key in mapping:
-        lines.append(f"| {key} | {mapping[key]} |")
-    return lines
-
-
 def build_run_report(
-    records: Optional[Iterable[Dict[str, Any]]] = None,
+    records: Optional[Iterable[Record]] = None,
     *,
     result: Optional[object] = None,
     metrics: Optional[object] = None,
@@ -1084,81 +948,43 @@ def build_run_report(
 
     ``records`` are trace records (live or read back from JSONL);
     ``result`` is a :class:`~repro.service.StressResult` (contributes the
-    outcome summary, config and metrics when not given explicitly);
+    outcome summary — its :meth:`~repro.service.StressResult.outcome`
+    rows — plus config and metrics when not given explicitly);
     ``metrics`` is a :class:`~repro.observability.MetricsRegistry` or an
     already-snapshotted dict.
     """
-    if records is None and result is not None:
-        tracer = getattr(result, "tracer", None)
-        records = getattr(tracer, "records", None)
-    skipped = getattr(records, "skipped", 0) if records is not None else 0
-    records = list(records) if records is not None else []
-    if config is None and result is not None:
+    if records is None:
+        records = getattr(getattr(result, "tracer", None), "records", None) or []
+    skipped = getattr(records, "skipped", 0)
+    records = list(records)
+    if config is None:
         config = getattr(result, "config", None)
-    summary: Dict[str, Any] = {}
-    if result is not None:
-        certification = getattr(result, "certification", {})
-        summary = {
-            "committed transactions": result.committed,
-            "client-visible aborts": result.client_aborts,
-            "logical ticks": result.ticks,
-            "messages sent/dropped/duplicated": (
-                f"{result.network_counters['sent']}"
-                f"/{result.network_counters['dropped']}"
-                f"/{result.network_counters['duplicated']}"
-            ),
-            "server crashes/restarts": f"{result.crashes}/{result.restarts}",
-            "deadlock victims": result.deadlock_victims,
-            "busy replies": result.server_counters["busy"],
-            "dedup cache hits": result.server_counters["dedup_hits"],
-            "client retries/timeouts": (
-                f"{result.client_stats['retries']}"
-                f"/{result.client_stats['timeouts']}"
-            ),
-            "strongest level (live)": str(result.strongest_level() or "none"),
-            "certification": (
-                f"all {len(certification)} commits certified"
-                if result.all_certified
-                else "FAILED for tids "
-                + ", ".join(
-                    str(t) for t, (_l, ok) in certification.items() if not ok
-                )
-            ),
-        }
-    if metrics is None and result is not None:
+    if metrics is None:
         metrics = getattr(result, "metrics", None)
-    snapshot = (
-        metrics.snapshot() if hasattr(metrics, "snapshot") else metrics
-    )
-    phenomena = [
-        dict(r.get("attrs", {}))
-        for r in records
-        if r.get("kind") == "event" and r.get("name") == "phenomenon"
-    ]
+    snapshot = metrics.snapshot() if hasattr(metrics, "snapshot") else metrics
     trace_stats: Dict[str, Any] = {}
-    if records:
-        spans = sum(1 for r in records if r.get("kind") == "span")
-        trace_ids = {
-            r["attrs"]["trace_id"]
-            for r in records
-            if r.get("kind") == "span"
-            and r.get("attrs", {}).get("trace_id") is not None
-        }
+    if records or skipped:
+        spans = _select(records, "span")
         trace_stats = {
             "records": len(records),
-            "spans": spans,
-            "events": len(records) - spans,
-            "traces": len(trace_ids),
+            "spans": len(spans),
+            "events": len(records) - len(spans),
+            "traces": len(
+                {r.get("attrs", {}).get("trace_id") for r in spans} - {None}
+            ),
         }
         if skipped:
             trace_stats["skipped lines"] = skipped
     return RunReport(
         title=title,
         config=dict(config or {}),
-        summary=summary,
+        summary=dict(result.outcome()) if result is not None else {},
         latencies=verb_latencies(records),
         contention=contention_summary(records),
-        phenomena=phenomena,
+        phenomena=[
+            dict(r.get("attrs", {}))
+            for r in _select(records, "event", "phenomenon")
+        ],
         metrics=snapshot,
         trace_stats=trace_stats,
         capacity=capacity,

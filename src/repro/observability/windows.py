@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from .traceview import percentile
+from .traceview import percentile, stats_row
 
 __all__ = [
     "WindowedCounter",
@@ -122,16 +122,7 @@ class WindowedValues:
         """``{count, p50, p95, p99, mean, max}`` over the window (empty
         window gives ``count=0`` only)."""
         values = sorted(self.values(now))
-        if not values:
-            return {"count": 0}
-        return {
-            "count": len(values),
-            "p50": percentile(values, 50),
-            "p95": percentile(values, 95),
-            "p99": percentile(values, 99),
-            "mean": sum(values) / len(values),
-            "max": values[-1],
-        }
+        return stats_row(values, 50, 95, 99) if values else {"count": 0}
 
 
 #: SLO kinds and their comparison direction.

@@ -255,14 +255,17 @@ def run_capacity(
     )
 
 
-def build_capacity_report(
-    result: CapacityResult, *, heatmap_objects: int = 8
-) -> Dict[str, Any]:
+#: Rows of the contention heatmap: the hottest objects across all rungs.
+HEATMAP_OBJECTS = 8
+
+
+def build_capacity_report(result: CapacityResult) -> Dict[str, Any]:
     """The JSON-ready capacity section a :class:`~repro.observability.
     traceview.RunReport` embeds: the ladder, the knee, per-rung SLO
-    verdicts and the object × rate contention heatmap."""
+    verdicts and the object × rate contention heatmap (the
+    :data:`HEATMAP_OBJECTS` hottest objects)."""
     knee = result.knee
-    heat = _heatmap(result.rungs, top=heatmap_objects)
+    heat = _heatmap(result.rungs)
     return {
         "seed": result.seed,
         "horizon": result.horizon,
@@ -282,9 +285,7 @@ def build_capacity_report(
     }
 
 
-def _heatmap(
-    rungs: Sequence[CapacityRung], *, top: int
-) -> Dict[str, Any]:
+def _heatmap(rungs: Sequence[CapacityRung]) -> Dict[str, Any]:
     """Object × rate matrix of contention wait ticks, hottest rows first."""
     totals: Dict[str, float] = {}
     per_rung: List[Dict[str, float]] = []
@@ -299,7 +300,7 @@ def _heatmap(
         obj
         for obj, _total in sorted(
             totals.items(), key=lambda kv: (-kv[1], kv[0])
-        )[:top]
+        )[:HEATMAP_OBJECTS]
     ]
     return {
         "rates": [r.rate for r in rungs],

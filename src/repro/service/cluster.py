@@ -208,7 +208,7 @@ class Cluster:
                 slot.replicas.append(replica)
         for shard in self.shards:
             shard.arm_replication()
-        self.coordinator = Coordinator(self, name=self.config.coordinator)
+        self.coordinator = Coordinator(self)
         self._replacements = 0
         #: The deterministic fault and reconfiguration schedule.
         self.faults = FaultSchedule()

@@ -314,8 +314,6 @@ class ClusterConfig:
     partition_coordinator_after_prepares: Optional[int] = None
     #: Ticks until the coordinator partition heals.
     heal_after: int = 40
-    #: Coordinator endpoint name.
-    coordinator: str = "coord"
     #: Backups per shard (0 = unreplicated; the primary then ships no
     #: replication log and the run is byte-identical to the plain path).
     replicas: int = 0

@@ -87,12 +87,16 @@ class _TwoPC:
         self.opened_at: int = 0
 
 
+#: The coordinator's endpoint name on the cluster's network.
+COORDINATOR = "coord"
+
+
 class Coordinator:
     """2PC coordinator endpoint for one cluster."""
 
-    def __init__(self, cluster, *, name: str = "coord") -> None:
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
-        self.name = name
+        self.name = COORDINATOR
         self.network = cluster.network
         self.tracer = cluster.tracer
         self.metrics = cluster.metrics
@@ -110,7 +114,7 @@ class Coordinator:
         self._inflight: Dict[int, Tuple[int, int, str]] = {}
         #: Final client replies per gid (client commit retries re-fetch).
         self._completed: Dict[int, Dict[str, Any]] = {}
-        self.network.register_handler(name, self.handle)
+        self.network.register_handler(COORDINATOR, self.handle)
 
     # ------------------------------------------------------------------
     # network entry point

@@ -306,13 +306,6 @@ class SimulatedNetwork:
         self.now += ticks
         self._sync_clock()
 
-    def advance_past(self, t: int) -> None:
-        """Jump the clock just past ``t``, delivering anything due."""
-        while self._queue and self._queue[0][0] <= t:
-            self.step()
-        self.now = max(self.now, t + 1)
-        self._sync_clock()
-
     def run_until(
         self, done: Callable[[], bool], *, max_ticks: int = 100_000
     ) -> bool:

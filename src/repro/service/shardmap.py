@@ -67,11 +67,6 @@ class ShardMap:
         """The endpoint currently owning ``key``."""
         return self.assignment[self.slot_of(key)]
 
-    def slots_of(self, shard: str) -> Tuple[int, ...]:
-        return tuple(
-            i for i, name in enumerate(self.assignment) if name == shard
-        )
-
     def owns(self, shard: str, key: str) -> bool:
         return self.owner(key) == shard
 

@@ -33,7 +33,7 @@ from ..analysis.opcheck import Op, check_operations
 from ..core.incremental import IncrementalAnalysis
 from ..core.levels import IsolationLevel
 from ..observability.provenance import watching_analysis
-from ..observability.traceview import percentile
+from ..observability.traceview import percentile, stats_row
 from ..workloads.arrivals import ZipfianKeys
 from .client import Client
 from .cluster import Cluster
@@ -132,46 +132,56 @@ class StressResult:
             for line in self.journals[name]
         )
 
-    def summary(self) -> str:
+    def outcome(self) -> List[Tuple[str, Any]]:
+        """The run's outcome as ordered ``(label, value)`` rows — the lines
+        of :meth:`summary` and the "Outcome" table of a
+        :class:`~repro.observability.traceview.RunReport`."""
         net = self.network_counters
-        lines = [
-            f"committed transactions : {self.committed}",
-            f"client-visible aborts  : {self.client_aborts}",
-            f"logical ticks          : {self.ticks}",
-            f"messages sent/dropped/duplicated : "
-            f"{net['sent']}/{net['dropped']}/{net['duplicated']}",
-            f"server crashes/restarts: {self.crashes}/{self.restarts}",
-            f"deadlock victims       : {self.deadlock_victims}",
-            f"busy replies           : {self.server_counters['busy']}",
-            f"dedup cache hits       : {self.server_counters['dedup_hits']}",
-            f"client retries/timeouts: {self.client_stats['retries']}"
-            f"/{self.client_stats['timeouts']}",
-        ]
-        certified_n = sum(1 for _l, ok in self.certification.values() if ok)
-        shed = self.server_counters.get("shed", 0)
-        lines.append(
-            f"certified/aborted/shed : {certified_n}/{self.client_aborts}/{shed}"
-        )
-        if self.commit_latencies:
-            p50, p95, p99 = (
-                percentile(self.commit_latencies, q) for q in (50, 95, 99)
-            )
-            lines.append(
-                f"commit latency p50/p95/p99 : {p50}/{p95}/{p99} ticks"
-            )
-        lines += [
-            f"strongest level (live) : {self.strongest_level() or 'none'}",
-            f"certification          : "
-            + (
-                f"all {len(self.certification)} commits certified"
-                if self.all_certified
-                else "FAILED for tids "
-                + ", ".join(
-                    str(t) for t, (_l, ok) in self.certification.items() if not ok
-                )
+        failed = [t for t, (_l, ok) in self.certification.items() if not ok]
+        return [
+            ("committed transactions", self.committed),
+            ("client-visible aborts", self.client_aborts),
+            ("logical ticks", self.ticks),
+            (
+                "messages sent/dropped/duplicated",
+                f"{net['sent']}/{net['dropped']}/{net['duplicated']}",
+            ),
+            ("server crashes/restarts", f"{self.crashes}/{self.restarts}"),
+            ("deadlock victims", self.deadlock_victims),
+            ("busy replies", self.server_counters["busy"]),
+            ("dedup cache hits", self.server_counters["dedup_hits"]),
+            (
+                "client retries/timeouts",
+                f"{self.client_stats['retries']}/{self.client_stats['timeouts']}",
+            ),
+            ("strongest level (live)", str(self.strongest_level() or "none")),
+            (
+                "certification",
+                "FAILED for tids " + ", ".join(str(t) for t in failed)
+                if failed
+                else f"all {len(self.certification)} commits certified",
             ),
         ]
-        return "\n".join(lines)
+
+    def summary(self) -> str:
+        """:meth:`outcome` as aligned ``label : value`` lines, with the
+        certified/aborted/shed tally and the commit-latency percentiles
+        ahead of the two verdict rows."""
+        rows = self.outcome()
+        shed = self.server_counters.get("shed", 0)
+        certified = sum(1 for _l, ok in self.certification.values() if ok)
+        rows.insert(
+            -2, ("certified/aborted/shed", f"{certified}/{self.client_aborts}/{shed}")
+        )
+        if self.commit_latencies:
+            row = stats_row(self.commit_latencies, 50, 95, 99)
+            latency = f"{row['p50']}/{row['p95']}/{row['p99']} ticks"
+            rows.insert(-2, ("commit latency p50/p95/p99", latency))
+        # Labels wider than the column keep one space before the colon.
+        return "\n".join(
+            f"{label:<23}: {value}" if len(label) <= 23 else f"{label} : {value}"
+            for label, value in rows
+        )
 
 
 class _ScriptRun:

@@ -11,7 +11,12 @@ import pytest
 import repro
 import repro.service as service
 from repro.engine import LockingScheduler
-from repro.observability import to_chrome_trace, write_chrome_trace
+from repro.observability import (
+    to_chrome_trace,
+    verb_latencies,
+    waterfall,
+    write_chrome_trace,
+)
 
 API_MD = Path(__file__).resolve().parent.parent / "docs" / "API.md"
 
@@ -69,8 +74,17 @@ class TestServiceSurface:
             repro.IncrementalAnalysis(tracer=None)
         with pytest.raises(TypeError):
             repro.IncrementalAnalysis().add_all([], chunk=1)
+        with pytest.raises(TypeError):
+            repro.ClusterConfig(coordinator="c")
+        with pytest.raises(TypeError):
+            verb_latencies([], key="verb")
+        with pytest.raises(TypeError):
+            waterfall([], width=80)
         small = repro.StressConfig(clients=1, txns_per_client=1)
-        assert "pipeline" not in repro.run_stress(small).config
+        result = repro.run_stress(small)
+        assert "pipeline" not in result.config
+        with pytest.raises(TypeError):
+            service.build_capacity_report(result, heatmap_objects=4)
 
     def test_a_run_is_described_by_a_stress_config_only(self):
         run_shape = {

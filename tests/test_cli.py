@@ -428,6 +428,25 @@ class TestRunReportCommand:
         assert "## Logical latency by verb" in text
         assert "service_requests_total" in text
 
+    def test_report_skips_a_line_that_is_not_a_record(self, tmp_path):
+        """A decodable line that is no span/event record is counted like an
+        undecodable one; the rest of the report is the clean trace's."""
+        trace = tmp_path / "run.jsonl"
+        status, _ = run_cli(
+            "stress", "--clients", "2", "--txns", "3", "--seed", "4",
+            "--trace", str(trace),
+        )
+        assert status == 0
+        status, clean = run_cli("report", "--trace", str(trace))
+        assert status == 0 and "skipped lines" not in clean
+        with open(trace, "a", encoding="utf-8") as handle:
+            handle.write('{"name":"x"}\n')
+        status, text = run_cli("report", "--trace", str(trace))
+        assert status == 0
+        assert text.strip().splitlines() == [
+            *clean.strip().splitlines(), "| skipped lines | 1 |",
+        ]
+
     def test_report_stress_with_trace_records_both(self, tmp_path):
         trace = tmp_path / "both.jsonl"
         status, text = run_cli(

@@ -537,11 +537,18 @@ class TestTruncatedTrace:
         assert len(records) == len(lines) - 1
         assert records.skipped == 1
 
-    def test_strict_mode_raises_on_truncation(self, tmp_path):
+    @pytest.mark.parametrize(
+        "tail", [None, '{"name": "x"}', "[1, 2]", '{"kind": "metric"}']
+    )
+    def test_strict_mode_raises_on_a_line_that_is_not_a_record(self, tmp_path, tail):
+        """A truncated line, or one that decodes to something other than a
+        span/event record: skipped and counted, or an error when strict."""
         path = str(tmp_path / "trace.jsonl")
         lines = self._trace_lines()
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(lines[0] + "\n" + lines[1][:10])
+            handle.write(lines[0] + "\n" + (tail or lines[1][:10]))
+        records = read_trace(path)
+        assert len(records) == 1 and records.skipped == 1
         with pytest.raises(ValueError):
             read_trace(path, strict=True)
 

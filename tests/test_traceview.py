@@ -145,6 +145,18 @@ class TestWaterfall:
     def test_empty(self):
         assert waterfall([]) == "(no closed spans)"
 
+    def test_orphan_only_trace_draws_the_orphans_row(self):
+        """Every span of a truncated trace may be missing: the synthetic
+        ``orphans`` root is then the only row, and the axis is its own."""
+        orphan = {
+            "kind": "event", "id": 1, "span": 99, "name": "x", "time": 3,
+            "attrs": {}, "seq": 0,
+        }
+        header, row = waterfall([orphan]).splitlines()
+        assert "t=3" in header and "3=t" in header
+        assert row.startswith("orphans ") and row.endswith("| 3-3 (0)")
+        assert row.count("*") == 1
+
 
 class TestContention:
     def test_hot_keys_surface(self, traced):
