@@ -17,7 +17,8 @@ seed the sha256 of
 
 is committed in ``tests/data/report_golden.json``, next to the stdout of
 ``repro report --stress``, ``cluster-report`` and ``capacity`` in both
-``--format``s.  A commit that rebuilds a table renderer, a summary builder or
+``--format``s and two edge inputs (an orphan-only waterfall, a report over a
+trace with a skipped non-record line).  A commit that rebuilds a table renderer, a summary builder or
 a tree walker fails here on the first byte it moves.
 
 ``python tests/test_report_golden.py`` regenerates the file (only ever on a
@@ -299,6 +300,29 @@ def cli_digest(seed: int) -> Dict[str, str]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def edge_digest(seed: int) -> Dict[str, str]:
+    """Two inputs that used to end in a traceback: a trace with nothing but
+    orphan events (every span lost), and a JSONL with a decodable line that
+    is not a record (counted in ``skipped lines``, like an undecodable one)."""
+    recorded = CONFIGS["single_faulty"](seed).records
+    lines = [json.dumps(r, sort_keys=True) for r in recorded] + ['{"name": "x"}']
+    records = read_trace(lines)
+    assert list(records) == list(recorded) and records.skipped == 1
+    return {
+        "orphan_only_waterfall": _sha(
+            waterfall([r for r in recorded if r["kind"] == "event"])
+        ),
+        "report_with_skipped_line": _sha(
+            build_run_report(records, title=f"edge seed={seed}").to_markdown()
+        ),
+    }
+
+
+#: Sections of the golden file that are not a ``CONFIGS`` entry.
+EXTRA = {"cli": cli_digest, "edges": edge_digest}
+
+
 def _golden() -> Dict[str, Dict[str, Any]]:
     return json.loads(GOLDEN.read_text())
 
@@ -310,13 +334,16 @@ def test_matches_committed_digest(name: str, seed: int) -> None:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_cli_stdout_matches_committed_digest(seed: int) -> None:
-    assert cli_digest(seed) == _golden()["cli"][str(seed)]
+@pytest.mark.parametrize("section", EXTRA)
+def test_cli_stdout_and_edge_cases_match_committed_digest(
+    section: str, seed: int
+) -> None:
+    assert EXTRA[section](seed) == _golden()[section][str(seed)]
 
 
 def test_golden_file_covers_every_config_and_seed() -> None:
     golden = _golden()
-    assert sorted(golden) == sorted([*CONFIGS, "cli"])
+    assert sorted(golden) == sorted([*CONFIGS, *EXTRA])
     for name in golden:
         assert sorted(golden[name], key=int) == [str(s) for s in SEEDS]
 
@@ -395,7 +422,8 @@ def _main(argv) -> int:
         print(f"usage: {sys.argv[0]} [--print CONFIG...]", file=sys.stderr)
         return 2
     golden = _digests(CONFIGS, SEEDS)
-    golden["cli"] = {str(seed): cli_digest(seed) for seed in SEEDS}
+    for section, of_seed in EXTRA.items():
+        golden[section] = {str(seed): of_seed(seed) for seed in SEEDS}
     DATA.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
