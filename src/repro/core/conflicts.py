@@ -25,18 +25,39 @@ match-changing version at or before the selected version.  The literal
 formula ("``i = k`` or ``x_i << x_k``, and ``x_i`` changes the matches")
 quantifies over every such version.  :class:`PredicateDepMode` selects the
 reading; the default :attr:`PredicateDepMode.LATEST` follows the example.
+
+The edge table.  There is one extractor, :func:`edge_table`, and it does not
+build edges: it fills an :class:`EdgeTable` — parallel columns with one row
+per conflict (``src``, ``dst``, view ``depth``, the creating ``version``, and
+sparse ``predicate`` / ``cursor`` columns for the rows that have one) — from
+the event log's int columns (:attr:`History.log`) and the version orders'
+flat form, deduplicating on ``(tid, version id)`` int keys.  The rows come
+out in one fixed order — ww, item wr, predicate wr, item rw, predicate rw,
+each in history order — which every cycle search downstream visits, so it
+is part of the checker's output (``tests/test_checker_golden.py``).  An
+:class:`Edge` object is built from a row only when someone asks for one:
+:meth:`EdgeTable.edge` for the rows of a witness cycle,
+:meth:`EdgeTable.edges` behind ``Analysis.edges`` / ``DSG.edges`` and the
+four ``*_dependencies`` functions.
+
+The views.  The paper states G0, G1c, G2-item and G2 as cycles over four
+nested subsets of the edge set; :data:`FULL`, :data:`ITEM`,
+:data:`DEPENDENCY`, :data:`WRITE` and :data:`DEPTH` below are the one
+statement of which flavour belongs to which, read by the batch checker
+(:mod:`repro.core.dsg`) and the online one (:mod:`repro.core.cycles`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .events import PredicateRead
 from .history import History
-from .objects import Version
+from .objects import INIT_TID, Version
 from .predicates import Predicate
 
 __all__ = [
@@ -61,6 +82,29 @@ class DepKind(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+#: Edge kind codes: field 2 of the online checker's edge keys, and the row
+#: index of :data:`DEPTH`.
+WW, WR, RW = 0, 1, 2
+
+#: The nested views of one DSG, largest first; a view's number is its depth::
+#:
+#:     full  ⊇  item (no predicate rw)  ⊇  dependency (ww + wr)  ⊇  write (ww)
+#:      G2        G2-item                    G1c                     G0
+FULL, ITEM, DEPENDENCY, WRITE = range(4)
+
+#: ``DEPTH[kind code][predicate?]``: an edge of that flavour belongs to views
+#: ``0..depth``.
+DEPTH: Tuple[Tuple[int, int], ...] = (
+    (WRITE, WRITE),  # ww
+    (DEPENDENCY, DEPENDENCY),  # wr, item and predicate
+    (ITEM, FULL),  # rw: a predicate anti-dependency is in the full view only
+)
+
+_CODE_OF_KIND = {DepKind.WW: WW, DepKind.WR: WR, DepKind.RW: RW}
+#: The conflict kind of a table row, by its depth.
+_KIND_AT_DEPTH = (DepKind.RW, DepKind.RW, DepKind.WR, DepKind.WW)
 
 
 class PredicateDepMode(Enum):
@@ -141,25 +185,109 @@ class Edge:
 
 
 # ----------------------------------------------------------------------
-# write dependencies (Definition 6)
+# the edge table
 # ----------------------------------------------------------------------
+
+
+class EdgeTable:
+    """Direct conflicts as parallel columns, one row per edge.
+
+    ``src[r] --> dst[r]`` is a conflict created by ``version[r]`` (see
+    :class:`Edge`); ``depth[r]`` is the deepest view the row belongs to
+    (:data:`DEPTH`), which for an extracted row also tells its kind.
+    ``predicate`` and ``cursor`` are sparse: the rows of the predicate
+    flavours, and the item anti-dependency rows with a cursor read behind
+    them.  :class:`Edge` objects are built per row on demand and kept, so a
+    row is always the same object.
+    """
+
+    __slots__ = (
+        "src", "dst", "depth", "version", "predicate", "cursor", "_made", "_all",
+    )
+
+    def __init__(self) -> None:
+        self.src: List[int] = []
+        self.dst: List[int] = []
+        self.depth: List[int] = []
+        self.version: List[Optional[Version]] = []
+        self.predicate: Dict[int, Predicate] = {}
+        self.cursor: Set[int] = set()
+        self._made: Dict[int, Edge] = {}
+        self._all: Optional[List[Edge]] = None
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def edge(self, row: int) -> Edge:
+        """Row ``row`` as an :class:`Edge`."""
+        made = self._made.get(row)
+        if made is None:
+            version = self.version[row]
+            made = self._made[row] = Edge(
+                self.src[row],
+                self.dst[row],
+                _KIND_AT_DEPTH[self.depth[row]],
+                version.obj,
+                version,
+                self.predicate.get(row),
+                row in self.cursor,
+            )
+        return made
+
+    def edges(self) -> List[Edge]:
+        """Every row as an :class:`Edge`, in row order."""
+        if self._all is None:
+            self._all = [self.edge(row) for row in range(len(self.src))]
+        return self._all
+
+    def extended(self, edges: Iterable[Edge]) -> "EdgeTable":
+        """A copy with ``edges`` appended as rows that *are* those objects.
+        A kind with no flavour in :data:`DEPTH` (the SSG's start-dependency
+        edges) belongs to the full view only."""
+        edges = list(edges)
+        out = EdgeTable()
+        out.src = self.src + [e.src for e in edges]
+        out.dst = self.dst + [e.dst for e in edges]
+        out.depth = self.depth + [
+            DEPTH[_CODE_OF_KIND[e.kind]][e.via_predicate]
+            if e.kind in _CODE_OF_KIND
+            else FULL
+            for e in edges
+        ]
+        out.version = self.version + [e.version for e in edges]
+        out.predicate = dict(self.predicate)
+        out.cursor = set(self.cursor)
+        out._made = dict(self._made)
+        for row, e in enumerate(edges, len(self.src)):
+            out._made[row] = e
+            if e.predicate is not None:
+                out.predicate[row] = e.predicate
+            if e.cursor:
+                out.cursor.add(row)
+        return out
+
+    def _close(self, depth: int) -> None:
+        """Give the rows appended since the last call their depth."""
+        self.depth += [depth] * (len(self.src) - len(self.depth))
+
+
+def edge_table(
+    history: History,
+    mode: PredicateDepMode = PredicateDepMode.LATEST,
+) -> EdgeTable:
+    """Every direct conflict of the history (Figure 2's three rows), as rows."""
+    table = EdgeTable()
+    _write_rows(table, history)
+    _read_rows(table, history, mode)
+    _anti_rows(table, history)
+    return table
 
 
 def write_dependencies(history: History) -> List[Edge]:
     """``T_i`` installs ``x_i`` and ``T_j`` installs ``x``'s next version."""
-    edges: List[Edge] = []
-    for obj, chain in history.version_order.items():
-        for prev, nxt in zip(chain, chain[1:]):
-            if prev.is_unborn:
-                continue  # T_init is not a DSG node
-            if prev.tid != nxt.tid:
-                edges.append(Edge(prev.tid, nxt.tid, DepKind.WW, obj, nxt))
-    return edges
-
-
-# ----------------------------------------------------------------------
-# read dependencies (Definitions 2 and 3)
-# ----------------------------------------------------------------------
+    table = EdgeTable()
+    _write_rows(table, history)
+    return table.edges()
 
 
 def read_dependencies(
@@ -173,36 +301,93 @@ def read_dependencies(
     genuinely flowed; level classification is unaffected because G1b
     independently condemns intermediate reads wherever read edges matter.
     """
-    edges: List[Edge] = []
-    committed = history.committed_all
-    seen = set()
+    table = EdgeTable()
+    _read_rows(table, history, mode)
+    return table.edges()
 
-    def add(edge: Edge) -> None:
-        key = (edge.src, edge.dst, edge.kind, edge.obj, edge.version, edge.predicate)
+
+def anti_dependencies(history: History) -> List[Edge]:
+    """Item and predicate anti-dependency edges."""
+    table = EdgeTable()
+    _anti_rows(table, history)
+    return table.edges()
+
+
+def all_dependencies(
+    history: History,
+    mode: PredicateDepMode = PredicateDepMode.LATEST,
+) -> List[Edge]:
+    """Every direct-conflict edge of the history (Figure 2's three rows)."""
+    return edge_table(history, mode).edges()
+
+
+# ----------------------------------------------------------------------
+# write dependencies (Definition 6)
+# ----------------------------------------------------------------------
+
+
+def _write_rows(table: EdgeTable, history: History) -> None:
+    versions, tids, following, _row_of_vid = history._installed_rows
+    src, dst, version = table.src, table.dst, table.version
+    # Each installed version beside the one after it; the unborn version
+    # heads every chain and nothing else (T_init is not a DSG node).
+    for prev, nxt, after in zip(tids, islice(tids, 1, None), following):
+        if after >= 0 and prev != nxt and prev != INIT_TID:
+            src.append(prev)
+            dst.append(nxt)
+            version.append(versions[after])
+    table._close(WRITE)
+
+
+# ----------------------------------------------------------------------
+# read dependencies (Definitions 2 and 3)
+# ----------------------------------------------------------------------
+
+
+def _read_rows(table: EdgeTable, history: History, mode: PredicateDepMode) -> None:
+    committed = history.committed_all
+    log = history.log
+    tids, vids = log.tid, log.vid
+    ver_tid, versions = log.interner.ver_tid, log.interner.versions
+    src, dst, version = table.src, table.dst, table.version
+    # One edge per (reader, version read); the pair as one int.
+    n_versions = len(versions)
+    seen: Set[int] = set()
+    for i, _read in history.reads:
+        reader = tids[i]
+        if reader not in committed:
+            continue
+        vid = vids[i]
+        writer = ver_tid[vid]
+        if writer == reader or writer == INIT_TID or writer not in committed:
+            continue
+        key = reader * n_versions + vid
         if key not in seen:
             seen.add(key)
-            edges.append(edge)
+            src.append(writer)
+            dst.append(reader)
+            version.append(versions[vid])
 
-    for _i, read in history.reads:
-        writer = read.version.tid
-        if read.tid not in committed or writer not in committed:
-            continue
-        if writer == read.tid or read.version.is_unborn:
-            continue
-        add(Edge(writer, read.tid, DepKind.WR, read.version.obj, read.version))
-
+    seen_changers: Set[Tuple[int, Version, Predicate]] = set()
     for _i, pread in history.predicate_reads:
         if pread.tid not in committed:
             continue
-        for edge in _predicate_read_edges(history, pread, mode):
-            add(edge)
-    return edges
+        for changer in _predicate_read_changers(history, pread, mode):
+            key = (pread.tid, changer, pread.predicate)
+            if key not in seen_changers:
+                seen_changers.add(key)
+                table.predicate[len(src)] = pread.predicate
+                src.append(changer.tid)
+                dst.append(pread.tid)
+                version.append(changer)
+    table._close(DEPENDENCY)
 
 
-def _predicate_read_edges(
+def _predicate_read_changers(
     history: History, pread: PredicateRead, mode: PredicateDepMode
-) -> List[Edge]:
-    edges: List[Edge] = []
+) -> Iterator[Version]:
+    """The versions, installed by other transactions, that changed the
+    matches of ``pread`` at or before the version it selected, per object."""
     for obj in history.vset_objects(pread):
         if not pread.predicate.covers(obj):
             continue
@@ -222,19 +407,8 @@ def _predicate_read_edges(
             wanted = wanted[-1:]
         chain = history.order_of(obj)
         for k in wanted:
-            version = chain[k]
-            if version.tid != pread.tid:
-                edges.append(
-                    Edge(
-                        version.tid,
-                        pread.tid,
-                        DepKind.WR,
-                        obj,
-                        version,
-                        predicate=pread.predicate,
-                    )
-                )
-    return edges
+            if chain[k].tid != pread.tid:
+                yield chain[k]
 
 
 # ----------------------------------------------------------------------
@@ -242,40 +416,39 @@ def _predicate_read_edges(
 # ----------------------------------------------------------------------
 
 
-def anti_dependencies(history: History) -> List[Edge]:
-    """Item and predicate anti-dependency edges."""
-    edges: List[Edge] = []
+def _anti_rows(table: EdgeTable, history: History) -> None:
     committed = history.committed_all
-    # Edge key -> position in ``edges``, so merging the cursor flag of a
-    # duplicate edge is a dict lookup instead of a linear rescan.
-    seen: dict = {}
-
-    def add(edge: Edge) -> None:
-        key = (edge.src, edge.dst, edge.kind, edge.obj, edge.version, edge.predicate)
-        at = seen.get(key)
-        if at is None:
-            seen[key] = len(edges)
-            edges.append(edge)
-        elif edge.cursor and not edges[at].cursor:
-            # Keep the cursor flag if any contributing read was a cursor read.
-            edges[at] = replace(edges[at], cursor=True)
-
-    for _i, read in history.reads:
-        if read.tid not in committed:
+    log = history.log
+    tids, vids, cursor_read = log.tid, log.vid, log.flag
+    versions, writers, following, row_of_vid = history._installed_rows
+    src, dst, version = table.src, table.dst, table.version
+    # (reader, row of the installing version), as one int -> table row, so a
+    # second read behind the same edge only has its cursor flag merged in.
+    n_installed = len(versions)
+    seen: Dict[int, int] = {}
+    for i, _read in history.reads:
+        reader = tids[i]
+        if reader not in committed:
             continue
-        nxt = history.next_installed(read.version)
-        if nxt is not None and nxt.tid != read.tid:
-            add(
-                Edge(
-                    read.tid,
-                    nxt.tid,
-                    DepKind.RW,
-                    read.version.obj,
-                    nxt,
-                    cursor=read.cursor,
-                )
-            )
+        at = row_of_vid[vids[i]]
+        if at < 0:
+            continue  # the version read was never installed
+        after = following[at]
+        if after < 0 or writers[after] == reader:
+            continue
+        key = reader * n_installed + after
+        row = seen.get(key)
+        if row is None:
+            row = seen[key] = len(src)
+            src.append(reader)
+            dst.append(writers[after])
+            version.append(versions[after])
+        if cursor_read[i]:
+            # Keep the cursor flag if any contributing read was a cursor read.
+            table.cursor.add(row)
+    table._close(ITEM)
 
+    seen_overwrites: Set[Tuple[int, Version, Predicate]] = set()
     for _i, pread in history.predicate_reads:
         if pread.tid not in committed:
             continue
@@ -285,33 +458,17 @@ def anti_dependencies(history: History) -> List[Edge]:
             selected = history.vset_version(pread, obj)
             idx = history.order_index.get(selected)
             if idx is None:
-                continue  # uninstalled selection; see read_dependencies
+                continue  # uninstalled selection; see _predicate_read_changers
             chain = history.order_of(obj)
             positions = history.predicate_changers(pread.predicate, obj)
             for k in positions[bisect_right(positions, idx):]:
                 later = chain[k]
-                if later.tid == pread.tid:
+                key = (pread.tid, later, pread.predicate)
+                if later.tid == pread.tid or key in seen_overwrites:
                     continue
-                add(
-                    Edge(
-                        pread.tid,
-                        later.tid,
-                        DepKind.RW,
-                        obj,
-                        later,
-                        predicate=pread.predicate,
-                    )
-                )
-    return edges
-
-
-def all_dependencies(
-    history: History,
-    mode: PredicateDepMode = PredicateDepMode.LATEST,
-) -> List[Edge]:
-    """Every direct-conflict edge of the history (Figure 2's three rows)."""
-    return (
-        write_dependencies(history)
-        + read_dependencies(history, mode)
-        + anti_dependencies(history)
-    )
+                seen_overwrites.add(key)
+                table.predicate[len(src)] = pread.predicate
+                src.append(pread.tid)
+                dst.append(later.tid)
+                version.append(later)
+    table._close(FULL)

@@ -7,8 +7,10 @@ same edge set, and the subsets nest::
      G2        G2-item                    G1c                     G0
 
 :class:`ViewChain` takes flavoured edges in and gives those four verdicts
-out.  :data:`_DEPTH` is the one statement of which flavour belongs to which
-views; the feed, the removal, the replay and the SCC pass all index it.
+out.  Which flavour belongs to which views is stated once, for this online
+checker and the batch one alike: :data:`repro.core.conflicts.DEPTH`, which
+the feed, the removal, the replay and the SCC pass all index (and
+:data:`repro.core.phenomena.VIEW_OF` for the view behind each phenomenon).
 
 A subgraph of an acyclic graph is acyclic, so only one view is ever
 maintained: the *live* one, the largest that has not closed a cycle yet, as
@@ -34,31 +36,10 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from . import graph as _g
-from .phenomena import Phenomenon
+from .conflicts import DEPENDENCY, DEPTH, FULL, ITEM, RW, WR, WRITE, WW
+from .phenomena import VIEW_OF, Phenomenon
 
 __all__ = ["ViewChain", "WW", "WR", "RW"]
-
-#: Edge kind codes (``kind`` below, and field 2 of an edge key).
-WW, WR, RW = 0, 1, 2
-
-#: The views, largest first; a view's index is its depth in the chain.
-FULL, ITEM, DEPENDENCY, WRITE = range(4)
-
-#: ``_DEPTH[kind][predicate?]``: an edge of that flavour belongs to views
-#: ``0..depth``.
-_DEPTH: Tuple[Tuple[int, int], ...] = (
-    (WRITE, WRITE),  # ww
-    (DEPENDENCY, DEPENDENCY),  # wr, item and predicate
-    (ITEM, FULL),  # rw: a predicate anti-dependency is in the full view only
-)
-
-#: The view each cycle phenomenon is a cycle of.
-_VIEW_OF: Dict[Phenomenon, int] = {
-    Phenomenon.G2: FULL,
-    Phenomenon.G2_ITEM: ITEM,
-    Phenomenon.G1C: DEPENDENCY,
-    Phenomenon.G0: WRITE,
-}
 
 
 class _Arc(NamedTuple):
@@ -195,7 +176,7 @@ class ViewChain:
         self._edges = edges
         self._metrics = metrics
         #: Depth of the live view: views above it are latched cyclic, it and
-        #: the views below are acyclic.  ``len(_VIEW_OF)`` = all latched.
+        #: the views below are acyclic.  ``WRITE + 1`` = all latched.
         self._live = FULL
         self._monitor: Optional[_CycleMonitor] = _CycleMonitor()
         #: Bumped on every add/remove; SCC pass answers are cached against it.
@@ -204,12 +185,12 @@ class ViewChain:
 
     def add(self, u: int, v: int, kind: int, pid: int) -> None:
         self.generation += 1
-        if _DEPTH[kind][pid != 0] >= self._live and self._monitor.add(u, v):
+        if DEPTH[kind][pid != 0] >= self._live and self._monitor.add(u, v):
             self._latch()
 
     def remove(self, u: int, v: int, kind: int, pid: int) -> None:
         self.generation += 1
-        if _DEPTH[kind][pid != 0] >= self._live:
+        if DEPTH[kind][pid != 0] >= self._live:
             self._monitor.remove(u, v)
 
     def _latch(self) -> None:
@@ -218,13 +199,13 @@ class ViewChain:
         further if the replay itself closes a cycle)."""
         while True:
             self._live = live = self._live + 1
-            if live == len(_VIEW_OF):
+            if live > WRITE:
                 self._monitor = None
                 return
             monitor = self._monitor = _CycleMonitor()
             add = monitor.add
             for src, dst, kind, _oid, _vid, pid in self._edges:
-                if _DEPTH[kind][pid != 0] >= live and add(src, dst):
+                if DEPTH[kind][pid != 0] >= live and add(src, dst):
                     break
             else:
                 return
@@ -232,7 +213,7 @@ class ViewChain:
     def present(self, phenomenon: Phenomenon) -> bool:
         """Presence of ``phenomenon`` (G0, G1c, G2-item or G2) over the
         edges added so far."""
-        view = _VIEW_OF[phenomenon]
+        view = VIEW_OF[phenomenon]
         if view >= self._live:
             return False
         if view >= DEPENDENCY or self._live <= DEPENDENCY:
@@ -256,7 +237,7 @@ class ViewChain:
         anti: List[_Arc] = []
         coincide = True
         for src, dst, kind, _oid, _vid, pid in self._edges:
-            depth = _DEPTH[kind][pid != 0]
+            depth = DEPTH[kind][pid != 0]
             if depth < ITEM:
                 coincide = False
             if depth < view:

@@ -2,31 +2,56 @@
 
 ``DSG(H)`` has one node per committed transaction of ``H`` (including the
 paper's implicit setup transactions, cf. Figure 5's "T0 is not shown") and
-one edge per direct conflict (:mod:`repro.core.conflicts`).  The class keeps
-edges in plain adjacency lists (:mod:`repro.core.graph`) and provides the
-cycle searches the phenomena need:
+one edge per direct conflict.  The edges are the rows of an
+:class:`~repro.core.conflicts.EdgeTable`; the class never looks at an
+:class:`Edge` object to answer the paper's four cycle questions, which are
+cycles over four *nested* subsets of the rows — the views
+:data:`~repro.core.conflicts.WRITE` (G0), ``DEPENDENCY`` (G1c), ``ITEM``
+(G2-item) and ``FULL`` (G2), a row belonging to the views ``0..depth[row]``:
 
-* a cycle using only a restricted set of edge flavours (G0 uses only ``ww``,
-  G1c only dependency edges);
-* a cycle containing *at least one* edge of a flavour (G2, G2-item);
-* a cycle containing *exactly one* anti-dependency edge (the G-single
-  phenomenon of the PL-2+ extension level).
+* one :class:`~repro.core.graph.Adjacency` per view asked for, row numbers
+  picked by an int compare on the depth column, built once;
+* a view is declared acyclic *without a search* when every row of it goes
+  forward in commit order — ``rank[src] < rank[dst]`` over the rank of each
+  transaction's commit event is a topological order, and one scan of the
+  rows finds the deepest view it covers (:meth:`DSG._acyclic`).  A history
+  recorded under strict two-phase locking is forward in every view; a
+  multi-version history is typically forward in its ww and ww+wr views and
+  not in its anti-dependencies.  One row that goes backward (or joins two
+  setup transactions, which share a rank) sends the view to Tarjan instead;
+* a view found acyclic by a search settles every deeper view too, and the
+  components of a view are computed once (:meth:`DSG._components`);
+* G0 / G1c take the first component with two nodes and walk a cycle in it;
+  G2 / G2-item take the first anti-dependency row whose ends share a
+  component and close it with a shortest path.
+
+Searches with caller-supplied edge predicates (:meth:`DSG.find_cycle`,
+:meth:`DSG.find_cycle_with` — the extension phenomena, the SSG, external
+callers) evaluate the predicates once over the materialised edges into a row
+list and then run the very same routines of :mod:`repro.core.graph`.
 
 All searches return a concrete :class:`Cycle` witness (the edge list), which
-the checker renders into explanations.  Exhaustive simple-cycle enumeration
-for multi-witness reports (:meth:`DSG.find_cycles`) still delegates to
-networkx; everything on the checker's hot path runs on the lightweight
-adjacency representation — the seed implementation spent most of its time
-constructing :class:`networkx.MultiDiGraph` instances per phenomenon.
+the checker renders into explanations; only the rows of a witness are turned
+into :class:`Edge` objects.  Exhaustive simple-cycle enumeration for
+multi-witness reports (:meth:`DSG.find_cycles`) still delegates to networkx.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import graph as _g
-from .conflicts import DepKind, Edge, PredicateDepMode, all_dependencies
+from .conflicts import (
+    DEPENDENCY,
+    FULL,
+    WRITE,
+    DepKind,
+    Edge,
+    EdgeTable,
+    PredicateDepMode,
+    edge_table,
+)
 from .history import History
 
 __all__ = ["DSG", "Cycle", "EdgeFilter"]
@@ -96,10 +121,10 @@ class DSG:
         serialization graph of the Snapshot Isolation extension passes
         start-dependency edges here.
     edges:
-        Precomputed direct-conflict edges for ``history`` under ``mode``.
-        :class:`~repro.core.phenomena.Analysis` extracts edges once and
-        shares them between its DSG and SSG instead of re-running the
-        extractors.
+        Precomputed direct conflicts of ``history`` under ``mode``: an
+        :class:`~repro.core.conflicts.EdgeTable` (how
+        :class:`~repro.core.phenomena.Analysis` shares one extraction
+        between its DSG and SSG) or a sequence of :class:`Edge`.
     """
 
     def __init__(
@@ -108,18 +133,35 @@ class DSG:
         mode: PredicateDepMode = PredicateDepMode.LATEST,
         extra_edges: Iterable[Edge] = (),
         *,
-        edges: Optional[Sequence[Edge]] = None,
+        edges: Union[EdgeTable, Sequence[Edge], None] = None,
     ):
         self.history = history
         if edges is None:
-            edges = all_dependencies(history, mode)
-        self.edges: List[Edge] = list(edges) + list(extra_edges)
+            table = edge_table(history, mode)
+        elif isinstance(edges, EdgeTable):
+            table = edges
+        else:
+            table = EdgeTable().extended(edges)
+        extra = list(extra_edges)
+        if extra:
+            table = table.extended(extra)
+        self._table = table
         self._nodes = set(history.committed_all)
-        self._adj: Dict[int, List[Edge]] = _g.adjacency(self.edges)
+        #: view -> adjacency over its rows / its strongly connected components.
+        self._views: Dict[int, _g.Adjacency] = {}
+        self._sccs: Dict[int, List[List[int]]] = {}
+        #: The largest view known acyclic (every deeper one is a subgraph of
+        #: it); ``WRITE + 1`` when none is, ``None`` before the rank scan.
+        self._acyclic_from: Optional[int] = None
 
     # ------------------------------------------------------------------
     # structure accessors
     # ------------------------------------------------------------------
+
+    @property
+    def edges(self) -> List[Edge]:
+        """Every edge as an object, in row order (built on first use)."""
+        return self._table.edges()
 
     @property
     def graph(self):
@@ -141,7 +183,12 @@ class DSG:
         return tuple(sorted(self._nodes))
 
     def edges_between(self, src: int, dst: int) -> List[Edge]:
-        return [e for e in self._adj.get(src, ()) if e.dst == dst]
+        table = self._table
+        return [
+            table.edge(row)
+            for row in self._view(FULL).rows.get(src, ())
+            if table.dst[row] == dst
+        ]
 
     def edges_of(self, kind: DepKind, *, via_predicate: Optional[bool] = None) -> List[Edge]:
         return [
@@ -165,25 +212,123 @@ class DSG:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # cycle searches
+    # the nested views
     # ------------------------------------------------------------------
 
-    def _filtered(self, keep: EdgeFilter) -> Dict[int, List[Edge]]:
-        """Adjacency over the edges passing ``keep``."""
-        adj: Dict[int, List[Edge]] = {}
-        for e in self.edges:
-            if keep(e):
-                adj.setdefault(e.src, []).append(e)
+    def _adjacency(self, rows: Iterable[int]) -> _g.Adjacency:
+        """The graph of the given rows of the table, in the order given."""
+        src = self._table.src
+        leaving: Dict[int, List[int]] = {}
+        for row in rows:
+            leaving.setdefault(src[row], []).append(row)
+        return _g.Adjacency(leaving, src, self._table.dst)
+
+    def _view(self, view: int) -> _g.Adjacency:
+        adj = self._views.get(view)
+        if adj is None:
+            depth = self._table.depth
+            adj = self._views[view] = self._adjacency(
+                [row for row, d in enumerate(depth) if d >= view]
+            )
         return adj
+
+    def _components(self, view: int) -> List[List[int]]:
+        """Tarjan over a view, once."""
+        sccs = self._sccs.get(view)
+        if sccs is None:
+            sccs = self._sccs[view] = _g.strongly_connected_components(
+                self._view(view)
+            )
+        return sccs
+
+    def _acyclic(self, view: int) -> bool:
+        """Whether the view has no cycle: by the commit-rank certificate if
+        it covers the view, by a search otherwise — and a view found acyclic
+        settles every deeper one."""
+        if self._acyclic_from is None:
+            self._acyclic_from = self._forward_from()
+        if view < self._acyclic_from and all(
+            len(scc) < 2 for scc in self._components(view)
+        ):
+            self._acyclic_from = view
+        return view >= self._acyclic_from
+
+    def _forward_from(self) -> int:
+        """The largest view whose rows all go forward in commit order.
+
+        Its place among the commit events ranks a transaction (a setup
+        transaction, which has no events, ranks before all of them); a view
+        in which every row has ``rank[src] < rank[dst]`` is acyclic, the
+        ranks being a topological order of it.  One scan finds the deepest
+        row that does not: the views it belongs to need a search, the deeper
+        ones do not.
+        """
+        rank = {
+            tid: at for at, tid in enumerate(self.history._commit_order)
+        }.get
+        table = self._table
+        deepest = -1
+        for src, dst, depth in zip(table.src, table.dst, table.depth):
+            if depth > deepest and rank(src, -1) >= rank(dst, -1):
+                deepest = depth
+                if deepest == WRITE:
+                    break
+        return deepest + 1
+
+    def _witness(self, rows: Iterable[int]) -> Cycle:
+        return Cycle(tuple(map(self._table.edge, rows)))
+
+    def _cycle(self, adj: _g.Adjacency, sccs: List[List[int]]) -> Optional[Cycle]:
+        """A cycle in the first component that has one."""
+        for scc in sccs:
+            if len(scc) >= 2:
+                return self._witness(_g.cycle_in_component(adj, scc))
+        return None
+
+    def _cycle_through(
+        self, adj: _g.Adjacency, sccs: List[List[int]], special: Iterable[int]
+    ) -> Optional[Cycle]:
+        """The first row of ``special`` whose ends share a component, closed
+        into a cycle by a shortest path back."""
+        component = {node: i for i, scc in enumerate(sccs) for node in scc}
+        _leaving, src, dst = adj
+        for row in special:
+            a, b = src[row], dst[row]
+            if a != b and component[a] == component[b]:
+                path = _g.shortest_edge_path(adj, b, a)
+                if path is not None:
+                    return self._witness((row, *path))
+        return None
+
+    def _view_cycle(self, view: int) -> Optional[Cycle]:
+        """Any cycle of a view (G0: ``WRITE``, G1c: ``DEPENDENCY``)."""
+        if self._acyclic(view):
+            return None
+        return self._cycle(self._view(view), self._components(view))
+
+    def _view_anti_cycle(self, view: int) -> Optional[Cycle]:
+        """A cycle of a view through at least one of its anti-dependency
+        rows (G2: ``FULL``, G2-item: ``ITEM``)."""
+        if self._acyclic(view):
+            return None
+        depth = self._table.depth
+        return self._cycle_through(
+            self._view(view),
+            self._components(view),
+            [row for row, d in enumerate(depth) if view <= d < DEPENDENCY],
+        )
+
+    # ------------------------------------------------------------------
+    # cycle searches over caller-supplied edge predicates
+    # ------------------------------------------------------------------
+
+    def _kept(self, keep: EdgeFilter) -> List[int]:
+        return [row for row, e in enumerate(self.edges) if keep(e)]
 
     def find_cycle(self, keep: EdgeFilter) -> Optional[Cycle]:
         """Any cycle using only edges passing ``keep``, or ``None``."""
-        adj = self._filtered(keep)
-        for scc in _g.strongly_connected_components(adj):
-            if len(scc) < 2:
-                continue
-            return Cycle(tuple(_g.cycle_in_component(adj, scc)))
-        return None
+        adj = self._adjacency(self._kept(keep))
+        return self._cycle(adj, _g.strongly_connected_components(adj))
 
     def find_cycle_with(
         self,
@@ -199,26 +344,22 @@ class DSG:
         ``special`` edge and the rest of the cycle avoids them (the G-single
         shape: one anti-dependency closed by dependency edges).
         """
+        edges = self.edges
+        kept = self._kept(keep)
+        chosen = [row for row in kept if special(edges[row])]
         if exactly_one:
-            rest = self._filtered(lambda e: keep(e) and not special(e))
-            for e in self.edges:
-                if keep(e) and special(e):
-                    path = _g.shortest_edge_path(rest, e.dst, e.src)
-                    if path is not None:
-                        return Cycle((e, *path))
-            return None
-        adj = self._filtered(keep)
-        sccs = _g.component_index(adj)
-        for e in self.edges:
-            if not (keep(e) and special(e)):
-                continue
-            if sccs.get(e.src) is not None and sccs[e.src] == sccs.get(e.dst):
-                if e.src == e.dst:
-                    continue
-                path = _g.shortest_edge_path(adj, e.dst, e.src)
+            picked = set(chosen)
+            rest = self._adjacency(row for row in kept if row not in picked)
+            _leaving, src, dst = rest
+            for row in chosen:
+                path = _g.shortest_edge_path(rest, dst[row], src[row])
                 if path is not None:
-                    return Cycle((e, *path))
-        return None
+                    return self._witness((row, *path))
+            return None
+        adj = self._adjacency(kept)
+        return self._cycle_through(
+            adj, _g.strongly_connected_components(adj), chosen
+        )
 
     def find_cycles(
         self,
@@ -261,8 +402,9 @@ class DSG:
     def directly_depends(self, ti: int, tj: int) -> bool:
         """Definition 8, first half: ``T_j`` directly write- or
         read-depends on ``T_i``."""
+        dst = self._table.dst
         return any(
-            dependency_edge(e) for e in self.edges_between(ti, tj)
+            dst[row] == tj for row in self._view(DEPENDENCY).rows.get(ti, ())
         )
 
     def depends(self, ti: int, tj: int) -> bool:
@@ -270,19 +412,15 @@ class DSG:
         dependency (ww/wr) edges from ``T_i`` to ``T_j``."""
         if ti == tj or ti not in self._nodes or tj not in self._nodes:
             return False
-        dep = self._filtered(dependency_edge)
-        return _g.shortest_edge_path(dep, ti, tj) is not None
+        return _g.shortest_edge_path(self._view(DEPENDENCY), ti, tj) is not None
 
     def is_acyclic(self) -> bool:
-        return all(
-            len(scc) < 2
-            for scc in _g.strongly_connected_components(self._adj, self._nodes)
-        )
+        return self._acyclic(FULL)
 
     def topological_order(self) -> List[int]:
         """A serialization order of the committed transactions (only valid
         when the graph is acyclic)."""
-        return _g.topological_order(self._adj, self._nodes)
+        return _g.topological_order(self._view(FULL), self._nodes)
 
 
 def _to_cycle_preferring(
@@ -299,12 +437,3 @@ def _to_cycle_preferring(
         else:
             edges.append(parallel[0])
     return Cycle(tuple(edges))
-
-
-def _shortest_edge_path(
-    adj: Dict[int, List[Edge]], src: int, dst: int
-) -> Optional[Tuple[Edge, ...]]:
-    """Shortest path from ``src`` to ``dst`` as edges, or ``None``; a
-    zero-length path (``src == dst``) is the empty tuple.  ``adj`` is the
-    adjacency mapping returned by :meth:`DSG._filtered`."""
-    return _g.shortest_edge_path(adj, src, dst)

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .conflicts import DepKind
+from . import graph as _g
+from .conflicts import DEPENDENCY, DepKind
 from .dsg import Cycle
 from .phenomena import Phenomenon, PhenomenonReport, Witness
 from .ssg import SSG
@@ -145,9 +146,9 @@ def _g_ss(analysis: "Analysis") -> PhenomenonReport:
 def _ssg(analysis: "Analysis") -> SSG:
     cached = getattr(analysis, "_ssg_cache", None)
     if cached is None:
-        # Reuse the analysis's already-extracted conflict edges; the SSG only
+        # Reuse the analysis's already-extracted conflict rows; the SSG only
         # adds the start-dependency edges on top.
-        cached = SSG(analysis.history, analysis.mode, edges=analysis.edges)
+        cached = SSG(analysis.history, analysis.mode, edges=analysis._table)
         analysis._ssg_cache = cached
     return cached
 
@@ -157,17 +158,16 @@ def _g_cursor(analysis: "Analysis") -> PhenomenonReport:
     anti-dependency edge on ``x``, look for a dependency path back that
     passes through a write-dependency on ``x``."""
     dsg = analysis.dsg
-    dep = lambda e: e.kind in (DepKind.WW, DepKind.WR)
     for anti in dsg.edges:
         if anti.kind is not DepKind.RW or anti.via_predicate or not anti.cursor:
             continue
         for ww in dsg.edges:
             if ww.kind is not DepKind.WW or ww.obj != anti.obj:
                 continue
-            first = _dep_path(dsg, anti.dst, ww.src, dep)
+            first = _dep_path(dsg, anti.dst, ww.src)
             if first is None:
                 continue
-            second = _dep_path(dsg, ww.dst, anti.src, dep)
+            second = _dep_path(dsg, ww.dst, anti.src)
             if second is None:
                 continue
             try:
@@ -182,7 +182,7 @@ def _g_cursor(analysis: "Analysis") -> PhenomenonReport:
     return PhenomenonReport(Phenomenon.G_CURSOR, False)
 
 
-def _dep_path(dsg, src: int, dst: int, keep):
-    from .dsg import _shortest_edge_path
-
-    return _shortest_edge_path(dsg._filtered(keep), src, dst)
+def _dep_path(dsg, src: int, dst: int):
+    """Shortest path of dependency (ww/wr) edges, or ``None``."""
+    rows = _g.shortest_edge_path(dsg._view(DEPENDENCY), src, dst)
+    return None if rows is None else map(dsg._table.edge, rows)

@@ -1,29 +1,41 @@
-"""Lightweight directed multigraph algorithms for DSG analysis.
+"""Directed multigraph algorithms over edge *rows*.
 
 The phenomenon detectors only ever need four graph questions — strongly
 connected components, a concrete cycle inside a component, a shortest edge
-path, and a topological order.  Answering them on a plain adjacency dict is
-5–10x faster than building :class:`networkx.MultiDiGraph` instances per
-query (the seed profile spent most of ``repro.check`` inside networkx's
-``add_edge``), so :mod:`repro.core.dsg` runs its hot paths here and keeps
-networkx only for exhaustive simple-cycle enumeration in witness reports.
+path, and a topological order.  They are answered here on an
+:class:`Adjacency`: an edge is a row number into two parallel int columns
+(``src[row]``, ``dst[row]``), a graph is ``node -> [rows leaving it]``, and
+every walk reads ints out of lists.  No edge object is touched: the batch
+checker (:mod:`repro.core.dsg`) hands in the columns of its edge table and
+one row list per view, and whoever holds edge *objects* (the mixed graph,
+the provenance witness, the test oracles) gets the same structure from
+:func:`adjacency`, where row ``i`` is the ``i``-th edge given, and maps the
+rows that come back onto its own list.
 
-All functions take ``adj``, a mapping ``src -> list[Edge]`` over the edges
-of interest (edges carry their own ``src``/``dst``), plus an optional
-``nodes`` iterable for isolated vertices.  Nothing here knows about
-histories; :class:`~repro.core.conflicts.Edge` is only required to expose
-``src`` and ``dst``.
+Every routine visits a node's rows in list order and the nodes in the
+order the mapping lists them, so for one edge order there is one answer:
+the same components in the same order, the same cycle, the same path.
+Witnesses are pinned byte for byte on that (``tests/test_checker_golden.py``).
+
+Nothing here knows about histories or flavours.  networkx is kept only for
+the exhaustive simple-cycle enumeration of multi-witness reports
+(:meth:`repro.core.dsg.DSG.find_cycles`).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
-
-E = TypeVar("E")  # edge type: anything with .src and .dst
-
-Adjacency = Dict[int, List[E]]
+from itertools import chain
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 __all__ = [
     "adjacency",
@@ -36,12 +48,29 @@ __all__ = [
 ]
 
 
-def adjacency(edges: Iterable[E]) -> Adjacency:
-    """Build ``src -> [edges]`` from an edge iterable."""
-    adj: Adjacency = {}
-    for e in edges:
-        adj.setdefault(e.src, []).append(e)
-    return adj
+class Adjacency(NamedTuple):
+    """A directed multigraph over rows of two int columns."""
+
+    #: ``node -> rows leaving it``, each list in row order; the key order is
+    #: the order the searches start from.
+    rows: Dict[int, List[int]]
+    #: ``src[row]`` / ``dst[row]``: the ends of an edge.  The columns may
+    #: hold more rows than the graph uses (a view of a larger table).
+    src: Sequence[int]
+    dst: Sequence[int]
+
+
+def adjacency(edges: Iterable[object]) -> Adjacency:
+    """The graph of an iterable of edge objects (anything with ``.src`` and
+    ``.dst``); row ``i`` is the ``i``-th edge."""
+    src: List[int] = []
+    dst: List[int] = []
+    rows: Dict[int, List[int]] = {}
+    for row, e in enumerate(edges):
+        src.append(e.src)
+        dst.append(e.dst)
+        rows.setdefault(e.src, []).append(row)
+    return Adjacency(rows, src, dst)
 
 
 def strongly_connected_components(
@@ -49,64 +78,56 @@ def strongly_connected_components(
 ) -> List[List[int]]:
     """Tarjan's algorithm, iteratively (histories can exceed the recursion
     limit).  Components come out in reverse topological order; singleton
-    components are included for every node seen in ``adj`` or ``nodes``."""
+    components are included for every node seen in ``adj`` or ``nodes``.
+    Searches start from ``nodes``, then from the sources in ``adj``'s key
+    order (every other node is reached from its source)."""
+    rows, _src, dst = adj
     index: Dict[int, int] = {}
     lowlink: Dict[int, int] = {}
-    on_stack: Dict[int, bool] = {}
+    on_stack = set()
     stack: List[int] = []
     counter = 0
     components: List[List[int]] = []
-
-    all_nodes: Dict[int, None] = {}
-    for n in nodes:
-        all_nodes.setdefault(n, None)
-    for src, edges in adj.items():
-        all_nodes.setdefault(src, None)
-        for e in edges:
-            all_nodes.setdefault(e.dst, None)
-
-    for root in all_nodes:
+    for root in chain(nodes, rows):
         if root in index:
             continue
-        # Each work item is (node, iterator position) simulated with an
-        # explicit successor cursor.
-        work: List[Tuple[int, int]] = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        # One frame per node on the DFS path: the node and the iterator over
+        # the rows it has not followed yet.
+        work = [(root, iter(rows.get(root, ())))]
         while work:
-            node, cursor = work.pop()
-            if cursor == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            succs = adj.get(node, ())
-            advanced = False
-            while cursor < len(succs):
-                nxt = succs[cursor].dst
-                cursor += 1
+            node, remaining = work[-1]
+            for row in remaining:
+                nxt = dst[row]
                 if nxt not in index:
-                    work.append((node, cursor))
-                    work.append((nxt, 0))
-                    advanced = True
+                    index[nxt] = lowlink[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(rows.get(nxt, ()))))
                     break
-                if on_stack.get(nxt):
-                    if index[nxt] < lowlink[node]:
-                        lowlink[node] = index[nxt]
-            if advanced:
-                continue
-            # node is finished; close its component if it is a root.
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    comp.append(member)
-                    if member == node:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                if lowlink[node] < lowlink[parent]:
-                    lowlink[parent] = lowlink[node]
+                if nxt in on_stack and index[nxt] < lowlink[node]:
+                    lowlink[node] = index[nxt]
+            else:
+                # node is finished; close its component if it is a root.
+                work.pop()
+                low = lowlink[node]
+                if low == index[node]:
+                    comp = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        comp.append(member)
+                        if member == node:
+                            break
+                    components.append(comp)
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
     return components
 
 
@@ -121,69 +142,62 @@ def component_index(
     }
 
 
-def cycle_in_component(adj: Adjacency, component: Sequence[int]) -> List[E]:
+def cycle_in_component(adj: Adjacency, component: Sequence[int]) -> List[int]:
     """A concrete directed cycle inside a strongly connected component with
-    at least two nodes, as a chained edge list."""
+    at least two nodes, as a chained list of rows."""
+    rows, _src, dst = adj
     members = set(component)
     start = component[0]
-    # DFS restricted to the component, tracking the path of edges; the first
+    # DFS restricted to the component, tracking the path of rows; the first
     # time a node already on the path is reached again, the loop closes.
-    path_edges: List[E] = []
+    path: List[int] = []
     on_path: Dict[int, int] = {start: 0}  # node -> position in path
-    cursors: List[int] = [0]
     nodes_on_path: List[int] = [start]
-    while cursors:
-        node = nodes_on_path[-1]
-        succs = adj.get(node, ())
-        cursor = cursors[-1]
-        advanced = False
-        while cursor < len(succs):
-            edge = succs[cursor]
-            cursor += 1
-            if edge.dst not in members:
+    work = [iter(rows.get(start, ()))]
+    while work:
+        for row in work[-1]:
+            nxt = dst[row]
+            if nxt not in members:
                 continue
-            if edge.dst in on_path:
-                cursors[-1] = cursor
-                return path_edges[on_path[edge.dst] :] + [edge]
-            cursors[-1] = cursor
-            nodes_on_path.append(edge.dst)
-            on_path[edge.dst] = len(path_edges) + 1
-            path_edges.append(edge)
-            cursors.append(0)
-            advanced = True
+            if nxt in on_path:
+                return path[on_path[nxt] :] + [row]
+            on_path[nxt] = len(path) + 1
+            path.append(row)
+            nodes_on_path.append(nxt)
+            work.append(iter(rows.get(nxt, ())))
             break
-        if not advanced:
-            nodes_on_path.pop()
-            del on_path[node]
-            cursors.pop()
-            if path_edges:
-                path_edges.pop()
+        else:
+            work.pop()
+            del on_path[nodes_on_path.pop()]
+            if path:
+                path.pop()
     raise ValueError("component is not strongly connected")  # pragma: no cover
 
 
 def shortest_edge_path(
     adj: Adjacency, src: int, dst: int
-) -> Optional[Tuple[E, ...]]:
-    """Shortest path from ``src`` to ``dst`` as a tuple of edges (BFS), the
+) -> Optional[Tuple[int, ...]]:
+    """Shortest path from ``src`` to ``dst`` as a tuple of rows (BFS), the
     empty tuple when ``src == dst``, or ``None`` when unreachable."""
     if src == dst:
         return ()
-    parent: Dict[int, E] = {}
+    rows, row_src, row_dst = adj
+    parent: Dict[int, int] = {}  # node -> the row it was reached by
     queue = deque((src,))
     seen = {src}
     while queue:
         node = queue.popleft()
-        for edge in adj.get(node, ()):
-            nxt = edge.dst
+        for row in rows.get(node, ()):
+            nxt = row_dst[row]
             if nxt in seen:
                 continue
-            parent[nxt] = edge
+            parent[nxt] = row
             if nxt == dst:
-                path: List[E] = []
+                path: List[int] = []
                 while nxt != src:
-                    edge = parent[nxt]
-                    path.append(edge)
-                    nxt = edge.src
+                    row = parent[nxt]
+                    path.append(row)
+                    nxt = row_src[row]
                 return tuple(reversed(path))
             seen.add(nxt)
             queue.append(nxt)
@@ -193,7 +207,7 @@ def shortest_edge_path(
 def has_path(adj: Adjacency, src: int, dst: int) -> bool:
     """Whether a path of one or more edges leads from ``src`` to ``dst``."""
     if src == dst:
-        return any(e.dst == dst for e in adj.get(src, ()))
+        return any(adj.dst[row] == dst for row in adj.rows.get(src, ()))
     return shortest_edge_path(adj, src, dst) is not None
 
 
@@ -201,21 +215,22 @@ def topological_order(adj: Adjacency, nodes: Iterable[int] = ()) -> List[int]:
     """Kahn's algorithm with a min-heap tie-break (smallest node first), so
     the serialization orders printed in reports are deterministic.  Raises
     :class:`ValueError` if the graph has a cycle."""
+    rows, _src, dst = adj
     indegree: Dict[int, int] = {n: 0 for n in nodes}
-    for src, edges in adj.items():
+    for src, leaving in rows.items():
         indegree.setdefault(src, 0)
-        for e in edges:
-            indegree[e.dst] = indegree.get(e.dst, 0) + 1
+        for row in leaving:
+            indegree[dst[row]] = indegree.get(dst[row], 0) + 1
     ready = [n for n, d in indegree.items() if d == 0]
     heapq.heapify(ready)
     out: List[int] = []
     while ready:
         node = heapq.heappop(ready)
         out.append(node)
-        for e in adj.get(node, ()):
-            indegree[e.dst] -= 1
-            if indegree[e.dst] == 0:
-                heapq.heappush(ready, e.dst)
+        for row in rows.get(node, ()):
+            indegree[dst[row]] -= 1
+            if indegree[dst[row]] == 0:
+                heapq.heappush(ready, dst[row])
     if len(out) != len(indegree):
         raise ValueError("graph has a cycle; no topological order exists")
     return out

@@ -93,6 +93,8 @@ class History:
         #: Transactions with a commit / an abort event.
         self.committed: frozenset[int]
         self.aborted: frozenset[int]
+        #: The committed transactions in the order of their commit events.
+        self._commit_order: List[int]
         #: Every write event indexed by the version it creates.
         self.writes: Dict[Version, Write]
         #: ``(obj, tid)`` -> the largest ``seq`` among ``T_tid``'s writes of
@@ -129,8 +131,8 @@ class History:
 
         One sweep over the flat event log (kind codes and interned ids),
         which also leaves the tables it has in hand on the history:
-        :attr:`committed`, :attr:`aborted`, :attr:`writes`,
-        :attr:`setup_versions` and the final-write index behind
+        :attr:`committed` (and the commit order), :attr:`aborted`,
+        :attr:`writes`, :attr:`setup_versions` and the final-write index behind
         :meth:`final_version` / :meth:`is_final`.
         """
         log = self.log
@@ -168,6 +170,7 @@ class History:
                     observed[version_id[v]] = None
         committed = frozenset(commits)
         self.committed = committed
+        self._commit_order = commits
         self.aborted = frozenset(aborts)
         self.writes = writes
         self._final_seq = final_seq
@@ -274,6 +277,39 @@ class History:
             return None
         chain = self.order_of(version.obj)
         return chain[idx + 1] if idx + 1 < len(chain) else None
+
+    @cached_property
+    def _installed_rows(
+        self,
+    ) -> Tuple[List[Version], List[int], List[int], List[int]]:
+        """The version orders as flat int columns (what the conflict
+        extractors read instead of :attr:`order_index` and
+        :meth:`next_installed`).
+
+        ``(versions, tids, following, row_of_vid)``: row ``p`` is one
+        installed version, the chains laid end to end in
+        :attr:`version_order`'s order; ``tids[p]`` is its writer,
+        ``following[p]`` the row of the version after it in its chain (``-1``
+        at a chain's end) and ``row_of_vid[vid]`` the row of a version the
+        event log interned (``-1``: not installed).
+        """
+        version_id = self.log.interner.version_id
+        versions: List[Version] = []
+        tids: List[int] = []
+        following: List[int] = []
+        row_of_vid = [-1] * len(self.log.interner.versions)
+        for chain in self.version_order.values():
+            row = len(versions)
+            versions.extend(chain)
+            following.extend(range(row + 1, row + len(chain)))
+            following.append(-1)
+            for version in chain:
+                tids.append(version.tid)
+                vid = version_id.get(version)
+                if vid is not None:
+                    row_of_vid[vid] = row
+                row += 1
+        return versions, tids, following, row_of_vid
 
     # ------------------------------------------------------------------
     # version attributes

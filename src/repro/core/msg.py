@@ -25,7 +25,7 @@ construction in the paper is defined for the ANSI chain only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import graph as _g
 from .conflicts import DepKind, Edge, PredicateDepMode, all_dependencies
@@ -80,7 +80,7 @@ class MSG:
             if _relevant(e, levels[e.src], levels[e.dst])
         ]
         self._nodes = set(history.committed_all)
-        self._adj: Dict[int, List[Edge]] = _g.adjacency(self.edges)
+        self._adj = _g.adjacency(self.edges)
 
     def is_acyclic(self) -> bool:
         return all(
@@ -93,14 +93,14 @@ class MSG:
             if len(scc) < 2:
                 continue
             members = set(scc)
-            sub = _g.adjacency(
+            inside = [
                 e for e in self.edges if e.src in members and e.dst in members
-            )
-            for e in self.edges:
-                if e.src in members and e.dst in members:
-                    back = _g.shortest_edge_path(sub, e.dst, e.src)
-                    if back is not None:
-                        return Cycle((e, *back))
+            ]
+            sub = _g.adjacency(inside)
+            for e in inside:
+                back = _g.shortest_edge_path(sub, e.dst, e.src)
+                if back is not None:
+                    return Cycle((e, *(inside[row] for row in back)))
         return None
 
     def topological_order(self) -> List[int]:

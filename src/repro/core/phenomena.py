@@ -27,8 +27,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .conflicts import DepKind, Edge, PredicateDepMode, all_dependencies
-from .dsg import DSG, Cycle, dependency_edge
+from .conflicts import (
+    DEPENDENCY,
+    FULL,
+    ITEM,
+    WRITE,
+    Edge,
+    EdgeTable,
+    PredicateDepMode,
+    edge_table,
+)
+from .dsg import DSG, Cycle
 from .history import History
 
 __all__ = ["Phenomenon", "Witness", "PhenomenonReport", "Analysis"]
@@ -55,6 +64,23 @@ class Phenomenon(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+#: The view (:mod:`repro.core.conflicts`) each cycle phenomenon is a cycle of.
+VIEW_OF: Dict[Phenomenon, int] = {
+    Phenomenon.G2: FULL,
+    Phenomenon.G2_ITEM: ITEM,
+    Phenomenon.G1C: DEPENDENCY,
+    Phenomenon.G0: WRITE,
+}
+
+#: Witness headings of the cycle phenomena.
+_CYCLE_OF = {
+    Phenomenon.G0: "directed cycle of write-dependency edges",
+    Phenomenon.G1C: "directed cycle of dependency (ww/wr) edges",
+    Phenomenon.G2_ITEM: "directed cycle with one or more item-anti-dependency edges",
+    Phenomenon.G2: "directed cycle with one or more anti-dependency edges",
+}
 
 
 @dataclass(frozen=True)
@@ -108,33 +134,38 @@ class Analysis:
         self.history = history
         self.mode = mode
         self._dsg: Optional[DSG] = None
-        self._edges: Optional[List[Edge]] = None
+        self._extracted: Optional[EdgeTable] = None
         self._cache: Dict[Phenomenon, PhenomenonReport] = {}
         #: Optional observability sinks (see :mod:`repro.observability`).
         self.metrics = metrics
         self.tracer = tracer
         #: Wall-clock seconds per stage: ``"extract"`` for edge extraction,
-        #: plus one entry per phenomenon detected (``"G0"``, ``"G2"``, ...).
+        #: plus one entry per phenomenon detected (``"G0"``, ``"G2"``, ...),
+        #: each net of the extraction and of the phenomena it asked for in
+        #: turn (G1 of G1a/G1b/G1c), so the entries add up.
         #: Always populated — the cost is a handful of clock reads.
         self.timings: Dict[str, float] = {}
+        #: Seconds spent in reports finished inside the one being timed.
+        self._nested = 0.0
 
     @property
-    def edges(self) -> List[Edge]:
-        """The history's direct-conflict edges, extracted exactly once per
-        analysis and shared by the DSG, the SSG of the extension phenomena,
-        and every per-level ``satisfies`` call reusing this analysis."""
-        if self._edges is None:
+    def _table(self) -> EdgeTable:
+        """The history's direct conflicts as rows, extracted exactly once
+        per analysis and shared by the DSG, the SSG of the extension
+        phenomena, and every per-level ``satisfies`` call reusing this
+        analysis."""
+        if self._extracted is None:
             span = None
             if self.tracer is not None:
                 span = self.tracer.span(
                     "checker.extract", events=len(self.history.events)
                 )
             started = time.perf_counter()
-            self._edges = all_dependencies(self.history, self.mode)
+            self._extracted = table = edge_table(self.history, self.mode)
             elapsed = time.perf_counter() - started
             self.timings["extract"] = elapsed
             if span is not None:
-                span.end(edges=len(self._edges))
+                span.end(edges=len(table))
             if self.metrics is not None:
                 from ..observability.metrics import SECONDS_BUCKETS
 
@@ -145,27 +176,40 @@ class Analysis:
                 ).observe(elapsed)
                 self.metrics.counter(
                     "checker_edges_total", "direct-conflict edges extracted"
-                ).inc(len(self._edges))
-        return self._edges
+                ).inc(len(table))
+        return self._extracted
+
+    @property
+    def edges(self) -> List[Edge]:
+        """The history's direct-conflict edges as objects (built from the
+        table's rows on first use)."""
+        return self._table.edges()
 
     @property
     def dsg(self) -> DSG:
         if self._dsg is None:
-            self._dsg = DSG(self.history, self.mode, edges=self.edges)
+            self._dsg = DSG(self.history, self.mode, edges=self._table)
         return self._dsg
 
     def report(self, phenomenon: Phenomenon) -> PhenomenonReport:
         """The (memoized) report for one phenomenon."""
         if phenomenon not in self._cache:
+            if phenomenon not in (Phenomenon.G1A, Phenomenon.G1B):
+                # Every other phenomenon reads the graph: extraction has its
+                # own timing row and span, outside this phenomenon's.
+                self.dsg
             span = None
             if self.tracer is not None:
                 span = self.tracer.span(
                     "checker.phenomenon", phenomenon=str(phenomenon)
                 )
+            outer, self._nested = self._nested, 0.0
             started = time.perf_counter()
             result = self._detect(phenomenon)
             elapsed = time.perf_counter() - started
-            self.timings[str(phenomenon)] = elapsed
+            own = elapsed - self._nested
+            self._nested = outer + elapsed
+            self.timings[str(phenomenon)] = own
             if span is not None:
                 span.end(present=result.present)
             if self.metrics is not None:
@@ -175,7 +219,7 @@ class Analysis:
                     "checker_phenomenon_seconds",
                     "per-phenomenon detection durations",
                     buckets=SECONDS_BUCKETS,
-                ).observe(elapsed, phenomenon=str(phenomenon))
+                ).observe(own, phenomenon=str(phenomenon))
             self._cache[phenomenon] = result
         return self._cache[phenomenon]
 
@@ -190,51 +234,31 @@ class Analysis:
     # ------------------------------------------------------------------
 
     def _detect(self, phenomenon: Phenomenon) -> PhenomenonReport:
-        if phenomenon is Phenomenon.G0:
+        if phenomenon in (Phenomenon.G0, Phenomenon.G1C):
             return self._cycle_report(
-                Phenomenon.G0,
-                self.dsg.find_cycle(lambda e: e.kind is DepKind.WW),
-                "directed cycle of write-dependency edges",
+                phenomenon, self.dsg._view_cycle(VIEW_OF[phenomenon])
             )
         if phenomenon is Phenomenon.G1A:
             return self._g1a()
         if phenomenon is Phenomenon.G1B:
             return self._g1b()
-        if phenomenon is Phenomenon.G1C:
-            return self._cycle_report(
-                Phenomenon.G1C,
-                self.dsg.find_cycle(dependency_edge),
-                "directed cycle of dependency (ww/wr) edges",
-            )
         if phenomenon is Phenomenon.G1:
             parts = [self.report(p) for p in (Phenomenon.G1A, Phenomenon.G1B, Phenomenon.G1C)]
             witnesses = tuple(w for r in parts for w in r.witnesses)
             return PhenomenonReport(Phenomenon.G1, any(parts), witnesses)
         if phenomenon is Phenomenon.G2:
             return self._cycle_report(
-                Phenomenon.G2,
-                self.dsg.find_cycle_with(
-                    special=lambda e: e.kind is DepKind.RW,
-                    keep=lambda e: True,
-                ),
-                "directed cycle with one or more anti-dependency edges",
+                phenomenon, self.dsg._view_anti_cycle(FULL)
             )
         if phenomenon is Phenomenon.G2_ITEM:
-            if any(e.kind is DepKind.RW and e.via_predicate for e in self.edges):
-                cycle = self.dsg.find_cycle_with(
-                    special=lambda e: e.kind is DepKind.RW and not e.via_predicate,
-                    keep=lambda e: not (e.kind is DepKind.RW and e.via_predicate),
-                )
+            if FULL in self._table.depth:
+                cycle = self.dsg._view_anti_cycle(ITEM)
             else:
-                # No predicate anti-dependency edge: G2's filter pair selects
-                # the same cycles, so its (memoized) witness serves both.
+                # No predicate anti-dependency edge: the item view is the
+                # full view, so G2's (memoized) witness serves both.
                 g2 = self.report(Phenomenon.G2)
                 cycle = g2.witnesses[0].cycle if g2.present else None
-            return self._cycle_report(
-                Phenomenon.G2_ITEM,
-                cycle,
-                "directed cycle with one or more item-anti-dependency edges",
-            )
+            return self._cycle_report(phenomenon, cycle)
         if phenomenon in (
             Phenomenon.G_SINGLE,
             Phenomenon.G_SIA,
@@ -249,12 +273,14 @@ class Analysis:
         raise ValueError(f"unknown phenomenon {phenomenon}")
 
     def _cycle_report(
-        self, phenomenon: Phenomenon, cycle: Optional[Cycle], what: str
+        self, phenomenon: Phenomenon, cycle: Optional[Cycle]
     ) -> PhenomenonReport:
         if cycle is None:
             return PhenomenonReport(phenomenon, False)
         detail = "; ".join(e.describe() for e in cycle.edges)
-        witness = Witness(f"{what}: {cycle.describe()} ({detail})", cycle)
+        witness = Witness(
+            f"{_CYCLE_OF[phenomenon]}: {cycle.describe()} ({detail})", cycle
+        )
         return PhenomenonReport(phenomenon, True, (witness,))
 
     def _g1a(self) -> PhenomenonReport:

@@ -75,18 +75,16 @@ def witness_cycle(
             counts.setdefault(c, []).append(node)
         for members in counts.values():
             if len(members) >= 2:
-                return list(_g.cycle_in_component(adj, members))
+                return [kept[row] for row in _g.cycle_in_component(adj, members)]
         return None
     for edge in kept:
         if not special(edge) or comp.get(edge.src) != comp.get(edge.dst):
             continue
         members = {n for n, c in comp.items() if c == comp[edge.src]}
-        restricted = _g.adjacency(
-            e for e in kept if e.src in members and e.dst in members
-        )
-        path = _g.shortest_edge_path(restricted, edge.dst, edge.src)
+        inside = [e for e in kept if e.src in members and e.dst in members]
+        path = _g.shortest_edge_path(_g.adjacency(inside), edge.dst, edge.src)
         if path is not None:
-            return [edge, *path]
+            return [edge, *(inside[row] for row in path)]
     return None
 
 

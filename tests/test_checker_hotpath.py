@@ -1,0 +1,156 @@
+"""Structural guard for the batch checker: ``repro.check`` works on rows.
+
+Counts, not timings (every number here is exact per input, so nothing can
+flake), in the style of ``test_history_hotpath.py``.
+``test_checker_golden.py`` pins *what* the checker says; this module pins how
+much it does to say it, on the ladder's checker history at two sizes:
+
+* :class:`~repro.core.conflicts.Edge` objects are built for the rows of the
+  witness cycles and for nothing else (the object pipeline built one per
+  conflict before any question was asked);
+* the four cycle questions of the ANSI chain cost one strongly-connected-
+  components pass where a multi-version history needs one (its
+  anti-dependencies go backward in commit order; ww and ww+wr do not), and
+  none on a history recorded under strict two-phase locking;
+* the calls made grow with the events;
+* the edge table travels through ``check_many``'s process pool.
+"""
+
+from __future__ import annotations
+
+import functools
+import sys
+
+import pytest
+
+import repro
+from repro.core import conflicts, graph
+from repro.workloads import synthetic_history
+
+from .test_simulator_golden import CONFIGS as SIMULATOR_CONFIGS
+
+SMALL, LARGE = 1_000, 4_000  # transactions; 4x the events
+#: Linear growth reads 4.0x; anything with a square in it reads 9x or more.
+BOUND = 5.0
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_history(n_txns: int):
+    return synthetic_history(
+        n_txns=n_txns,
+        n_objects=n_txns // 10,
+        ops_per_txn=5,
+        stale_read_fraction=0.5,
+        write_fraction=0.6,
+        seed=1,
+        validate=False,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _locking_history():
+    return SIMULATOR_CONFIGS["locking_fleet"](1).history
+
+
+class Tally:
+    """Counts the calls of one module-level callable."""
+
+    def __init__(self, monkeypatch, module, name: str):
+        self.calls = 0
+        inner = getattr(module, name)
+
+        @functools.wraps(inner)
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def _witness_edges(report) -> int:
+    """Total length of the distinct witness cycles the report holds."""
+    cycles = {
+        id(w.cycle): w.cycle
+        for r in report.phenomena()
+        for w in r.witnesses
+        if w.cycle is not None
+    }
+    return sum(len(cycle) for cycle in cycles.values())
+
+
+@pytest.mark.parametrize("n_txns", [SMALL, LARGE])
+def test_edges_are_built_for_witnesses_only(monkeypatch, n_txns):
+    history = _ladder_history(n_txns)
+    built = Tally(monkeypatch, conflicts, "Edge")
+    report = repro.check(history)
+    assert report.exhibited() == (repro.Phenomenon.G2_ITEM, repro.Phenomenon.G2)
+    assert 0 < built.calls <= _witness_edges(report)
+    # ... and all of them once somebody asks.
+    assert len(report.analysis.edges) > 5 * n_txns
+    assert built.calls == len(report.analysis.edges)
+
+
+@pytest.mark.parametrize("n_txns", [SMALL, LARGE])
+def test_one_component_pass_on_a_multiversion_history(monkeypatch, n_txns):
+    passes = Tally(monkeypatch, graph, "strongly_connected_components")
+    report = repro.check(_ladder_history(n_txns))
+    assert str(report.strongest_level) == "PL-2"
+    assert passes.calls == 1
+
+
+def test_no_component_pass_on_a_locking_history(monkeypatch):
+    passes = Tally(monkeypatch, graph, "strongly_connected_components")
+    built = Tally(monkeypatch, conflicts, "Edge")
+    report = repro.check(_locking_history())
+    assert report.serializable
+    assert passes.calls == 0 and built.calls == 0
+    assert report.analysis.dsg.is_acyclic() and passes.calls == 0
+    assert len(report.analysis.edges) > 100  # not vacuous: there were rows
+
+
+def _calls(history) -> int:
+    """Calls made while checking the history (Python functions and C
+    builtins, as ``sys.setprofile`` reports them)."""
+    count = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        repro.check(history)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_calls_grow_with_the_events():
+    small, large = _calls(_ladder_history(SMALL)), _calls(_ladder_history(LARGE))
+    assert large <= BOUND * small, (
+        f"{LARGE // SMALL}x the transactions took {large / small:.2f}x the "
+        f"calls ({small} -> {large})"
+    )
+
+
+def test_the_table_crosses_the_process_pool():
+    histories = [
+        synthetic_history(
+            n_txns=60, n_objects=6, ops_per_txn=4, stale_read_fraction=0.4,
+            predicate_fraction=0.1, seed=seed,
+        )
+        for seed in range(6)
+    ]
+    serial = repro.check_many(histories, processes=1, extensions=True)
+    pooled = repro.check_many(histories, processes=2, extensions=True)
+
+    def said(report):
+        return (
+            report.explain(),
+            [(str(e), e.describe(), e.cursor) for e in report.analysis.edges],
+        )
+
+    assert [said(r) for r in pooled] == [said(r) for r in serial]
+    assert any(r.exhibited() for r in serial)

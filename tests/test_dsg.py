@@ -148,13 +148,36 @@ class TestDepends:
         h = parse_history("w1(x1) c1")
         assert not DSG(h).depends(1, 1)
 
-    def test_paper_pl2_reading(self):
-        """Section 5.2 item 3: if T2 depends on T1, T1 cannot depend on T2
-        — equivalent to no G1c — checked on a G1c witness."""
-        h = parse_history("w1(x1) w2(y2) r1(y2) r2(x1) c1 c2")
-        dsg = DSG(h)
-        assert dsg.depends(1, 2) and dsg.depends(2, 1)  # the violation
-        from repro.core import Analysis
-        from repro.core.phenomena import Phenomenon
+    def test_repeated_questions_share_one_adjacency(self):
+        """``depends`` and ``is_acyclic`` read the DSG's cached views: a
+        hundred questions build the dependency adjacency once and walk it,
+        not filter every edge again each (one call per edge per question,
+        and as many again to file them)."""
+        import sys
 
-        assert Analysis(h).exhibits(Phenomenon.G1C)
+        from repro.workloads import synthetic_history
+
+        h = synthetic_history(n_txns=200, n_objects=20, stale_read_fraction=0.5, seed=5)
+        dsg = DSG(h)
+        calls = builds = 0
+
+        def profile(frame, event, _arg):
+            nonlocal calls, builds
+            calls += event == "call" or event == "c_call"
+            # The adjacency builders, by the names they have had.
+            builds += event == "call" and frame.f_code.co_name in (
+                "_adjacency", "_filtered", "adjacency",
+            )
+
+        pairs = [(i, i + 7) for i in range(1, 101)]
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            answers = [dsg.depends(a, b) for a, b in pairs]
+            acyclic = {dsg.is_acyclic() for _ in range(100)}
+        finally:
+            sys.setprofile(previous)
+        assert len(dsg.edges) > 1_000 and True in answers and False in answers
+        assert acyclic == {False}
+        assert builds == 2  # the dependency view, the full view
+        assert calls < 100 * len(dsg.edges)

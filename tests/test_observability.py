@@ -392,6 +392,24 @@ class TestCheckerTimings:
         text = report.describe_timings()
         assert "extract" in text and "us" in text
 
+    def test_timings_add_up(self):
+        """Each row is a stage's own time: extraction is not inside the
+        first phenomenon asked, and G1 / G2-item do not hold the reports
+        they ask for in turn.  The rows are disjoint slices of the call, so
+        they cannot exceed ``total`` (the double-counted rows did: G0 alone
+        held the whole extraction)."""
+        from repro.workloads import synthetic_history
+
+        history = synthetic_history(
+            n_txns=1_000, n_objects=100, stale_read_fraction=0.5, seed=3
+        )
+        timings = repro.check(history).timings
+        assert list(timings)[:2] == ["extract", "G0"]
+        stages = sum(v for stage, v in timings.items() if stage != "total")
+        assert 0.5 * timings["total"] <= stages <= timings["total"]
+        # G1's own work is collecting three finished reports.
+        assert timings["G1"] < timings["G1b"] + timings["G1a"] + timings["extract"]
+
     def test_check_with_metrics(self):
         reg = MetricsRegistry()
         repro.check(WRITE_SKEW, metrics=reg)
