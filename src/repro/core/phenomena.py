@@ -155,29 +155,32 @@ class Analysis:
         phenomena, and every per-level ``satisfies`` call reusing this
         analysis."""
         if self._extracted is None:
-            span = None
-            if self.tracer is not None:
-                span = self.tracer.span(
-                    "checker.extract", events=len(self.history.events)
-                )
-            started = time.perf_counter()
-            self._extracted = table = edge_table(self.history, self.mode)
-            elapsed = time.perf_counter() - started
-            self.timings["extract"] = elapsed
-            if span is not None:
-                span.end(edges=len(table))
-            if self.metrics is not None:
-                from ..observability.metrics import SECONDS_BUCKETS
-
-                self.metrics.histogram(
-                    "checker_extract_seconds",
-                    "edge-extraction pass durations",
-                    buckets=SECONDS_BUCKETS,
-                ).observe(elapsed)
-                self.metrics.counter(
-                    "checker_edges_total", "direct-conflict edges extracted"
-                ).inc(len(table))
+            self._extract()
         return self._extracted
+
+    def _extract(self) -> None:
+        span = None
+        if self.tracer is not None:
+            span = self.tracer.span(
+                "checker.extract", events=len(self.history.events)
+            )
+        started = time.perf_counter()
+        self._extracted = table = edge_table(self.history, self.mode)
+        elapsed = time.perf_counter() - started
+        self.timings["extract"] = elapsed
+        if span is not None:
+            span.end(edges=len(table))
+        if self.metrics is not None:
+            from ..observability.metrics import SECONDS_BUCKETS
+
+            self.metrics.histogram(
+                "checker_extract_seconds",
+                "edge-extraction pass durations",
+                buckets=SECONDS_BUCKETS,
+            ).observe(elapsed)
+            self.metrics.counter(
+                "checker_edges_total", "direct-conflict edges extracted"
+            ).inc(len(table))
 
     @property
     def edges(self) -> List[Edge]:
@@ -194,10 +197,13 @@ class Analysis:
     def report(self, phenomenon: Phenomenon) -> PhenomenonReport:
         """The (memoized) report for one phenomenon."""
         if phenomenon not in self._cache:
-            if phenomenon not in (Phenomenon.G1A, Phenomenon.G1B):
+            if self._extracted is None and phenomenon not in (
+                Phenomenon.G1A,
+                Phenomenon.G1B,
+            ):
                 # Every other phenomenon reads the graph: extraction has its
                 # own timing row and span, outside this phenomenon's.
-                self.dsg
+                self._extract()
             span = None
             if self.tracer is not None:
                 span = self.tracer.span(
@@ -247,9 +253,7 @@ class Analysis:
             witnesses = tuple(w for r in parts for w in r.witnesses)
             return PhenomenonReport(Phenomenon.G1, any(parts), witnesses)
         if phenomenon is Phenomenon.G2:
-            return self._cycle_report(
-                phenomenon, self.dsg._view_anti_cycle(FULL)
-            )
+            return self._cycle_report(phenomenon, self.dsg._view_anti_cycle(FULL))
         if phenomenon is Phenomenon.G2_ITEM:
             if FULL in self._table.depth:
                 cycle = self.dsg._view_anti_cycle(ITEM)

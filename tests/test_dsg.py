@@ -181,3 +181,14 @@ class TestDepends:
         assert acyclic == {False}
         assert builds == 2  # the dependency view, the full view
         assert calls < 100 * len(dsg.edges)
+
+    def test_paper_pl2_reading(self):
+        """Section 5.2 item 3: if T2 depends on T1, T1 cannot depend on T2
+        — equivalent to no G1c — checked on a G1c witness."""
+        h = parse_history("w1(x1) w2(y2) r1(y2) r2(x1) c1 c2")
+        dsg = DSG(h)
+        assert dsg.depends(1, 2) and dsg.depends(2, 1)  # the violation
+        from repro.core import Analysis
+        from repro.core.phenomena import Phenomenon
+
+        assert Analysis(h).exhibits(Phenomenon.G1C)
