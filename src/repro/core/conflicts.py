@@ -327,15 +327,16 @@ def all_dependencies(
 
 
 def _write_rows(table: EdgeTable, history: History) -> None:
-    versions, tids, following, _row_of_vid = history._installed_rows
+    versions, tids, last, _row_of_vid = history._installed_rows
     src, dst, version = table.src, table.dst, table.version
     # Each installed version beside the one after it; the unborn version
     # heads every chain and nothing else (T_init is not a DSG node).
-    for prev, nxt, after in zip(tids, islice(tids, 1, None), following):
-        if after >= 0 and prev != nxt and prev != INIT_TID:
+    rows = zip(tids, islice(tids, 1, None), last, islice(versions, 1, None))
+    for prev, nxt, chain_ends, installed in rows:
+        if prev != nxt and not chain_ends and prev != INIT_TID:
             src.append(prev)
             dst.append(nxt)
-            version.append(versions[after])
+            version.append(installed)
     table._close(WRITE)
 
 
@@ -420,7 +421,7 @@ def _anti_rows(table: EdgeTable, history: History) -> None:
     committed = history.committed_all
     log = history.log
     tids, vids, cursor_read = log.tid, log.vid, log.flag
-    versions, writers, following, row_of_vid = history._installed_rows
+    versions, writers, last, row_of_vid = history._installed_rows
     src, dst, version = table.src, table.dst, table.version
     # (reader, row of the installing version), as one int -> table row, so a
     # second read behind the same edge only has its cursor flag merged in.
@@ -431,11 +432,10 @@ def _anti_rows(table: EdgeTable, history: History) -> None:
         if reader not in committed:
             continue
         at = row_of_vid[vids[i]]
-        if at < 0:
-            continue  # the version read was never installed
-        after = following[at]
-        if after < 0 or writers[after] == reader:
+        # Never installed, or still the latest, or overwritten by its reader.
+        if at < 0 or last[at] or writers[at + 1] == reader:
             continue
+        after = at + 1
         key = reader * n_installed + after
         row = seen.get(key)
         if row is None:

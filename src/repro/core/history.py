@@ -21,6 +21,7 @@ analysis assumes a validated history.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -279,37 +280,34 @@ class History:
         return chain[idx + 1] if idx + 1 < len(chain) else None
 
     @cached_property
-    def _installed_rows(
-        self,
-    ) -> Tuple[List[Version], List[int], List[int], List[int]]:
-        """The version orders as flat int columns (what the conflict
-        extractors read instead of :attr:`order_index` and
-        :meth:`next_installed`).
+    def _installed_rows(self) -> Tuple[List[Version], List[int], bytearray, array]:
+        """The version orders as flat columns (what the conflict extractors
+        read instead of :attr:`order_index` and :meth:`next_installed`).
 
-        ``(versions, tids, following, row_of_vid)``: row ``p`` is one
-        installed version, the chains laid end to end in
-        :attr:`version_order`'s order; ``tids[p]`` is its writer,
-        ``following[p]`` the row of the version after it in its chain (``-1``
-        at a chain's end) and ``row_of_vid[vid]`` the row of a version the
-        event log interned (``-1``: not installed).
+        ``(versions, tids, last, row_of_vid)``: row ``p`` is one installed
+        version, the chains laid end to end in :attr:`version_order`'s
+        order, so the version after ``p`` in its chain is row ``p + 1``
+        unless ``last[p]``; ``tids[p]`` is its writer and
+        ``row_of_vid[vid]`` the row of a version the event log interned
+        (``-1``: not installed).
         """
         version_id = self.log.interner.version_id
         versions: List[Version] = []
         tids: List[int] = []
-        following: List[int] = []
-        row_of_vid = [-1] * len(self.log.interner.versions)
+        last = bytearray()
+        row_of_vid = array("l", (-1,)) * len(self.log.interner.versions)
         for chain in self.version_order.values():
             row = len(versions)
             versions.extend(chain)
-            following.extend(range(row + 1, row + len(chain)))
-            following.append(-1)
+            last.extend(bytes(len(chain) - 1))
+            last.append(1)
             for version in chain:
                 tids.append(version.tid)
                 vid = version_id.get(version)
                 if vid is not None:
                     row_of_vid[vid] = row
                 row += 1
-        return versions, tids, following, row_of_vid
+        return versions, tids, last, row_of_vid
 
     # ------------------------------------------------------------------
     # version attributes
