@@ -76,13 +76,16 @@ def check(
     Caching contract
     ----------------
     One :class:`~repro.core.phenomena.Analysis` is built per call and shared
-    by every phenomenon detector and per-level verdict: the direct-conflict
-    edges are extracted exactly once (``Analysis.edges``), the DSG and the
-    SSG of the extension levels are built over that shared edge list, and
-    per-phenomenon reports are memoized.  Checking all four ANSI levels
-    therefore costs one edge extraction plus at most one SCC pass per
-    distinct phenomenon (G2 and G2-item share theirs when no predicate
-    anti-dependency edge exists), not one extraction per level.  The
+    by every phenomenon detector and per-level verdict: the direct
+    conflicts are extracted exactly once, as rows of an edge table
+    (``Edge`` objects are built when ``Analysis.edges`` or a witness asks
+    for them), the DSG and the SSG of the extension levels are built over
+    that shared table, and per-phenomenon reports are memoized.  Checking
+    all four ANSI levels therefore costs one extraction plus at most one
+    SCC pass per distinct cycle phenomenon — none for a view whose edges
+    all go forward in commit order, and G2 and G2-item share theirs when
+    no predicate anti-dependency edge exists — not one extraction per
+    level.  The
     caches live on the analysis/history pair and histories are immutable,
     so nothing needs invalidation; see ``docs/performance.md`` for the
     full cost model.
