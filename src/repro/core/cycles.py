@@ -26,27 +26,21 @@ to thread an anti-dependency edge — an edge of the view that is not in the
 dependency view.  While the dependency view is acyclic no cycle consists of
 ww/wr edges alone, so a latched full (resp. item) view *is* the verdict, in
 O(1).  Only once G1c is itself present can the view's cycle be a pure
-dependency cycle, and the question goes to an SCC pass
-(:func:`repro.core.graph.component_index` over bare arcs), one per edge
-generation until the verdict turns True.
+dependency cycle, and the question goes to an SCC pass, one per edge
+generation until the verdict turns True: the batch checker's Tarjan
+(:func:`repro.core.graph.component_index`) over int columns copied from the
+edge keys.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import graph as _g
 from .conflicts import DEPENDENCY, DEPTH, FULL, ITEM, RW, WR, WRITE, WW
 from .phenomena import VIEW_OF, Phenomenon
 
 __all__ = ["ViewChain", "WW", "WR", "RW"]
-
-
-class _Arc(NamedTuple):
-    """The ends of an edge key: all :mod:`repro.core.graph` reads."""
-
-    src: int
-    dst: int
 
 
 class _CycleMonitor:
@@ -229,25 +223,26 @@ class ViewChain:
         return self._anti_pass(view)
 
     def _anti_pass(self, view: int) -> bool:
-        """One SCC pass over the edge keys — ``(src, dst)`` arcs, no
-        :class:`Edge` objects: does an anti-dependency edge of ``view`` lie
-        inside a component of it?  Without an edge that separates them the
-        full and item views coincide and the answer is recorded for both."""
-        arcs: List[_Arc] = []
-        anti: List[_Arc] = []
+        """One SCC pass over the edge keys — int rows, no :class:`Edge`
+        objects: does an anti-dependency row of ``view`` lie inside a
+        component of it?  Without an edge that separates them the full and
+        item views coincide and the answer is recorded for both."""
+        src: List[int] = []
+        dst: List[int] = []
+        anti: List[int] = []
         coincide = True
-        for src, dst, kind, _oid, _vid, pid in self._edges:
+        for u, v, kind, _oid, _vid, pid in self._edges:
             depth = DEPTH[kind][pid != 0]
             if depth < ITEM:
                 coincide = False
             if depth < view:
                 continue
-            arc = _Arc(src, dst)
             if depth < DEPENDENCY:
-                anti.append(arc)
-            arcs.append(arc)
-        comp = _g.component_index(_g.adjacency(arcs))
-        present = any(comp[arc.src] == comp[arc.dst] for arc in anti)
+                anti.append(len(src))
+            src.append(u)
+            dst.append(v)
+        comp = _g.component_index(_g.adjacency_of(range(len(src)), src, dst))
+        present = any(comp[src[row]] == comp[dst[row]] for row in anti)
         answer = (self.generation, present)
         for same in (FULL, ITEM) if coincide else (view,):
             self._passes[same] = answer

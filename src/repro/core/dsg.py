@@ -21,14 +21,17 @@ cycles over four *nested* subsets of the rows — the views
   setup transactions, which share a rank) sends the view to Tarjan instead;
 * a view found acyclic by a search settles every deeper view too, and the
   components of a view are computed once (:meth:`DSG._components`);
-* G0 / G1c take the first component with two nodes and walk a cycle in it;
-  G2 / G2-item take the first anti-dependency row whose ends share a
-  component and close it with a shortest path.
+* :func:`view_witness`: G0 / G1c take the first component with two nodes
+  and walk a cycle in it; G2 / G2-item take the first anti-dependency row
+  whose ends share a component and close it with a shortest path.  The
+  online checker's provenance witness asks the same of its own edges.
 
-Searches with caller-supplied edge predicates (:meth:`DSG.find_cycle`,
-:meth:`DSG.find_cycle_with` — the extension phenomena, the SSG, external
-callers) evaluate the predicates once over the materialised edges into a row
-list and then run the very same routines of :mod:`repro.core.graph`.
+The graph routines live in :mod:`repro.core.graph`; the class keeps what
+needs the history: the node set, the commit-rank certificate and the cached
+views and components.  Searches with caller-supplied edge predicates
+(:meth:`DSG.find_cycle`, :meth:`DSG.find_cycle_with` — the extension
+phenomena, the SSG, external callers) evaluate the predicates once over the
+materialised edges into a row list and then run the very same routines.
 
 All searches return a concrete :class:`Cycle` witness (the edge list), which
 the checker renders into explanations; only the rows of a witness are turned
@@ -58,6 +61,25 @@ __all__ = ["DSG", "Cycle", "EdgeFilter"]
 
 #: Predicate over edges used to carve out subgraphs.
 EdgeFilter = Callable[[Edge], bool]
+
+
+def view_adjacency(table: EdgeTable, view: int) -> _g.Adjacency:
+    """The graph of the rows of ``table`` in ``view``, in row order."""
+    rows = [row for row, depth in enumerate(table.depth) if depth >= view]
+    return _g.adjacency_of(rows, table.src, table.dst)
+
+
+def view_witness(
+    table: EdgeTable, view: int, adj: _g.Adjacency, sccs: List[List[int]]
+) -> Optional[List[int]]:
+    """The rows of the cycle witnessing ``view``'s phenomenon, given the
+    view's graph and components: any cycle of ``WRITE`` (G0) or
+    ``DEPENDENCY`` (G1c); a cycle of ``ITEM`` (G2-item) or ``FULL`` (G2)
+    through one of its anti-dependency rows."""
+    if view >= DEPENDENCY:
+        return _g.cycle(adj, sccs)
+    anti = [row for row, depth in enumerate(table.depth) if view <= depth < DEPENDENCY]
+    return _g.cycle_through(adj, sccs, anti)
 
 
 def dependency_edge(edge: Edge) -> bool:
@@ -215,21 +237,10 @@ class DSG:
     # the nested views
     # ------------------------------------------------------------------
 
-    def _adjacency(self, rows: Iterable[int]) -> _g.Adjacency:
-        """The graph of the given rows of the table, in the order given."""
-        src = self._table.src
-        leaving: Dict[int, List[int]] = {}
-        for row in rows:
-            leaving.setdefault(src[row], []).append(row)
-        return _g.Adjacency(leaving, src, self._table.dst)
-
     def _view(self, view: int) -> _g.Adjacency:
         adj = self._views.get(view)
         if adj is None:
-            depth = self._table.depth
-            adj = self._views[view] = self._adjacency(
-                [row for row, d in enumerate(depth) if d >= view]
-            )
+            adj = self._views[view] = view_adjacency(self._table, view)
         return adj
 
     def _components(self, view: int) -> List[List[int]]:
@@ -275,47 +286,16 @@ class DSG:
                     break
         return deepest + 1
 
-    def _witness(self, rows: Iterable[int]) -> Cycle:
-        return Cycle(tuple(map(self._table.edge, rows)))
-
-    def _cycle(self, adj: _g.Adjacency, sccs: List[List[int]]) -> Optional[Cycle]:
-        """A cycle in the first component that has one."""
-        for scc in sccs:
-            if len(scc) >= 2:
-                return self._witness(_g.cycle_in_component(adj, scc))
-        return None
-
-    def _cycle_through(
-        self, adj: _g.Adjacency, sccs: List[List[int]], special: Iterable[int]
-    ) -> Optional[Cycle]:
-        """The first row of ``special`` whose ends share a component, closed
-        into a cycle by a shortest path back."""
-        component = {node: i for i, scc in enumerate(sccs) for node in scc}
-        _leaving, src, dst = adj
-        for row in special:
-            a, b = src[row], dst[row]
-            if a != b and component[a] == component[b]:
-                path = _g.shortest_edge_path(adj, b, a)
-                if path is not None:
-                    return self._witness((row, *path))
-        return None
+    def _witness(self, rows: Optional[Iterable[int]]) -> Optional[Cycle]:
+        return None if rows is None else Cycle(tuple(map(self._table.edge, rows)))
 
     def _view_cycle(self, view: int) -> Optional[Cycle]:
-        """Any cycle of a view (G0: ``WRITE``, G1c: ``DEPENDENCY``)."""
+        """The witness of a view's phenomenon (:func:`view_witness`), or
+        ``None`` when the view is acyclic."""
         if self._acyclic(view):
             return None
-        return self._cycle(self._view(view), self._components(view))
-
-    def _view_anti_cycle(self, view: int) -> Optional[Cycle]:
-        """A cycle of a view through at least one of its anti-dependency
-        rows (G2: ``FULL``, G2-item: ``ITEM``)."""
-        if self._acyclic(view):
-            return None
-        depth = self._table.depth
-        return self._cycle_through(
-            self._view(view),
-            self._components(view),
-            [row for row, d in enumerate(depth) if view <= d < DEPENDENCY],
+        return self._witness(
+            view_witness(self._table, view, self._view(view), self._components(view))
         )
 
     # ------------------------------------------------------------------
@@ -327,8 +307,9 @@ class DSG:
 
     def find_cycle(self, keep: EdgeFilter) -> Optional[Cycle]:
         """Any cycle using only edges passing ``keep``, or ``None``."""
-        adj = self._adjacency(self._kept(keep))
-        return self._cycle(adj, _g.strongly_connected_components(adj))
+        table = self._table
+        adj = _g.adjacency_of(self._kept(keep), table.src, table.dst)
+        return self._witness(_g.cycle(adj, _g.strongly_connected_components(adj)))
 
     def find_cycle_with(
         self,
@@ -345,20 +326,20 @@ class DSG:
         shape: one anti-dependency closed by dependency edges).
         """
         edges = self.edges
+        src, dst = self._table.src, self._table.dst
         kept = self._kept(keep)
         chosen = [row for row in kept if special(edges[row])]
         if exactly_one:
             picked = set(chosen)
-            rest = self._adjacency(row for row in kept if row not in picked)
-            _leaving, src, dst = rest
+            rest = _g.adjacency_of((row for row in kept if row not in picked), src, dst)
             for row in chosen:
                 path = _g.shortest_edge_path(rest, dst[row], src[row])
                 if path is not None:
                     return self._witness((row, *path))
             return None
-        adj = self._adjacency(kept)
-        return self._cycle_through(
-            adj, _g.strongly_connected_components(adj), chosen
+        adj = _g.adjacency_of(kept, src, dst)
+        return self._witness(
+            _g.cycle_through(adj, _g.strongly_connected_components(adj), chosen)
         )
 
     def find_cycles(

@@ -1,21 +1,22 @@
 """Directed multigraph algorithms over edge *rows*.
 
-The phenomenon detectors only ever need four graph questions — strongly
-connected components, a concrete cycle inside a component, a shortest edge
-path, and a topological order.  They are answered here on an
+Every cycle question the checkers ask is answered here, on an
 :class:`Adjacency`: an edge is a row number into two parallel int columns
 (``src[row]``, ``dst[row]``), a graph is ``node -> [rows leaving it]``, and
-every walk reads ints out of lists.  No edge object is touched: the batch
-checker (:mod:`repro.core.dsg`) hands in the columns of its edge table and
-one row list per view, and whoever holds edge *objects* (the mixed graph,
-the provenance witness, the test oracles) gets the same structure from
-:func:`adjacency`, where row ``i`` is the ``i``-th edge given, and maps the
-rows that come back onto its own list.
+every walk reads ints out of lists.  No edge object is touched: every
+caller hands in columns and a row list (:func:`adjacency_of`) — the batch
+checker and the provenance witness an edge table's, one row list per view;
+the MSG its relevant rows; the online checker's SCC fallback columns copied
+from its edge keys — and maps the rows that come back onto its own edges.
 
-Every routine visits a node's rows in list order and the nodes in the
-order the mapping lists them, so for one edge order there is one answer:
-the same components in the same order, the same cycle, the same path.
-Witnesses are pinned byte for byte on that (``tests/test_checker_golden.py``).
+Witnesses come from two routines: :func:`cycle` walks a cycle in the first
+component that has one (G0, G1c), :func:`cycle_through` closes the first
+given row whose ends share a component with a shortest path back (G2,
+G2-item, the MSG).  Every routine visits a node's rows in list order and
+the nodes in the order the mapping lists them, so for one edge order there
+is one answer: the same components in the same order, the same cycle, the
+same path.  Witnesses are pinned byte for byte on that
+(``tests/test_checker_golden.py``, ``tests/test_witness_golden.py``).
 
 Nothing here knows about histories or flavours.  networkx is kept only for
 the exhaustive simple-cycle enumeration of multi-witness reports
@@ -38,12 +39,13 @@ from typing import (
 )
 
 __all__ = [
-    "adjacency",
+    "adjacency_of",
     "strongly_connected_components",
     "component_index",
     "cycle_in_component",
+    "cycle",
+    "cycle_through",
     "shortest_edge_path",
-    "has_path",
     "topological_order",
 ]
 
@@ -60,17 +62,14 @@ class Adjacency(NamedTuple):
     dst: Sequence[int]
 
 
-def adjacency(edges: Iterable[object]) -> Adjacency:
-    """The graph of an iterable of edge objects (anything with ``.src`` and
-    ``.dst``); row ``i`` is the ``i``-th edge."""
-    src: List[int] = []
-    dst: List[int] = []
-    rows: Dict[int, List[int]] = {}
-    for row, e in enumerate(edges):
-        src.append(e.src)
-        dst.append(e.dst)
-        rows.setdefault(e.src, []).append(row)
-    return Adjacency(rows, src, dst)
+def adjacency_of(
+    rows: Iterable[int], src: Sequence[int], dst: Sequence[int]
+) -> Adjacency:
+    """The graph of the given rows of the columns, in the order given."""
+    leaving: Dict[int, List[int]] = {}
+    for row in rows:
+        leaving.setdefault(src[row], []).append(row)
+    return Adjacency(leaving, src, dst)
 
 
 def strongly_connected_components(
@@ -174,6 +173,30 @@ def cycle_in_component(adj: Adjacency, component: Sequence[int]) -> List[int]:
     raise ValueError("component is not strongly connected")  # pragma: no cover
 
 
+def cycle(adj: Adjacency, sccs: List[List[int]]) -> Optional[List[int]]:
+    """A cycle in the first component of ``sccs`` that has one."""
+    for scc in sccs:
+        if len(scc) >= 2:
+            return cycle_in_component(adj, scc)
+    return None
+
+
+def cycle_through(
+    adj: Adjacency, sccs: List[List[int]], special: Iterable[int]
+) -> Optional[List[int]]:
+    """The first row of ``special`` whose ends share a component of
+    ``sccs``, closed into a cycle by a shortest path back."""
+    component = {node: i for i, scc in enumerate(sccs) for node in scc}
+    _leaving, src, dst = adj
+    for row in special:
+        a, b = src[row], dst[row]
+        if a != b and component[a] == component[b]:
+            path = shortest_edge_path(adj, b, a)
+            if path is not None:
+                return [row, *path]
+    return None
+
+
 def shortest_edge_path(
     adj: Adjacency, src: int, dst: int
 ) -> Optional[Tuple[int, ...]]:
@@ -202,13 +225,6 @@ def shortest_edge_path(
             seen.add(nxt)
             queue.append(nxt)
     return None
-
-
-def has_path(adj: Adjacency, src: int, dst: int) -> bool:
-    """Whether a path of one or more edges leads from ``src`` to ``dst``."""
-    if src == dst:
-        return any(adj.dst[row] == dst for row in adj.rows.get(src, ()))
-    return shortest_edge_path(adj, src, dst) is not None
 
 
 def topological_order(adj: Adjacency, nodes: Iterable[int] = ()) -> List[int]:

@@ -20,6 +20,10 @@ its own level.
 Extension levels (PL-CS, PL-2+, PL-SI) are approximated for MSG purposes by
 the strongest ANSI level they imply (all three imply PL-2); the MSG
 construction in the paper is defined for the ANSI chain only.
+
+The MSG is a list of rows of the history's edge table (a row's view depth
+tells its flavour); its witness is the batch checker's
+:func:`repro.core.graph.cycle_through` over its first non-trivial component.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import graph as _g
-from .conflicts import DepKind, Edge, PredicateDepMode, all_dependencies
+from .conflicts import DEPENDENCY, ITEM, WRITE, Edge, PredicateDepMode, edge_table
 from .dsg import Cycle
 from .history import History
 from .levels import ANSI_CHAIN, IsolationLevel
@@ -46,16 +50,15 @@ def ansi_projection(level: IsolationLevel) -> IsolationLevel:
     return best
 
 
-def _relevant(edge: Edge, src_level: IsolationLevel, dst_level: IsolationLevel) -> bool:
-    if edge.kind is DepKind.WW:
+def _relevant(depth: int, src_level: IsolationLevel, dst_level: IsolationLevel) -> bool:
+    """Whether an edge table row of that view depth (its flavour) is kept."""
+    if depth == WRITE:
         return True
-    if edge.kind is DepKind.WR:
+    if depth == DEPENDENCY:
         return dst_level.implies(IsolationLevel.PL_2)
-    if edge.kind is DepKind.RW:
-        if edge.via_predicate:
-            return src_level.implies(IsolationLevel.PL_3)
+    if depth == ITEM:
         return src_level.implies(IsolationLevel.PL_2_99)
-    return False
+    return src_level.implies(IsolationLevel.PL_3)  # predicate anti-dependency
 
 
 class MSG:
@@ -74,13 +77,20 @@ class MSG:
         for tid in history.setup_tids:
             levels[tid] = IsolationLevel.PL_3  # setup state is fully isolated
         self.levels = levels
-        self.edges: List[Edge] = [
-            e
-            for e in all_dependencies(history, mode)
-            if _relevant(e, levels[e.src], levels[e.dst])
+        self._table = table = edge_table(history, mode)
+        src, dst = table.src, table.dst
+        self._rows = [
+            row
+            for row, depth in enumerate(table.depth)
+            if _relevant(depth, levels[src[row]], levels[dst[row]])
         ]
         self._nodes = set(history.committed_all)
-        self._adj = _g.adjacency(self.edges)
+        self._adj = _g.adjacency_of(self._rows, src, dst)
+
+    @property
+    def edges(self) -> List[Edge]:
+        """The relevant edges as objects, in row order."""
+        return [self._table.edge(row) for row in self._rows]
 
     def is_acyclic(self) -> bool:
         return all(
@@ -89,18 +99,14 @@ class MSG:
         )
 
     def find_cycle(self) -> Optional[Cycle]:
-        for scc in _g.strongly_connected_components(self._adj, self._nodes):
-            if len(scc) < 2:
-                continue
-            members = set(scc)
-            inside = [
-                e for e in self.edges if e.src in members and e.dst in members
-            ]
-            sub = _g.adjacency(inside)
-            for e in inside:
-                back = _g.shortest_edge_path(sub, e.dst, e.src)
-                if back is not None:
-                    return Cycle((e, *(inside[row] for row in back)))
+        sccs = _g.strongly_connected_components(self._adj, self._nodes)
+        for scc in sccs:
+            if len(scc) >= 2:
+                members = set(scc)
+                src = self._table.src
+                inside = [row for row in self._rows if src[row] in members]
+                rows = _g.cycle_through(self._adj, sccs, inside)
+                return Cycle(tuple(map(self._table.edge, rows)))
         return None
 
     def topological_order(self) -> List[int]:
@@ -135,7 +141,7 @@ def mixing_correct(
 ) -> MixingReport:
     """Definition 9: MSG acyclic and no G1a/G1b for PL-2+ transactions."""
     msg = MSG(history, mode)
-    cycle = None if msg.is_acyclic() else msg.find_cycle()
+    cycle = msg.find_cycle()
     analysis = Analysis(history, mode)
     dirty: List[Witness] = []
     needs_clean_reads = {

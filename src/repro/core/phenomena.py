@@ -240,7 +240,7 @@ class Analysis:
     # ------------------------------------------------------------------
 
     def _detect(self, phenomenon: Phenomenon) -> PhenomenonReport:
-        if phenomenon in (Phenomenon.G0, Phenomenon.G1C):
+        if phenomenon in (Phenomenon.G0, Phenomenon.G1C, Phenomenon.G2):
             return self._cycle_report(
                 phenomenon, self.dsg._view_cycle(VIEW_OF[phenomenon])
             )
@@ -252,11 +252,9 @@ class Analysis:
             parts = [self.report(p) for p in (Phenomenon.G1A, Phenomenon.G1B, Phenomenon.G1C)]
             witnesses = tuple(w for r in parts for w in r.witnesses)
             return PhenomenonReport(Phenomenon.G1, any(parts), witnesses)
-        if phenomenon is Phenomenon.G2:
-            return self._cycle_report(phenomenon, self.dsg._view_anti_cycle(FULL))
         if phenomenon is Phenomenon.G2_ITEM:
             if FULL in self._table.depth:
-                cycle = self.dsg._view_anti_cycle(ITEM)
+                cycle = self.dsg._view_cycle(ITEM)
             else:
                 # No predicate anti-dependency edge: the item view is the
                 # full view, so G2's (memoized) witness serves both.

@@ -18,6 +18,11 @@ Wire-up is through the two existing hooks: build the analysis with
 :func:`watching_analysis`, which does both) and attach it as the engine's
 ``monitor=``; phenomena then latch — and narrate themselves — while the
 workload runs.
+
+The witness is the batch checker's: the online checker's edges, in insertion
+order, become the rows of an :class:`~repro.core.conflicts.EdgeTable`, and
+:func:`repro.core.dsg.view_witness` asks the phenomenon's view what
+:class:`~repro.core.phenomena.Analysis` asks of a history.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core import graph as _g
-from ..core.conflicts import DepKind, Edge
+from ..core.conflicts import DepKind, Edge, EdgeTable
+from ..core.dsg import view_adjacency, view_witness
 from ..core.events import PredicateRead
 from ..core.incremental import IncrementalAnalysis
-from ..core.phenomena import Phenomenon
+from ..core.phenomena import VIEW_OF, Phenomenon
 
 from .trace import Tracer
 
@@ -39,53 +45,19 @@ __all__ = [
     "watching_analysis",
 ]
 
-#: Edge filters per cycle phenomenon, mirroring the incremental monitors:
-#: ``(keep, special)`` — a witness is a cycle in the kept subgraph passing
-#: through at least one special edge (``special=None``: any cycle).
-_CYCLE_FILTERS: Dict[Phenomenon, Tuple[Callable[[Edge], bool], Optional[Callable[[Edge], bool]]]] = {
-    Phenomenon.G0: (lambda e: e.kind is DepKind.WW, None),
-    Phenomenon.G1C: (
-        lambda e: e.kind is DepKind.WW or e.kind is DepKind.WR,
-        None,
-    ),
-    Phenomenon.G2: (lambda e: True, lambda e: e.kind is DepKind.RW),
-    Phenomenon.G2_ITEM: (
-        lambda e: not (e.kind is DepKind.RW and e.via_predicate),
-        lambda e: e.kind is DepKind.RW and not e.via_predicate,
-    ),
-}
-
-
 def witness_cycle(
     analysis: IncrementalAnalysis, phenomenon: Phenomenon
 ) -> Optional[List[Edge]]:
     """A concrete DSG cycle witnessing a (latched) cycle phenomenon, as a
     chained edge list, or ``None`` when the phenomenon has no cycle witness
     (not present, or a G1a/G1b-style read phenomenon)."""
-    filters = _CYCLE_FILTERS.get(phenomenon)
-    if filters is None:
+    view = VIEW_OF.get(phenomenon)
+    if view is None:
         return None
-    keep, special = filters
-    kept = [e for e in analysis.edges if keep(e)]
-    adj = _g.adjacency(kept)
-    comp = _g.component_index(adj)
-    if special is None:
-        counts: Dict[int, List[int]] = {}
-        for node, c in comp.items():
-            counts.setdefault(c, []).append(node)
-        for members in counts.values():
-            if len(members) >= 2:
-                return [kept[row] for row in _g.cycle_in_component(adj, members)]
-        return None
-    for edge in kept:
-        if not special(edge) or comp.get(edge.src) != comp.get(edge.dst):
-            continue
-        members = {n for n, c in comp.items() if c == comp[edge.src]}
-        inside = [e for e in kept if e.src in members and e.dst in members]
-        path = _g.shortest_edge_path(_g.adjacency(inside), edge.dst, edge.src)
-        if path is not None:
-            return [edge, *(inside[row] for row in path)]
-    return None
+    table = EdgeTable().extended(analysis.edges)
+    adj = view_adjacency(table, view)
+    rows = view_witness(table, view, adj, _g.strongly_connected_components(adj))
+    return None if rows is None else [table.edge(row) for row in rows]
 
 
 def _edge_dict(edge: Edge) -> Dict[str, Any]:
@@ -129,16 +101,18 @@ def _supporting_events(
                 if read.version.obj == edge.obj:
                     take(read)
         if edge.predicate is not None:
+            # Predicates are equal by name and relations; the edge holds the
+            # first equal object the online checker saw, not necessarily
+            # the one this reader's event carries.
             reader = edge.src if edge.kind is DepKind.RW else edge.dst
-            for pred in analysis.predicates_read_by(reader):
-                if pred is edge.predicate:
-                    for i, ev in enumerate(analysis.events):
-                        if (
-                            isinstance(ev, PredicateRead)
-                            and ev.tid == reader
-                            and ev.predicate is edge.predicate
-                        ):
-                            picked.setdefault(i, ev)
+            if edge.predicate in analysis.predicates_read_by(reader):
+                for i, ev in enumerate(analysis.events):
+                    if (
+                        isinstance(ev, PredicateRead)
+                        and ev.tid == reader
+                        and ev.predicate == edge.predicate
+                    ):
+                        picked.setdefault(i, ev)
     return [
         {"index": i, "tid": ev.tid, "event": str(ev)}
         for i, ev in sorted(picked.items())

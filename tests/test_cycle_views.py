@@ -5,10 +5,11 @@ G2-item / G2 out.
 histories, whose graphs are sparse.  Here random insert-only streams of
 flavoured edges over at most 12 nodes are fed straight in, and after every
 insert the chain's answers are compared with Section 5's definitions,
-computed with ``graph.component_index`` over the same arcs by rules written
-out below (not read from the chain's table).  Both ways of answering G2 /
-G2-item must be reached, and are counted: from the monitors alone while the
-ww+wr view is acyclic, and by the SCC pass once G1c is present.
+computed with ``graph.component_index`` over the same arcs, as rows of int
+columns, by rules written out below (not read from the chain's table).  Both
+ways of answering G2 / G2-item must be reached, and are counted: from the
+monitors alone while the ww+wr view is acyclic, and by the SCC pass once G1c
+is present.
 """
 
 import random
@@ -47,12 +48,19 @@ KEEPS = {
 }
 
 
+def components(arcs):
+    """``node -> component id`` of the graph whose row ``i`` is ``arcs[i]``."""
+    src = [a.src for a in arcs]
+    dst = [a.dst for a in arcs]
+    return graph.component_index(graph.adjacency_of(range(len(arcs)), src, dst))
+
+
 def definition(arcs):
     """(view -> cyclic?, phenomenon -> present?) from the definitions."""
     cyclic, through_rw = {}, {}
     for view, keep in KEEPS.items():
         kept = [a for a in arcs if keep(a)]
-        comp = graph.component_index(graph.adjacency(kept))
+        comp = components(kept)
         on_cycle = [a for a in kept if comp[a.src] == comp[a.dst]]
         cyclic[view] = bool(on_cycle)
         through_rw[view] = any(a.kind == RW for a in on_cycle)
@@ -133,7 +141,7 @@ def test_monitor_reports_the_insert_that_closes_the_first_cycle():
         for _ in range(4 * n):
             arc = Arc(rng.randrange(n), rng.randrange(n), WW, 0)
             arcs.append(arc)
-            comp = graph.component_index(graph.adjacency(arcs))
+            comp = components(arcs)
             cyclic = any(
                 a.src != a.dst and comp[a.src] == comp[a.dst] for a in arcs
             )

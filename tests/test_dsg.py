@@ -166,7 +166,7 @@ class TestDepends:
             calls += event == "call" or event == "c_call"
             # The adjacency builders, by the names they have had.
             builds += event == "call" and frame.f_code.co_name in (
-                "_adjacency", "_filtered", "adjacency",
+                "_adjacency", "_filtered", "adjacency", "adjacency_of",
             )
 
         pairs = [(i, i + 7) for i in range(1, 101)]

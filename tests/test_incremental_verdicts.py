@@ -36,10 +36,18 @@ def _is_rw(edge):
     return edge.kind is DepKind.RW
 
 
+def _components(arcs):
+    """``node -> component id`` of the graph whose row ``i`` is ``arcs[i]``
+    (anything with ``src`` and ``dst``)."""
+    src = [a.src for a in arcs]
+    dst = [a.dst for a in arcs]
+    return graph.component_index(graph.adjacency_of(range(len(arcs)), src, dst))
+
+
 def _cycle_through(kept, special):
     """Some ``special`` edge of ``kept`` has both ends in one strongly
     connected component of ``kept``, i.e. lies on a cycle of kept edges."""
-    comp = graph.component_index(graph.adjacency(kept))
+    comp = _components(kept)
     return any(special(e) and comp[e.src] == comp[e.dst] for e in kept)
 
 
@@ -56,9 +64,9 @@ def oracle(analysis):
 
 
 def test_component_index_over_bare_arcs_matches_networkx():
-    # The analysis' fallback runs ``graph.component_index`` over bare
-    # ``(src, dst)`` arcs, the oracle above over ``Edge`` objects; networkx
-    # is the independent witness.
+    # The analysis' fallback and the oracle above both run
+    # ``graph.component_index`` over int rows; networkx, fed the arcs
+    # themselves, is the independent witness.
     import networkx as nx
     from collections import namedtuple
 
@@ -73,7 +81,7 @@ def test_component_index_over_bare_arcs_matches_networkx():
         expected = sorted(
             map(sorted, nx.strongly_connected_components(nx.DiGraph(arcs)))
         )
-        index = graph.component_index(graph.adjacency(arcs))
+        index = _components(arcs)
         parts = {}
         for node, cid in index.items():
             parts.setdefault(cid, []).append(node)
