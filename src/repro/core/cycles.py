@@ -13,13 +13,22 @@ the feed, the removal, the replay and the SCC pass all index (and
 :data:`repro.core.phenomena.VIEW_OF` for the view behind each phenomenon).
 
 A subgraph of an acyclic graph is acyclic, so only one view is ever
-maintained: the *live* one, the largest that has not closed a cycle yet, as
-a :class:`_CycleMonitor` (a Pearce–Kelly dynamic topological order).  Every
+tracked: the *live* one, the largest that has not closed a cycle yet.  Every
 larger view is latched cyclic, every smaller one is trivially acyclic.
-When the live view closes its first cycle the next smaller view is brought
-live by replaying the accumulated edge set once, and so on down the chain:
-a workload pays for one Pearce–Kelly structure at a time, and a latched
-view costs nothing.
+
+The live view is tracked by the batch checker's certificate first
+(:meth:`repro.core.dsg.DSG._forward_from`).  Every node carries a rank fixed
+when it enters the graph — its place in commit order, ``-1`` for a setup
+transaction — and while every row of the view has ``rank[src] <
+rank[dst]`` the ranks are a topological order of it: the view is acyclic and
+an insert costs one compare.  The first row that does not go forward builds
+a :class:`_CycleMonitor` (a Pearce–Kelly dynamic topological order) by
+replaying the view's rows once, and the monitor answers from then on.  When
+the live view closes its first cycle the next smaller view is brought live
+the same way — certified if all its rows go forward, else by a replay, and
+so on down the chain.  A history recorded under strict two-phase locking
+never builds a monitor; a multi-version one builds one for the views that
+hold its backward anti-dependencies, and a latched view costs nothing.
 
 G0 and G1c are "the view has a cycle".  G2 and G2-item also need the cycle
 to thread an anti-dependency edge — an edge of the view that is not in the
@@ -48,11 +57,11 @@ class _CycleMonitor:
 
     Maintains a topological order of the collapsed transaction graph with
     the Pearce–Kelly dynamic algorithm: inserting an edge that already
-    respects the order costs O(1) (the overwhelmingly common case — DSG
-    edges mostly point from older commits to newer ones), and a violating
-    insert reorders only the affected region between the two endpoints'
-    ranks.  :meth:`add` returns True for the insert that closes a cycle;
-    the order is not maintained past that point and the monitor is done.
+    respects the order costs O(1), and a violating insert reorders only the
+    affected region between the two endpoints' ranks.  :meth:`add` returns
+    True for the insert that closes a cycle; the order is not maintained
+    past that point and the monitor is done.  :class:`ViewChain` builds one
+    only for a view the commit-rank certificate no longer covers.
     """
 
     __slots__ = ("order", "_next_rank", "fwd", "back", "count")
@@ -152,57 +161,92 @@ class ViewChain:
     ordered) keyed by ``(src, dst, kind, oid, vid, pid)`` tuples, of which
     only ``src``, ``dst``, ``kind`` and ``pid`` (0 = no predicate) are read
     here.  The owner inserts a key *before* calling :meth:`add` and deletes
-    it before calling :meth:`remove`; the replay on a latch and the SCC pass
-    iterate the store itself.
+    it before calling :meth:`remove`; the certificate scan, the replay and
+    the SCC pass iterate the store itself.  ``rank`` is the owner's node ->
+    rank dict, also held by reference: both ends of an edge have an entry
+    before it is added, and an entry never changes.
 
     Verdicts are permanent.  That is sound for a growing edge set, and for
     the one removal the online analysis performs — a version-chain repair,
     which replaces edges with transitive refinements (a mid-chain insert
     turns ``u->w`` into ``u->v, v->w``) and so can reroute a cycle but never
     break the last one.  :meth:`remove` is correct for removals of that
-    shape only: it keeps the live view's monitor exact and never re-opens a
+    shape only: it keeps the live view's monitor exact (a certified view
+    stays certified: fewer rows cannot go backward) and never re-opens a
     latched view.
     """
 
-    __slots__ = ("_edges", "_metrics", "_live", "_monitor", "generation", "_passes")
+    __slots__ = (
+        "_edges", "_rank", "_metrics", "_live", "_monitor", "generation", "_passes"
+    )
 
-    def __init__(self, edges: Dict[tuple, bool], metrics: Optional[object] = None):
+    def __init__(
+        self,
+        edges: Dict[tuple, bool],
+        rank: Dict[int, int],
+        metrics: Optional[object] = None,
+    ):
         self._edges = edges
+        self._rank = rank
         self._metrics = metrics
         #: Depth of the live view: views above it are latched cyclic, it and
         #: the views below are acyclic.  ``WRITE + 1`` = all latched.
         self._live = FULL
-        self._monitor: Optional[_CycleMonitor] = _CycleMonitor()
+        #: The live view's monitor; ``None`` while the certificate covers the
+        #: view (every row goes forward in rank) and once all are latched.
+        self._monitor: Optional[_CycleMonitor] = None
         #: Bumped on every add/remove; SCC pass answers are cached against it.
         self.generation = 0
         self._passes: Dict[int, Tuple[int, bool]] = {}  # view -> (generation, present)
 
     def add(self, u: int, v: int, kind: int, pid: int) -> None:
         self.generation += 1
-        if DEPTH[kind][pid != 0] >= self._live and self._monitor.add(u, v):
+        if DEPTH[kind][pid != 0] < self._live:
+            return
+        monitor = self._monitor
+        if monitor is None:
+            rank = self._rank
+            if rank[u] < rank[v]:
+                return
+            closed = self._replay()
+        else:
+            closed = monitor.add(u, v)
+        if closed:
             self._latch()
 
     def remove(self, u: int, v: int, kind: int, pid: int) -> None:
         self.generation += 1
-        if DEPTH[kind][pid != 0] >= self._live:
+        if self._monitor is not None and DEPTH[kind][pid != 0] >= self._live:
             self._monitor.remove(u, v)
 
     def _latch(self) -> None:
         """The live view closed its first cycle: bring the next smaller
-        view live by replaying the accumulated edge set once (cascading
-        further if the replay itself closes a cycle)."""
+        view live — certified if all its rows go forward, else by a monitor
+        replaying them (cascading further if the replay closes a cycle)."""
         while True:
             self._live = live = self._live + 1
-            if live > WRITE:
-                self._monitor = None
+            self._monitor = None
+            if live > WRITE or self._forward(live) or not self._replay():
                 return
-            monitor = self._monitor = _CycleMonitor()
-            add = monitor.add
-            for src, dst, kind, _oid, _vid, pid in self._edges:
-                if DEPTH[kind][pid != 0] >= live and add(src, dst):
-                    break
-            else:
-                return
+
+    def _forward(self, view: int) -> bool:
+        """Whether every row of ``view`` goes forward in rank."""
+        rank = self._rank
+        for src, dst, kind, _oid, _vid, pid in self._edges:
+            if DEPTH[kind][pid != 0] >= view and rank[src] >= rank[dst]:
+                return False
+        return True
+
+    def _replay(self) -> bool:
+        """Build the live view's monitor from the rows accumulated so far;
+        True if they close a cycle."""
+        live = self._live
+        monitor = self._monitor = _CycleMonitor()
+        add = monitor.add
+        for src, dst, kind, _oid, _vid, pid in self._edges:
+            if DEPTH[kind][pid != 0] >= live and add(src, dst):
+                return True
+        return False
 
     def present(self, phenomenon: Phenomenon) -> bool:
         """Presence of ``phenomenon`` (G0, G1c, G2-item or G2) over the

@@ -12,12 +12,15 @@ maintains, between events, everything the batch checker derives from a full
 
 G0/G1/G2 queries are then O(1) in the steady state: every new edge is
 handed, with its flavour, to a :class:`~repro.core.cycles.ViewChain`, which
-detects each cycle phenomenon at the *edge insert* that closes it (see
-:mod:`repro.core.cycles` for the nested views and the one monitor that is
-live at a time), and presence is monotone over a growing history so a
-positive verdict is cached permanently.  Appending one transaction and
-re-querying therefore costs amortised O(new edges), not O(history) — the
-asymptotic gap ``bench_scaling_incremental`` pins.
+detects each cycle phenomenon at the *edge insert* that closes it, and
+presence is monotone over a growing history so a positive verdict is
+cached permanently.  The chain certifies a view acyclic the way the batch
+checker does, by node ranks in which every edge of the view goes forward
+(commit order, ``-1`` for setup installers, fixed when a node enters the
+DSG), at one compare per insert; a Pearce–Kelly monitor exists only for a
+view some edge goes backward in (see :mod:`repro.core.cycles`).  Appending
+one transaction and re-querying therefore costs amortised O(new edges), not
+O(history) — the asymptotic gap ``bench_scaling_incremental`` pins.
 
 Interned hot path
 -----------------
@@ -26,9 +29,14 @@ All internal state is keyed by dense ints from a per-analysis
 :class:`~repro.core.interning.Interner`: a version is hashed exactly once
 (at first mention), and from then on chains are lists of version ids,
 conflict edges are 6-int tuples, and the per-event work is int dict/list
-traffic instead of dataclass hashing.  :class:`~repro.core.conflicts.Edge`
-objects are materialised lazily (the :attr:`edges` property and reports);
-verdicts are unchanged.
+traffic instead of dataclass hashing.  A read or a write allocates no
+container of its own: events dispatch on
+:data:`~repro.core.interning._KIND_OF_TYPE` (the table
+:class:`~repro.core.interning.EventLog` uses), a transaction's final writes
+are one ``{oid: vid}`` dict per transaction beside a vid -> write-index
+dict, and its reads one flat ``[vid, read, ...]`` list.
+:class:`~repro.core.conflicts.Edge` objects are materialised lazily (the
+:attr:`edges` property and reports); verdicts are unchanged.
 
 :meth:`add` is the one way in; :meth:`add_all` is ``add`` in a loop,
 returning the analysis so a constructor call can be chained.
@@ -81,8 +89,17 @@ from typing import (
 
 from .conflicts import DepKind, Edge, PredicateDepMode
 from .cycles import RW as _KA, WR as _KR, WW as _KW, ViewChain
-from .events import Abort, Begin, Commit, Event, PredicateRead, Read, Write
-from .interning import Interner
+from .events import Abort, Event, PredicateRead, Read, Write
+from .interning import (
+    K_ABORT,
+    K_COMMIT,
+    K_PREAD,
+    K_READ,
+    K_WRITE,
+    _KIND_OF_TYPE,
+    Interner,
+    _kind_by_base,
+)
 from .levels import ANSI_CHAIN, IsolationLevel
 from .objects import INIT_TID, Version, relation_of
 from .phenomena import Phenomenon, PhenomenonReport, Witness
@@ -167,7 +184,7 @@ class IncrementalAnalysis:
         "_install_keys",
         "_pos",
         "_commit_counter",
-        "_writes_ev",
+        "_write_at",
         "_versions_of_tid",
         "_final",
         "_intermediate",
@@ -179,7 +196,7 @@ class IncrementalAnalysis:
         "_setup_versions",
         "_setup_value",
         "_objects_by_relation",
-        "_node_tids",
+        "_rank",
         "_edges",
         "_edge_keys_by_obj",
         "_keyed_built",
@@ -249,24 +266,27 @@ class IncrementalAnalysis:
         self._pos: Dict[int, int] = {}  # vid -> position in its chain
         self._commit_counter = 0
         # --- events indexes (vid/tid keyed) -----------------------------
-        self._writes_ev: Dict[int, Write] = {}  # vid -> write event
+        self._write_at: Dict[int, int] = {}  # vid -> index of its write event
         self._versions_of_tid: Dict[int, List[int]] = {}
-        #: (oid, tid) -> (final vid, final write event index).
-        self._final: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        #: tid -> {oid: final vid}, objects in first-write order.
+        self._final: Dict[int, Dict[int, int]] = {}
         #: Written versions later superseded by the same writer — the G1b
         #: candidates.  A set probe here replaces a tuple-keyed dict probe
         #: in the commit-time read loop; membership is monotone because a
         #: superseded version can never become final again.
         self._intermediate: Set[int] = set()
         self._reads_by_version: Dict[int, List[Read]] = {}
-        self._reads_of_tid: Dict[int, List[Tuple[int, Read]]] = {}
+        #: tid -> [vid, read, vid, read, ...]: flat, no pair per read.
+        self._reads_of_tid: Dict[int, List[Any]] = {}
         self._preads_of_tid: Dict[int, List[_PreadRec]] = {}
         self._preads_by_relation: Dict[str, List[_PreadRec]] = {}
         self._preads_by_vset_version: Dict[int, List[_PreadRec]] = {}
         self._setup_versions: Set[int] = set()
         self._setup_value: Dict[int, Any] = {}
         self._objects_by_relation: Dict[str, List[str]] = {}
-        self._node_tids: Set[int] = set()  # committed txns + setup installers
+        #: The DSG's nodes, each with the rank fixed when it entered: its
+        #: place in commit order, -1 for a setup installer.
+        self._rank: Dict[int, int] = {}
         # --- edges and verdict caches ----------------------------------
         self._edges: Dict[_IKey, bool] = {}  # key -> cursor flag
         # oid -> chain-dependent edge keys; built lazily at the first
@@ -277,8 +297,9 @@ class IncrementalAnalysis:
         self._g1b: Set[Tuple[int, int]] = set()
         self._preds: List[Optional[Predicate]] = [None]  # pid -> predicate
         self._pred_ids: Dict[Predicate, int] = {}
-        # G0/G1c/G2-item/G2 verdicts; reads ``_edges`` by reference.
-        self._cycles = ViewChain(self._edges, metrics)
+        # G0/G1c/G2-item/G2 verdicts; reads ``_edges`` and ``_rank`` by
+        # reference.
+        self._cycles = ViewChain(self._edges, self._rank, metrics)
         # Phenomena already proven present — permanent (presence over a
         # growing history is monotone), so re-queries are O(1).
         self._present: Set[Phenomenon] = set()
@@ -373,18 +394,19 @@ class IncrementalAnalysis:
         self.events.append(event)
         if self._ev_counter is not None:
             self._ev_counter.inc()
-        if isinstance(event, Write):
+        kind = _KIND_OF_TYPE.get(type(event))
+        if kind is None:
+            kind = _kind_by_base(event)
+        if kind == K_WRITE:
             self._on_write(event, index)
-        elif isinstance(event, Read):
+        elif kind == K_READ:
             self._on_read(event)
-        elif isinstance(event, PredicateRead):
+        elif kind == K_PREAD:
             self._on_pread(event)
-        elif isinstance(event, Commit):
+        elif kind == K_COMMIT:
             self._on_commit(event.tid, finals, positions)
-        elif isinstance(event, Abort):
+        elif kind == K_ABORT:
             self._on_abort(event.tid)
-        elif isinstance(event, Begin):
-            pass
         if self.watch and self.on_phenomenon is not None:
             for ph in self.watch:
                 if ph not in self._fired and self.exhibits(ph):
@@ -422,7 +444,7 @@ class IncrementalAnalysis:
         if vid is None:
             vid = self._vid_of(version)
         tid = ev.tid
-        self._writes_ev[vid] = ev
+        self._write_at[vid] = index
         vlist = self._versions_of_tid.get(tid)
         if vlist is None:
             self._versions_of_tid[tid] = [vid]
@@ -434,13 +456,16 @@ class IncrementalAnalysis:
             self._setup_versions.discard(vid)
             self._setup_value.pop(vid, None)
             self._invalidate_matches(vid)
-        key = (in_.ver_obj[vid], tid)
-        cur = self._final.get(key)
+        oid = in_.ver_obj[vid]
+        mine = self._final.get(tid)
+        if mine is None:
+            mine = self._final[tid] = {}
+        cur = mine.get(oid)
         if cur is None:
-            self._final[key] = (vid, index)
-        elif in_.ver_seq[vid] > in_.ver_seq[cur[0]]:
-            self._final[key] = (vid, index)
-            self._now_intermediate(cur[0])
+            mine[oid] = vid
+        elif in_.ver_seq[vid] > in_.ver_seq[cur]:
+            mine[oid] = vid
+            self._now_intermediate(cur)
         else:
             self._now_intermediate(vid)
 
@@ -469,10 +494,11 @@ class IncrementalAnalysis:
             readers.append(ev)
         mine = self._reads_of_tid.get(ev.tid)
         if mine is None:
-            self._reads_of_tid[ev.tid] = [(vid, ev)]
+            self._reads_of_tid[ev.tid] = [vid, ev]
         else:
-            mine.append((vid, ev))
-        if vid not in self._writes_ev and in_.ver_tid[vid] != INIT_TID:
+            mine.append(vid)
+            mine.append(ev)
+        if vid not in self._write_at and in_.ver_tid[vid] != INIT_TID:
             self._note_possible_setup(vid)
         if (
             ev.value is not None
@@ -493,7 +519,7 @@ class IncrementalAnalysis:
         for v in ev.vset.versions():
             vid = self._vid_of(v)
             self._preads_by_vset_version.setdefault(vid, []).append(rec)
-            if vid not in self._writes_ev and self._in.ver_tid[vid] != INIT_TID:
+            if vid not in self._write_at and self._in.ver_tid[vid] != INIT_TID:
                 self._note_possible_setup(vid)
         for obj in ev.vset.objects():
             self._register_object(obj)
@@ -504,21 +530,18 @@ class IncrementalAnalysis:
         finals: Optional[Mapping[str, Version]],
         positions: Optional[Mapping[str, Any]],
     ) -> None:
+        rank = self._rank
+        rank.setdefault(tid, len(self.committed))
         self.committed.add(tid)
-        self._node_tids.add(tid)
         in_ = self._in
         ver_tid = in_.ver_tid
         ver_obj = in_.ver_obj
         objects = in_.objects
         written = self._versions_of_tid.get(tid, ())
-        final = self._final
+        mine = self._final.get(tid, {})
         fin: Dict[str, int]
         if finals is None:
-            fin = {}
-            for vid in written:
-                obj = objects[ver_obj[vid]]
-                if obj not in fin:
-                    fin[obj] = final[(ver_obj[vid], tid)][0]
+            fin = {objects[oid]: vid for oid, vid in mine.items()}
         else:
             fin = {obj: self._vid_of(v) for obj, v in finals.items()}
         hints = self._hint_key
@@ -545,19 +568,22 @@ class IncrementalAnalysis:
                     self._commit_counter += 1
                     key = (0, self._commit_counter)
                 else:
-                    ent = final.get((oid, tid))
-                    key = (0, ent[1] if ent is not None else len(self.events))
+                    own = mine.get(oid)
+                    key = (
+                        0,
+                        len(self.events) if own is None else self._write_at[own],
+                    )
                 self._install(oid, vid, key)
         # Item reads by the newly committed transaction.
         reads = self._reads_of_tid.get(tid)
         if reads:
             aborted = self.aborted
-            node_tids = self._node_tids
             pos = self._pos
             chains = self._chains
             intermediate = self._intermediate
             add_edge = self._add_edge
-            for vid, read in reads:
+            pairs = iter(reads)
+            for vid, read in zip(pairs, pairs):
                 writer = ver_tid[vid]
                 oid = ver_obj[vid]
                 if writer in aborted:
@@ -567,7 +593,7 @@ class IncrementalAnalysis:
                         self._add_g1b(tid, vid)
                     if (
                         writer != INIT_TID
-                        and writer in node_tids
+                        and writer in rank
                         and writer not in aborted
                     ):
                         add_edge(writer, tid, _KR, oid, vid, 0, False)
@@ -629,7 +655,7 @@ class IncrementalAnalysis:
         self._setup_versions.add(vid)
         self._setup_value.setdefault(vid, None)
         in_ = self._in
-        self._node_tids.add(in_.ver_tid[vid])
+        self._rank.setdefault(in_.ver_tid[vid], -1)
         oid = in_.ver_obj[vid]
         if self._hint_key:
             hint = self._hint_key.get(vid)
@@ -793,15 +819,16 @@ class IncrementalAnalysis:
         if in_.ver_tid[vid] == INIT_TID:
             result = False
         else:
-            write = self._writes_ev.get(vid)
-            if write is None:
+            at = self._write_at.get(vid)
+            if at is None:
                 result = vid in self._setup_versions and predicate.matches(
                     in_.versions[vid], self._setup_value.get(vid)
                 )
-            elif write.dead:
-                result = False
             else:
-                result = predicate.matches(in_.versions[vid], write.value)
+                write = self.events[at]
+                result = not write.dead and predicate.matches(
+                    in_.versions[vid], write.value
+                )
         cache[vid] = result
         return result
 
@@ -930,8 +957,8 @@ class IncrementalAnalysis:
     def write_of(self, version: Version) -> Optional[Write]:
         """The write event that created ``version`` (``None`` for setup or
         unknown versions)."""
-        vid = self._in.version_id.get(version)
-        return None if vid is None else self._writes_ev.get(vid)
+        at = self._write_at.get(self._in.version_id.get(version))
+        return None if at is None else self.events[at]
 
     def reads_of_version(self, version: Version) -> Tuple[Read, ...]:
         """The item reads that observed ``version``."""
@@ -942,7 +969,7 @@ class IncrementalAnalysis:
 
     def reads_of_tid(self, tid: int) -> Tuple[Read, ...]:
         """The item reads performed by ``T_tid``."""
-        return tuple(ev for _vid, ev in self._reads_of_tid.get(tid, ()))
+        return tuple(self._reads_of_tid.get(tid, ())[1::2])
 
     def predicates_read_by(self, tid: int) -> Tuple[Predicate, ...]:
         """The predicates ``T_tid`` issued predicate reads for."""
@@ -1008,11 +1035,12 @@ class IncrementalAnalysis:
         return PhenomenonReport(phenomenon, present, witnesses)
 
     def strongest_level(self, levels=None):
-        """The strongest ANSI-chain level the history-so-far provides
-        (``None`` when even PL-1 is violated), matching batch
+        """The strongest of ``levels`` (default: the ANSI chain) the
+        history-so-far provides (``None`` when none is, e.g. PL-1 violated
+        or ``levels`` empty), matching batch
         :func:`repro.core.levels.classify`."""
         strongest = None
-        for level in levels or ANSI_CHAIN:
+        for level in ANSI_CHAIN if levels is None else levels:
             if not any(self.exhibits(p) for p in level.proscribed):
                 if strongest is None or level.implies(strongest):
                     strongest = level
@@ -1061,10 +1089,12 @@ class IncrementalAnalysis:
 
     def check(self, **kwargs):
         """Full batch analysis (witnesses, extension levels) of the events
-        consumed so far; see :func:`repro.check`."""
+        consumed so far; see :func:`repro.check`.  ``mode`` defaults to the
+        analysis' own."""
         from ..checker import check as batch_check
 
-        return batch_check(self.to_history(), mode=self.mode, **kwargs)
+        kwargs.setdefault("mode", self.mode)
+        return batch_check(self.to_history(), **kwargs)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -52,6 +52,15 @@ _KIND_OF_TYPE = {
 }
 
 
+def _kind_by_base(event: Event) -> int:
+    """The kind code of an event whose exact type ``_KIND_OF_TYPE`` misses
+    (a subclassed event): its base class's, else ``K_BEGIN`` (ignored)."""
+    for base, code in _KIND_OF_TYPE.items():
+        if isinstance(event, base):
+            return code
+    return K_BEGIN
+
+
 class Interner:
     """Dense-int ids for objects and versions, allocated on first use."""
 
@@ -123,15 +132,9 @@ class EventLog:
         intern_object = self.interner.intern_object
         kind_of = _KIND_OF_TYPE
         for i, ev in enumerate(events):
-            t = type(ev)
-            k = kind_of.get(t)
-            if k is None:  # subclassed events: dispatch by base class
-                for base, code in kind_of.items():
-                    if isinstance(ev, base):
-                        k = code
-                        break
-                else:
-                    k = K_BEGIN
+            k = kind_of.get(type(ev))
+            if k is None:
+                k = _kind_by_base(ev)
             kinds[i] = k
             tids[i] = ev.tid
             if k == K_READ:

@@ -17,7 +17,7 @@ import repro
 from repro.core.canonical import ALL_CANONICAL
 from repro.core.conflicts import PredicateDepMode
 from repro.core.incremental import CORE_PHENOMENA, IncrementalAnalysis
-from repro.core.levels import classify
+from repro.core.levels import IsolationLevel, classify
 from repro.core.phenomena import Analysis, Phenomenon
 from repro.engine import (
     Database,
@@ -176,6 +176,31 @@ class TestIncrementalSemantics:
             inc.add(ev)
         report = inc.check(extensions=True)
         assert report.strongest_level is not None
+
+    def test_check_takes_an_explicit_mode(self):
+        history = synthetic_history(n_txns=15, predicate_fraction=0.5, seed=3)
+        inc = IncrementalAnalysis(order_mode="commit").add_all(history.events)
+        assert inc.check().analysis.mode is PredicateDepMode.LATEST
+        # An explicit mode wins over the analysis' own.
+        report = inc.check(mode=PredicateDepMode.ALL)
+        assert report.analysis.mode is PredicateDepMode.ALL
+        assert report.explain() == repro.check(
+            inc.to_history(), mode=PredicateDepMode.ALL
+        ).explain()
+        inc = IncrementalAnalysis(mode=PredicateDepMode.ALL)
+        assert inc.add_all(history.events).check().analysis.mode is (
+            PredicateDepMode.ALL
+        )
+
+    def test_strongest_level_of_given_levels_matches_classify(self):
+        # A lost update: G2-item, so PL-2 and nothing stronger.
+        history = repro.parse_history("r1(x0) w2(x2) c2 w1(x1) c1")
+        inc = IncrementalAnalysis().add_all(history.events)
+        for levels in ([], [IsolationLevel.PL_3], [IsolationLevel.PL_1]):
+            assert inc.strongest_level(levels) == classify(history, levels=levels)
+        # An empty list is no levels, not the default chain.
+        assert inc.strongest_level([]) is None
+        assert inc.strongest_level() is classify(history) is IsolationLevel.PL_2
 
     def test_to_history_validates(self):
         history = synthetic_history(n_txns=15, predicate_fraction=0.3, seed=3)

@@ -1,0 +1,129 @@
+"""Structural guard for the online checker: ``IncrementalAnalysis`` certifies
+from commit ranks.
+
+Counts, not timings (every number here is exact per input, so nothing can
+flake), in the shape of ``test_checker_hotpath.py``.
+``test_cycle_views.py`` holds the view chain to the definitions; this module
+pins how much it does on the histories the service and the ladder feed it.
+Every node of the DSG gets a rank when it enters (its place in commit order,
+-1 for a setup installer), and while every edge of the live view goes
+forward in rank the view is certified acyclic with no
+:class:`~repro.core.cycles._CycleMonitor` at all (a Pearce–Kelly monitor
+kept from the start would be fed every edge of the live view):
+
+* a locking ``run_stress`` — the ladder's ``svc_single`` config — builds no
+  monitor (one kept from the start takes 3,840 inserts there);
+* nor does the recorder history of ``test_simulator_golden``'s
+  ``locking_fleet`` config;
+* on the ladder's multi-version history a monitor is fed only while a view
+  holding its backward anti-dependencies is live; once the ww+wr view is
+  live (certified) no monitor exists.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import pytest
+
+from repro.core import cycles
+from repro.core.incremental import IncrementalAnalysis
+from repro.core.levels import IsolationLevel
+from repro.service import NetworkConfig, StressConfig, run_stress
+from repro.workloads import synthetic_history
+
+from .test_simulator_golden import CONFIGS as SIMULATOR_CONFIGS
+
+#: ``_CycleMonitor.add`` calls on the ladder's history per size: the full
+#: and item views' replays and inserts up to their first cycle (monitors kept
+#: for the whole feed take 4,869 and 19,922).
+MONITOR_ADDS = {1_000: 142, 4_000: 1_022}
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_history(n_txns: int):
+    return synthetic_history(
+        n_txns=n_txns,
+        n_objects=n_txns // 10,
+        ops_per_txn=5,
+        stale_read_fraction=0.5,
+        write_fraction=0.6,
+        seed=1,
+        validate=False,
+    )
+
+
+class Monitors:
+    """Counts :class:`~repro.core.cycles._CycleMonitor` constructions and
+    inserts, and the inserts made by the time the ww+wr view went live."""
+
+    def __init__(self, monkeypatch):
+        self.built = 0
+        self.adds = 0
+        self.adds_when_dependency_live = None
+        tally = self
+
+        class Counted(cycles._CycleMonitor):
+            __slots__ = ()
+
+            def __init__(self):
+                tally.built += 1
+                super().__init__()
+
+            def add(self, u, v):
+                tally.adds += 1
+                return super().add(u, v)
+
+        latch = cycles.ViewChain._latch
+
+        def latching(chain):
+            latch(chain)
+            if chain._live >= cycles.DEPENDENCY and (
+                tally.adds_when_dependency_live is None
+            ):
+                tally.adds_when_dependency_live = tally.adds
+
+        monkeypatch.setattr(cycles, "_CycleMonitor", Counted)
+        monkeypatch.setattr(cycles.ViewChain, "_latch", latching)
+
+
+def test_a_locking_stress_run_builds_no_monitor(monkeypatch):
+    monitors = Monitors(monkeypatch)
+    # The ladder's svc_single input for seed 1 (its first sub-seed).
+    result = run_stress(StressConfig(
+        seed=4, txns_per_client=60, scheduler="locking", clients=8, keys=16,
+        ops_per_txn=4, network=NetworkConfig(min_delay=1, max_delay=3),
+    ))
+    assert result.committed == 480 and result.all_certified
+    assert result.monitor.strongest_level() is IsolationLevel.PL_3
+    assert result.monitor.edges_inserted > 1_000  # not vacuous
+    assert monitors.built == 0 and monitors.adds == 0
+
+
+@pytest.mark.parametrize("order_mode", ["event", "commit"])
+def test_a_locking_recorder_history_builds_no_monitor(monkeypatch, order_mode):
+    monitors = Monitors(monkeypatch)
+    history = SIMULATOR_CONFIGS["locking_fleet"](1).history
+    analysis = IncrementalAnalysis(order_mode=order_mode).add_all(history.events)
+    assert analysis.strongest_level() is IsolationLevel.PL_3
+    assert analysis.edges_inserted > 100
+    assert monitors.built == 0 and monitors.adds == 0
+
+
+@pytest.mark.parametrize("n_txns", sorted(MONITOR_ADDS))
+def test_monitors_run_only_before_the_dependency_view_is_live(
+    monkeypatch, n_txns
+):
+    monitors = Monitors(monkeypatch)
+    analysis = IncrementalAnalysis(order_mode="commit")
+    for event in _ladder_history(n_txns).events:
+        analysis.add(event)
+    analysis.finish()
+    assert analysis.strongest_level() is IsolationLevel.PL_2
+    chain = analysis._cycles
+    # Full and item views latched (G2), ww+wr live and certified.
+    assert chain._live == cycles.DEPENDENCY and chain._monitor is None
+    assert monitors.built == 2
+    assert monitors.adds == monitors.adds_when_dependency_live
+    assert monitors.adds == MONITOR_ADDS[n_txns]
+    assert analysis.edges_inserted > 5 * n_txns
