@@ -198,7 +198,8 @@ class EdgeTable:
     ``predicate`` and ``cursor`` are sparse: the rows of the predicate
     flavours, and the item anti-dependency rows with a cursor read behind
     them.  :class:`Edge` objects are built per row on demand and kept, so a
-    row is always the same object.
+    row is always the same object.  A row with no version is one of the
+    SSG's start dependencies (:mod:`repro.core.ssg`).
     """
 
     __slots__ = (
@@ -223,15 +224,19 @@ class EdgeTable:
         made = self._made.get(row)
         if made is None:
             version = self.version[row]
-            made = self._made[row] = Edge(
-                self.src[row],
-                self.dst[row],
-                _KIND_AT_DEPTH[self.depth[row]],
-                version.obj,
-                version,
-                self.predicate.get(row),
-                row in self.cursor,
-            )
+            if version is None:
+                made = Edge(self.src[row], self.dst[row], DepKind.SO)
+            else:
+                made = Edge(
+                    self.src[row],
+                    self.dst[row],
+                    _KIND_AT_DEPTH[self.depth[row]],
+                    version.obj,
+                    version,
+                    self.predicate.get(row),
+                    row in self.cursor,
+                )
+            self._made[row] = made
         return made
 
     def edges(self) -> List[Edge]:
@@ -241,18 +246,14 @@ class EdgeTable:
         return self._all
 
     def extended(self, edges: Iterable[Edge]) -> "EdgeTable":
-        """A copy with ``edges`` appended as rows that *are* those objects.
-        A kind with no flavour in :data:`DEPTH` (the SSG's start-dependency
-        edges) belongs to the full view only."""
+        """A copy with ``edges`` (conflicts, not start dependencies)
+        appended as rows that *are* those objects."""
         edges = list(edges)
         out = EdgeTable()
         out.src = self.src + [e.src for e in edges]
         out.dst = self.dst + [e.dst for e in edges]
         out.depth = self.depth + [
-            DEPTH[_CODE_OF_KIND[e.kind]][e.via_predicate]
-            if e.kind in _CODE_OF_KIND
-            else FULL
-            for e in edges
+            DEPTH[_CODE_OF_KIND[e.kind]][e.via_predicate] for e in edges
         ]
         out.version = self.version + [e.version for e in edges]
         out.predicate = dict(self.predicate)

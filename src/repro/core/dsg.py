@@ -20,7 +20,7 @@ cycles over four *nested* subsets of the rows — the views
   not in its anti-dependencies.  One row that goes backward (or joins two
   setup transactions, which share a rank) sends the view to Tarjan instead;
 * a view found acyclic by a search settles every deeper view too, and the
-  components of a view are computed once (:meth:`DSG._components`);
+  components of a view are computed once (:meth:`DSG.components`);
 * :func:`view_witness`: G0 / G1c take the first component with two nodes
   and walk a cycle in it; G2 / G2-item take the first anti-dependency row
   whose ends share a component and close it with a shortest path.  The
@@ -28,15 +28,15 @@ cycles over four *nested* subsets of the rows — the views
 
 The graph routines live in :mod:`repro.core.graph`; the class keeps what
 needs the history: the node set, the commit-rank certificate and the cached
-views and components.  Searches with caller-supplied edge predicates
-(:meth:`DSG.find_cycle`, :meth:`DSG.find_cycle_with` — the extension
-phenomena, the SSG, external callers) evaluate the predicates once over the
-materialised edges into a row list and then run the very same routines.
+views and components (:attr:`DSG.table`, :meth:`DSG.view`,
+:meth:`DSG.components`, which the extension phenomena read too).  Searches
+with caller-supplied edge predicates (:meth:`DSG.find_cycle`,
+:meth:`DSG.find_cycles`) evaluate them once over the materialised edges into
+a row list and then run the same routines.
 
 All searches return a concrete :class:`Cycle` witness (the edge list), which
 the checker renders into explanations; only the rows of a witness are turned
-into :class:`Edge` objects.  Exhaustive simple-cycle enumeration for
-multi-witness reports (:meth:`DSG.find_cycles`) still delegates to networkx.
+into :class:`Edge` objects.
 """
 
 from __future__ import annotations
@@ -138,10 +138,6 @@ class DSG:
     mode:
         Predicate-read-dependency quantification, see
         :class:`~repro.core.conflicts.PredicateDepMode`.
-    extra_edges:
-        Additional edges mixed into the graph.  The start-ordered
-        serialization graph of the Snapshot Isolation extension passes
-        start-dependency edges here.
     edges:
         Precomputed direct conflicts of ``history`` under ``mode``: an
         :class:`~repro.core.conflicts.EdgeTable` (how
@@ -153,21 +149,16 @@ class DSG:
         self,
         history: History,
         mode: PredicateDepMode = PredicateDepMode.LATEST,
-        extra_edges: Iterable[Edge] = (),
         *,
         edges: Union[EdgeTable, Sequence[Edge], None] = None,
     ):
         self.history = history
         if edges is None:
-            table = edge_table(history, mode)
-        elif isinstance(edges, EdgeTable):
-            table = edges
-        else:
-            table = EdgeTable().extended(edges)
-        extra = list(extra_edges)
-        if extra:
-            table = table.extended(extra)
-        self._table = table
+            edges = edge_table(history, mode)
+        elif not isinstance(edges, EdgeTable):
+            edges = EdgeTable().extended(edges)
+        #: The edges as rows, in the order every search visits them.
+        self.table = edges
         self._nodes = set(history.committed_all)
         #: view -> adjacency over its rows / its strongly connected components.
         self._views: Dict[int, _g.Adjacency] = {}
@@ -183,32 +174,17 @@ class DSG:
     @property
     def edges(self) -> List[Edge]:
         """Every edge as an object, in row order (built on first use)."""
-        return self._table.edges()
-
-    @property
-    def graph(self):
-        """A :class:`networkx.MultiDiGraph` view of the DSG (built lazily;
-        only :meth:`find_cycles` and external consumers need it)."""
-        cached = getattr(self, "_nx_graph", None)
-        if cached is None:
-            import networkx as nx
-
-            cached = nx.MultiDiGraph()
-            cached.add_nodes_from(self._nodes)
-            for e in self.edges:
-                cached.add_edge(e.src, e.dst, edge=e)
-            self._nx_graph = cached
-        return cached
+        return self.table.edges()
 
     @property
     def nodes(self) -> Tuple[int, ...]:
         return tuple(sorted(self._nodes))
 
     def edges_between(self, src: int, dst: int) -> List[Edge]:
-        table = self._table
+        table = self.table
         return [
             table.edge(row)
-            for row in self._view(FULL).rows.get(src, ())
+            for row in self.view(FULL).rows.get(src, ())
             if table.dst[row] == dst
         ]
 
@@ -237,18 +213,19 @@ class DSG:
     # the nested views
     # ------------------------------------------------------------------
 
-    def _view(self, view: int) -> _g.Adjacency:
+    def view(self, view: int) -> _g.Adjacency:
+        """The graph of the rows in a view, built once."""
         adj = self._views.get(view)
         if adj is None:
-            adj = self._views[view] = view_adjacency(self._table, view)
+            adj = self._views[view] = view_adjacency(self.table, view)
         return adj
 
-    def _components(self, view: int) -> List[List[int]]:
-        """Tarjan over a view, once."""
+    def components(self, view: int) -> List[List[int]]:
+        """The strongly connected components of ``view``: Tarjan, once."""
         sccs = self._sccs.get(view)
         if sccs is None:
             sccs = self._sccs[view] = _g.strongly_connected_components(
-                self._view(view)
+                self.view(view)
             )
         return sccs
 
@@ -259,7 +236,7 @@ class DSG:
         if self._acyclic_from is None:
             self._acyclic_from = self._forward_from()
         if view < self._acyclic_from and all(
-            len(scc) < 2 for scc in self._components(view)
+            len(scc) < 2 for scc in self.components(view)
         ):
             self._acyclic_from = view
         return view >= self._acyclic_from
@@ -277,7 +254,7 @@ class DSG:
         rank = {
             tid: at for at, tid in enumerate(self.history._commit_order)
         }.get
-        table = self._table
+        table = self.table
         deepest = -1
         for src, dst, depth in zip(table.src, table.dst, table.depth):
             if depth > deepest and rank(src, -1) >= rank(dst, -1):
@@ -287,7 +264,7 @@ class DSG:
         return deepest + 1
 
     def _witness(self, rows: Optional[Iterable[int]]) -> Optional[Cycle]:
-        return None if rows is None else Cycle(tuple(map(self._table.edge, rows)))
+        return None if rows is None else Cycle(tuple(map(self.table.edge, rows)))
 
     def _view_cycle(self, view: int) -> Optional[Cycle]:
         """The witness of a view's phenomenon (:func:`view_witness`), or
@@ -295,52 +272,22 @@ class DSG:
         if self._acyclic(view):
             return None
         return self._witness(
-            view_witness(self._table, view, self._view(view), self._components(view))
+            view_witness(self.table, view, self.view(view), self.components(view))
         )
 
     # ------------------------------------------------------------------
     # cycle searches over caller-supplied edge predicates
     # ------------------------------------------------------------------
 
-    def _kept(self, keep: EdgeFilter) -> List[int]:
-        return [row for row, e in enumerate(self.edges) if keep(e)]
+    def _kept(self, keep: EdgeFilter) -> _g.Adjacency:
+        table = self.table
+        rows = [row for row, e in enumerate(self.edges) if keep(e)]
+        return _g.adjacency_of(rows, table.src, table.dst)
 
     def find_cycle(self, keep: EdgeFilter) -> Optional[Cycle]:
         """Any cycle using only edges passing ``keep``, or ``None``."""
-        table = self._table
-        adj = _g.adjacency_of(self._kept(keep), table.src, table.dst)
+        adj = self._kept(keep)
         return self._witness(_g.cycle(adj, _g.strongly_connected_components(adj)))
-
-    def find_cycle_with(
-        self,
-        special: EdgeFilter,
-        keep: EdgeFilter,
-        *,
-        exactly_one: bool = False,
-    ) -> Optional[Cycle]:
-        """A cycle whose edges all pass ``keep`` and which contains at least
-        one edge passing ``special``.
-
-        With ``exactly_one=True``, the returned cycle contains exactly one
-        ``special`` edge and the rest of the cycle avoids them (the G-single
-        shape: one anti-dependency closed by dependency edges).
-        """
-        edges = self.edges
-        src, dst = self._table.src, self._table.dst
-        kept = self._kept(keep)
-        chosen = [row for row in kept if special(edges[row])]
-        if exactly_one:
-            picked = set(chosen)
-            rest = _g.adjacency_of((row for row in kept if row not in picked), src, dst)
-            for row in chosen:
-                path = _g.shortest_edge_path(rest, dst[row], src[row])
-                if path is not None:
-                    return self._witness((row, *path))
-            return None
-        adj = _g.adjacency_of(kept, src, dst)
-        return self._witness(
-            _g.cycle_through(adj, _g.strongly_connected_components(adj), chosen)
-        )
 
     def find_cycles(
         self,
@@ -354,38 +301,37 @@ class DSG:
 
         Cycle enumeration is exponential in general; the ``limit`` bounds
         the work.  Distinctness is by node set, so parallel edges do not
-        inflate the list.  Used for multi-witness reports; the phenomena
-        themselves only need existence (:meth:`find_cycle`)."""
-        import networkx as nx
-
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(self._nodes)
-        for e in self.edges:
-            if keep(e):
-                g.add_edge(e.src, e.dst, edge=e)
+        inflate the list; among parallels the first ``special`` edge is
+        preferred.  Which cycles come first is not part of the contract.
+        Used for multi-witness reports; the phenomena themselves only need
+        existence (:meth:`find_cycle`)."""
+        edges = self.edges
+        adj = self._kept(keep)
         out: List[Cycle] = []
         seen_nodesets = set()
-        for nodes in nx.simple_cycles(nx.DiGraph(g)):
+        for nodes in _g.simple_cycles(adj):
             if len(out) >= limit:
                 break
             key = frozenset(nodes)
             if key in seen_nodesets:
                 continue
-            cycle = _to_cycle_preferring(g, nodes, special)
-            if special is not None and not any(
-                special(e) for e in cycle.edges
-            ):
+            chosen = []
+            for u, v in zip(nodes, nodes[1:] + nodes[:1]):
+                parallel = [edges[row] for row in adj.rows[u] if adj.dst[row] == v]
+                preferred = [e for e in parallel if special(e)] if special else []
+                chosen.append((preferred or parallel)[0])
+            if special is not None and not any(map(special, chosen)):
                 continue
             seen_nodesets.add(key)
-            out.append(cycle)
+            out.append(Cycle(tuple(chosen)))
         return out
 
     def directly_depends(self, ti: int, tj: int) -> bool:
         """Definition 8, first half: ``T_j`` directly write- or
         read-depends on ``T_i``."""
-        dst = self._table.dst
+        dst = self.table.dst
         return any(
-            dst[row] == tj for row in self._view(DEPENDENCY).rows.get(ti, ())
+            dst[row] == tj for row in self.view(DEPENDENCY).rows.get(ti, ())
         )
 
     def depends(self, ti: int, tj: int) -> bool:
@@ -393,7 +339,7 @@ class DSG:
         dependency (ww/wr) edges from ``T_i`` to ``T_j``."""
         if ti == tj or ti not in self._nodes or tj not in self._nodes:
             return False
-        return _g.shortest_edge_path(self._view(DEPENDENCY), ti, tj) is not None
+        return _g.shortest_edge_path(self.view(DEPENDENCY), ti, tj) is not None
 
     def is_acyclic(self) -> bool:
         return self._acyclic(FULL)
@@ -401,20 +347,4 @@ class DSG:
     def topological_order(self) -> List[int]:
         """A serialization order of the committed transactions (only valid
         when the graph is acyclic)."""
-        return _g.topological_order(self._view(FULL), self._nodes)
-
-
-def _to_cycle_preferring(
-    g, nodes: Sequence[int], special: Optional[EdgeFilter]
-) -> Cycle:
-    """Chain a node cycle into edges, preferring ``special`` edges among
-    parallels so the witness justifies the phenomenon when possible."""
-    edges = []
-    for u, v in zip(nodes, list(nodes[1:]) + [nodes[0]]):
-        parallel = [d["edge"] for d in g[u][v].values()]
-        if special is not None:
-            preferred = [e for e in parallel if special(e)]
-            edges.append((preferred or parallel)[0])
-        else:
-            edges.append(parallel[0])
-    return Cycle(tuple(edges))
+        return _g.topological_order(self.view(FULL), self._nodes)

@@ -32,17 +32,23 @@ the thesis phenomena behind those levels:
   edge on ``x`` — the classical lost update on the cursor.  Reads are marked
   as cursor reads via ``rcI(...)`` in the notation or ``cursor=True`` on
   :class:`~repro.core.events.Read`.
+
+Each is a question over the rows of the graph's edge table and its cached
+views, and only the rows of a witness become ``Edge`` objects.  G-single and
+G-SIb are one routine (an anti-dependency row closed by a shortest path of
+the ``DEPENDENCY`` view, where the SSG's start rows sit); G-SS closes the
+first anti-dependency or start row of the SSG's full view.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from . import graph as _g
-from .conflicts import DEPENDENCY, DepKind
-from .dsg import Cycle
+from .conflicts import DEPENDENCY, FULL, WRITE, EdgeTable
+from .dsg import DSG, Cycle
 from .phenomena import Phenomenon, PhenomenonReport, Witness
-from .ssg import SSG
+from .ssg import starts_before
 
 if TYPE_CHECKING:  # pragma: no cover
     from .phenomena import Analysis
@@ -51,35 +57,40 @@ __all__ = ["detect_extension"]
 
 
 def detect_extension(analysis: "Analysis", phenomenon: Phenomenon) -> PhenomenonReport:
-    """Dispatch for the extension phenomena (called from ``Analysis``)."""
+    """Dispatch for the extension phenomena (called from ``Analysis`` for
+    every phenomenon it does not detect itself)."""
     if phenomenon is Phenomenon.G_SINGLE:
-        return _g_single(analysis)
+        return _cycle_report(
+            Phenomenon.G_SINGLE,
+            analysis.dsg.table,
+            _single_anti(analysis.dsg),
+            "cycle with exactly one anti-dependency edge",
+        )
     if phenomenon is Phenomenon.G_SIA:
         return _g_sia(analysis)
     if phenomenon is Phenomenon.G_SIB:
-        return _g_sib(analysis)
-    if phenomenon is Phenomenon.G_SI:
-        parts = [
-            analysis.report(Phenomenon.G_SIA),
-            analysis.report(Phenomenon.G_SIB),
-        ]
-        return PhenomenonReport(
-            Phenomenon.G_SI,
-            any(parts),
-            tuple(w for r in parts for w in r.witnesses),
+        return _cycle_report(
+            Phenomenon.G_SIB,
+            analysis.ssg.table,
+            _single_anti(analysis.ssg),
+            "missed effects: SSG cycle with exactly one anti-dependency edge",
         )
     if phenomenon is Phenomenon.G_CURSOR:
         return _g_cursor(analysis)
     if phenomenon is Phenomenon.G_SS:
         return _g_ss(analysis)
-    raise ValueError(f"not an extension phenomenon: {phenomenon}")
+    raise ValueError(f"unknown phenomenon {phenomenon}")
 
 
 def _cycle_report(
-    phenomenon: Phenomenon, cycle: Optional[Cycle], what: str
+    phenomenon: Phenomenon,
+    table: EdgeTable,
+    rows: Optional[Sequence[int]],
+    what: str,
 ) -> PhenomenonReport:
-    if cycle is None:
+    if rows is None:
         return PhenomenonReport(phenomenon, False)
+    cycle = Cycle(tuple(map(table.edge, rows)))
     detail = "; ".join(e.describe() for e in cycle.edges)
     return PhenomenonReport(
         phenomenon,
@@ -88,25 +99,28 @@ def _cycle_report(
     )
 
 
-def _g_single(analysis: "Analysis") -> PhenomenonReport:
-    cycle = analysis.dsg.find_cycle_with(
-        special=lambda e: e.kind is DepKind.RW,
-        keep=lambda e: True,
-        exactly_one=True,
-    )
-    return _cycle_report(
-        Phenomenon.G_SINGLE, cycle, "cycle with exactly one anti-dependency edge"
-    )
+def _single_anti(graph: DSG) -> Optional[List[int]]:
+    """The first anti-dependency row closed by a shortest path of dependency
+    rows: a cycle with exactly one anti-dependency edge."""
+    table, dependency = graph.table, graph.view(DEPENDENCY)
+    src, dst = table.src, table.dst
+    for row, depth in enumerate(table.depth):
+        if depth < DEPENDENCY:
+            path = _g.shortest_edge_path(dependency, dst[row], src[row])
+            if path is not None:
+                return [row, *path]
+    return None
 
 
 def _g_sia(analysis: "Analysis") -> PhenomenonReport:
     history = analysis.history
-    ssg = _ssg(analysis)
+    table = analysis.dsg.table
     witnesses = []
-    for edge in analysis.dsg.edges:
-        if edge.kind in (DepKind.WW, DepKind.WR) and not ssg.start_edge(
-            edge.src, edge.dst
+    for row, depth in enumerate(table.depth):
+        if depth >= DEPENDENCY and not starts_before(
+            history, table.src[row], table.dst[row]
         ):
+            edge = table.edge(row)
             witnesses.append(
                 Witness(
                     f"interference: {edge.describe()}, but T{edge.src} did not "
@@ -116,73 +130,47 @@ def _g_sia(analysis: "Analysis") -> PhenomenonReport:
     return PhenomenonReport(Phenomenon.G_SIA, bool(witnesses), tuple(witnesses))
 
 
-def _g_sib(analysis: "Analysis") -> PhenomenonReport:
-    ssg = _ssg(analysis)
-    cycle = ssg.find_cycle_with(
-        special=lambda e: e.kind is DepKind.RW,
-        keep=lambda e: True,
-        exactly_one=True,
-    )
-    return _cycle_report(
-        Phenomenon.G_SIB,
-        cycle,
-        "missed effects: SSG cycle with exactly one anti-dependency edge",
-    )
-
-
 def _g_ss(analysis: "Analysis") -> PhenomenonReport:
-    ssg = _ssg(analysis)
-    cycle = ssg.find_cycle_with(
-        special=lambda e: e.kind in (DepKind.RW, DepKind.SO),
-        keep=lambda e: True,
-    )
+    ssg = analysis.ssg
+    table = ssg.table
+    # The anti-dependency rows, then the start rows (the rows with no version).
+    special = [
+        row
+        for row, (depth, version) in enumerate(zip(table.depth, table.version))
+        if depth < DEPENDENCY or version is None
+    ]
     return _cycle_report(
         Phenomenon.G_SS,
-        cycle,
+        table,
+        _g.cycle_through(ssg.view(FULL), ssg.components(FULL), special),
         "real-time violation: SSG cycle with an anti- or start-dependency edge",
     )
 
 
-def _ssg(analysis: "Analysis") -> SSG:
-    cached = getattr(analysis, "_ssg_cache", None)
-    if cached is None:
-        # Reuse the analysis's already-extracted conflict rows; the SSG only
-        # adds the start-dependency edges on top.
-        cached = SSG(analysis.history, analysis.mode, edges=analysis._table)
-        analysis._ssg_cache = cached
-    return cached
-
-
 def _g_cursor(analysis: "Analysis") -> PhenomenonReport:
     """Lost update through a cursor: for each cursor-read item
-    anti-dependency edge on ``x``, look for a dependency path back that
-    passes through a write-dependency on ``x``."""
+    anti-dependency row on ``x``, look for a dependency path back that
+    passes through a write-dependency row on ``x``."""
     dsg = analysis.dsg
-    for anti in dsg.edges:
-        if anti.kind is not DepKind.RW or anti.via_predicate or not anti.cursor:
-            continue
-        for ww in dsg.edges:
-            if ww.kind is not DepKind.WW or ww.obj != anti.obj:
-                continue
-            first = _dep_path(dsg, anti.dst, ww.src)
+    table, dependency = dsg.table, dsg.view(DEPENDENCY)
+    src, dst, version = table.src, table.dst, table.version
+    ww_on: Dict[str, List[int]] = {}
+    for row, depth in enumerate(table.depth):
+        if depth == WRITE:
+            ww_on.setdefault(version[row].obj, []).append(row)
+    # The cursor rows are item anti-dependencies.
+    for anti in sorted(table.cursor):
+        obj = version[anti].obj
+        for ww in ww_on.get(obj, ()):
+            first = _g.shortest_edge_path(dependency, dst[anti], src[ww])
             if first is None:
                 continue
-            second = _dep_path(dsg, ww.dst, anti.src)
-            if second is None:
-                continue
-            try:
-                cycle = Cycle((anti, *first, ww, *second))
-            except ValueError:
-                continue
-            return _cycle_report(
-                Phenomenon.G_CURSOR,
-                cycle,
-                f"lost cursor update on {anti.obj!r}",
-            )
+            second = _g.shortest_edge_path(dependency, dst[ww], src[anti])
+            if second is not None:
+                return _cycle_report(
+                    Phenomenon.G_CURSOR,
+                    table,
+                    [anti, *first, ww, *second],
+                    f"lost cursor update on {obj!r}",
+                )
     return PhenomenonReport(Phenomenon.G_CURSOR, False)
-
-
-def _dep_path(dsg, src: int, dst: int):
-    """Shortest path of dependency (ww/wr) edges, or ``None``."""
-    rows = _g.shortest_edge_path(dsg._view(DEPENDENCY), src, dst)
-    return None if rows is None else map(dsg._table.edge, rows)

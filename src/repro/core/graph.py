@@ -18,9 +18,9 @@ is one answer: the same components in the same order, the same cycle, the
 same path.  Witnesses are pinned byte for byte on that
 (``tests/test_checker_golden.py``, ``tests/test_witness_golden.py``).
 
-Nothing here knows about histories or flavours.  networkx is kept only for
-the exhaustive simple-cycle enumeration of multi-witness reports
-(:meth:`repro.core.dsg.DSG.find_cycles`).
+Multi-witness reports (:meth:`repro.core.dsg.DSG.find_cycles`) enumerate
+cycles with :func:`simple_cycles`.  Nothing here knows about histories or
+flavours.
 """
 
 from __future__ import annotations
@@ -31,10 +31,12 @@ from itertools import chain
 from typing import (
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -46,6 +48,7 @@ __all__ = [
     "cycle",
     "cycle_through",
     "shortest_edge_path",
+    "simple_cycles",
     "topological_order",
 ]
 
@@ -225,6 +228,53 @@ def shortest_edge_path(
             seen.add(nxt)
             queue.append(nxt)
     return None
+
+
+def simple_cycles(adj: Adjacency) -> Iterator[List[int]]:
+    """Every simple cycle of the graph once, as the list of its nodes, lazily
+    (Johnson's algorithm, iteratively; parallel rows are one arc): in each
+    component, the cycles through its first node, then those through its
+    second that avoid the first, and so on."""
+    rows, _src, dst = adj
+    for component in strongly_connected_components(adj):
+        members = set(component)
+        succ = {
+            node: list(dict.fromkeys(dst[row] for row in rows.get(node, ())))
+            for node in component
+        }
+        for start in component[:-1]:
+            blocked = {start}
+            #: node -> the blocked nodes released with it (Johnson's ``B``).
+            waiting: Dict[int, Set[int]] = {}
+            #: Nodes that were on the path when a cycle closed.
+            closed: Set[int] = set()
+            path = [start]
+            work = [iter(succ[start])]
+            while work:
+                for nxt in work[-1]:
+                    if nxt == start:
+                        yield path[:]
+                        closed.update(path)
+                    elif nxt in members and nxt not in blocked:
+                        path.append(nxt)
+                        work.append(iter(succ[nxt]))
+                        blocked.add(nxt)
+                        closed.discard(nxt)
+                        break
+                else:
+                    work.pop()
+                    node = path.pop()
+                    if node in closed:
+                        release = [node]
+                        while release:
+                            freed = release.pop()
+                            if freed in blocked:
+                                blocked.remove(freed)
+                                release.extend(waiting.pop(freed, ()))
+                    else:
+                        for nxt in succ[node]:
+                            waiting.setdefault(nxt, set()).add(node)
+            members.discard(start)
 
 
 def topological_order(adj: Adjacency, nodes: Iterable[int] = ()) -> List[int]:

@@ -39,6 +39,7 @@ from .conflicts import (
 )
 from .dsg import DSG, Cycle
 from .history import History
+from .ssg import SSG
 
 __all__ = ["Phenomenon", "Witness", "PhenomenonReport", "Analysis"]
 
@@ -80,6 +81,12 @@ _CYCLE_OF = {
     Phenomenon.G1C: "directed cycle of dependency (ww/wr) edges",
     Phenomenon.G2_ITEM: "directed cycle with one or more item-anti-dependency edges",
     Phenomenon.G2: "directed cycle with one or more anti-dependency edges",
+}
+
+#: The phenomena that are unions of others, with the witnesses of each part.
+_UNION_OF = {
+    Phenomenon.G1: (Phenomenon.G1A, Phenomenon.G1B, Phenomenon.G1C),
+    Phenomenon.G_SI: (Phenomenon.G_SIA, Phenomenon.G_SIB),
 }
 
 
@@ -134,6 +141,7 @@ class Analysis:
         self.history = history
         self.mode = mode
         self._dsg: Optional[DSG] = None
+        self._ssg: Optional[SSG] = None
         self._extracted: Optional[EdgeTable] = None
         self._cache: Dict[Phenomenon, PhenomenonReport] = {}
         #: Optional observability sinks (see :mod:`repro.observability`).
@@ -194,6 +202,13 @@ class Analysis:
             self._dsg = DSG(self.history, self.mode, edges=self._table)
         return self._dsg
 
+    @property
+    def ssg(self) -> SSG:
+        """The start-ordered serialization graph (built on first use)."""
+        if self._ssg is None:
+            self._ssg = SSG(self.history, self.mode, edges=self._table)
+        return self._ssg
+
     def report(self, phenomenon: Phenomenon) -> PhenomenonReport:
         """The (memoized) report for one phenomenon."""
         if phenomenon not in self._cache:
@@ -248,10 +263,10 @@ class Analysis:
             return self._g1a()
         if phenomenon is Phenomenon.G1B:
             return self._g1b()
-        if phenomenon is Phenomenon.G1:
-            parts = [self.report(p) for p in (Phenomenon.G1A, Phenomenon.G1B, Phenomenon.G1C)]
+        if phenomenon in _UNION_OF:
+            parts = self.reports(_UNION_OF[phenomenon])
             witnesses = tuple(w for r in parts for w in r.witnesses)
-            return PhenomenonReport(Phenomenon.G1, any(parts), witnesses)
+            return PhenomenonReport(phenomenon, any(parts), witnesses)
         if phenomenon is Phenomenon.G2_ITEM:
             if FULL in self._table.depth:
                 cycle = self.dsg._view_cycle(ITEM)
@@ -261,18 +276,9 @@ class Analysis:
                 g2 = self.report(Phenomenon.G2)
                 cycle = g2.witnesses[0].cycle if g2.present else None
             return self._cycle_report(phenomenon, cycle)
-        if phenomenon in (
-            Phenomenon.G_SINGLE,
-            Phenomenon.G_SIA,
-            Phenomenon.G_SIB,
-            Phenomenon.G_SI,
-            Phenomenon.G_CURSOR,
-            Phenomenon.G_SS,
-        ):
-            from .extensions import detect_extension
+        from .extensions import detect_extension
 
-            return detect_extension(self, phenomenon)
-        raise ValueError(f"unknown phenomenon {phenomenon}")
+        return detect_extension(self, phenomenon)
 
     def _cycle_report(
         self, phenomenon: Phenomenon, cycle: Optional[Cycle]

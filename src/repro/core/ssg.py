@@ -10,17 +10,33 @@ A transaction's start is its ``Begin`` event if it has one, else its first
 event; histories written without ``Begin`` events therefore still have a
 well-defined (if late) start point.  Implicit setup transactions committed
 before the history began, so they start-precede every event transaction.
+
+The start dependencies are rows with no version appended to a copy of the
+DSG's edge table, in its ``DEPENDENCY`` view (a start dependency counts as a
+dependency edge); one becomes an :class:`Edge` only when asked for.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
-from .conflicts import DepKind, Edge, PredicateDepMode
+from .conflicts import DEPENDENCY, Edge, EdgeTable, PredicateDepMode
 from .dsg import DSG
 from .history import History
 
 __all__ = ["start_dependencies", "SSG", "starts_before"]
+
+
+def _commit_and_start(history: History, tid: int) -> Tuple[int, int]:
+    """``T_tid``'s commit and start as event indices: both -1 for a setup
+    transaction (before every event, after nothing), the commit past the
+    last event for a transaction that never commits."""
+    if tid in history.setup_tids:
+        return -1, -1
+    commit = history.commit_index(tid)
+    if commit is None:
+        commit = len(history.events)
+    return commit, history.begin_index(tid)
 
 
 def starts_before(history: History, ti: int, tj: int) -> bool:
@@ -29,25 +45,29 @@ def starts_before(history: History, ti: int, tj: int) -> bool:
     Setup transactions (no events) precede everything; nothing precedes a
     setup transaction.
     """
-    if tj in history.setup_tids:
-        return False
-    if ti in history.setup_tids:
-        return True
-    ci = history.commit_index(ti)
-    if ci is None:
-        return False
-    return ci < history.begin_index(tj)
+    return _commit_and_start(history, ti)[0] < _commit_and_start(history, tj)[1]
+
+
+def _start_rows(table: EdgeTable, history: History) -> None:
+    """Append a row ``T_i --so--> T_j`` for every start dependency among the
+    committed transactions, ``T_i`` then ``T_j`` in tid order."""
+    tids = sorted(history.committed_all)
+    times = [_commit_and_start(history, tid) for tid in tids]
+    for ti, (commit, _start) in zip(tids, times):
+        later = [tj for tj, (_commit, start) in zip(tids, times) if commit < start]
+        table.src += [ti] * len(later)
+        table.dst += later
+    added = len(table.src) - len(table.depth)
+    table.depth += [DEPENDENCY] * added
+    table.version += [None] * added
 
 
 def start_dependencies(history: History) -> List[Edge]:
-    """All start-dependency edges among committed transactions."""
-    committed = sorted(history.committed_all)
-    edges = []
-    for ti in committed:
-        for tj in committed:
-            if ti != tj and starts_before(history, ti, tj):
-                edges.append(Edge(ti, tj, DepKind.SO))
-    return edges
+    """All start-dependency edges among committed transactions: the SSG's
+    start rows as :class:`Edge` objects."""
+    table = EdgeTable()
+    _start_rows(table, history)
+    return table.edges()
 
 
 class SSG(DSG):
@@ -65,9 +85,7 @@ class SSG(DSG):
         *,
         edges=None,
     ):
-        super().__init__(
-            history, mode, extra_edges=start_dependencies(history), edges=edges
-        )
-
-    def start_edge(self, src: int, dst: int) -> bool:
-        return any(e.kind is DepKind.SO for e in self.edges_between(src, dst))
+        super().__init__(history, mode, edges=edges)
+        # A copy: the conflict rows may be an analysis' DSG's as well.
+        self.table = self.table.extended(())
+        _start_rows(self.table, history)

@@ -7,7 +7,9 @@ much it does to say it, on the ladder's checker history at two sizes:
 
 * :class:`~repro.core.conflicts.Edge` objects are built for the rows of the
   witness cycles and for nothing else (the object pipeline built one per
-  conflict before any question was asked);
+  conflict before any question was asked), with the extension levels too:
+  there the only other ones are G-SIa's, one per interference witness (the
+  extension phenomena built one per conflict and per start-order pair);
 * the four cycle questions of the ANSI chain cost one strongly-connected-
   components pass where a multi-version history needs one (its
   anti-dependencies go backward in commit order; ww and ww+wr do not), and
@@ -24,7 +26,7 @@ import sys
 import pytest
 
 import repro
-from repro.core import conflicts, graph
+from repro.core import conflicts, graph, ssg
 from repro.workloads import synthetic_history
 
 from .test_simulator_golden import CONFIGS as SIMULATOR_CONFIGS
@@ -67,24 +69,48 @@ class Tally:
         monkeypatch.setattr(module, name, counted)
 
 
-def _witness_edges(report) -> int:
-    """Total length of the distinct witness cycles the report holds."""
+EXTENSIONS = (
+    repro.Phenomenon.G_SINGLE,
+    repro.Phenomenon.G_SIA,
+    repro.Phenomenon.G_SIB,
+    repro.Phenomenon.G_SI,
+    repro.Phenomenon.G_CURSOR,
+    repro.Phenomenon.G_SS,
+)
+
+
+def _witness_edges(reports) -> int:
+    """Total length of the distinct witness cycles the reports hold."""
     cycles = {
         id(w.cycle): w.cycle
-        for r in report.phenomena()
+        for r in reports
         for w in r.witnesses
         if w.cycle is not None
     }
     return sum(len(cycle) for cycle in cycles.values())
 
 
-@pytest.mark.parametrize("n_txns", [SMALL, LARGE])
-def test_edges_are_built_for_witnesses_only(monkeypatch, n_txns):
+@pytest.mark.parametrize(
+    "n_txns, extensions",
+    [(SMALL, False), (LARGE, False), (SMALL, True)],
+    ids=[str(SMALL), str(LARGE), f"{SMALL}-extensions"],
+)
+def test_edges_are_built_for_witnesses_only(monkeypatch, n_txns, extensions):
     history = _ladder_history(n_txns)
     built = Tally(monkeypatch, conflicts, "Edge")
-    report = repro.check(history)
+    started = Tally(monkeypatch, ssg, "Edge")
+    report = repro.check(history, extensions=extensions)
     assert report.exhibited() == (repro.Phenomenon.G2_ITEM, repro.Phenomenon.G2)
-    assert 0 < built.calls <= _witness_edges(report)
+    if extensions:
+        reports = report.phenomena() + tuple(report.analysis.reports(EXTENSIONS))
+        interference = report.analysis.report(repro.Phenomenon.G_SIA).witnesses
+        assert len(interference) > n_txns and _witness_edges(reports) > 10
+        assert 0 < built.calls + started.calls <= (
+            _witness_edges(reports) + len(interference)
+        )
+        return
+    assert started.calls == 0
+    assert 0 < built.calls <= _witness_edges(report.phenomena())
     # ... and all of them once somebody asks.
     assert len(report.analysis.edges) > 5 * n_txns
     assert built.calls == len(report.analysis.edges)

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core import DSG, parse_history
+from repro.core import DSG, Analysis, parse_history
 from repro.core.conflicts import DepKind
 from repro.core.dsg import Cycle, dependency_edge
 from repro.core.conflicts import Edge
 from repro.core.objects import Version
+from repro.core.phenomena import Phenomenon
 
 
 class TestStructure:
@@ -54,52 +55,33 @@ class TestAcyclicity:
 
 
 class TestFindCycle:
+    """The searches the reports own: G2 (a cycle through an anti-dependency)
+    and G-single (exactly one, closed by dependency edges)."""
+
     def test_dependency_only_search(self):
         h = parse_history(
             "r1(x0, 5) w1(x1, 1) r2(x1, 1) r2(y0, 5) c2 r1(y0, 5) w1(y1, 9) c1"
         )
-        dsg = DSG(h)
-        assert dsg.find_cycle(dependency_edge) is None  # no G1c
-        assert (
-            dsg.find_cycle_with(
-                special=lambda e: e.kind is DepKind.RW, keep=lambda e: True
-            )
-            is not None
-        )  # but G2
+        assert DSG(h).find_cycle(dependency_edge) is None  # no G1c
+        assert Analysis(h).exhibits(Phenomenon.G2)
 
     def test_exactly_one_anti(self):
         # Lost update: one rw + one ww.
         h = parse_history(
             "r1(x0, 10) r2(x0, 10) w2(x2, 15) c2 w1(x1, 11) c1 [x0 << x2 << x1]"
         )
-        cycle = DSG(h).find_cycle_with(
-            special=lambda e: e.kind is DepKind.RW,
-            keep=lambda e: True,
-            exactly_one=True,
-        )
-        assert cycle is not None
-        assert cycle.count(DepKind.RW) == 1
+        (witness,) = Analysis(h).report(Phenomenon.G_SINGLE).witnesses
+        assert witness.cycle.count(DepKind.RW) == 1
 
     def test_exactly_one_anti_rejects_write_skew(self):
         h = parse_history(
             "r1(x0) r1(y0) r2(x0) r2(y0) w1(x1) w2(y2) c1 c2 [x0 << x1, y0 << y2]"
         )
-        dsg = DSG(h)
-        assert (
-            dsg.find_cycle_with(
-                special=lambda e: e.kind is DepKind.RW,
-                keep=lambda e: True,
-                exactly_one=True,
-            )
-            is None
-        )
+        analysis = Analysis(h)
+        assert not analysis.exhibits(Phenomenon.G_SINGLE)
         # ... though a (two-anti) cycle does exist:
-        assert (
-            dsg.find_cycle_with(
-                special=lambda e: e.kind is DepKind.RW, keep=lambda e: True
-            )
-            is not None
-        )
+        (witness,) = analysis.report(Phenomenon.G2).witnesses
+        assert witness.cycle.count(DepKind.RW) == 2
 
 
 class TestCycleClass:
@@ -188,7 +170,4 @@ class TestDepends:
         h = parse_history("w1(x1) w2(y2) r1(y2) r2(x1) c1 c2")
         dsg = DSG(h)
         assert dsg.depends(1, 2) and dsg.depends(2, 1)  # the violation
-        from repro.core import Analysis
-        from repro.core.phenomena import Phenomenon
-
         assert Analysis(h).exhibits(Phenomenon.G1C)

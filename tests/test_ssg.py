@@ -1,6 +1,6 @@
 """Tests for start-ordered serialization graphs (repro.core.ssg)."""
 
-from repro.core import parse_history
+from repro.core import DSG, Analysis, parse_history
 from repro.core.conflicts import DepKind
 from repro.core.ssg import SSG, start_dependencies, starts_before
 
@@ -48,5 +48,15 @@ class TestSSG:
     def test_start_edge_lookup(self):
         h = parse_history("w1(x1) c1 r2(x1) c2")
         ssg = SSG(h)
-        assert ssg.start_edge(1, 2)
-        assert not ssg.start_edge(2, 1)
+        assert DepKind.SO in {e.kind for e in ssg.edges_between(1, 2)}
+        assert ssg.edges_between(2, 1) == []
+
+    def test_start_rows_count_as_dependencies(self):
+        h = parse_history("w1(x1) c1 w2(y2) c2")
+        assert SSG(h).depends(1, 2)
+        assert not DSG(h).depends(1, 2)
+
+    def test_shares_no_rows_with_the_analysis_dsg(self):
+        analysis = Analysis(parse_history("w1(x1) c1 r2(x1) c2"))
+        assert len(analysis.ssg.table) == len(analysis.dsg.table) + 1
+        assert [str(e) for e in analysis.dsg.edges] == ["T1 -wr-> T2"]
