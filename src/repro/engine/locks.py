@@ -50,8 +50,11 @@ class LockManager:
         self._items: Dict[str, Dict[int, LockMode]] = {}
         #: relation -> set of tids holding the shared predicate lock
         self._relations: Dict[str, Set[int]] = {}
-        #: relation -> objs with any WRITE lock (for predicate conflicts)
-        self._write_locked: Dict[str, Set[str]] = {}
+        #: relation -> objs with any WRITE lock (for predicate conflicts), in
+        #: the order they were locked: a predicate lock's blockers are
+        #: collected in this order, and a set of strings would iterate in
+        #: ``PYTHONHASHSEED`` order and leak it into the waits-for search.
+        self._write_locked: Dict[str, Dict[str, None]] = {}
         # Observability (instrument()): grant/block counters and hold
         # durations in logical steps read off the registry clock.
         self._metrics = None
@@ -146,7 +149,7 @@ class LockManager:
         if current is None or (current is LockMode.READ and mode is LockMode.WRITE):
             holders[tid] = mode
         if holders[tid] is LockMode.WRITE:
-            self._write_locked.setdefault(relation_of(obj), set()).add(obj)
+            self._write_locked.setdefault(relation_of(obj), {})[obj] = None
         if self._metrics is not None:
             self._note_grant("item", mode.value, tid, obj)
 
@@ -158,7 +161,7 @@ class LockManager:
             self._note_release("item", tid, obj)
         holders.pop(tid, None)
         if not any(m is LockMode.WRITE for m in holders.values()):
-            self._write_locked.get(relation_of(obj), set()).discard(obj)
+            self._write_locked.get(relation_of(obj), {}).pop(obj, None)
 
     def downgrade_or_release_read(self, tid: int, obj: str) -> None:
         """Release a short read lock, preserving a WRITE lock the

@@ -213,6 +213,37 @@ def test_digests_do_not_depend_on_the_hash_seed(hashseed: str) -> None:
     assert json.loads(proc.stdout) == _golden()
 
 
+#: Seeds on which read-committed's short predicate locks met a deadlock whose
+#: cycle order followed the hash seed, while the lock manager kept the
+#: write-locked objects of a relation in a ``set`` of strings.
+PREDICATE_LOCK_SEEDS = (2, 5, 16)
+
+
+def _predicate_lock_histories() -> List[str]:
+    run = _config("locking", PREDICATES, engine=dict(profile="read-committed"))
+    return [format_history(run(seed).history) for seed in PREDICATE_LOCK_SEEDS]
+
+
+def test_predicate_lock_waits_do_not_depend_on_the_hash_seed() -> None:
+    """A predicate lock's blockers are collected over the relation's
+    write-locked objects; in string-hash order they reached the waits-for
+    search as a differently ordered holder set, and so a different victim."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    runs = []
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, __file__, "--print-predicate-locks"],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1] == _predicate_lock_histories()
+
+
 def _digests() -> Dict[str, Dict[str, Any]]:
     return {
         name: {str(seed): digest(name, seed) for seed in SEEDS}
@@ -224,8 +255,14 @@ def _main(argv) -> int:
     if argv == ["--print"]:
         print(_canonical(_digests()))
         return 0
+    if argv == ["--print-predicate-locks"]:
+        print(json.dumps(_predicate_lock_histories()))
+        return 0
     if argv:
-        print(f"usage: {sys.argv[0]} [--print]", file=sys.stderr)
+        print(
+            f"usage: {sys.argv[0]} [--print | --print-predicate-locks]",
+            file=sys.stderr,
+        )
         return 2
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(_digests(), indent=1, sort_keys=True) + "\n")
