@@ -355,7 +355,7 @@ def _read_rows(table: EdgeTable, history: History, mode: PredicateDepMode) -> No
     # One edge per (reader, version read); the pair as one int.
     n_versions = len(versions)
     seen: Set[int] = set()
-    for i, _read in history.reads:
+    for i in history._read_at:
         reader = tids[i]
         if reader not in committed:
             continue
@@ -428,7 +428,7 @@ def _anti_rows(table: EdgeTable, history: History) -> None:
     # second read behind the same edge only has its cursor flag merged in.
     n_installed = len(versions)
     seen: Dict[int, int] = {}
-    for i, _read in history.reads:
+    for i in history._read_at:
         reader = tids[i]
         if reader not in committed:
             continue

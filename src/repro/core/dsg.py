@@ -10,10 +10,12 @@ cycles over four *nested* subsets of the rows — the views
 (G2-item) and ``FULL`` (G2), a row belonging to the views ``0..depth[row]``:
 
 * one :class:`~repro.core.graph.Adjacency` per view asked for, row numbers
-  picked by an int compare on the depth column, built once;
+  picked by an int compare on the depth column (the full view is every
+  row), built once;
 * a view is declared acyclic *without a search* when every row of it goes
   forward in commit order — ``rank[src] < rank[dst]`` over the rank of each
-  transaction's commit event is a topological order, and one scan of the
+  transaction's commit event (one dict per history,
+  ``History._commit_rank``) is a topological order, and one scan of the
   rows finds the deepest view it covers (:meth:`DSG._acyclic`).  A history
   recorded under strict two-phase locking is forward in every view; a
   multi-version history is typically forward in its ww and ww+wr views and
@@ -64,8 +66,12 @@ EdgeFilter = Callable[[Edge], bool]
 
 
 def view_adjacency(table: EdgeTable, view: int) -> _g.Adjacency:
-    """The graph of the rows of ``table`` in ``view``, in row order."""
-    rows = [row for row, depth in enumerate(table.depth) if depth >= view]
+    """The graph of the rows of ``table`` in ``view``, in row order (every
+    row is in the full view)."""
+    if view == FULL:
+        rows = range(len(table.depth))
+    else:
+        rows = [row for row, depth in enumerate(table.depth) if depth >= view]
     return _g.adjacency_of(rows, table.src, table.dst)
 
 
@@ -78,7 +84,8 @@ def view_witness(
     through one of its anti-dependency rows."""
     if view >= DEPENDENCY:
         return _g.cycle(adj, sccs)
-    anti = [row for row, depth in enumerate(table.depth) if view <= depth < DEPENDENCY]
+    # Lazily: the search stops at the first row it closes.
+    anti = (row for row, depth in enumerate(table.depth) if view <= depth < DEPENDENCY)
     return _g.cycle_through(adj, sccs, anti)
 
 
@@ -251,9 +258,7 @@ class DSG:
         row that does not: the views it belongs to need a search, the deeper
         ones do not.
         """
-        rank = {
-            tid: at for at, tid in enumerate(self.history._commit_order)
-        }.get
+        rank = self.history._commit_rank.get
         table = self.table
         deepest = -1
         for src, dst, depth in zip(table.src, table.dst, table.depth):

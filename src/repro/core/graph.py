@@ -70,8 +70,14 @@ def adjacency_of(
 ) -> Adjacency:
     """The graph of the given rows of the columns, in the order given."""
     leaving: Dict[int, List[int]] = {}
+    get = leaving.get
     for row in rows:
-        leaving.setdefault(src[row], []).append(row)
+        node = src[row]
+        out = get(node)
+        if out is None:
+            leaving[node] = [row]
+        else:
+            out.append(row)
     return Adjacency(leaving, src, dst)
 
 

@@ -134,7 +134,7 @@ class History:
         which also leaves the tables it has in hand on the history:
         :attr:`committed` (and the commit order), :attr:`aborted`,
         :attr:`writes`, :attr:`setup_versions` and the final-write index behind
-        :meth:`final_version` / :meth:`is_final`.
+        :meth:`final_version` / :meth:`is_final` (and :attr:`_nonfinal`).
         """
         log = self.log
         inn = log.interner
@@ -251,6 +251,25 @@ class History:
         return self._final_seq.get((version.obj, version.tid)) == version.seq
 
     @cached_property
+    def _nonfinal(self) -> frozenset[int]:
+        """The interned ids of the written versions that are not their
+        writer's final modification of the object — :meth:`is_final` of each
+        is false, and a committed transaction reading one exhibits G1b.  Every
+        other version read is final, unborn or a setup version."""
+        log = self.log
+        inn = log.interner
+        objects, ver_obj, ver_tid, ver_seq = (
+            inn.objects, inn.ver_obj, inn.ver_tid, inn.ver_seq,
+        )
+        final_seq = self._final_seq
+        return frozenset(
+            vid
+            for k, vid in zip(log.kind, log.vid)
+            if k == K_WRITE
+            and ver_seq[vid] != final_seq[(objects[ver_obj[vid]], ver_tid[vid])]
+        )
+
+    @cached_property
     def installed(self) -> frozenset[Version]:
         """All versions that appear in some object's version order (the
         committed versions, paper Section 4.2)."""
@@ -330,6 +349,13 @@ class History:
             v.tid for v in self.installed if not v.is_unborn
         ) - self.aborted
 
+    @cached_property
+    def _commit_rank(self) -> Dict[int, int]:
+        """``tid`` -> the place of its commit event among the commit events
+        (the ranks of :meth:`repro.core.dsg.DSG._forward_from`'s
+        certificate)."""
+        return {tid: at for at, tid in enumerate(self._commit_order)}
+
     def kind_of(self, version: Version) -> VersionKind:
         """Unborn / visible / dead classification of a version."""
         if version.is_unborn:
@@ -352,10 +378,21 @@ class History:
         write = self.writes.get(version)
         if write is not None:
             return write.value
-        for _i, read in self.reads:
-            if read.version == version and read.value is not None:
-                return read.value
-        return None
+        vid = self.log.interner.version_id.get(version)
+        return None if vid is None else self._read_values.get(vid)
+
+    @cached_property
+    def _read_values(self) -> Dict[int, Any]:
+        """Interned version id -> the first non-``None`` value a read
+        observed of it, in event order (:meth:`value_of` of a version no
+        event wrote)."""
+        vids, events = self.log.vid, self.events
+        values: Dict[int, Any] = {}
+        for i in self._read_at:
+            value = events[i].value
+            if value is not None:
+                values.setdefault(vids[i], value)
+        return values
 
     def _pred_cache(self, predicate: Predicate) -> Tuple[Dict, Dict, Dict]:
         """The (matches, changes, changers) memo dicts for one predicate.
@@ -533,26 +570,46 @@ class History:
         """The isolation level declared by the transaction's ``Begin`` event,
         else the history default, else PL-3 (resolved lazily to avoid an
         import cycle with :mod:`repro.core.levels`)."""
-        from .levels import IsolationLevel
-
-        for ev in self.events:
-            if isinstance(ev, Begin) and ev.tid == tid and ev.level is not None:
-                return ev.level
+        level = self._declared_levels.get(tid)
+        if level is not None:
+            return level
         if self.default_level is not None:
             return self.default_level
+        from .levels import IsolationLevel
+
         return IsolationLevel.PL_3
 
+    @cached_property
+    def _declared_levels(self) -> Dict[int, object]:
+        """``tid`` -> the level of its first ``Begin`` event declaring one."""
+        levels: Dict[int, object] = {}
+        for ev in self.events:
+            if isinstance(ev, Begin) and ev.level is not None:
+                levels.setdefault(ev.tid, ev.level)
+        return levels
+
     def events_of(self, tid: int) -> Tuple[Event, ...]:
-        return tuple(ev for ev in self.events if ev.tid == tid)
+        """The transaction's events, in order (filed once per history)."""
+        return self._events_by_tid.get(tid, ())
+
+    @cached_property
+    def _events_by_tid(self) -> Dict[int, Tuple[Event, ...]]:
+        by_tid: Dict[int, List[Event]] = {}
+        for tid, ev in zip(self.log.tid, self.events):
+            by_tid.setdefault(tid, []).append(ev)
+        return {tid: tuple(evs) for tid, evs in by_tid.items()}
+
+    @cached_property
+    def _read_at(self) -> List[int]:
+        """The event indexes of the item reads, in order (the rows of
+        :attr:`log` the read scans walk)."""
+        return [i for i, k in enumerate(self.log.kind) if k == K_READ]
 
     @cached_property
     def reads(self) -> Tuple[Tuple[int, Read], ...]:
         """All item reads with their event indexes."""
-        return tuple(
-            (i, ev)
-            for i, (k, ev) in enumerate(zip(self.log.kind, self.events))
-            if k == K_READ
-        )
+        events = self.events
+        return tuple((i, events[i]) for i in self._read_at)
 
     @cached_property
     def predicate_reads(self) -> Tuple[Tuple[int, PredicateRead], ...]:

@@ -294,23 +294,29 @@ class Analysis:
     def _g1a(self) -> PhenomenonReport:
         """Aborted reads: a committed transaction read a version (directly or
         in a predicate read's version set) created by an aborted
-        transaction."""
+        transaction.  Item reads are rows of the event log: the reader, the
+        interned version and its writer are ints."""
         h = self.history
+        log = h.log
+        tids, vids = log.tid, log.vid
+        versions, ver_tid = log.interner.versions, log.interner.ver_tid
+        committed, aborted = h.committed, h.aborted
         witnesses: List[Witness] = []
-        for _i, read in h.reads:
-            if read.tid in h.committed and read.version.tid in h.aborted:
+        for i in h._read_at:
+            writer = ver_tid[vids[i]]
+            if writer in aborted and tids[i] in committed:
                 witnesses.append(
                     Witness(
-                        f"committed T{read.tid} read {read.version}, "
-                        f"written by aborted T{read.version.tid}",
-                        tid=read.tid,
+                        f"committed T{tids[i]} read {versions[vids[i]]}, "
+                        f"written by aborted T{writer}",
+                        tid=tids[i],
                     )
                 )
         for _i, pread in h.predicate_reads:
-            if pread.tid not in h.committed:
+            if pread.tid not in committed:
                 continue
             for v in pread.vset.versions():
-                if v.tid in h.aborted:
+                if v.tid in aborted:
                     witnesses.append(
                         Witness(
                             f"committed T{pread.tid}'s read of predicate "
@@ -323,33 +329,32 @@ class Analysis:
 
     def _g1b(self) -> PhenomenonReport:
         """Intermediate reads: a committed transaction read a version of an
-        object that was not the writer's final modification of it."""
+        object that was not the writer's final modification of it — a
+        version in :attr:`History._nonfinal`, by interned id."""
         h = self.history
+        log = h.log
+        tids, vids = log.tid, log.vid
+        versions, ver_tid = log.interner.versions, log.interner.ver_tid
+        version_id = log.interner.version_id
+        committed, nonfinal = h.committed, h._nonfinal
         witnesses: List[Witness] = []
-
-        def intermediate(v) -> bool:
-            return (
-                not v.is_unborn
-                and v not in h.setup_versions
-                and not h.is_final(v)
-            )
-
-        for _i, read in h.reads:
-            v = read.version
-            if read.tid in h.committed and v.tid != read.tid and intermediate(v):
+        for i in h._read_at:
+            vid = vids[i]
+            if vid in nonfinal and tids[i] in committed and ver_tid[vid] != tids[i]:
+                v = versions[vid]
                 final = h.final_version(v.obj, v.tid)
                 witnesses.append(
                     Witness(
-                        f"committed T{read.tid} read intermediate version {v.label(explicit_seq=True)}; "
+                        f"committed T{tids[i]} read intermediate version {v.label(explicit_seq=True)}; "
                         f"T{v.tid}'s final modification of {v.obj!r} is {final}",
-                        tid=read.tid,
+                        tid=tids[i],
                     )
                 )
         for _i, pread in h.predicate_reads:
-            if pread.tid not in h.committed:
+            if pread.tid not in committed:
                 continue
             for v in pread.vset.versions():
-                if v.tid != pread.tid and intermediate(v):
+                if v.tid != pread.tid and version_id[v] in nonfinal:
                     witnesses.append(
                         Witness(
                             f"committed T{pread.tid}'s read of predicate "

@@ -14,6 +14,8 @@ much it does to say it, on the ladder's checker history at two sizes:
   components pass where a multi-version history needs one (its
   anti-dependencies go backward in commit order; ww and ww+wr do not), and
   none on a history recorded under strict two-phase locking;
+* G1a and G1b hash no ``Version`` and ``check`` asks no version whether it is
+  its writer's final one: the read scans walk the event log's int columns;
 * the calls made grow with the events;
 * the edge table travels through ``check_many``'s process pool.
 """
@@ -27,6 +29,8 @@ import pytest
 
 import repro
 from repro.core import conflicts, graph, ssg
+from repro.core.history import History
+from repro.core.objects import Version
 from repro.workloads import synthetic_history
 
 from .test_simulator_golden import CONFIGS as SIMULATOR_CONFIGS
@@ -132,6 +136,30 @@ def test_no_component_pass_on_a_locking_history(monkeypatch):
     assert passes.calls == 0 and built.calls == 0
     assert report.analysis.dsg.is_acyclic() and passes.calls == 0
     assert len(report.analysis.edges) > 100  # not vacuous: there were rows
+
+
+@pytest.mark.parametrize("n_txns", [SMALL, LARGE])
+def test_read_phenomena_hash_no_version(monkeypatch, n_txns):
+    """G1a and G1b read the event log's int columns: a read is its reader,
+    its interned version and that version's writer, and no ``Version`` is
+    hashed (the object scans hashed one per read, probing
+    ``setup_versions``)."""
+    history = _ladder_history(n_txns)
+    analysis = repro.Analysis(history)
+    hashes = Tally(monkeypatch, Version, "__hash__")
+    g1a = analysis.report(repro.Phenomenon.G1A)
+    g1b = analysis.report(repro.Phenomenon.G1B)
+    assert hashes.calls == 0
+    assert not g1a and not g1b
+    # Not vacuous: there were reads to scan and aborted writers to look for.
+    assert len(history.reads) > n_txns and history.aborted
+
+
+@pytest.mark.parametrize("n_txns", [SMALL, LARGE])
+def test_check_asks_no_version_whether_it_is_final(monkeypatch, n_txns):
+    finals = Tally(monkeypatch, History, "is_final")
+    repro.check(_ladder_history(n_txns))
+    assert finals.calls == 0
 
 
 def _calls(history) -> int:
