@@ -38,7 +38,9 @@ is part of the checker's output (``tests/test_checker_golden.py``).  An
 :class:`Edge` object is built from a row only when someone asks for one:
 :meth:`EdgeTable.edge` for the rows of a witness cycle,
 :meth:`EdgeTable.edges` behind ``Analysis.edges`` / ``DSG.edges`` and the
-four ``*_dependencies`` functions.
+four ``*_dependencies`` functions.  The online checker
+(:mod:`repro.core.incremental`) keeps its conflicts in an :class:`EdgeTable`
+too, appended one row per new conflict.
 
 The views.  The paper states G0, G1c, G2-item and G2 as cycles over four
 nested subsets of the edge set; :data:`FULL`, :data:`ITEM`,
@@ -53,7 +55,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .events import PredicateRead
 from .history import History
@@ -84,8 +86,8 @@ class DepKind(Enum):
         return self.value
 
 
-#: Edge kind codes: field 2 of the online checker's edge keys, and the row
-#: index of :data:`DEPTH`.
+#: Edge kind codes: the row index of :data:`DEPTH`, and the kind field of
+#: the online checker's dedup keys.
 WW, WR, RW = 0, 1, 2
 
 #: The nested views of one DSG, largest first; a view's number is its depth::
@@ -102,7 +104,6 @@ DEPTH: Tuple[Tuple[int, int], ...] = (
     (ITEM, FULL),  # rw: a predicate anti-dependency is in the full view only
 )
 
-_CODE_OF_KIND = {DepKind.WW: WW, DepKind.WR: WR, DepKind.RW: RW}
 #: The conflict kind of a table row, by its depth.
 _KIND_AT_DEPTH = (DepKind.RW, DepKind.RW, DepKind.WR, DepKind.WW)
 
@@ -200,10 +201,15 @@ class EdgeTable:
     them.  :class:`Edge` objects are built per row on demand and kept, so a
     row is always the same object.  A row with no version is one of the
     SSG's start dependencies (:mod:`repro.core.ssg`).
+
+    The online checker's table grows (:mod:`repro.core.incremental`): it
+    appends rows as conflicts appear, and a version-chain repair
+    *tombstones* the rows it re-derives — depth ``-1``, in no view.
     """
 
     __slots__ = (
-        "src", "dst", "depth", "version", "predicate", "cursor", "_made", "_all",
+        "src", "dst", "depth", "version", "predicate", "cursor", "tombstones",
+        "_made", "_all",
     )
 
     def __init__(self) -> None:
@@ -213,6 +219,8 @@ class EdgeTable:
         self.version: List[Optional[Version]] = []
         self.predicate: Dict[int, Predicate] = {}
         self.cursor: Set[int] = set()
+        #: Rows tombstoned so far; an extracted table has none.
+        self.tombstones = 0
         self._made: Dict[int, Edge] = {}
         self._all: Optional[List[Edge]] = None
 
@@ -244,28 +252,6 @@ class EdgeTable:
         if self._all is None:
             self._all = [self.edge(row) for row in range(len(self.src))]
         return self._all
-
-    def extended(self, edges: Iterable[Edge]) -> "EdgeTable":
-        """A copy with ``edges`` (conflicts, not start dependencies)
-        appended as rows that *are* those objects."""
-        edges = list(edges)
-        out = EdgeTable()
-        out.src = self.src + [e.src for e in edges]
-        out.dst = self.dst + [e.dst for e in edges]
-        out.depth = self.depth + [
-            DEPTH[_CODE_OF_KIND[e.kind]][e.via_predicate] for e in edges
-        ]
-        out.version = self.version + [e.version for e in edges]
-        out.predicate = dict(self.predicate)
-        out.cursor = set(self.cursor)
-        out._made = dict(self._made)
-        for row, e in enumerate(edges, len(self.src)):
-            out._made[row] = e
-            if e.predicate is not None:
-                out.predicate[row] = e.predicate
-            if e.cursor:
-                out.cursor.add(row)
-        return out
 
     def _close(self, depth: int) -> None:
         """Give the rows appended since the last call their depth."""

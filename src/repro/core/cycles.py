@@ -6,11 +6,15 @@ same edge set, and the subsets nest::
     full  ⊇  item (no predicate rw)  ⊇  dependency (ww + wr)  ⊇  write (ww)
      G2        G2-item                    G1c                     G0
 
-:class:`ViewChain` takes flavoured edges in and gives those four verdicts
-out.  Which flavour belongs to which views is stated once, for this online
-checker and the batch one alike: :data:`repro.core.conflicts.DEPTH`, which
-the feed, the removal, the replay and the SCC pass all index (and
-:data:`repro.core.phenomena.VIEW_OF` for the view behind each phenomenon).
+:class:`ViewChain` reads the rows of the online checker's
+:class:`~repro.core.conflicts.EdgeTable` — the representation the batch
+checker uses — and gives those four verdicts out.  Which flavour belongs to
+which views is stated once, for both checkers:
+:data:`repro.core.conflicts.DEPTH`, which gives each row its ``depth``
+column when it is appended; the feed, the removal, the replay and the SCC
+pass compare that column with a view (and
+:data:`repro.core.phenomena.VIEW_OF` names the view behind each
+phenomenon).  A tombstoned row (depth ``-1``) is in no view.
 
 A subgraph of an acyclic graph is acyclic, so only one view is ever
 tracked: the *live* one, the largest that has not closed a cycle yet.  Every
@@ -36,9 +40,9 @@ dependency view.  While the dependency view is acyclic no cycle consists of
 ww/wr edges alone, so a latched full (resp. item) view *is* the verdict, in
 O(1).  Only once G1c is itself present can the view's cycle be a pure
 dependency cycle, and the question goes to an SCC pass, one per edge
-generation until the verdict turns True: the batch checker's Tarjan
-(:func:`repro.core.graph.component_index`) over int columns copied from the
-edge keys.
+generation until the verdict turns True: the batch checker's view graph and
+Tarjan (:func:`repro.core.dsg.view_adjacency`,
+:func:`repro.core.graph.component_index`) over the table's own columns.
 """
 
 from __future__ import annotations
@@ -46,10 +50,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import graph as _g
-from .conflicts import DEPENDENCY, DEPTH, FULL, ITEM, RW, WR, WRITE, WW
+from .conflicts import DEPENDENCY, FULL, ITEM, WRITE, EdgeTable
+from .dsg import view_adjacency
 from .phenomena import VIEW_OF, Phenomenon
 
-__all__ = ["ViewChain", "WW", "WR", "RW"]
+__all__ = ["ViewChain"]
 
 
 class _CycleMonitor:
@@ -155,16 +160,16 @@ class _CycleMonitor:
 
 
 class ViewChain:
-    """G0 / G1c / G2-item / G2 presence over a growing set of flavoured edges.
+    """G0 / G1c / G2-item / G2 presence over the rows of a growing table.
 
-    ``edges`` is the owner's edge store, held by reference: a dict (insertion
-    ordered) keyed by ``(src, dst, kind, oid, vid, pid)`` tuples, of which
-    only ``src``, ``dst``, ``kind`` and ``pid`` (0 = no predicate) are read
-    here.  The owner inserts a key *before* calling :meth:`add` and deletes
-    it before calling :meth:`remove`; the certificate scan, the replay and
-    the SCC pass iterate the store itself.  ``rank`` is the owner's node ->
-    rank dict, also held by reference: both ends of an edge have an entry
-    before it is added, and an entry never changes.
+    ``table`` is the owner's :class:`~repro.core.conflicts.EdgeTable`, held
+    by reference; only its ``src``, ``dst`` and ``depth`` columns are read
+    here.  The owner appends a row *before* calling :meth:`add` with its
+    ends and depth, and calls :meth:`remove` with them before it
+    tombstones the row; the certificate scan, the replay and the SCC pass
+    read the columns in place.  ``rank`` is the owner's node -> rank dict,
+    also held by reference: both ends of a row have an entry before it is
+    added, and an entry never changes.
 
     Verdicts are permanent.  That is sound for a growing edge set, and for
     the one removal the online analysis performs — a version-chain repair,
@@ -177,16 +182,16 @@ class ViewChain:
     """
 
     __slots__ = (
-        "_edges", "_rank", "_metrics", "_live", "_monitor", "generation", "_passes"
+        "_table", "_rank", "_metrics", "_live", "_monitor", "generation", "_passes"
     )
 
     def __init__(
         self,
-        edges: Dict[tuple, bool],
+        table: EdgeTable,
         rank: Dict[int, int],
         metrics: Optional[object] = None,
     ):
-        self._edges = edges
+        self._table = table
         self._rank = rank
         self._metrics = metrics
         #: Depth of the live view: views above it are latched cyclic, it and
@@ -199,9 +204,9 @@ class ViewChain:
         self.generation = 0
         self._passes: Dict[int, Tuple[int, bool]] = {}  # view -> (generation, present)
 
-    def add(self, u: int, v: int, kind: int, pid: int) -> None:
+    def add(self, u: int, v: int, depth: int) -> None:
         self.generation += 1
-        if DEPTH[kind][pid != 0] < self._live:
+        if depth < self._live:
             return
         monitor = self._monitor
         if monitor is None:
@@ -214,9 +219,9 @@ class ViewChain:
         if closed:
             self._latch()
 
-    def remove(self, u: int, v: int, kind: int, pid: int) -> None:
+    def remove(self, u: int, v: int, depth: int) -> None:
         self.generation += 1
-        if self._monitor is not None and DEPTH[kind][pid != 0] >= self._live:
+        if self._monitor is not None and depth >= self._live:
             self._monitor.remove(u, v)
 
     def _latch(self) -> None:
@@ -232,8 +237,9 @@ class ViewChain:
     def _forward(self, view: int) -> bool:
         """Whether every row of ``view`` goes forward in rank."""
         rank = self._rank
-        for src, dst, kind, _oid, _vid, pid in self._edges:
-            if DEPTH[kind][pid != 0] >= view and rank[src] >= rank[dst]:
+        table = self._table
+        for src, dst, depth in zip(table.src, table.dst, table.depth):
+            if depth >= view and rank[src] >= rank[dst]:
                 return False
         return True
 
@@ -243,8 +249,9 @@ class ViewChain:
         live = self._live
         monitor = self._monitor = _CycleMonitor()
         add = monitor.add
-        for src, dst, kind, _oid, _vid, pid in self._edges:
-            if DEPTH[kind][pid != 0] >= live and add(src, dst):
+        table = self._table
+        for src, dst, depth in zip(table.src, table.dst, table.depth):
+            if depth >= live and add(src, dst):
                 return True
         return False
 
@@ -267,27 +274,21 @@ class ViewChain:
         return self._anti_pass(view)
 
     def _anti_pass(self, view: int) -> bool:
-        """One SCC pass over the edge keys — int rows, no :class:`Edge`
+        """One SCC pass over the table's rows in place, no :class:`Edge`
         objects: does an anti-dependency row of ``view`` lie inside a
-        component of it?  Without an edge that separates them the full and
-        item views coincide and the answer is recorded for both."""
-        src: List[int] = []
-        dst: List[int] = []
-        anti: List[int] = []
-        coincide = True
-        for u, v, kind, _oid, _vid, pid in self._edges:
-            depth = DEPTH[kind][pid != 0]
-            if depth < ITEM:
-                coincide = False
-            if depth < view:
-                continue
-            if depth < DEPENDENCY:
-                anti.append(len(src))
-            src.append(u)
-            dst.append(v)
-        comp = _g.component_index(_g.adjacency_of(range(len(src)), src, dst))
-        present = any(comp[src[row]] == comp[dst[row]] for row in anti)
+        component of it?  Without a row that separates them (a predicate
+        anti-dependency) the full and item views coincide and the answer is
+        recorded for both."""
+        table = self._table
+        comp = _g.component_index(view_adjacency(table, view))
+        src, dst = table.src, table.dst
+        present = any(
+            comp[src[row]] == comp[dst[row]]
+            for row, depth in enumerate(table.depth)
+            if view <= depth < DEPENDENCY
+        )
         answer = (self.generation, present)
+        coincide = FULL not in table.depth
         for same in (FULL, ITEM) if coincide else (view,):
             self._passes[same] = answer
         return present

@@ -26,7 +26,7 @@ cycles over four *nested* subsets of the rows — the views
 * :func:`view_witness`: G0 / G1c take the first component with two nodes
   and walk a cycle in it; G2 / G2-item take the first anti-dependency row
   whose ends share a component and close it with a shortest path.  The
-  online checker's provenance witness asks the same of its own edges.
+  online checker's provenance witness asks the same of its own table.
 
 The graph routines live in :mod:`repro.core.graph`; the class keeps what
 needs the history: the node set, the commit-rank certificate and the cached
@@ -44,7 +44,7 @@ into :class:`Edge` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import graph as _g
 from .conflicts import (
@@ -67,8 +67,8 @@ EdgeFilter = Callable[[Edge], bool]
 
 def view_adjacency(table: EdgeTable, view: int) -> _g.Adjacency:
     """The graph of the rows of ``table`` in ``view``, in row order (every
-    row is in the full view)."""
-    if view == FULL:
+    row but a tombstone is in the full view)."""
+    if view == FULL and not table.tombstones:
         rows = range(len(table.depth))
     else:
         rows = [row for row, depth in enumerate(table.depth) if depth >= view]
@@ -146,10 +146,9 @@ class DSG:
         Predicate-read-dependency quantification, see
         :class:`~repro.core.conflicts.PredicateDepMode`.
     edges:
-        Precomputed direct conflicts of ``history`` under ``mode``: an
-        :class:`~repro.core.conflicts.EdgeTable` (how
-        :class:`~repro.core.phenomena.Analysis` shares one extraction
-        between its DSG and SSG) or a sequence of :class:`Edge`.
+        The direct conflicts of ``history`` under ``mode``, if already
+        extracted: how :class:`~repro.core.phenomena.Analysis` shares one
+        :class:`~repro.core.conflicts.EdgeTable` between its DSG and SSG.
     """
 
     def __init__(
@@ -157,15 +156,11 @@ class DSG:
         history: History,
         mode: PredicateDepMode = PredicateDepMode.LATEST,
         *,
-        edges: Union[EdgeTable, Sequence[Edge], None] = None,
+        edges: Optional[EdgeTable] = None,
     ):
         self.history = history
-        if edges is None:
-            edges = edge_table(history, mode)
-        elif not isinstance(edges, EdgeTable):
-            edges = EdgeTable().extended(edges)
         #: The edges as rows, in the order every search visits them.
-        self.table = edges
+        self.table = edge_table(history, mode) if edges is None else edges
         self._nodes = set(history.committed_all)
         #: view -> adjacency over its rows / its strongly connected components.
         self._views: Dict[int, _g.Adjacency] = {}

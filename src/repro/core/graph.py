@@ -4,10 +4,10 @@ Every cycle question the checkers ask is answered here, on an
 :class:`Adjacency`: an edge is a row number into two parallel int columns
 (``src[row]``, ``dst[row]``), a graph is ``node -> [rows leaving it]``, and
 every walk reads ints out of lists.  No edge object is touched: every
-caller hands in columns and a row list (:func:`adjacency_of`) — the batch
-checker and the provenance witness an edge table's, one row list per view;
-the MSG its relevant rows; the online checker's SCC fallback columns copied
-from its edge keys — and maps the rows that come back onto its own edges.
+caller hands in columns and a row list (:func:`adjacency_of`) — both
+checkers and the provenance witness an edge table's, in place, one row list
+per view; the MSG its relevant rows — and maps the rows that come back onto
+its own edges.
 
 Witnesses come from two routines: :func:`cycle` walks a cycle in the first
 component that has one (G0, G1c), :func:`cycle_through` closes the first

@@ -7,11 +7,14 @@ maintains, between events, everything the batch checker derives from a full
 * per-object version chains (the version order ``<<``), including the
   paper's implicit *setup* versions discovered on first read;
 * the three direct-conflict edge sets of Section 4.4 — ``ww``/``wr``/``rw``,
-  item and predicate flavours — keyed for O(1) dedup and cursor-flag merge;
+  item and predicate flavours — as the rows of one growing
+  :class:`~repro.core.conflicts.EdgeTable`, the batch checker's
+  representation, with a key -> row dict for O(1) dedup and cursor-flag
+  merge;
 * the G1a/G1b witness sets.
 
-G0/G1/G2 queries are then O(1) in the steady state: every new edge is
-handed, with its flavour, to a :class:`~repro.core.cycles.ViewChain`, which
+G0/G1/G2 queries are then O(1) in the steady state: every new row is
+handed, with its depth, to a :class:`~repro.core.cycles.ViewChain`, which
 detects each cycle phenomenon at the *edge insert* that closes it, and
 presence is monotone over a growing history so a positive verdict is
 cached permanently.  The chain certifies a view acyclic the way the batch
@@ -28,15 +31,15 @@ Interned hot path
 All internal state is keyed by dense ints from a per-analysis
 :class:`~repro.core.interning.Interner`: a version is hashed exactly once
 (at first mention), and from then on chains are lists of version ids,
-conflict edges are 6-int tuples, and the per-event work is int dict/list
-traffic instead of dataclass hashing.  A read or a write allocates no
-container of its own: events dispatch on
+a conflict's dedup key is a 5-int tuple, and the per-event work is int
+dict/list traffic instead of dataclass hashing.  A read or a write
+allocates no container of its own: events dispatch on
 :data:`~repro.core.interning._KIND_OF_TYPE` (the table
 :class:`~repro.core.interning.EventLog` uses), a transaction's final writes
 are one ``{oid: vid}`` dict per transaction beside a vid -> write-index
 dict, and its reads one flat ``[vid, read, ...]`` list.
-:class:`~repro.core.conflicts.Edge` objects are materialised lazily (the
-:attr:`edges` property and reports); verdicts are unchanged.
+:class:`~repro.core.conflicts.Edge` objects are built from rows on demand
+(the :attr:`edges` property, and a provenance witness's rows only).
 
 :meth:`add` is the one way in; :meth:`add_all` is ``add`` in a loop,
 returning the analysis so a constructor call can be chained.
@@ -46,7 +49,9 @@ endpoint transactions have committed, mirroring the batch extractors'
 restriction to ``committed_all``.  Most chain updates are appends and apply
 purely incrementally; the rare structural mutation (a mid-chain insert from
 an out-of-order install key or a late-discovered setup version) triggers a
-localized rebuild of the affected object's edges only.
+localized rebuild of the affected object's edges only: their rows are
+tombstoned and the re-derived edges appended as new rows, so the live rows
+keep the order in which their edges were (re-)derived.
 
 Install order
 -------------
@@ -87,8 +92,9 @@ from typing import (
     Tuple,
 )
 
-from .conflicts import DepKind, Edge, PredicateDepMode
-from .cycles import RW as _KA, WR as _KR, WW as _KW, ViewChain
+from .conflicts import DEPTH, Edge, EdgeTable, PredicateDepMode
+from .conflicts import RW as _KA, WR as _KR, WW as _KW
+from .cycles import ViewChain
 from .events import Abort, Event, PredicateRead, Read, Write
 from .interning import (
     K_ABORT,
@@ -125,14 +131,6 @@ _CORE_PROSCRIBED: Dict[IsolationLevel, Tuple[Phenomenon, ...]] = {
     for level in IsolationLevel
     if all(p in CORE_PHENOMENA for p in level.proscribed)
 }
-
-#: Edge kind codes ``_KW``/``_KR``/``_KA`` (ww, wr, rw), as used in interned
-#: edge keys, index into ``_KINDS``.
-_KINDS: Tuple[DepKind, ...] = (DepKind.WW, DepKind.WR, DepKind.RW)
-
-#: Interned edge key: (src, dst, kind code, oid, vid, pid) — pid 0 = no
-#: predicate.  The dict value is the cursor flag.
-_IKey = Tuple[int, int, int, int, int, int]
 
 
 class _PreadRec:
@@ -197,7 +195,8 @@ class IncrementalAnalysis:
         "_setup_value",
         "_objects_by_relation",
         "_rank",
-        "_edges",
+        "_table",
+        "_row_of",
         "_edge_keys_by_obj",
         "_keyed_built",
         "_g1a",
@@ -288,18 +287,20 @@ class IncrementalAnalysis:
         #: place in commit order, -1 for a setup installer.
         self._rank: Dict[int, int] = {}
         # --- edges and verdict caches ----------------------------------
-        self._edges: Dict[_IKey, bool] = {}  # key -> cursor flag
-        # oid -> chain-dependent edge keys; built lazily at the first
+        self._table = EdgeTable()
+        #: (src, dst, kind code, vid, pid) -> live row; pid 0 = no predicate.
+        self._row_of: Dict[Tuple[int, ...], int] = {}
+        # oid -> keys of its chain-dependent rows; built lazily at the first
         # structural repair (append-only runs never pay for it).
-        self._edge_keys_by_obj: Dict[int, Set[_IKey]] = {}
+        self._edge_keys_by_obj: Dict[int, List[Tuple[int, ...]]] = {}
         self._keyed_built = False
         self._g1a: Set[Tuple[int, int]] = set()  # (reader tid, vid)
         self._g1b: Set[Tuple[int, int]] = set()
         self._preds: List[Optional[Predicate]] = [None]  # pid -> predicate
         self._pred_ids: Dict[Predicate, int] = {}
-        # G0/G1c/G2-item/G2 verdicts; reads ``_edges`` and ``_rank`` by
+        # G0/G1c/G2-item/G2 verdicts; reads ``_table`` and ``_rank`` by
         # reference.
-        self._cycles = ViewChain(self._edges, self._rank, metrics)
+        self._cycles = ViewChain(self._table, self._rank, metrics)
         # Phenomena already proven present — permanent (presence over a
         # growing history is monotone), so re-queries are O(1).
         self._present: Set[Phenomenon] = set()
@@ -585,7 +586,6 @@ class IncrementalAnalysis:
             pairs = iter(reads)
             for vid, read in zip(pairs, pairs):
                 writer = ver_tid[vid]
-                oid = ver_obj[vid]
                 if writer in aborted:
                     self._add_g1a(tid, vid)
                 if writer != tid:
@@ -596,17 +596,15 @@ class IncrementalAnalysis:
                         and writer in rank
                         and writer not in aborted
                     ):
-                        add_edge(writer, tid, _KR, oid, vid, 0, False)
+                        add_edge(writer, tid, _KR, vid, 0, False)
                 idx = pos.get(vid)
                 if idx is not None:
-                    chain = chains[oid]
+                    chain = chains[ver_obj[vid]]
                     if idx + 1 < len(chain):
                         nxt = chain[idx + 1]
                         ntid = ver_tid[nxt]
                         if ntid != tid:
-                            add_edge(
-                                tid, ntid, _KA, oid, nxt, 0, read.cursor
-                            )
+                            add_edge(tid, ntid, _KA, nxt, 0, read.cursor)
         # Predicate reads by the newly committed transaction.
         for rec in self._preads_of_tid.get(tid, ()):
             rec.committed = True
@@ -614,7 +612,7 @@ class IncrementalAnalysis:
                 vid = self._vid_of(v)
                 if ver_tid[vid] in self.aborted:
                     self._add_g1a(tid, vid)
-                if ver_tid[vid] != tid and self._is_intermediate(vid):
+                if ver_tid[vid] != tid and vid in self._intermediate:
                     self._add_g1b(tid, vid)
             for oid in self._vset_oids(rec):
                 self._pread_read_edges(rec, oid)
@@ -628,7 +626,7 @@ class IncrementalAnalysis:
                 for read in self._reads_by_version.get(vid, ()):
                     rt = read.tid
                     if rt != tid and rt in committed:
-                        add_edge(tid, rt, _KR, ver_obj[vid], vid, 0, False)
+                        add_edge(tid, rt, _KR, vid, 0, False)
 
     def _on_abort(self, tid: int) -> None:
         self.aborted.add(tid)
@@ -708,7 +706,7 @@ class IncrementalAnalysis:
         vtid = ver_tid[vid]
         ptid = ver_tid[prev]
         if ptid != INIT_TID and ptid != vtid:
-            self._add_edge(ptid, vtid, _KW, oid, vid, 0, False)
+            self._add_edge(ptid, vtid, _KW, vid, 0, False)
         readers = self._reads_by_version.get(prev)
         if readers:
             committed = self.committed
@@ -716,7 +714,7 @@ class IncrementalAnalysis:
             for read in readers:
                 rt = read.tid
                 if rt != vtid and rt in committed:
-                    add_edge(rt, vtid, _KA, oid, vid, 0, read.cursor)
+                    add_edge(rt, vtid, _KA, vid, 0, read.cursor)
         recs = self._preads_by_relation.get(self._rel[oid])
         if recs:
             obj = in_.objects[oid]
@@ -744,29 +742,36 @@ class IncrementalAnalysis:
                     and self._changes_at(chain, pos, rec.predicate)
                 ):
                     self._add_edge(
-                        rec.tid, vtid, _KA, oid, vid, self._pid_of(rec.predicate), False
+                        rec.tid, vtid, _KA, vid, self._pid_of(rec.predicate), False
                     )
 
     def _repair_object(self, oid: int) -> None:
         """Localized rebuild after a structural (non-append) chain change:
-        drop and recompute every chain-dependent edge of ``oid``."""
+        tombstone and re-derive every chain-dependent row of ``oid``."""
+        row_of = self._row_of
         if not self._keyed_built:
             self._keyed_built = True
-            index: Dict[int, Set[_IKey]] = {}
-            for key in self._edges:
-                if key[2] != _KR or key[5]:
-                    index.setdefault(key[3], set()).add(key)
+            ver_obj = self._in.ver_obj
+            index: Dict[int, List[Tuple[int, ...]]] = {}
+            for key in row_of:
+                if key[2] != _KR or key[4]:
+                    index.setdefault(ver_obj[key[3]], []).append(key)
             self._edge_keys_by_obj = index
-        for key in self._edge_keys_by_obj.get(oid, ()):
-            if self._edges.pop(key, None) is not None:
-                self._cycles.remove(key[0], key[1], key[2], key[5])
-        self._edge_keys_by_obj[oid] = set()
+        table = self._table
+        src, dst, depth = table.src, table.dst, table.depth
+        remove = self._cycles.remove
+        keys = self._edge_keys_by_obj.get(oid, ())
+        for key in keys:
+            row = row_of.pop(key)
+            remove(src[row], dst[row], depth[row])
+            depth[row] = -1  # a tombstone: in no view
+        table.tombstones += len(keys)
+        self._edge_keys_by_obj[oid] = []
         chain = self._chains[oid]
         pos_map = self._pos
         for i, vid in enumerate(chain):
             pos_map[vid] = i
-        in_ = self._in
-        ver_tid = in_.ver_tid
+        ver_tid = self._in.ver_tid
         committed = self.committed
         add_edge = self._add_edge
         for pos in range(1, len(chain)):
@@ -774,11 +779,11 @@ class IncrementalAnalysis:
             vtid = ver_tid[vid]
             ptid = ver_tid[prev]
             if ptid != INIT_TID and ptid != vtid:
-                add_edge(ptid, vtid, _KW, oid, vid, 0, False)
+                add_edge(ptid, vtid, _KW, vid, 0, False)
             for read in self._reads_by_version.get(prev, ()):
                 rt = read.tid
                 if rt in committed and rt != vtid:
-                    add_edge(rt, vtid, _KA, oid, vid, 0, read.cursor)
+                    add_edge(rt, vtid, _KA, vid, 0, read.cursor)
         for rec in self._preads_by_relation.get(self._rel[oid], ()):
             if rec.committed:
                 self._pread_read_edges(rec, oid)
@@ -859,7 +864,7 @@ class IncrementalAnalysis:
         for k in changers:
             vid = chain[k]
             if ver_tid[vid] != rec.tid:
-                self._add_edge(ver_tid[vid], rec.tid, _KR, oid, vid, pid, False)
+                self._add_edge(ver_tid[vid], rec.tid, _KR, vid, pid, False)
 
     def _pread_anti_edges(self, rec: _PreadRec, oid: int) -> None:
         idx = self._selected_index(rec, oid)
@@ -871,33 +876,44 @@ class IncrementalAnalysis:
         for k in range(idx + 1, len(chain)):
             vid = chain[k]
             if ver_tid[vid] != rec.tid and self._changes_at(chain, k, rec.predicate):
-                self._add_edge(rec.tid, ver_tid[vid], _KA, oid, vid, pid, False)
+                self._add_edge(rec.tid, ver_tid[vid], _KA, vid, pid, False)
 
     # ------------------------------------------------------------------
     # edge store and verdicts
     # ------------------------------------------------------------------
 
     def _add_edge(
-        self, src: int, dst: int, kcode: int, oid: int, vid: int, pid: int, cursor: bool
+        self, src: int, dst: int, kcode: int, vid: int, pid: int, cursor: bool
     ) -> None:
-        key = (src, dst, kcode, oid, vid, pid)
-        edges = self._edges
-        existing = edges.get(key)
-        if existing is None:
-            edges[key] = cursor
+        key = (src, dst, kcode, vid, pid)
+        table = self._table
+        new = len(table.src)
+        row = self._row_of.setdefault(key, new)
+        if row == new:
+            depth = DEPTH[kcode][pid != 0]
+            table.src.append(src)
+            table.dst.append(dst)
+            table.depth.append(depth)
+            table.version.append(self._in.versions[vid])
+            if pid:
+                table.predicate[row] = self._preds[pid]
+            if cursor:
+                table.cursor.add(row)
             if self._edge_counter is not None:
                 self._edge_counter.inc()
             # Chain-dependent flavours are re-derived on object repair; the
             # per-object key index exists only once a repair has happened.
             if self._keyed_built and (kcode != _KR or pid):
+                oid = self._in.ver_obj[vid]
                 by_obj = self._edge_keys_by_obj.get(oid)
                 if by_obj is None:
-                    self._edge_keys_by_obj[oid] = {key}
+                    self._edge_keys_by_obj[oid] = [key]
                 else:
-                    by_obj.add(key)
-            self._cycles.add(src, dst, kcode, pid)
-        elif cursor and not existing:
-            edges[key] = True
+                    by_obj.append(key)
+            self._cycles.add(src, dst, depth)
+        elif cursor and row not in table.cursor:
+            table.cursor.add(row)
+            table._made.pop(row, None)  # built before the merge: stale
 
     def _add_g1a(self, tid: int, vid: int) -> None:
         self._g1a.add((tid, vid))
@@ -907,27 +923,12 @@ class IncrementalAnalysis:
             return  # setup versions are never intermediate
         self._g1b.add((tid, vid))
 
-    def _is_intermediate(self, vid: int) -> bool:
-        return vid in self._intermediate
-
-    def _materialise(self, key: _IKey, cursor: bool) -> Edge:
-        src, dst, kcode, oid, vid, pid = key
-        return Edge(
-            src,
-            dst,
-            _KINDS[kcode],
-            self._in.objects[oid],
-            self._in.versions[vid],
-            predicate=self._preds[pid],
-            cursor=cursor,
-        )
-
     @property
     def edges(self) -> List[Edge]:
-        """The direct-conflict edges accumulated so far (materialised from
-        the interned store, in insertion order)."""
-        materialise = self._materialise
-        return [materialise(key, cursor) for key, cursor in self._edges.items()]
+        """The direct-conflict edges held now: the table's live rows, in the
+        order their edges were (re-)derived."""
+        edge = self._table.edge
+        return [edge(row) for row in self._row_of.values()]
 
     @property
     def events_consumed(self) -> int:
@@ -938,7 +939,7 @@ class IncrementalAnalysis:
     @property
     def edges_inserted(self) -> int:
         """Distinct DSG edges currently held (free to read)."""
-        return len(self._edges)
+        return len(self._row_of)
 
     # -- public read-side accessors (used by provenance) ----------------
 
@@ -1102,5 +1103,5 @@ class IncrementalAnalysis:
     def __repr__(self) -> str:
         return (
             f"IncrementalAnalysis({len(self.events)} events, "
-            f"{len(self.committed)} committed, {len(self._edges)} edges)"
+            f"{len(self.committed)} committed, {len(self._row_of)} edges)"
         )

@@ -87,5 +87,10 @@ class SSG(DSG):
     ):
         super().__init__(history, mode, edges=edges)
         # A copy: the conflict rows may be an analysis' DSG's as well.
-        self.table = self.table.extended(())
-        _start_rows(self.table, history)
+        conflicts = self.table
+        self.table = table = EdgeTable()
+        table.src, table.dst = conflicts.src[:], conflicts.dst[:]
+        table.depth, table.version = conflicts.depth[:], conflicts.version[:]
+        table.predicate, table.cursor = dict(conflicts.predicate), set(conflicts.cursor)
+        table._made = dict(conflicts._made)
+        _start_rows(table, history)

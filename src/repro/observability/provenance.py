@@ -19,10 +19,11 @@ Wire-up is through the two existing hooks: build the analysis with
 ``monitor=``; phenomena then latch — and narrate themselves — while the
 workload runs.
 
-The witness is the batch checker's: the online checker's edges, in insertion
-order, become the rows of an :class:`~repro.core.conflicts.EdgeTable`, and
-:func:`repro.core.dsg.view_witness` asks the phenomenon's view what
-:class:`~repro.core.phenomena.Analysis` asks of a history.
+The witness is the batch checker's: the online checker keeps its edges as
+the rows of an :class:`~repro.core.conflicts.EdgeTable`, and
+:func:`repro.core.dsg.view_witness` asks the phenomenon's view of that table,
+in place, what :class:`~repro.core.phenomena.Analysis` asks of a history;
+only the witness's rows become :class:`Edge` objects.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core import graph as _g
-from ..core.conflicts import DepKind, Edge, EdgeTable
+from ..core.conflicts import DepKind, Edge
 from ..core.dsg import view_adjacency, view_witness
 from ..core.events import PredicateRead
 from ..core.incremental import IncrementalAnalysis
@@ -54,7 +55,7 @@ def witness_cycle(
     view = VIEW_OF.get(phenomenon)
     if view is None:
         return None
-    table = EdgeTable().extended(analysis.edges)
+    table = analysis._table
     adj = view_adjacency(table, view)
     rows = view_witness(table, view, adj, _g.strongly_connected_components(adj))
     return None if rows is None else [table.edge(row) for row in rows]

@@ -1,10 +1,13 @@
-"""``repro.core.cycles.ViewChain`` on its own: flavoured edges in, G0 / G1c /
-G2-item / G2 out.
+"""``repro.core.cycles.ViewChain`` on its own: rows of an edge table in, G0 /
+G1c / G2-item / G2 out.
 
 ``test_incremental_verdicts.py`` reaches the chain through 30-transaction
 histories, whose graphs are sparse.  Here random insert-only streams of
-flavoured edges over at most 12 nodes are fed straight in, and after every
-insert the chain's answers are compared with Section 5's definitions,
+flavoured edges over at most 12 nodes are appended as rows of an
+:class:`~repro.core.conflicts.EdgeTable` — depth from
+:data:`~repro.core.conflicts.DEPTH`, as the online checker appends them —
+and fed straight in, and after every insert the chain's answers are
+compared with Section 5's definitions,
 computed with ``graph.component_index`` over the same arcs, as rows of int
 columns, by rules written out below (not read from the chain's table).  Both
 ways of answering G2 / G2-item must be reached, and are counted: from the
@@ -21,17 +24,18 @@ from collections import namedtuple
 import pytest
 
 from repro.core import graph
-from repro.core.cycles import (
+from repro.core.conflicts import (
     DEPENDENCY,
+    DEPTH,
     FULL,
     ITEM,
     RW,
     WR,
     WRITE,
     WW,
-    ViewChain,
-    _CycleMonitor,
+    EdgeTable,
 )
+from repro.core.cycles import ViewChain, _CycleMonitor
 from repro.core.phenomena import Phenomenon
 
 G0, G1C = Phenomenon.G0, Phenomenon.G1C
@@ -73,6 +77,16 @@ def definition(arcs):
         G2_ITEM: through_rw[ITEM],
         G2: through_rw[FULL],
     }
+
+
+def append(table, chain, arc):
+    """Append ``arc`` as a row of ``table``, then hand it to ``chain``, as
+    the online checker does."""
+    depth = DEPTH[arc.kind][arc.pid != 0]
+    table.src.append(arc.src)
+    table.dst.append(arc.dst)
+    table.depth.append(depth)
+    chain.add(arc.src, arc.dst, depth)
 
 
 def stream(rng):
@@ -124,16 +138,15 @@ def test_every_insert_matches_definition():
     }
     latched_at = set()
     for case in range(400):
-        edges = {}
+        table = EdgeTable()
         keys, rank = stream(rng)
-        chain = ViewChain(edges, rank)
+        chain = ViewChain(table, rank)
         arcs = []
         for key in keys:
             certified = chain._monitor is None and chain._live <= WRITE
-            edges[key] = False
             src, dst, kind, _oid, _vid, pid = key
-            chain.add(src, dst, kind, pid)
             arcs.append(Arc(src, dst, kind, pid))
+            append(table, chain, arcs[-1])
             cyclic, present = definition(arcs)
             where = f"case {case} after {len(arcs)} edges"
             for view, want in cyclic.items():
@@ -192,11 +205,10 @@ def test_two_cycle_of_one_flavour_enters_exactly_its_views(
     flavour, views, phenomena
 ):
     kind, pid = flavour
-    edges = {}
-    chain = ViewChain(edges, {1: 0, 2: 1})
+    table = EdgeTable()
+    chain = ViewChain(table, {1: 0, 2: 1})
     for src, dst in ((1, 2), (2, 1)):
         assert chain._live == FULL
-        edges[(src, dst, kind, 0, 0, pid)] = False
-        chain.add(src, dst, kind, pid)
+        append(table, chain, Arc(src, dst, kind, pid))
     assert {view for view in KEEPS if view < chain._live} == views
     assert {p for p in (G0, G1C, G2_ITEM, G2) if chain.present(p)} == phenomena

@@ -10,23 +10,39 @@ monitor hook.
 """
 
 import itertools
+import random
 
 import pytest
 
 import repro
+from repro.core import graph
 from repro.core.canonical import ALL_CANONICAL
-from repro.core.conflicts import PredicateDepMode
+from repro.core.conflicts import (
+    DEPTH,
+    RW,
+    WR,
+    WW,
+    DepKind,
+    EdgeTable,
+    PredicateDepMode,
+)
+from repro.core.dsg import view_adjacency, view_witness
+from repro.core.events import Commit, Read, Write
 from repro.core.incremental import CORE_PHENOMENA, IncrementalAnalysis
 from repro.core.levels import IsolationLevel, classify
-from repro.core.phenomena import Analysis, Phenomenon
+from repro.core.objects import Version
+from repro.core.phenomena import VIEW_OF, Analysis, Phenomenon
 from repro.engine import (
     Database,
     LockingScheduler,
     Simulator,
     SnapshotIsolationScheduler,
 )
+from repro.observability.provenance import witness_cycle
 from repro.workloads import WorkloadConfig, random_programs, synthetic_history
 from repro.workloads.anomalies import ALL_ANOMALIES
+
+KIND_CODE = {DepKind.WW: WW, DepKind.WR: WR, DepKind.RW: RW}
 
 
 def edge_keys(edges):
@@ -206,6 +222,90 @@ class TestIncrementalSemantics:
         history = synthetic_history(n_txns=15, predicate_fraction=0.3, seed=3)
         inc = IncrementalAnalysis(order_mode="commit").add_all(history.events)
         inc.to_history(validate=True)  # must not raise
+
+
+#: The cycle phenomena, each with a witness in the analysis' own table.
+CYCLE_PHENOMENA = (
+    Phenomenon.G0, Phenomenon.G1C, Phenomenon.G2_ITEM, Phenomenon.G2
+)
+
+
+def compacted_witness(inc, phenomenon):
+    """The witness over a fresh table holding only the live edges, in order
+    — what ``witness_cycle`` answers when tombstones are in no view."""
+    edges = inc.edges
+    table = EdgeTable()
+    for e in edges:
+        table.src.append(e.src)
+        table.dst.append(e.dst)
+        table.depth.append(DEPTH[KIND_CODE[e.kind]][e.via_predicate])
+    view = VIEW_OF[phenomenon]
+    adj = view_adjacency(table, view)
+    rows = view_witness(table, view, adj, graph.strongly_connected_components(adj))
+    return None if rows is None else [edges[row] for row in rows]
+
+
+class TestEdgeTable:
+    """The online checker keeps its edges as rows of the batch checker's
+    table: the rows' cached :class:`Edge` objects follow a cursor merge,
+    and a repair's tombstones are in no view."""
+
+    def test_a_cursor_merge_reaches_a_cached_witness_row(self):
+        history = repro.parse_history(
+            "r1(x0) r1(y0) r2(x0) r2(y0) w1(x1) w2(y2) c1 c2"
+        )
+        inc = IncrementalAnalysis().add_all(history.events)
+        (row,) = [e for e in witness_cycle(inc, Phenomenon.G2) if e.src == 1]
+        assert str(row) == "T1 -rw-> T2" and not row.cursor
+        assert row in inc.edges
+        # ``add`` does not validate: T1's late cursor read of y0, then its
+        # commit again, re-derive T1 -rw-> T2 — the one way to merge a cursor
+        # flag into a row built (and its Edge cached) at an earlier event.
+        inc.add(Read(1, Version("y", 0), cursor=True))
+        inc.add(Commit(1))
+        merged = [e for e in witness_cycle(inc, Phenomenon.G2) if e.src == 1]
+        assert [(str(e), e.cursor) for e in merged] == [("T1 -rw-> T2", True)]
+        assert merged[0] in inc.edges
+        batch = inc.check().analysis.edges
+        assert edge_keys(inc.edges) == edge_keys(batch)
+        assert len(inc.edges) == inc.edges_inserted == len(batch)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repairs_after_a_latch_leave_no_trace(self, seed):
+        # Commit keys drawn at random: versions land mid-chain and their
+        # objects are repaired, after cycle phenomena have latched.
+        history = synthetic_history(
+            n_txns=30, n_objects=4, ops_per_txn=3, seed=seed,
+            stale_read_fraction=0.5, write_fraction=0.7,
+            predicate_fraction=0.3 * (seed % 2),
+        )
+        rng = random.Random(seed)
+        inc = IncrementalAnalysis(order_mode="event")
+        written = {}
+        repaired_after_latch = 0
+        for event in history.events:
+            latched = any(map(inc.exhibits, CYCLE_PHENOMENA))
+            tombstones = inc._table.tombstones
+            if isinstance(event, Commit):
+                objs = written.get(event.tid, ())
+                inc.add(event, positions={obj: rng.random() for obj in objs})
+            else:
+                inc.add(event)
+                if isinstance(event, Write):
+                    written.setdefault(event.tid, set()).add(event.version.obj)
+            repaired_after_latch += latched and inc._table.tombstones > tombstones
+        assert repaired_after_latch
+        final = inc.to_history()
+        fresh = IncrementalAnalysis(
+            order_mode="event", version_order_hint=final.version_order
+        ).add_all(final.events)
+        assert inc.edges == fresh.edges
+        assert inc.edges_inserted == fresh.edges_inserted == len(inc.edges)
+        for phenomenon in CYCLE_PHENOMENA:
+            witness = witness_cycle(inc, phenomenon)
+            assert witness == witness_cycle(fresh, phenomenon)
+            assert witness == compacted_witness(inc, phenomenon)
+            assert (witness is not None) == inc.exhibits(phenomenon)
 
 
 class TestEngineMonitor:

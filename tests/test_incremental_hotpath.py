@@ -18,6 +18,16 @@ kept from the start would be fed every edge of the live view):
 * on the ladder's multi-version history a monitor is fed only while a view
   holding its backward anti-dependencies is live; once the ww+wr view is
   live (certified) no monitor exists.
+
+The analysis keeps its edges as the rows of one
+:class:`~repro.core.conflicts.EdgeTable`, which the view chain and the
+provenance witness read in place:
+
+* a witness builds no more :class:`~repro.core.conflicts.Edge` objects than
+  it has edges (flattening every edge into a second table built one per
+  edge);
+* the SCC pass that answers G2 / G2-item while G1c is present hands the
+  graph routines the table's own ``src`` / ``dst`` columns, not copies.
 """
 
 from __future__ import annotations
@@ -26,9 +36,13 @@ import functools
 
 import pytest
 
-from repro.core import cycles
+import repro
+from repro.core import cycles, graph
+from repro.core.conflicts import Edge
 from repro.core.incremental import IncrementalAnalysis
 from repro.core.levels import IsolationLevel
+from repro.core.phenomena import Phenomenon
+from repro.observability.provenance import witness_cycle
 from repro.service import NetworkConfig, StressConfig, run_stress
 from repro.workloads import synthetic_history
 
@@ -127,3 +141,51 @@ def test_monitors_run_only_before_the_dependency_view_is_live(
     assert monitors.adds == monitors.adds_when_dependency_live
     assert monitors.adds == MONITOR_ADDS[n_txns]
     assert analysis.edges_inserted > 5 * n_txns
+
+
+@pytest.mark.parametrize("order_mode", ["event", "commit"])
+def test_a_witness_builds_only_its_own_edges(monkeypatch, order_mode):
+    analysis = IncrementalAnalysis(order_mode=order_mode)
+    analysis.add_all(_ladder_history(1_000).events).finish()
+    built = 0
+    init = Edge.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Edge, "__init__", counted)
+    witnesses = [
+        witness_cycle(analysis, p)
+        for p in (Phenomenon.G0, Phenomenon.G1C, Phenomenon.G2_ITEM, Phenomenon.G2)
+    ]
+    length = sum(len(w) for w in witnesses if w is not None)
+    assert length >= 10  # not vacuous: G2 and G2-item in both orders
+    assert 0 < built <= length
+    # Flattening every edge into a second table would build this many.
+    assert analysis.edges_inserted > 100 * length
+
+
+def test_the_scc_pass_reads_the_table_in_place(monkeypatch):
+    columns = []
+    adjacency_of = graph.adjacency_of
+
+    def recording(rows, src, dst):
+        columns.append((src, dst))
+        return adjacency_of(rows, src, dst)
+
+    monkeypatch.setattr(graph, "adjacency_of", recording)
+    analysis = IncrementalAnalysis()
+    # A wr/wr cycle (G1c), then a write-skew-shaped anti-dependency cycle.
+    history = repro.parse_history(
+        "w1(x1) w2(y2) r1(y2) r2(x1) c1 c2 r3(x1) r4(z0) w4(x4) c4 w3(z3) c3"
+    )
+    for event in history.events:
+        analysis.add(event)
+        analysis.exhibits(Phenomenon.G2)
+        analysis.exhibits(Phenomenon.G2_ITEM)
+    assert analysis.exhibits(Phenomenon.G1C) and analysis.exhibits(Phenomenon.G2)
+    assert columns, "no SCC pass ran"
+    table = analysis._table
+    assert all(src is table.src and dst is table.dst for src, dst in columns)

@@ -4,7 +4,7 @@
 cycle in the phenomenon's view while the ww+wr view is acyclic must thread
 an anti-dependency edge (Section 5: G1c is a cycle of dependency edges only,
 G2 a cycle with one or more anti-dependency edges).  Only with G1c present
-does it run an SCC pass, over interned int keys.  This file compares those
+does it run an SCC pass, over the rows of its edge table.  This file compares those
 answers, after *every* event, with an oracle written from the definitions
 over the materialised edge list — build the kept subgraph, take strongly
 connected components, look for a qualifying edge inside one — and pins the
@@ -20,7 +20,7 @@ import pytest
 
 import repro
 from repro.core import cycles, graph
-from repro.core.conflicts import DepKind, PredicateDepMode
+from repro.core.conflicts import DepKind, EdgeTable, PredicateDepMode
 from repro.core.events import Commit
 from repro.core.incremental import CORE_PHENOMENA, IncrementalAnalysis
 from repro.core.levels import ANSI_CHAIN, IsolationLevel
@@ -286,10 +286,10 @@ def test_level_queries_never_materialise_edges(events, order_mode, monkeypatch):
     reference = IncrementalAnalysis(order_mode=order_mode).add_all(events)
     expected = oracle(reference)
 
-    def refuse(self, key, cursor):
+    def refuse(self, row):
         raise AssertionError("a level query materialised an Edge")
 
-    monkeypatch.setattr(IncrementalAnalysis, "_materialise", refuse)
+    monkeypatch.setattr(EdgeTable, "edge", refuse)
     analysis = IncrementalAnalysis(order_mode=order_mode)
     for event in events:
         analysis.add(event)
