@@ -86,8 +86,7 @@ class DepKind(Enum):
         return self.value
 
 
-#: Edge kind codes: the row index of :data:`DEPTH`, and the kind field of
-#: the online checker's dedup keys.
+#: Edge kind codes: the row index of :data:`DEPTH`.
 WW, WR, RW = 0, 1, 2
 
 #: The nested views of one DSG, largest first; a view's number is its depth::

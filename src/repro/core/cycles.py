@@ -8,11 +8,12 @@ same edge set, and the subsets nest::
 
 :class:`ViewChain` reads the rows of the online checker's
 :class:`~repro.core.conflicts.EdgeTable` — the representation the batch
-checker uses — and gives those four verdicts out.  Which flavour belongs to
-which views is stated once, for both checkers:
-:data:`repro.core.conflicts.DEPTH`, which gives each row its ``depth``
-column when it is appended; the feed, the removal, the replay and the SCC
-pass compare that column with a view (and
+checker uses — and gives those four verdicts out.  The checker only appends
+rows; the chain reads the ones appended since its last answer itself, in
+row order, when it is next asked.  Which flavour belongs to which views is
+stated once, for both checkers: :data:`repro.core.conflicts.DEPTH`, which
+gives each row its ``depth`` column when it is appended; the row reads, the
+removal, the replay and the SCC pass compare that column with a view (and
 :data:`repro.core.phenomena.VIEW_OF` names the view behind each
 phenomenon).  A tombstoned row (depth ``-1``) is in no view.
 
@@ -25,7 +26,7 @@ The live view is tracked by the batch checker's certificate first
 when it enters the graph — its place in commit order, ``-1`` for a setup
 transaction — and while every row of the view has ``rank[src] <
 rank[dst]`` the ranks are a topological order of it: the view is acyclic and
-an insert costs one compare.  The first row that does not go forward builds
+a row costs one compare.  The first row that does not go forward builds
 a :class:`_CycleMonitor` (a Pearce–Kelly dynamic topological order) by
 replaying the view's rows once, and the monitor answers from then on.  When
 the live view closes its first cycle the next smaller view is brought live
@@ -39,9 +40,10 @@ to thread an anti-dependency edge — an edge of the view that is not in the
 dependency view.  While the dependency view is acyclic no cycle consists of
 ww/wr edges alone, so a latched full (resp. item) view *is* the verdict, in
 O(1).  Only once G1c is itself present can the view's cycle be a pure
-dependency cycle, and the question goes to an SCC pass, one per edge
-generation until the verdict turns True: the batch checker's view graph and
-Tarjan (:func:`repro.core.dsg.view_adjacency`,
+dependency cycle, and the question goes to an SCC pass, one per table
+generation (an append or a tombstone starts a new one) until the verdict
+turns True: the batch checker's view graph and Tarjan
+(:func:`repro.core.dsg.view_adjacency`,
 :func:`repro.core.graph.component_index`) over the table's own columns.
 """
 
@@ -164,12 +166,12 @@ class ViewChain:
 
     ``table`` is the owner's :class:`~repro.core.conflicts.EdgeTable`, held
     by reference; only its ``src``, ``dst`` and ``depth`` columns are read
-    here.  The owner appends a row *before* calling :meth:`add` with its
-    ends and depth, and calls :meth:`remove` with them before it
-    tombstones the row; the certificate scan, the replay and the SCC pass
-    read the columns in place.  ``rank`` is the owner's node -> rank dict,
-    also held by reference: both ends of a row have an entry before it is
-    added, and an entry never changes.
+    here.  The owner only appends rows: the chain reads the rows appended
+    since its last answer itself, at the next :meth:`present`, so feeding
+    a row costs the owner nothing here.  Before the owner tombstones a row
+    it calls :meth:`remove` with it.  ``rank`` is the owner's node -> rank
+    dict, also held by reference: both ends of a row have an entry by the
+    time the row is read, and an entry never changes.
 
     Verdicts are permanent.  That is sound for a growing edge set, and for
     the one removal the online analysis performs — a version-chain repair,
@@ -178,12 +180,10 @@ class ViewChain:
     break the last one.  :meth:`remove` is correct for removals of that
     shape only: it keeps the live view's monitor exact (a certified view
     stays certified: fewer rows cannot go backward) and never re-opens a
-    latched view.
+    latched view.  A row tombstoned before the chain read it is never read.
     """
 
-    __slots__ = (
-        "_table", "_rank", "_metrics", "_live", "_monitor", "generation", "_passes"
-    )
+    __slots__ = ("_table", "_rank", "_metrics", "_live", "_monitor", "_read", "_passes")
 
     def __init__(
         self,
@@ -200,29 +200,52 @@ class ViewChain:
         #: The live view's monitor; ``None`` while the certificate covers the
         #: view (every row goes forward in rank) and once all are latched.
         self._monitor: Optional[_CycleMonitor] = None
-        #: Bumped on every add/remove; SCC pass answers are cached against it.
-        self.generation = 0
+        #: Rows ``0 .. _read - 1`` have been read.
+        self._read = 0
         self._passes: Dict[int, Tuple[int, bool]] = {}  # view -> (generation, present)
 
-    def add(self, u: int, v: int, depth: int) -> None:
-        self.generation += 1
-        if depth < self._live:
+    @property
+    def generation(self) -> int:
+        """Grows whenever the table's rows change (an append or a
+        tombstone); SCC pass answers are cached against it."""
+        table = self._table
+        return len(table.src) + table.tombstones
+
+    def _read_rows(self) -> None:
+        """Bring the live view up to date with the rows appended since the
+        last call, in row order."""
+        table = self._table
+        start, end = self._read, len(table.src)
+        self._read = end
+        live = self._live
+        if start == end or live > WRITE:
             return
+        columns = (table.src, table.dst, table.depth)
+        if start:  # a table read for the first time is not copied
+            columns = tuple(column[start:] for column in columns)
+        rows = zip(*columns)
         monitor = self._monitor
         if monitor is None:
             rank = self._rank
-            if rank[u] < rank[v]:
+            for u, v, depth in rows:
+                if depth >= live and rank[u] >= rank[v]:
+                    break
+            else:
                 return
             closed = self._replay()
         else:
-            closed = monitor.add(u, v)
+            add = monitor.add
+            closed = any(depth >= live and add(u, v) for u, v, depth in rows)
         if closed:
             self._latch()
 
-    def remove(self, u: int, v: int, depth: int) -> None:
-        self.generation += 1
-        if self._monitor is not None and depth >= self._live:
-            self._monitor.remove(u, v)
+    def remove(self, row: int) -> None:
+        """Row ``row`` is about to be tombstoned."""
+        monitor = self._monitor
+        if monitor is not None and row < self._read:
+            table = self._table
+            if table.depth[row] >= self._live:
+                monitor.remove(table.src[row], table.dst[row])
 
     def _latch(self) -> None:
         """The live view closed its first cycle: bring the next smaller
@@ -244,7 +267,7 @@ class ViewChain:
         return True
 
     def _replay(self) -> bool:
-        """Build the live view's monitor from the rows accumulated so far;
+        """Build the live view's monitor from every row appended so far;
         True if they close a cycle."""
         live = self._live
         monitor = self._monitor = _CycleMonitor()
@@ -257,7 +280,8 @@ class ViewChain:
 
     def present(self, phenomenon: Phenomenon) -> bool:
         """Presence of ``phenomenon`` (G0, G1c, G2-item or G2) over the
-        edges added so far."""
+        rows appended so far."""
+        self._read_rows()
         view = VIEW_OF[phenomenon]
         if view >= self._live:
             return False

@@ -13,26 +13,32 @@ maintains, between events, everything the batch checker derives from a full
   merge;
 * the G1a/G1b witness sets.
 
-G0/G1/G2 queries are then O(1) in the steady state: every new row is
-handed, with its depth, to a :class:`~repro.core.cycles.ViewChain`, which
-detects each cycle phenomenon at the *edge insert* that closes it, and
-presence is monotone over a growing history so a positive verdict is
-cached permanently.  The chain certifies a view acyclic the way the batch
-checker does, by node ranks in which every edge of the view goes forward
-(commit order, ``-1`` for setup installers, fixed when a node enters the
-DSG), at one compare per insert; a Pearce–Kelly monitor exists only for a
-view some edge goes backward in (see :mod:`repro.core.cycles`).  Appending
-one transaction and re-querying therefore costs amortised O(new edges), not
-O(history) — the asymptotic gap ``bench_scaling_incremental`` pins.
+G0/G1/G2 queries are then O(1) in the steady state: a
+:class:`~repro.core.cycles.ViewChain` holds the same table and, at each
+query, reads the rows appended since its last answer itself — appending a
+row costs the feed nothing there — finding each cycle phenomenon at the row
+that closes it; presence is monotone over a growing history, so a positive
+verdict is cached permanently.  The chain certifies a view acyclic the way
+the batch checker does, by node ranks in which every edge of the view goes
+forward (commit order, ``-1`` for setup installers, fixed when a node
+enters the DSG), at one compare per row; a Pearce–Kelly monitor exists only
+for a view some edge goes backward in (see :mod:`repro.core.cycles`).
+Appending one transaction and re-querying therefore costs amortised O(new
+edges), not O(history) — the asymptotic gap ``bench_scaling_incremental``
+pins.
 
 Interned hot path
 -----------------
 
 All internal state is keyed by dense ints from a per-analysis
-:class:`~repro.core.interning.Interner`: a version is hashed exactly once
-(at first mention), and from then on chains are lists of version ids,
-a conflict's dedup key is a 5-int tuple, and the per-event work is int
-dict/list traffic instead of dataclass hashing.  A read or a write
+:class:`~repro.core.interning.Interner`.  A version is looked up by its
+``(obj, tid, seq)`` tuple, one probe per read or write whether it is new
+or not, and is never hashed as a :class:`~repro.core.objects.Version` (the
+tuple hashes and compares in C); a predicate read keeps its version set
+as ``{oid: vid}``, so its commit looks nothing up again.  From then on
+chains are lists of version ids, a conflict's dedup key is a 5-int tuple
+(the row's depth stands in for its kind), and the per-event work is int
+dict/list traffic.  A read or a write
 allocates no container of its own: events dispatch on
 :data:`~repro.core.interning._KIND_OF_TYPE` (the table
 :class:`~repro.core.interning.EventLog` uses), a transaction's final writes
@@ -79,6 +85,7 @@ presence and level queries without that round trip.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -92,8 +99,7 @@ from typing import (
     Tuple,
 )
 
-from .conflicts import DEPTH, Edge, EdgeTable, PredicateDepMode
-from .conflicts import RW as _KA, WR as _KR, WW as _KW
+from .conflicts import DEPTH, RW, WR, WW, Edge, EdgeTable, PredicateDepMode
 from .cycles import ViewChain
 from .events import Abort, Event, PredicateRead, Read, Write
 from .interning import (
@@ -109,9 +115,16 @@ from .interning import (
 from .levels import ANSI_CHAIN, IsolationLevel
 from .objects import INIT_TID, Version, relation_of
 from .phenomena import Phenomenon, PhenomenonReport, Witness
-from .predicates import Predicate, VersionSet
+from .predicates import Predicate
 
 __all__ = ["IncrementalAnalysis"]
+
+#: The depth of each edge flavour's rows (:data:`~repro.core.conflicts.DEPTH`):
+#: ww, item wr, item rw, predicate wr, predicate rw.  With the predicate id
+#: beside it, a depth also tells a row's flavour, so it stands in for the
+#: kind in the dedup key.
+_WW, _WR, _RW = (DEPTH[kind][0] for kind in (WW, WR, RW))
+_PWR, _PRW = DEPTH[WR][1], DEPTH[RW][1]
 
 #: Phenomena the incremental layer answers directly.
 CORE_PHENOMENA: Tuple[Phenomenon, ...] = (
@@ -134,14 +147,15 @@ _CORE_PROSCRIBED: Dict[IsolationLevel, Tuple[Phenomenon, ...]] = {
 
 
 class _PreadRec:
-    """Mutable record of one predicate read."""
+    """Mutable record of one predicate read; ``selected`` is its version
+    set interned, ``{oid: vid}`` in the set's order."""
 
-    __slots__ = ("tid", "predicate", "vset", "committed")
+    __slots__ = ("tid", "predicate", "selected", "committed")
 
-    def __init__(self, tid: int, predicate: Predicate, vset: VersionSet):
+    def __init__(self, tid: int, predicate: Predicate):
         self.tid = tid
         self.predicate = predicate
-        self.vset = vset
+        self.selected: Dict[int, int] = {}
         self.committed = False
 
 
@@ -173,6 +187,7 @@ class IncrementalAnalysis:
         "committed",
         "aborted",
         "_in",
+        "_vids",
         "_hint_by_version",
         "_hint_key",
         "_chains",
@@ -255,7 +270,11 @@ class IncrementalAnalysis:
                         self._hint_by_version[v] = i
         self._hint_key: Dict[int, int] = {}  # vid -> hinted position
         # --- interned identity space -----------------------------------
+        # Objects and the vid -> version columns live in ``_in``; versions
+        # are looked up by ``(obj, tid, seq)`` in ``_vids``, so
+        # ``_in.version_id`` stays empty.
         self._in = Interner()
+        self._vids: Dict[Tuple[str, int, int], int] = {}
         # --- chains (all indexed by oid) --------------------------------
         self._chains: List[List[int]] = []  # oid -> [vid, ...], [0] unborn
         self._unborn_vid: List[int] = []
@@ -288,7 +307,7 @@ class IncrementalAnalysis:
         self._rank: Dict[int, int] = {}
         # --- edges and verdict caches ----------------------------------
         self._table = EdgeTable()
-        #: (src, dst, kind code, vid, pid) -> live row; pid 0 = no predicate.
+        #: (src, dst, depth, vid, pid) -> live row; pid 0 = no predicate.
         self._row_of: Dict[Tuple[int, ...], int] = {}
         # oid -> keys of its chain-dependent rows; built lazily at the first
         # structural repair (append-only runs never pay for it).
@@ -327,7 +346,7 @@ class IncrementalAnalysis:
         if oid is not None:
             return oid
         oid = in_.intern_object(obj)
-        uv = in_.intern_version(Version.unborn(obj))
+        uv = self._vid_of(Version.unborn(obj))
         self._unborn_vid.append(uv)
         self._chains.append([uv])
         self._pos[uv] = 0
@@ -339,28 +358,35 @@ class IncrementalAnalysis:
         return oid
 
     def _vid_of(self, v: Version) -> int:
-        """Version id, interning (and registering the object) on first use."""
+        """Version id, interning (and registering the object) on first use.
+
+        One probe of ``_vids``, hit or miss, once the object is known: the
+        key is the version's ``(obj, tid, seq)`` tuple, which hashes and
+        compares in C, where a :class:`Version` key runs its ``__hash__``
+        (and, for an equal instance from another event, ``__eq__``) in
+        Python."""
+        vids = self._vids
+        key = (v.obj, v.tid, v.seq)
+        new = len(vids)
+        vid = vids.setdefault(key, new)
+        if vid != new:
+            return vid
         in_ = self._in
-        vid = in_.version_id.get(v)
-        if vid is None:
-            oid = in_.obj_id.get(v.obj)
-            if oid is None:
-                oid = self._register_object(v.obj)
-                if v.tid == INIT_TID:
-                    # Registering interned the unborn version, which may be
-                    # the very version being asked for.
-                    vid = in_.version_id.get(v)
-                    if vid is not None:
-                        return vid
-            vid = in_.version_id[v] = len(in_.versions)
-            in_.versions.append(v)
-            in_.ver_obj.append(oid)
-            in_.ver_tid.append(v.tid)
-            in_.ver_seq.append(v.seq)
-            if self._hint_by_version:
-                hint = self._hint_by_version.get(v)
-                if hint is not None:
-                    self._hint_key[vid] = hint
+        oid = in_.obj_id.get(v.obj)
+        if oid is None:
+            # A new object's unborn version takes the next id first (and may
+            # be ``v`` itself).
+            del vids[key]
+            self._register_object(v.obj)
+            return self._vid_of(v)
+        in_.versions.append(v)
+        in_.ver_obj.append(oid)
+        in_.ver_tid.append(v.tid)
+        in_.ver_seq.append(v.seq)
+        if self._hint_by_version:
+            hint = self._hint_by_version.get(v)
+            if hint is not None:
+                self._hint_key[vid] = hint
         return vid
 
     def _pid_of(self, predicate: Optional[Predicate]) -> int:
@@ -391,15 +417,15 @@ class IncrementalAnalysis:
         default the transaction's final write per object) and their install
         keys (by default per ``order_mode``).
         """
-        index = len(self.events)
-        self.events.append(event)
+        events = self.events
+        events.append(event)
         if self._ev_counter is not None:
             self._ev_counter.inc()
         kind = _KIND_OF_TYPE.get(type(event))
         if kind is None:
             kind = _kind_by_base(event)
         if kind == K_WRITE:
-            self._on_write(event, index)
+            self._on_write(event, len(events) - 1)
         elif kind == K_READ:
             self._on_read(event)
         elif kind == K_PREAD:
@@ -424,15 +450,9 @@ class IncrementalAnalysis:
         """Section 4.2's completion rule: abort every unfinished
         transaction (mirrors ``History(auto_complete=True)``)."""
         finished = self.committed | self.aborted
-        pending = []
-        seen: Dict[int, None] = {}
-        for ev in self.events:
-            seen.setdefault(ev.tid, None)
-        for tid in seen:
-            if tid not in finished:
-                pending.append(Abort(tid))
-        for ev in pending:
-            self.add(ev)
+        tids = dict.fromkeys(map(attrgetter("tid"), self.events))
+        for tid in [tid for tid in tids if tid not in finished]:
+            self.add(Abort(tid))
 
     # ------------------------------------------------------------------
     # event handlers
@@ -440,10 +460,7 @@ class IncrementalAnalysis:
 
     def _on_write(self, ev: Write, index: int) -> None:
         in_ = self._in
-        version = ev.version
-        vid = in_.version_id.get(version)
-        if vid is None:
-            vid = self._vid_of(version)
+        vid = self._vid_of(ev.version)
         tid = ev.tid
         self._write_at[vid] = index
         vlist = self._versions_of_tid.get(tid)
@@ -484,10 +501,7 @@ class IncrementalAnalysis:
 
     def _on_read(self, ev: Read) -> None:
         in_ = self._in
-        version = ev.version
-        vid = in_.version_id.get(version)
-        if vid is None:
-            vid = self._vid_of(version)
+        vid = self._vid_of(ev.version)
         readers = self._reads_by_version.get(vid)
         if readers is None:
             self._reads_by_version[vid] = [ev]
@@ -513,17 +527,17 @@ class IncrementalAnalysis:
             self._repair_object(self._in.ver_obj[vid])
 
     def _on_pread(self, ev: PredicateRead) -> None:
-        rec = _PreadRec(ev.tid, ev.predicate, ev.vset)
+        rec = _PreadRec(ev.tid, ev.predicate)
         self._preads_of_tid.setdefault(ev.tid, []).append(rec)
         for rel in ev.predicate.relations:
             self._preads_by_relation.setdefault(rel, []).append(rec)
+        in_ = self._in
         for v in ev.vset.versions():
             vid = self._vid_of(v)
+            rec.selected[in_.ver_obj[vid]] = vid
             self._preads_by_vset_version.setdefault(vid, []).append(rec)
-            if vid not in self._write_at and self._in.ver_tid[vid] != INIT_TID:
+            if vid not in self._write_at and in_.ver_tid[vid] != INIT_TID:
                 self._note_possible_setup(vid)
-        for obj in ev.vset.objects():
-            self._register_object(obj)
 
     def _on_commit(
         self,
@@ -540,24 +554,24 @@ class IncrementalAnalysis:
         objects = in_.objects
         written = self._versions_of_tid.get(tid, ())
         mine = self._final.get(tid, {})
-        fin: Dict[str, int]
-        if finals is None:
-            fin = {objects[oid]: vid for oid, vid in mine.items()}
-        else:
-            fin = {obj: self._vid_of(v) for obj, v in finals.items()}
         hints = self._hint_key
         commit_keyed = self.order_mode == "commit"
-        if positions is None and not hints and commit_keyed:
-            # The dominant shape: default install keys from the commit
-            # counter, no explicit positions and no order hints.
+        if finals is None and positions is None and not hints and commit_keyed:
+            # The dominant shape: the transaction's own final writes, in
+            # object-name order, keyed by the commit counter.
             counter = self._commit_counter
             install = self._install
-            for obj in (sorted(fin) if len(fin) > 1 else fin):
-                vid = fin[obj]
+            by_name = sorted(mine, key=objects.__getitem__) if len(mine) > 1 else mine
+            for oid in by_name:
                 counter += 1
-                install(ver_obj[vid], vid, (0, counter))
+                install(oid, mine[oid], (0, counter))
             self._commit_counter = counter
         else:
+            fin: Dict[str, int]
+            if finals is None:
+                fin = {objects[oid]: vid for oid, vid in mine.items()}
+            else:
+                fin = {obj: self._vid_of(v) for obj, v in finals.items()}
             for obj in sorted(fin):
                 vid = fin[obj]
                 oid = ver_obj[vid]
@@ -587,7 +601,7 @@ class IncrementalAnalysis:
             for vid, read in zip(pairs, pairs):
                 writer = ver_tid[vid]
                 if writer in aborted:
-                    self._add_g1a(tid, vid)
+                    self._g1a.add((tid, vid))
                 if writer != tid:
                     if vid in intermediate:
                         self._add_g1b(tid, vid)
@@ -596,7 +610,7 @@ class IncrementalAnalysis:
                         and writer in rank
                         and writer not in aborted
                     ):
-                        add_edge(writer, tid, _KR, vid, 0, False)
+                        add_edge(writer, tid, _WR, vid, 0, False)
                 idx = pos.get(vid)
                 if idx is not None:
                     chain = chains[ver_obj[vid]]
@@ -604,14 +618,13 @@ class IncrementalAnalysis:
                         nxt = chain[idx + 1]
                         ntid = ver_tid[nxt]
                         if ntid != tid:
-                            add_edge(tid, ntid, _KA, nxt, 0, read.cursor)
+                            add_edge(tid, ntid, _RW, nxt, 0, read.cursor)
         # Predicate reads by the newly committed transaction.
         for rec in self._preads_of_tid.get(tid, ()):
             rec.committed = True
-            for v in rec.vset.versions():
-                vid = self._vid_of(v)
+            for vid in rec.selected.values():
                 if ver_tid[vid] in self.aborted:
-                    self._add_g1a(tid, vid)
+                    self._g1a.add((tid, vid))
                 if ver_tid[vid] != tid and vid in self._intermediate:
                     self._add_g1b(tid, vid)
             for oid in self._vset_oids(rec):
@@ -626,7 +639,7 @@ class IncrementalAnalysis:
                 for read in self._reads_by_version.get(vid, ()):
                     rt = read.tid
                     if rt != tid and rt in committed:
-                        add_edge(tid, rt, _KR, vid, 0, False)
+                        add_edge(tid, rt, _WR, vid, 0, False)
 
     def _on_abort(self, tid: int) -> None:
         self.aborted.add(tid)
@@ -634,10 +647,10 @@ class IncrementalAnalysis:
         for vid in self._versions_of_tid.get(tid, ()):
             for read in self._reads_by_version.get(vid, ()):
                 if read.tid in committed:
-                    self._add_g1a(read.tid, vid)
+                    self._g1a.add((read.tid, vid))
             for rec in self._preads_by_vset_version.get(vid, ()):
                 if rec.committed:
-                    self._add_g1a(rec.tid, vid)
+                    self._g1a.add((rec.tid, vid))
 
     # ------------------------------------------------------------------
     # chains
@@ -706,7 +719,7 @@ class IncrementalAnalysis:
         vtid = ver_tid[vid]
         ptid = ver_tid[prev]
         if ptid != INIT_TID and ptid != vtid:
-            self._add_edge(ptid, vtid, _KW, vid, 0, False)
+            self._add_edge(ptid, vtid, _WW, vid, 0, False)
         readers = self._reads_by_version.get(prev)
         if readers:
             committed = self.committed
@@ -714,21 +727,19 @@ class IncrementalAnalysis:
             for read in readers:
                 rt = read.tid
                 if rt != vtid and rt in committed:
-                    add_edge(rt, vtid, _KA, vid, 0, read.cursor)
+                    add_edge(rt, vtid, _RW, vid, 0, read.cursor)
         recs = self._preads_by_relation.get(self._rel[oid])
         if recs:
-            obj = in_.objects[oid]
             unborn = self._unborn_vid[oid]
             for rec in recs:
                 if not rec.committed:
                     continue
-                selected = rec.vset.get(obj)
-                if selected is None or selected.tid == INIT_TID:
-                    svid: Optional[int] = unborn
+                svid = rec.selected.get(oid)
+                if svid is None or ver_tid[svid] == INIT_TID:
+                    svid = unborn
                     idx: Optional[int] = 0
                 else:
-                    svid = in_.version_id.get(selected)
-                    idx = None if svid is None else self._pos.get(svid)
+                    idx = self._pos.get(svid)
                 if svid == vid:
                     # The selected version itself just installed: the read-
                     # dependency edges of this (pread, object) pair now exist.
@@ -742,7 +753,7 @@ class IncrementalAnalysis:
                     and self._changes_at(chain, pos, rec.predicate)
                 ):
                     self._add_edge(
-                        rec.tid, vtid, _KA, vid, self._pid_of(rec.predicate), False
+                        rec.tid, vtid, _PRW, vid, self._pid_of(rec.predicate), False
                     )
 
     def _repair_object(self, oid: int) -> None:
@@ -754,16 +765,16 @@ class IncrementalAnalysis:
             ver_obj = self._in.ver_obj
             index: Dict[int, List[Tuple[int, ...]]] = {}
             for key in row_of:
-                if key[2] != _KR or key[4]:
+                if key[2] != _WR or key[4]:
                     index.setdefault(ver_obj[key[3]], []).append(key)
             self._edge_keys_by_obj = index
         table = self._table
-        src, dst, depth = table.src, table.dst, table.depth
+        depth = table.depth
         remove = self._cycles.remove
         keys = self._edge_keys_by_obj.get(oid, ())
         for key in keys:
             row = row_of.pop(key)
-            remove(src[row], dst[row], depth[row])
+            remove(row)
             depth[row] = -1  # a tombstone: in no view
         table.tombstones += len(keys)
         self._edge_keys_by_obj[oid] = []
@@ -779,11 +790,11 @@ class IncrementalAnalysis:
             vtid = ver_tid[vid]
             ptid = ver_tid[prev]
             if ptid != INIT_TID and ptid != vtid:
-                add_edge(ptid, vtid, _KW, vid, 0, False)
+                add_edge(ptid, vtid, _WW, vid, 0, False)
             for read in self._reads_by_version.get(prev, ()):
                 rt = read.tid
                 if rt in committed and rt != vtid:
-                    add_edge(rt, vtid, _KA, vid, 0, read.cursor)
+                    add_edge(rt, vtid, _RW, vid, 0, read.cursor)
         for rec in self._preads_by_relation.get(self._rel[oid], ()):
             if rec.committed:
                 self._pread_read_edges(rec, oid)
@@ -799,9 +810,10 @@ class IncrementalAnalysis:
         for rel in rec.predicate.relations:
             for obj in self._objects_by_relation.get(rel, ()):
                 oids.setdefault(obj_id[obj], None)
-        for obj in rec.vset.objects():
-            if rec.predicate.covers(obj):
-                oids.setdefault(self._register_object(obj), None)
+        objects = self._in.objects
+        for oid in rec.selected:
+            if rec.predicate.covers(objects[oid]):
+                oids.setdefault(oid, None)
         return tuple(oids)
 
     def _match_cache(self, predicate: Predicate) -> Dict[int, bool]:
@@ -843,11 +855,10 @@ class IncrementalAnalysis:
         )
 
     def _selected_index(self, rec: _PreadRec, oid: int) -> Optional[int]:
-        selected = rec.vset.get(self._in.objects[oid])
-        if selected is None:
+        svid = rec.selected.get(oid)
+        if svid is None:
             return 0  # implicit unborn selection
-        svid = self._in.version_id.get(selected)
-        return None if svid is None else self._pos.get(svid)
+        return self._pos.get(svid)
 
     def _pread_read_edges(self, rec: _PreadRec, oid: int) -> None:
         idx = self._selected_index(rec, oid)
@@ -864,7 +875,7 @@ class IncrementalAnalysis:
         for k in changers:
             vid = chain[k]
             if ver_tid[vid] != rec.tid:
-                self._add_edge(ver_tid[vid], rec.tid, _KR, vid, pid, False)
+                self._add_edge(ver_tid[vid], rec.tid, _PWR, vid, pid, False)
 
     def _pread_anti_edges(self, rec: _PreadRec, oid: int) -> None:
         idx = self._selected_index(rec, oid)
@@ -876,21 +887,23 @@ class IncrementalAnalysis:
         for k in range(idx + 1, len(chain)):
             vid = chain[k]
             if ver_tid[vid] != rec.tid and self._changes_at(chain, k, rec.predicate):
-                self._add_edge(rec.tid, ver_tid[vid], _KA, vid, pid, False)
+                self._add_edge(rec.tid, ver_tid[vid], _PRW, vid, pid, False)
 
     # ------------------------------------------------------------------
     # edge store and verdicts
     # ------------------------------------------------------------------
 
     def _add_edge(
-        self, src: int, dst: int, kcode: int, vid: int, pid: int, cursor: bool
+        self, src: int, dst: int, depth: int, vid: int, pid: int, cursor: bool
     ) -> None:
-        key = (src, dst, kcode, vid, pid)
+        """Append the conflict ``src -> dst`` created by ``vid`` as a row of
+        ``depth`` (one of the ``_WW`` .. ``_PRW`` flavours), unless it is a
+        row already; then only a cursor flag is merged in."""
+        key = (src, dst, depth, vid, pid)
         table = self._table
         new = len(table.src)
         row = self._row_of.setdefault(key, new)
         if row == new:
-            depth = DEPTH[kcode][pid != 0]
             table.src.append(src)
             table.dst.append(dst)
             table.depth.append(depth)
@@ -903,20 +916,16 @@ class IncrementalAnalysis:
                 self._edge_counter.inc()
             # Chain-dependent flavours are re-derived on object repair; the
             # per-object key index exists only once a repair has happened.
-            if self._keyed_built and (kcode != _KR or pid):
+            if self._keyed_built and (depth != _WR or pid):
                 oid = self._in.ver_obj[vid]
                 by_obj = self._edge_keys_by_obj.get(oid)
                 if by_obj is None:
                     self._edge_keys_by_obj[oid] = [key]
                 else:
                     by_obj.append(key)
-            self._cycles.add(src, dst, depth)
         elif cursor and row not in table.cursor:
             table.cursor.add(row)
             table._made.pop(row, None)  # built before the merge: stale
-
-    def _add_g1a(self, tid: int, vid: int) -> None:
-        self._g1a.add((tid, vid))
 
     def _add_g1b(self, tid: int, vid: int) -> None:
         if vid in self._setup_versions:
@@ -958,14 +967,12 @@ class IncrementalAnalysis:
     def write_of(self, version: Version) -> Optional[Write]:
         """The write event that created ``version`` (``None`` for setup or
         unknown versions)."""
-        at = self._write_at.get(self._in.version_id.get(version))
+        at = self._write_at.get(self._vids.get((version.obj, version.tid, version.seq)))
         return None if at is None else self.events[at]
 
     def reads_of_version(self, version: Version) -> Tuple[Read, ...]:
         """The item reads that observed ``version``."""
-        vid = self._in.version_id.get(version)
-        if vid is None:
-            return ()
+        vid = self._vids.get((version.obj, version.tid, version.seq))
         return tuple(self._reads_by_version.get(vid, ()))
 
     def reads_of_tid(self, tid: int) -> Tuple[Read, ...]:

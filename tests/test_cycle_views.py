@@ -6,7 +6,8 @@ histories, whose graphs are sparse.  Here random insert-only streams of
 flavoured edges over at most 12 nodes are appended as rows of an
 :class:`~repro.core.conflicts.EdgeTable` — depth from
 :data:`~repro.core.conflicts.DEPTH`, as the online checker appends them —
-and fed straight in, and after every insert the chain's answers are
+and read by the chain at its next answer, and after every insert (and,
+in a second test, after every batch of inserts) the chain's answers are
 compared with Section 5's definitions,
 computed with ``graph.component_index`` over the same arcs, as rows of int
 columns, by rules written out below (not read from the chain's table).  Both
@@ -23,7 +24,7 @@ from collections import namedtuple
 
 import pytest
 
-from repro.core import graph
+from repro.core import cycles, graph
 from repro.core.conflicts import (
     DEPENDENCY,
     DEPTH,
@@ -79,14 +80,19 @@ def definition(arcs):
     }
 
 
-def append(table, chain, arc):
-    """Append ``arc`` as a row of ``table``, then hand it to ``chain``, as
-    the online checker does."""
-    depth = DEPTH[arc.kind][arc.pid != 0]
+def append(table, arc):
+    """Append ``arc`` as a row of ``table``, as the online checker does; the
+    chain reads it at its next answer."""
     table.src.append(arc.src)
     table.dst.append(arc.dst)
-    table.depth.append(depth)
-    chain.add(arc.src, arc.dst, depth)
+    table.depth.append(DEPTH[arc.kind][arc.pid != 0])
+
+
+def answers(chain):
+    """The chain's four verdicts (reading the rows appended since the last
+    answer), then which views it holds cyclic."""
+    present = {p: chain.present(p) for p in (G0, G1C, G2_ITEM, G2)}
+    return present, {view for view in KEEPS if view < chain._live}
 
 
 def stream(rng):
@@ -146,13 +152,12 @@ def test_every_insert_matches_definition():
             certified = chain._monitor is None and chain._live <= WRITE
             src, dst, kind, _oid, _vid, pid = key
             arcs.append(Arc(src, dst, kind, pid))
-            append(table, chain, arcs[-1])
+            append(table, arcs[-1])
             cyclic, present = definition(arcs)
             where = f"case {case} after {len(arcs)} edges"
-            for view, want in cyclic.items():
-                assert (view < chain._live) == want, (where, view)
-            for phenomenon, want in present.items():
-                assert chain.present(phenomenon) == want, (where, phenomenon)
+            got, latched = answers(chain)
+            assert got == present, where
+            assert latched == {v for v, want in cyclic.items() if want}, where
             if chain._monitor is not None:
                 assert_topological(chain, arcs)
                 regimes["ordered"] += 1
@@ -167,6 +172,93 @@ def test_every_insert_matches_definition():
         latched_at.add(chain._live)
     assert latched_at == {FULL, ITEM, DEPENDENCY, WRITE, WRITE + 1}
     assert min(regimes.values()) >= 100, regimes
+
+
+def test_rows_read_in_batches_match_definition():
+    # The online checker appends several rows per event and asks once in a
+    # while: the chain reads whatever was appended since its last answer.
+    rng = random.Random(23)
+    batches = read_back_pass = 0
+    for case in range(400):
+        table = EdgeTable()
+        keys, rank = stream(rng)
+        chain = ViewChain(table, rank)
+        arcs = []
+        while len(arcs) < len(keys):
+            before = chain._live
+            for key in keys[len(arcs):len(arcs) + rng.randrange(1, 9)]:
+                src, dst, kind, _oid, _vid, pid = key
+                arcs.append(Arc(src, dst, kind, pid))
+                append(table, arcs[-1])
+            cyclic, present = definition(arcs)
+            got, latched = answers(chain)
+            where = f"case {case} after {len(arcs)} edges"
+            assert got == present, where
+            assert latched == {v for v, want in cyclic.items() if want}, where
+            batches += 1
+            read_back_pass += chain._live > before + 1
+    # Not vacuous: a batch can latch more than one view at once.
+    assert batches >= 1_000 and read_back_pass >= 50, (batches, read_back_pass)
+
+
+class CountingRanks(dict):
+    """Node ranks that count their lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, node):
+        self.lookups += 1
+        return super().__getitem__(node)
+
+
+def test_each_row_is_read_once(monkeypatch):
+    # Asked after every append, the chain reads only the new row: two rank
+    # lookups while the certificate holds, one monitor insert after it.
+    adds = 0
+
+    class Counted(_CycleMonitor):
+        __slots__ = ()
+
+        def add(self, u, v):
+            nonlocal adds
+            adds += 1
+            return super().add(u, v)
+
+    monkeypatch.setattr(cycles, "_CycleMonitor", Counted)
+    n = 50
+    rank = CountingRanks((node, node) for node in range(n + 1))
+    a, b = n + 1, n + 2  # a -> b goes backward: rank[a] > rank[b]
+    rank.update({a: 3 * n, b: 2 * n})
+    rank.update((b + k, 3 * n + k) for k in range(1, 11))
+    table = EdgeTable()
+    chain = ViewChain(table, rank)
+    for node in range(n):
+        append(table, Arc(node, node + 1, RW, 0))
+        answers(chain)
+    assert rank.lookups == 2 * n and adds == 0
+    append(table, Arc(a, b, RW, 0))
+    answers(chain)  # the first backward row: a monitor replays every row
+    assert chain._monitor is not None and adds == n + 1
+    for node in range(b, b + 10):
+        append(table, Arc(node, node + 1, RW, 0))
+        answers(chain)
+    assert adds == n + 11 and rank.lookups == 2 * (n + 1)
+    assert answers(chain)[1] == set()  # no cycle anywhere
+
+
+def test_generation_moves_on_an_append_and_on_a_tombstone():
+    # SCC pass answers are cached against it: a repair that only tombstones
+    # must not be answered from the pass before it.
+    table = EdgeTable()
+    chain = ViewChain(table, {1: 0, 2: 1})
+    seen = {chain.generation}
+    append(table, Arc(1, 2, WW, 0))
+    seen.add(chain.generation)
+    chain.remove(0)
+    table.depth[0] = -1
+    table.tombstones += 1
+    seen.add(chain.generation)
+    assert len(seen) == 3
 
 
 def test_monitor_reports_the_insert_that_closes_the_first_cycle():
@@ -207,8 +299,9 @@ def test_two_cycle_of_one_flavour_enters_exactly_its_views(
     kind, pid = flavour
     table = EdgeTable()
     chain = ViewChain(table, {1: 0, 2: 1})
-    for src, dst in ((1, 2), (2, 1)):
-        assert chain._live == FULL
-        append(table, chain, Arc(src, dst, kind, pid))
-    assert {view for view in KEEPS if view < chain._live} == views
-    assert {p for p in (G0, G1C, G2_ITEM, G2) if chain.present(p)} == phenomena
+    append(table, Arc(1, 2, kind, pid))
+    assert answers(chain) == ({p: False for p in (G0, G1C, G2_ITEM, G2)}, set())
+    append(table, Arc(2, 1, kind, pid))
+    present, latched = answers(chain)
+    assert latched == views
+    assert {p for p, there in present.items() if there} == phenomena

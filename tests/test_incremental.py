@@ -308,6 +308,21 @@ class TestEdgeTable:
             assert (witness is not None) == inc.exhibits(phenomenon)
 
 
+class TestInstallOrder:
+    """A commit installs its final versions in object-name order, whatever
+    order the transaction first wrote them in; rows are appended in that
+    order, and every witness search visits rows in table order."""
+
+    @pytest.mark.parametrize("order_mode", ["event", "commit"])
+    def test_a_commit_installs_by_object_name(self, order_mode):
+        history = repro.parse_history("w1(b1) w1(a1) c1 w2(b2) w2(a2) c2")
+        inc = IncrementalAnalysis(order_mode=order_mode).add_all(history.events)
+        assert [(str(e), str(e.version)) for e in inc.edges] == [
+            ("T1 -ww-> T2", "a2"),
+            ("T1 -ww-> T2", "b2"),
+        ]
+
+
 class TestEngineMonitor:
     @pytest.mark.parametrize("scheduler_cls", [LockingScheduler, SnapshotIsolationScheduler])
     @pytest.mark.parametrize("seed", range(3))

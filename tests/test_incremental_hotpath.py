@@ -27,20 +27,29 @@ provenance witness read in place:
   it has edges (flattening every edge into a second table built one per
   edge);
 * the SCC pass that answers G2 / G2-item while G1c is present hands the
-  graph routines the table's own ``src`` / ``dst`` columns, not copies.
+  graph routines the table's own ``src`` / ``dst`` columns, not copies;
+* appending a row calls nothing in the view chain: the chain reads the
+  rows appended since its last answer at the next query, each row once;
+* each read or write is one probe of the analysis's ``(obj, tid, seq)`` ->
+  vid dict, and no :class:`~repro.core.objects.Version` is hashed or
+  compared on the way.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import inspect
 
 import pytest
 
 import repro
 from repro.core import cycles, graph
 from repro.core.conflicts import Edge
+from repro.core.events import Commit, PredicateRead, Read, Write
 from repro.core.incremental import IncrementalAnalysis
 from repro.core.levels import IsolationLevel
+from repro.core.objects import Version
 from repro.core.phenomena import Phenomenon
 from repro.observability.provenance import witness_cycle
 from repro.service import NetworkConfig, StressConfig, run_stress
@@ -165,6 +174,119 @@ def test_a_witness_builds_only_its_own_edges(monkeypatch, order_mode):
     assert 0 < built <= length
     # Flattening every edge into a second table would build this many.
     assert analysis.edges_inserted > 100 * length
+
+
+def _calls_into_the_view_chain(monkeypatch):
+    """Counts calls of every method of ``ViewChain``, by name."""
+    calls = collections.Counter()
+    for name, member in list(vars(cycles.ViewChain).items()):
+        if inspect.isfunction(member) and name != "__init__":
+
+            def counted(*args, _name=name, _member=member, **kwargs):
+                calls[_name] += 1
+                return _member(*args, **kwargs)
+
+            monkeypatch.setattr(cycles.ViewChain, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("order_mode", ["event", "commit"])
+def test_appending_rows_costs_the_view_chain_nothing(monkeypatch, order_mode):
+    # The chain reads the rows appended since its last answer itself, at
+    # the next query; a feed with no query calls into it only to tombstone
+    # a row it may have read (a repair, "event" order only).
+    calls = _calls_into_the_view_chain(monkeypatch)
+    analysis = IncrementalAnalysis(order_mode=order_mode)
+    analysis.add_all(_ladder_history(1_000).events).finish()
+    table = analysis._table
+    assert len(table) > 5_000  # not vacuous
+    assert dict(calls) == ({"remove": table.tombstones} if table.tombstones else {})
+    assert (order_mode == "event") == (table.tombstones > 0)
+    calls.clear()
+    assert analysis.strongest_level() is analysis.check().strongest_level
+    assert calls["_read_rows"] >= 1
+
+
+def test_the_view_chain_reads_each_row_once(monkeypatch):
+    # The service's shape: a level query after every commit.  Each query
+    # reads only the rows appended since the last one.
+    read = 0
+    read_rows = cycles.ViewChain._read_rows
+
+    def counted(chain):
+        nonlocal read
+        read += len(chain._table) - chain._read
+        read_rows(chain)
+
+    monkeypatch.setattr(cycles.ViewChain, "_read_rows", counted)
+    analysis = IncrementalAnalysis(order_mode="commit")
+    queries = 0
+    for event in _ladder_history(1_000).events:
+        analysis.add(event)
+        if isinstance(event, Commit):
+            analysis.provides(IsolationLevel.PL_3)
+            queries += 1
+    assert analysis.strongest_level() is IsolationLevel.PL_2
+    assert queries > 500 and read == len(analysis._table)
+
+
+class CountingDict(dict):
+    """A dict that counts ``setdefault`` and ``get`` probes."""
+
+    probes = 0
+
+    def setdefault(self, key, default=None):
+        self.probes += 1
+        return super().setdefault(key, default)
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize(
+    "history",
+    [
+        pytest.param(lambda: _ladder_history(1_000), id="ladder-1000"),
+        pytest.param(
+            lambda: synthetic_history(
+                n_txns=300, n_objects=30, stale_read_fraction=0.5,
+                predicate_fraction=0.2, seed=3,
+            ),
+            id="predicates-300",
+        ),
+    ],
+)
+@pytest.mark.parametrize("order_mode", ["event", "commit"])
+def test_one_intern_probe_per_read_or_write(monkeypatch, history, order_mode):
+    # Each version mention is one probe of the analysis's (obj, tid, seq) ->
+    # vid dict, hit or miss; a new object adds two (its unborn version, then
+    # the retry).  A commit re-resolves nothing it was told at the write,
+    # and no Version is hashed or compared on the way.
+    events = history().events
+    hashed = 0
+    version_hash = Version.__hash__
+
+    def counted_hash(self):
+        nonlocal hashed
+        hashed += 1
+        return version_hash(self)
+
+    monkeypatch.setattr(Version, "__hash__", counted_hash)
+    monkeypatch.setattr(
+        Version, "__eq__", lambda self, other: pytest.fail("Version compared")
+    )
+    analysis = IncrementalAnalysis(order_mode=order_mode)
+    analysis._vids = CountingDict()
+    analysis.add_all(events).finish()
+    analysis.strongest_level()
+    mentions = sum(
+        len(ev.vset) if isinstance(ev, PredicateRead) else 1
+        for ev in events
+        if isinstance(ev, (Read, Write, PredicateRead))
+    )
+    assert analysis._vids.probes == mentions + 2 * len(analysis._in.objects)
+    assert hashed == 0
 
 
 def test_the_scc_pass_reads_the_table_in_place(monkeypatch):
