@@ -134,11 +134,13 @@ def _fingerprint(result) -> Dict[str, Any]:
     }
 
 
-def digest(name: str, seed: int) -> Dict[str, Any]:
+def digest(
+    name: str, seed: int, configs: Dict[str, Callable[..., Any]] = CONFIGS
+) -> Dict[str, Any]:
     """The pinned fingerprint of one (config, seed): the bare run, and the
     same run with a registry and a tracer attached (small counters in clear,
     so a mismatch says *what* moved)."""
-    run = CONFIGS[name]
+    run = configs[name]
     metrics = MetricsRegistry()
     # The simulator leaves the tracer on wall-clock time; the registry clock
     # ticks once per scheduling round, so on it whole records are exact.
