@@ -25,11 +25,11 @@ simply give different transactions different profiles (Section 5.5's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..core.levels import IsolationLevel
 from ..core.objects import Version
-from ..core.predicates import Predicate, VersionSet
+from ..core.predicates import Predicate
 from ..exceptions import WouldBlock
 from .locks import LockDuration, LockManager, LockMode
 from .scheduler import PredicateResult, Scheduler
@@ -169,7 +169,8 @@ class LockingScheduler(Scheduler):
             else IsolationLevel.from_string(str(txn.level))
         )
 
-    def _top(self, obj: str) -> Optional[_CellEntry]:
+    def _visible(self, txn: Transaction, obj: str) -> Optional[_CellEntry]:
+        """The top of ``obj``'s in-place stack, committed or not."""
         stack = self._cells.get(obj)
         return stack[-1] if stack else None
 
@@ -186,15 +187,9 @@ class LockingScheduler(Scheduler):
         for_update: bool = False,
     ) -> Any:
         txn.require_active()
-        own = txn.buffer.get(obj)
-        if own is not None:
-            # Read-your-own-writes (model constraint E4); a read after the
-            # transaction's own delete observes nothing (E7).
-            if own.dead:
-                return None
-            self.recorder.read(txn.tid, own.version, own.value, cursor=cursor)
-            txn.read_set.add(obj)
-            return own.value
+        if obj in txn.buffer:
+            # Its own write: the shared read returns it, no lock needed.
+            return super().read(txn, obj, cursor=cursor)
         profile = self.profile_of(txn)
         if for_update:
             # SELECT ... FOR UPDATE: take the write lock up front so the
@@ -207,13 +202,7 @@ class LockingScheduler(Scheduler):
             self._acquire(
                 txn, lambda: self.locks.acquire_item(txn.tid, obj, LockMode.READ)
             )
-        entry = self._top(obj)
-        if entry is None or entry.dead:
-            value = None
-        else:
-            self.recorder.read(txn.tid, entry.version, entry.value, cursor=cursor)
-            txn.read_set.add(obj)
-            value = entry.value
+        value = super().read(txn, obj, cursor=cursor)
         if not for_update and profile.item_read is LockDuration.SHORT:
             self.locks.downgrade_or_release_read(txn.tid, obj)
         return value
@@ -226,7 +215,7 @@ class LockingScheduler(Scheduler):
         self._acquire(
             txn, lambda: self.locks.acquire_item(txn.tid, obj, LockMode.WRITE)
         )
-        self._refuse_deleted(txn, obj, self._top(obj))
+        self._refuse_deleted(txn, obj, self._visible(txn, obj))
         self.store.register(obj)
         version = txn.next_version(obj)
         entry = _CellEntry(version, None if dead else value, dead)
@@ -234,7 +223,7 @@ class LockingScheduler(Scheduler):
         txn.write_set.add(obj)
         txn.final_write_index[obj] = len(self.recorder.events)
         self.recorder.write(txn.tid, version, entry.value, dead=dead)
-        txn.buffer[obj] = _make_buffered(version, entry.value, dead)
+        txn.buffer[obj] = BufferedWrite(version, entry.value, dead)
         if profile.item_write is LockDuration.SHORT:
             self.locks.release_item(txn.tid, obj)
 
@@ -243,37 +232,18 @@ class LockingScheduler(Scheduler):
     ) -> PredicateResult:
         txn.require_active()
         profile = self.profile_of(txn)
-        acquired = []
+        relations = sorted(predicate.relations)
         if profile.predicate_read is not LockDuration.NONE:
-            for relation in sorted(predicate.relations):
+            for relation in relations:
                 self._acquire(
                     txn,
                     lambda rel=relation: self.locks.acquire_relation(txn.tid, rel),
                 )
-                acquired.append(relation)
-        selected: Dict[str, Version] = {}
-        matched: List[Tuple[str, Any]] = []
-        for relation in sorted(predicate.relations):
-            for obj in self.store.objects_in(relation):
-                own = txn.buffer.get(obj)
-                if own is not None:
-                    # See your own inserts/updates/deletes (E4 analogue).
-                    selected[obj] = own.version
-                    if not own.dead and predicate.matches(own.version, own.value):
-                        matched.append((obj, own.value))
-                    continue
-                entry = self._top(obj)
-                if entry is None:
-                    continue  # implicitly the unborn version
-                selected[obj] = entry.version
-                if not entry.dead and predicate.matches(entry.version, entry.value):
-                    matched.append((obj, entry.value))
-        self.recorder.predicate_read(txn.tid, predicate, VersionSet(selected))
-        txn.predicates.append(predicate)
+        result = super().predicate_read(txn, predicate)
         if profile.predicate_read is LockDuration.SHORT:
-            for relation in acquired:
+            for relation in relations:
                 self.locks.release_relation(txn.tid, relation)
-        return PredicateResult(tuple(sorted(matched)))
+        return result
 
     def commit(self, txn: Transaction) -> None:
         txn.require_active()
@@ -310,6 +280,3 @@ class LockingScheduler(Scheduler):
         self.locks.release_all(txn.tid)
         txn.state = TxnState.ABORTED
 
-
-def _make_buffered(version: Version, value: Any, dead: bool):
-    return BufferedWrite(version, value, dead, -1)

@@ -54,21 +54,8 @@ class MixedOptimisticScheduler(OptimisticScheduler):
             level = IsolationLevel.from_string(str(level))
         return ansi_projection(level)
 
-    def _validate(self, txn: Transaction) -> None:
+    def _validate(self, txn: Transaction, *, predicates: bool = True) -> None:
         level = self._level_of(txn)
         if not level.implies(IsolationLevel.PL_2_99):
             return  # PL-1 / PL-2: reads-of-committed + commit-order installs suffice
-        check_predicates = level.implies(IsolationLevel.PL_3)
-        for record in reversed(self._log):
-            if record.commit_seq <= txn.snapshot_seq:
-                break
-            if record.write_set & txn.read_set:
-                self._validation_failed(txn, record.tid)
-            if check_predicates:
-                for predicate in txn.predicates:
-                    if self._changes_predicate(record, predicate):
-                        self._validation_failed(txn, record.tid)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "occ_validations_total", "OCC commit validations by outcome"
-            ).inc(scheduler=self.name, outcome="ok")
+        super()._validate(txn, predicates=level.implies(IsolationLevel.PL_3))

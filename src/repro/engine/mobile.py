@@ -211,9 +211,7 @@ class MobileClient:
         self.cluster.recorder.write(
             txn.tid, version, None if dead else value, dead=dead
         )
-        txn.buffer[obj] = BufferedWrite(
-            version, None if dead else value, dead, len(self.cluster.recorder.events) - 1
-        )
+        txn.buffer[obj] = BufferedWrite(version, None if dead else value, dead)
         txn.write_set.add(obj)
 
     def _predicate_read(
@@ -340,7 +338,7 @@ class MobileCluster:
             self.store.register(obj)
             version = loader.next_version(obj)
             self.recorder.write(0, version, value)
-            loader.buffer[obj] = BufferedWrite(version, value, False, -1)
+            loader.buffer[obj] = BufferedWrite(version, value, False)
         self.store.install(loader.final_values())
         self.recorder.commit(0, loader.finals())
 

@@ -19,13 +19,13 @@ site: start/commit timestamps come from the store's commit sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 from ..core.objects import Version
-from ..core.predicates import Predicate, VersionSet
+from ..core.predicates import Predicate
 from ..exceptions import ValidationFailure
-from .scheduler import PredicateResult, Scheduler
-from .transaction import BufferedWrite, Transaction, TxnState
+from .scheduler import Scheduler
+from .transaction import Transaction, TxnState
 
 __all__ = ["OptimisticScheduler"]
 
@@ -56,70 +56,6 @@ class OptimisticScheduler(Scheduler):
     def on_begin(self, txn: Transaction) -> None:
         txn.snapshot_seq = self.store.commit_seq
 
-    def read(
-        self,
-        txn: Transaction,
-        obj: str,
-        *,
-        cursor: bool = False,
-        for_update: bool = False,
-    ) -> Any:
-        txn.require_active()
-        own = txn.buffer.get(obj)
-        if own is not None:
-            if own.dead:
-                return None
-            self.recorder.read(txn.tid, own.version, own.value, cursor=cursor)
-            txn.read_set.add(obj)
-            return own.value
-        stored = self.store.latest(obj)
-        if stored is None or stored.dead:
-            return None
-        self.recorder.read(txn.tid, stored.version, stored.value, cursor=cursor)
-        txn.read_set.add(obj)
-        return stored.value
-
-    def write(
-        self, txn: Transaction, obj: str, value: Any, *, dead: bool = False
-    ) -> None:
-        txn.require_active()
-        self._refuse_deleted(
-            txn, obj, txn.buffer.get(obj) or self.store.latest(obj)
-        )
-        self.store.register(obj)
-        version = txn.next_version(obj)
-        self.recorder.write(txn.tid, version, None if dead else value, dead=dead)
-        txn.buffer[obj] = BufferedWrite(
-            version, None if dead else value, dead, len(self.recorder.events) - 1
-        )
-        txn.write_set.add(obj)
-
-    def predicate_read(
-        self, txn: Transaction, predicate: Predicate
-    ) -> PredicateResult:
-        txn.require_active()
-        selected: Dict[str, Version] = {}
-        matched: List[Tuple[str, Any]] = []
-        for relation in sorted(predicate.relations):
-            for obj in self.store.objects_in(relation):
-                own = txn.buffer.get(obj)
-                if own is not None:
-                    selected[obj] = own.version
-                    if not own.dead and predicate.matches(own.version, own.value):
-                        matched.append((obj, own.value))
-                    continue
-                stored = self.store.latest(obj)
-                if stored is None:
-                    continue  # implicitly unborn
-                selected[obj] = stored.version
-                if not stored.dead and predicate.matches(
-                    stored.version, stored.value
-                ):
-                    matched.append((obj, stored.value))
-        self.recorder.predicate_read(txn.tid, predicate, VersionSet(selected))
-        txn.predicates.append(predicate)
-        return PredicateResult(tuple(sorted(matched)))
-
     # ------------------------------------------------------------------
 
     def commit(self, txn: Transaction) -> None:
@@ -138,26 +74,21 @@ class OptimisticScheduler(Scheduler):
         self.recorder.commit(txn.tid, txn.finals())
         txn.state = TxnState.COMMITTED
 
-    def abort(self, txn: Transaction) -> None:
-        if txn.state is not TxnState.ACTIVE:
-            return
-        self.recorder.abort(txn.tid)
-        txn.state = TxnState.ABORTED
-
     # ------------------------------------------------------------------
 
-    def _validate(self, txn: Transaction) -> None:
+    def _validate(self, txn: Transaction, *, predicates: bool = True) -> None:
         """Backward validation: conflicts with transactions that committed
-        after this transaction began."""
+        after this transaction began — over its item reads, and with
+        ``predicates`` over its predicate reads too."""
         for record in reversed(self._log):
             if record.commit_seq <= txn.snapshot_seq:
                 break
-            clash = record.write_set & txn.read_set
-            if clash:
+            if record.write_set & txn.read_set:
                 self._validation_failed(txn, record.tid)
-            for predicate in txn.predicates:
-                if self._changes_predicate(record, predicate):
-                    self._validation_failed(txn, record.tid)
+            if predicates:
+                for predicate in txn.predicates:
+                    if self._changes_predicate(record, predicate):
+                        self._validation_failed(txn, record.tid)
         if self.metrics is not None:
             self.metrics.counter(
                 "occ_validations_total", "OCC commit validations by outcome"

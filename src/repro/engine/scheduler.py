@@ -16,6 +16,14 @@ insists its definitions must admit (Sections 1, 3):
   :class:`~repro.engine.mvcc.ReadCommittedMVScheduler` — multi-version
   schemes in the style of Oracle.
 
+The families differ in two things only: which version a transaction sees,
+and what its commit checks.  :class:`Scheduler` therefore reads, scans,
+buffers writes and aborts for all of them over one hook,
+:meth:`Scheduler._visible` (by default the latest committed version);
+a family overrides ``_visible`` and ``commit``, and locking wraps the shared
+read and scan in its lock acquire/release and keeps its own in-place
+``write`` and ``abort``.
+
 Operations raise :class:`~repro.exceptions.WouldBlock` when a lock must be
 waited for and :class:`~repro.exceptions.TransactionAborted` (subclasses)
 when the scheduler kills the transaction.
@@ -24,13 +32,14 @@ when the scheduler kills the transaction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..core.predicates import Predicate
+from ..core.objects import Version
+from ..core.predicates import Predicate, VersionSet
 from ..exceptions import InvalidOperation, TransactionAborted
 from .recorder import HistoryRecorder
-from .storage import MultiVersionStore
-from .transaction import Transaction
+from .storage import MultiVersionStore, StoredVersion
+from .transaction import BufferedWrite, Transaction, TxnState
 
 __all__ = ["PredicateResult", "Scheduler"]
 
@@ -53,8 +62,9 @@ class PredicateResult:
 
 
 class Scheduler:
-    """Base class wiring store and recorder; subclasses implement the
-    operations."""
+    """Base class wiring store and recorder, with the read, predicate scan,
+    buffered write and abort every scheme shares; subclasses pick the
+    visible version (:meth:`_visible`) and implement ``commit``."""
 
     #: Human-readable scheme name (reports, benchmarks).
     name: str = "abstract"
@@ -106,6 +116,12 @@ class Scheduler:
     def on_begin(self, txn: Transaction) -> None:
         """Hook: called by the database right after a transaction starts."""
 
+    def _visible(self, txn: Transaction, obj: str) -> Optional[StoredVersion]:
+        """The version of ``obj`` that ``txn``'s view holds when it has not
+        written ``obj`` itself: the latest committed one unless a scheme
+        says otherwise; ``None`` if the object is unborn there."""
+        return self.store.latest(obj)
+
     def read(
         self,
         txn: Transaction,
@@ -116,10 +132,18 @@ class Scheduler:
     ) -> Any:
         """Read ``obj``; returns the value and records the read event.
 
-        ``for_update`` is the SQL ``SELECT ... FOR UPDATE`` hint: locking
-        schedulers take the write lock immediately (avoiding upgrade
-        deadlocks on read-modify-write); other schedulers ignore it."""
-        raise NotImplementedError
+        The transaction's own latest write comes first (model constraint
+        E4); after its own delete it reads nothing (E7).  ``for_update`` is
+        the SQL ``SELECT ... FOR UPDATE`` hint: locking schedulers take the
+        write lock immediately (avoiding upgrade deadlocks on
+        read-modify-write); other schedulers ignore it."""
+        txn.require_active()
+        seen = txn.buffer.get(obj) or self._visible(txn, obj)
+        if seen is None or seen.dead:
+            return None
+        self.recorder.read(txn.tid, seen.version, seen.value, cursor=cursor)
+        txn.read_set.add(obj)
+        return seen.value
 
     def write(
         self, txn: Transaction, obj: str, value: Any, *, dead: bool = False
@@ -134,8 +158,21 @@ class Scheduler:
         transaction's delete it aborts the writer
         (:class:`~repro.exceptions.TransactionAborted`, reason
         ``deleted-object``) — at the write when the delete is in its view,
-        at commit when the deleter committed in between."""
-        raise NotImplementedError
+        at commit when the deleter committed in between.
+
+        Writes are buffered in the transaction until ``commit`` installs
+        them."""
+        txn.require_active()
+        self._refuse_deleted(
+            txn, obj, txn.buffer.get(obj) or self._visible(txn, obj)
+        )
+        self.store.register(obj)
+        version = txn.next_version(obj)
+        if dead:
+            value = None
+        self.recorder.write(txn.tid, version, value, dead=dead)
+        txn.buffer[obj] = BufferedWrite(version, value, dead)
+        txn.write_set.add(obj)
 
     def _refuse_deleted(self, txn: Transaction, obj: str, latest: Any) -> None:
         """``latest`` is the version a write of ``obj`` by ``txn`` would
@@ -169,8 +206,22 @@ class Scheduler:
     ) -> PredicateResult:
         """Evaluate ``predicate`` over the transaction's view, recording the
         version set; item reads of matched tuples are the caller's choice
-        (``select`` issues them, ``count``/``update_where`` do not)."""
-        raise NotImplementedError
+        (``select`` issues them, ``count``/``update_where`` do not).  Like
+        :meth:`read`, the transaction's own writes come first."""
+        txn.require_active()
+        selected: Dict[str, Version] = {}
+        matched: List[Tuple[str, Any]] = []
+        for relation in sorted(predicate.relations):
+            for obj in self.store.objects_in(relation):
+                seen = txn.buffer.get(obj) or self._visible(txn, obj)
+                if seen is None:
+                    continue  # implicitly the unborn version
+                selected[obj] = seen.version
+                if not seen.dead and predicate.matches(seen.version, seen.value):
+                    matched.append((obj, seen.value))
+        self.recorder.predicate_read(txn.tid, predicate, VersionSet(selected))
+        txn.predicates.append(predicate)
+        return PredicateResult(tuple(sorted(matched)))
 
     def commit(self, txn: Transaction) -> None:
         """Validate (scheme-specific) and install; may raise
@@ -178,8 +229,12 @@ class Scheduler:
         raise NotImplementedError
 
     def abort(self, txn: Transaction) -> None:
-        """Undo and release; always succeeds."""
-        raise NotImplementedError
+        """Undo and release; always succeeds.  Buffered writes were never
+        installed, so this only records the abort."""
+        if txn.state is not TxnState.ACTIVE:
+            return
+        self.recorder.abort(txn.tid)
+        txn.state = TxnState.ABORTED
 
     # -- recovery --------------------------------------------------------
 

@@ -35,7 +35,6 @@ class BufferedWrite:
     version: Version
     value: Any
     dead: bool
-    event_index: int  # index of the Write event in the recorder
 
 
 @dataclass

@@ -9,8 +9,16 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.engine.mvcc as mvcc
 import repro.service as service
-from repro.engine import LockingScheduler
+from repro.engine import (
+    LockingScheduler,
+    MixedOptimisticScheduler,
+    OptimisticScheduler,
+    ReadCommittedMVScheduler,
+    Scheduler,
+    SnapshotIsolationScheduler,
+)
 from repro.observability import (
     to_chrome_trace,
     verb_latencies,
@@ -115,3 +123,21 @@ class TestServiceSurface:
             warnings.simplefilter("error")
             db = repro.Database(LockingScheduler())
         assert db.config is None
+
+
+class TestEngineSurface:
+    def test_schedulers_share_one_read_path(self):
+        """Every non-locking family reads, scans, buffers and aborts through
+        ``Scheduler``'s own methods; only the visible version and the commit
+        differ.  Locking wraps the shared read and scan in its locks."""
+        assert not hasattr(mvcc, "_MultiVersionBase")
+        for cls in (
+            OptimisticScheduler,
+            SnapshotIsolationScheduler,
+            ReadCommittedMVScheduler,
+            MixedOptimisticScheduler,
+        ):
+            for op in ("read", "write", "predicate_read", "abort"):
+                assert getattr(cls, op) is getattr(Scheduler, op), (cls, op)
+        assert ReadCommittedMVScheduler._visible is Scheduler._visible
+        assert not hasattr(LockingScheduler, "_top")

@@ -179,6 +179,39 @@ FAMILIES = (
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+class TestOwnWritesComeFirst:
+    """Every scheme reads and scans its own latest write before anything
+    its view holds (model constraint E4), and after its own delete reads
+    nothing (E7), while the committed version is still live."""
+
+    PRED = FieldPredicate("emp", "dept", "==", "Sales")
+
+    def test_reads_see_own_update_and_nothing_after_own_delete(self, family):
+        db = Database(family)
+        db.load({"x": 1, "y": 1})
+        t = db.begin()
+        t.write("x", 2)
+        t.delete("y")
+        assert (t.read("x"), t.read("y")) == (2, None)
+        t.commit()
+        assert db.history().committed == {0, t.tid}
+
+    def test_scans_see_own_insert_update_and_delete(self, family):
+        db = Database(family)
+        db.load({f"emp:{i}": {"dept": "Sales", "sal": i} for i in (1, 2)})
+        t = db.begin()
+        t.write("emp:1", {"dept": "Sales", "sal": 10})
+        t.delete("emp:2")
+        new = t.insert("emp", {"dept": "Sales", "sal": 3})
+        assert t.select(self.PRED) == {
+            "emp:1": {"dept": "Sales", "sal": 10},
+            new: {"dept": "Sales", "sal": 3},
+        }
+        t.commit()
+        assert db.history().committed == {0, t.tid}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 class TestDeletedObjectsAreNeverWritten:
     """Section 4.1: a dead version is the last of its object's version
     order, so no scheme may install anything after it (re-insertion creates
