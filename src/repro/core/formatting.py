@@ -34,8 +34,7 @@ def _version_label(history: History, version: Version) -> str:
     obj = _obj_label(version.obj)
     if version.is_unborn:
         return f"{obj}init"
-    multi = Version(version.obj, version.tid, 2) in history.writes
-    if multi or version.seq != 1:
+    if version.seq != 1 or (version.obj, version.tid) in history._rewritten:
         return f"{obj}{version.tid}.{version.seq}"
     return f"{obj}{version.tid}"
 

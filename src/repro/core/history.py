@@ -270,6 +270,12 @@ class History:
         )
 
     @cached_property
+    def _rewritten(self) -> frozenset[Tuple[str, int]]:
+        """``(obj, tid)`` of every writer with a second write ``x_{i:2}``
+        of ``obj`` (the writers whose version labels carry ``.seq``)."""
+        return frozenset((v.obj, v.tid) for v in self.writes if v.seq == 2)
+
+    @cached_property
     def installed(self) -> frozenset[Version]:
         """All versions that appear in some object's version order (the
         committed versions, paper Section 4.2)."""

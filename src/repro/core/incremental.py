@@ -224,6 +224,7 @@ class IncrementalAnalysis:
         "watch",
         "on_phenomenon",
         "_fired",
+        "_looked",
     )
 
     def __init__(
@@ -334,6 +335,10 @@ class IncrementalAnalysis:
                 )
         self.on_phenomenon = on_phenomenon
         self._fired: Set[Phenomenon] = set()
+        #: ``(rows, tombstones, |G1a|, |G1b|)`` at the last look at
+        #: ``watch``: every answer is a function of these, so the watched
+        #: phenomena are asked again only after one of them moved.
+        self._looked: Optional[Tuple[int, int, int, int]] = None
 
     # ------------------------------------------------------------------
     # interning
@@ -435,10 +440,16 @@ class IncrementalAnalysis:
         elif kind == K_ABORT:
             self._on_abort(event.tid)
         if self.watch and self.on_phenomenon is not None:
-            for ph in self.watch:
-                if ph not in self._fired and self.exhibits(ph):
-                    self._fired.add(ph)
-                    self.on_phenomenon(ph, self)
+            table = self._table
+            look = (
+                len(table.src), table.tombstones, len(self._g1a), len(self._g1b)
+            )
+            if look != self._looked:
+                self._looked = look
+                for ph in self.watch:
+                    if ph not in self._fired and self.exhibits(ph):
+                        self._fired.add(ph)
+                        self.on_phenomenon(ph, self)
 
     def add_all(self, events: Iterable[Event]) -> "IncrementalAnalysis":
         """``add()`` in a loop; returns the analysis for chaining."""

@@ -43,20 +43,36 @@ from .network import SimulatedNetwork
 
 __all__ = ["Client", "PendingCall"]
 
+#: Payload keys that are not a logical argument: the envelope, the trace
+#: context (the journal must be byte-identical with and without a tracer)
+#: and the replication plumbing (watermark floors, routing pins).
+_PLUMBING = frozenset((
+    "kind", "session", "rid", "acked", "tid", "trace",
+    "min_offset", "_route", "_pin",
+))
+
 
 class PendingCall:
     """One logical operation in flight: request, retries, final outcome."""
 
     __slots__ = (
-        "client", "kind", "payload", "rid", "attempts", "dest",
+        "client", "kind", "payload", "rid", "attempts", "dest", "inbox",
         "deadline", "resume_at", "reply", "error", "span", "submitted_at",
+        "arg_text",
     )
 
-    def __init__(self, client: "Client", kind: str, payload: Dict[str, Any]):
+    def __init__(
+        self, client: "Client", kind: str, payload: Dict[str, Any],
+        arg_text: str,
+    ):
         self.client = client
         self.kind = kind
         self.payload = payload
         self.rid = payload["rid"]
+        #: The client's inbox list (drained in place, never rebound).
+        self.inbox = client._inbox
+        #: The journal's text of the logical arguments, in key order.
+        self.arg_text = arg_text
         #: Destination endpoint; routed clients (cluster) re-resolve it on
         #: retries so a request never chases a retired shard forever.
         self.dest = client._route(kind, payload)
@@ -112,11 +128,11 @@ class PendingCall:
     def poll(self) -> bool:
         """Advance the state machine against the current network time and
         inbox; returns :attr:`settled`."""
-        if self.settled:
+        if self.reply is not None or self.error is not None:
             return True
         client = self.client
         now = client.network.now
-        for reply in client._drain(self.rid):
+        for reply in client._drain(self.rid) if self.inbox else ():
             error = reply.get("error")
             if error == "busy":
                 # Parked at the server: stay in flight (no resend) and wait
@@ -219,7 +235,7 @@ class PendingCall:
         the clock moves, so a driver need not poll in between (polling
         anyway stays harmless)."""
         return (
-            bool(self.client._inbox)
+            bool(self.inbox)
             or (self.deadline is not None and self.deadline <= now)
             or (self.resume_at is not None and self.resume_at <= now)
         )
@@ -269,8 +285,6 @@ class Client:
     def _drain(self, rid: int) -> List[Dict[str, Any]]:
         """Replies matching ``rid``; stale replies (earlier rids, network
         duplicates) are discarded."""
-        if not self._inbox:
-            return []
         matched, keep = [], []
         for src, payload in self._inbox:
             if payload.get("rid") == rid:
@@ -383,7 +397,9 @@ class Client:
         }
         if self.tid is not None and kind != "begin":
             payload.setdefault("tid", self.tid)
-        pending = PendingCall(self, kind, payload)
+        pending = PendingCall(self, kind, payload, ",".join([
+            f"{k}={fields[k]}" for k in sorted(fields) if k not in _PLUMBING
+        ]))
         if self.tracer is not None:
             if kind == "begin":
                 self._begin_trace()
@@ -414,8 +430,11 @@ class Client:
     def co_call(self, kind: str, **fields: Any) -> Iterator[PendingCall]:
         """Coroutine form: yields the pending until settled, then finishes
         the operation (journalling + error raising) — drivers interleave
-        many of these."""
+        many of these.  The first yield comes before any poll: no reply can
+        arrive before the network's next delivery, so a poll right after
+        ``submit`` would find nothing to do."""
         pending = self.submit(kind, **fields)
+        yield pending
         while not pending.poll():
             yield pending
         return self._finish(pending)
@@ -423,19 +442,7 @@ class Client:
     def _finish(self, pending: PendingCall) -> Dict[str, Any]:
         """Journal the outcome and translate errors."""
         self._acked = max(self._acked, pending.rid)
-        args = {
-            k: v
-            for k, v in pending.payload.items()
-            # "trace" is context plumbing, not a logical argument (the
-            # journal must be byte-identical with and without a tracer);
-            # watermark floors and routing pins are replication plumbing
-            # likewise.
-            if k not in (
-                "kind", "session", "rid", "acked", "tid", "trace",
-                "min_offset", "_route", "_pin",
-            )
-        }
-        arg_text = ",".join(f"{k}={v}" for k, v in sorted(args.items()))
+        arg_text = pending.arg_text
         try:
             reply = pending.result()
         except Exception as exc:

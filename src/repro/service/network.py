@@ -194,7 +194,10 @@ class SimulatedNetwork:
 
     def send(self, src: str, dst: str, payload: Dict[str, Any]) -> None:
         """Send one message, subject to the fault schedule."""
-        self._count("sent")
+        if self.metrics is None:
+            self.counters["sent"] += 1
+        else:
+            self._count("sent")
         if self.config.drop and self.rng.random() < self.config.drop:
             self._count("dropped")
             if self.tracer is not None:
@@ -255,7 +258,8 @@ class SimulatedNetwork:
         deliver_at, _seq, src, dst, payload, span = heapq.heappop(self._queue)
         if deliver_at > self.now:
             self.now = deliver_at
-        if self.metrics is not None:
+        metrics = self.metrics
+        if metrics is not None:
             self._sync_clock()
         if dst in self._down or src in self._down:
             self._count("lost_down")
@@ -267,7 +271,10 @@ class SimulatedNetwork:
             if span is not None:
                 span.end(fate="lost-partition")
             return True
-        self._count("delivered")
+        if metrics is None:
+            self.counters["delivered"] += 1
+        else:
+            self._count("delivered")
         if span is not None:
             span.end(fate="delivered")
         handler = self._handlers.get(dst)

@@ -312,7 +312,8 @@ class ReplicaServer:
         acked = payload.get("acked")
         if acked is not None and acked > sess.acked:
             sess.acked = acked
-            sess.prune(acked)
+            if acked >= sess.oldest_reply:
+                sess.prune(acked)
         cached = sess.replies.get(rid)
         if cached is not None:
             # Duplicate delivery: re-send the cached reply carrying the

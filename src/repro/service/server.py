@@ -72,12 +72,13 @@ class _ReplyCache:
         self.oldest_reply: float = inf
 
     def prune(self, acked: int) -> None:
-        """Forget every reply the client has acknowledged."""
-        if acked >= self.oldest_reply:
-            replies = self.replies
-            for old in [r for r in replies if r <= acked]:
-                del replies[old]
-            self.oldest_reply = min(replies, default=inf)
+        """Forget every reply the client has acknowledged.  Callers call
+        it only when ``acked >= oldest_reply``: below it there is nothing
+        to forget."""
+        replies = self.replies
+        for old in [r for r in replies if r <= acked]:
+            del replies[old]
+        self.oldest_reply = min(replies, default=inf)
 
     def remember(self, rid: int, reply: Dict[str, Any]) -> None:
         self.replies[rid] = reply
@@ -428,7 +429,7 @@ class Server:
         if sess is None:
             sess = self._sessions[session_id] = _Session()
         acked = request.get("acked")
-        if acked is not None:
+        if acked is not None and acked >= sess.oldest_reply:
             sess.prune(acked)
         cached = sess.replies.get(rid)
         if cached is not None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.opcheck import Op, check_operations
@@ -214,25 +215,31 @@ class _TickWait:
     protocol, with no message in flight.  Open-loop scripts yield one of
     these to sleep until their next scheduled arrival."""
 
-    __slots__ = ("net", "tick")
+    __slots__ = ("net", "deadline")
+
+    #: With ``deadline``, the fields the driver's wake scan reads: no mail
+    #: and no backoff.
+    inbox = ()
+    resume_at = None
 
     def __init__(self, net: SimulatedNetwork, tick: int) -> None:
         self.net = net
-        self.tick = tick
+        #: The arrival tick.
+        self.deadline = tick
 
     @property
     def settled(self) -> bool:
-        return self.net.now >= self.tick
+        return self.net.now >= self.deadline
 
     def poll(self) -> bool:
         return self.settled
 
     def due(self, now: int) -> bool:
-        return now >= self.tick
+        return now >= self.deadline
 
     @property
     def next_wake(self) -> Optional[int]:
-        return None if self.settled else self.tick
+        return None if self.settled else self.deadline
 
 
 def _stuck_report(runs: List[_ScriptRun], servers) -> str:
@@ -246,7 +253,7 @@ def _stuck_report(runs: List[_ScriptRun], servers) -> str:
             continue
         pending = run.pending
         if isinstance(pending, _TickWait):
-            what = f"sleeping until its arrival at tick {pending.tick}"
+            what = f"sleeping until its arrival at tick {pending.deadline}"
         elif pending is None or pending.settled:
             what = "ready to run"
         else:
@@ -275,9 +282,8 @@ def _op(client: Client, windows, kind: str, **fields: Any):
     operations surface as aborts, counted separately)."""
     t0 = client.network.now
     reply = yield from client.co_call(kind, **fields)
-    if windows is not None:
-        now = client.network.now
-        windows.observe_latency(kind, now - t0, now)
+    now = client.network.now
+    windows.observe_latency(kind, now - t0, now)
     return reply
 
 
@@ -327,26 +333,24 @@ def _run_one_txn(
     writes: List[Tuple[str, Any]] = []
     tid: Optional[int] = None
     committing = False
+    # Untimed runs call ``co_call`` straight, without ``_op``'s frame.
+    call = client.co_call if windows is None else partial(_op, client, windows)
     try:
-        yield from _op(client, windows, "begin", level=level)
+        yield from call("begin", level=level)
         tid = client.tid
         for obj in objs:
             key = f"k{obj}"
             if read_only:
-                reply = yield from _op(client, windows, "read", obj=key)
+                reply = yield from call("read", obj=key)
                 reads.append((key, reply.get("value") or 0))
             else:
-                reply = yield from _op(
-                    client, windows, "read", obj=key, for_update=True
-                )
+                reply = yield from call("read", obj=key, for_update=True)
                 value = reply.get("value") or 0
                 reads.append((key, value))
-                yield from _op(
-                    client, windows, "write", obj=key, value=value + 1
-                )
+                yield from call("write", obj=key, value=value + 1)
                 writes.append((key, value + 1))
         committing = True
-        reply = yield from _op(client, windows, "commit")
+        reply = yield from call("commit")
     except ServiceAborted:
         counters["aborts"] += 1
         if windows is not None:
@@ -721,7 +725,17 @@ def run_stress(
                 )
             )
         if clock_moved:
-            wake = [r for r in runs if r.blocked and r.pending.due(now)]
+            # ``PendingCall.due``, read off the pending's fields in place.
+            wake = []
+            for run in runs:
+                if run.blocked:
+                    pending = run.pending
+                    if pending.inbox or (
+                        pending.deadline is not None and pending.deadline <= now
+                    ) or (
+                        pending.resume_at is not None and pending.resume_at <= now
+                    ):
+                        wake.append(run)
             clock_moved = False
         if wake:
             polled, wake = wake, []

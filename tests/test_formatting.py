@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import format_history, parse_history
+from repro.core import format_history, formatting, parse_history
 from repro.core.canonical import ALL_CANONICAL
+from repro.core.objects import Version
 
 
 def assert_round_trip(history):
@@ -112,3 +113,64 @@ class TestEngineHistoryRoundTrips:
                 repro.satisfies(h, level).ok
                 == repro.satisfies(reparsed, level).ok
             )
+
+
+#: Multi-write transactions, ``.seq`` labels (read, ordered, matched),
+#: setup versions, dead versions and predicate reads.
+LABEL_CASES = (
+    "w1(x1) w1(x1) c1 r2(x1.2) c2",
+    "r1(x0, 5) w1(x1, 6) w1(x1, 7) w1(x1, 8) c1 r2(x1.3, 8) w2(x2, 9) c2",
+    "w1(x1) r2(x1.1) w1(x1) c1 c2",
+    "w1(x1) w1(x1) w2(x2) c2 c1 [x1.2 << x2]",
+    "w1(x1) w1(x1) w2(y2) w2(y2, dead) c1 c2 r3(P: x1.2*, y2.2) c3",
+    "w1(x1) w2(y2) w2(y2) c1 c2 r3(P: x1) c3 [P matches: y2.2]",
+    "r1(x0, 1) r1(y0, 2) w2(x2, 3) w2(x2, 4) c2 r1(P: x0*, y0) c1",
+)
+
+
+def _label_corpus():
+    from repro.service import StressConfig, run_stress
+
+    yield from (canon.history for canon in ALL_CANONICAL)
+    yield from (parse_history(text) for text in LABEL_CASES)
+    yield TestEngineHistoryRoundTrips().engine_history()
+    yield run_stress(StressConfig(clients=3, txns_per_client=4, keys=4, seed=2)).history
+
+
+def _definitional_label(history, version):
+    """The label rule spelled out: a writer's labels carry ``.seq`` when
+    ``x_{i:2}`` is one of the history's writes."""
+    obj = formatting._obj_label(version.obj)
+    if version.is_unborn:
+        return f"{obj}init"
+    if Version(version.obj, version.tid, 2) in history.writes or version.seq != 1:
+        return f"{obj}{version.tid}.{version.seq}"
+    return f"{obj}{version.tid}"
+
+
+class TestLabelRule:
+    def test_text_follows_the_definitional_rule(self, monkeypatch):
+        histories = list(_label_corpus())
+        texts = [format_history(h) for h in histories]
+        assert any(".3" in text for text in texts)
+        assert any("matches: y2.2" in text for text in texts)
+        monkeypatch.setattr(formatting, "_version_label", _definitional_label)
+        assert [format_history(h) for h in histories] == texts
+
+    def test_no_version_is_built_per_label(self, monkeypatch):
+        histories = list(_label_corpus())
+        built = []
+        init = Version.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Version, "__init__", counted)
+        for history in histories:
+            format_history(history)
+        assert built == []
+
+    @pytest.mark.parametrize("text", LABEL_CASES)
+    def test_label_cases_round_trip(self, text):
+        assert_round_trip(parse_history(text))

@@ -32,7 +32,10 @@ provenance witness read in place:
   rows appended since its last answer at the next query, each row once;
 * each read or write is one probe of the analysis's ``(obj, tid, seq)`` ->
   vid dict, and no :class:`~repro.core.objects.Version` is hashed or
-  compared on the way.
+  compared on the way;
+* a ``watch`` set is asked again only after the edge rows, tombstones or
+  G1a/G1b witness sets moved, and every latch still fires at the event
+  where a monitor asked after every event first sees the phenomenon.
 """
 
 from __future__ import annotations
@@ -51,11 +54,12 @@ from repro.core.incremental import IncrementalAnalysis
 from repro.core.levels import IsolationLevel
 from repro.core.objects import Version
 from repro.core.phenomena import Phenomenon
-from repro.observability.provenance import witness_cycle
+from repro.observability.provenance import DEFAULT_WATCH, witness_cycle
 from repro.service import NetworkConfig, StressConfig, run_stress
 from repro.workloads import synthetic_history
 
 from .test_simulator_golden import CONFIGS as SIMULATOR_CONFIGS
+from .test_witness_golden import HISTORIES as WITNESS_HISTORIES
 
 #: ``_CycleMonitor.add`` calls on the ladder's history per size: the full
 #: and item views' replays and inserts up to their first cycle (monitors kept
@@ -311,3 +315,59 @@ def test_the_scc_pass_reads_the_table_in_place(monkeypatch):
     assert columns, "no SCC pass ran"
     table = analysis._table
     assert all(src is table.src and dst is table.dst for src, dst in columns)
+
+
+#: Every core phenomenon; G1 is answered from G1a, G1b and G1c.
+WATCHED = DEFAULT_WATCH + (Phenomenon.G1,)
+
+
+def _state(analysis):
+    """What every ``exhibits`` answer is a function of."""
+    table = analysis._table
+    return (
+        len(table.src), table.tombstones, len(analysis._g1a), len(analysis._g1b)
+    )
+
+
+@pytest.mark.parametrize("order_mode", ["event", "commit"])
+def test_watched_phenomena_are_asked_only_after_a_change(monkeypatch, order_mode):
+    asked = {"calls": 0, "depth": 0}
+    exhibits = IncrementalAnalysis.exhibits
+
+    def counted(analysis, phenomenon):
+        # Outermost calls only: G1 asks G1a, G1b and G1c itself.
+        asked["calls"] += asked["depth"] == 0
+        asked["depth"] += 1
+        try:
+            return exhibits(analysis, phenomenon)
+        finally:
+            asked["depth"] -= 1
+
+    events = changes = 0
+    for name, build in WITNESS_HISTORIES.items():
+        history = build()
+        plain = IncrementalAnalysis(order_mode=order_mode)
+        first = {}
+        for i, event in enumerate(history.events):
+            plain.add(event)
+            for ph in WATCHED:
+                if ph not in first and plain.exhibits(ph):
+                    first[ph] = i
+        fired = {}
+        watched = IncrementalAnalysis(
+            order_mode=order_mode,
+            watch=WATCHED,
+            on_phenomenon=lambda ph, a: fired.setdefault(ph, len(a.events) - 1),
+        )
+        monkeypatch.setattr(IncrementalAnalysis, "exhibits", counted)
+        before = None
+        for event in history.events:
+            watched.add(event)
+            state = _state(watched)
+            changes += state != before
+            before = state
+        monkeypatch.setattr(IncrementalAnalysis, "exhibits", exhibits)
+        events += len(history.events)
+        assert fired == first, name
+    assert asked["calls"] <= changes * len(WATCHED)
+    assert changes < events  # the skip is taken on this corpus

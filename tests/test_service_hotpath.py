@@ -58,11 +58,41 @@ class TestWakeList:
         _count_calls(monkeypatch, client_mod.Client, "submit", counts)
         result = run_stress(StressConfig(seed=3, **CONTENDED))
         assert result.committed == 80
-        # Two polls per operation are co_call's own (at submit and at
-        # resume); the rest is one per reply (notice or final), timeout or
-        # due backoff.  The poll-everything loop this replaced sat at ~24
+        # Two polls per operation: the driver's on the final reply and
+        # co_call's own at resume (none at submit: no reply can be in before
+        # the next delivery sweep).  The rest is one per busy notice, timeout
+        # or due backoff.  The poll-everything loop this replaced sat at ~24
         # per submit.
-        assert counts["poll"] <= 4 * counts["submit"]
+        assert counts["poll"] <= 3 * counts["submit"]
+
+    def test_a_stale_reply_is_discarded_before_the_matching_one(self):
+        # co_call does not poll at submit, so network duplicates of the
+        # previous reply can still sit in the inbox when the next operation
+        # starts: the first poll with mail must drop them and take its own.
+        net = network_mod.SimulatedNetwork(
+            NetworkConfig(duplicate=1.0, min_delay=1, max_delay=1)
+        )
+        server_mod.Server(net, "locking", initial={"x": 0})
+        client = client_mod.Client(net)
+        inbox_rids = lambda: [payload["rid"] for _src, payload in client._inbox]
+        client.ping()
+        while net.drain_due():
+            pass
+        stale = inbox_rids()
+        assert stale and set(stale) == {1}
+        script = client.co_call("ping")
+        pending = next(script)
+        assert pending.rid == 2 and inbox_rids() == stale
+        while 2 not in inbox_rids():
+            assert net.drain_due()
+        assert inbox_rids()[: len(stale)] == stale  # still ahead of it
+        assert pending.poll() is True
+        assert pending.reply["rid"] == 2
+        assert all(payload["rid"] == 2 for _src, payload in client._inbox)
+        with pytest.raises(StopIteration) as done:
+            next(script)
+        assert done.value.value is pending.reply
+        assert client.journal[-1].endswith("ping() -> ok [attempts=1]")
 
     def test_fault_schedule_runs_once_per_clock_change(self, monkeypatch):
         counts = {}
