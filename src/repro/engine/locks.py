@@ -18,6 +18,14 @@ Lock *durations* (``LONG`` = held to commit, ``SHORT`` = released after the
 operation, ``NONE`` = not acquired) are the scheduler's business; the manager
 only tracks ownership.  Conflicts raise :class:`~repro.exceptions.WouldBlock`
 carrying the holders, from which the simulator builds its waits-for graph.
+
+Each refusal is also remembered per transaction, with the *generation
+stamps* of the state it was decided on: an object's item holders, a
+relation's predicate holders, and the WRITE locks on a relation's objects
+(what a predicate request conflicts with).  A stamp moves only when that
+state changes, so while :meth:`LockManager._refusal_stands` says yes, asking
+again would raise the same ``WouldBlock`` with the same holders — the
+simulator's blocked retries ask this instead of re-running the step.
 """
 
 from __future__ import annotations
@@ -55,6 +63,18 @@ class LockManager:
         #: collected in this order, and a set of strings would iterate in
         #: ``PYTHONHASHSEED`` order and leak it into the waits-for search.
         self._write_locked: Dict[str, Dict[str, None]] = {}
+        #: tid -> objs it holds an item lock on, in first-grant order
+        #: (``release_all`` walks these, not every object ever locked).
+        self._held: Dict[int, Dict[str, None]] = {}
+        #: Generation stamps, bumped whenever the state a request is decided
+        #: on changes: obj -> its item holders; relation -> its predicate
+        #: holders; relation -> the WRITE locks on its objects.
+        self._item_gen: Dict[str, int] = {}
+        self._predicate_gen: Dict[str, int] = {}
+        self._write_gen: Dict[str, int] = {}
+        #: tid -> the ``(stamp table, key, stamp)`` triples its last refused
+        #: request was decided on (see :meth:`_refusal_stands`).
+        self._refusals: Dict[int, Tuple[Tuple[Dict[str, int], str, int], ...]] = {}
         # Observability (instrument()): grant/block counters and hold
         # durations in logical steps read off the registry clock.
         self._metrics = None
@@ -122,55 +142,92 @@ class LockManager:
             histogram.observe(m.clock - held_since)
 
     # ------------------------------------------------------------------
+    # refusals
+    # ------------------------------------------------------------------
+
+    def _refusal_stands(self, tid: int) -> bool:
+        """Whether ``tid``'s last refused request would be refused again on
+        the same holders: none of the state it was decided on has changed
+        since.  ``False`` once ``release_all(tid)`` ran (the transaction
+        committed or was aborted — e.g. wounded while it waited)."""
+        refusal = self._refusals.get(tid)
+        if refusal is None:
+            return False
+        for stamps, key, stamp in refusal:
+            if stamps.get(key, 0) != stamp:
+                return False
+        return True
+
+    # ------------------------------------------------------------------
     # item locks
     # ------------------------------------------------------------------
 
     def acquire_item(self, tid: int, obj: str, mode: LockMode) -> None:
         """Grant or raise :class:`WouldBlock` with the conflicting holders."""
         holders = self._items.setdefault(obj, {})
+        item_gen = self._item_gen
         if mode is LockMode.READ:
             blockers = {
                 t for t, m in holders.items() if t != tid and m is LockMode.WRITE
             }
+            if blockers:
+                self._refusals[tid] = ((item_gen, obj, item_gen.get(obj, 0)),)
         else:
+            relation = relation_of(obj)
             blockers = {t for t in holders if t != tid}
             # WRITE also conflicts with other transactions' predicate locks
             # on the object's relation (phantom protection).
             blockers |= {
-                t
-                for t in self._relations.get(relation_of(obj), ())
-                if t != tid
+                t for t in self._relations.get(relation, ()) if t != tid
             }
+            if blockers:
+                predicate_gen = self._predicate_gen
+                self._refusals[tid] = (
+                    (item_gen, obj, item_gen.get(obj, 0)),
+                    (predicate_gen, relation, predicate_gen.get(relation, 0)),
+                )
         if blockers:
             if self._metrics is not None or self._tracer is not None:
                 self._note_block("item", mode.value, tid, obj, blockers)
+            # Raised, never bound to a local: a kept exception would tie its
+            # traceback, and this frame, into a garbage cycle.
             raise WouldBlock(tid, f"{mode.value} lock on {obj!r}", blockers)
         current = holders.get(tid)
         if current is None or (current is LockMode.READ and mode is LockMode.WRITE):
             holders[tid] = mode
-        if holders[tid] is LockMode.WRITE:
-            self._write_locked.setdefault(relation_of(obj), {})[obj] = None
+            item_gen[obj] = item_gen.get(obj, 0) + 1
+            if current is None:
+                self._held.setdefault(tid, {})[obj] = None
+            if mode is LockMode.WRITE:
+                relation = relation_of(obj)
+                self._write_locked.setdefault(relation, {})[obj] = None
+                self._write_gen[relation] = self._write_gen.get(relation, 0) + 1
         if self._metrics is not None:
             self._note_grant("item", mode.value, tid, obj)
 
     def release_item(self, tid: int, obj: str) -> None:
         holders = self._items.get(obj)
-        if not holders:
+        if not holders or tid not in holders:
             return
-        if tid in holders and self._metrics is not None:
+        if self._metrics is not None:
             self._note_release("item", tid, obj)
-        holders.pop(tid, None)
-        if not any(m is LockMode.WRITE for m in holders.values()):
-            self._write_locked.get(relation_of(obj), {}).pop(obj, None)
+        mode = holders.pop(tid)
+        self._item_gen[obj] = self._item_gen.get(obj, 0) + 1
+        held = self._held.get(tid)
+        if held is not None:
+            held.pop(obj, None)
+        if mode is LockMode.WRITE:
+            # WRITE is exclusive: no WRITE lock is left on ``obj``.
+            relation = relation_of(obj)
+            self._write_locked[relation].pop(obj, None)
+            self._write_gen[relation] = self._write_gen.get(relation, 0) + 1
 
     def downgrade_or_release_read(self, tid: int, obj: str) -> None:
         """Release a short read lock, preserving a WRITE lock the
         transaction may also hold (reads after own writes)."""
         holders = self._items.get(obj)
         if holders and holders.get(tid) is LockMode.READ:
-            if self._metrics is not None:
-                self._note_release("item", tid, obj)
-            holders.pop(tid)
+            self.release_item(tid, obj)
 
     # ------------------------------------------------------------------
     # predicate (relation) locks
@@ -185,39 +242,49 @@ class LockManager:
                 if t != tid and m is LockMode.WRITE
             }
         if blockers:
+            write_gen = self._write_gen
+            self._refusals[tid] = (
+                (write_gen, relation, write_gen.get(relation, 0)),
+            )
             if self._metrics is not None or self._tracer is not None:
                 self._note_block("predicate", "read", tid, relation, blockers)
             raise WouldBlock(
                 tid, f"predicate lock on relation {relation!r}", blockers
             )
-        self._relations.setdefault(relation, set()).add(tid)
+        holders = self._relations.setdefault(relation, set())
+        if tid not in holders:
+            holders.add(tid)
+            self._predicate_gen[relation] = self._predicate_gen.get(relation, 0) + 1
         if self._metrics is not None:
             self._note_grant("predicate", "read", tid, relation)
 
     def release_relation(self, tid: int, relation: str) -> None:
-        if self._metrics is not None and tid in self._relations.get(relation, ()):
+        holders = self._relations.get(relation)
+        if holders is None or tid not in holders:
+            return
+        if self._metrics is not None:
             self._note_release("predicate", tid, relation)
-        self._relations.get(relation, set()).discard(tid)
+        holders.discard(tid)
+        self._predicate_gen[relation] = self._predicate_gen.get(relation, 0) + 1
 
     # ------------------------------------------------------------------
     # bulk release and introspection
     # ------------------------------------------------------------------
 
     def release_all(self, tid: int) -> None:
-        """Drop every lock the transaction holds (commit/abort)."""
-        for obj, holders in list(self._items.items()):
+        """Drop every lock the transaction holds (commit/abort), and its
+        refusal."""
+        self._refusals.pop(tid, None)
+        for obj in self._held.pop(tid, ()):
+            self.release_item(tid, obj)
+        for relation, holders in self._relations.items():
             if tid in holders:
-                self.release_item(tid, obj)
-        for rel, holders in self._relations.items():
-            if self._metrics is not None and tid in holders:
-                self._note_release("predicate", tid, rel)
-            holders.discard(tid)
+                self.release_relation(tid, relation)
 
     def holders_of(self, obj: str) -> Dict[int, LockMode]:
         return dict(self._items.get(obj, {}))
 
     def held_by(self, tid: int) -> Tuple[str, ...]:
-        """Objects on which the transaction holds any item lock."""
-        return tuple(
-            obj for obj, holders in self._items.items() if tid in holders
-        )
+        """Objects on which the transaction holds any item lock, in the
+        order first granted."""
+        return tuple(self._held.get(tid, ()))

@@ -8,6 +8,13 @@ simulator can re-run the same step after the blocker releases.  Composite
 operations expand into further primitive steps at run time (``Select`` is a
 predicate read that expands into one ``Read`` per matched tuple).
 
+``Read``, ``Select``'s item reads, ``Delete`` and a ``Write`` of a constant
+do nothing before their lock request, so while a refusal stands the
+simulator skips their blocked retries (``Step._lock_first``).  Every other
+step is re-run in full: ``Insert`` draws a fresh object id on each attempt,
+``Conditional``, ``Compute`` and a ``Write`` of a callable run user code,
+and the predicate steps are not skipped.
+
 Step values may be constants or callables over the program's register file
 (a plain dict threaded through the run), so programs can compute with what
 they read::
@@ -56,6 +63,12 @@ def _resolve(value: Value, regs: Dict[str, Any]) -> Any:
 class Step:
     """One retry-safe primitive operation of a program."""
 
+    #: Whether a retry of this step does nothing before its lock request:
+    #: no user code runs and nothing is allocated.  Only such a step's
+    #: blocked retry may be skipped while its refusal stands (see
+    #: :mod:`repro.engine.simulator`).
+    _lock_first = False
+
     def run(
         self, txn: TransactionHandle, regs: Dict[str, Any]
     ) -> Optional[List["Step"]]:
@@ -74,6 +87,8 @@ class Read(Step):
     cursor: bool = False
     for_update: bool = False
 
+    _lock_first = True
+
     def run(self, txn, regs):
         value = txn.read(self.obj, cursor=self.cursor, for_update=self.for_update)
         if self.into is not None:
@@ -85,6 +100,10 @@ class Read(Step):
 class Write(Step):
     obj: str
     value: Value
+
+    @property
+    def _lock_first(self) -> bool:
+        return not callable(self.value)
 
     def run(self, txn, regs):
         txn.write(self.obj, _resolve(self.value, regs))
@@ -120,6 +139,8 @@ class Insert(Step):
 @dataclass(frozen=True)
 class Delete(Step):
     obj: str
+
+    _lock_first = True
 
     def run(self, txn, regs):
         txn.delete(self.obj)
@@ -172,6 +193,8 @@ class _CapturedRead(Step):
 
     obj: str
     bucket: str
+
+    _lock_first = True
 
     def run(self, txn, regs):
         regs.setdefault(self.bucket, {})[self.obj] = txn.read(self.obj)

@@ -12,6 +12,16 @@ the concurrency a real system gets from threads without any actual threads:
   whenever a later round picks it, the blocked step is retried against the
   lock tables (nothing is parked until a holder finishes — the rounds a
   waiter burns are part of the schedule, and of the seed's history);
+* a retry first asks the lock table whether the waiter's refusal still
+  stands (:meth:`~repro.engine.locks.LockManager._refusal_stands`: nothing
+  the refusal was decided on has changed since).  If it does, the round
+  does what a retry that blocks again on the same holders does, without
+  running the step.  Only steps that do nothing before their lock request
+  are skipped so (``Read``, a ``Select``'s item read, ``Delete``, a
+  ``Write`` of a constant; see :mod:`repro.engine.programs`), only while
+  the wait is recorded and the transaction has not ended (a wounded waiter
+  re-runs its step and raises), and only without metrics or a tracer on
+  the scheduler, where every retry still counts and emits its block;
 * deadlocks (cycles in the waits-for graph assembled from the ``WouldBlock``
   holders) abort the youngest transaction of the cycle, which restarts with
   a fresh tid if retries remain — so histories genuinely contain the abort
@@ -162,6 +172,13 @@ class Simulator:
                 programs=[p.name for p in self.programs],
             )
         runs = [_Run(p, i) for i, p in enumerate(self.programs)]
+        #: The lock table a waiter's retry asks first (see ``_step``).  An
+        #: instrumented scheduler re-runs every retry, so that each block
+        #: still counts and emits its records.
+        sched = self.db.scheduler
+        self._locks = None
+        if sched.metrics is None and sched.tracer is None:
+            self._locks = getattr(sched, "locks", None)
         #: Unfinished programs in index order: what ``rng.choice`` draws from.
         candidates = self._candidates = list(runs)
         #: How many of them are waiting (``waiting_on is not None``).
@@ -254,6 +271,16 @@ class Simulator:
                 "wouldblock_retries_total",
                 "blocked operations retried after a holder finished",
             ).inc(scheduler=self.db.scheduler.name)
+        if (
+            run.waiting_on is not None
+            and self._locks is not None
+            and run.queue[0]._lock_first  # a waiter's head is its blocked step
+            and self._locks._refusal_stands(run.txn.tid)
+        ):
+            # The retry would block again on the same holders: do what the
+            # ``except WouldBlock`` branch does then, without the step.
+            self._resolve_deadlock(run, run.waiting_on)
+            return
         try:
             if run.queue:
                 step = run.queue[0]

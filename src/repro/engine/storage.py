@@ -69,8 +69,10 @@ class MultiVersionStore:
         """Make ``obj`` part of its relation's universe (inserts register
         before committing so concurrent predicate reads can select the
         unborn version explicitly)."""
+        if obj in self._chains:
+            return
         self._relations.setdefault(relation_of(obj), set()).add(obj)
-        self._chains.setdefault(obj, [])
+        self._chains[obj] = []
 
     def install(
         self, writes: Iterable[Tuple[Version, Any, bool]]

@@ -241,15 +241,14 @@ class ReplicaServer:
         offset are duplicates (re-pumped suffix), entries beyond a gap
         wait for the re-ship; either way we ack our true offset so the
         primary advances (or rewinds) its view of us."""
-        start = payload["from"]
-        entries = payload["entries"]
         from_offset = self.applied
+        # Each apply advances the offset by one, so the batch applies from
+        # our offset on; a batch that starts past it leaves a gap (a lost
+        # earlier batch: the pump re-ships) and applies nothing.
+        skip = from_offset - payload["from"]
+        entries = payload["entries"][skip:] if skip >= 0 else ()
         applied_tids: List[int] = []
-        for pos, entry in enumerate(entries, start=start):
-            if pos < self.applied:
-                continue
-            if pos > self.applied:
-                break  # gap: a lost earlier batch; the pump re-ships
+        for entry in entries:
             self.apply(entry)
             applied_tids.append(entry[0].tid)
             if self.after_apply is not None:

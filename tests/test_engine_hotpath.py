@@ -3,8 +3,9 @@
 Counts, not timings: every number here is exact per seed, so nothing can
 flake.  ``test_simulator_golden`` pins *what* a run produces; this module
 pins *how little work* the scheduling loop and the deadlock search do to
-produce it, and that the incremental search agrees with the exhaustive one
-at every blocked step.
+produce it, that the incremental search agrees with the exhaustive one at
+every blocked step, and that every blocked retry the loop skips would have
+blocked again on the same holders.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ import collections
 
 import pytest
 
-from repro.engine import Database, LockingScheduler, Simulator
+from repro.core.objects import relation_of
+from repro.engine import Database, Insert, LockingScheduler, Simulator, Write
 from repro.engine import simulator as sim_mod
+from repro.engine.locks import LockManager
 from repro.engine.simulator import _find_cycle
 from repro.engine.transaction import TxnState
+from repro.exceptions import WouldBlock
 from repro.workloads import WorkloadConfig, random_programs
 
 CONTENDED = WorkloadConfig(
@@ -44,11 +48,17 @@ CASES = {
     "give_up": ("serializable", CONTENDED, dict(max_retries=0)),
 }
 SEEDS = range(12)
+#: Every deadlock case, and a fleet under wound-wait, where a waiter can be
+#: wounded while it waits.
+RETRY_CASES = dict(
+    CASES, wound_wait=("serializable", FLEET, dict(max_retries=1000))
+)
 
 
 def _run(case: str, seed: int):
-    profile, cfg, sim = CASES[case]
-    db = Database(LockingScheduler(profile))
+    profile, cfg, sim = RETRY_CASES[case]
+    deadlock = "wound-wait" if case == "wound_wait" else "detect"
+    db = Database(LockingScheduler(profile, deadlock=deadlock))
     db.load(cfg.initial_state())
     return Simulator(db, random_programs(cfg, seed=seed), seed=seed, **sim).run()
 
@@ -161,3 +171,157 @@ class TestNoPerRoundPass:
         # and rebuilt the graph on every blocked step: 65 reads per round
         # with 8 programs, 257 with 32.
         assert sum(reads.values()) <= 16 * steps
+
+
+def _lock_tables(locks: LockManager):
+    """Everything the lock manager holds, in iteration order (the order a
+    request's blockers are collected in)."""
+    return (
+        [(obj, list(h.items())) for obj, h in locks._items.items()],
+        [(rel, list(h)) for rel, h in locks._relations.items()],
+        [(rel, list(objs)) for rel, objs in locks._write_locked.items()],
+        [(tid, list(objs)) for tid, objs in locks._held.items()],
+        dict(locks._item_gen),
+        dict(locks._predicate_gen),
+        dict(locks._write_gen),
+        {t: [(k, g) for _s, k, g in r] for t, r in locks._refusals.items()},
+    )
+
+
+def _checked_retries(monkeypatch, log):
+    """Beside every blocked retry the loop skips, run the real step and
+    require what the skip stands for: ``WouldBlock`` on the holders the
+    program already waits on, no recorded event, no register and no lock
+    table changed.  A spy on the head step's ``run`` tells a skipped retry
+    from a real one whatever decided it."""
+    step = sim_mod.Simulator._step
+    stands = LockManager._refusal_stands
+    turn = {}
+
+    def checked_stands(locks, tid):
+        answer = stands(locks, tid)
+        if answer and turn:
+            run, real = turn["run"], turn["real"]
+            assert run.txn.tid == tid
+            recorder = turn["sim"].db.scheduler.recorder
+            before = (_lock_tables(locks), len(recorder.events), dict(run.regs))
+            try:
+                real(run.queue[0], run.txn, run.regs)
+            except WouldBlock as block:
+                assert block.holders == run.waiting_on
+            else:
+                pytest.fail("a standing refusal was granted")
+            assert (_lock_tables(locks), len(recorder.events), run.regs) == before
+            turn["checked"] = True
+        return answer
+
+    def checked_step(sim, run):
+        if run.waiting_on is None:
+            return step(sim, run)
+        head = run.queue[0]
+        cls = type(head)
+        real = cls.__dict__["run"]
+        ran = []
+
+        def spy(self, txn, regs):
+            ran.append(self)
+            return real(self, txn, regs)
+
+        wounded = run.txn.state is TxnState.ABORTED
+        attempts = len(run.outcome.tids)
+        turn.update(sim=sim, run=run, real=real, checked=False)
+        setattr(cls, "run", spy)
+        try:
+            step(sim, run)
+        finally:
+            setattr(cls, "run", real)
+            checked = turn.pop("checked")
+            turn.clear()
+        log["retries"] += 1
+        if not ran:
+            log["skipped"] += 1
+            assert checked, "a retry was skipped without a standing refusal"
+        if isinstance(head, Insert) or (
+            isinstance(head, Write) and callable(head.value)
+        ):
+            # Both run something before the lock request: an object id
+            # drawn from the database, user code.
+            log["must_run"] += 1
+            assert ran
+        if wounded:
+            # Wounded while it waited: the next turn raises and restarts it.
+            log["wounded"] += 1
+            assert ran and run.waiting_on is None
+            assert len(run.outcome.tids) == attempts + 1
+
+    monkeypatch.setattr(sim_mod.Simulator, "_step", checked_step)
+    monkeypatch.setattr(LockManager, "_refusal_stands", checked_stands)
+
+
+class TestSkippedRetries:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("case", RETRY_CASES)
+    def test_a_skipped_retry_would_block_again(self, monkeypatch, case, seed):
+        log = collections.Counter()
+        _checked_retries(monkeypatch, log)
+        _run(case, seed)
+        assert log["retries"] > 0
+
+    def test_the_retry_cases_reach_every_branch(self, monkeypatch):
+        log = collections.Counter()
+        _checked_retries(monkeypatch, log)
+        for case in RETRY_CASES:
+            for seed in SEEDS:
+                _run(case, seed)
+        assert log["retries"] > 20000
+        # Most retries are skipped; Insert, user-code writes and wounded
+        # waiters each occur, and each runs in full.
+        assert log["skipped"] >= 0.75 * log["retries"]
+        assert log["must_run"] > 500 and log["wounded"] > 30
+
+    def test_fleet_waiters_ask_again_only_after_a_change(self, monkeypatch):
+        """A waiter calls ``acquire_item`` again only once a holder of the
+        object it waits for came or went (or the everyone-blocked branch
+        dropped its wait): never to hear the same refusal."""
+        acquire, release = LockManager.acquire_item, LockManager.release_item
+        step = sim_mod.Simulator._step
+        changes = collections.Counter()  # obj -> holder changes so far
+        refused = {}  # tid -> what its last refusal was decided on
+        counts = collections.Counter()
+        turn = {}
+
+        def decided_on(locks, obj, mode):
+            return obj, mode, changes[obj], list(
+                locks._relations.get(relation_of(obj), ())
+            )
+
+        def watched_acquire(locks, tid, obj, mode):
+            state = decided_on(locks, obj, mode)
+            holders = locks.holders_of(obj)
+            counts["calls"] += 1
+            if turn.get("waits") and refused.get(tid) == state:
+                counts["repeats"] += 1
+            try:
+                acquire(locks, tid, obj, mode)
+            except WouldBlock:
+                refused[tid] = state
+                counts["refusals"] += 1
+                raise
+            changes[obj] += locks.holders_of(obj) != holders
+
+        def watched_release(locks, tid, obj):
+            changes[obj] += tid in locks.holders_of(obj)
+            release(locks, tid, obj)
+
+        def watched_step(sim, run):
+            turn["waits"] = run.waiting_on is not None
+            step(sim, run)
+
+        monkeypatch.setattr(LockManager, "acquire_item", watched_acquire)
+        monkeypatch.setattr(LockManager, "release_item", watched_release)
+        monkeypatch.setattr(sim_mod.Simulator, "_step", watched_step)
+        for seed in SEEDS:
+            result = _run("fleet", seed)
+            assert result.committed_count == FLEET.n_programs
+        assert counts["refusals"] > 1000
+        assert counts["repeats"] == 0
