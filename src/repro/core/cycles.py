@@ -13,8 +13,8 @@ rows; the chain reads the ones appended since its last answer itself, in
 row order, when it is next asked.  Which flavour belongs to which views is
 stated once, for both checkers: :data:`repro.core.conflicts.DEPTH`, which
 gives each row its ``depth`` column when it is appended; the row reads, the
-removal, the replay and the SCC pass compare that column with a view (and
-:data:`repro.core.phenomena.VIEW_OF` names the view behind each
+removal, the replay and the anti-dependency pass compare that column with a
+view (and :data:`repro.core.phenomena.VIEW_OF` names the view behind each
 phenomenon).  A tombstoned row (depth ``-1``) is in no view.
 
 A subgraph of an acyclic graph is acyclic, so only one view is ever
@@ -40,11 +40,12 @@ to thread an anti-dependency edge — an edge of the view that is not in the
 dependency view.  While the dependency view is acyclic no cycle consists of
 ww/wr edges alone, so a latched full (resp. item) view *is* the verdict, in
 O(1).  Only once G1c is itself present can the view's cycle be a pure
-dependency cycle, and the question goes to an SCC pass, one per table
-generation (an append or a tombstone starts a new one) until the verdict
-turns True: the batch checker's view graph and Tarjan
+dependency cycle, and the question goes to a pass over the view, one per
+table generation (an append or a tombstone starts a new one) until the
+verdict turns True: the batch checker's view graph and witness search
 (:func:`repro.core.dsg.view_adjacency`,
-:func:`repro.core.graph.component_index`) over the table's own columns.
+:func:`repro.core.dsg.view_witness`) over the table's own columns, which
+runs Tarjan only when its bounded search runs out.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from . import graph as _g
 from .conflicts import DEPENDENCY, FULL, ITEM, WRITE, EdgeTable
-from .dsg import view_adjacency
+from .dsg import view_adjacency, view_witness
 from .phenomena import VIEW_OF, Phenomenon
 
 __all__ = ["ViewChain"]
@@ -207,7 +208,7 @@ class ViewChain:
     @property
     def generation(self) -> int:
         """Grows whenever the table's rows change (an append or a
-        tombstone); SCC pass answers are cached against it."""
+        tombstone); anti-dependency pass answers are cached against it."""
         table = self._table
         return len(table.src) + table.tombstones
 
@@ -298,18 +299,18 @@ class ViewChain:
         return self._anti_pass(view)
 
     def _anti_pass(self, view: int) -> bool:
-        """One SCC pass over the table's rows in place, no :class:`Edge`
-        objects: does an anti-dependency row of ``view`` lie inside a
-        component of it?  Without a row that separates them (a predicate
+        """One pass over the table's rows in place, no :class:`Edge`
+        objects: does an anti-dependency row of ``view`` close a cycle of
+        it?  Without a row that separates them (a predicate
         anti-dependency) the full and item views coincide and the answer is
         recorded for both."""
         table = self._table
-        comp = _g.component_index(view_adjacency(table, view))
-        src, dst = table.src, table.dst
-        present = any(
-            comp[src[row]] == comp[dst[row]]
-            for row, depth in enumerate(table.depth)
-            if view <= depth < DEPENDENCY
+        adj = view_adjacency(table, view)
+        present = (
+            view_witness(
+                table, view, adj, lambda: _g.strongly_connected_components(adj)
+            )
+            is not None
         )
         answer = (self.generation, present)
         coincide = FULL not in table.depth

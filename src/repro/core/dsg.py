@@ -20,13 +20,25 @@ cycles over four *nested* subsets of the rows — the views
   recorded under strict two-phase locking is forward in every view; a
   multi-version history is typically forward in its ww and ww+wr views and
   not in its anti-dependencies.  One row that goes backward (or joins two
-  setup transactions, which share a rank) sends the view to Tarjan instead;
+  setup transactions, which share a rank) sends the view to a search;
+* the ww and ww+wr views search by Tarjan.  A cycle of the item or full
+  view threads one of its anti-dependency rows or is a cycle of the ww+wr
+  view, so those two are acyclic when no anti-dependency row closes and the
+  ww+wr view is acyclic; which row closes is searched for, not read off
+  the components (below);
 * a view found acyclic by a search settles every deeper view too, and the
   components of a view are computed once (:meth:`DSG.components`);
 * :func:`view_witness`: G0 / G1c take the first component with two nodes
   and walk a cycle in it; G2 / G2-item take the first anti-dependency row
-  whose ends share a component and close it with a shortest path.  The
-  online checker's provenance witness asks the same of its own table.
+  ``a -> b`` whose ``b`` reaches ``a`` — whose ends share a component — and
+  close it with a shortest path.  That row is found by a breadth-first
+  search from each row's ``b`` in turn
+  (:func:`~repro.core.graph.cycle_through`), and the searches follow at
+  most as many rows as the view holds: past that the view's components are
+  computed once and decide the remaining rows.  A history whose first
+  anti-dependency rows close never runs Tarjan; none pays more than one
+  pass over the view's rows for trying.  The online checker's provenance
+  witness asks the same of its own table.
 
 The graph routines live in :mod:`repro.core.graph`; the class keeps what
 needs the history: the node set, the commit-rank certificate and the cached
@@ -76,17 +88,21 @@ def view_adjacency(table: EdgeTable, view: int) -> _g.Adjacency:
 
 
 def view_witness(
-    table: EdgeTable, view: int, adj: _g.Adjacency, sccs: List[List[int]]
+    table: EdgeTable,
+    view: int,
+    adj: _g.Adjacency,
+    components: Callable[[], List[List[int]]],
 ) -> Optional[List[int]]:
     """The rows of the cycle witnessing ``view``'s phenomenon, given the
-    view's graph and components: any cycle of ``WRITE`` (G0) or
-    ``DEPENDENCY`` (G1c); a cycle of ``ITEM`` (G2-item) or ``FULL`` (G2)
-    through one of its anti-dependency rows."""
+    view's graph and what gives its components: any cycle of ``WRITE`` (G0)
+    or ``DEPENDENCY`` (G1c); a cycle of ``ITEM`` (G2-item) or ``FULL`` (G2)
+    through one of its anti-dependency rows, which asks for the components
+    only when its search runs out (:func:`~repro.core.graph.cycle_through`)."""
     if view >= DEPENDENCY:
-        return _g.cycle(adj, sccs)
+        return _g.cycle(adj, components())
     # Lazily: the search stops at the first row it closes.
     anti = (row for row, depth in enumerate(table.depth) if view <= depth < DEPENDENCY)
-    return _g.cycle_through(adj, sccs, anti)
+    return _g.cycle_through(adj, anti, components)
 
 
 def dependency_edge(edge: Edge) -> bool:
@@ -165,6 +181,8 @@ class DSG:
         #: view -> adjacency over its rows / its strongly connected components.
         self._views: Dict[int, _g.Adjacency] = {}
         self._sccs: Dict[int, List[List[int]]] = {}
+        #: view -> the rows of its phenomenon's witness (:func:`view_witness`).
+        self._cycles: Dict[int, Optional[List[int]]] = {}
         #: The largest view known acyclic (every deeper one is a subgraph of
         #: it); ``WRITE + 1`` when none is, ``None`` before the rank scan.
         self._acyclic_from: Optional[int] = None
@@ -237,11 +255,27 @@ class DSG:
         settles every deeper one."""
         if self._acyclic_from is None:
             self._acyclic_from = self._forward_from()
-        if view < self._acyclic_from and all(
-            len(scc) < 2 for scc in self.components(view)
-        ):
-            self._acyclic_from = view
+        if view < self._acyclic_from:
+            if view >= DEPENDENCY:
+                acyclic = all(len(scc) < 2 for scc in self.components(view))
+            else:
+                # Its cycles thread an anti-dependency row or are the
+                # dependency view's.
+                acyclic = (
+                    self._acyclic(DEPENDENCY) and self._cycle_rows(view) is None
+                )
+            if acyclic:
+                self._acyclic_from = view
         return view >= self._acyclic_from
+
+    def _cycle_rows(self, view: int) -> Optional[List[int]]:
+        """The rows of the view's witness (:func:`view_witness`), searched
+        once."""
+        if view not in self._cycles:
+            self._cycles[view] = view_witness(
+                self.table, view, self.view(view), lambda: self.components(view)
+            )
+        return self._cycles[view]
 
     def _forward_from(self) -> int:
         """The largest view whose rows all go forward in commit order.
@@ -271,9 +305,7 @@ class DSG:
         ``None`` when the view is acyclic."""
         if self._acyclic(view):
             return None
-        return self._witness(
-            view_witness(self.table, view, self.view(view), self.components(view))
-        )
+        return self._witness(self._cycle_rows(view))
 
     # ------------------------------------------------------------------
     # cycle searches over caller-supplied edge predicates

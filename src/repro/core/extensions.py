@@ -142,7 +142,7 @@ def _g_ss(analysis: "Analysis") -> PhenomenonReport:
     return _cycle_report(
         Phenomenon.G_SS,
         table,
-        _g.cycle_through(ssg.view(FULL), ssg.components(FULL), special),
+        _g.cycle_through(ssg.view(FULL), special, lambda: ssg.components(FULL)),
         "real-time violation: SSG cycle with an anti- or start-dependency edge",
     )
 

@@ -12,7 +12,9 @@ its own edges.
 Witnesses come from two routines: :func:`cycle` walks a cycle in the first
 component that has one (G0, G1c), :func:`cycle_through` closes the first
 given row whose ends share a component with a shortest path back (G2,
-G2-item, the MSG).  Every routine visits a node's rows in list order and
+G2-item, G-SS, the MSG) — found by a breadth-first search per row, with the
+components computed only once the searches have followed as many rows as
+the graph holds.  Every routine visits a node's rows in list order and
 the nodes in the order the mapping lists them, so for one edge order there
 is one answer: the same components in the same order, the same cycle, the
 same path.  Witnesses are pinned byte for byte on that
@@ -26,9 +28,9 @@ flavours.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from itertools import chain
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -191,19 +193,47 @@ def cycle(adj: Adjacency, sccs: List[List[int]]) -> Optional[List[int]]:
 
 
 def cycle_through(
-    adj: Adjacency, sccs: List[List[int]], special: Iterable[int]
+    adj: Adjacency,
+    special: Iterable[int],
+    components: Callable[[], List[List[int]]],
 ) -> Optional[List[int]]:
-    """The first row of ``special`` whose ends share a component of
-    ``sccs``, closed into a cycle by a shortest path back."""
-    component = {node: i for i, scc in enumerate(sccs) for node in scc}
-    _leaving, src, dst = adj
-    for row in special:
+    """The first row ``a -> b`` of ``special`` (rows of ``adj``, ``a != b``)
+    whose ends share a component — ``b`` reaches ``a`` — closed into a cycle
+    by a shortest path back.
+
+    Each row is decided by a breadth-first search from ``b`` that stops at
+    ``a``; its path is :func:`shortest_edge_path`'s.  The searches together
+    follow at most as many rows as ``adj`` holds: the one that would follow
+    more gives up, and from its row on the rows are decided by the
+    components, asked of ``components()`` once.  A graph whose first rows
+    close never computes its components, and no graph pays more than one
+    pass over its rows before it does."""
+    leaving, src, dst = adj
+    budget = sum(map(len, leaving.values()))
+    rows = iter(special)
+    for row in rows:
         a, b = src[row], dst[row]
-        if a != b and component[a] == component[b]:
-            path = shortest_edge_path(adj, b, a)
+        if a != b:
+            path, budget = _search(adj, b, a, budget)
             if path is not None:
                 return [row, *path]
+            if budget < 0:
+                break
+    else:
+        return None
+    # A node alone in its component is on no cycle.
+    component = {
+        node: i for i, scc in enumerate(components()) if len(scc) > 1 for node in scc
+    }.get
+    for row in chain((row,), rows):
+        a, b = src[row], dst[row]
+        if a != b and component(a, -1) == component(b, -2):
+            return [row, *shortest_edge_path(adj, b, a)]
     return None
+
+
+#: A search budget no graph exhausts.
+_UNBOUNDED = float("inf")
 
 
 def shortest_edge_path(
@@ -213,15 +243,30 @@ def shortest_edge_path(
     empty tuple when ``src == dst``, or ``None`` when unreachable."""
     if src == dst:
         return ()
+    return _search(adj, src, dst, _UNBOUNDED)[0]
+
+
+def _search(
+    adj: Adjacency, src: int, dst: int, budget: float
+) -> Tuple[Optional[Tuple[int, ...]], float]:
+    """Breadth-first search from ``src`` for ``dst != src`` that follows at
+    most ``budget`` rows: the shortest path as a tuple of rows (``None``
+    when unreachable) and the budget left, negative when it ran out first
+    (the path is then ``None`` too)."""
     rows, row_src, row_dst = adj
-    parent: Dict[int, int] = {}  # node -> the row it was reached by
-    queue = deque((src,))
-    seen = {src}
-    while queue:
-        node = queue.popleft()
-        for row in rows.get(node, ()):
+    get = rows.get
+    parent = {src: -1}  # node seen -> the row it was reached by
+    queue = [src]  # read in order while it grows: a FIFO
+    for node in queue:
+        leaving = get(node)
+        if leaving is None:
+            continue
+        budget -= len(leaving)
+        if budget < 0:
+            return None, budget
+        for row in leaving:
             nxt = row_dst[row]
-            if nxt in seen:
+            if nxt in parent:
                 continue
             parent[nxt] = row
             if nxt == dst:
@@ -230,10 +275,9 @@ def shortest_edge_path(
                     row = parent[nxt]
                     path.append(row)
                     nxt = row_src[row]
-                return tuple(reversed(path))
-            seen.add(nxt)
+                return tuple(reversed(path)), budget
             queue.append(nxt)
-    return None
+    return None, budget
 
 
 def simple_cycles(adj: Adjacency) -> Iterator[List[int]]:

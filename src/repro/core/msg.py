@@ -105,7 +105,7 @@ class MSG:
                 members = set(scc)
                 src = self._table.src
                 inside = [row for row in self._rows if src[row] in members]
-                rows = _g.cycle_through(self._adj, sccs, inside)
+                rows = _g.cycle_through(self._adj, inside, lambda: sccs)
                 return Cycle(tuple(map(self._table.edge, rows)))
         return None
 

@@ -16,8 +16,10 @@ serializable           long         long        long
 
 The scheduler is *single-version in place*: each object holds a stack of
 entries; writes push, aborts pop the aborting transaction's entries, reads
-observe the top.  Dirty reads/writes therefore genuinely happen at the weak
-profiles, and the emitted Adya histories show them.  Mixed-level executions
+observe the top, and a commit drops the entries below its own newest one
+(committed entries are never popped, so nothing below one is read again).
+Dirty reads/writes therefore genuinely happen at the weak profiles, and the
+emitted Adya histories show them.  Mixed-level executions
 simply give different transactions different profiles (Section 5.5's
 "standard combination of short and long read/write locks").
 """
@@ -252,6 +254,15 @@ class LockingScheduler(Scheduler):
         self.recorder.commit(txn.tid, finals, positions=dict(txn.final_write_index))
         self.locks.release_all(txn.tid)
         txn.state = TxnState.COMMITTED
+        # A stack holds one committed entry, at its bottom, and the entries
+        # of uncommitted writers above it.
+        tid = txn.tid
+        for obj in txn.write_set:
+            stack = self._cells.get(obj, ())
+            for at in range(len(stack) - 1, 0, -1):
+                if stack[at].version.tid == tid:
+                    del stack[:at]
+                    break
 
     def restore(self, state) -> None:
         """Crash-recovery redo: rebuild both the predicate-universe store

@@ -57,7 +57,9 @@ def witness_cycle(
         return None
     table = analysis._table
     adj = view_adjacency(table, view)
-    rows = view_witness(table, view, adj, _g.strongly_connected_components(adj))
+    rows = view_witness(
+        table, view, adj, lambda: _g.strongly_connected_components(adj)
+    )
     return None if rows is None else [table.edge(row) for row in rows]
 
 

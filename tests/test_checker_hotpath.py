@@ -10,10 +10,13 @@ much it does to say it, on the ladder's checker history at two sizes:
   conflict before any question was asked), with the extension levels too:
   there the only other ones are G-SIa's, one per interference witness (the
   extension phenomena built one per conflict and per start-order pair);
-* the four cycle questions of the ANSI chain cost one strongly-connected-
-  components pass where a multi-version history needs one (its
-  anti-dependencies go backward in commit order; ww and ww+wr do not), and
-  none on a history recorded under strict two-phase locking;
+* the four cycle questions of the ANSI chain cost no strongly-connected-
+  components pass on the ladder's multi-version history (its ww and ww+wr
+  views go forward in commit order, and the search for G2's witness closes
+  an anti-dependency row long before it runs out) nor on a history recorded
+  under strict two-phase locking; on a G2-free history whose searches are
+  long they cost one, after the searches have followed no more rows than
+  the view holds;
 * G1a and G1b hash no ``Version`` and ``check`` asks no version whether it is
   its writer's final one: the read scans walk the event log's int columns;
 * the calls made grow with the events;
@@ -24,11 +27,13 @@ from __future__ import annotations
 
 import functools
 import sys
+import types
 
 import pytest
 
 import repro
 from repro.core import conflicts, graph, ssg
+from repro.core.events import Commit, Read, Write
 from repro.core.history import History
 from repro.core.objects import Version
 from repro.workloads import synthetic_history
@@ -121,11 +126,72 @@ def test_edges_are_built_for_witnesses_only(monkeypatch, n_txns, extensions):
 
 
 @pytest.mark.parametrize("n_txns", [SMALL, LARGE])
-def test_one_component_pass_on_a_multiversion_history(monkeypatch, n_txns):
+def test_no_component_pass_on_a_multiversion_history(monkeypatch, n_txns):
     passes = Tally(monkeypatch, graph, "strongly_connected_components")
     report = repro.check(_ladder_history(n_txns))
     assert str(report.strongest_level) == "PL-2"
-    assert passes.calls == 1
+    assert passes.calls == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _long_search_history(n_writers: int = 3_000, n_readers: int = 4):
+    """G2-free, with every anti-dependency row backward in commit order and
+    every search from one long: writer ``i`` writes ``y`` (a ww chain through
+    all of them) and its own ``x<i>``; reader ``j``, which reads first and
+    commits last, reads the setup version of ``x<j>``.  The anti-dependency
+    row ``reader j -> writer j`` sends a search down the rest of the chain,
+    which never leads back to a reader."""
+    readers = range(n_writers + 1, n_writers + 1 + n_readers)
+    events = [Read(tid, Version(f"x{j}", 0)) for j, tid in enumerate(readers, 1)]
+    for i in range(1, n_writers + 1):
+        events += [Write(i, Version("y", i)), Write(i, Version(f"x{i}", i)), Commit(i)]
+    events += [Commit(tid) for tid in readers]
+    return History(events)
+
+
+class _Walked:
+    """A node's row list that counts the rows a walk takes from it."""
+
+    def __init__(self, rows, walks):
+        self.rows, self.walks = rows, walks
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        for row in self.rows:
+            self.walks.rows += 1
+            yield row
+
+
+def test_the_searches_run_out_after_one_pass_over_the_view(monkeypatch):
+    """The G2 witness search follows no more rows than the view holds before
+    the components decide: one component pass, and the rows followed before
+    it bounded by the row count (without the bound the searches follow the
+    chain from every writer a reader's row points at, and never compute the
+    components)."""
+    walks = types.SimpleNamespace(rows=0)
+    before = []  # rows walked when each component pass starts
+    adjacency_of, components = graph.adjacency_of, graph.strongly_connected_components
+
+    def walked_adjacency(rows, src, dst):
+        adj = adjacency_of(rows, src, dst)
+        walked = {node: _Walked(out, walks) for node, out in adj.rows.items()}
+        return graph.Adjacency(walked, src, dst)
+
+    def noted_components(adj, nodes=()):
+        before.append(walks.rows)
+        return components(adj, nodes)
+
+    monkeypatch.setattr(graph, "adjacency_of", walked_adjacency)
+    monkeypatch.setattr(graph, "strongly_connected_components", noted_components)
+    history = _long_search_history()
+    report = repro.check(history)
+    assert report.exhibited() == () and report.serializable
+    view_rows = len(report.analysis.dsg.table.src)
+    assert len(before) == 1
+    # Not vacuous: the first search followed the chain to its end.
+    assert view_rows // 2 < before[0] <= view_rows
 
 
 def test_no_component_pass_on_a_locking_history(monkeypatch):

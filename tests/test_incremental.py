@@ -241,7 +241,9 @@ def compacted_witness(inc, phenomenon):
         table.depth.append(DEPTH[KIND_CODE[e.kind]][e.via_predicate])
     view = VIEW_OF[phenomenon]
     adj = view_adjacency(table, view)
-    rows = view_witness(table, view, adj, graph.strongly_connected_components(adj))
+    rows = view_witness(
+        table, view, adj, lambda: graph.strongly_connected_components(adj)
+    )
     return None if rows is None else [edges[row] for row in rows]
 
 

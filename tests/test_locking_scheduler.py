@@ -6,9 +6,14 @@ import repro
 from repro.core.levels import IsolationLevel as L
 from repro.core.predicates import FieldPredicate
 from repro.engine import Database, LockingScheduler
+from repro.engine import Simulator
 from repro.engine.locking import PROFILES, profile_for_level
 from repro.engine.locks import LockDuration
+from repro.engine.transaction import TxnState
 from repro.exceptions import WouldBlock
+from repro.workloads import random_programs
+
+from .test_simulator_golden import CONTENDED, PREDICATES
 
 
 def db_with(profile, initial=None):
@@ -150,6 +155,44 @@ class TestUndo:
         t1.abort()
         t2 = db.begin()
         assert t2.read(obj) is None
+
+
+class TestCellStacks:
+    """A commit drops the entries below its own newest one, so an object's
+    stack holds one committed entry, at its bottom, and the entries of its
+    uncommitted writers above it — however many versions the object has
+    had."""
+
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    @pytest.mark.parametrize(
+        "cfg", [CONTENDED, PREDICATES], ids=["contended", "predicates"]
+    )
+    def test_one_committed_entry_per_stack(self, monkeypatch, profile, cfg):
+        def shape(scheduler):
+            for stack in scheduler._cells.values():
+                states = [scheduler._txns[e.version.tid].state for e in stack]
+                assert TxnState.ABORTED not in states
+                assert TxnState.COMMITTED not in states[1:]
+
+        for name in ("write", "commit", "abort"):
+            inner = getattr(LockingScheduler, name)
+
+            def checked(self, *args, _inner=inner, **kwargs):
+                try:
+                    return _inner(self, *args, **kwargs)
+                finally:
+                    shape(self)
+
+            monkeypatch.setattr(LockingScheduler, name, checked)
+        versions = 0
+        for seed in range(8):
+            db = Database(LockingScheduler(profile))
+            db.load(cfg.initial_state())
+            Simulator(db, random_programs(cfg, seed=seed), seed=seed).run()
+            history = db.history()
+            versions = max(versions, *map(len, history.version_order.values()))
+        # Not vacuous: the stacks held several committed entries before.
+        assert versions >= 4
 
 
 class TestReadYourOwnWrites:
