@@ -645,7 +645,8 @@ class Cluster:
         durable logs and the replica-served reads, folded by
         :func:`~repro.service.certifier.merge_history`."""
         return merge_history(
-            self.shard_slots, now=self.network.now, validate=validate
+            self.shard_slots, self.participants_of,
+            now=self.network.now, validate=validate,
         )
 
     def __repr__(self) -> str:
