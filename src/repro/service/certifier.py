@@ -35,12 +35,13 @@ class GlobalCertifier:
     signature).
 
     Objects are partitioned, so the streams never contend on an object and
-    operations forward as they come.  A cross-shard transaction records one
-    end per participant; the certifier buffers the copies and forwards a
-    *single* end once every participant has applied, so the analysis sees
-    each transaction finish exactly once, atomically.  Single-participant
-    ends pass straight through, which is what makes a ``shards=1`` cluster
-    feed the analysis the byte-identical stream a single server would.
+    operations forward as they come, until their transaction's abort has
+    been forwarded.  A cross-shard transaction records one end per
+    participant; the certifier buffers the copies and forwards a *single*
+    end once every participant has applied, so the analysis sees each
+    transaction finish exactly once, atomically.  Single-participant ends
+    pass straight through, which is what makes a ``shards=1`` cluster feed
+    the analysis the byte-identical stream a single server would.
     """
 
     def __init__(
