@@ -208,13 +208,21 @@ class TestWakeList:
 
 def _checked_searches(monkeypatch, log):
     """Run every ``break_deadlock`` call next to the exhaustive search it
-    may skip: rebuild the whole graph first, then require the same verdict."""
+    may skip: rebuild the whole graph first, then require the same verdict
+    and the victim the session-seniority rule names on that cycle — the
+    member whose session's first transaction is youngest."""
     original = server_mod.break_deadlock
 
     def checked(servers, origin, waiter):
         live = [server for server in servers if server.up]
         by_tid, waits = server_mod._waits_for(live)
         cycle = _find_cycle(waits)
+        victim = None
+        if cycle is not None:
+            victim = max(cycle, key=lambda tid: min(
+                server._sessions[sid].first_tid or 0
+                for server, sid in by_tid[tid]
+            ))
         full_calls = log["full"]
         broken = original(servers, origin, waiter)
         log["searches"] += 1
@@ -222,7 +230,7 @@ def _checked_searches(monkeypatch, log):
         if cycle is None:
             assert broken is None
         else:
-            assert broken is not None and broken[0] in cycle
+            assert broken is not None and broken[0] == victim
         return broken
 
     def counting_find_cycle(waits):
