@@ -34,28 +34,27 @@ per-program outcomes, and counters the benchmarks report.
 
 The loop is event-driven: the candidate list and the count of waiting
 programs are updated where a program finishes, blocks or resumes, and the
-deadlock search is incremental.  ``_acyclic`` records that the last search
-left the waits-for graph without a cycle; from then on edges only *vanish*
-(a waiter resumes, commits, or restarts under a fresh tid, so edges into
-its old tid dead-end; the everyone-blocked branch drops every edge, and
-each is re-added by a blocked step that searches) — except the out-edges of
-the program that has just blocked.  So while the flag is up any cycle runs
-through the newly blocked tid: unchanged holders mean no search at all, new
-holders a walk from that tid alone, and only a walk that comes back — or a
-flag lowered by a victim, whose cycle may have had siblings — pays for the
-full rebuild and :func:`_find_cycle`, which alone choose cycle and victim.
+deadlock search is incremental (:mod:`repro.engine.waits`).  Here the wait
+edges are the runs' ``waiting_on``; they vanish when a waiter resumes,
+commits, or restarts under a fresh tid (edges into its old tid dead-end),
+and the everyone-blocked branch drops every edge, each re-added by a
+blocked step that searches.  Unchanged holders mean no search at all, new
+holders a walk from the blocked tid alone, and only a walk that comes back
+— or a flag lowered by a victim — pays for the full rebuild, in index
+order, which alone chooses cycle and victim.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..core.history import History
 from ..exceptions import TransactionAborted, WouldBlock
 from .database import Database, TransactionHandle
 from .programs import Program, Step
+from .waits import WaitsFor
 
 __all__ = ["Simulator", "SimulationResult", "ProgramOutcome"]
 
@@ -185,7 +184,8 @@ class Simulator:
         self._waiting = 0
         #: Live tid -> its unfinished program (the nodes of the waits-for graph).
         self._by_tid: Dict[int, _Run] = {}
-        self._acyclic = True
+        #: The waits-for search (:mod:`repro.engine.waits`).
+        self._waits = WaitsFor()
         for run in runs:
             self._start(run)
         steps = 0
@@ -350,58 +350,41 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
-    def _waits_on_itself(self, blocked: _Run) -> bool:
-        """Whether ``blocked`` can reach its own tid along the wait edges,
-        followed through ``_by_tid`` instead of a rebuilt graph.  Holders
-        that have finished or restarted are no longer in it and end the walk."""
-        by_tid = self._by_tid
-        start = blocked.txn.tid
-        seen = {start}
-        stack = [blocked]
-        while stack:
-            for tid in stack.pop().waiting_on or ():
-                if tid == start:
-                    return True
-                if tid not in seen:
-                    seen.add(tid)
-                    holder = by_tid.get(tid)
-                    if holder is not None:
-                        stack.append(holder)
-        return False
+    def _waits_on(self, tid: int) -> Iterable[int]:
+        """The holders ``tid`` waits on; none once its program has finished
+        or restarted under a fresh tid."""
+        run = self._by_tid.get(tid)
+        return (run.waiting_on or ()) if run is not None else ()
 
     def _resolve_deadlock(
         self, blocked: _Run, waited_on: Optional[frozenset[int]]
     ) -> None:
-        """Abort the *originally* youngest transaction on a waits-for cycle.
+        """Abort the *originally* youngest transaction on a waits-for cycle
+        (:mod:`repro.engine.waits` states the search and the victim rule;
+        the seniority key here is the tid of the program's first attempt).
 
-        Age is the tid of the program's first attempt, not the current one:
-        a restarted victim keeps its seniority, so it cannot be selected
-        forever (the naive abort-the-current-youngest rule starves restarts,
-        which always re-enter with the largest tid — measured live on
-        32-program fleets).
-
-        While ``_acyclic`` holds (see the module docstring) a cycle must pass
-        through ``blocked``: there is none if it still waits on the holders
-        it had before this step (``waited_on``), or cannot reach itself.  The
-        graph is rebuilt and searched in full only otherwise, or after a
-        victim.
+        While the graph is known acyclic a cycle must pass through
+        ``blocked``: there is none if it still waits on the holders it had
+        before this step (``waited_on``) — asked first, since nearly every
+        blocked step ends here — or cannot reach itself.  The graph is
+        rebuilt, in index order, and searched in full only otherwise, or
+        after a victim.
         """
-        if self._acyclic and (
-            waited_on == blocked.waiting_on or not self._waits_on_itself(blocked)
-        ):
+        waits_for = self._waits
+        if (
+            waits_for.acyclic and waited_on == blocked.waiting_on
+        ) or waits_for.settled(blocked.txn.tid, self._waits_on):
             return
-        # Index order, as ``_find_cycle`` reports the first cycle it meets.
+        # Index order, as ``find_cycle`` reports the first cycle it meets.
         waits: Dict[int, frozenset[int]] = {
             r.txn.tid: r.waiting_on for r in self._candidates if r.waiting_on
         }
-        cycle = _find_cycle(waits)
-        # After a victim, other cycles through ``blocked`` may remain.
-        self._acyclic = not cycle
-        if not cycle:
+        by_tid = self._by_tid
+        found = waits_for.search(waits, lambda tid: by_tid[tid].outcome.tids[0])
+        if found is None:
             return
-        victim = max(
-            (self._by_tid[tid] for tid in cycle), key=lambda r: r.outcome.tids[0]
-        )
+        cycle, tid = found
+        victim = by_tid[tid]
         self.deadlocks += 1
         if self.metrics is not None:
             sched = self.db.scheduler.name
@@ -426,33 +409,3 @@ class Simulator:
         victim.txn.abort()
         self._handle_abort(victim, reason="deadlock")
 
-
-def _find_cycle(waits: Dict[int, frozenset[int]]) -> Optional[List[int]]:
-    """Nodes of some cycle in the waits-for graph in cycle order, or
-    ``None``.  The order lets observers report the actual waits-for loop
-    (``cycle[i]`` waits on ``cycle[i+1]``, the last waits on the first)."""
-    visiting: Set[int] = set()
-    visited: Set[int] = set()
-    stack: List[int] = []
-
-    def dfs(node: int) -> Optional[List[int]]:
-        visiting.add(node)
-        stack.append(node)
-        for nxt in waits.get(node, ()):
-            if nxt in visiting:
-                return stack[stack.index(nxt) :]
-            if nxt not in visited:
-                found = dfs(nxt)
-                if found:
-                    return found
-        visiting.discard(node)
-        visited.add(node)
-        stack.pop()
-        return None
-
-    for start in list(waits):
-        if start not in visited:
-            found = dfs(start)
-            if found:
-                return found
-    return None

@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..core.history import History
 from ..core.levels import IsolationLevel
 from ..engine.factory import SchedulerConfig
+from ..engine.waits import WaitsFor
 from .certifier import GlobalCertifier, merge_history
 from .config import (
     AdmissionConfig,
@@ -187,6 +188,9 @@ class Cluster:
         for obj, value in (initial or {}).items():
             split[by_name[self.shard_map.owner(_route_key(obj))]][obj] = value
         self.state.loader_participants = tuple(i for i in range(n) if split[i])
+        #: The search of the cluster's waits-for graph, which every shard's
+        #: parks make up (see :meth:`resolve_deadlock`).
+        self._waits = WaitsFor()
         #: The current primary of every slot, by shard index.
         self.shards: List[ShardServer] = [
             ShardServer(self, slot, name=name, initial=part or None)

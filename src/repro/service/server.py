@@ -22,8 +22,8 @@ an unreliable boundary forces:
   request is answered with the notice again and never runs; a later request
   of the same session means the client walked away and drops the park.  The
   parks are the waits-for graph: every (re-)park is followed by a deadlock
-  search that aborts the youngest transaction of any cycle (same victim
-  rule as the in-process simulator), and a parked victim's ``aborted`` is
+  search (:mod:`repro.engine.waits`) that aborts the transaction of any
+  cycle whose session is youngest, and a parked victim's ``aborted`` is
   pushed like any other final reply.
 * **crash/restart** — :meth:`crash` drops every volatile structure (store,
   sessions, dedup cache, parks) and records recovery-undo aborts for the
@@ -40,15 +40,16 @@ an unreliable boundary forces:
 from __future__ import annotations
 
 import random
+from functools import partial
 from math import inf
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.events import Abort, Commit
 from ..core.levels import IsolationLevel
 from ..engine.database import Database, TransactionHandle
 from ..engine.factory import SchedulerConfig, create_scheduler
-from ..engine.simulator import _find_cycle
 from ..engine.transaction import TxnState
+from ..engine.waits import WaitsFor
 from ..exceptions import InvalidOperation, TransactionAborted, WouldBlock
 from .client import Client
 from .config import AdmissionConfig
@@ -129,8 +130,9 @@ class _Session(_ReplyCache):
         #: delayed duplicate of an already-acked request must not
         #: re-execute after its cache entry was pruned.
         self.last_rid = -1
-        #: The tid of this session's first transaction — its seniority for
-        #: deadlock victim selection (matches the simulator's aging rule).
+        #: The tid of this session's first transaction, never reset — its
+        #: seniority for deadlock victim selection (the server's aging rule;
+        #: :mod:`repro.engine.waits` states it beside the simulator's).
         self.first_tid: Optional[int] = None
         #: Reason the session's transaction was killed out-of-band
         #: (deadlock victim), reported on its next request.
@@ -213,10 +215,9 @@ class Server:
         #: (current while anything is parked).
         self._wal_seen = 0
         self._waking = False
-        #: The last deadlock search left the waits-for graph acyclic and no
-        #: wait edge has appeared here since without a search following it
-        #: (see :func:`break_deadlock`).
-        self._waits_acyclic = True
+        #: The search of the waits-for graph the parks here are part of
+        #: (:mod:`repro.engine.waits`; a cluster's shards share one).
+        self._waits = WaitsFor()
         #: Declared level per tid (for certification) and live verdicts.
         self.declared: Dict[int, Optional[IsolationLevel]] = {}
         self.certified: Dict[int, bool] = {}
@@ -952,61 +953,37 @@ def _waits_for(
     return by_tid, waits
 
 
-def _waits_on_itself(live: Sequence["Server"], waiter: int) -> bool:
-    """Whether ``waiter`` can reach itself along the recorded wait edges of
-    ``live`` — followed through ``_tid_session`` instead of a rebuilt graph.
-    Holders that are no longer active have no session and end the walk."""
-    seen = {waiter}
-    stack = [waiter]
-    while stack:
-        tid = stack.pop()
-        for server in live:
-            sid = server._tid_session.get(tid)
-            s = server._sessions.get(sid)
-            if s is None or s.live(tid) is None:
-                continue
-            park = server._parked.get(sid)
-            for holder in park.holders if park is not None else ():
-                if holder == waiter:
-                    return True
-                if holder not in seen:
-                    seen.add(holder)
-                    stack.append(holder)
-    return False
+def _waits_on(live: Sequence["Server"], tid: int) -> Iterator[int]:
+    """The holders ``tid``'s parked requests wait on, at each server of
+    ``live`` where it is still active (a holder no longer active has no
+    session there, and so no edges)."""
+    for server in live:
+        sid = server._tid_session.get(tid)
+        s = server._sessions.get(sid)
+        park = server._parked.get(sid)
+        if park is not None and s.live(tid) is not None:
+            yield from park.holders
 
 
 def break_deadlock(
     servers: Sequence["Server"], origin: "Server", waiter: int
 ) -> Optional[Tuple[int, List["Server"]]]:
     """Parked requests carry waits-for edges; union them over ``servers``
-    and, on a cycle, abort the transaction whose *session* is youngest — the
-    simulator's aging rule: restarted victims keep their seniority.  The
-    victim is charged to ``origin`` (the server that parked transaction
+    and, on a cycle, abort the transaction whose *session* is youngest
+    (:mod:`repro.engine.waits` states the search and both aging rules).
+    The victim is charged to ``origin`` (the server that parked transaction
     ``waiter``, which triggered the search).  Returns ``(victim tid,
     servers it was aborted on)``, or ``None`` without a cycle.  A victim
     with a parked request is not answered here: its abort is in the WAL, so
     each server's next :meth:`Server._wake` runs the request again and
-    pushes the ``aborted`` it finds.
-
-    The search is incremental.  While every server's ``_waits_acyclic``
-    holds, the graph was acyclic when last searched and has only lost edges
-    since, except for the out-edges ``waiter`` just gained — so any cycle
-    passes through ``waiter``, and if it cannot reach itself there is none.
-    Only otherwise is the graph rebuilt and searched in full, which alone
-    decides *which* cycle and victim are reported."""
+    pushes the ``aborted`` it finds.  The graph is rebuilt, servers then
+    park order, only when the walk from ``waiter`` comes back or the flag
+    is down."""
     live = [server for server in servers if server.up]
-    if all(server._waits_acyclic for server in live) and not _waits_on_itself(
-        live, waiter
-    ):
+    waits_for = origin._waits
+    if waits_for.settled(waiter, partial(_waits_on, live)):
         return None
     by_tid, waits = _waits_for(live)
-    cycle = _find_cycle(waits)
-    candidates = [tid for tid in cycle or () if tid in by_tid]
-    for server in live:
-        # After a victim, other cycles through ``waiter`` may remain.
-        server._waits_acyclic = not candidates
-    if not candidates:
-        return None
 
     def seniority(tid: int) -> int:
         # A session's seniority is its oldest live first_tid across the
@@ -1015,7 +992,10 @@ def break_deadlock(
             server._sessions[sid].first_tid or 0 for server, sid in by_tid[tid]
         )
 
-    victim = max(candidates, key=seniority)
+    found = waits_for.search(waits, seniority)
+    if found is None:
+        return None
+    cycle, victim = found
     origin.deadlock_victims += 1
     if origin.metrics is not None:
         origin.metrics.counter(

@@ -119,6 +119,7 @@ class ShardServer(Server):
             tid_allocator=cluster.state.allocate_tid,
         )
         self.monitor = cluster.analysis  # base _certify consults it
+        self._waits = cluster._waits  # one graph: the union of every shard's parks
         self._pending_certify = slot.pending_certify
         self.declared = slot.declared
         self.certified = slot.certified
@@ -441,7 +442,7 @@ class ShardServer(Server):
                 kind != "read" and obj in snap["read_objs"]
             ):
                 self._park(request, src, request.get("tid"), frozenset({gid}))
-                self._waits_acyclic = False  # an edge no search follows
+                self._waits.acyclic = False  # an edge no search follows
                 return {"error": "busy", "holders": [gid]}
         return None
 

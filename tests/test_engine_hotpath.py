@@ -17,9 +17,10 @@ import pytest
 from repro.core.objects import relation_of
 from repro.engine import Database, Insert, LockingScheduler, Simulator, Write
 from repro.engine import simulator as sim_mod
+from repro.engine import waits as waits_mod
 from repro.engine.locks import LockManager
-from repro.engine.simulator import _find_cycle
 from repro.engine.transaction import TxnState
+from repro.engine.waits import find_cycle
 from repro.exceptions import WouldBlock
 from repro.workloads import WorkloadConfig, random_programs
 
@@ -86,7 +87,7 @@ def _checked_searches(monkeypatch, log):
         active = [r for r in runs if r.txn.state is TxnState.ACTIVE]
         by_tid = {r.txn.tid: r for r in active}
         waits = {r.txn.tid: r.waiting_on for r in active if r.waiting_on}
-        cycle = _find_cycle(waits)
+        cycle = find_cycle(waits)
         victim = doomed = None
         if cycle:
             victim = max((by_tid[t] for t in cycle), key=lambda r: r.outcome.tids[0])
@@ -105,12 +106,12 @@ def _checked_searches(monkeypatch, log):
 
     def counting_find_cycle(waits):
         log["full"] += 1
-        return _find_cycle(waits)
+        return find_cycle(waits)
 
     monkeypatch.setattr(sim_mod.Simulator, "run", fresh_run)
     monkeypatch.setattr(sim_mod.Simulator, "_start", collecting_start)
     monkeypatch.setattr(sim_mod.Simulator, "_resolve_deadlock", checked)
-    monkeypatch.setattr(sim_mod, "_find_cycle", counting_find_cycle)
+    monkeypatch.setattr(waits_mod, "find_cycle", counting_find_cycle)
     return runs
 
 

@@ -14,8 +14,9 @@ import pytest
 
 from repro.core.formatting import format_history
 from repro.core.incremental import IncrementalAnalysis
+from repro.engine import waits as waits_mod
 from repro.engine.factory import SchedulerConfig
-from repro.engine.simulator import _find_cycle
+from repro.engine.waits import find_cycle
 from repro.service import (
     ClusterConfig,
     NetworkConfig,
@@ -216,7 +217,7 @@ def _checked_searches(monkeypatch, log):
     def checked(servers, origin, waiter):
         live = [server for server in servers if server.up]
         by_tid, waits = server_mod._waits_for(live)
-        cycle = _find_cycle(waits)
+        cycle = find_cycle(waits)
         victim = None
         if cycle is not None:
             victim = max(cycle, key=lambda tid: min(
@@ -235,11 +236,11 @@ def _checked_searches(monkeypatch, log):
 
     def counting_find_cycle(waits):
         log["full"] += 1
-        return _find_cycle(waits)
+        return find_cycle(waits)
 
     monkeypatch.setattr(server_mod, "break_deadlock", checked)
     monkeypatch.setattr(cluster_mod, "break_deadlock", checked)
-    monkeypatch.setattr(server_mod, "_find_cycle", counting_find_cycle)
+    monkeypatch.setattr(waits_mod, "find_cycle", counting_find_cycle)
 
 
 DEADLOCK_CASES = {

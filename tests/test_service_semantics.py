@@ -114,5 +114,8 @@ def test_semantic_gates(monkeypatch, name: str, seed: int) -> None:
         assert not getattr(server, "_parked", None), server.name
     if closed:
         assert not any(server._live_txns() for server in servers)
-    _by_tid, waits = server_mod._waits_for(servers)
+    # Neither the rebuilt graph nor the edges the incremental walk follows
+    # (``repro.engine.waits``) has an edge left.
+    by_tid, waits = server_mod._waits_for(servers)
     assert waits == {}
+    assert not any(list(server_mod._waits_on(servers, tid)) for tid in by_tid)
