@@ -13,10 +13,11 @@ from __future__ import annotations
 import zlib
 from typing import Any, Dict, List, Optional, Set
 
+from ..engine.mobile import SessionVector
 from .client import Client
 from .config import SessionGuarantees
 from .errors import ServiceUnavailable
-from .replication import SessionVector, route_key as _route_key
+from .replication import route_key as _route_key
 
 __all__ = ["ClusterClient"]
 
