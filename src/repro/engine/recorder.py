@@ -12,7 +12,7 @@ MVCC executions all reduce to the same history formalism.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..core.events import Abort, Begin, Commit, Event, PredicateRead, Read, Write
 from ..core.history import History
@@ -78,6 +78,17 @@ class HistoryRecorder:
         """Attach an online monitor mid-execution, replaying everything
         recorded so far (commits replay with their original install
         positions, so the monitor's version order matches ours)."""
+        for ev, finals, positions in self._entries():
+            if finals is None:
+                monitor.add(ev)
+            else:
+                monitor.add(ev, finals=finals, positions=positions)
+        self.monitor = monitor
+
+    def _entries(self) -> Iterator[tuple]:
+        """Everything recorded so far as replication-log entries ``(event,
+        finals, keys)``: a commit regains its installed versions and their
+        install keys from the install order."""
         keyed: Dict[int, Dict[str, tuple]] = {}
         for obj, entries in self._install.items():
             for key, version in entries:
@@ -85,14 +96,13 @@ class HistoryRecorder:
         for ev in self.events:
             if isinstance(ev, Commit):
                 slot = keyed.get(ev.tid, {})
-                monitor.add(
+                yield (
                     ev,
-                    finals={obj: v for obj, (_k, v) in slot.items()},
-                    positions={obj: k for obj, (k, _v) in slot.items()},
+                    {obj: v for obj, (_k, v) in slot.items()},
+                    {obj: k for obj, (k, _v) in slot.items()},
                 )
             else:
-                monitor.add(ev)
-        self.monitor = monitor
+                yield ev, None, None
 
     # ------------------------------------------------------------------
     # replication log
@@ -100,27 +110,10 @@ class HistoryRecorder:
 
     def enable_replication(self) -> None:
         """Start keeping a shippable replication log, backfilled for
-        everything already recorded (commits regain their install keys
-        from the install order, the same reconstruction
-        :meth:`attach_monitor` replays with)."""
-        if self.repl_log is not None:
-            return
-        keyed: Dict[int, Dict[str, tuple]] = {}
-        for obj, entries in self._install.items():
-            for key, version in entries:
-                keyed.setdefault(version.tid, {})[obj] = (key, version)
-        log: List[tuple] = []
-        for ev in self.events:
-            if isinstance(ev, Commit):
-                slot = keyed.get(ev.tid, {})
-                log.append((
-                    ev,
-                    {obj: v for obj, (_k, v) in slot.items()},
-                    {obj: k for obj, (k, _v) in slot.items()},
-                ))
-            else:
-                log.append((ev, None, None))
-        self.repl_log = log
+        everything already recorded (the entries :meth:`attach_monitor`
+        replays)."""
+        if self.repl_log is None:
+            self.repl_log = list(self._entries())
 
     def apply_entry(self, entry: tuple) -> None:
         """Append one shipped replication-log entry: the event verbatim,
