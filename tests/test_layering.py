@@ -71,21 +71,3 @@ def upward_imports() -> Iterator[Tuple[str, int, str]]:
 def test_lower_layers_import_no_upper_layer_at_module_level():
     assert list(upward_imports()) == []
 
-
-def test_the_scan_resolves_relative_imports():
-    tree = ast.parse(
-        "from ..service.replication import SessionVector\n"
-        "from . import recorder\n"
-        "def f():\n    from ..service import server\n"
-    )
-    path = ROOT / "engine" / "mobile.py"
-    found = [
-        target
-        for node in _module_level_imports(tree)
-        for target in _targets(path, node)
-    ]
-    assert found[:2] == [
-        "repro.service.replication", "repro.service.replication.SessionVector"
-    ]
-    assert "repro.engine.recorder" in found
-    assert "repro.service.server" not in found
