@@ -4,8 +4,8 @@
 that emit histories) and ``repro.checker`` sit below ``repro.service`` and
 ``repro.observability``.  A module-level import the other way makes the
 lower layer load the upper one, and any cycle between them a matter of
-import order.  Imports inside a function are the documented escape hatch
-(the service imports on demand too) and are not scanned.
+import order.  An import inside a function runs only when it is called and
+is not scanned.
 """
 
 from __future__ import annotations
@@ -70,4 +70,3 @@ def upward_imports() -> Iterator[Tuple[str, int, str]]:
 
 def test_lower_layers_import_no_upper_layer_at_module_level():
     assert list(upward_imports()) == []
-
