@@ -1,12 +1,12 @@
 """The waits-for search that breaks lock-wait cycles, stated once.
 
-Two drivers wait on locks and break a cycle of waits by aborting one of its
+Two callers wait on locks and break a cycle of waits by aborting one of its
 transactions: the :class:`~repro.engine.simulator.Simulator`, where a blocked
 program stays a candidate waiting on its ``WouldBlock`` holders, and the
 service's servers, where a blocked request is parked behind its holders
 (:func:`repro.service.server.break_deadlock`, over every shard of a
 cluster).  Which transaction dies is part of every history the checker
-judges, so the search and the victim rule live here; each driver keeps its
+judges, so the search and the victim rule live here; each caller keeps its
 own edges, rebuild order, seniority key, metrics and trace records.
 
 The search is incremental.  :class:`WaitsFor` keeps one flag per graph,
@@ -16,14 +16,14 @@ waiter resumes, its transaction ends, or it restarts under a fresh tid)
 except the out-edges of the waiter that has just blocked, so any new cycle
 passes through that waiter, and a walk from it that does not come back
 (:func:`reaches_itself`) means there is none and nothing is rebuilt.
-Otherwise the driver rebuilds its whole graph, in its own order, and
+Otherwise the caller rebuilds its whole graph, in its own order, and
 :meth:`WaitsFor.search` takes the first cycle :func:`find_cycle` meets
 there — the rebuild alone decides which cycle is reported.  A victim
 lowers the flag (its cycle may have had siblings through the same waiter),
 and a full search that finds nothing raises it again.
 
 The victim is the member of that cycle with the largest seniority key: the
-youngest.  The two drivers age differently:
+youngest.  The two callers age differently:
 
 * the simulator ages a *program* by the tid of its first attempt, so a
   restarted victim keeps its seniority and cannot be chosen forever (the
