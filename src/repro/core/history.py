@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..exceptions import MalformedHistoryError, VersionOrderError
-from .events import Abort, Begin, Event, PredicateRead, Read, Write
+from .events import Event, PredicateRead, Read, Write
 from .interning import (
     EventLog,
     K_ABORT,
@@ -78,38 +79,54 @@ class History:
         auto_complete: bool = False,
         validate: bool = True,
     ):
-        self.events: Tuple[Event, ...] = tuple(events)
+        log = EventLog(events)
+        chains = None if version_order is None else log.intern_order(version_order)
+        self._adopt(log, chains, default_level, auto_complete, validate)
+
+    @classmethod
+    def _of_log(cls, log: EventLog, chains: Dict[str, List[int]], *options) -> "History":
+        """The history of a log already built (the engine recorder's), its
+        version order given as chains of version ids."""
+        history = cls.__new__(cls)
+        history._adopt(log, chains, *options)
+        return history
+
+    def _adopt(self, log, chains, default_level, auto_complete, validate) -> None:
+        """The one constructor body: take over ``log`` — its rows and the
+        tables its appends kept — and the supplied order's ``chains``."""
         if auto_complete:
-            aborts = _missing_aborts(self.log)
-            if aborts:
-                self.events += aborts
-                del self.log  # rebuilt on first use, over the completed events
+            log.complete()
+        #: The events as rows (what the index builders read).
+        self.log = log
         self.default_level = default_level
-        self._explicit_order = version_order is not None
+        self._explicit_order = chains is not None
         # Per-predicate memoization (keyed by predicate identity, holding a
         # reference so the id stays valid): match results per version, match-
         # change results per version, and per-object changer positions.  A
         # history is immutable, so these never need invalidation.
         self._pred_caches: Dict[int, Tuple[object, Dict, Dict, Dict]] = {}
         #: Transactions with a commit / an abort event.
-        self.committed: frozenset[int]
-        self.aborted: frozenset[int]
+        self.committed: frozenset[int] = frozenset(log.commits)
+        self.aborted: frozenset[int] = frozenset(log.aborts)
         #: The committed transactions in the order of their commit events.
-        self._commit_order: List[int]
-        #: Every write event indexed by the version it creates.
-        self.writes: Dict[Version, Write]
+        self._commit_order: List[int] = log.commits
         #: ``(obj, tid)`` -> the largest ``seq`` among ``T_tid``'s writes of
         #: ``obj`` (see :meth:`final_version`).
-        self._final_seq: Dict[Tuple[str, int], int]
+        self._final_seq: Dict[Tuple[str, int], int] = log.final_seq
         #: Versions referenced by reads, version sets or a supplied order
         #: but never written by any event — the paper's implicit initial
         #: database state (e.g. ``x0`` in ``H_phantom``).  They are installed
         #: right after the unborn version and treated as visible versions of
         #: committed transactions.
         self.setup_versions: frozenset[Version]
-        self.version_order: Dict[str, Tuple[Version, ...]] = self._build_order(
-            version_order
-        )
+        #: The version order of each object as version ids, the unborn
+        #: version left out (what validation walks).
+        self._order_vids: Dict[str, List[int]] = self._build_order(chains)
+        version, unborn = log.interner.versions.__getitem__, Version.unborn
+        self.version_order: Dict[str, Tuple[Version, ...]] = {
+            obj: (unborn(obj), *map(version, chain))
+            for obj, chain in self._order_vids.items()
+        }
         if validate:
             validate_history(self)
 
@@ -117,88 +134,37 @@ class History:
     # construction helpers
     # ------------------------------------------------------------------
 
-    @cached_property
-    def log(self) -> EventLog:
-        """Array-of-struct mirror of the event sequence (built lazily; the
-        index builders all read from it)."""
-        return EventLog(self.events)
-
     def _build_order(
-        self, supplied: Optional[Mapping[str, Sequence[Version]]]
-    ) -> Dict[str, Tuple[Version, ...]]:
-        """The version order of every object: the supplied chains, else the
-        committed transactions' final writes in event order, each prefixed
-        with the unborn version and the object's setup versions.
+        self, supplied: Optional[Dict[str, List[int]]]
+    ) -> Dict[str, List[int]]:
+        """The version order of every object as version ids: the supplied
+        chains, else the committed transactions' final writes in event
+        order, each prefixed with the object's setup versions.
 
-        One sweep over the flat event log (kind codes and interned ids),
-        which also leaves the tables it has in hand on the history:
-        :attr:`committed` (and the commit order), :attr:`aborted`,
-        :attr:`writes`, :attr:`setup_versions` and the final-write index behind
-        :meth:`final_version` / :meth:`is_final` (and :attr:`_nonfinal`).
+        Reads the tables the log's appends kept; only objects that no
+        supplied chain names take a walk over the write rows.  Leaves
+        :attr:`setup_versions` on the history.
         """
         log = self.log
         inn = log.interner
-        kind, tids, vids = log.kind, log.tid, log.vid
         versions, objects = inn.versions, inn.objects
         ver_obj, ver_tid, ver_seq = inn.ver_obj, inn.ver_tid, inn.ver_seq
-        version_id = inn.version_id
-        events = self.events
-        commits: List[int] = []
-        aborts: List[int] = []
-        writes: Dict[Version, Write] = {}
-        final_seq: Dict[Tuple[str, int], int] = {}
-        write_rows: List[int] = []  # the vid of every write, in event order
-        # Versions read, or selected by a version set, in first-appearance
-        # order: the candidates for setup versions.
-        observed: Dict[int, None] = {}
-        for i, k in enumerate(kind):
-            if k == K_WRITE:
-                vid = vids[i]
-                writes[versions[vid]] = events[i]
-                write_rows.append(vid)
-                key = (objects[ver_obj[vid]], ver_tid[vid])
-                seq = ver_seq[vid]
-                if seq > final_seq.setdefault(key, seq):
-                    final_seq[key] = seq
-            elif k == K_READ:
-                observed[vids[i]] = None
-            elif k == K_COMMIT:
-                commits.append(tids[i])
-            elif k == K_ABORT:
-                aborts.append(tids[i])
-            elif k == K_PREAD:
-                for v in events[i].vset.versions():
-                    observed[version_id[v]] = None
-        committed = frozenset(commits)
-        self.committed = committed
-        self._commit_order = commits
-        self.aborted = frozenset(aborts)
-        self.writes = writes
-        self._final_seq = final_seq
-
-        order: Dict[str, List[Version]] = {}
-        unwritten: List[Version] = []  # in a supplied chain, written by no event
+        last_write, committed, final_seq = log.last_write, self.committed, self._final_seq
+        order: Dict[str, List[int]] = {}
+        unwritten: List[int] = []  # in a supplied chain, written by no event
         if supplied is not None:
-            for obj, chain_vs in supplied.items():
-                chain: List[Version] = []
-                for v in chain_vs:
-                    if v.tid == INIT_TID:
-                        continue  # the unborn version is implicit
-                    if v.obj != obj:
-                        raise VersionOrderError(
-                            f"version order for {obj!r} contains version of {v.obj!r}"
-                        )
-                    if v not in writes:
-                        unwritten.append(v)
-                    chain.append(v)
+            for obj, chain in supplied.items():
+                unwritten.extend(vid for vid in chain if vid not in last_write)
                 order[obj] = chain
         supplied_objs = frozenset(order)
-        for vid in write_rows:
-            tid = ver_tid[vid]
-            if tid in committed:
-                obj = objects[ver_obj[vid]]
-                if obj not in supplied_objs and ver_seq[vid] == final_seq[(obj, tid)]:
-                    order.setdefault(obj, []).append(versions[vid])
+        if not supplied_objs.issuperset(objects):
+            writes = compress(log.vid, map(K_WRITE.__eq__, log.kind))
+            for vid in writes:
+                tid = ver_tid[vid]
+                if tid in committed:
+                    obj = objects[ver_obj[vid]]
+                    if obj not in supplied_objs and ver_seq[vid] == final_seq[(obj, tid)]:
+                        order.setdefault(obj, []).append(vid)
         # Every object mentioned anywhere gets an order entry so lookups are
         # uniform (the interner holds them in first-appearance order), and
         # *setup versions* — versions that are read (directly or in a
@@ -208,29 +174,44 @@ class History:
         # no write of ``y``) — are installed right after the unborn version.
         for obj in objects:
             order.setdefault(obj, [])
-        setup: Dict[str, List[Version]] = {}
-        in_chain: Dict[str, frozenset[Version]] = {}
-        for vid in observed:
-            v = versions[vid]
-            if ver_tid[vid] == INIT_TID or v in writes:
+        setup: Dict[str, List[int]] = {}
+        in_chain: Dict[str, Set[int]] = {}
+        for vid in log.observed:
+            if ver_tid[vid] == INIT_TID or vid in last_write:
                 continue
             obj = objects[ver_obj[vid]]
             if obj in supplied_objs:  # only a supplied chain can hold it
                 placed = in_chain.get(obj)
                 if placed is None:
-                    placed = in_chain[obj] = frozenset(order[obj])
-                if v in placed:
+                    placed = in_chain[obj] = set(order[obj])
+                if vid in placed:
                     continue
-            setup.setdefault(obj, []).append(v)
-        self.setup_versions = frozenset(unwritten).union(*setup.values())
-        return {
-            obj: (Version.unborn(obj),) + tuple(setup.get(obj, ())) + tuple(chain)
-            for obj, chain in order.items()
-        }
+            setup.setdefault(obj, []).append(vid)
+        version = versions.__getitem__
+        self.setup_versions = frozenset(map(version, unwritten)).union(
+            *(map(version, vids) for vids in setup.values())
+        )
+        self._setup_vids = set(unwritten).union(*setup.values())
+        for obj, head in setup.items():
+            order[obj] = head + order[obj]
+        return order
 
     # ------------------------------------------------------------------
     # basic indexes
     # ------------------------------------------------------------------
+
+    @cached_property
+    def events(self) -> Tuple[Event, ...]:
+        """The event sequence (built from :attr:`log`'s rows on first use,
+        where the history was not given event objects)."""
+        return tuple(self.log.events())
+
+    @cached_property
+    def writes(self) -> Dict[Version, Write]:
+        """Every write event indexed by the version it creates (a version
+        written twice maps to its last write)."""
+        events, versions = self.events, self.log.interner.versions
+        return {versions[vid]: events[row] for vid, row in self.log.last_write.items()}
 
     @cached_property
     def tids(self) -> Tuple[int, ...]:
@@ -343,9 +324,7 @@ class History:
         """Transactions that install only setup versions and have no events
         of their own (e.g. T0 in ``H_phantom``, whose DSG caption reads
         "T0 is not shown")."""
-        return frozenset(v.tid for v in self.setup_versions) - {
-            ev.tid for ev in self.events
-        }
+        return frozenset(v.tid for v in self.setup_versions).difference(self.log.tid)
 
     @cached_property
     def committed_all(self) -> frozenset[int]:
@@ -392,10 +371,10 @@ class History:
         """Interned version id -> the first non-``None`` value a read
         observed of it, in event order (:meth:`value_of` of a version no
         event wrote)."""
-        vids, events = self.log.vid, self.events
+        vids, extra = self.log.vid, self.log.extra
         values: Dict[int, Any] = {}
         for i in self._read_at:
-            value = events[i].value
+            value = extra[i]
             if value is not None:
                 values.setdefault(vids[i], value)
         return values
@@ -511,8 +490,9 @@ class History:
     def _all_objects(self) -> Tuple[str, ...]:
         # The interner allocates object ids in first-appearance order
         # (EventLog interns a predicate read's vset objects before its
-        # versions for this reason).
-        return tuple(self.log.interner.objects)
+        # versions for this reason); objects only a supplied order names
+        # come after the rows' universe.
+        return tuple(self.log.interner.objects[: self.log.universe])
 
     def vset_objects(self, pread: PredicateRead) -> Tuple[str, ...]:
         """All objects conceptually covered by a predicate read's version
@@ -589,9 +569,10 @@ class History:
     def _declared_levels(self) -> Dict[int, object]:
         """``tid`` -> the level of its first ``Begin`` event declaring one."""
         levels: Dict[int, object] = {}
-        for ev in self.events:
-            if isinstance(ev, Begin) and ev.level is not None:
-                levels.setdefault(ev.tid, ev.level)
+        log = self.log
+        for k, tid, level in zip(log.kind, log.tid, log.extra):
+            if k == K_BEGIN and level is not None:
+                levels.setdefault(tid, level)
         return levels
 
     def events_of(self, tid: int) -> Tuple[Event, ...]:
@@ -642,7 +623,7 @@ class History:
         return state
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.log)
 
     def __str__(self) -> str:
         from .formatting import format_history
@@ -650,13 +631,5 @@ class History:
         return format_history(self)
 
     def __repr__(self) -> str:
-        return f"History({len(self.events)} events, {len(self.tids)} txns)"
+        return f"History({len(self)} events, {len(self.tids)} txns)"
 
-
-def _missing_aborts(log: EventLog) -> Tuple[Abort, ...]:
-    """Abort events for the transactions without a final commit/abort, in
-    order of first appearance (Section 4.2's completion rule)."""
-    finished = {
-        t for k, t in zip(log.kind, log.tid) if k == K_COMMIT or k == K_ABORT
-    }
-    return tuple(Abort(t) for t in dict.fromkeys(log.tid) if t not in finished)

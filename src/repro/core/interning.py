@@ -11,10 +11,11 @@ indexed by int or a dict keyed by int:
   :class:`~repro.core.objects.Version` is hashed exactly once, at intern
   time; afterwards its object, writer and sequence number are parallel
   list lookups (``ver_obj``/``ver_tid``/``ver_seq``).
-* :class:`EventLog` — an array-of-struct mirror of an event sequence:
-  parallel lists of ``(kind code, tid, version id, flag)`` that let one
-  linear pass replace the per-event ``isinstance`` chains in
-  :class:`~repro.core.history.History`'s index builders.
+* :class:`EventLog` — a history's events as rows: parallel lists of
+  ``(kind code, tid, version id, flag)`` plus a side list of values, and
+  the tables a history derives from its events, kept as rows are appended.
+  The engine's recorder writes one; :class:`~repro.core.history.History`
+  adopts it, and builds event objects from its rows only on demand.
 
 Ids are allocated in first-appearance order, so iterating ``objects`` or
 ``versions`` is deterministic: it is the order a scan of the events meets
@@ -23,10 +24,12 @@ them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..exceptions import VersionOrderError
 from .events import Abort, Begin, Commit, Event, PredicateRead, Read, Write
-from .objects import Version
+from .objects import INIT_TID, Version
+from .predicates import Predicate, VersionSet
 
 __all__ = [
     "Interner",
@@ -87,69 +90,214 @@ class Interner:
         self.ver_seq: List[int] = []
 
     def intern_object(self, obj: str) -> int:
-        oid = self.obj_id.get(obj)
-        if oid is None:
-            oid = self.obj_id[obj] = len(self.objects)
+        oid = self.obj_id.setdefault(obj, len(self.objects))
+        if oid == len(self.objects):
             self.objects.append(obj)
         return oid
 
     def intern_version(self, version: Version) -> int:
-        vid = self.version_id.get(version)
-        if vid is None:
-            vid = self.version_id[version] = len(self.versions)
+        # One probe (one hash of the version) whether it is new or not.
+        vid = self.version_id.setdefault(version, len(self.versions))
+        if vid == len(self.versions):
             self.versions.append(version)
-            self.ver_obj.append(self.intern_object(version.obj))
+            obj = version.obj
+            oid = self.obj_id.setdefault(obj, len(self.objects))
+            if oid == len(self.objects):
+                self.objects.append(obj)
+            self.ver_obj.append(oid)
             self.ver_tid.append(version.tid)
             self.ver_seq.append(version.seq)
         return vid
+
+    def copy(self) -> "Interner":
+        inn = Interner.__new__(Interner)
+        for name in self.__slots__:
+            setattr(inn, name, getattr(self, name).copy())
+        return inn
 
     def __len__(self) -> int:
         return len(self.versions)
 
 
 class EventLog:
-    """Array-of-struct mirror of one event sequence.
+    """A history's events as rows, and the tables their appends keep.
 
     Parallel lists, one entry per event: ``kind`` (the ``K_*`` code),
     ``tid``, ``vid`` (the interned version for reads/writes, ``-1``
-    otherwise) and ``flag`` (``cursor`` for reads, ``dead`` for writes).
-    Predicate reads keep their version sets as objects — they are rare and
-    structurally rich — but their vset objects are interned so the log
-    covers the history's whole object universe in first-appearance order.
+    otherwise), ``flag`` (``cursor`` for reads, ``dead`` for writes) and
+    ``extra`` (the value of a read or write, the level of a begin, and
+    ``(predicate, vset, version ids)`` of a predicate read, whose vset
+    objects are interned before its versions so the interner holds the
+    history's object universe in first-appearance order).
+
+    Each append also keeps what a history derives from its events: the
+    commit and abort orders, the final ``seq`` per ``(obj, tid)``, the row
+    of every version's last write (in first-write order) and the versions
+    observed before any write of them (the setup-version candidates).  The
+    engine's recorder appends rows one operation at a time;
+    ``EventLog(events)`` appends one row per event object.
+
+    Event objects are built from rows only when asked for (:meth:`events`),
+    once each; the objects a log was built from are kept as they are.
     """
 
-    __slots__ = ("interner", "kind", "tid", "vid", "flag")
+    def __init__(self, events: Iterable[Event] = ()) -> None:
+        self.interner = Interner()
+        self.kind: List[int] = []
+        self.tid: List[int] = []
+        self.vid: List[int] = []
+        self.flag: List[bool] = []
+        self.extra: List[Any] = []
+        #: Tids in the order of their commit / abort events.
+        self.commits: List[int] = []
+        self.aborts: List[int] = []
+        #: ``(obj, tid)`` -> the largest ``seq`` among the tid's writes of obj.
+        self.final_seq: Dict[Tuple[str, int], int] = {}
+        #: vid -> the row of its last write, in first-write order.
+        self.last_write: Dict[int, int] = {}
+        #: Versions read or selected before any write of them, in
+        #: first-appearance order.
+        self.observed: Dict[int, None] = {}
+        #: How many interned objects the rows mention, once a supplied
+        #: version order has interned more (``None``: all of them).
+        self.universe: Optional[int] = None
+        #: The event objects of rows ``0 .. len - 1``.
+        self._events: List[Event] = []
+        for event in events:
+            self.append(event)
 
-    def __init__(self, events: Tuple[Event, ...], interner: Optional[Interner] = None) -> None:
-        self.interner = interner if interner is not None else Interner()
-        n = len(events)
-        self.kind: List[int] = [0] * n
-        self.tid: List[int] = [0] * n
-        self.vid: List[int] = [-1] * n
-        self.flag: List[bool] = [False] * n
-        kinds, tids, vids, flags = self.kind, self.tid, self.vid, self.flag
-        intern_version = self.interner.intern_version
-        intern_object = self.interner.intern_object
-        kind_of = _KIND_OF_TYPE
-        for i, ev in enumerate(events):
-            k = kind_of.get(type(ev))
-            if k is None:
-                k = _kind_by_base(ev)
-            kinds[i] = k
-            tids[i] = ev.tid
-            if k == K_READ:
-                vids[i] = intern_version(ev.version)
-                flags[i] = ev.cursor
-            elif k == K_WRITE:
-                vids[i] = intern_version(ev.version)
-                flags[i] = ev.dead
-            elif k == K_PREAD:
-                # Objects before versions, so the interner's object order is
-                # the first-appearance order of vset.objects().
-                for obj in ev.vset.objects():
-                    intern_object(obj)
-                for v in ev.vset.versions():
-                    intern_version(v)
+    # ------------------------------------------------------------------
+    # appends
+    # ------------------------------------------------------------------
+
+    def append(self, event: Event) -> None:
+        """Append an event object's row; the object is kept as the row's."""
+        k = _KIND_OF_TYPE.get(type(event))
+        if k is None:
+            k = _kind_by_base(event)
+        complete = len(self._events) == len(self.kind)
+        if k == K_READ:
+            self.read(event.tid, event.version, event.value, event.cursor)
+        elif k == K_WRITE:
+            self.write(event.tid, event.version, event.value, event.dead)
+        elif k == K_PREAD:
+            self.predicate_read(event.tid, event.predicate, event.vset)
+        elif k == K_COMMIT:
+            self.commit(event.tid)
+        elif k == K_ABORT:
+            self.abort(event.tid)
+        else:
+            self.begin(event.tid, getattr(event, "level", None))
+        if complete:
+            self._events.append(event)
+
+    def _row(self, kind: int, tid: int, vid: int, flag: bool, extra: Any) -> None:
+        self.kind.append(kind)
+        self.tid.append(tid)
+        self.vid.append(vid)
+        self.flag.append(flag)
+        self.extra.append(extra)
+
+    def begin(self, tid: int, level: Optional[object] = None) -> None:
+        self._row(K_BEGIN, tid, -1, False, level)
+
+    def read(self, tid: int, version: Version, value: Any = None, cursor: bool = False) -> None:
+        vid = self.interner.intern_version(version)
+        if vid not in self.last_write:
+            self.observed[vid] = None
+        self._row(K_READ, tid, vid, cursor, value)
+
+    def write(self, tid: int, version: Version, value: Any = None, dead: bool = False) -> None:
+        if version.tid != tid or (dead and value is not None):
+            Write(tid, version, value=value, dead=dead)  # raises what is wrong
+        vid = self.interner.intern_version(version)
+        self.last_write[vid] = len(self.kind)
+        key = (version.obj, tid)
+        seq = version.seq
+        if seq > self.final_seq.setdefault(key, seq):
+            self.final_seq[key] = seq
+        self._row(K_WRITE, tid, vid, dead, value)
+
+    def predicate_read(self, tid: int, predicate: Predicate, vset: VersionSet) -> None:
+        for obj in vset.objects():
+            self.interner.intern_object(obj)
+        vids = tuple(map(self.interner.intern_version, vset.versions()))
+        for vid in vids:
+            if vid not in self.last_write:
+                self.observed[vid] = None
+        self._row(K_PREAD, tid, -1, False, (predicate, vset, vids))
+
+    def commit(self, tid: int) -> None:
+        self.commits.append(tid)
+        self._row(K_COMMIT, tid, -1, False, None)
+
+    def abort(self, tid: int) -> None:
+        self.aborts.append(tid)
+        self._row(K_ABORT, tid, -1, False, None)
+
+    def complete(self) -> None:
+        """Append an abort for every transaction without a commit or abort,
+        in order of first appearance (Section 4.2's completion rule)."""
+        finished = {*self.commits, *self.aborts}
+        for tid in dict.fromkeys(self.tid):
+            if tid not in finished:
+                self.abort(tid)
+
+    def intern_order(
+        self, order: Mapping[str, Sequence[Version]]
+    ) -> Dict[str, List[int]]:
+        """A supplied version order as chains of version ids, the unborn
+        versions left out.  A version no row mentions is interned here,
+        after the rows' objects (:attr:`universe` keeps their count)."""
+        inn = self.interner
+        if self.universe is None:
+            self.universe = len(inn.objects)
+        chains: Dict[str, List[int]] = {}
+        for obj, versions in order.items():
+            chain: List[int] = []
+            for v in versions:
+                if v.tid == INIT_TID:
+                    continue  # the unborn version is implicit
+                if v.obj != obj:
+                    raise VersionOrderError(
+                        f"version order for {obj!r} contains version of {v.obj!r}"
+                    )
+                chain.append(inn.intern_version(v))
+            chains[obj] = chain
+        return chains
+
+    def copy(self) -> "EventLog":
+        """An independent log of the same rows and tables (what a history
+        adopts from a log that keeps growing)."""
+        log = EventLog.__new__(EventLog)
+        for name, value in vars(self).items():
+            setattr(log, name, value if name == "universe" else value.copy())
+        return log
+
+    # ------------------------------------------------------------------
+    # event objects
+    # ------------------------------------------------------------------
+
+    def event(self, i: int) -> Event:
+        """Row ``i``'s event object: the kept one, else a new one."""
+        if i < len(self._events):
+            return self._events[i]
+        k, tid, extra = self.kind[i], self.tid[i], self.extra[i]
+        if k == K_READ or k == K_WRITE:
+            version = self.interner.versions[self.vid[i]]
+            return (Read if k == K_READ else Write)(tid, version, extra, self.flag[i])
+        if k == K_PREAD:
+            return PredicateRead(tid, extra[0], extra[1])
+        if k == K_BEGIN:
+            return Begin(tid, extra)
+        return (Commit if k == K_COMMIT else Abort)(tid)
+
+    def events(self) -> List[Event]:
+        """Every row's event object, each built once and kept."""
+        built, event = self._events, self.event
+        for i in range(len(built), len(self.kind)):
+            built.append(event(i))
+        return built
 
     def __len__(self) -> int:
         return len(self.kind)

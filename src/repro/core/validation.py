@@ -34,21 +34,23 @@ A :class:`~repro.core.history.History` must satisfy:
 or :class:`~repro.exceptions.VersionOrderError` with a message naming the
 violated rule.
 
-The cost is linear in the history: E1–E7 are one loop over the flat
-:class:`~repro.core.interning.EventLog` (kind codes and interned ids, no
-event objects unless a message needs one), V1–V2 one walk of the version
-orders, both reading the tables the constructor's sweep left on the history.
+The cost is linear in the history: E1–E7 are one loop over the rows of
+:class:`~repro.core.interning.EventLog` (kind codes, interned ids and the
+flag column; an event object is built only for a message), V1–V2 one walk
+of the version orders as version ids, both reading the tables the log's
+appends and the constructor left on the history.
 ``tests/reference_validation.py`` keeps the rule-by-rule formulation this
 replaced; ``tests/test_validation_differential.py`` holds the two together.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from ..exceptions import MalformedHistoryError, VersionOrderError
 from .interning import K_ABORT, K_BEGIN, K_COMMIT, K_READ, K_WRITE
-from .objects import Version
+from .objects import INIT_TID, Version
 
 if TYPE_CHECKING:  # pragma: no cover
     from .history import History
@@ -65,17 +67,17 @@ def validate_history(history: "History") -> None:
     (V1, V2) — within one of these, the first violation in event order.
     """
     log = history.log
-    versions, writes = log.interner.versions, history.writes
+    kinds, vids, flags, last_write = log.kind, log.vid, log.flag, log.last_write
     # The dead versions, by id.  Deletes are rare, so few rows carry the
-    # flag; ``writes`` has the last word (as in ``History.kind_of``) should
-    # a malformed history write one version twice.
+    # flag; a version's last write has the last word (as in
+    # ``History.kind_of``) should a malformed history write it twice.
     dead = {
-        vid
-        for k, vid, flag in zip(log.kind, log.vid, log.flag)
-        if flag and k == K_WRITE and writes[versions[vid]].dead
+        vids[i]
+        for i in compress(range(len(flags)), flags)
+        if kinds[i] == K_WRITE and flags[last_write[vids[i]]]
     }
     _check_events(history, dead)
-    _check_version_order(history, {versions[vid] for vid in dead})
+    _check_version_order(history, dead)
 
 
 # ----------------------------------------------------------------------
@@ -97,11 +99,11 @@ def _check_events(history: "History", dead: Set[int]) -> None:
     """
     log = history.log
     inn = log.interner
-    vids, flags = log.vid, log.flag
-    versions, ver_obj, ver_seq = inn.versions, inn.ver_obj, inn.ver_seq
-    version_id = inn.version_id
-    events = history.events
-    setup_ok, aborted = history.setup_versions, history.aborted
+    vids, flags, extra, event = log.vid, log.flag, log.extra, log.event
+    versions, ver_obj, ver_tid, ver_seq = (
+        inn.versions, inn.ver_obj, inn.ver_tid, inn.ver_seq,
+    )
+    setup_ok, aborted = history._setup_vids, history.aborted
     # tid -> {object id: row of the transaction's last write to it} while the
     # transaction is live, None once it has committed or aborted.
     txns: Dict[int, Optional[Dict[int, int]]] = {}
@@ -113,7 +115,7 @@ def _check_events(history: "History", dead: Set[int]) -> None:
         own = txns.get(t, unseen)
         if own is None:
             raise MalformedHistoryError(
-                f"E1: event {events[i]} follows T{t}'s commit/abort"
+                f"E1: event {event(i)} follows T{t}'s commit/abort"
             )
         if k == K_WRITE:
             if own is unseen:
@@ -127,13 +129,13 @@ def _check_events(history: "History", dead: Set[int]) -> None:
             if last is not None:
                 expected = ver_seq[vids[last]] + 1
                 if flags[last] and rank > _DEAD_USAGE:
-                    ev = events[i]
+                    ev = event(i)
                     rank, message = _DEAD_USAGE, (
                         f"E7: {ev} operates on {ev.version.obj!r} after "
                         f"T{t} deleted it"
                     )
             if ver_seq[vid] != expected and rank > _NUMBERING:
-                ev = events[i]
+                ev = event(i)
                 rank, message = _NUMBERING, (
                     f"E6: {ev} has sequence {ev.version.seq}, expected {expected} "
                     f"(T{t}'s writes to {ev.version.obj!r} must be numbered in order)"
@@ -145,9 +147,9 @@ def _check_events(history: "History", dead: Set[int]) -> None:
             if rank > _READS:
                 problem = ""
                 if not written[vid]:
-                    problem = _unwritten_read(events[i], setup_ok, aborted)
+                    problem = _unwritten_read(log, i, setup_ok, aborted)
                 elif vid in dead:
-                    problem = f"E5: read of dead version at {events[i]}"
+                    problem = f"E5: read of dead version at {event(i)}"
                 if problem:
                     rank, message = _READS, problem
             # E7 needs no check here: a read after the transaction's own
@@ -155,7 +157,7 @@ def _check_events(history: "History", dead: Set[int]) -> None:
             last = own.get(ver_obj[vid])
             if last is not None and vids[last] != vid and rank > _OWN_WRITES:
                 rank, message = _OWN_WRITES, (
-                    f"E4: {events[i]} must observe the transaction's own "
+                    f"E4: {event(i)} must observe the transaction's own "
                     f"last write {versions[vids[last]]}"
                 )
         elif k == K_COMMIT or k == K_ABORT:
@@ -170,12 +172,12 @@ def _check_events(history: "History", dead: Set[int]) -> None:
             if own is unseen:
                 txns[t] = {}
             if rank > _READS:
-                for v in events[i].vset.versions():
-                    if written[version_id[v]] or v.is_unborn or v in setup_ok:
+                for vid in extra[i][2]:
+                    if written[vid] or ver_tid[vid] == INIT_TID or vid in setup_ok:
                         continue
                     rank, message = _READS, (
-                        f"E3: version set of {events[i]} selects {v} before "
-                        "it is written"
+                        f"E3: version set of {event(i)} selects {versions[vid]} "
+                        "before it is written"
                     )
                     break
     unfinished = sorted(t for t, own in txns.items() if own is not None)
@@ -189,18 +191,21 @@ def _check_events(history: "History", dead: Set[int]) -> None:
         raise MalformedHistoryError(message)
 
 
-def _unwritten_read(ev, setup_ok, aborted) -> str:
-    """What is wrong with an item read of a version no earlier event wrote
-    (empty if nothing is: a setup version of a transaction that did not
-    abort)."""
-    v = ev.version
-    if v.is_unborn:
-        return f"E5: read of unborn version at {ev}"
-    if v not in setup_ok:
-        return f"E3: {ev} reads version {v} before it is written"
-    if v.tid in aborted:
+def _unwritten_read(log, i: int, setup_ok: Set[int], aborted) -> str:
+    """What is wrong with row ``i``, an item read of a version no earlier
+    event wrote (empty if nothing is: a setup version of a transaction that
+    did not abort)."""
+    vid = log.vid[i]
+    tid = log.interner.ver_tid[vid]
+    if tid == INIT_TID:
+        return f"E5: read of unborn version at {log.event(i)}"
+    if vid not in setup_ok:
+        ev = log.event(i)
+        return f"E3: {ev} reads version {ev.version} before it is written"
+    if tid in aborted:
+        ev = log.event(i)
         return (
-            f"E3: {ev} reads setup version {v} attributed to an "
+            f"E3: {ev} reads setup version {ev.version} attributed to an "
             "aborted transaction"
         )
     return ""
@@ -211,8 +216,10 @@ def _unwritten_read(ev, setup_ok, aborted) -> str:
 # ----------------------------------------------------------------------
 
 
-def _check_version_order(history: "History", dead: Set[Version]) -> None:
-    setup, aborted = history.setup_versions, history.aborted
+def _check_version_order(history: "History", dead: Set[int]) -> None:
+    inn = history.log.interner
+    versions, ver_tid, ver_seq = inn.versions, inn.ver_tid, inn.ver_seq
+    setup, aborted = history._setup_vids, history.aborted
     committed = history.committed
     # What each order must hold besides setup versions: per object, the
     # final sequence number of every committed transaction that wrote it.
@@ -220,49 +227,51 @@ def _check_version_order(history: "History", dead: Set[Version]) -> None:
     for (obj, tid), seq in history._final_seq.items():
         if tid in committed:
             finals.setdefault(obj, {})[tid] = seq
-    for obj, chain in history.version_order.items():
-        assert chain[0].is_unborn  # by construction
+    for obj, chain in history._order_vids.items():
         due = finals.get(obj, {})
-        seen: Set[Version] = set()
+        seen: Set[int] = set()
         dead_seen = False
         installed = 0
-        for n, v in enumerate(chain[1:], 1):
-            seen.add(v)
+        for n, vid in enumerate(chain, 1):
+            seen.add(vid)
             if len(seen) < n:
-                raise VersionOrderError(f"V2: duplicate version {v} in order of {obj!r}")
-            if setup and v in setup:
-                if v.tid in aborted:
+                raise VersionOrderError(
+                    f"V2: duplicate version {versions[vid]} in order of {obj!r}"
+                )
+            tid = ver_tid[vid]
+            if setup and vid in setup:
+                if tid in aborted:
                     raise VersionOrderError(
-                        f"V2: setup version {v} attributed to aborted T{v.tid}"
+                        f"V2: setup version {versions[vid]} attributed to aborted T{tid}"
                     )
             else:
-                seq = due.get(v.tid)
+                seq = due.get(tid)
                 if seq is None:
                     raise VersionOrderError(
-                        f"V2: version order of {obj!r} contains {v} of an "
+                        f"V2: version order of {obj!r} contains {versions[vid]} of an "
                         "uncommitted or aborted transaction"
                     )
-                if seq != v.seq:
+                if seq != ver_seq[vid]:
                     raise VersionOrderError(
                         f"V2: version order of {obj!r} contains intermediate "
-                        f"version {v}; only final versions are installed"
+                        f"version {versions[vid]}; only final versions are installed"
                     )
                 installed += 1
             if dead_seen:
                 raise VersionOrderError(
-                    f"V1: version order of {obj!r} places {v} after a dead version"
+                    f"V1: version order of {obj!r} places {versions[vid]} after a "
+                    "dead version"
                 )
-            if dead and v in dead:
+            if dead and vid in dead:
                 dead_seen = True
         # Every committed final write must be installed.  The versions
         # counted above are distinct and each is some due writer's final
         # one, so only an order that holds too few can be missing one.
         if installed < len(due):
+            placed = {(ver_tid[vid], ver_seq[vid]) for vid in seen}
             for tid in committed:  # this order picks the one reported
-                if tid not in due:
-                    continue
-                final = Version(obj, tid, due[tid])
-                if final not in seen:
+                if tid in due and (tid, due[tid]) not in placed:
+                    final = Version(obj, tid, due[tid])
                     raise VersionOrderError(
                         f"V2: committed version {final} missing from version order of {obj!r}"
                     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Optional
 
-from ..core.events import Begin, Write
+from ..core.interning import K_BEGIN
 from ..core.history import History
 from ..core.levels import IsolationLevel
 from ..core.predicates import Predicate
@@ -191,22 +191,23 @@ class Database:
 
             scheduler = create_scheduler(scheduler)
         # Latest committed (version, value, dead) per object, from the log.
-        writes: Dict[Any, tuple] = {}
-        for ev in recorder.events:
-            if isinstance(ev, Write):
-                writes[ev.version] = (ev.value, ev.dead)
+        log = recorder._log
+        version_id = log.interner.version_id
         state: Dict[str, tuple] = {}
         for obj, chain in recorder.install_order.items():
             version = chain[-1]
-            value, dead = writes.get(version, (None, True))
-            state[obj] = (version, value, dead)
+            row = log.last_write.get(version_id[version])
+            if row is None:
+                state[obj] = (version, None, True)
+            else:
+                state[obj] = (version, log.extra[row], log.flag[row])
         scheduler.recorder = recorder
         scheduler.restore(state)
         db = cls(scheduler, tid_allocator=tid_allocator)
-        db._loaded = bool(recorder.events)
-        for ev in recorder.events:
-            if isinstance(ev, Begin):
-                db._next_tid = max(db._next_tid, ev.tid + 1)
+        db._loaded = len(recorder) > 0
+        for k, tid in zip(log.kind, log.tid):
+            if k == K_BEGIN:
+                db._next_tid = max(db._next_tid, tid + 1)
         for obj in state:
             db._note_existing(obj)
         return db

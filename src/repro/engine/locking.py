@@ -223,7 +223,7 @@ class LockingScheduler(Scheduler):
         entry = _CellEntry(version, None if dead else value, dead)
         self._cells.setdefault(obj, []).append(entry)
         txn.write_set.add(obj)
-        txn.final_write_index[obj] = len(self.recorder.events)
+        txn.final_write_index[obj] = len(self.recorder)
         self.recorder.write(txn.tid, version, entry.value, dead=dead)
         txn.buffer[obj] = BufferedWrite(version, entry.value, dead)
         if profile.item_write is LockDuration.SHORT:

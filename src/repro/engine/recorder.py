@@ -1,10 +1,15 @@
 """History recording for the engine.
 
 Every scheduler narrates its execution through a :class:`HistoryRecorder`:
-each operation appends the corresponding Adya event, and each commit appends
-the transaction's final versions to the per-object install order.  At the
-end, :meth:`HistoryRecorder.history` materialises a validated
-:class:`~repro.core.history.History` — the artifact the checker consumes.
+each operation appends one row to the recorder's
+:class:`~repro.core.interning.EventLog` (kind code, tid, version id, flag;
+the value or level beside it), and each commit appends the transaction's
+final versions to the per-object install order.  The log keeps, as rows
+arrive, the tables a history derives from its events (commit order, aborts,
+final writes).  At the end, :meth:`HistoryRecorder.history` hands a copy of
+that log and the install order to :class:`~repro.core.history.History`,
+which validates it without interning or sweeping the events again; event
+objects are built from the rows only when something asks for them.
 
 This is the bridge that makes the paper's thesis testable: locking, OCC and
 MVCC executions all reduce to the same history formalism.
@@ -14,8 +19,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..core.events import Abort, Begin, Commit, Event, PredicateRead, Read, Write
+from ..core.events import Event
 from ..core.history import History
+from ..core.interning import K_COMMIT, EventLog
 from ..core.objects import Version
 from ..core.predicates import Predicate, VersionSet
 
@@ -35,7 +41,9 @@ class HistoryRecorder:
     """
 
     def __init__(self, monitor: Optional[object] = None) -> None:
-        self.events: List[Event] = []
+        #: The execution as rows (see :attr:`events` for event objects).
+        self._log = EventLog()
+        #: obj -> ``(install key, version, version id)`` per installed version.
         self._install: Dict[str, List[tuple]] = {}
         self._install_counter = 0
         #: Offset added to every install key.  Normally 0; a sharded cluster
@@ -54,6 +62,12 @@ class HistoryRecorder:
         # Per-event-type bound counters, populated by instrument(); None
         # keeps every emission at exactly one extra `is not None` check.
         self._ev_counters: Optional[Dict[str, object]] = None
+
+    @property
+    def events(self) -> List[Event]:
+        """The recorded events as objects (built from the rows on first
+        use, once each)."""
+        return self._log.events()
 
     def instrument(
         self, *, metrics: Optional[object] = None, scheduler: str = ""
@@ -91,10 +105,10 @@ class HistoryRecorder:
         install keys from the install order."""
         keyed: Dict[int, Dict[str, tuple]] = {}
         for obj, entries in self._install.items():
-            for key, version in entries:
+            for key, version, _vid in entries:
                 keyed.setdefault(version.tid, {})[obj] = (key, version)
-        for ev in self.events:
-            if isinstance(ev, Commit):
+        for ev, k in zip(self.events, self._log.kind):
+            if k == K_COMMIT:
                 slot = keyed.get(ev.tid, {})
                 yield (
                     ev,
@@ -122,11 +136,13 @@ class HistoryRecorder:
         of the primary's (a promoted backup keeps issuing keys that sort
         consistently after :meth:`rebase`)."""
         ev, finals, keys = entry
-        self.events.append(ev)
+        self._log.append(ev)
         if finals is not None:
+            intern = self._log.interner.intern_version
             for obj in sorted(finals):
+                version = finals[obj]
                 self._install.setdefault(obj, []).append(
-                    (keys[obj], finals[obj])
+                    (keys[obj], version, intern(version))
                 )
         if self.repl_log is not None:
             self.repl_log.append(entry)
@@ -147,43 +163,49 @@ class HistoryRecorder:
     # event emission
     # ------------------------------------------------------------------
 
+    def _observed(self, finals=None, keys=None) -> None:
+        """Hand the event just recorded to the replication log and the
+        monitor, built once for both."""
+        ev = self._log.events()[-1]
+        if self.repl_log is not None:
+            self.repl_log.append(
+                (ev, None, None) if finals is None else (ev, dict(finals), dict(keys))
+            )
+        if self.monitor is not None:
+            if finals is None:
+                self.monitor.add(ev)
+            else:
+                self.monitor.add(ev, finals=dict(finals), positions=keys)
+
     def begin(self, tid: int, level: Optional[object] = None) -> None:
-        self.events.append(Begin(tid, level))
+        self._log.begin(tid, level)
         if self._ev_counters is not None:
             self._ev_counters["begin"].inc()
-        if self.repl_log is not None:
-            self.repl_log.append((self.events[-1], None, None))
-        if self.monitor is not None:
-            self.monitor.add(self.events[-1])
+        if self.repl_log is not None or self.monitor is not None:
+            self._observed()
 
     def read(self, tid: int, version: Version, value: Any = None, *, cursor: bool = False) -> None:
-        self.events.append(Read(tid, version, value=value, cursor=cursor))
+        self._log.read(tid, version, value, cursor)
         if self._ev_counters is not None:
             self._ev_counters["read"].inc()
-        if self.repl_log is not None:
-            self.repl_log.append((self.events[-1], None, None))
-        if self.monitor is not None:
-            self.monitor.add(self.events[-1])
+        if self.repl_log is not None or self.monitor is not None:
+            self._observed()
 
     def write(self, tid: int, version: Version, value: Any = None, *, dead: bool = False) -> None:
-        self.events.append(Write(tid, version, value=value, dead=dead))
+        self._log.write(tid, version, value, dead)
         if self._ev_counters is not None:
             self._ev_counters["write"].inc()
-        if self.repl_log is not None:
-            self.repl_log.append((self.events[-1], None, None))
-        if self.monitor is not None:
-            self.monitor.add(self.events[-1])
+        if self.repl_log is not None or self.monitor is not None:
+            self._observed()
 
     def predicate_read(
         self, tid: int, predicate: Predicate, vset: VersionSet
     ) -> None:
-        self.events.append(PredicateRead(tid, predicate, vset))
+        self._log.predicate_read(tid, predicate, vset)
         if self._ev_counters is not None:
             self._ev_counters["predicate_read"].inc()
-        if self.repl_log is not None:
-            self.repl_log.append((self.events[-1], None, None))
-        if self.monitor is not None:
-            self.monitor.add(self.events[-1])
+        if self.repl_log is not None or self.monitor is not None:
+            self._observed()
 
     def commit(
         self,
@@ -202,36 +224,34 @@ class HistoryRecorder:
         write locks let writes of concurrent transactions interleave).
         """
         keys: Dict[str, int] = {}
+        intern = self._log.interner.intern_version
         for obj in sorted(finals):
             self._install_counter += 1
             key = self._install_counter if positions is None else positions[obj]
             key += self.position_base
             keys[obj] = key
-            self._install.setdefault(obj, []).append((key, finals[obj]))
-        self.events.append(Commit(tid))
+            version = finals[obj]
+            self._install.setdefault(obj, []).append((key, version, intern(version)))
+        self._log.commit(tid)
         if self._ev_counters is not None:
             self._ev_counters["commit"].inc()
-        if self.repl_log is not None:
-            self.repl_log.append((self.events[-1], dict(finals), dict(keys)))
-        if self.monitor is not None:
-            self.monitor.add(self.events[-1], finals=dict(finals), positions=keys)
+        if self.repl_log is not None or self.monitor is not None:
+            self._observed(finals, keys)
 
     @property
     def install_order(self) -> Dict[str, List[Version]]:
         """The version order installed so far (sorted by install key)."""
         return {
-            obj: [v for _k, v in sorted(entries, key=lambda e: e[0])]
+            obj: [e[1] for e in sorted(entries, key=lambda e: e[0])]
             for obj, entries in self._install.items()
         }
 
     def abort(self, tid: int) -> None:
-        self.events.append(Abort(tid))
+        self._log.abort(tid)
         if self._ev_counters is not None:
             self._ev_counters["abort"].inc()
-        if self.repl_log is not None:
-            self.repl_log.append((self.events[-1], None, None))
-        if self.monitor is not None:
-            self.monitor.add(self.events[-1])
+        if self.repl_log is not None or self.monitor is not None:
+            self._observed()
 
     # ------------------------------------------------------------------
     # materialisation
@@ -245,14 +265,14 @@ class HistoryRecorder:
     ) -> History:
         """The execution as a validated history.  Unfinished transactions
         (programs cut off by a step budget) are completed with aborts, the
-        paper's completion rule."""
-        return History(
-            self.events,
-            self.install_order,
-            default_level=default_level,
-            auto_complete=True,
-            validate=validate,
-        )
+        paper's completion rule.  The history adopts a copy of the log: the
+        recorder may go on recording."""
+        chains = {
+            obj: [e[2] for e in sorted(entries, key=lambda e: e[0])]
+            for obj, entries in self._install.items()
+        }
+        return History._of_log(self._log.copy(), chains, default_level, True, validate)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._log)
+

@@ -155,7 +155,7 @@ def merge_history(
         for obj, ents in slot.primary.recorder._install.items():
             chains.setdefault(obj, []).extend(ents)
     order = {
-        obj: [v for _k, v in sorted(ents, key=lambda e: e[0])]
+        obj: [e[1] for e in sorted(ents, key=lambda e: e[0])]
         for obj, ents in chains.items()
     }
     return History(events, order, auto_complete=True, validate=validate)

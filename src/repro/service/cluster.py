@@ -474,7 +474,7 @@ class Cluster:
         # the source ever issued for these objects.
         dest.recorder.position_base = max(
             dest.recorder.position_base,
-            src.recorder.position_base + len(src.recorder.events),
+            src.recorder.position_base + len(src.recorder),
         )
         version = self.shard_map.migrate(slot, dest.name)
         if self.tracer is not None:

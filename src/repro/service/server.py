@@ -44,7 +44,7 @@ from functools import partial
 from math import inf
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.events import Abort, Commit
+from ..core.interning import K_ABORT, K_COMMIT
 from ..core.levels import IsolationLevel
 from ..engine.database import Database, TransactionHandle
 from ..engine.factory import SchedulerConfig, create_scheduler
@@ -259,9 +259,7 @@ class Server:
             self.db = Database.recover(
                 scheduler, recover_from, tid_allocator=self._tid_allocator
             )
-            self._committed_tids = {
-                ev.tid for ev in recover_from.events if isinstance(ev, Commit)
-            }
+            self._committed_tids = set(recover_from._log.commits)
             return
         if self.monitor is not None:
             scheduler.recorder.attach_monitor(self.monitor)
@@ -605,7 +603,7 @@ class Server:
         self._count_busy()
         if not self._parked:
             # Nothing was parked, so nothing can have missed an ending.
-            self._wal_seen = len(self.recorder.events)
+            self._wal_seen = len(self.recorder)
         span = None
         if self.tracer is not None:
             ctx = request.get("trace")
@@ -658,14 +656,16 @@ class Server:
             return  # re-entered from a woken request's search: already looking
         self._waking = True
         try:
-            events = self.recorder.events
-            while self._parked and self._wal_seen < len(events):
+            log = self.recorder._log
+            kinds, tids = log.kind, log.tid
+            while self._parked and self._wal_seen < len(kinds):
+                seen = self._wal_seen
                 ended = {
-                    ev.tid
-                    for ev in events[self._wal_seen:]
-                    if isinstance(ev, (Commit, Abort))
+                    tids[i]
+                    for i in range(seen, len(kinds))
+                    if kinds[i] == K_COMMIT or kinds[i] == K_ABORT
                 }
-                self._wal_seen = len(events)
+                self._wal_seen = len(kinds)
                 if not ended:
                     continue
                 for session_id, park in list(self._parked.items()):

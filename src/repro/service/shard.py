@@ -133,7 +133,7 @@ class ShardServer(Server):
     # ------------------------------------------------------------------
 
     def note_event_ticks(self) -> None:
-        ticks, n = self.event_ticks, len(self.recorder.events)
+        ticks, n = self.event_ticks, len(self.recorder)
         while len(ticks) < n:
             ticks.append(self.network.now)
 
@@ -281,7 +281,7 @@ class ShardServer(Server):
             # primary's current offset (the freshest possible state of this
             # shard), commits the post-commit offset every participant's
             # durable log reached.
-            offset = len(self.recorder.events)
+            offset = len(self.recorder)
             if kind == "read":
                 reply["shard"] = self.index
                 reply["offset"] = offset
@@ -423,7 +423,7 @@ class ShardServer(Server):
             sess.txn = None
         self._detached.pop(gid, None)
         if outcome == "commit" and cluster.config.replicas:
-            reply["offset"] = len(self.recorder.events)
+            reply["offset"] = len(self.recorder)
         return reply
 
     def _prepared_fence(self, kind, request, src):

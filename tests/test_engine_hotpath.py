@@ -14,7 +14,9 @@ import collections
 
 import pytest
 
-from repro.core.objects import relation_of
+from repro.core.events import Event
+from repro.core.interning import EventLog, Interner
+from repro.core.objects import Version, relation_of
 from repro.engine import Database, Insert, LockingScheduler, Simulator, Write
 from repro.engine import simulator as sim_mod
 from repro.engine import waits as waits_mod
@@ -326,3 +328,65 @@ class TestSkippedRetries:
             assert result.committed_count == FLEET.n_programs
         assert counts["refusals"] > 1000
         assert counts["repeats"] == 0
+
+
+class TestHistoryFromRows:
+    """The recorder writes the event log the history adopts: a run with no
+    monitor builds no event object, and ``recorder.history()`` neither
+    interns a version again nor hashes one."""
+
+    FAMILIES = ("locking", "optimistic", "snapshot-isolation")
+
+    def _fleet(self, family: str, seed: int):
+        db = Database(family)
+        db.load(FLEET.initial_state())
+        return db, Simulator(
+            db, random_programs(FLEET, seed=seed), seed=seed, max_retries=1000
+        )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_run_without_a_monitor_builds_no_event(self, family, monkeypatch):
+        built = collections.Counter()
+        post_init = Event.__post_init__
+
+        def counted(event):
+            built[type(event).__name__] += 1
+            post_init(event)
+
+        monkeypatch.setattr(Event, "__post_init__", counted)
+        for seed in range(3):
+            _db, sim = self._fleet(family, seed)
+            result = sim.run()
+            assert result.committed_count == FLEET.n_programs
+            assert not built
+        assert len(result.history.events) == len(result.history)
+        assert built["Commit"] == result.committed_count + 1  # + the loader
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_history_hashes_no_version_and_interns_nothing(self, family, monkeypatch):
+        db, sim = self._fleet(family, 1)
+        sim.run()
+        recorder = db.scheduler.recorder
+        counts = collections.Counter()
+        hash_of, intern = Version.__hash__, Interner.intern_version
+        log_init = EventLog.__init__
+
+        def counted_hash(version):
+            counts["hash"] += 1
+            return hash_of(version)
+
+        def counted_intern(interner, version):
+            counts["intern"] += 1
+            return intern(interner, version)
+
+        def counted_log(log, *args):
+            counts["log"] += 1
+            log_init(log, *args)
+
+        monkeypatch.setattr(Version, "__hash__", counted_hash)
+        monkeypatch.setattr(Interner, "intern_version", counted_intern)
+        monkeypatch.setattr(EventLog, "__init__", counted_log)
+        history = recorder.history()
+        assert counts == {}
+        assert len(history) == len(recorder) > 300
+        assert history.committed and not history.setup_versions
