@@ -142,7 +142,8 @@ def merge_history(
             entries.append((tick, slot.index, li, ev))
     # Replica-served reads merge with their true version provenance at
     # the tick they were served — the lagging-snapshot observations the
-    # global analysis certifies PL-SI / session levels over.
+    # global analysis certifies the core levels over (PL-SI needs the
+    # batch checker).
     entries.extend(replica_reads)
     # (tick, shard, position) is unique: the sort never compares events.
     entries.sort()

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Optional, Tuple
 
+from ..core.incremental import CORE_PHENOMENA
+from ..core.levels import IsolationLevel
 from ..engine.factory import SchedulerConfig
 
 __all__ = [
@@ -490,3 +492,16 @@ class StressConfig:
             )
         if not (0.0 <= self.read_only_fraction <= 1.0):
             raise ValueError("read_only_fraction must be in [0, 1]")
+        if self.level is not None:
+            # Every commit is certified live, by the online analysis, which
+            # maintains the core phenomena only.
+            level = self.level
+            if isinstance(level, str):
+                level = IsolationLevel.from_string(level)
+            for p in level.proscribed:
+                if p not in CORE_PHENOMENA:
+                    raise ValueError(
+                        f"level {level} proscribes {p}, which live "
+                        "certification does not maintain; declare PL-1, "
+                        "PL-2, PL-2.99 or PL-3"
+                    )

@@ -30,7 +30,8 @@ Served reads are recorded in a separate observability recorder (not the
 applied WAL copy) with their true version provenance, and merge into the
 cluster's global history — the lagging-snapshot reads are exactly what
 the global :class:`~repro.core.incremental.IncrementalAnalysis` then
-certifies PL-SI / session levels over.
+certifies the core levels (PL-1 .. PL-3) over, and the session checks
+judge; PL-SI needs the batch checker.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 runs must commit through drops/duplicates/crashes with every commit
 live-certified, and must replay byte-for-byte under equal seeds."""
 
+import re
+
 import pytest
 
 from repro.checker import check
@@ -133,6 +135,42 @@ class TestDeterminismAcrossSchedules:
         outcomes = first[0]
         assert "ok" in outcomes  # commits before and after the partition
         assert any(o != "ok" for o in outcomes)  # partition really bit
+
+
+class TestDeclaredLevels:
+    """Every commit is certified live by the online analysis, which keeps
+    the core phenomena only: a level proscribing another one is refused
+    when the config is built, before any tick."""
+
+    @pytest.mark.parametrize(
+        "level", ["PL-SI", "PL-2+", "PL-SS", "PL-CS", IsolationLevel.PL_SI]
+    )
+    def test_uncertifiable_levels_are_refused(self, level):
+        name = str(level)
+        with pytest.raises(ValueError, match=f"level {re.escape(name)} proscribes"):
+            StressConfig(scheduler="snapshot-isolation", level=level)
+
+    @pytest.mark.parametrize("command", ["stress", "capacity"])
+    def test_the_cli_refuses_before_any_tick(self, command, monkeypatch, capsys):
+        from repro import cli
+        from repro.service import capacity, stress
+
+        def started(*_args, **_kwargs):
+            pytest.fail("a run started")
+
+        monkeypatch.setattr(stress, "run_stress", started)
+        monkeypatch.setattr(capacity, "run_stress", started)
+        argv = [command, "--scheduler", "snapshot-isolation", "--level", "PL-SI"]
+        assert cli.main(argv) == 2
+        assert "level PL-SI proscribes G-SI" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["PL-2", "PL-3", None])
+    def test_core_levels_are_accepted(self, level):
+        result = run_stress(StressConfig(
+            scheduler="snapshot-isolation", level=level, clients=2,
+            txns_per_client=3, seed=1,
+        ))
+        assert result.committed == 6
 
 
 class TestStuckRunsSayWhy:
