@@ -191,6 +191,8 @@ class EventLog:
         if complete:
             self._events.append(event)
 
+    # Reads and writes, most of an engine history's rows, append theirs in
+    # place; the rarer kinds go through one helper.
     def _row(self, kind: int, tid: int, vid: int, flag: bool, extra: Any) -> None:
         self.kind.append(kind)
         self.tid.append(tid)
@@ -202,10 +204,16 @@ class EventLog:
         self._row(K_BEGIN, tid, -1, False, level)
 
     def read(self, tid: int, version: Version, value: Any = None, cursor: bool = False) -> None:
-        vid = self.interner.intern_version(version)
+        vid = self.interner.version_id.get(version)
+        if vid is None:
+            vid = self.interner.intern_version(version)
         if vid not in self.last_write:
             self.observed[vid] = None
-        self._row(K_READ, tid, vid, cursor, value)
+        self.kind.append(K_READ)
+        self.tid.append(tid)
+        self.vid.append(vid)
+        self.flag.append(cursor)
+        self.extra.append(value)
 
     def write(self, tid: int, version: Version, value: Any = None, dead: bool = False) -> None:
         if version.tid != tid or (dead and value is not None):
@@ -216,7 +224,11 @@ class EventLog:
         seq = version.seq
         if seq > self.final_seq.setdefault(key, seq):
             self.final_seq[key] = seq
-        self._row(K_WRITE, tid, vid, dead, value)
+        self.kind.append(K_WRITE)
+        self.tid.append(tid)
+        self.vid.append(vid)
+        self.flag.append(dead)
+        self.extra.append(value)
 
     def predicate_read(self, tid: int, predicate: Predicate, vset: VersionSet) -> None:
         for obj in vset.objects():

@@ -195,17 +195,15 @@ def _unwritten_read(log, i: int, setup_ok: Set[int], aborted) -> str:
     """What is wrong with row ``i``, an item read of a version no earlier
     event wrote (empty if nothing is: a setup version of a transaction that
     did not abort)."""
-    vid = log.vid[i]
-    tid = log.interner.ver_tid[vid]
-    if tid == INIT_TID:
-        return f"E5: read of unborn version at {log.event(i)}"
-    if vid not in setup_ok:
-        ev = log.event(i)
-        return f"E3: {ev} reads version {ev.version} before it is written"
-    if tid in aborted:
-        ev = log.event(i)
+    ev = log.event(i)
+    v = ev.version
+    if v.is_unborn:
+        return f"E5: read of unborn version at {ev}"
+    if log.vid[i] not in setup_ok:
+        return f"E3: {ev} reads version {v} before it is written"
+    if v.tid in aborted:
         return (
-            f"E3: {ev} reads setup version {ev.version} attributed to an "
+            f"E3: {ev} reads setup version {v} attributed to an "
             "aborted transaction"
         )
     return ""

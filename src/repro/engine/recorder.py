@@ -17,6 +17,7 @@ MVCC executions all reduce to the same history formalism.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..core.events import Event
@@ -144,13 +145,8 @@ class HistoryRecorder:
                 self._install.setdefault(obj, []).append(
                     (keys[obj], version, intern(version))
                 )
-        if self.repl_log is not None:
-            self.repl_log.append(entry)
-        if self.monitor is not None:
-            if finals is not None:
-                self.monitor.add(ev, finals=dict(finals), positions=dict(keys))
-            else:
-                self.monitor.add(ev)
+        if self.repl_log is not None or self.monitor is not None:
+            self._observed(finals, keys)
 
     def rebase(self, counter: int, base: int) -> None:
         """Rebase the install-key space onto another recorder's (used at
@@ -175,7 +171,7 @@ class HistoryRecorder:
             if finals is None:
                 self.monitor.add(ev)
             else:
-                self.monitor.add(ev, finals=dict(finals), positions=keys)
+                self.monitor.add(ev, finals=dict(finals), positions=dict(keys))
 
     def begin(self, tid: int, level: Optional[object] = None) -> None:
         self._log.begin(tid, level)
@@ -225,13 +221,17 @@ class HistoryRecorder:
         """
         keys: Dict[str, int] = {}
         intern = self._log.interner.intern_version
+        version_id = self._log.interner.version_id
         for obj in sorted(finals):
             self._install_counter += 1
             key = self._install_counter if positions is None else positions[obj]
             key += self.position_base
             keys[obj] = key
             version = finals[obj]
-            self._install.setdefault(obj, []).append((key, version, intern(version)))
+            vid = version_id.get(version)
+            if vid is None:
+                vid = intern(version)
+            self._install.setdefault(obj, []).append((key, version, vid))
         self._log.commit(tid)
         if self._ev_counters is not None:
             self._ev_counters["commit"].inc()
@@ -242,7 +242,7 @@ class HistoryRecorder:
     def install_order(self) -> Dict[str, List[Version]]:
         """The version order installed so far (sorted by install key)."""
         return {
-            obj: [e[1] for e in sorted(entries, key=lambda e: e[0])]
+            obj: [e[1] for e in sorted(entries, key=_KEY)]
             for obj, entries in self._install.items()
         }
 
@@ -268,11 +268,14 @@ class HistoryRecorder:
         paper's completion rule.  The history adopts a copy of the log: the
         recorder may go on recording."""
         chains = {
-            obj: [e[2] for e in sorted(entries, key=lambda e: e[0])]
+            obj: [e[2] for e in sorted(entries, key=_KEY)]
             for obj, entries in self._install.items()
         }
         return History._of_log(self._log.copy(), chains, default_level, True, validate)
 
     def __len__(self) -> int:
-        return len(self._log)
+        return len(self._log.kind)
 
+
+#: Install entries sort by their key.
+_KEY = itemgetter(0)
