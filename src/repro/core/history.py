@@ -112,7 +112,7 @@ class History:
         self._commit_order: List[int] = log.commits
         #: ``(obj, tid)`` -> the largest ``seq`` among ``T_tid``'s writes of
         #: ``obj`` (see :meth:`final_version`).
-        self._final_seq: Dict[Tuple[str, int], int] = log.final_seq
+        self._final_seq: Dict[Tuple[str, int], int]
         #: Versions referenced by reads, version sets or a supplied order
         #: but never written by any event — the paper's implicit initial
         #: database state (e.g. ``x0`` in ``H_phantom``).  They are installed
@@ -142,14 +142,20 @@ class History:
         order, each prefixed with the object's setup versions.
 
         Reads the tables the log's appends kept; only objects that no
-        supplied chain names take a walk over the write rows.  Leaves
-        :attr:`setup_versions` on the history.
+        supplied chain names take a walk over the write rows.  Leaves the
+        final-write index and :attr:`setup_versions` on the history.
         """
         log = self.log
         inn = log.interner
         versions, objects = inn.versions, inn.objects
         ver_obj, ver_tid, ver_seq = inn.ver_obj, inn.ver_tid, inn.ver_seq
-        last_write, committed, final_seq = log.last_write, self.committed, self._final_seq
+        last_write, committed = log.last_write, self.committed
+        final_seq = self._final_seq = {}
+        for vid in last_write:  # the written versions
+            key = (objects[ver_obj[vid]], ver_tid[vid])
+            seq = ver_seq[vid]
+            if seq > final_seq.setdefault(key, seq):
+                final_seq[key] = seq
         order: Dict[str, List[int]] = {}
         unwritten: List[int] = []  # in a supplied chain, written by no event
         if supplied is not None:

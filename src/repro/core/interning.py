@@ -24,7 +24,7 @@ them.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..exceptions import VersionOrderError
 from .events import Abort, Begin, Commit, Event, PredicateRead, Read, Write
@@ -131,9 +131,9 @@ class EventLog:
     history's object universe in first-appearance order).
 
     Each append also keeps what a history derives from its events: the
-    commit and abort orders, the final ``seq`` per ``(obj, tid)``, the row
-    of every version's last write (in first-write order) and the versions
-    observed before any write of them (the setup-version candidates).  The
+    commit and abort orders, the row of every version's last write (in
+    first-write order) and the versions observed before any write of them
+    (the setup-version candidates).  The
     engine's recorder appends rows one operation at a time;
     ``EventLog(events)`` appends one row per event object.
 
@@ -151,8 +151,6 @@ class EventLog:
         #: Tids in the order of their commit / abort events.
         self.commits: List[int] = []
         self.aborts: List[int] = []
-        #: ``(obj, tid)`` -> the largest ``seq`` among the tid's writes of obj.
-        self.final_seq: Dict[Tuple[str, int], int] = {}
         #: vid -> the row of its last write, in first-write order.
         self.last_write: Dict[int, int] = {}
         #: Versions read or selected before any write of them, in
@@ -163,33 +161,34 @@ class EventLog:
         self.universe: Optional[int] = None
         #: The event objects of rows ``0 .. len - 1``.
         self._events: List[Event] = []
-        for event in events:
-            self.append(event)
+        self.extend(events)
 
     # ------------------------------------------------------------------
     # appends
     # ------------------------------------------------------------------
 
-    def append(self, event: Event) -> None:
-        """Append an event object's row; the object is kept as the row's."""
-        k = _KIND_OF_TYPE.get(type(event))
-        if k is None:
-            k = _kind_by_base(event)
-        complete = len(self._events) == len(self.kind)
-        if k == K_READ:
-            self.read(event.tid, event.version, event.value, event.cursor)
-        elif k == K_WRITE:
-            self.write(event.tid, event.version, event.value, event.dead)
-        elif k == K_PREAD:
-            self.predicate_read(event.tid, event.predicate, event.vset)
-        elif k == K_COMMIT:
-            self.commit(event.tid)
-        elif k == K_ABORT:
-            self.abort(event.tid)
-        else:
-            self.begin(event.tid, getattr(event, "level", None))
-        if complete:
-            self._events.append(event)
+    def extend(self, events: Iterable[Event]) -> None:
+        """Append each event object's row; the objects are kept as the
+        rows' (where every earlier row has its object)."""
+        kept = self._events if len(self._events) == len(self.kind) else []
+        read, write, commit = self.read, self.write, self.commit
+        for event in events:
+            k = _KIND_OF_TYPE.get(type(event))
+            if k is None:
+                k = _kind_by_base(event)
+            if k == K_READ:
+                read(event.tid, event.version, event.value, event.cursor)
+            elif k == K_WRITE:
+                write(event.tid, event.version, event.value, event.dead)
+            elif k == K_COMMIT:
+                commit(event.tid)
+            elif k == K_PREAD:
+                self.predicate_read(event.tid, event.predicate, event.vset)
+            elif k == K_ABORT:
+                self.abort(event.tid)
+            else:
+                self.begin(event.tid, getattr(event, "level", None))
+            kept.append(event)
 
     # Reads and writes, most of an engine history's rows, append theirs in
     # place; the rarer kinds go through one helper.
@@ -220,10 +219,6 @@ class EventLog:
             Write(tid, version, value=value, dead=dead)  # raises what is wrong
         vid = self.interner.intern_version(version)
         self.last_write[vid] = len(self.kind)
-        key = (version.obj, tid)
-        seq = version.seq
-        if seq > self.final_seq.setdefault(key, seq):
-            self.final_seq[key] = seq
         self.kind.append(K_WRITE)
         self.tid.append(tid)
         self.vid.append(vid)
@@ -303,6 +298,16 @@ class EventLog:
         if k == K_BEGIN:
             return Begin(tid, extra)
         return (Commit if k == K_COMMIT else Abort)(tid)
+
+    def keep(self, event: Event) -> Event:
+        """Keep ``event``, built by the caller from the operation the last
+        row records, as that row's object (where every earlier row has its
+        object; else they and the last are built from the rows)."""
+        built = self._events
+        if len(built) != len(self.kind) - 1:
+            return self.events()[-1]
+        built.append(event)
+        return event
 
     def events(self) -> List[Event]:
         """Every row's event object, each built once and kept."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..core.events import Event
+from ..core.events import Abort, Begin, Commit, Event, PredicateRead, Read, Write
 from ..core.history import History
 from ..core.interning import K_COMMIT, EventLog
 from ..core.objects import Version
@@ -137,7 +137,7 @@ class HistoryRecorder:
         of the primary's (a promoted backup keeps issuing keys that sort
         consistently after :meth:`rebase`)."""
         ev, finals, keys = entry
-        self._log.append(ev)
+        self._log.extend((ev,))
         if finals is not None:
             intern = self._log.interner.intern_version
             for obj in sorted(finals):
@@ -145,8 +145,13 @@ class HistoryRecorder:
                 self._install.setdefault(obj, []).append(
                     (keys[obj], version, intern(version))
                 )
-        if self.repl_log is not None or self.monitor is not None:
-            self._observed(finals, keys)
+        if self.repl_log is not None:
+            self.repl_log.append(entry)
+        if self.monitor is not None:
+            if finals is not None:
+                self.monitor.add(ev, finals=dict(finals), positions=dict(keys))
+            else:
+                self.monitor.add(ev)
 
     def rebase(self, counter: int, base: int) -> None:
         """Rebase the install-key space onto another recorder's (used at
@@ -159,10 +164,11 @@ class HistoryRecorder:
     # event emission
     # ------------------------------------------------------------------
 
-    def _observed(self, finals=None, keys=None) -> None:
+    def _observed(self, ev: Event, finals=None, keys=None) -> None:
         """Hand the event just recorded to the replication log and the
-        monitor, built once for both."""
-        ev = self._log.events()[-1]
+        monitor, and keep it as its row's object: built once for all
+        three."""
+        ev = self._log.keep(ev)
         if self.repl_log is not None:
             self.repl_log.append(
                 (ev, None, None) if finals is None else (ev, dict(finals), dict(keys))
@@ -171,28 +177,28 @@ class HistoryRecorder:
             if finals is None:
                 self.monitor.add(ev)
             else:
-                self.monitor.add(ev, finals=dict(finals), positions=dict(keys))
+                self.monitor.add(ev, finals=dict(finals), positions=keys)
 
     def begin(self, tid: int, level: Optional[object] = None) -> None:
         self._log.begin(tid, level)
         if self._ev_counters is not None:
             self._ev_counters["begin"].inc()
         if self.repl_log is not None or self.monitor is not None:
-            self._observed()
+            self._observed(Begin(tid, level))
 
     def read(self, tid: int, version: Version, value: Any = None, *, cursor: bool = False) -> None:
         self._log.read(tid, version, value, cursor)
         if self._ev_counters is not None:
             self._ev_counters["read"].inc()
         if self.repl_log is not None or self.monitor is not None:
-            self._observed()
+            self._observed(Read(tid, version, value, cursor))
 
     def write(self, tid: int, version: Version, value: Any = None, *, dead: bool = False) -> None:
         self._log.write(tid, version, value, dead)
         if self._ev_counters is not None:
             self._ev_counters["write"].inc()
         if self.repl_log is not None or self.monitor is not None:
-            self._observed()
+            self._observed(Write(tid, version, value, dead))
 
     def predicate_read(
         self, tid: int, predicate: Predicate, vset: VersionSet
@@ -201,7 +207,7 @@ class HistoryRecorder:
         if self._ev_counters is not None:
             self._ev_counters["predicate_read"].inc()
         if self.repl_log is not None or self.monitor is not None:
-            self._observed()
+            self._observed(PredicateRead(tid, predicate, vset))
 
     def commit(
         self,
@@ -236,7 +242,7 @@ class HistoryRecorder:
         if self._ev_counters is not None:
             self._ev_counters["commit"].inc()
         if self.repl_log is not None or self.monitor is not None:
-            self._observed(finals, keys)
+            self._observed(Commit(tid), finals, keys)
 
     @property
     def install_order(self) -> Dict[str, List[Version]]:
@@ -251,7 +257,7 @@ class HistoryRecorder:
         if self._ev_counters is not None:
             self._ev_counters["abort"].inc()
         if self.repl_log is not None or self.monitor is not None:
-            self._observed()
+            self._observed(Abort(tid))
 
     # ------------------------------------------------------------------
     # materialisation

@@ -105,7 +105,7 @@ class ReplicaServer:
     @property
     def applied(self) -> int:
         """Replication-log entries applied (the backup's offset)."""
-        return len(self.wal.events)
+        return len(self.wal)
 
     @property
     def lag(self) -> int:
