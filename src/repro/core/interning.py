@@ -161,34 +161,33 @@ class EventLog:
         self.universe: Optional[int] = None
         #: The event objects of rows ``0 .. len - 1``.
         self._events: List[Event] = []
-        self.extend(events)
+        for event in events:
+            self.append(event)
 
     # ------------------------------------------------------------------
     # appends
     # ------------------------------------------------------------------
 
-    def extend(self, events: Iterable[Event]) -> None:
-        """Append each event object's row; the objects are kept as the
-        rows' (where every earlier row has its object)."""
-        kept = self._events if len(self._events) == len(self.kind) else []
-        read, write, commit = self.read, self.write, self.commit
-        for event in events:
-            k = _KIND_OF_TYPE.get(type(event))
-            if k is None:
-                k = _kind_by_base(event)
-            if k == K_READ:
-                read(event.tid, event.version, event.value, event.cursor)
-            elif k == K_WRITE:
-                write(event.tid, event.version, event.value, event.dead)
-            elif k == K_COMMIT:
-                commit(event.tid)
-            elif k == K_PREAD:
-                self.predicate_read(event.tid, event.predicate, event.vset)
-            elif k == K_ABORT:
-                self.abort(event.tid)
-            else:
-                self.begin(event.tid, getattr(event, "level", None))
-            kept.append(event)
+    def append(self, event: Event) -> None:
+        """Append an event object's row; the object is kept as the row's
+        (where every earlier row has its object)."""
+        if len(self._events) == len(self.kind):
+            self._events.append(event)
+        k = _KIND_OF_TYPE.get(type(event))
+        if k is None:
+            k = _kind_by_base(event)
+        if k == K_READ:
+            self.read(event.tid, event.version, event.value, event.cursor)
+        elif k == K_WRITE:
+            self.write(event.tid, event.version, event.value, event.dead)
+        elif k == K_COMMIT:
+            self.commit(event.tid)
+        elif k == K_PREAD:
+            self.predicate_read(event.tid, event.predicate, event.vset)
+        elif k == K_ABORT:
+            self.abort(event.tid)
+        else:
+            self.begin(event.tid, getattr(event, "level", None))
 
     # Reads and writes, most of an engine history's rows, append theirs in
     # place; the rarer kinds go through one helper.

@@ -137,7 +137,7 @@ class HistoryRecorder:
         of the primary's (a promoted backup keeps issuing keys that sort
         consistently after :meth:`rebase`)."""
         ev, finals, keys = entry
-        self._log.extend((ev,))
+        self._log.append(ev)
         if finals is not None:
             intern = self._log.interner.intern_version
             for obj in sorted(finals):
