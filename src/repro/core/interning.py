@@ -133,9 +133,9 @@ class EventLog:
     Each append also keeps what a history derives from its events: the
     commit and abort orders, the row of every version's last write (in
     first-write order) and the versions observed before any write of them
-    (the setup-version candidates).  The
-    engine's recorder appends rows one operation at a time;
-    ``EventLog(events)`` appends one row per event object.
+    (the setup-version candidates).  The engine's recorder appends rows one
+    operation at a time; ``EventLog(events)`` appends one row per event
+    object.
 
     Event objects are built from rows only when asked for (:meth:`events`),
     once each; the objects a log was built from are kept as they are.

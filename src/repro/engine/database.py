@@ -191,7 +191,7 @@ class Database:
 
             scheduler = create_scheduler(scheduler)
         # Latest committed (version, value, dead) per object, from the log.
-        log = recorder._log
+        log = recorder._rows()
         version_id = log.interner.version_id
         state: Dict[str, tuple] = {}
         for obj, chain in recorder.install_order.items():

@@ -60,6 +60,10 @@ class HistoryRecorder:
         #: keys).  None until :meth:`enable_replication` — unreplicated
         #: recorders pay nothing.
         self.repl_log: Optional[List[tuple]] = None
+        #: Trailing ``repl_log`` entries applied by :meth:`apply_entry`
+        #: whose rows wait for a reader (a backup's copy is read when it is
+        #: promoted, so until then it appends no rows).
+        self._unrowed = 0
         # Per-event-type bound counters, populated by instrument(); None
         # keeps every emission at exactly one extra `is not None` check.
         self._ev_counters: Optional[Dict[str, object]] = None
@@ -68,7 +72,16 @@ class HistoryRecorder:
     def events(self) -> List[Event]:
         """The recorded events as objects (built from the rows on first
         use, once each)."""
-        return self._log.events()
+        return self._rows().events()
+
+    def _rows(self) -> EventLog:
+        """The log, with a row for every entry applied so far."""
+        if self._unrowed:
+            pending = self.repl_log[len(self.repl_log) - self._unrowed:]
+            self._unrowed = 0
+            for entry in pending:
+                self._row_entry(*entry)
+        return self._log
 
     def instrument(
         self, *, metrics: Optional[object] = None, scheduler: str = ""
@@ -104,6 +117,7 @@ class HistoryRecorder:
         """Everything recorded so far as replication-log entries ``(event,
         finals, keys)``: a commit regains its installed versions and their
         install keys from the install order."""
+        self._rows()
         keyed: Dict[int, Dict[str, tuple]] = {}
         for obj, entries in self._install.items():
             for key, version, _vid in entries:
@@ -135,8 +149,21 @@ class HistoryRecorder:
         and for commits the installed versions under the *primary's*
         install keys, so a backup's install order is a prefix-exact copy
         of the primary's (a promoted backup keeps issuing keys that sort
-        consistently after :meth:`rebase`)."""
+        consistently after :meth:`rebase`).  With a replication log the
+        entry's row waits there until something reads the rows."""
         ev, finals, keys = entry
+        if self.repl_log is not None:
+            self.repl_log.append(entry)
+            self._unrowed += 1
+        else:
+            self._row_entry(ev, finals, keys)
+        if self.monitor is not None:
+            if finals is not None:
+                self.monitor.add(ev, finals=dict(finals), positions=dict(keys))
+            else:
+                self.monitor.add(ev)
+
+    def _row_entry(self, ev: Event, finals, keys) -> None:
         self._log.append(ev)
         if finals is not None:
             intern = self._log.interner.intern_version
@@ -145,13 +172,6 @@ class HistoryRecorder:
                 self._install.setdefault(obj, []).append(
                     (keys[obj], version, intern(version))
                 )
-        if self.repl_log is not None:
-            self.repl_log.append(entry)
-        if self.monitor is not None:
-            if finals is not None:
-                self.monitor.add(ev, finals=dict(finals), positions=dict(keys))
-            else:
-                self.monitor.add(ev)
 
     def rebase(self, counter: int, base: int) -> None:
         """Rebase the install-key space onto another recorder's (used at
@@ -247,6 +267,7 @@ class HistoryRecorder:
     @property
     def install_order(self) -> Dict[str, List[Version]]:
         """The version order installed so far (sorted by install key)."""
+        self._rows()
         return {
             obj: [e[1] for e in sorted(entries, key=_KEY)]
             for obj, entries in self._install.items()
@@ -273,14 +294,15 @@ class HistoryRecorder:
         (programs cut off by a step budget) are completed with aborts, the
         paper's completion rule.  The history adopts a copy of the log: the
         recorder may go on recording."""
+        log = self._rows().copy()
         chains = {
             obj: [e[2] for e in sorted(entries, key=_KEY)]
             for obj, entries in self._install.items()
         }
-        return History._of_log(self._log.copy(), chains, default_level, True, validate)
+        return History._of_log(log, chains, default_level, True, validate)
 
     def __len__(self) -> int:
-        return len(self._log.kind)
+        return len(self._log.kind) + self._unrowed
 
 
 #: Install entries sort by their key.

@@ -259,7 +259,7 @@ class Server:
             self.db = Database.recover(
                 scheduler, recover_from, tid_allocator=self._tid_allocator
             )
-            self._committed_tids = set(recover_from._log.commits)
+            self._committed_tids = set(recover_from._rows().commits)
             return
         if self.monitor is not None:
             scheduler.recorder.attach_monitor(self.monitor)
@@ -656,7 +656,7 @@ class Server:
             return  # re-entered from a woken request's search: already looking
         self._waking = True
         try:
-            log = self.recorder._log
+            log = self.recorder._rows()
             kinds, tids = log.kind, log.tid
             while self._parked and self._wal_seen < len(kinds):
                 seen = self._wal_seen

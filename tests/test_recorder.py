@@ -216,3 +216,23 @@ class TestHistoryDifferential:
         recorder.commit(10_000, {"k0": v("k0", 10_000)})
         assert _view(history) == before
         assert len(recorder.history()) == len(history) + 3
+
+
+class TestShippedEntries:
+    """A backup's copy of the primary's log: its rows wait in the
+    replication log until something reads them, then match the primary's."""
+
+    def test_a_backup_rows_its_entries_when_read(self):
+        db = Database(create_scheduler("locking"))
+        db.load(PREDICATES.initial_state())
+        primary = db.scheduler.recorder
+        primary.enable_replication()
+        Simulator(db, random_programs(PREDICATES, seed=3), seed=3).run()
+        backup = HistoryRecorder()
+        backup.enable_replication()
+        for entry in primary.repl_log:
+            backup.apply_entry(entry)
+        assert len(backup) == len(primary) and not backup._log.kind
+        assert backup.install_order == primary.install_order
+        assert _view(backup.history()) == _view(primary.history())
+        assert backup.events == primary.events and len(backup._log.kind) == len(backup)
