@@ -6,10 +6,11 @@ each operation appends one row to the recorder's
 the value or level beside it), and each commit appends the transaction's
 final versions to the per-object install order.  The log keeps, as rows
 arrive, the tables a history derives from its events (commit order, aborts,
-final writes).  At the end, :meth:`HistoryRecorder.history` hands a copy of
-that log and the install order to :class:`~repro.core.history.History`,
-which validates it without interning or sweeping the events again; event
-objects are built from the rows only when something asks for them.
+each version's last write).  At the end, :meth:`HistoryRecorder.history`
+hands a copy of that log and the install order to
+:class:`~repro.core.history.History`, which validates it without interning
+or sweeping the events again; event objects are built from the rows only
+when something asks for them.
 
 This is the bridge that makes the paper's thesis testable: locking, OCC and
 MVCC executions all reduce to the same history formalism.
