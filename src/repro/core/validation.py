@@ -105,9 +105,11 @@ def _check_events(history: "History", dead: Set[int]) -> None:
     )
     setup_ok, aborted = history._setup_vids, history.aborted
     # tid -> {object id: row of the transaction's last write to it} while the
-    # transaction is live, None once it has committed or aborted.
+    # transaction is live (``begun``, shared, until its first write), None
+    # once it has committed or aborted.
     txns: Dict[int, Optional[Dict[int, int]]] = {}
     unseen: Dict[int, int] = {}
+    begun: Dict[int, int] = {}
     written = bytearray(len(versions))  # by version id: written so far?
     # The violation to report unless a higher-ranked one turns up later.
     rank, message = _CLEAN, ""
@@ -118,7 +120,7 @@ def _check_events(history: "History", dead: Set[int]) -> None:
                 f"E1: event {event(i)} follows T{t}'s commit/abort"
             )
         if k == K_WRITE:
-            if own is unseen:
+            if not own:
                 own = txns[t] = {}
             vid = vids[i]
             written[vid] = 1
@@ -142,7 +144,7 @@ def _check_events(history: "History", dead: Set[int]) -> None:
                 )
         elif k == K_READ:
             if own is unseen:
-                own = txns[t] = {}
+                txns[t] = begun
             vid = vids[i]
             if rank > _READS:
                 problem = ""
@@ -154,7 +156,7 @@ def _check_events(history: "History", dead: Set[int]) -> None:
                     rank, message = _READS, problem
             # E7 needs no check here: a read after the transaction's own
             # delete observes the dead version (E5) or another one (E4).
-            last = own.get(ver_obj[vid])
+            last = own.get(ver_obj[vid]) if own else None
             if last is not None and vids[last] != vid and rank > _OWN_WRITES:
                 rank, message = _OWN_WRITES, (
                     f"E4: {event(i)} must observe the transaction's own "
@@ -167,10 +169,10 @@ def _check_events(history: "History", dead: Set[int]) -> None:
                 raise MalformedHistoryError(
                     f"E2: begin of T{t} is not its first event"
                 )
-            txns[t] = {}
+            txns[t] = begun
         else:  # a predicate read
             if own is unseen:
-                txns[t] = {}
+                txns[t] = begun
             if rank > _READS:
                 for vid in extra[i][2]:
                     if written[vid] or ver_tid[vid] == INIT_TID or vid in setup_ok:
