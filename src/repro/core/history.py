@@ -84,11 +84,13 @@ class History:
         self._adopt(log, chains, default_level, auto_complete, validate)
 
     @classmethod
-    def _of_log(cls, log: EventLog, chains: Dict[str, List[int]], *options) -> "History":
-        """The history of a log already built (the engine recorder's), its
-        version order given as chains of version ids."""
+    def _of_log(
+        cls, log: EventLog, chains: Dict[str, List[int]], default_level, validate
+    ) -> "History":
+        """The completed history of a log already built (the engine
+        recorder's), its version order given as chains of version ids."""
         history = cls.__new__(cls)
-        history._adopt(log, chains, *options)
+        history._adopt(log, chains, default_level, True, validate)
         return history
 
     def _adopt(self, log, chains, default_level, auto_complete, validate) -> None:

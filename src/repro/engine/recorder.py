@@ -300,7 +300,7 @@ class HistoryRecorder:
             obj: [e[2] for e in sorted(entries, key=_KEY)]
             for obj, entries in self._install.items()
         }
-        return History._of_log(log, chains, default_level, True, validate)
+        return History._of_log(log, chains, default_level, validate)
 
     def __len__(self) -> int:
         return len(self._log.kind) + self._unrowed
