@@ -125,10 +125,11 @@ class EventLog:
     Parallel lists, one entry per event: ``kind`` (the ``K_*`` code),
     ``tid``, ``vid`` (the interned version for reads/writes, ``-1``
     otherwise), ``flag`` (``cursor`` for reads, ``dead`` for writes) and
-    ``extra`` (the value of a read or write, the level of a begin, and
+    ``extra`` (the value of a read or write, the level of a begin,
     ``(predicate, vset, version ids)`` of a predicate read, whose vset
     objects are interned before its versions so the interner holds the
-    history's object universe in first-appearance order).
+    history's object universe in first-appearance order, and the installs
+    a recorder's commit carries, else None).
 
     Each append also keeps what a history derives from its events: the
     commit and abort orders, the row of every version's last write (in
@@ -233,9 +234,9 @@ class EventLog:
                 self.observed[vid] = None
         self._row(K_PREAD, tid, -1, False, (predicate, vset, vids))
 
-    def commit(self, tid: int) -> None:
+    def commit(self, tid: int, installs: Any = None) -> None:
         self.commits.append(tid)
-        self._row(K_COMMIT, tid, -1, False, None)
+        self._row(K_COMMIT, tid, -1, False, installs)
 
     def abort(self, tid: int) -> None:
         self.aborts.append(tid)

@@ -191,12 +191,11 @@ class Database:
 
             scheduler = create_scheduler(scheduler)
         # Latest committed (version, value, dead) per object, from the log.
-        log = recorder._rows()
-        version_id = log.interner.version_id
+        log = recorder._log
         state: Dict[str, tuple] = {}
-        for obj, chain in recorder.install_order.items():
-            version = chain[-1]
-            row = log.last_write.get(version_id[version])
+        for obj, (*_, vid) in recorder._chains().items():
+            version = log.interner.versions[vid]
+            row = log.last_write.get(vid)
             if row is None:
                 state[obj] = (version, None, True)
             else:

@@ -1,16 +1,16 @@
 """History recording for the engine.
 
-Every scheduler narrates its execution through a :class:`HistoryRecorder`:
-each operation appends one row to the recorder's
-:class:`~repro.core.interning.EventLog` (kind code, tid, version id, flag;
-the value or level beside it), and each commit appends the transaction's
-final versions to the per-object install order.  The log keeps, as rows
-arrive, the tables a history derives from its events (commit order, aborts,
-each version's last write).  At the end, :meth:`HistoryRecorder.history`
-hands a copy of that log and the install order to
-:class:`~repro.core.history.History`, which validates it without interning
-or sweeping the events again; event objects are built from the rows only
-when something asks for them.
+Every scheduler narrates its execution through a :class:`HistoryRecorder`,
+and the recorder is exactly its :class:`~repro.core.interning.EventLog`:
+each operation appends one row (kind code, tid, version id, flag; the value
+or level beside it), and each commit's row carries what the commit
+installed.  The log keeps, as rows arrive, the tables a history derives
+from its events (commit order, aborts, each version's last write).  Every
+reader reads those rows: :meth:`HistoryRecorder.history` hands a copy of
+the log and its install chains to :class:`~repro.core.history.History`,
+which validates it without interning or sweeping the events again; a
+monitor's replay and a replica's shipped entries are the rows as event
+objects, each built once, when something first asks for it.
 
 This is the bridge that makes the paper's thesis testable: locking, OCC and
 MVCC executions all reduce to the same history formalism.
@@ -19,7 +19,7 @@ MVCC executions all reduce to the same history formalism.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.events import Abort, Begin, Commit, Event, PredicateRead, Read, Write
 from ..core.history import History
@@ -31,7 +31,13 @@ __all__ = ["HistoryRecorder"]
 
 
 class HistoryRecorder:
-    """Accumulates events and the version (install) order of an execution.
+    """An execution as one event log, with its version (install) order.
+
+    A commit's row carries its installs, ``(finals, keys, vids)``: the
+    versions it installed, their install keys (both by object, in name
+    order) and their version ids in the same order.  They are stored there
+    only; the install order, a history's version chains, a monitor's replay
+    and the entries a replica is shipped are all read off the rows.
 
     An optional *monitor* — any object with the
     :meth:`~repro.core.incremental.IncrementalAnalysis.add` protocol,
@@ -45,8 +51,6 @@ class HistoryRecorder:
     def __init__(self, monitor: Optional[object] = None) -> None:
         #: The execution as rows (see :attr:`events` for event objects).
         self._log = EventLog()
-        #: obj -> ``(install key, version, version id)`` per installed version.
-        self._install: Dict[str, List[tuple]] = {}
         self._install_counter = 0
         #: Offset added to every install key.  Normally 0; a sharded cluster
         #: bumps the destination recorder's base when an object migrates in,
@@ -55,16 +59,6 @@ class HistoryRecorder:
         #: though keys come from different recorders' index spaces).
         self.position_base = 0
         self.monitor = monitor
-        #: Replication log: one ``(event, finals, keys)`` entry per event
-        #: (``finals``/``keys`` are None except for commits, where they
-        #: carry the installed versions and their base-adjusted install
-        #: keys).  None until :meth:`enable_replication` — unreplicated
-        #: recorders pay nothing.
-        self.repl_log: Optional[List[tuple]] = None
-        #: Trailing ``repl_log`` entries applied by :meth:`apply_entry`
-        #: whose rows wait for a reader (a backup's copy is read when it is
-        #: promoted, so until then it appends no rows).
-        self._unrowed = 0
         # Per-event-type bound counters, populated by instrument(); None
         # keeps every emission at exactly one extra `is not None` check.
         self._ev_counters: Optional[Dict[str, object]] = None
@@ -73,16 +67,7 @@ class HistoryRecorder:
     def events(self) -> List[Event]:
         """The recorded events as objects (built from the rows on first
         use, once each)."""
-        return self._rows().events()
-
-    def _rows(self) -> EventLog:
-        """The log, with a row for every entry applied so far."""
-        if self._unrowed:
-            pending = self.repl_log[len(self.repl_log) - self._unrowed:]
-            self._unrowed = 0
-            for entry in pending:
-                self._row_entry(*entry)
-        return self._log
+        return self._log.events()
 
     def instrument(
         self, *, metrics: Optional[object] = None, scheduler: str = ""
@@ -107,72 +92,44 @@ class HistoryRecorder:
         """Attach an online monitor mid-execution, replaying everything
         recorded so far (commits replay with their original install
         positions, so the monitor's version order matches ours)."""
-        for ev, finals, positions in self._entries():
+        for ev, finals, keys in self._shipped():
             if finals is None:
                 monitor.add(ev)
             else:
-                monitor.add(ev, finals=finals, positions=positions)
+                monitor.add(ev, finals=finals, positions=keys)
         self.monitor = monitor
 
-    def _entries(self) -> Iterator[tuple]:
-        """Everything recorded so far as replication-log entries ``(event,
-        finals, keys)``: a commit regains its installed versions and their
-        install keys from the install order."""
-        self._rows()
-        keyed: Dict[int, Dict[str, tuple]] = {}
-        for obj, entries in self._install.items():
-            for key, version, _vid in entries:
-                keyed.setdefault(version.tid, {})[obj] = (key, version)
-        for ev, k in zip(self.events, self._log.kind):
-            if k == K_COMMIT:
-                slot = keyed.get(ev.tid, {})
-                yield (
-                    ev,
-                    {obj: v for obj, (_k, v) in slot.items()},
-                    {obj: k for obj, (k, _v) in slot.items()},
-                )
-            else:
-                yield ev, None, None
-
     # ------------------------------------------------------------------
-    # replication log
+    # replication
     # ------------------------------------------------------------------
 
-    def enable_replication(self) -> None:
-        """Start keeping a shippable replication log, backfilled for
-        everything already recorded (the entries :meth:`attach_monitor`
-        replays)."""
-        if self.repl_log is None:
-            self.repl_log = list(self._entries())
+    def _shipped(self, start: int = 0) -> List[tuple]:
+        """Rows ``start ..`` as replication entries ``(event, finals,
+        keys)``, ``finals``/``keys`` None but for a commit: what a backup
+        is shipped and :meth:`apply_entry` appends."""
+        log = self._log
+        events, kind, extra = log.events(), log.kind, log.extra
+        return [
+            (events[i], extra[i][0], extra[i][1])
+            if kind[i] == K_COMMIT
+            else (events[i], None, None)
+            for i in range(start, len(kind))
+        ]
 
     def apply_entry(self, entry: tuple) -> None:
-        """Append one shipped replication-log entry: the event verbatim,
-        and for commits the installed versions under the *primary's*
-        install keys, so a backup's install order is a prefix-exact copy
-        of the primary's (a promoted backup keeps issuing keys that sort
-        consistently after :meth:`rebase`).  With a replication log the
-        entry's row waits there until something reads the rows."""
+        """Append one shipped replication entry's row: the event verbatim,
+        and for a commit its installs under the *primary's* install keys,
+        so the install order is a prefix-exact copy of the primary's (a
+        promoted backup keeps issuing keys that sort consistently after
+        :meth:`rebase`)."""
         ev, finals, keys = entry
-        if self.repl_log is not None:
-            self.repl_log.append(entry)
-            self._unrowed += 1
-        else:
-            self._row_entry(ev, finals, keys)
-        if self.monitor is not None:
-            if finals is not None:
-                self.monitor.add(ev, finals=dict(finals), positions=dict(keys))
-            else:
-                self.monitor.add(ev)
-
-    def _row_entry(self, ev: Event, finals, keys) -> None:
-        self._log.append(ev)
-        if finals is not None:
-            intern = self._log.interner.intern_version
-            for obj in sorted(finals):
-                version = finals[obj]
-                self._install.setdefault(obj, []).append(
-                    (keys[obj], version, intern(version))
-                )
+        log = self._log
+        if finals is None:
+            log.append(ev)
+            return
+        intern = log.interner.intern_version
+        log.commit(ev.tid, (finals, keys, [intern(finals[obj]) for obj in keys]))
+        log.keep(ev)
 
     def rebase(self, counter: int, base: int) -> None:
         """Rebase the install-key space onto another recorder's (used at
@@ -185,41 +142,26 @@ class HistoryRecorder:
     # event emission
     # ------------------------------------------------------------------
 
-    def _observed(self, ev: Event, finals=None, keys=None) -> None:
-        """Hand the event just recorded to the replication log and the
-        monitor, and keep it as its row's object: built once for all
-        three."""
-        ev = self._log.keep(ev)
-        if self.repl_log is not None:
-            self.repl_log.append(
-                (ev, None, None) if finals is None else (ev, dict(finals), dict(keys))
-            )
-        if self.monitor is not None:
-            if finals is None:
-                self.monitor.add(ev)
-            else:
-                self.monitor.add(ev, finals=dict(finals), positions=keys)
-
     def begin(self, tid: int, level: Optional[object] = None) -> None:
         self._log.begin(tid, level)
         if self._ev_counters is not None:
             self._ev_counters["begin"].inc()
-        if self.repl_log is not None or self.monitor is not None:
-            self._observed(Begin(tid, level))
+        if self.monitor is not None:
+            self.monitor.add(self._log.keep(Begin(tid, level)))
 
     def read(self, tid: int, version: Version, value: Any = None, *, cursor: bool = False) -> None:
         self._log.read(tid, version, value, cursor)
         if self._ev_counters is not None:
             self._ev_counters["read"].inc()
-        if self.repl_log is not None or self.monitor is not None:
-            self._observed(Read(tid, version, value, cursor))
+        if self.monitor is not None:
+            self.monitor.add(self._log.keep(Read(tid, version, value, cursor)))
 
     def write(self, tid: int, version: Version, value: Any = None, *, dead: bool = False) -> None:
         self._log.write(tid, version, value, dead)
         if self._ev_counters is not None:
             self._ev_counters["write"].inc()
-        if self.repl_log is not None or self.monitor is not None:
-            self._observed(Write(tid, version, value, dead))
+        if self.monitor is not None:
+            self.monitor.add(self._log.keep(Write(tid, version, value, dead)))
 
     def predicate_read(
         self, tid: int, predicate: Predicate, vset: VersionSet
@@ -227,8 +169,8 @@ class HistoryRecorder:
         self._log.predicate_read(tid, predicate, vset)
         if self._ev_counters is not None:
             self._ev_counters["predicate_read"].inc()
-        if self.repl_log is not None or self.monitor is not None:
-            self._observed(PredicateRead(tid, predicate, vset))
+        if self.monitor is not None:
+            self.monitor.add(self._log.keep(PredicateRead(tid, predicate, vset)))
 
     def commit(
         self,
@@ -246,40 +188,56 @@ class HistoryRecorder:
         write actually happened (which matters at Degree 0, where short
         write locks let writes of concurrent transactions interleave).
         """
+        installed: Dict[str, Version] = {}
         keys: Dict[str, int] = {}
+        vids: List[int] = []
         intern = self._log.interner.intern_version
         version_id = self._log.interner.version_id
         for obj in sorted(finals):
             self._install_counter += 1
             key = self._install_counter if positions is None else positions[obj]
-            key += self.position_base
-            keys[obj] = key
-            version = finals[obj]
+            keys[obj] = key + self.position_base
+            installed[obj] = version = finals[obj]
             vid = version_id.get(version)
             if vid is None:
                 vid = intern(version)
-            self._install.setdefault(obj, []).append((key, version, vid))
-        self._log.commit(tid)
+            vids.append(vid)
+        self._log.commit(tid, (installed, keys, vids))
         if self._ev_counters is not None:
             self._ev_counters["commit"].inc()
-        if self.repl_log is not None or self.monitor is not None:
-            self._observed(Commit(tid), finals, keys)
+        if self.monitor is not None:
+            self.monitor.add(
+                self._log.keep(Commit(tid)), finals=installed, positions=keys
+            )
+
+    def _chains(self) -> Dict[str, List[int]]:
+        """obj -> the version ids its commits installed, in install-key
+        order (read off the commit rows)."""
+        installed: Dict[str, List[tuple]] = {}
+        for k, extra in zip(self._log.kind, self._log.extra):
+            if k == K_COMMIT:
+                for (obj, key), vid in zip(extra[1].items(), extra[2]):
+                    installed.setdefault(obj, []).append((key, vid))
+        return {
+            obj: [vid for _key, vid in sorted(entries, key=_KEY)]
+            for obj, entries in installed.items()
+        }
 
     @property
     def install_order(self) -> Dict[str, List[Version]]:
         """The version order installed so far (sorted by install key)."""
-        self._rows()
+        versions = self._log.interner.versions
         return {
-            obj: [e[1] for e in sorted(entries, key=_KEY)]
-            for obj, entries in self._install.items()
+            obj: [versions[vid] for vid in chain]
+            for obj, chain in self._chains().items()
         }
 
     def abort(self, tid: int) -> None:
         self._log.abort(tid)
         if self._ev_counters is not None:
             self._ev_counters["abort"].inc()
-        if self.repl_log is not None or self.monitor is not None:
-            self._observed(Abort(tid))
+        if self.monitor is not None:
+            self.monitor.add(self._log.keep(Abort(tid)))
 
     # ------------------------------------------------------------------
     # materialisation
@@ -295,15 +253,12 @@ class HistoryRecorder:
         (programs cut off by a step budget) are completed with aborts, the
         paper's completion rule.  The history adopts a copy of the log: the
         recorder may go on recording."""
-        log = self._rows().copy()
-        chains = {
-            obj: [e[2] for e in sorted(entries, key=_KEY)]
-            for obj, entries in self._install.items()
-        }
-        return History._of_log(log, chains, default_level, validate)
+        return History._of_log(
+            self._log.copy(), self._chains(), default_level, validate
+        )
 
     def __len__(self) -> int:
-        return len(self._log.kind) + self._unrowed
+        return len(self._log.kind)
 
 
 #: Install entries sort by their key.

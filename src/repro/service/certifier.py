@@ -120,7 +120,8 @@ def merge_history(
     network tick each event was recorded at (ties broken by shard index,
     then log position; an event without a noted tick counts as recorded
     ``now``) and run through the fold (:meth:`GlobalCertifier.feed`).
-    Version orders concatenate per object — install keys are globally
+    Version orders concatenate per object from the shards' commit rows,
+    read in the same pass as their events — install keys are globally
     monotone per object (see ``HistoryRecorder.position_base``), so a plain
     sort reconstructs the true install order even across migrations.  With
     one shard and no replica reads this is exactly the shard's own history,
@@ -135,11 +136,15 @@ def merge_history(
     if len(slots) == 1 and not replica_reads:
         return slots[0].primary.recorder.history(validate=validate)
     entries = []
+    installs: Dict[str, List[tuple]] = {}
     for slot in slots:
         ticks = slot.event_ticks
-        for li, ev in enumerate(slot.primary.recorder.events):
+        for li, (ev, finals, keys) in enumerate(slot.primary.recorder._shipped()):
             tick = ticks[li] if li < len(ticks) else now
             entries.append((tick, slot.index, li, ev))
+            if finals is not None:
+                for obj, key in keys.items():
+                    installs.setdefault(obj, []).append((key, finals[obj]))
     # Replica-served reads merge with their true version provenance at
     # the tick they were served — the lagging-snapshot observations the
     # global analysis certifies the core levels over (PL-SI needs the
@@ -151,12 +156,8 @@ def merge_history(
     feed = GlobalCertifier(events, participants_of).feed
     for _tick, _si, _li, ev in entries:
         feed(ev, None, None)
-    chains: Dict[str, List[tuple]] = {}
-    for slot in slots:
-        for obj, ents in slot.primary.recorder._install.items():
-            chains.setdefault(obj, []).extend(ents)
     order = {
         obj: [e[1] for e in sorted(ents, key=lambda e: e[0])]
-        for obj, ents in chains.items()
+        for obj, ents in installs.items()
     }
     return History(events, order, auto_complete=True, validate=validate)

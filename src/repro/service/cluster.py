@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..core.history import History
 from ..core.levels import IsolationLevel
 from ..engine.factory import SchedulerConfig
+from ..engine.recorder import HistoryRecorder
 from ..engine.waits import WaitsFor
 from .certifier import GlobalCertifier, merge_history
 from .config import (
@@ -515,20 +516,23 @@ class Cluster:
         surviving backups keep catching up from the new primary."""
         old = self.shards[index]
         backup = self.replica_of(index, ordinal)
-        for entry in (old.recorder.repl_log or [])[backup.applied:]:
+        for entry in old.recorder._shipped(backup.applied):
             backup.apply(entry)
+        # The backup's copy is a list of shipped entries; here, once, it
+        # becomes the rows of the recorder the new primary runs on.
+        wal = HistoryRecorder()
+        for entry in backup.wal:
+            wal.apply_entry(entry)
         # Future install keys from the promoted log must sort after every
         # key the retired primary ever issued.
-        backup.wal.rebase(
-            old.recorder._install_counter, old.recorder.position_base
-        )
+        wal.rebase(old.recorder._install_counter, old.recorder.position_base)
         backup.retire()
-        new, version = self._succeed(old, backup.wal, backup.name)
+        new, version = self._succeed(old, wal, backup.name)
         if self.certifier is not None:
             # Direct assignment, NOT attach_monitor: the primary's copies of
             # these events already fed the certifier — a replay would feed
             # every event twice.
-            backup.wal.monitor = self.certifier
+            wal.monitor = self.certifier
         new.arm_replication()
         if self.tracer is not None:
             self.tracer.event(

@@ -1,8 +1,8 @@
 """Primary/backup shard replication with session-guarantee watermarks.
 
-Each shard's primary keeps a shippable copy of its durable WAL (the
-:attr:`~repro.engine.recorder.HistoryRecorder.repl_log`) and pumps the
-unacknowledged suffix to K :class:`ReplicaServer` backups over the same
+Each shard's primary ships the unacknowledged suffix of its durable WAL
+(its recorder's rows, as ``(event, finals, keys)`` entries) to K
+:class:`ReplicaServer` backups over the same
 :class:`~repro.service.network.SimulatedNetwork` the clients use.  The
 stream is *seeded-lag, lossless-in-order*: each batch travels on a
 fault-free timer with a delay drawn from a dedicated per-shard RNG, so
@@ -11,10 +11,11 @@ batches still respect crashes and partitions (delivery checks both
 endpoints), which is how a partitioned primary leaves its backups
 serving stale state.
 
-A backup applies entries in log order into its own durable recorder copy
-and a volatile value table, acknowledges its applied offset, and serves
-plain (non-locking) reads at whatever offset it has reached.  Every read
-reply carries ``(shard, offset)`` — the provenance a
+A backup keeps the entries it applies, in log order, as its durable copy
+and folds them into a volatile value table, acknowledges its applied
+offset, and serves plain (non-locking) reads at whatever offset it has
+reached; its copy becomes event-log rows only if it is promoted.  Every
+read reply carries ``(shard, offset)`` — the provenance a
 :class:`SessionVector` needs to enforce (or witness violations of) the
 Bayou session guarantees; see
 :class:`~repro.service.config.SessionGuarantees`.
@@ -50,12 +51,15 @@ class ReplicaServer:
     """One shard backup: applies the primary's replication stream, serves
     plain reads at its applied offset.
 
-    Durable state is the applied WAL copy (``wal``); the value table it
-    serves from is volatile and rebuilt from the WAL on restart, so a
-    crash mid-catch-up resumes from the durable applied offset — exactly
-    like the primary's own recovery.  Reads it serves are recorded (with
-    the stored version's true provenance) into a separate ``reads``
-    recorder that merges into the cluster's global history.
+    Durable state is the list of entries it was shipped and applied
+    (``wal``); the value table it serves from is volatile and rebuilt from
+    that list on restart, so a crash mid-catch-up resumes from the durable
+    applied offset — exactly like the primary's own recovery.  The list
+    becomes a recorder only when the backup is promoted
+    (:meth:`~repro.service.cluster.Cluster._promote`).  Reads it serves
+    are recorded (with the stored version's true provenance) into a
+    separate ``reads`` recorder that merges into the cluster's global
+    history.
     """
 
     def __init__(self, cluster, slot, ordinal: int, *, name: str) -> None:
@@ -75,11 +79,9 @@ class ReplicaServer:
         self.after_apply: Optional[Callable[[], None]] = None
         self.crashes = 0
         self.restarts = 0
-        #: Durable applied prefix of the primary WAL (its own repl_log is
-        #: kept live so a promoted backup can ship to its new peers and a
-        #: restart can replay values without re-deriving commit installs).
-        self.wal = HistoryRecorder()
-        self.wal.enable_replication()
+        #: Durable applied prefix of the primary WAL: the entries applied,
+        #: in log order.
+        self.wal: List[tuple] = []
         #: Reads this backup served, merged into the global history.
         self.reads = HistoryRecorder()
         #: Network tick per served read (parallel to ``reads.events``).
@@ -104,14 +106,13 @@ class ReplicaServer:
 
     @property
     def applied(self) -> int:
-        """Replication-log entries applied (the backup's offset)."""
+        """Log entries applied (the backup's offset)."""
         return len(self.wal)
 
     @property
     def lag(self) -> int:
         """Log entries this backup trails its primary's durable log by."""
-        log = self.slot.primary.recorder.repl_log or ()
-        return max(len(log) - self.applied, 0)
+        return max(len(self.slot.primary.recorder) - self.applied, 0)
 
     def _apply_values(self, entry: tuple) -> None:
         """Fold one log entry into the volatile value table."""
@@ -130,8 +131,8 @@ class ReplicaServer:
             self._pending.pop(ev.tid, None)
 
     def apply(self, entry: tuple) -> None:
-        """Apply one in-order replication-log entry (durable + volatile)."""
-        self.wal.apply_entry(entry)
+        """Apply one in-order log entry (durable + volatile)."""
+        self.wal.append(entry)
         self._apply_values(entry)
         self.counters["applied"] += 1
 
@@ -163,7 +164,7 @@ class ReplicaServer:
         if self.up:
             return
         self.restarts += 1
-        for entry in self.wal.repl_log or ():
+        for entry in self.wal:
             self._apply_values(entry)
         self.up = True
         self.network.up(self.name)

@@ -44,7 +44,6 @@ from functools import partial
 from math import inf
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.interning import K_ABORT, K_COMMIT
 from ..core.levels import IsolationLevel
 from ..engine.database import Database, TransactionHandle
 from ..engine.factory import SchedulerConfig, create_scheduler
@@ -211,9 +210,9 @@ class Server:
         #: place).  Volatile, and the waits-for graph: ``holders`` are the
         #: session's out-edges.
         self._parked: Dict[str, _Park] = {}
-        #: How much of the WAL :meth:`_wake` has read for transaction ends
+        #: How many of the WAL's commits and aborts :meth:`_wake` has read
         #: (current while anything is parked).
-        self._wal_seen = 0
+        self._commits_seen = self._aborts_seen = 0
         self._waking = False
         #: The search of the waits-for graph the parks here are part of
         #: (:mod:`repro.engine.waits`; a cluster's shards share one).
@@ -259,7 +258,7 @@ class Server:
             self.db = Database.recover(
                 scheduler, recover_from, tid_allocator=self._tid_allocator
             )
-            self._committed_tids = set(recover_from._rows().commits)
+            self._committed_tids = set(recover_from._log.commits)
             return
         if self.monitor is not None:
             scheduler.recorder.attach_monitor(self.monitor)
@@ -603,7 +602,9 @@ class Server:
         self._count_busy()
         if not self._parked:
             # Nothing was parked, so nothing can have missed an ending.
-            self._wal_seen = len(self.recorder)
+            log = self.recorder._log
+            self._commits_seen = len(log.commits)
+            self._aborts_seen = len(log.aborts)
         span = None
         if self.tracer is not None:
             ctx = request.get("trace")
@@ -650,24 +651,21 @@ class Server:
         """Run again, in park order, every parked request behind a
         transaction that has ended here — or whose own transaction has
         (deadlock victim, wound) — until nothing more is due.  What ended is
-        read off the WAL: the commits and aborts recorded since the last
-        look, whoever recorded them."""
+        read off the WAL's commit and abort tables: the ends recorded since
+        the last look, whoever recorded them."""
         if self._waking:
             return  # re-entered from a woken request's search: already looking
         self._waking = True
         try:
-            log = self.recorder._rows()
-            kinds, tids = log.kind, log.tid
-            while self._parked and self._wal_seen < len(kinds):
-                seen = self._wal_seen
+            log = self.recorder._log
+            commits, aborts = log.commits, log.aborts
+            while self._parked and (
+                self._commits_seen < len(commits) or self._aborts_seen < len(aborts)
+            ):
                 ended = {
-                    tids[i]
-                    for i in range(seen, len(kinds))
-                    if kinds[i] == K_COMMIT or kinds[i] == K_ABORT
+                    *commits[self._commits_seen:], *aborts[self._aborts_seen:]
                 }
-                self._wal_seen = len(kinds)
-                if not ended:
-                    continue
+                self._commits_seen, self._aborts_seen = len(commits), len(aborts)
                 for session_id, park in list(self._parked.items()):
                     if (
                         park.tid in ended or not ended.isdisjoint(park.holders)

@@ -165,15 +165,24 @@ class ShardServer(Server):
         # fault schedule; the periodic re-ship doubles as retransmission
         # for batches lost to a backup crash or a partition.
         cfg = self._cluster.config
-        log = self.recorder.repl_log or []
+        recorder = self.recorder
         rng = slot.lag_rng
         lag_min, lag_max = cfg.replication_lag
+        shipped = None
         for j, acked in enumerate(slot.acked):
             replica = slot.backup(j)
-            if replica is None or acked >= len(log):
+            if replica is None or acked >= len(recorder):
                 continue
             lag = rng.randint(lag_min, lag_max)
-            entries = log[acked:]
+            if shipped is None:
+                # One build per pump, from the furthest-behind backup on and
+                # sliced for each, so the backups share the entry objects.
+                start = min(
+                    a for k, a in enumerate(slot.acked)
+                    if slot.backup(k) is not None
+                )
+                shipped = recorder._shipped(start)
+            entries = shipped[acked - start:]
             span = None
             if self.tracer is not None:
                 span = self.tracer.span(
@@ -217,8 +226,7 @@ class ShardServer(Server):
                 "service_replication_lag",
                 "log entries a backup trails its primary by (acked)",
             ).labels(shard=self.index, replica=ordinal)
-        log = self.recorder.repl_log or ()
-        gauge.set(max(len(log) - acked, 0))
+        gauge.set(max(len(self.recorder) - acked, 0))
 
     def restart(self) -> None:
         if self.up:
@@ -231,11 +239,11 @@ class ShardServer(Server):
     def arm_replication(self) -> None:
         """Start (or re-start, after a primary crash) the pump timer chain;
         idempotent per arm-point because each pump re-arms exactly one
-        successor."""
+        successor.  Nothing is kept for the backups beside the recorder's
+        rows: each pump reads the unacknowledged suffix off them."""
         cfg = self._cluster.config
         if not cfg.replicas:
             return
-        self.recorder.enable_replication()
         self.network.timer(
             self.name, {"kind": "repl-pump"}, delay=cfg.replication_every
         )

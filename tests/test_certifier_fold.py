@@ -132,7 +132,8 @@ def test_a_split_end_raises_online(order: str, participants_of):
 
 
 def _slot(index: int, events, ticks):
-    recorder = SimpleNamespace(events=list(events), _install={})
+    entries = [(ev, None, None) for ev in events]
+    recorder = SimpleNamespace(_shipped=lambda: entries)
     return SimpleNamespace(
         index=index, replicas=[], event_ticks=list(ticks),
         primary=SimpleNamespace(recorder=recorder),

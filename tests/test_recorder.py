@@ -4,6 +4,8 @@ from unittest import mock
 
 import pytest
 
+from repro.core.events import Commit
+from repro.core.incremental import CORE_PHENOMENA, IncrementalAnalysis
 from repro.core.objects import Version
 from repro.engine.recorder import HistoryRecorder
 
@@ -218,21 +220,101 @@ class TestHistoryDifferential:
         assert len(recorder.history()) == len(history) + 3
 
 
-class TestShippedEntries:
-    """A backup's copy of the primary's log: its rows wait in the
-    replication log until something reads them, then match the primary's."""
+def _rebuilt(entries) -> HistoryRecorder:
+    """A fresh recorder made of ``entries`` by :meth:`apply_entry` (what a
+    promoted backup's primary runs on)."""
+    recorder = HistoryRecorder()
+    for entry in entries:
+        recorder.apply_entry(entry)
+    return recorder
 
-    def test_a_backup_rows_its_entries_when_read(self):
+
+def _same_log(rebuilt, recorder) -> None:
+    assert rebuilt.events == recorder.events
+    assert rebuilt.install_order == recorder.install_order
+    built, recorded = rebuilt.history(), recorder.history()
+    assert list(built.events) == list(recorded.events)
+    assert list(built.version_order.items()) == list(recorded.version_order.items())
+    assert format_history(built) == format_history(recorded)
+
+
+class TestShippedEntries:
+    """A recorder is its one event log: the entries shipped off its rows
+    rebuild, by :meth:`HistoryRecorder.apply_entry`, a recorder with the
+    same events, install order and history; and a monitor attached late
+    replays those rows into the verdicts of one attached from the start."""
+
+    @pytest.mark.parametrize("family", ("locking", "snapshot-isolation"))
+    def test_every_prefix_rebuilds_the_same_log(self, family):
+        db = Database(create_scheduler(family))
+        primary = db.scheduler.recorder
+        copy = HistoryRecorder()
+        completed = []
+
+        class AtEveryRow:
+            """A monitor that ships each new row to ``copy`` and compares."""
+
+            def add(self, event, finals=None, positions=None):
+                for entry in primary._shipped(len(copy)):
+                    copy.apply_entry(entry)
+                _same_log(copy, primary)
+                completed.append(len(copy.history().events) - len(copy))
+
+        primary.attach_monitor(AtEveryRow())
+        db.load(CONTENDED.initial_state())
+        Simulator(db, random_programs(CONTENDED, seed=3), seed=3).run()
+        assert len(completed) == len(primary) > 50
+        assert any(completed), "no prefix was cut mid-transaction"
+        assert copy._shipped() == primary._shipped()
+        _same_log(_rebuilt(primary._shipped()), primary)
+
+    def test_a_rebased_copy_goes_on_like_its_primary(self):
         db = Database(create_scheduler("locking"))
         db.load(PREDICATES.initial_state())
         primary = db.scheduler.recorder
-        primary.enable_replication()
         Simulator(db, random_programs(PREDICATES, seed=3), seed=3).run()
-        backup = HistoryRecorder()
-        backup.enable_replication()
-        for entry in primary.repl_log:
-            backup.apply_entry(entry)
-        assert len(backup) == len(primary) and not backup._log.kind
-        assert backup.install_order == primary.install_order
-        assert _view(backup.history()) == _view(primary.history())
-        assert backup.events == primary.events and len(backup._log.kind) == len(backup)
+        primary.position_base = 7
+        copy = _rebuilt(primary._shipped())
+        copy.rebase(primary._install_counter, primary.position_base)
+        for recorder in (primary, copy):
+            recorder.begin(10_000)
+            recorder.write(10_000, v("k0", 10_000), 1)
+            recorder.write(10_000, v("zz", 10_000), 2)
+            recorder.commit(10_000, {"zz": v("zz", 10_000), "k0": v("k0", 10_000)})
+            recorder.begin(10_001)
+            recorder.write(10_001, v("k1", 10_001), 3)
+        assert copy._shipped() == primary._shipped()
+        _same_log(copy, primary)
+
+    def test_a_read_only_commit_ships_empty_installs(self):
+        rec = HistoryRecorder()
+        rec.write(1, v("x", 1), 5)
+        rec.commit(1, {"x": v("x", 1)})
+        rec.begin(2)
+        rec.read(2, v("x", 1), 5)
+        rec.commit(2, {})
+        shipped = rec._shipped()
+        assert shipped[-1] == (Commit(2), {}, {})
+        assert shipped[1] == (Commit(1), {"x": v("x", 1)}, {"x": 1})
+        assert _rebuilt(shipped)._shipped() == shipped
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_a_late_monitor_replays_into_the_same_verdicts(self, name):
+        family, engine, cfg, sim = RUNS[name]
+        early, late = IncrementalAnalysis(), IncrementalAnalysis()
+        db = Database(create_scheduler(family, **engine))
+        recorder = db.scheduler.recorder
+        recorder.attach_monitor(early)
+        db.load(cfg.initial_state())
+        Simulator(db, random_programs(cfg, seed=5), seed=5, **sim).run()
+        recorder.monitor = None
+        recorder.attach_monitor(late)
+        assert late.events == early.events == recorder.events
+        assert [str(e) for e in late.edges] == [str(e) for e in early.edges]
+        order = late.to_history().version_order
+        assert list(order.items()) == list(
+            early.to_history().version_order.items()
+        )
+        for phenomenon in CORE_PHENOMENA:
+            assert late.exhibits(phenomenon) == early.exhibits(phenomenon)
+        assert late.strongest_level() == early.strongest_level()
