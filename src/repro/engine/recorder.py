@@ -213,14 +213,14 @@ class HistoryRecorder:
     def _chains(self) -> Dict[str, List[int]]:
         """obj -> the version ids its commits installed, in install-key
         order (read off the commit rows)."""
-        installed: Dict[str, List[tuple]] = {}
+        by_obj: Dict[str, List[tuple]] = {}
         for k, extra in zip(self._log.kind, self._log.extra):
             if k == K_COMMIT:
                 for (obj, key), vid in zip(extra[1].items(), extra[2]):
-                    installed.setdefault(obj, []).append((key, vid))
+                    by_obj.setdefault(obj, []).append((key, vid))
         return {
             obj: [vid for _key, vid in sorted(entries, key=_KEY)]
-            for obj, entries in installed.items()
+            for obj, entries in by_obj.items()
         }
 
     @property
