@@ -272,3 +272,144 @@ class TestDeletedObjectsAreNeverWritten:
         obj = db.run(lambda t: t.insert("emp", {"dept": "Sales"}))
         assert obj != "emp:1"
         db.history()  # validates
+
+
+#: The loader's state, in an order that is not the object-name order.
+LOADED = {"y": 2, "emp:3": {"dept": "Sales"}, "x": 1, "emp:1": {"dept": "Ops"}}
+
+#: ``(family, profile, scheduler name, install keys of the loader's commit)``:
+#: locking keys an install by its write row, the other families by their
+#: commit counter.
+LOAD_FAMILIES = [
+    ("locking", None, "locking/serializable", {"emp:1": 3, "emp:3": 1, "x": 2, "y": 0}),
+    ("locking", "degree-0", "locking/degree-0", {"emp:1": 3, "emp:3": 1, "x": 2, "y": 0}),
+    ("optimistic", None, "optimistic", {"emp:1": 1, "emp:3": 2, "x": 3, "y": 4}),
+    ("mixed-optimistic", None, "mixed-optimistic", {"emp:1": 1, "emp:3": 2, "x": 3, "y": 4}),
+    ("snapshot-isolation", None, "snapshot-isolation", {"emp:1": 1, "emp:3": 2, "x": 3, "y": 4}),
+    ("mv-read-committed", None, "mv-read-committed", {"emp:1": 1, "emp:3": 2, "x": 3, "y": 4}),
+]
+
+LOADED_HISTORY = (
+    "w0(y0, 2) w0({emp:3}0, {'dept': 'Sales'}) w0(x0, 1) "
+    "w0({emp:1}0, {'dept': 'Ops'}) c0 b1 r1(x0, 1) w1(y1, 2) c1 "
+    "b2 w2({emp:4}2, {'dept': 'Sales'}) "
+    "r2(emp.dept==Sales: {emp:1}0, {emp:3}0*, {emp:4}2*) "
+    "r2({emp:3}0, {'dept': 'Sales'}) r2({emp:4}2, {'dept': 'Sales'}) c2 "
+    "b3 w3(x3, 7) w3({emp:1}3, dead) a3  [y0 << y1]"
+)
+
+#: Every committed version in the store, objects in the loader's order.
+LOADED_CHAINS = {
+    "y": [("y0", 2, False, 1), ("y1", 2, False, 2)],
+    "emp:3": [("{emp:3}0", {"dept": "Sales"}, False, 1)],
+    "x": [("x0", 1, False, 1)],
+    "emp:1": [("{emp:1}0", {"dept": "Ops"}, False, 1)],
+    "emp:4": [("{emp:4}2", {"dept": "Sales"}, False, 3)],
+}
+
+
+def _loaded_metrics(name: str) -> str:
+    """The registry after ``load`` plus the three transactions of
+    :class:`TestLoadPin`: the loader's writes and its commit count, and so
+    do its item write locks (granted and released) and, for OCC, its
+    validation."""
+    lines = ["history_events_total (counter)"] + [
+        f"  {{scheduler={name}, type={kind}}}: {n}"
+        for kind, n in (
+            ("abort", 1), ("begin", 3), ("commit", 3),
+            ("predicate_read", 1), ("read", 3), ("write", 8),
+        )
+    ]
+    if name == "locking/serializable":
+        lines += [
+            "lock_grants_total (counter)",
+            f"  {{mode=read, scheduler={name}, scope=item}}: 2",
+            f"  {{mode=read, scheduler={name}, scope=predicate}}: 1",
+            f"  {{mode=write, scheduler={name}, scope=item}}: 8",
+            "lock_hold_steps (histogram)",
+            f"  {{scheduler={name}, scope=item}}: count=10 sum=0 min=0 max=0"
+            " mean=0 p50=0 p95=0 p99=0",
+            f"  {{scheduler={name}, scope=predicate}}: count=1 sum=0 min=0"
+            " max=0 mean=0 p50=0 p95=0 p99=0",
+        ]
+    elif name == "locking/degree-0":
+        lines += [
+            "lock_grants_total (counter)",
+            f"  {{mode=write, scheduler={name}, scope=item}}: 8",
+            "lock_hold_steps (histogram)",
+            f"  {{scheduler={name}, scope=item}}: count=8 sum=0 min=0 max=0"
+            " mean=0 p50=0 p95=0 p99=0",
+        ]
+    elif name.endswith("optimistic"):
+        lines += [
+            "occ_validations_total (counter)",
+            f"  {{outcome=ok, scheduler={name}}}: 3",
+        ]
+    return "\n".join(lines + [
+        "version_chain_len (histogram)",
+        f"  {{scheduler={name}}}: count=6 sum=7 min=1 max=2 mean=1.16667"
+        " p50=1 p95=2 p99=2",
+    ])
+
+
+class TestLoadPin:
+    """What ``load`` leaves, on every family, observed from before the
+    load: the loader's rows and install keys, the store's chains in the
+    loader's order, the commit counter, and the metrics (lock grants and
+    holds included) after three more transactions."""
+
+    @pytest.mark.parametrize(
+        "family,profile,name,keys", LOAD_FAMILIES,
+        ids=[f"{f}-{p}" if p else f for f, p, _n, _k in LOAD_FAMILIES],
+    )
+    def test_load_then_three_transactions(self, family, profile, name, keys):
+        from repro import connect
+        from repro.core.formatting import format_history
+        from repro.core.interning import K_COMMIT
+        from repro.observability import MetricsRegistry
+
+        registry = MetricsRegistry()
+        extra = {} if profile is None else {"profile": profile}
+        db = connect(family, metrics=registry, initial=LOADED, **extra)
+        scheduler = db.scheduler
+        log = scheduler.recorder._log
+        assert log.extra[log.kind.index(K_COMMIT)][1] == keys
+        assert scheduler.store.commit_seq == 1
+        if family == "locking":
+            assert scheduler._txns[0].state is TxnState.COMMITTED
+            assert not scheduler.locks.held_by(0)
+            assert all(
+                scheduler._visible(None, obj).version.tid == 0 for obj in LOADED
+            )
+
+        t1 = db.begin()
+        t1.write("y", t1.read("x") + 1)
+        t1.commit()
+        t2 = db.begin()
+        t2.insert("emp", {"dept": "Sales"})
+        t2.select(FieldPredicate("emp", "dept", "==", "Sales"))
+        t2.commit()
+        t3 = db.begin()
+        t3.write("x", 7)
+        t3.delete("emp:1")
+        t3.abort()
+
+        assert format_history(db.history()) == LOADED_HISTORY
+        assert {
+            obj: [str(v) for v in chain]
+            for obj, chain in scheduler.recorder.install_order.items()
+        } == {
+            "emp:1": ["{emp:1}0"], "emp:3": ["{emp:3}0"], "x": ["x0"],
+            "y": ["y0", "y1"], "emp:4": ["{emp:4}2"],
+        }
+        store = scheduler.store
+        assert {
+            obj: [
+                (str(s.version), s.value, s.dead, s.commit_seq)
+                for s in store.chain(obj)
+            ]
+            for obj in store.objects()
+        } == LOADED_CHAINS
+        assert list(store.objects()) == list(LOADED_CHAINS)
+        assert store.commit_seq == 3
+        assert registry.render_text() == _loaded_metrics(name)

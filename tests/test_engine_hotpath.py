@@ -11,13 +11,16 @@ blocked again on the same holders.
 from __future__ import annotations
 
 import collections
+import random
 
 import pytest
 
 from repro.core.events import Event
 from repro.core.interning import EventLog, Interner
 from repro.core.objects import Version, relation_of
-from repro.engine import Database, Insert, LockingScheduler, Simulator, Write
+from repro.engine import (
+    Database, Insert, LockingScheduler, Program, Read, Simulator, Write,
+)
 from repro.engine import simulator as sim_mod
 from repro.engine import waits as waits_mod
 from repro.engine.locks import LockManager
@@ -390,3 +393,27 @@ class TestHistoryFromRows:
         assert counts == {}
         assert len(history) == len(recorder) > 300
         assert history.committed and not history.setup_versions
+
+
+class TestRoundDraw:
+    """Each round draws its program as ``Random(seed).choice`` over the
+    unfinished programs would: the same stream, whatever the loop does to
+    draw it, so every seed's schedule stays where it is."""
+
+    DRAWS = 10_000
+
+    def test_the_draws_are_random_choice(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(
+            sim_mod.Simulator, "_step", lambda sim, run: drawn.append(run.index)
+        )
+        for n in range(1, 65):
+            db = Database(LockingScheduler())
+            db.load({"x": 0})
+            programs = [Program(f"p{i}", [Read("x")]) for i in range(n)]
+            drawn.clear()
+            result = Simulator(db, programs, seed=n, max_steps=self.DRAWS).run()
+            rng = random.Random(n)
+            indexes = range(n)
+            assert drawn == [rng.choice(indexes) for _ in range(self.DRAWS)], n
+            assert result.steps_executed == self.DRAWS
