@@ -124,11 +124,6 @@ class History:
         #: The version order of each object as version ids, the unborn
         #: version left out (what validation walks).
         self._order_vids: Dict[str, List[int]] = self._build_order(chains)
-        version, unborn = log.interner.versions.__getitem__, Version.unborn
-        self.version_order: Dict[str, Tuple[Version, ...]] = {
-            obj: (unborn(obj), *map(version, chain))
-            for obj, chain in self._order_vids.items()
-        }
         if validate:
             validate_history(self)
 
@@ -207,6 +202,16 @@ class History:
     # ------------------------------------------------------------------
     # basic indexes
     # ------------------------------------------------------------------
+
+    @cached_property
+    def version_order(self) -> Dict[str, Tuple[Version, ...]]:
+        """The version order of each object, its unborn version first
+        (built from the version ids on first use)."""
+        version, unborn = self.log.interner.versions.__getitem__, Version.unborn
+        return {
+            obj: (unborn(obj), *map(version, chain))
+            for obj, chain in self._order_vids.items()
+        }
 
     @cached_property
     def events(self) -> Tuple[Event, ...]:

@@ -31,10 +31,11 @@ Interned hot path
 -----------------
 
 All internal state is keyed by dense ints from a per-analysis
-:class:`~repro.core.interning.Interner`.  A version is looked up by its
-``(obj, tid, seq)`` tuple, one probe per read or write whether it is new
-or not, and is never hashed as a :class:`~repro.core.objects.Version` (the
-tuple hashes and compares in C); a predicate read keeps its version set
+:class:`~repro.core.interning.Interner`.  A version is interned by
+:meth:`~repro.core.interning.Interner.intern_version`, one probe per read
+or write whether it is new or not (a
+:class:`~repro.core.objects.Version` is its ``(obj, tid, seq)`` tuple,
+which hashes and compares in C); a predicate read keeps its version set
 as ``{oid: vid}``, so its commit looks nothing up again.  From then on
 chains are lists of version ids, a conflict's dedup key is a 5-int tuple
 (the row's depth stands in for its kind), and the per-event work is int
@@ -187,7 +188,6 @@ class IncrementalAnalysis:
         "committed",
         "aborted",
         "_in",
-        "_vids",
         "_hint_by_version",
         "_hint_key",
         "_chains",
@@ -271,11 +271,8 @@ class IncrementalAnalysis:
                         self._hint_by_version[v] = i
         self._hint_key: Dict[int, int] = {}  # vid -> hinted position
         # --- interned identity space -----------------------------------
-        # Objects and the vid -> version columns live in ``_in``; versions
-        # are looked up by ``(obj, tid, seq)`` in ``_vids``, so
-        # ``_in.version_id`` stays empty.
+        # Objects, versions and the vid -> version columns live in ``_in``.
         self._in = Interner()
-        self._vids: Dict[Tuple[str, int, int], int] = {}
         # --- chains (all indexed by oid) --------------------------------
         self._chains: List[List[int]] = []  # oid -> [vid, ...], [0] unborn
         self._unborn_vid: List[int] = []
@@ -350,8 +347,8 @@ class IncrementalAnalysis:
         oid = in_.obj_id.get(obj)
         if oid is not None:
             return oid
-        oid = in_.intern_object(obj)
-        uv = self._vid_of(Version.unborn(obj))
+        uv = in_.intern_version(Version.unborn(obj))
+        oid = in_.ver_obj[uv]
         self._unborn_vid.append(uv)
         self._chains.append([uv])
         self._pos[uv] = 0
@@ -365,29 +362,21 @@ class IncrementalAnalysis:
     def _vid_of(self, v: Version) -> int:
         """Version id, interning (and registering the object) on first use.
 
-        One probe of ``_vids``, hit or miss, once the object is known: the
-        key is the version's ``(obj, tid, seq)`` tuple, which hashes and
-        compares in C, where a :class:`Version` key runs its ``__hash__``
-        (and, for an equal instance from another event, ``__eq__``) in
-        Python."""
-        vids = self._vids
-        key = (v.obj, v.tid, v.seq)
-        new = len(vids)
-        vid = vids.setdefault(key, new)
+        :meth:`Interner.intern_version`, with one step between its probe
+        and its columns: a new object's unborn version takes the next id
+        first (and may be ``v`` itself).  One probe, hit or miss, once the
+        object is known."""
+        in_ = self._in
+        ids = in_.version_id
+        new = len(ids)
+        vid = ids.setdefault(v, new)
         if vid != new:
             return vid
-        in_ = self._in
-        oid = in_.obj_id.get(v.obj)
-        if oid is None:
-            # A new object's unborn version takes the next id first (and may
-            # be ``v`` itself).
-            del vids[key]
+        if v.obj not in in_.obj_id:
+            del ids[v]
             self._register_object(v.obj)
             return self._vid_of(v)
-        in_.versions.append(v)
-        in_.ver_obj.append(oid)
-        in_.ver_tid.append(v.tid)
-        in_.ver_seq.append(v.seq)
+        in_._add_columns(v)
         if self._hint_by_version:
             hint = self._hint_by_version.get(v)
             if hint is not None:
@@ -978,12 +967,12 @@ class IncrementalAnalysis:
     def write_of(self, version: Version) -> Optional[Write]:
         """The write event that created ``version`` (``None`` for setup or
         unknown versions)."""
-        at = self._write_at.get(self._vids.get((version.obj, version.tid, version.seq)))
+        at = self._write_at.get(self._in.version_id.get(version))
         return None if at is None else self.events[at]
 
     def reads_of_version(self, version: Version) -> Tuple[Read, ...]:
         """The item reads that observed ``version``."""
-        vid = self._vids.get((version.obj, version.tid, version.seq))
+        vid = self._in.version_id.get(version)
         return tuple(self._reads_by_version.get(vid, ()))
 
     def reads_of_tid(self, tid: int) -> Tuple[Read, ...]:

@@ -18,9 +18,8 @@ transaction :data:`INIT_TID`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
-from typing import Any, Dict, Optional
 
 __all__ = [
     "INIT_TID",
@@ -54,9 +53,9 @@ class VersionKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Version:
-    """An immutable version identity ``x_{i:m}``.
+class Version(namedtuple("Version", "obj tid seq")):
+    """An immutable version identity ``x_{i:m}``: the tuple ``(obj, tid,
+    seq)``.
 
     Parameters
     ----------
@@ -69,42 +68,24 @@ class Version:
         1-based index of this write among the writing transaction's
         successive modifications of ``obj`` (``m`` in ``x_{i:m}``).  The
         unborn version uses ``seq == 0``.
+
+    Versions key every hot dict in the checker and the engine, so hashing,
+    equality and ordering are the tuple's own, in C: a version hashes as
+    ``hash((obj, tid, seq))``, sorts by object, writer, then sequence
+    number, and equals the plain triple of its fields.
     """
 
-    obj: str
-    tid: int
-    seq: int = 1
-    # Versions key every hot dict in the checker, so the identity hash is
-    # computed once per instance, not per probe.
-    _hash: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.obj:
+    def __new__(cls, obj: str, tid: int, seq: int = 1) -> "Version":
+        if not obj:
             raise ValueError("version object id must be non-empty")
-        if self.tid == INIT_TID:
-            if self.seq != 0:
+        if tid == INIT_TID:
+            if seq != 0:
                 raise ValueError("the unborn version must have seq == 0")
-        elif self.seq < 1:
+        elif seq < 1:
             raise ValueError("application versions are numbered from 1")
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.obj, self.tid, self.seq))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # String hashes are salted per process: never ship a cached hash
-        # across a pickle boundary (check_many's worker pools).
-        return {"obj": self.obj, "tid": self.tid, "seq": self.seq}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_hash", None)
+        return tuple.__new__(cls, (obj, tid, seq))
 
     @classmethod
     def unborn(cls, obj: str) -> "Version":

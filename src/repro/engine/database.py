@@ -25,10 +25,11 @@ from typing import Any, Callable, Dict, Mapping, Optional
 from ..core.interning import K_BEGIN
 from ..core.history import History
 from ..core.levels import IsolationLevel
+from ..core.objects import Version
 from ..core.predicates import Predicate
 from ..exceptions import InvalidOperation, TransactionAborted
 from .scheduler import PredicateResult, Scheduler
-from .transaction import Transaction, TxnState
+from .transaction import BufferedWrite, Transaction, TxnState
 
 __all__ = ["Database", "TransactionHandle"]
 
@@ -201,7 +202,7 @@ class Database:
             else:
                 state[obj] = (version, log.extra[row], log.flag[row])
         scheduler.recorder = recorder
-        scheduler.restore(state)
+        scheduler.restore(dict(sorted(state.items())))
         db = cls(scheduler, tid_allocator=tid_allocator)
         db._loaded = len(recorder) > 0
         for k, tid in zip(log.kind, log.tid):
@@ -248,13 +249,20 @@ class Database:
         if self._next_tid != 1:
             raise InvalidOperation("load() must precede the first begin()")
         self._loaded = True
+        # One pass: record each write's row, then install them all at once,
+        # seeding the store as recovery does (``Scheduler.restore``).
+        scheduler = self.scheduler
+        recorder = scheduler.recorder
         loader = Transaction(0)
-        self.scheduler.on_begin(loader)
-        for obj in initial:
-            self._note_existing(obj)
+        scheduler.on_begin(loader)
+        rows, buffer = loader.final_write_index, loader.buffer
         for obj, value in initial.items():
-            self.scheduler.write(loader, obj, value)
-        self.scheduler.commit(loader)
+            self._note_existing(obj)
+            version = Version(obj, 0)
+            rows[obj] = len(recorder)
+            recorder.write(0, version, value)
+            buffer[obj] = BufferedWrite(version, value, False)
+        scheduler._install_loader(loader)
 
     def new_object(self, relation: str) -> str:
         """A fresh, never-used object id in ``relation`` (the system's

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..core.levels import IsolationLevel
-from ..core.objects import Version
 from ..core.predicates import Predicate
 from ..exceptions import WouldBlock
 from .locks import LockDuration, LockManager, LockMode
@@ -87,15 +86,6 @@ def profile_for_level(level: IsolationLevel) -> LockProfile:
         raise KeyError(f"no Figure 1 lock profile for {level}") from None
 
 
-@dataclass
-class _CellEntry:
-    """One in-place version of an object (possibly uncommitted)."""
-
-    version: Version
-    value: Any
-    dead: bool
-
-
 class LockingScheduler(Scheduler):
     """Strict locking over an in-place single-version store."""
 
@@ -113,7 +103,8 @@ class LockingScheduler(Scheduler):
         self.default_profile = profile
         self.deadlock_policy = deadlock
         self.locks = LockManager()
-        self._cells: Dict[str, List[_CellEntry]] = {}
+        #: obj -> its in-place stack of writes, committed or not.
+        self._cells: Dict[str, List[BufferedWrite]] = {}
         self._txns: Dict[int, Transaction] = {}
         self.name = f"locking/{profile.name}"
 
@@ -171,7 +162,7 @@ class LockingScheduler(Scheduler):
             else IsolationLevel.from_string(str(txn.level))
         )
 
-    def _visible(self, txn: Transaction, obj: str) -> Optional[_CellEntry]:
+    def _visible(self, txn: Transaction, obj: str) -> Optional[BufferedWrite]:
         """The top of ``obj``'s in-place stack, committed or not."""
         stack = self._cells.get(obj)
         return stack[-1] if stack else None
@@ -220,12 +211,14 @@ class LockingScheduler(Scheduler):
         self._refuse_deleted(txn, obj, self._visible(txn, obj))
         self.store.register(obj)
         version = txn.next_version(obj)
-        entry = _CellEntry(version, None if dead else value, dead)
+        if dead:
+            value = None
+        entry = BufferedWrite(version, value, dead)
         self._cells.setdefault(obj, []).append(entry)
         txn.write_set.add(obj)
         txn.final_write_index[obj] = len(self.recorder)
-        self.recorder.write(txn.tid, version, entry.value, dead=dead)
-        txn.buffer[obj] = BufferedWrite(version, entry.value, dead)
+        self.recorder.write(txn.tid, version, value, dead=dead)
+        txn.buffer[obj] = entry
         if profile.item_write is LockDuration.SHORT:
             self.locks.release_item(txn.tid, obj)
 
@@ -264,21 +257,33 @@ class LockingScheduler(Scheduler):
                     del stack[:at]
                     break
 
+    def _install_loader(self, loader: Transaction) -> None:
+        """The loader's commit keys its installs by write row, and its item
+        write locks are granted and released, as its writes and commit
+        would (the lock metrics count them)."""
+        tid = loader.tid
+        for obj in loader.buffer:
+            self.locks.acquire_item(tid, obj, LockMode.WRITE)
+        self.restore(loader.buffer)
+        self.recorder.commit(tid, loader.finals(), positions=loader.final_write_index)
+        self.locks.release_all(tid)
+        loader.state = TxnState.COMMITTED
+
     def restore(self, state) -> None:
-        """Crash-recovery redo: rebuild both the predicate-universe store
-        and the in-place cells (reads observe cell tops, so the recovered
-        committed values must live there)."""
+        """Rebuild both the predicate-universe store and the in-place cells
+        (reads observe cell tops, so the committed values must live
+        there)."""
         super().restore(state)
-        for obj, (version, value, dead) in sorted(state.items()):
-            self._cells[obj] = [_CellEntry(version, value, dead)]
+        for obj, write in state.items():
+            self._cells[obj] = [BufferedWrite(*write)]
 
     def redo(self, writes) -> None:
         """Prepared-transaction redo: the recovered committed values must
         also become the in-place cell tops, as :meth:`restore` does."""
         writes = list(writes)
         super().redo(writes)
-        for version, value, dead in writes:
-            self._cells[version.obj] = [_CellEntry(version, value, dead)]
+        for write in writes:
+            self._cells[write[0].obj] = [BufferedWrite(*write)]
 
     def abort(self, txn: Transaction) -> None:
         if txn.state is not TxnState.ACTIVE:

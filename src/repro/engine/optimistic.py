@@ -63,16 +63,26 @@ class OptimisticScheduler(Scheduler):
         self._refuse_install_after_delete(txn)
         self._validate(txn)
         self.store.install(txn.final_values())
+        self._note_committed(txn)
+        self.recorder.commit(txn.tid, txn.finals())
+        txn.state = TxnState.COMMITTED
+
+    def _install_loader(self, loader: Transaction) -> None:
+        """The loader is validated and logged like any committer."""
+        self._validate(loader)
+        super()._install_loader(loader)
+        self._note_committed(loader)
+
+    def _note_committed(self, txn: Transaction) -> None:
+        """Log ``txn``'s installed writes for later validations."""
         self._log.append(
             _CommittedRecord(
                 txn.tid,
                 self.store.commit_seq,
-                frozenset(txn.write_set),
-                tuple((bw.version, bw.value, bw.dead) for bw in txn.buffer.values()),
+                frozenset(txn.buffer),
+                tuple(txn.buffer.values()),
             )
         )
-        self.recorder.commit(txn.tid, txn.finals())
-        txn.state = TxnState.COMMITTED
 
     # ------------------------------------------------------------------
 

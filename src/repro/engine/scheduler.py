@@ -239,19 +239,25 @@ class Scheduler:
     # -- recovery --------------------------------------------------------
 
     def restore(self, state: Dict[str, Tuple[Any, Any, bool]]) -> None:
-        """Crash-recovery redo: seed a *fresh* scheduler's volatile store
-        with the committed state replayed from a durable recorder log.
+        """Seed a *fresh* scheduler's volatile store with committed state,
+        as one install: crash-recovery redo from a durable recorder log,
+        and the loader T0's writes (:meth:`_install_loader`).
 
         ``state`` maps each object to its latest committed
-        ``(version, value, dead)``.  The versions already exist in the log,
-        so nothing is re-recorded — this rebuilds the store the way a real
-        system rebuilds its caches from the WAL.  Must be called before any
-        transaction begins on the restarted scheduler.
+        ``(version, value, dead)``, in install order.  The versions already
+        exist in the log, so nothing is re-recorded — this rebuilds the
+        store the way a real system rebuilds its caches from the WAL.  Must
+        be called before any transaction begins on the scheduler.
         """
-        self.store.install(
-            (version, value, dead)
-            for _obj, (version, value, dead) in sorted(state.items())
-        )
+        self.store.install(state.values())
+
+    def _install_loader(self, loader: Transaction) -> None:
+        """Commit the loader T0, whose writes are recorded and buffered:
+        seed the store from its buffer (:meth:`restore`) and record its
+        commit, the installs keyed by the commit counter."""
+        self.restore(loader.buffer)
+        self.recorder.commit(loader.tid, loader.finals())
+        loader.state = TxnState.COMMITTED
 
     def redo(self, writes: Iterable[Tuple[Any, Any, bool]]) -> None:
         """Crash-recovery redo of one *prepared* transaction's writes.

@@ -16,7 +16,8 @@ the concurrency a real system gets from threads without any actual threads:
   stands (:meth:`~repro.engine.locks.LockManager._refusal_stands`: nothing
   the refusal was decided on has changed since).  If it does, the round
   does what a retry that blocks again on the same holders does, without
-  running the step.  Only steps that do nothing before their lock request
+  running the step — while the waits-for graph is known acyclic that is
+  nothing at all, and the round loop ends the round itself.  Only steps that do nothing before their lock request
   are skipped so (``Read``, a ``Select``'s item read, ``Delete``, a
   ``Write`` of a constant; see :mod:`repro.engine.programs`), only while
   the wait is recorded and the transaction has not ended (a wounded waiter
@@ -194,13 +195,31 @@ class Simulator:
             steps_counter = metrics.counter(
                 "sim_steps_total", "scheduling rounds executed"
             ).labels(scheduler=sched_name)
-        choice = self.rng.choice
+        # Each round draws ``rng.choice(candidates)``, inline: the bits
+        # ``Random._randbelow`` takes, redrawn while out of range.
+        getrandbits = self.rng.getrandbits
+        locks, waits_for = self._locks, self._waits
         while steps < self.max_steps and candidates:
-            run = choice(candidates)
+            n = len(candidates)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            run = candidates[r]
             steps += 1
             if steps_counter is not None:
                 metrics.tick()
                 steps_counter.inc()
+            if (
+                run.waiting_on is not None
+                and locks is not None
+                and waits_for.acyclic
+                and run.queue[0]._lock_first
+                and locks._refusal_stands(run.txn.tid)
+            ):
+                # ``_step`` would skip this retry and find no cycle through
+                # a waiter whose holders did not change: the round is over.
+                continue
             self._step(run)
             if self._waiting == len(candidates):
                 # Everyone is blocked but no waits-for cycle was found — the

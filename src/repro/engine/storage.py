@@ -14,16 +14,14 @@ build complete version sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..core.objects import Version, relation_of
 
 __all__ = ["StoredVersion", "MultiVersionStore"]
 
 
-@dataclass(frozen=True)
-class StoredVersion:
+class StoredVersion(NamedTuple):
     """One committed version: identity, value, liveness, and the global
     commit sequence number that installed it."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set
 
 from ..core.objects import Version
 from ..core.predicates import Predicate
@@ -28,9 +28,9 @@ class TxnState(Enum):
     ABORTED = "aborted"
 
 
-@dataclass
-class BufferedWrite:
-    """A private (not yet installed) write."""
+class BufferedWrite(NamedTuple):
+    """One write: a transaction's private (not yet installed) one, a
+    locking scheduler's in-place cell entry, and what ``install`` takes."""
 
     version: Version
     value: Any
@@ -92,8 +92,7 @@ class Transaction:
         """Final version per written object (what a commit installs)."""
         return {obj: bw.version for obj, bw in self.buffer.items()}
 
-    def final_values(self) -> List[Tuple[Version, Any, bool]]:
-        """(version, value, dead) triples for the store's ``install``."""
-        return [
-            (bw.version, bw.value, bw.dead) for bw in self.buffer.values()
-        ]
+    def final_values(self) -> List[BufferedWrite]:
+        """The buffered ``(version, value, dead)`` triples, for the store's
+        ``install``."""
+        return list(self.buffer.values())

@@ -42,6 +42,8 @@ from typing import (
     Any, Callable, Dict, IO, Iterable, Iterator, List, Optional, Union,
 )
 
+from ..core.objects import Version
+
 __all__ = [
     "Tracer",
     "Span",
@@ -56,6 +58,8 @@ def _jsonable(value: Any) -> Any:
     """Coerce arbitrary attribute values to JSON-compatible structures."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, Version):  # a tuple, rendered as its label
+        return str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):

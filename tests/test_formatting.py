@@ -159,14 +159,16 @@ class TestLabelRule:
 
     def test_no_version_is_built_per_label(self, monkeypatch):
         histories = list(_label_corpus())
+        for history in histories:
+            history.version_order  # built once per history, on first read
         built = []
-        init = Version.__init__
+        new = Version.__new__
 
-        def counted(self, *args, **kwargs):
+        def counted(cls, *args, **kwargs):
             built.append(args)
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(Version, "__init__", counted)
+        monkeypatch.setattr(Version, "__new__", counted)
         for history in histories:
             format_history(history)
         assert built == []

@@ -262,26 +262,17 @@ class CountingDict(dict):
     ],
 )
 @pytest.mark.parametrize("order_mode", ["event", "commit"])
-def test_one_intern_probe_per_read_or_write(monkeypatch, history, order_mode):
-    # Each version mention is one probe of the analysis's (obj, tid, seq) ->
-    # vid dict, hit or miss; a new object adds two (its unborn version, then
-    # the retry).  A commit re-resolves nothing it was told at the write,
-    # and no Version is hashed or compared on the way.
+def test_one_intern_probe_per_read_or_write(history, order_mode):
+    # Each version mention is one probe of the analysis's interner (version
+    # -> vid), hit or miss; a new object adds two (its unborn version, which
+    # is interned first, then the retry).  A commit re-resolves nothing it
+    # was told at the write.  The probes hash and compare versions as
+    # tuples, in C.
+    assert Version.__hash__ is tuple.__hash__
+    assert Version.__eq__ is tuple.__eq__
     events = history().events
-    hashed = 0
-    version_hash = Version.__hash__
-
-    def counted_hash(self):
-        nonlocal hashed
-        hashed += 1
-        return version_hash(self)
-
-    monkeypatch.setattr(Version, "__hash__", counted_hash)
-    monkeypatch.setattr(
-        Version, "__eq__", lambda self, other: pytest.fail("Version compared")
-    )
     analysis = IncrementalAnalysis(order_mode=order_mode)
-    analysis._vids = CountingDict()
+    analysis._in.version_id = CountingDict()
     analysis.add_all(events).finish()
     analysis.strongest_level()
     mentions = sum(
@@ -289,8 +280,14 @@ def test_one_intern_probe_per_read_or_write(monkeypatch, history, order_mode):
         for ev in events
         if isinstance(ev, (Read, Write, PredicateRead))
     )
-    assert analysis._vids.probes == mentions + 2 * len(analysis._in.objects)
-    assert hashed == 0
+    objects = analysis._in.objects
+    assert analysis._in.version_id.probes == mentions + 2 * len(objects)
+    # Today's id order: each object's unborn version before its others.
+    versions = analysis._in.versions
+    first = {}
+    for vid, version in enumerate(versions):
+        first.setdefault(version.obj, vid)
+    assert all(versions[first[obj]].is_unborn for obj in objects)
 
 
 def test_the_scc_pass_reads_the_table_in_place(monkeypatch):
