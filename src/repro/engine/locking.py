@@ -282,8 +282,8 @@ class LockingScheduler(Scheduler):
         also become the in-place cell tops, as :meth:`restore` does."""
         writes = list(writes)
         super().redo(writes)
-        for write in writes:
-            self._cells[write[0].obj] = [BufferedWrite(*write)]
+        for version, value, dead in writes:
+            self._cells[version.obj] = [BufferedWrite(version, value, dead)]
 
     def abort(self, txn: Transaction) -> None:
         if txn.state is not TxnState.ACTIVE:

@@ -17,8 +17,9 @@ the concurrency a real system gets from threads without any actual threads:
   the refusal was decided on has changed since).  If it does, the round
   does what a retry that blocks again on the same holders does, without
   running the step — while the waits-for graph is known acyclic that is
-  nothing at all, and the round loop ends the round itself.  Only steps that do nothing before their lock request
-  are skipped so (``Read``, a ``Select``'s item read, ``Delete``, a
+  nothing at all, and the round loop ends the round itself.  Only steps
+  that do nothing before their lock request are skipped so (``Read``, a
+  ``Select``'s item read, ``Delete``, a
   ``Write`` of a constant; see :mod:`repro.engine.programs`), only while
   the wait is recorded and the transaction has not ended (a wounded waiter
   re-runs its step and raises), and only without metrics or a tracer on

@@ -62,6 +62,17 @@ class TestHash:
         # Salted per process: the check above is not one seed's accident.
         assert len(hashes) == 2
 
+    def test_a_version_equals_its_plain_triple(self):
+        # Intended: a version is its (obj, tid, seq) tuple, compared and
+        # hashed by the tuple's own slots, in C.  A version and a bare
+        # triple are therefore one key of a dict or set.
+        assert Version.__hash__ is tuple.__hash__
+        assert Version.__eq__ is tuple.__eq__
+        v = Version("x", 1, 1)
+        assert v == ("x", 1, 1) and ("x", 1, 1) == v
+        assert {v: "version"}[("x", 1, 1)] == "version"
+        assert Version("x", 1, 2) != ("x", 1, 1)
+
 
 class TestOrder:
     def test_a_shuffled_corpus_sorts_by_the_triple(self):
