@@ -372,11 +372,15 @@ class IncrementalAnalysis:
         vid = ids.setdefault(v, new)
         if vid != new:
             return vid
-        if v.obj not in in_.obj_id:
+        oid = in_.obj_id.get(v.obj)
+        if oid is None:
             del ids[v]
             self._register_object(v.obj)
             return self._vid_of(v)
-        in_._add_columns(v)
+        in_.versions.append(v)
+        in_.ver_obj.append(oid)
+        in_.ver_tid.append(v.tid)
+        in_.ver_seq.append(v.seq)
         if self._hint_by_version:
             hint = self._hint_by_version.get(v)
             if hint is not None:

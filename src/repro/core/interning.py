@@ -99,20 +99,15 @@ class Interner:
         # One probe (one hash of the version) whether it is new or not.
         vid = self.version_id.setdefault(version, len(self.versions))
         if vid == len(self.versions):
-            self._add_columns(version)
+            self.versions.append(version)
+            obj = version.obj
+            oid = self.obj_id.setdefault(obj, len(self.objects))
+            if oid == len(self.objects):
+                self.objects.append(obj)
+            self.ver_obj.append(oid)
+            self.ver_tid.append(version.tid)
+            self.ver_seq.append(version.seq)
         return vid
-
-    def _add_columns(self, version: Version) -> None:
-        """Append the version just given the next id (by a probe of
-        :attr:`version_id`) to the vid columns, interning its object."""
-        self.versions.append(version)
-        obj = version.obj
-        oid = self.obj_id.setdefault(obj, len(self.objects))
-        if oid == len(self.objects):
-            self.objects.append(obj)
-        self.ver_obj.append(oid)
-        self.ver_tid.append(version.tid)
-        self.ver_seq.append(version.seq)
 
     def copy(self) -> "Interner":
         inn = Interner.__new__(Interner)

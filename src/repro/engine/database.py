@@ -249,8 +249,8 @@ class Database:
         if self._next_tid != 1:
             raise InvalidOperation("load() must precede the first begin()")
         self._loaded = True
-        # One pass: record each write's row, then install them all at once,
-        # seeding the store as recovery does (``Scheduler.restore``).
+        # One pass: record each write's row, then install them all at once
+        # (``Scheduler._install_loader``).
         scheduler = self.scheduler
         recorder = scheduler.recorder
         loader = Transaction(0)

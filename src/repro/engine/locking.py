@@ -258,9 +258,10 @@ class LockingScheduler(Scheduler):
                     break
 
     def _install_loader(self, loader: Transaction) -> None:
-        """The loader's commit keys its installs by write row, and its item
-        write locks are granted and released, as its writes and commit
-        would (the lock metrics count them)."""
+        """Seed the store and the cells as recovery does (:meth:`restore`)
+        and record T0's commit with its installs keyed by write row.  Its
+        item write locks are granted and released, as its writes and
+        commit would (the lock metrics count them)."""
         tid = loader.tid
         for obj in loader.buffer:
             self.locks.acquire_item(tid, obj, LockMode.WRITE)

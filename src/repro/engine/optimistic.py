@@ -63,18 +63,6 @@ class OptimisticScheduler(Scheduler):
         self._refuse_install_after_delete(txn)
         self._validate(txn)
         self.store.install(txn.final_values())
-        self._note_committed(txn)
-        self.recorder.commit(txn.tid, txn.finals())
-        txn.state = TxnState.COMMITTED
-
-    def _install_loader(self, loader: Transaction) -> None:
-        """The loader is validated and logged like any committer."""
-        self._validate(loader)
-        super()._install_loader(loader)
-        self._note_committed(loader)
-
-    def _note_committed(self, txn: Transaction) -> None:
-        """Log ``txn``'s installed writes for later validations."""
         self._log.append(
             _CommittedRecord(
                 txn.tid,
@@ -83,6 +71,8 @@ class OptimisticScheduler(Scheduler):
                 tuple(txn.buffer.values()),
             )
         )
+        self.recorder.commit(txn.tid, txn.finals())
+        txn.state = TxnState.COMMITTED
 
     # ------------------------------------------------------------------
 

@@ -241,7 +241,7 @@ class Scheduler:
     def restore(self, state: Dict[str, Tuple[Any, Any, bool]]) -> None:
         """Seed a *fresh* scheduler's volatile store with committed state,
         as one install: crash-recovery redo from a durable recorder log,
-        and the loader T0's writes (:meth:`_install_loader`).
+        and, under locking, the loader T0's writes (:meth:`_install_loader`).
 
         ``state`` maps each object to its latest committed
         ``(version, value, dead)``, in install order.  The versions already
@@ -252,12 +252,11 @@ class Scheduler:
         self.store.install(state.values())
 
     def _install_loader(self, loader: Transaction) -> None:
-        """Commit the loader T0, whose writes are recorded and buffered:
-        seed the store from its buffer (:meth:`restore`) and record its
-        commit, the installs keyed by the commit counter."""
-        self.restore(loader.buffer)
-        self.recorder.commit(loader.tid, loader.finals())
-        loader.state = TxnState.COMMITTED
+        """Commit the loader T0, whose writes are recorded and buffered but
+        in no write set: for a family without item locks that is the one
+        install :meth:`restore` would make, and T0's commit keyed by the
+        commit counter."""
+        self.commit(loader)
 
     def redo(self, writes: Iterable[Tuple[Any, Any, bool]]) -> None:
         """Crash-recovery redo of one *prepared* transaction's writes.

@@ -15,12 +15,12 @@ the concurrency a real system gets from threads without any actual threads:
 * a retry first asks the lock table whether the waiter's refusal still
   stands (:meth:`~repro.engine.locks.LockManager._refusal_stands`: nothing
   the refusal was decided on has changed since).  If it does, the round
-  does what a retry that blocks again on the same holders does, without
-  running the step — while the waits-for graph is known acyclic that is
-  nothing at all, and the round loop ends the round itself.  Only steps
-  that do nothing before their lock request are skipped so (``Read``, a
-  ``Select``'s item read, ``Delete``, a
-  ``Write`` of a constant; see :mod:`repro.engine.programs`), only while
+  loop does what a retry that blocks again on the same holders does,
+  without running the step: nothing while the waits-for graph is known
+  acyclic, the deadlock search otherwise.  Only steps that do nothing
+  before their lock request are skipped so (``Read``, a ``Select``'s item
+  read, ``Delete``, a ``Write`` of a constant; see
+  :mod:`repro.engine.programs`), only while
   the wait is recorded and the transaction has not ended (a wounded waiter
   re-runs its step and raises), and only without metrics or a tracer on
   the scheduler, where every retry still counts and emits its block;
@@ -214,12 +214,14 @@ class Simulator:
             if (
                 run.waiting_on is not None
                 and locks is not None
-                and waits_for.acyclic
-                and run.queue[0]._lock_first
+                and run.queue[0]._lock_first  # a waiter's head is its blocked step
                 and locks._refusal_stands(run.txn.tid)
             ):
-                # ``_step`` would skip this retry and find no cycle through
-                # a waiter whose holders did not change: the round is over.
+                # The retry would block again on the same holders: do what
+                # the ``except WouldBlock`` branch does then, without the
+                # step — nothing, while the graph is known acyclic.
+                if not waits_for.acyclic:
+                    self._resolve_deadlock(run, run.waiting_on)
                 continue
             self._step(run)
             if self._waiting == len(candidates):
@@ -291,16 +293,6 @@ class Simulator:
                 "wouldblock_retries_total",
                 "blocked operations retried after a holder finished",
             ).inc(scheduler=self.db.scheduler.name)
-        if (
-            run.waiting_on is not None
-            and self._locks is not None
-            and run.queue[0]._lock_first  # a waiter's head is its blocked step
-            and self._locks._refusal_stands(run.txn.tid)
-        ):
-            # The retry would block again on the same holders: do what the
-            # ``except WouldBlock`` branch does then, without the step.
-            self._resolve_deadlock(run, run.waiting_on)
-            return
         try:
             if run.queue:
                 step = run.queue[0]

@@ -153,25 +153,24 @@ def _histories(recorder) -> tuple:
 
 
 def _pairs(name: str, seed: int) -> list:
-    """The two histories at the end of the run; for a cut-off run also at
-    the last step, before the simulator aborts what is still running, where
-    the completion rule has transactions to abort."""
+    """The two histories at the end of the run; for a cut-off run also
+    after the last step it runs, before the simulator aborts what is still
+    running, where the completion rule has transactions to abort.  (Its
+    last step need not fall in its last round: a round whose waiter's
+    refusal stands runs no step.)"""
     family, engine, cfg, sim = RUNS[name]
     db = Database(create_scheduler(family, **engine))
     db.load(cfg.initial_state())
     recorder = db.scheduler.recorder
     pairs = []
     step = Simulator._step
-    steps = 0
 
-    def counted(simulator, run):
-        nonlocal steps
+    def snapshot(simulator, run):
         step(simulator, run)
-        steps += 1
-        if steps == sim.get("max_steps"):
-            pairs.append(_histories(recorder))
+        pairs[:] = [_histories(recorder)]
 
-    with mock.patch.object(Simulator, "_step", counted):
+    hook = snapshot if "max_steps" in sim else step
+    with mock.patch.object(Simulator, "_step", hook):
         Simulator(db, random_programs(cfg, seed=seed), seed=seed, **sim).run()
     pairs.append(_histories(recorder))
     return pairs
