@@ -8,6 +8,7 @@ itself must build the same inputs and print the same artifacts.
 from __future__ import annotations
 
 import importlib.util
+import statistics
 from argparse import Namespace
 from pathlib import Path
 
@@ -42,4 +43,12 @@ def test_an_a_a_run_matches_its_artifacts(capsys):
     out = ab_pairs.paired_repeats([ROOT, ROOT], args)
     assert out["pairs"] == 2 and out["artifacts_match"] and out["failed"] == 0
     assert len(out["runs"]["parent"]) == len(out["runs"]["head"]) == 2
+    # The pairs are judged on wall time; reference seconds carry a bias of
+    # each worker's own process.
+    rate = [
+        [r["events"] / r["wall"] for r in out["runs"][side]]
+        for side in ("parent", "head")
+    ]
+    assert out["median_ratio"] == statistics.median(h / p for p, h in zip(*rate))
+    assert "reference_median_ratio" in out
     assert "head won" in capsys.readouterr().out
