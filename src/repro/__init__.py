@@ -37,123 +37,65 @@ commit and global certification is one config away
     assert repro.run_stress(sharded).all_certified
 """
 
-from .core import (
-    ANSI_CHAIN,
-    DSG,
-    MSG,
-    SSG,
-    Analysis,
-    Cycle,
-    DepKind,
-    Edge,
-    History,
-    IncrementalAnalysis,
-    IsolationLevel,
-    LevelVerdict,
-    Phenomenon,
-    PhenomenonReport,
-    PredicateDepMode,
-    Version,
-    VersionKind,
-    classify,
-    format_history,
-    mixing_correct,
-    parse_history,
-    satisfies,
-)
-from .checker import CheckReport, check, check_level, check_many
-from .engine import (
-    Database,
-    SchedulerConfig,
-    SimulationResult,
-    Simulator,
-    TransactionHandle,
-    connect,
-    create_scheduler,
-)
-from .analysis import OpCheckResult, check_operations
-from .service import (
-    Client,
-    ClusterConfig,
-    NetworkConfig,
-    RetryPolicy,
-    Server,
-    SessionGuarantees,
-    ShardMap,
-    SimulatedNetwork,
-    StressConfig,
-    StressResult,
-    connect_cluster,
-    run_stress,
-)
-from .observability import FlightRecorder, MetricsRegistry, Tracer
-from .exceptions import (
-    HistoryError,
-    MalformedHistoryError,
-    ParseError,
-    ReproError,
-    TransactionAborted,
-    VersionOrderError,
-)
+from ._surface import exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ANSI_CHAIN",
-    "DSG",
-    "MSG",
-    "SSG",
-    "Analysis",
-    "Cycle",
-    "DepKind",
-    "Edge",
-    "History",
-    "IncrementalAnalysis",
-    "IsolationLevel",
-    "LevelVerdict",
-    "Phenomenon",
-    "PhenomenonReport",
-    "PredicateDepMode",
-    "Version",
-    "VersionKind",
-    "classify",
-    "format_history",
-    "mixing_correct",
-    "parse_history",
-    "satisfies",
-    "CheckReport",
-    "check",
-    "check_level",
-    "check_many",
-    "Database",
-    "SchedulerConfig",
-    "SimulationResult",
-    "Simulator",
-    "TransactionHandle",
-    "connect",
-    "create_scheduler",
-    "Client",
-    "ClusterConfig",
-    "NetworkConfig",
-    "OpCheckResult",
-    "RetryPolicy",
-    "Server",
-    "SessionGuarantees",
-    "ShardMap",
-    "SimulatedNetwork",
-    "StressConfig",
-    "StressResult",
-    "check_operations",
-    "connect_cluster",
-    "run_stress",
-    "FlightRecorder",
-    "MetricsRegistry",
-    "Tracer",
-    "HistoryError",
-    "MalformedHistoryError",
-    "ParseError",
-    "ReproError",
-    "TransactionAborted",
-    "VersionOrderError",
-    "__version__",
-]
+__all__ = [*exports(__name__, {
+    "ANSI_CHAIN": ".core",
+    "DSG": ".core",
+    "MSG": ".core",
+    "SSG": ".core",
+    "Analysis": ".core",
+    "Cycle": ".core",
+    "DepKind": ".core",
+    "Edge": ".core",
+    "History": ".core",
+    "IncrementalAnalysis": ".core",
+    "IsolationLevel": ".core",
+    "LevelVerdict": ".core",
+    "Phenomenon": ".core",
+    "PhenomenonReport": ".core",
+    "PredicateDepMode": ".core",
+    "Version": ".core",
+    "VersionKind": ".core",
+    "classify": ".core",
+    "format_history": ".core",
+    "mixing_correct": ".core",
+    "parse_history": ".core",
+    "satisfies": ".core",
+    "CheckReport": ".checker",
+    "check": ".checker",
+    "check_level": ".checker",
+    "check_many": ".checker",
+    "Database": ".engine",
+    "SchedulerConfig": ".engine",
+    "SimulationResult": ".engine",
+    "Simulator": ".engine",
+    "TransactionHandle": ".engine",
+    "connect": ".engine",
+    "create_scheduler": ".engine",
+    "Client": ".service",
+    "ClusterConfig": ".service",
+    "NetworkConfig": ".service",
+    "OpCheckResult": ".analysis",
+    "RetryPolicy": ".service",
+    "Server": ".service",
+    "SessionGuarantees": ".service",
+    "ShardMap": ".service",
+    "SimulatedNetwork": ".service",
+    "StressConfig": ".service",
+    "StressResult": ".service",
+    "check_operations": ".analysis",
+    "connect_cluster": ".service",
+    "run_stress": ".service",
+    "FlightRecorder": ".observability",
+    "MetricsRegistry": ".observability",
+    "Tracer": ".observability",
+    "HistoryError": ".exceptions",
+    "MalformedHistoryError": ".exceptions",
+    "ParseError": ".exceptions",
+    "ReproError": ".exceptions",
+    "TransactionAborted": ".exceptions",
+    "VersionOrderError": ".exceptions",
+}), "__version__"]

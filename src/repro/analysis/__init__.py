@@ -1,31 +1,21 @@
 """Analyses built on top of the checker and engine."""
 
-from .opcheck import Op, OpCheckResult, check_operations
-from .permissiveness import PermissivenessResult, compare
-from .spectrum import (
-    AblationResult,
-    SpectrumPoint,
-    contention_spectrum,
-    predicate_mode_ablation,
-)
-from .repair import RepairResult, abort_transactions, repair
-from .report_gen import generate_report
-from .stats import HistoryStats, history_stats
+from .._surface import exports
 
-__all__ = [
-    "Op",
-    "OpCheckResult",
-    "check_operations",
-    "PermissivenessResult",
-    "compare",
-    "AblationResult",
-    "SpectrumPoint",
-    "contention_spectrum",
-    "predicate_mode_ablation",
-    "generate_report",
-    "RepairResult",
-    "abort_transactions",
-    "repair",
-    "HistoryStats",
-    "history_stats",
-]
+__all__ = exports(__name__, {
+    "Op": ".opcheck",
+    "OpCheckResult": ".opcheck",
+    "check_operations": ".opcheck",
+    "PermissivenessResult": ".permissiveness",
+    "compare": ".permissiveness",
+    "AblationResult": ".spectrum",
+    "SpectrumPoint": ".spectrum",
+    "contention_spectrum": ".spectrum",
+    "predicate_mode_ablation": ".spectrum",
+    "generate_report": ".report_gen",
+    "RepairResult": ".repair",
+    "abort_transactions": ".repair",
+    "repair": ".repair",
+    "HistoryStats": ".stats",
+    "history_stats": ".stats",
+})

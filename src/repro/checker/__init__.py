@@ -1,16 +1,14 @@
 """User-facing isolation checker built on the core formalism."""
 
-from .checker import as_history, check, check_level, check_many
-from .naming import NamedAnomaly, name_anomalies, name_cycle
-from .report import CheckReport
+from .._surface import exports
 
-__all__ = [
-    "as_history",
-    "check",
-    "check_level",
-    "check_many",
-    "NamedAnomaly",
-    "name_anomalies",
-    "name_cycle",
-    "CheckReport",
-]
+__all__ = exports(__name__, {
+    "as_history": ".checker",
+    "check": ".checker",
+    "check_level": ".checker",
+    "check_many": ".checker",
+    "NamedAnomaly": ".naming",
+    "name_anomalies": ".naming",
+    "name_cycle": ".naming",
+    "CheckReport": ".report",
+})

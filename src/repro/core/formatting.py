@@ -3,18 +3,32 @@
 ``format_history(parse_history(text))`` re-parses to an equal history (see
 the round-trip property tests), so the textual form is a faithful, diffable
 serialization of any history — including ones produced by the engine.
+
+The text is rendered from the history's event log: one token per row, one
+label per interned version.  No event object is built for it, so the text
+of an engine or service history costs no more than its rows.
 """
 
 from __future__ import annotations
 
-from typing import List
+from itertools import compress
+from typing import Any, Iterable, List
 
 import re
 
-from .events import Abort, Begin, Commit, Event, PredicateRead, Read, Write
+from .events import Event
 from .history import History
-from .objects import Version
-from .predicates import MembershipPredicate
+from .interning import (
+    _KIND_OF_TYPE,
+    K_ABORT,
+    K_BEGIN,
+    K_COMMIT,
+    K_PREAD,
+    K_READ,
+    K_WRITE,
+)
+from .objects import INIT_TID, Version
+from .predicates import MembershipPredicate, Predicate
 
 __all__ = ["format_history", "format_event"]
 
@@ -39,75 +53,138 @@ def _version_label(history: History, version: Version) -> str:
     return f"{obj}{version.tid}"
 
 
+def _labels(history: History) -> List[str]:
+    """:func:`_version_label` of every version the log interned, by version
+    id, from the interner's columns."""
+    inn = history.log.interner
+    objects, rewritten = inn.objects, history._rewritten
+    obj_labels = [_obj_label(obj) for obj in objects]
+    labels = []
+    for oid, tid, seq in zip(inn.ver_obj, inn.ver_tid, inn.ver_seq):
+        obj = obj_labels[oid]
+        if tid == INIT_TID:
+            labels.append(f"{obj}init")
+        elif seq != 1 or (rewritten and (objects[oid], tid) in rewritten):
+            labels.append(f"{obj}{tid}.{seq}")
+        else:
+            labels.append(f"{obj}{tid}")
+    return labels
+
+
+def _vset_text(
+    history: History,
+    predicate: Predicate,
+    versions: Iterable[Version],
+    labels: Iterable[str],
+) -> str:
+    """A predicate read's version set, each matching version marked ``*``."""
+    matches = history.version_matches
+    return ", ".join(
+        label + "*" if matches(predicate, v) else label
+        for v, label in zip(versions, labels)
+    )
+
+
+def _token(k: int, tid: int, flag: bool, extra: Any, inner: str) -> str:
+    """One event in notation form, from its row's kind code, tid, flag
+    (cursor read, dead write) and side column (value, begin level,
+    predicate read); ``inner`` is the rendered version label, or the
+    version set of a predicate read."""
+    if k == K_READ:
+        if extra is not None:
+            inner += f", {extra}"
+        return f"rc{tid}({inner})" if flag else f"r{tid}({inner})"
+    if k == K_WRITE:
+        if flag:
+            inner += ", dead"
+        elif extra is not None:
+            inner += f", {extra}"
+        return f"w{tid}({inner})"
+    if k == K_COMMIT:
+        return f"c{tid}"
+    if k == K_ABORT:
+        return f"a{tid}"
+    if k == K_BEGIN:
+        return f"b{tid}" if extra is None else f"b{tid}@{extra}"
+    return f"r{tid}({extra[0].name}: {inner})"
+
+
 def format_event(history: History, event: Event) -> str:
     """One event in notation form."""
-    if isinstance(event, Commit):
-        return f"c{event.tid}"
-    if isinstance(event, Abort):
-        return f"a{event.tid}"
-    if isinstance(event, Begin):
-        return f"b{event.tid}@{event.level}" if event.level is not None else f"b{event.tid}"
-    if isinstance(event, Write):
-        inner = _version_label(history, event.version)
-        if event.dead:
-            inner += ", dead"
-        elif event.value is not None:
-            inner += f", {event.value}"
-        return f"w{event.tid}({inner})"
-    if isinstance(event, PredicateRead):
-        specs = []
-        for v in event.vset.versions():
-            mark = "*" if history.version_matches(event.predicate, v) else ""
-            specs.append(_version_label(history, v) + mark)
-        return f"r{event.tid}({event.predicate.name}: {', '.join(specs)})"
-    if isinstance(event, Read):
-        inner = _version_label(history, event.version)
-        if event.value is not None:
-            inner += f", {event.value}"
-        op = "rc" if event.cursor else "r"
-        return f"{op}{event.tid}({inner})"
-    raise TypeError(f"unknown event type {type(event).__name__}")
+    for base, k in _KIND_OF_TYPE.items():
+        if isinstance(event, base):
+            break
+    else:
+        raise TypeError(f"unknown event type {type(event).__name__}")
+    if k == K_READ or k == K_WRITE:
+        flag = event.cursor if k == K_READ else event.dead
+        label = _version_label(history, event.version)
+        return _token(k, event.tid, flag, event.value, label)
+    if k == K_PREAD:
+        versions = event.vset.versions()
+        labels = [_version_label(history, v) for v in versions]
+        inner = _vset_text(history, event.predicate, versions, labels)
+        return _token(k, event.tid, False, (event.predicate,), inner)
+    return _token(k, event.tid, False, getattr(event, "level", None), "")
 
 
 def format_history(history: History, *, include_order: bool = True) -> str:
     """The whole history: events, then the version order block, then match
     declaration blocks for predicate matches not expressible inline (matching
     versions that never appear in a version set)."""
-    parts = [format_event(history, ev) for ev in history.events]
+    log = history.log
+    labels = _labels(history)
+    versions = log.interner.versions
+    parts = []
+    for k, tid, vid, flag, extra in zip(log.kind, log.tid, log.vid, log.flag, log.extra):
+        if vid >= 0:
+            inner = labels[vid]
+        elif k == K_PREAD:
+            vids = extra[2]
+            inner = _vset_text(
+                history,
+                extra[0],
+                [versions[v] for v in vids],
+                [labels[v] for v in vids],
+            )
+        else:
+            inner = ""
+        parts.append(_token(k, tid, flag, extra, inner))
     text = " ".join(parts)
     if include_order:
-        chains: List[str] = []
-        for obj, chain in history.version_order.items():
-            visible = [v for v in chain if not v.is_unborn]
-            if len(visible) > 1 or (visible and visible[0] not in history.writes):
-                # Orders that differ from / are not derivable from the event
-                # sequence must be written out; single derivable entries are
-                # implicit.
-                chains.append(
-                    " << ".join(_version_label(history, v) for v in visible)
-                )
+        last_write = log.last_write
+        # Orders that differ from / are not derivable from the event
+        # sequence must be written out; single derivable entries are
+        # implicit.
+        chains = [
+            " << ".join([labels[vid] for vid in chain])
+            for chain in history._order_vids.values()
+            if len(chain) > 1 or (chain and chain[0] not in last_write)
+        ]
         if chains:
             text += f"  [{', '.join(chains)}]"
-        extra_blocks = _match_blocks(history)
-        if extra_blocks:
-            text += "  " + "  ".join(extra_blocks)
+        if K_PREAD in log.kind:
+            blocks = _match_blocks(history)
+            if blocks:
+                text += "  " + "  ".join(blocks)
     return text
 
 
 def _match_blocks(history: History) -> List[str]:
     """``[P matches: ...]`` blocks for matching versions that no version set
     mentions (inline ``*`` marks cover the rest)."""
+    log = history.log
+    preads = list(compress(log.extra, map(K_PREAD.__eq__, log.kind)))
     blocks = []
     seen = set()
-    for _i, pread in history.predicate_reads:
-        pred = pread.predicate
+    for pred, _vset, _vids in preads:
         if pred.name in seen or not isinstance(pred, MembershipPredicate):
             continue
         seen.add(pred.name)
         in_vsets = set()
-        for _j, other in history.predicate_reads:
-            if other.predicate.name == pred.name:
-                in_vsets.update(other.vset.versions())
+        for other, vset, _vids in preads:
+            if other.name == pred.name:
+                in_vsets.update(vset.versions())
         stray = sorted(pred.matching - in_vsets)
         if stray:
             labels = ", ".join(_version_label(history, v) for v in stray)

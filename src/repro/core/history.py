@@ -267,7 +267,15 @@ class History:
     def _rewritten(self) -> frozenset[Tuple[str, int]]:
         """``(obj, tid)`` of every writer with a second write ``x_{i:2}``
         of ``obj`` (the writers whose version labels carry ``.seq``)."""
-        return frozenset((v.obj, v.tid) for v in self.writes if v.seq == 2)
+        inn = self.log.interner
+        objects, ver_obj, ver_tid, ver_seq = (
+            inn.objects, inn.ver_obj, inn.ver_tid, inn.ver_seq,
+        )
+        return frozenset(
+            (objects[ver_obj[vid]], ver_tid[vid])
+            for vid in self.log.last_write
+            if ver_seq[vid] == 2
+        )
 
     @cached_property
     def installed(self) -> frozenset[Version]:
@@ -373,11 +381,12 @@ class History:
         if unrecorded either way)."""
         if version.is_unborn:
             return None
-        write = self.writes.get(version)
-        if write is not None:
-            return write.value
-        vid = self.log.interner.version_id.get(version)
-        return None if vid is None else self._read_values.get(vid)
+        log = self.log
+        vid = log.interner.version_id.get(version)
+        if vid is None:
+            return None
+        row = log.last_write.get(vid)
+        return self._read_values.get(vid) if row is None else log.extra[row]
 
     @cached_property
     def _read_values(self) -> Dict[int, Any]:
@@ -423,14 +432,16 @@ class History:
     def _version_matches_uncached(self, predicate: Predicate, version: Version) -> bool:
         if version.is_unborn:
             return False
-        write = self.writes.get(version)
-        if write is None:
+        log = self.log
+        vid = log.interner.version_id.get(version)
+        row = None if vid is None else log.last_write.get(vid)
+        if row is None:
             if version not in self.setup_versions:
                 return False
             return predicate.matches(version, self.value_of(version))
-        if write.dead:
+        if log.flag[row]:  # a dead version
             return False
-        return predicate.matches(version, write.value)
+        return predicate.matches(version, log.extra[row])
 
     def changes_matches(self, predicate: Predicate, version: Version) -> bool:
         """Definition 2: whether installing ``version`` changed the matched

@@ -6,80 +6,52 @@ multi-version schemes — which the checker then classifies, demonstrating the
 paper's central claim of implementation-independence.
 """
 
-from .database import Database, TransactionHandle
-from .factory import SCHEDULERS, SchedulerConfig, connect, create_scheduler
-from .locking import PROFILES, LockProfile, LockingScheduler, profile_for_level
-from .locks import LockDuration, LockManager, LockMode
-from .mixed_optimistic import MixedOptimisticScheduler
-from .mobile import MobileClient, MobileCluster, MobileTxn, SyncResult
-from .mvcc import ReadCommittedMVScheduler, SnapshotIsolationScheduler
-from .optimistic import OptimisticScheduler
-from .programs import (
-    Compute,
-    Conditional,
-    Count,
-    Delete,
-    DeleteWhere,
-    Increment,
-    Insert,
-    PredicateReadStep,
-    Program,
-    Read,
-    Select,
-    Step,
-    UpdateWhere,
-    Write,
-)
-from .recorder import HistoryRecorder
-from .scheduler import PredicateResult, Scheduler
-from .simulator import ProgramOutcome, SimulationResult, Simulator
-from .storage import MultiVersionStore, StoredVersion
-from .transaction import Transaction, TxnState
+from .._surface import exports
 
-__all__ = [
-    "Database",
-    "TransactionHandle",
-    "SCHEDULERS",
-    "SchedulerConfig",
-    "connect",
-    "create_scheduler",
-    "PROFILES",
-    "LockProfile",
-    "LockingScheduler",
-    "profile_for_level",
-    "LockDuration",
-    "LockManager",
-    "LockMode",
-    "MixedOptimisticScheduler",
-    "MobileClient",
-    "MobileCluster",
-    "MobileTxn",
-    "SyncResult",
-    "ReadCommittedMVScheduler",
-    "SnapshotIsolationScheduler",
-    "OptimisticScheduler",
-    "Compute",
-    "Conditional",
-    "Count",
-    "Delete",
-    "DeleteWhere",
-    "Increment",
-    "Insert",
-    "PredicateReadStep",
-    "Program",
-    "Read",
-    "Select",
-    "Step",
-    "UpdateWhere",
-    "Write",
-    "HistoryRecorder",
-    "PredicateResult",
-    "Scheduler",
-    "ProgramOutcome",
-    "SimulationResult",
-    "Simulator",
-    "MultiVersionStore",
-    "StoredVersion",
-    "Transaction",
-    "TxnState",
-]
+__all__ = exports(__name__, {
+    "Database": ".database",
+    "TransactionHandle": ".database",
+    "SCHEDULERS": ".factory",
+    "SchedulerConfig": ".factory",
+    "connect": ".factory",
+    "create_scheduler": ".factory",
+    "PROFILES": ".locking",
+    "LockProfile": ".locking",
+    "LockingScheduler": ".locking",
+    "profile_for_level": ".locking",
+    "LockDuration": ".locks",
+    "LockManager": ".locks",
+    "LockMode": ".locks",
+    "MixedOptimisticScheduler": ".mixed_optimistic",
+    "MobileClient": ".mobile",
+    "MobileCluster": ".mobile",
+    "MobileTxn": ".mobile",
+    "SyncResult": ".mobile",
+    "ReadCommittedMVScheduler": ".mvcc",
+    "SnapshotIsolationScheduler": ".mvcc",
+    "OptimisticScheduler": ".optimistic",
+    "Compute": ".programs",
+    "Conditional": ".programs",
+    "Count": ".programs",
+    "Delete": ".programs",
+    "DeleteWhere": ".programs",
+    "Increment": ".programs",
+    "Insert": ".programs",
+    "PredicateReadStep": ".programs",
+    "Program": ".programs",
+    "Read": ".programs",
+    "Select": ".programs",
+    "Step": ".programs",
+    "UpdateWhere": ".programs",
+    "Write": ".programs",
+    "HistoryRecorder": ".recorder",
+    "PredicateResult": ".scheduler",
+    "Scheduler": ".scheduler",
+    "ProgramOutcome": ".simulator",
+    "SimulationResult": ".simulator",
+    "Simulator": ".simulator",
+    "MultiVersionStore": ".storage",
+    "StoredVersion": ".storage",
+    "Transaction": ".transaction",
+    "TxnState": ".transaction",
+})

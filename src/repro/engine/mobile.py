@@ -39,6 +39,7 @@ from ..core.objects import Version
 from ..core.predicates import Predicate, VersionSet
 from ..exceptions import InvalidOperation
 from .recorder import HistoryRecorder
+from .sessions import SessionVector
 from .storage import MultiVersionStore
 from .transaction import BufferedWrite, Transaction, TxnState
 
@@ -46,51 +47,6 @@ __all__ = ["MobileCluster", "MobileClient", "MobileTxn", "SyncResult"]
 
 #: The session-vector key for the (single) server a mobile client talks to.
 SERVER = "server"
-
-
-class SessionVector:
-    """A per-key watermark vector (key → replication-log offset).
-
-    The client-side half of the session-guarantee protocol: ``observe``
-    folds in offsets learned from replies, ``covers`` asks whether an
-    offered offset satisfies the recorded floor.  Keys are opaque —
-    shard indices for the cluster, a server name for the mobile engine.
-    """
-
-    __slots__ = ("offsets",)
-
-    def __init__(self, offsets: Optional[Dict[Any, int]] = None) -> None:
-        self.offsets: Dict[Any, int] = dict(offsets or {})
-
-    def get(self, key: Any) -> int:
-        """The floor recorded for ``key`` (0 when nothing observed)."""
-        return self.offsets.get(key, 0)
-
-    def observe(self, key: Any, offset: int) -> bool:
-        """Fold in one observed offset; returns True if the floor rose."""
-        if offset > self.offsets.get(key, 0):
-            self.offsets[key] = offset
-            return True
-        return False
-
-    def merge(self, other: "SessionVector | Dict[Any, int]") -> None:
-        items = other.offsets if isinstance(other, SessionVector) else other
-        for key, offset in items.items():
-            self.observe(key, offset)
-
-    def covers(self, key: Any, offset: int) -> bool:
-        """Whether state at ``offset`` is at least as fresh as the floor."""
-        return offset >= self.get(key)
-
-    def copy(self) -> "SessionVector":
-        return SessionVector(self.offsets)
-
-    def as_dict(self) -> Dict[Any, int]:
-        return dict(self.offsets)
-
-    def __repr__(self) -> str:
-        inner = ",".join(f"{k}:{v}" for k, v in sorted(self.offsets.items()))
-        return f"<SessionVector {inner or 'empty'}>"
 
 
 @dataclass

@@ -36,79 +36,46 @@ Quick start::
     print(tracer.events("phenomenon"))  # provenance of latched phenomena
 """
 
-from .flight import FlightRecorder, dossier_json, render_dossier, trace_slice
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .provenance import (
-    DEFAULT_WATCH,
-    phenomenon_hook,
-    provenance_record,
-    watching_analysis,
-    witness_cycle,
-)
-from .trace import JsonlSink, Span, Tracer, TraceRecords, read_trace, span_tree
-from .windows import (
-    SLO,
-    SLOStatus,
-    WindowedCounter,
-    WindowedTelemetry,
-    WindowedValues,
-)
-from .traceview import (
-    RunReport,
-    build_run_report,
-    cluster_summary,
-    contention_summary,
-    contention_table,
-    critical_path,
-    cross_shard_critical_path,
-    from_chrome_trace,
-    latency_table,
-    replication_lag_timeline,
-    to_chrome_trace,
-    twopc_summary,
-    verb_latencies,
-    waterfall,
-    write_chrome_trace,
-)
+from .._surface import exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Tracer",
-    "TraceRecords",
-    "Span",
-    "JsonlSink",
-    "read_trace",
-    "span_tree",
-    "witness_cycle",
-    "provenance_record",
-    "phenomenon_hook",
-    "watching_analysis",
-    "DEFAULT_WATCH",
-    "SLO",
-    "SLOStatus",
-    "WindowedCounter",
-    "WindowedTelemetry",
-    "WindowedValues",
-    "FlightRecorder",
-    "trace_slice",
-    "dossier_json",
-    "render_dossier",
-    "RunReport",
-    "build_run_report",
-    "cluster_summary",
-    "replication_lag_timeline",
-    "twopc_summary",
-    "contention_summary",
-    "contention_table",
-    "critical_path",
-    "cross_shard_critical_path",
-    "from_chrome_trace",
-    "latency_table",
-    "to_chrome_trace",
-    "verb_latencies",
-    "waterfall",
-    "write_chrome_trace",
-]
+__all__ = exports(__name__, {
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "Tracer": ".trace",
+    "TraceRecords": ".trace",
+    "Span": ".trace",
+    "JsonlSink": ".trace",
+    "read_trace": ".trace",
+    "span_tree": ".trace",
+    "witness_cycle": ".provenance",
+    "provenance_record": ".provenance",
+    "phenomenon_hook": ".provenance",
+    "watching_analysis": ".provenance",
+    "DEFAULT_WATCH": ".provenance",
+    "SLO": ".windows",
+    "SLOStatus": ".windows",
+    "WindowedCounter": ".windows",
+    "WindowedTelemetry": ".windows",
+    "WindowedValues": ".windows",
+    "FlightRecorder": ".flight",
+    "trace_slice": ".flight",
+    "dossier_json": ".flight",
+    "render_dossier": ".flight",
+    "RunReport": ".traceview",
+    "build_run_report": ".traceview",
+    "cluster_summary": ".traceview",
+    "replication_lag_timeline": ".traceview",
+    "twopc_summary": ".traceview",
+    "contention_summary": ".traceview",
+    "contention_table": ".traceview",
+    "critical_path": ".traceview",
+    "cross_shard_critical_path": ".traceview",
+    "from_chrome_trace": ".traceview",
+    "latency_table": ".traceview",
+    "to_chrome_trace": ".traceview",
+    "verb_latencies": ".traceview",
+    "waterfall": ".traceview",
+    "write_chrome_trace": ".traceview",
+})

@@ -45,6 +45,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .percentiles import percentile, stats_row
 from .trace import TraceRecords, span_tree
 
 __all__ = [
@@ -70,7 +71,8 @@ Record = Dict[str, Any]
 
 
 # ---------------------------------------------------------------------------
-# the shared pieces: record selector, stats row, table renderers
+# the shared pieces: record selector and table renderers (stats rows come
+# from .percentiles)
 # ---------------------------------------------------------------------------
 
 
@@ -91,26 +93,6 @@ def _select(
         ),
         key=lambda r: r["seq"],
     )
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 100]) of a non-empty sequence."""
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil(n*q/100), at least 1
-    return ordered[min(int(rank), len(ordered)) - 1]
-
-
-def stats_row(values: Sequence[float], *quantiles: int) -> Dict[str, float]:
-    """``{count, p<q>..., mean, max}`` of a non-empty sequence, one
-    nearest-rank ``p<q>`` per quantile asked, in that key order."""
-    return {
-        "count": len(values),
-        **{f"p{q}": percentile(values, q) for q in quantiles},
-        "mean": sum(values) / len(values),
-        "max": max(values),
-    }
 
 
 def _fmt(value: float) -> str:

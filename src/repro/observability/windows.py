@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from .traceview import percentile, stats_row
+from .percentiles import percentile, stats_row
 
 __all__ = [
     "WindowedCounter",

@@ -14,68 +14,38 @@ Everything is deterministic: same seeds and configs, same history and same
 client journals, byte for byte.
 """
 
-from .capacity import (
-    CapacityResult,
-    CapacityRung,
-    build_capacity_report,
-    find_knee,
-    run_capacity,
-)
-from .client import Client, PendingCall
-from .cluster import Cluster, ClusterClient, ShardServer, connect_cluster
-from .config import (
-    AdmissionConfig,
-    ClusterConfig,
-    MapChange,
-    NetworkConfig,
-    RetryPolicy,
-    SchedulerConfig,
-    SessionGuarantees,
-    StressConfig,
-)
-from .coordinator import Coordinator
-from .errors import (
-    RequestTimeout,
-    ServiceAborted,
-    ServiceError,
-    ServiceUnavailable,
-)
-from .network import SimulatedNetwork
-from .replication import ReplicaServer, SessionVector
-from .server import Server
-from .shardmap import ShardMap
-from .stress import StressResult, run_stress
+from .._surface import exports
 
-__all__ = [
-    "AdmissionConfig",
-    "CapacityResult",
-    "CapacityRung",
-    "Client",
-    "Cluster",
-    "ClusterClient",
-    "ClusterConfig",
-    "Coordinator",
-    "MapChange",
-    "NetworkConfig",
-    "PendingCall",
-    "ReplicaServer",
-    "RequestTimeout",
-    "RetryPolicy",
-    "SchedulerConfig",
-    "Server",
-    "ServiceAborted",
-    "ServiceError",
-    "ServiceUnavailable",
-    "SessionGuarantees",
-    "SessionVector",
-    "ShardMap",
-    "ShardServer",
-    "SimulatedNetwork",
-    "StressConfig",
-    "StressResult",
-    "build_capacity_report",
-    "connect_cluster",
-    "find_knee",
-    "run_capacity",
-    "run_stress",
-]
+__all__ = exports(__name__, {
+    "AdmissionConfig": ".config",
+    "CapacityResult": ".capacity",
+    "CapacityRung": ".capacity",
+    "Client": ".client",
+    "Cluster": ".cluster",
+    "ClusterClient": ".cluster",
+    "ClusterConfig": ".config",
+    "Coordinator": ".coordinator",
+    "MapChange": ".config",
+    "NetworkConfig": ".config",
+    "PendingCall": ".client",
+    "ReplicaServer": ".replication",
+    "RequestTimeout": ".errors",
+    "RetryPolicy": ".config",
+    "SchedulerConfig": ".config",
+    "Server": ".server",
+    "ServiceAborted": ".errors",
+    "ServiceError": ".errors",
+    "ServiceUnavailable": ".errors",
+    "SessionGuarantees": ".config",
+    "SessionVector": ".replication",
+    "ShardMap": ".shardmap",
+    "ShardServer": ".cluster",
+    "SimulatedNetwork": ".network",
+    "StressConfig": ".config",
+    "StressResult": ".stress",
+    "build_capacity_report": ".capacity",
+    "connect_cluster": ".cluster",
+    "find_knee": ".capacity",
+    "run_capacity": ".capacity",
+    "run_stress": ".stress",
+})

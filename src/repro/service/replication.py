@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..engine.mobile import SessionVector
+from ..engine.sessions import SessionVector
 from ..engine.recorder import HistoryRecorder
 from .network import SimulatedNetwork
 from .server import _ReplyCache

@@ -13,7 +13,7 @@ from __future__ import annotations
 import zlib
 from typing import Any, Dict, List, Optional, Set
 
-from ..engine.mobile import SessionVector
+from ..engine.sessions import SessionVector
 from .client import Client
 from .config import SessionGuarantees
 from .errors import ServiceUnavailable

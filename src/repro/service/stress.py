@@ -34,7 +34,7 @@ from ..analysis.opcheck import Op, check_operations
 from ..core.incremental import IncrementalAnalysis
 from ..core.levels import IsolationLevel
 from ..observability.provenance import watching_analysis
-from ..observability.traceview import percentile, stats_row
+from ..observability.percentiles import percentile, stats_row
 from ..workloads.arrivals import ZipfianKeys
 from .client import Client
 from .cluster import Cluster

@@ -1,10 +1,16 @@
 """Round-trip tests for the notation formatter (repro.core.formatting)."""
 
+import collections
+
 import pytest
 
-from repro.core import format_history, formatting, parse_history
+from repro.core import format_event, format_history, parse_history
 from repro.core.canonical import ALL_CANONICAL
+from repro.core.events import Event
+from repro.core.history import History
 from repro.core.objects import Version
+
+from .reference_formatting import reference_format
 
 
 def assert_round_trip(history):
@@ -137,25 +143,43 @@ def _label_corpus():
     yield run_stress(StressConfig(clients=3, txns_per_client=4, keys=4, seed=2)).history
 
 
-def _definitional_label(history, version):
-    """The label rule spelled out: a writer's labels carry ``.seq`` when
-    ``x_{i:2}`` is one of the history's writes."""
-    obj = formatting._obj_label(version.obj)
-    if version.is_unborn:
-        return f"{obj}init"
-    if Version(version.obj, version.tid, 2) in history.writes or version.seq != 1:
-        return f"{obj}{version.tid}.{version.seq}"
-    return f"{obj}{version.tid}"
+def _engine_corpus():
+    """Every family's recorder histories: the simulator and scheduler
+    goldens' configurations (Figure 1 profiles, predicates with inserts and
+    deletes, mixed levels), seeds 0 and 1."""
+    from .test_scheduler_golden import CONFIGS as SCHEDULER_CONFIGS
+    from .test_simulator_golden import CONFIGS as SIMULATOR_CONFIGS
+
+    for run in (*SIMULATOR_CONFIGS.values(), *SCHEDULER_CONFIGS.values()):
+        for seed in (0, 1):
+            yield run(seed).history
+
+
+def _service_corpus():
+    from repro.service import ClusterConfig, StressConfig, run_stress
+
+    for seed in (1, 2):
+        yield run_stress(StressConfig(clients=3, txns_per_client=4, keys=4, seed=seed)).history
+        yield run_stress(
+            StressConfig(
+                clients=3, txns_per_client=4, keys=4, seed=seed,
+                cluster=ClusterConfig(shards=2, replicas=1),
+            )
+        ).history
 
 
 class TestLabelRule:
-    def test_text_follows_the_definitional_rule(self, monkeypatch):
-        histories = list(_label_corpus())
+    def test_rows_render_the_reference_text(self):
+        """The row walk renders what the event-object formatter it replaced
+        renders, the label rule spelled out there (``.seq`` when
+        ``x_{i:2}`` is one of the history's writes)."""
+        histories = [*_label_corpus(), *_engine_corpus(), *_service_corpus()]
         texts = [format_history(h) for h in histories]
         assert any(".3" in text for text in texts)
         assert any("matches: y2.2" in text for text in texts)
-        monkeypatch.setattr(formatting, "_version_label", _definitional_label)
-        assert [format_history(h) for h in histories] == texts
+        assert any("*" in text and "{emp:" in text for text in texts)
+        assert len(histories) >= 70
+        assert texts == [reference_format(h) for h in histories]
 
     def test_no_version_is_built_per_label(self, monkeypatch):
         histories = list(_label_corpus())
@@ -176,3 +200,101 @@ class TestLabelRule:
     @pytest.mark.parametrize("text", LABEL_CASES)
     def test_label_cases_round_trip(self, text):
         assert_round_trip(parse_history(text))
+
+
+#: One history per token kind, its input and the text it renders to:
+#: levelled begin, cursor read, dead write, ``.seq`` labels, braced object
+#: names, a predicate read with ``*`` marks, a ``[P matches: ...]`` block
+#: and the order block.
+TOKEN_CASES = (
+    ("b1@PL-2 w1(x1, 1) c1", "b1@PL-2 w1(x1, 1) c1"),
+    ("w1(x1, 1) c1 rc2(x1, 1) c2", "w1(x1, 1) c1 rc2(x1, 1) c2"),
+    ("w1(x1, 1) c1 w2(x2, dead) c2", "w1(x1, 1) c1 w2(x2, dead) c2  [x1 << x2]"),
+    ("w1(x1) w1(x1) c1 r2(x1.2) c2", "w1(x1.1) w1(x1.2) c1 r2(x1.2) c2"),
+    ("w1({o_1}1, 5) c1 r2({o_1}1, 5) c2", "w1({o_1}1, 5) c1 r2({o_1}1, 5) c2"),
+    (
+        "w1(x1, 1) w2(y2, 2) c1 c2 r3(P: x1*, y2) c3",
+        "w1(x1, 1) w2(y2, 2) c1 c2 r3(P: x1*, y2) c3",
+    ),
+    (
+        "w1(x1) w2(y2) c1 c2 r3(P: x1) c3 [P matches: y2]",
+        "w1(x1) w2(y2) c1 c2 r3(P: x1) c3  [P matches: y2]",
+    ),
+    ("w1(x1) w2(x2) c1 c2 [x2 << x1]", "w1(x1) w2(x2) c1 c2  [x2 << x1]"),
+)
+
+
+class TestTokenKinds:
+    @pytest.mark.parametrize("given, expected", TOKEN_CASES)
+    def test_literal_text(self, given, expected):
+        history = parse_history(given)
+        assert format_history(history) == expected
+        reparsed = parse_history(expected)
+        assert reparsed.events == history.events
+        assert reparsed.version_order == history.version_order
+        assert format_history(reparsed) == expected
+
+    @pytest.mark.parametrize("given, expected", TOKEN_CASES)
+    def test_format_event_renders_each_token(self, given, expected):
+        history = parse_history(given)
+        events = [format_event(history, event) for event in history.events]
+        assert " ".join(events) == expected.split("  ")[0]
+
+    def test_format_event_refuses_an_unknown_event(self):
+        with pytest.raises(TypeError, match="unknown event type"):
+            format_event(parse_history("w1(x1) c1"), Event(1))
+
+
+class TestRowRendering:
+    """``format_history`` walks the log's rows: formatting an engine or a
+    service history builds no event object and reads neither
+    ``History.events`` nor ``History.writes``."""
+
+    @staticmethod
+    def _refuse_objects(monkeypatch):
+        built = collections.Counter()
+        post_init = Event.__post_init__
+
+        def counted(event):
+            built[type(event).__name__] += 1
+            post_init(event)
+
+        def refused(name):
+            def get(_history):
+                raise AssertionError(f"History.{name} read while formatting")
+
+            return property(get)
+
+        monkeypatch.setattr(Event, "__post_init__", counted)
+        # A data descriptor outranks what cached_property left on the
+        # instance, so any read of the two fails.
+        monkeypatch.setattr(History, "events", refused("events"))
+        monkeypatch.setattr(History, "writes", refused("writes"))
+        return built
+
+    @pytest.mark.parametrize(
+        "family",
+        ("locking", "optimistic", "snapshot-isolation", "mixed-optimistic", "mv-read-committed"),
+    )
+    def test_a_recorder_history_builds_no_event(self, family, monkeypatch):
+        from .test_simulator_golden import PREDICATES, _config
+
+        result = _config(family, PREDICATES)(3)
+        history = result.history
+        expected = reference_format(history)
+        assert "(P" in expected or ": " in expected  # predicate reads render
+        built = self._refuse_objects(monkeypatch)
+        assert format_history(history) == expected
+        assert built == {}
+
+    @pytest.mark.parametrize("shards", (0, 2))
+    def test_a_stress_history_builds_no_event(self, shards, monkeypatch):
+        from repro.service import ClusterConfig, StressConfig, run_stress
+
+        cluster = ClusterConfig(shards=shards, replicas=1) if shards else None
+        result = run_stress(
+            StressConfig(clients=3, txns_per_client=4, keys=4, seed=5, cluster=cluster)
+        )
+        built = self._refuse_objects(monkeypatch)
+        assert format_history(result.history) == result.history_text
+        assert built == {}
