@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .conflicts import (
     DEPENDENCY,
@@ -39,7 +39,9 @@ from .conflicts import (
 )
 from .dsg import DSG, Cycle
 from .history import History
-from .ssg import SSG
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .ssg import SSG
 
 __all__ = ["Phenomenon", "Witness", "PhenomenonReport", "Analysis"]
 
@@ -204,8 +206,11 @@ class Analysis:
 
     @property
     def ssg(self) -> SSG:
-        """The start-ordered serialization graph (built on first use)."""
+        """The start-ordered serialization graph (built on first use; only
+        the extension levels read it, so its module loads then too)."""
         if self._ssg is None:
+            from .ssg import SSG
+
             self._ssg = SSG(self.history, self.mode, edges=self._table)
         return self._ssg
 

@@ -28,20 +28,22 @@ import random
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..analysis.opcheck import Op, check_operations
 from ..core.incremental import IncrementalAnalysis
 from ..core.levels import IsolationLevel
 from ..observability.provenance import watching_analysis
 from ..observability.percentiles import percentile, stats_row
-from ..workloads.arrivals import ZipfianKeys
 from .client import Client
 from .cluster import Cluster
 from .config import NetworkConfig, RetryPolicy, SchedulerConfig, StressConfig
 from .errors import RequestTimeout, ServiceAborted, ServiceUnavailable
 from .network import SimulatedNetwork
 from .server import Server
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..workloads.arrivals import ZipfianKeys
 
 __all__ = ["StressResult", "run_stress"]
 

@@ -67,6 +67,8 @@ def test_the_ladder_loads_no_report_plane():
         "repro.observability.windows",
         "repro.engine.mobile",
         "repro.analysis.spectrum",
+        "repro.core.ssg",
+        "repro.workloads.arrivals",
     ):
         assert module not in loaded
 
