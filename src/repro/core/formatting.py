@@ -27,7 +27,7 @@ from .interning import (
     K_READ,
     K_WRITE,
 )
-from .objects import INIT_TID, Version
+from .objects import Version
 from .predicates import MembershipPredicate, Predicate
 
 __all__ = ["format_history", "format_event"]
@@ -51,24 +51,6 @@ def _version_label(history: History, version: Version) -> str:
     if version.seq != 1 or (version.obj, version.tid) in history._rewritten:
         return f"{obj}{version.tid}.{version.seq}"
     return f"{obj}{version.tid}"
-
-
-def _labels(history: History) -> List[str]:
-    """:func:`_version_label` of every version the log interned, by version
-    id, from the interner's columns."""
-    inn = history.log.interner
-    objects, rewritten = inn.objects, history._rewritten
-    obj_labels = [_obj_label(obj) for obj in objects]
-    labels = []
-    for oid, tid, seq in zip(inn.ver_obj, inn.ver_tid, inn.ver_seq):
-        obj = obj_labels[oid]
-        if tid == INIT_TID:
-            labels.append(f"{obj}init")
-        elif seq != 1 or (rewritten and (objects[oid], tid) in rewritten):
-            labels.append(f"{obj}{tid}.{seq}")
-        else:
-            labels.append(f"{obj}{tid}")
-    return labels
 
 
 def _vset_text(
@@ -133,8 +115,8 @@ def format_history(history: History, *, include_order: bool = True) -> str:
     declaration blocks for predicate matches not expressible inline (matching
     versions that never appear in a version set)."""
     log = history.log
-    labels = _labels(history)
     versions = log.interner.versions
+    labels = [_version_label(history, v) for v in versions]
     parts = []
     for k, tid, vid, flag, extra in zip(log.kind, log.tid, log.vid, log.flag, log.extra):
         if vid >= 0:

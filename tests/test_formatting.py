@@ -4,7 +4,7 @@ import collections
 
 import pytest
 
-from repro.core import format_event, format_history, parse_history
+from repro.core import format_event, format_history, formatting, parse_history
 from repro.core.canonical import ALL_CANONICAL
 from repro.core.events import Event
 from repro.core.history import History
@@ -168,7 +168,26 @@ def _service_corpus():
         ).history
 
 
+def _definitional_label(history, version):
+    """The label rule spelled out: a writer's labels carry ``.seq`` when
+    ``x_{i:2}`` is one of the history's writes."""
+    obj = formatting._obj_label(version.obj)
+    if version.is_unborn:
+        return f"{obj}init"
+    if Version(version.obj, version.tid, 2) in history.writes or version.seq != 1:
+        return f"{obj}{version.tid}.{version.seq}"
+    return f"{obj}{version.tid}"
+
+
 class TestLabelRule:
+    def test_text_follows_the_definitional_rule(self, monkeypatch):
+        histories = list(_label_corpus())
+        texts = [format_history(h) for h in histories]
+        assert any(".3" in text for text in texts)
+        assert any("matches: y2.2" in text for text in texts)
+        monkeypatch.setattr(formatting, "_version_label", _definitional_label)
+        assert [format_history(h) for h in histories] == texts
+
     def test_rows_render_the_reference_text(self):
         """The row walk renders what the event-object formatter it replaced
         renders, the label rule spelled out there (``.seq`` when
