@@ -147,3 +147,30 @@ class TestWoundsReachParkedSessions:
         while net.step():
             pass
         assert p_last.poll() and p_last.result()["ok"] and p_last.attempts == 1
+
+
+class TestPreparedParticipants:
+    """Across shards a wound must not reach a *prepared* 2PC participant:
+    the coordinator may already have decided to commit it, so aborting it on
+    one shard commits it on another and aborts it here (2PC atomicity).
+    ``run_stress`` raises on such a transaction."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="a wound aborts a prepared participant",
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wound_wait_across_shards_is_atomic(self, seed, monkeypatch):
+        from repro.service import ClusterConfig, StressConfig, run_stress
+
+        # The cluster refuses deadlock='wound-wait' across shards; its
+        # engines are made to wound here, behind that refusal.
+        init = LockingScheduler.__init__
+
+        def wounding(self, profile="serializable", *, deadlock="detect"):
+            init(self, profile, deadlock="wound-wait")
+
+        monkeypatch.setattr(LockingScheduler, "__init__", wounding)
+        result = run_stress(StressConfig(seed=seed, cluster=ClusterConfig(shards=2)))
+        assert result.all_certified
