@@ -127,13 +127,18 @@ class LockingScheduler(Scheduler):
                 )
             self.abort(holder)
 
+    def _prepared(self, tid: int) -> bool:
+        holder = self._txns.get(tid)
+        return holder is not None and holder.prepared
+
     def _acquire(self, txn: Transaction, attempt) -> None:
         """Run a lock acquisition under the configured deadlock policy.
 
         ``detect`` re-raises blocks (the simulator finds waits-for cycles);
         ``wound-wait`` aborts younger holders on the spot — the requester
-        only ever waits for *older* transactions, so waits-for edges all
-        point at smaller tids and no cycle can form.
+        only ever waits for *older* transactions, or for prepared ones, so
+        waits-for edges all point at smaller tids or at a transaction that
+        waits for nothing, and no cycle can form.
         """
         while True:
             try:
@@ -142,7 +147,12 @@ class LockingScheduler(Scheduler):
             except WouldBlock as block:
                 if self.deadlock_policy != "wound-wait":
                     raise
-                younger = {t for t in block.holders if t > txn.tid}
+                # A prepared holder is waited on as an older one: it has
+                # run every operation, so the wait cannot close a cycle.
+                younger = {
+                    t for t in block.holders
+                    if t > txn.tid and not self._prepared(t)
+                }
                 for tid in younger:
                     self._wound(tid, txn.tid)
                 older = block.holders - younger

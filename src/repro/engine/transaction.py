@@ -61,6 +61,9 @@ class Transaction:
     #: Why the scheduler killed this transaction (e.g. "wounded by T3");
     #: ``None`` for voluntary aborts.
     abort_reason: Optional[str] = None
+    #: Prepared for a two-phase commit: every operation has run and the
+    #: coordinator decides its fate, so no deadlock policy may abort it.
+    prepared: bool = False
 
     def require_active(self) -> None:
         if self.state is TxnState.ABORTED:

@@ -326,6 +326,11 @@ class ShardServer(Server):
         shard.  Refusals fall through to the base handler's ``aborted``
         reply."""
         cluster = self._cluster
+        if sess.txn is not None and sess.txn.tid == gid:
+            # It ended here already (wounded): a second incarnation would
+            # log its events after that abort.
+            cluster.state.dead.add(gid)
+            return False
         meta = cluster.state.meta.get(gid)
         if (
             meta is None
@@ -367,6 +372,7 @@ class ShardServer(Server):
                 "reason": "transaction not active at participant",
             }
         t = txn._txn
+        t.prepared = True
         # The WAL-backed redo record: everything a crashed shard needs to
         # finish the commit after restart, plus the footprint to fence.
         self._prepared[gid] = {

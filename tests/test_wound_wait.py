@@ -155,11 +155,6 @@ class TestPreparedParticipants:
     one shard commits it on another and aborts it here (2PC atomicity).
     ``run_stress`` raises on such a transaction."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=ValueError,
-        reason="a wound aborts a prepared participant",
-    )
     @pytest.mark.parametrize("seed", range(6))
     def test_wound_wait_across_shards_is_atomic(self, seed, monkeypatch):
         from repro.service import ClusterConfig, StressConfig, run_stress
