@@ -367,17 +367,15 @@ class TestFacade:
         )
         assert len(cluster.shards) == 1
 
-    def test_cluster_rejects_wound_wait_cross_shard(self):
-        # A wound aborts its victim on whatever shard it holds the lock,
-        # prepared participants included: 2PC atomicity breaks ("T<n> both
-        # committed and aborted across shards").  Fail closed instead.
+    def test_cluster_runs_wound_wait_cross_shard(self):
+        # A wound never reaches a prepared participant, so 2PC stays atomic
+        # (tests/test_wound_wait.py::TestPreparedParticipants).
         wound_wait = SchedulerConfig(scheduler="locking", deadlock="wound-wait")
-        with pytest.raises(ValueError, match="wound-wait"):
-            connect_cluster(wound_wait, cluster=ClusterConfig(shards=2))
-        with pytest.raises(ValueError, match="prepared"):
-            run_stress(StressConfig(
-                scheduler=wound_wait, cluster=ClusterConfig(shards=2)
-            ))
+        assert len(connect_cluster(wound_wait, cluster=ClusterConfig(shards=2)).shards) == 2
+        result = run_stress(StressConfig(
+            scheduler=wound_wait, cluster=ClusterConfig(shards=2)
+        ))
+        assert result.all_certified
 
     def test_single_shard_wound_wait_still_runs(self):
         result = run_stress(StressConfig(

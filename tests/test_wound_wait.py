@@ -155,17 +155,16 @@ class TestPreparedParticipants:
     one shard commits it on another and aborts it here (2PC atomicity).
     ``run_stress`` raises on such a transaction."""
 
+    @pytest.mark.parametrize("replicas", [0, 1])
     @pytest.mark.parametrize("seed", range(6))
-    def test_wound_wait_across_shards_is_atomic(self, seed, monkeypatch):
-        from repro.service import ClusterConfig, StressConfig, run_stress
+    def test_wound_wait_across_shards_is_atomic(self, seed, replicas):
+        from repro.service import (
+            ClusterConfig, SchedulerConfig, StressConfig, run_stress,
+        )
 
-        # The cluster refuses deadlock='wound-wait' across shards; its
-        # engines are made to wound here, behind that refusal.
-        init = LockingScheduler.__init__
-
-        def wounding(self, profile="serializable", *, deadlock="detect"):
-            init(self, profile, deadlock="wound-wait")
-
-        monkeypatch.setattr(LockingScheduler, "__init__", wounding)
-        result = run_stress(StressConfig(seed=seed, cluster=ClusterConfig(shards=2)))
+        result = run_stress(StressConfig(
+            seed=seed,
+            scheduler=SchedulerConfig(scheduler="locking", deadlock="wound-wait"),
+            cluster=ClusterConfig(shards=2, replicas=replicas),
+        ))
         assert result.all_certified
