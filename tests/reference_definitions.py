@@ -28,7 +28,7 @@ Readings the paper leaves open, taken as the checker documents them:
   and the simple cycle give the same answer.
 
 Cycles are found by brute force: the reflexive-transitive closure of the
-arcs, relaxed until nothing changes, and one look at every arc.
+arcs by Warshall's rule, and one look at every arc.
 """
 
 from __future__ import annotations
@@ -160,14 +160,6 @@ def matches(events, order, predicate, version: Version) -> bool:
     return predicate.matches(version, value_of(events, version))
 
 
-def changes_matches(events, order, predicate, chain, k: int) -> bool:
-    """Definition 2: installing ``chain[k]`` changed the matches of the
-    predicate relative to the version before it."""
-    return matches(events, order, predicate, chain[k]) != matches(
-        events, order, predicate, chain[k - 1]
-    )
-
-
 def covered(events, pread: PredicateRead) -> List[str]:
     """The objects a predicate read's version set covers: every object of
     its relations the history's events mention."""
@@ -218,9 +210,10 @@ def dependencies(events, order, mode: str = "latest") -> List[Arc]:
                 if selected(ev, obj) not in chain:
                     continue  # an uninstalled selection: G1a/G1b condemn it
                 at = chain.index(selected(ev, obj))
+                # Definition 2: installing chain[k] changed the matches.
+                matched = [matches(events, order, ev.predicate, v) for v in chain]
                 changers = [
-                    k for k in range(1, len(chain))
-                    if changes_matches(events, order, ev.predicate, chain, k)
+                    k for k in range(1, len(chain)) if matched[k] != matched[k - 1]
                 ]
                 # Definitions 2 and 3: the changers at or before the
                 # selection ("latest": the last of them).
@@ -284,20 +277,17 @@ def start_dependencies(events, order) -> List[Arc]:
 
 
 def reachable(arcs: Iterable) -> Dict[int, set]:
-    """Node -> every node a path of ``arcs`` leads to, itself included:
-    each arc relaxed until no set grows."""
-    arcs = list(arcs)
+    """Node -> every node a path of ``arcs`` leads to, itself included: the
+    reflexive-transitive closure by Warshall's rule (a path through ``k``
+    is a path to ``k`` and one from it)."""
     reach = {}
     for arc in arcs:
-        reach.setdefault(arc.src, {arc.src})
+        reach.setdefault(arc.src, {arc.src}).add(arc.dst)
         reach.setdefault(arc.dst, {arc.dst})
-    grew = True
-    while grew:
-        grew = False
-        for arc in arcs:
-            before = len(reach[arc.src])
-            reach[arc.src] |= reach[arc.dst]
-            grew |= len(reach[arc.src]) != before
+    for k in reach:
+        for i in reach:
+            if k in reach[i]:
+                reach[i] |= reach[k]
     return reach
 
 

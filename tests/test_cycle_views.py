@@ -8,9 +8,9 @@ flavoured edges over at most 12 nodes are appended as rows of an
 :data:`~repro.core.conflicts.DEPTH`, as the online checker appends them —
 and read by the chain at its next answer, and after every insert (and,
 in a second test, after every batch of inserts) the chain's answers are
-compared with Section 5's definitions,
-computed with ``graph.component_index`` over the same arcs, as rows of int
-columns, by rules written out below (not read from the chain's table).  Both
+compared with Section 5's definitions as
+:mod:`tests.reference_definitions` states them, over the same arcs (not
+read from the chain's table).  Both
 ways of answering G2 / G2-item must be reached, and are counted: from the
 monitors alone while the ww+wr view is acyclic, and by the SCC pass once G1c
 is present.  So must both ways of tracking the live view: by the commit-rank
@@ -24,7 +24,7 @@ from collections import namedtuple
 
 import pytest
 
-from repro.core import cycles, graph
+from repro.core import cycles
 from repro.core.conflicts import (
     DEPENDENCY,
     DEPTH,
@@ -39,6 +39,8 @@ from repro.core.conflicts import (
 from repro.core.cycles import ViewChain, _CycleMonitor
 from repro.core.phenomena import Phenomenon
 
+from . import reference_definitions as ref
+
 G0, G1C = Phenomenon.G0, Phenomenon.G1C
 G2_ITEM, G2 = Phenomenon.G2_ITEM, Phenomenon.G2
 
@@ -47,37 +49,29 @@ Arc = namedtuple("Arc", "src dst kind pid")
 #: The five edge flavours of Section 4.4 (ww has no predicate flavour).
 FLAVOURS = [(WW, 0), (WR, 0), (WR, 1), (RW, 0), (RW, 1)]
 
-#: The paper's edge filter of each view, largest view first.
-KEEPS = {
-    FULL: lambda a: True,
-    ITEM: lambda a: not (a.kind == RW and a.pid),
-    DEPENDENCY: lambda a: a.kind != RW,
-    WRITE: lambda a: a.kind == WW,
-}
+#: Each view of the chain, largest first, by the phenomenon whose cycles it
+#: holds.
+VIEWS = {FULL: "G2", ITEM: "G2-item", DEPENDENCY: "G1c", WRITE: "G0"}
 
 
-def components(arcs):
-    """``node -> component id`` of the graph whose row ``i`` is ``arcs[i]``."""
-    src = [a.src for a in arcs]
-    dst = [a.dst for a in arcs]
-    return graph.component_index(graph.adjacency_of(range(len(arcs)), src, dst))
+def as_reference(arc):
+    return ref.Arc(arc.src, arc.dst, ("ww", "wr", "rw")[arc.kind], bool(arc.pid))
 
 
-def definition(arcs):
-    """(view -> cyclic?, phenomenon -> present?) from the definitions."""
-    cyclic, through_rw = {}, {}
-    for view, keep in KEEPS.items():
-        kept = [a for a in arcs if keep(a)]
-        comp = components(kept)
-        on_cycle = [a for a in kept if comp[a.src] == comp[a.dst]]
-        cyclic[view] = bool(on_cycle)
-        through_rw[view] = any(a.kind == RW for a in on_cycle)
-    return cyclic, {
-        G0: cyclic[WRITE],
-        G1C: cyclic[DEPENDENCY],
-        G2_ITEM: through_rw[ITEM],
-        G2: through_rw[FULL],
+def in_view(view, arc):
+    """Whether the reference keeps ``arc`` in the cycles of ``view``."""
+    return ref.CYCLES[VIEWS[view]][0](as_reference(arc))
+
+
+def expected(arcs):
+    """(view -> cyclic?, phenomenon -> present?) by the reference."""
+    mine = [as_reference(a) for a in arcs]
+    cyclic = {
+        view: ref.on_cycle([a for a in mine if ref.CYCLES[name][0](a)])
+        for view, name in VIEWS.items()
     }
+    present = ref.cycle_phenomena(mine)
+    return cyclic, {p: present[str(p)] for p in (G0, G1C, G2_ITEM, G2)}
 
 
 def append(table, arc):
@@ -92,7 +86,7 @@ def answers(chain):
     """The chain's four verdicts (reading the rows appended since the last
     answer), then which views it holds cyclic."""
     present = {p: chain.present(p) for p in (G0, G1C, G2_ITEM, G2)}
-    return present, {view for view in KEEPS if view < chain._live}
+    return present, {view for view in VIEWS if view < chain._live}
 
 
 def stream(rng):
@@ -129,7 +123,7 @@ def assert_topological(chain, arcs):
     """The live monitor ranks every node of its view before its successors."""
     order = chain._monitor.order
     for arc in arcs:
-        if KEEPS[chain._live](arc):
+        if in_view(chain._live, arc):
             assert order[arc.src] < order[arc.dst], (chain._live, arc)
 
 
@@ -153,7 +147,7 @@ def test_every_insert_matches_definition():
             src, dst, kind, _oid, _vid, pid = key
             arcs.append(Arc(src, dst, kind, pid))
             append(table, arcs[-1])
-            cyclic, present = definition(arcs)
+            cyclic, present = expected(arcs)
             where = f"case {case} after {len(arcs)} edges"
             got, latched = answers(chain)
             assert got == present, where
@@ -190,7 +184,7 @@ def test_rows_read_in_batches_match_definition():
                 src, dst, kind, _oid, _vid, pid = key
                 arcs.append(Arc(src, dst, kind, pid))
                 append(table, arcs[-1])
-            cyclic, present = definition(arcs)
+            cyclic, present = expected(arcs)
             got, latched = answers(chain)
             where = f"case {case} after {len(arcs)} edges"
             assert got == present, where
@@ -270,10 +264,7 @@ def test_monitor_reports_the_insert_that_closes_the_first_cycle():
         for _ in range(4 * n):
             arc = Arc(rng.randrange(n), rng.randrange(n), WW, 0)
             arcs.append(arc)
-            comp = components(arcs)
-            cyclic = any(
-                a.src != a.dst and comp[a.src] == comp[a.dst] for a in arcs
-            )
+            cyclic = ref.on_cycle(arcs, lambda a: a.src != a.dst)
             assert monitor.add(arc.src, arc.dst) == cyclic
             if cyclic:
                 break

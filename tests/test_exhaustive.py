@@ -1,323 +1,163 @@
-"""Exhaustive small-scope checking.
+"""Exhaustive small-scope checking of the metatheory, over the bounded corpus.
 
-Rather than sampling, enumerate *every* interleaving of two small
-transaction templates over one object (and, where relevant, every committed
-version order) and assert the metatheory on each:
+Rather than sampling, :mod:`tests.bounded_corpus` holds *every* history of
+its families, and the metatheory is asserted on each:
 
 * classification is monotone on the ANSI chain;
 * the implication lattice is respected across all levels;
 * preventative acceptance implies generalized acceptance (the realizable
-  fragment: reads here always observe the latest preceding write of a
-  transaction that has not aborted yet);
+  fragment: the families whose reads observe the latest preceding write of
+  a transaction that has not aborted yet);
 * a G1-free history is PL-3 exactly when its DSG is acyclic;
 * two-transaction single-object histories reading the latest committed
   state are *never* G0 (version order follows write order);
-* the strict ANSI A-reading never rejects a history the generalized
-  definitions accept at PL-2.99/PL-3 restricted to completed anomalies...
-  (checked in the weaker direction: every A-exhibiting history also fails
-  the corresponding G-level).
+* the strict ANSI A-reading accepts whatever the generalized definitions
+  accept at PL-2 and above, on that same single-object universe.
 
 Small-scope exhaustiveness complements the random property tests: within
-the enumerated universe there are *no* missed counterexamples.
+the enumerated universe there are *no* missed counterexamples.  That each
+checker path says what the definitions say is
+``test_reference_agreement.py``'s business, on the same corpus.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, List, Sequence, Tuple
-
+import hashlib
 
 from repro.baseline import (
     PreventativeAnalysis,
     ansi_strict_satisfies,
     preventative_satisfies,
 )
-from repro.core import Analysis, History
-from repro.core.events import Abort, Commit, Event, Read, Write
+from repro.core import Analysis
+from repro.core.events import Abort, PredicateRead, Read
 from repro.core.levels import ANSI_CHAIN, IsolationLevel as L, satisfies
-from repro.core.objects import Version
 from repro.core.phenomena import Phenomenon as G
 
-# Transaction templates over a single object x: sequences of "r"/"w"
-# followed by a terminal "c" (commit) or "a" (abort).
-TEMPLATES = ["rc", "wc", "rrc", "rwc", "wrc", "wwc", "rwa", "wa", "rwrc"]
+from . import reference_definitions as ref
+from .bounded_corpus import CORPUS, LEGACY_DIGEST, legacy_texts
+
+_verdicts = {}
 
 
-def interleavings(a: Sequence[str], b: Sequence[str]) -> Iterator[Tuple[int, ...]]:
-    """All merges of two sequences, as picks (0 = next op of a, 1 = of b)."""
-    total = len(a) + len(b)
-    for positions in itertools.combinations(range(total), len(a)):
-        picks = [1] * total
-        for pos in positions:
-            picks[pos] = 0
-        yield tuple(picks)
+def verdicts(entry):
+    """Every level's verdict on the entry's history, from one analysis."""
+    key = id(entry)
+    if key not in _verdicts:
+        analysis = Analysis(entry.history)
+        _verdicts[key] = analysis, {
+            level: satisfies(entry.history, level, analysis=analysis).ok
+            for level in L
+        }
+    return _verdicts[key]
 
 
-def build_history(
-    ops_a: str, ops_b: str, picks: Tuple[int, ...]
-) -> History | None:
-    """Materialise one interleaving into a history, with reads observing
-    the latest write whose transaction has not yet aborted (single-version
-    in-place semantics, like the Degree-0 engine).  Returns ``None`` when
-    the interleaving implies reading a nonexistent version (no write yet) —
-    the read observes the loader's version instead, so this never happens
-    here (T0 preloads x)."""
-    events: List[Event] = [Write(0, Version("x", 0), 0), Commit(0)]
-    cursors = {1: iter(ops_a), 2: iter(ops_b)}
-    counts = {1: 0, 2: 0}
-    # stack of live versions (in-place store with undo)
-    stack: List[Version] = [Version("x", 0)]
-
-    streams = {1: list(ops_a), 2: list(ops_b)}
-    indexes = {1: 0, 2: 0}
-    for pick in picks:
-        tid = 1 if pick == 0 else 2
-        op = streams[tid][indexes[tid]]
-        indexes[tid] += 1
-        if op == "r":
-            if counts[tid]:
-                # Read-your-own-writes (E4): a transaction that has written
-                # x observes its own last version, as the engine does.
-                events.append(Read(tid, Version("x", tid, counts[tid])))
-            else:
-                events.append(Read(tid, stack[-1]))
-        elif op == "w":
-            counts[tid] += 1
-            version = Version("x", tid, counts[tid])
-            events.append(Write(tid, version))
-            stack.append(version)
-        elif op == "c":
-            events.append(Commit(tid))
-        elif op == "a":
-            events.append(Abort(tid))
-            stack = [v for v in stack if v.tid != tid]
-    return History(events, None, validate=True)
+def family(name):
+    return [entry for entry in CORPUS if entry.family.name == name]
 
 
-def all_histories() -> List[History]:
-    out = []
-    for ops_a, ops_b in itertools.product(TEMPLATES, repeat=2):
-        for picks in interleavings(ops_a, ops_b):
-            try:
-                out.append(build_history(ops_a, ops_b, picks))
-            except Exception:
-                # E4 violations (a transaction reading another's version
-                # after writing its own) cannot arise here because reads
-                # observe the stack top, which is the reader's own last
-                # write when it wrote last; any other malformation is a
-                # bug — re-raise.
-                raise
-    return out
+def test_corpus_is_substantial():
+    assert len(CORPUS) > 4000
+    assert len(family("x")) > 1000 and len(family("xy")) > 1000
 
 
-HISTORIES = all_histories()
+def test_corpus_holds_the_two_former_universes():
+    texts = legacy_texts(CORPUS)
+    assert len(texts) == 2370
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == LEGACY_DIGEST
 
 
-def test_enumeration_is_substantial():
-    assert len(HISTORIES) > 1000
+def test_corpus_reaches_past_them():
+    assert max(len({ev.tid for ev in e.events} - {0}) for e in CORPUS) == 3
+    assert any(
+        isinstance(ev, PredicateRead) and set(ev.vset.objects()) == {"x", "y"}
+        for e in CORPUS for ev in e.events
+    )
+    # Every committed version order: x0, x1 and x2 in all six orders.
+    orders = {tuple(e.history.version_order["x"]) for e in family("orders")}
+    assert len({o for o in orders if len(o) == 4}) == 6
+    reads = [
+        (e, i, ev) for e in CORPUS for i, ev in enumerate(e.events)
+        if isinstance(ev, Read) and ev.version.tid != ev.tid
+    ]
+    # A read of a version whose writer aborts later, and of one that is not
+    # its writer's final modification.
+    assert any(
+        Abort(ev.version.tid) in e.events[i:] for e, i, ev in reads
+    )
+    assert any(not ref.is_final(e.events, ev.version) for e, i, ev in reads)
 
 
 class TestMetatheoryExhaustively:
     def test_monotone_on_ansi_chain(self):
-        for h in HISTORIES:
-            analysis = Analysis(h)
-            oks = [satisfies(h, level, analysis=analysis).ok for level in ANSI_CHAIN]
-            for weaker, stronger in zip(oks, oks[1:]):
-                assert weaker or not stronger, str(h)
+        for entry in CORPUS:
+            oks = verdicts(entry)[1]
+            for weaker, stronger in zip(ANSI_CHAIN, ANSI_CHAIN[1:]):
+                assert oks[weaker] or not oks[stronger], str(entry.history)
 
     def test_implication_lattice(self):
-        for h in HISTORIES:
-            analysis = Analysis(h)
-            oks = {level: satisfies(h, level, analysis=analysis).ok for level in L}
+        for entry in CORPUS:
+            oks = verdicts(entry)[1]
             for a in L:
                 if not oks[a]:
                     continue
                 for b in L:
                     if a.implies(b):
-                        assert oks[b], f"{a}->{b} violated by {h}"
+                        assert oks[b], f"{a}->{b} violated by {entry.history}"
 
     def test_preventative_containment(self):
-        for h in HISTORIES:
-            analysis = Analysis(h)
-            prev = PreventativeAnalysis(h)
+        for entry in CORPUS:
+            if entry.family.reads != "latest":
+                continue
+            oks = verdicts(entry)[1]
+            prev = PreventativeAnalysis(entry.history)
             for level in ANSI_CHAIN:
-                if preventative_satisfies(h, level, analysis=prev):
-                    assert satisfies(h, level, analysis=analysis).ok, str(h)
+                if preventative_satisfies(entry.history, level, analysis=prev):
+                    assert oks[level], str(entry.history)
 
     def test_acyclic_iff_pl3_without_g1(self):
-        for h in HISTORIES:
-            analysis = Analysis(h)
-            if satisfies(h, L.PL_2, analysis=analysis).ok:
-                assert (
-                    satisfies(h, L.PL_3, analysis=analysis).ok
-                    == analysis.dsg.is_acyclic()
-                ), str(h)
+        for entry in CORPUS:
+            analysis, oks = verdicts(entry)
+            if oks[L.PL_2]:
+                assert oks[L.PL_3] == analysis.dsg.is_acyclic(), str(entry.history)
 
     def test_single_object_latest_reads_never_g0(self):
-        for h in HISTORIES:
-            assert not Analysis(h).exhibits(G.G0), str(h)
+        for entry in family("x"):
+            assert not verdicts(entry)[0].exhibits(G.G0), str(entry.history)
 
     def test_ansi_strict_weaker_than_generalized_here(self):
-        """Within this universe (single object, latest reads) every history
-        the generalized definitions accept at a level, the strict A-reading
-        accepts too — A is the weakest of the three."""
-        for h in HISTORIES:
-            analysis = Analysis(h)
+        """Within the single-object universe (latest reads, default order)
+        every history the generalized definitions accept at a level, the
+        strict A-reading accepts too — A is the weakest of the three."""
+        for entry in family("x"):
+            oks = verdicts(entry)[1]
             for level in (L.PL_2, L.PL_2_99, L.PL_3):
-                if satisfies(h, level, analysis=analysis).ok:
-                    assert ansi_strict_satisfies(h, level), str(h)
+                if oks[level]:
+                    assert ansi_strict_satisfies(entry.history, level), str(entry.history)
 
     def test_dirty_read_abort_consistency(self):
         """G1a holds exactly when a committed transaction read a version of
-        the aborted peer — cross-checked against a direct event scan."""
-        for h in HISTORIES:
-            expected = any(
-                isinstance(ev, Read)
-                and ev.tid in h.committed
-                and ev.version.tid in h.aborted
-                for ev in h.events
+        an aborted one, as the reference reads the events."""
+        for entry in CORPUS:
+            assert verdicts(entry)[0].exhibits(G.G1A) == ref.g1a(entry.events), str(
+                entry.history
             )
-            assert Analysis(h).exhibits(G.G1A) == expected, str(h)
-
-
-class TestVersionOrderVariants:
-    """For histories where both transactions commit writes, also try the
-    *reversed* version order (the multi-version freedom) and check the
-    implication lattice still holds, and that G0 appears exactly when the
-    reversed order contradicts a write-dependency chain through reads."""
-
-    def reversed_order_histories(self) -> List[History]:
-        out = []
-        for h in HISTORIES:
-            finals = [
-                h.final_version("x", tid)
-                for tid in sorted(h.committed)
-                if h.final_version("x", tid) is not None
-            ]
-            if len(finals) < 2:
-                continue
-            reversed_chain = list(reversed(finals))
-            try:
-                out.append(
-                    History(h.events, {"x": reversed_chain}, validate=True)
-                )
-            except Exception:
-                continue
-            if len(out) >= 300:
-                break
-        return out
-
-    def test_lattice_under_any_version_order(self):
-        for h in self.reversed_order_histories():
-            analysis = Analysis(h)
-            oks = {level: satisfies(h, level, analysis=analysis).ok for level in L}
-            for a in L:
-                if not oks[a]:
-                    continue
-                for b in L:
-                    if a.implies(b):
-                        assert oks[b], f"{a}->{b} violated by {h}"
-
-
-# ----------------------------------------------------------------------
-# two-object universe: cross-object anomalies enumerated exhaustively
-# ----------------------------------------------------------------------
-
-# Templates are op sequences over objects x and y; "c"/"a" terminate.
-TEMPLATES_XY = [
-    (("r", "x"), ("r", "y"), ("w", "x"), ("c", "")),   # skew writer on x
-    (("r", "x"), ("r", "y"), ("w", "y"), ("c", "")),   # skew writer on y
-    (("r", "x"), ("w", "y"), ("c", "")),               # copier x -> y
-    (("w", "x"), ("w", "y"), ("c", "")),               # blind double write
-    (("r", "x"), ("r", "y"), ("c", "")),               # pure reader
-    (("w", "x"), ("a", "")),                           # aborted writer
-]
-
-
-def build_history_xy(ops_a, ops_b, picks):
-    events: List[Event] = [
-        Write(0, Version("x", 0), 0),
-        Write(0, Version("y", 0), 0),
-        Commit(0),
-    ]
-    counts = {(1, "x"): 0, (1, "y"): 0, (2, "x"): 0, (2, "y"): 0}
-    stacks = {"x": [Version("x", 0)], "y": [Version("y", 0)]}
-    streams = {1: list(ops_a), 2: list(ops_b)}
-    indexes = {1: 0, 2: 0}
-    for pick in picks:
-        tid = 1 if pick == 0 else 2
-        op, obj = streams[tid][indexes[tid]]
-        indexes[tid] += 1
-        if op == "r":
-            if counts[(tid, obj)]:
-                events.append(Read(tid, Version(obj, tid, counts[(tid, obj)])))
-            else:
-                events.append(Read(tid, stacks[obj][-1]))
-        elif op == "w":
-            counts[(tid, obj)] += 1
-            version = Version(obj, tid, counts[(tid, obj)])
-            events.append(Write(tid, version))
-            stacks[obj].append(version)
-        elif op == "c":
-            events.append(Commit(tid))
-        elif op == "a":
-            events.append(Abort(tid))
-            for chain in stacks.values():
-                chain[:] = [v for v in chain if v.tid != tid]
-    return History(events, None, validate=True)
-
-
-def all_histories_xy() -> List[History]:
-    out = []
-    for ops_a, ops_b in itertools.product(TEMPLATES_XY, repeat=2):
-        for picks in interleavings(ops_a, ops_b):
-            out.append(build_history_xy(ops_a, ops_b, picks))
-    return out
-
-
-HISTORIES_XY = all_histories_xy()
 
 
 class TestTwoObjectUniverse:
-    def test_universe_size(self):
-        assert len(HISTORIES_XY) > 1000
-
-    def test_metatheory_holds(self):
-        for h in HISTORIES_XY:
-            analysis = Analysis(h)
-            oks = {level: satisfies(h, level, analysis=analysis).ok for level in L}
-            for a in L:
-                if not oks[a]:
-                    continue
-                for b in L:
-                    if a.implies(b):
-                        assert oks[b], f"{a}->{b} violated by {h}"
-
     def test_write_skew_shapes_found_and_classified(self):
         """Some interleaving of the two skew writers realizes write skew:
         fails PL-3 and PL-2.99 but passes PL-2+ (and no G1)."""
-        found = 0
-        for h in HISTORIES_XY:
-            analysis = Analysis(h)
-            if (
-                satisfies(h, L.PL_2PLUS, analysis=analysis).ok
-                and not satisfies(h, L.PL_2_99, analysis=analysis).ok
-            ):
-                found += 1
+        found = sum(
+            1 for entry in family("xy")
+            if verdicts(entry)[1][L.PL_2PLUS] and not verdicts(entry)[1][L.PL_2_99]
+        )
         assert found > 0
-
-    def test_preventative_containment(self):
-        for h in HISTORIES_XY:
-            analysis = Analysis(h)
-            prev = PreventativeAnalysis(h)
-            for level in ANSI_CHAIN:
-                if preventative_satisfies(h, level, analysis=prev):
-                    assert satisfies(h, level, analysis=analysis).ok, str(h)
 
     def test_repair_certifies_every_history(self):
         from repro.analysis.repair import repair
 
         # A sample (every 7th) to keep runtime bounded; exhaustive over it.
-        for h in HISTORIES_XY[::7]:
-            result = repair(h, L.PL_3)
-            assert satisfies(result.history, L.PL_3).ok, str(h)
+        for entry in family("xy")[::7]:
+            result = repair(entry.history, L.PL_3)
+            assert satisfies(result.history, L.PL_3).ok, str(entry.history)

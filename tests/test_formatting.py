@@ -10,7 +10,7 @@ from repro.core.events import Event
 from repro.core.history import History
 from repro.core.objects import Version
 
-from .reference_formatting import reference_format
+from .reference_formatting import reference_format, reference_label
 
 
 def assert_round_trip(history):
@@ -168,24 +168,13 @@ def _service_corpus():
         ).history
 
 
-def _definitional_label(history, version):
-    """The label rule spelled out: a writer's labels carry ``.seq`` when
-    ``x_{i:2}`` is one of the history's writes."""
-    obj = formatting._obj_label(version.obj)
-    if version.is_unborn:
-        return f"{obj}init"
-    if Version(version.obj, version.tid, 2) in history.writes or version.seq != 1:
-        return f"{obj}{version.tid}.{version.seq}"
-    return f"{obj}{version.tid}"
-
-
 class TestLabelRule:
     def test_text_follows_the_definitional_rule(self, monkeypatch):
         histories = list(_label_corpus())
         texts = [format_history(h) for h in histories]
         assert any(".3" in text for text in texts)
         assert any("matches: y2.2" in text for text in texts)
-        monkeypatch.setattr(formatting, "_version_label", _definitional_label)
+        monkeypatch.setattr(formatting, "_version_label", reference_label)
         assert [format_history(h) for h in histories] == texts
 
     def test_rows_render_the_reference_text(self):

@@ -2,11 +2,12 @@
 
 Generated histories (predicate reads and aborts included) pin down:
 
-* every ``History`` index equals a definitional oracle written here
-  straight from Section 4.2 — ``isinstance`` scans of the events for the
-  basic indexes, and for the default version order the rule "unborn
-  version, then setup versions in first-read order, then the committed
-  transactions' final writes in event order";
+* every ``History`` index equals Section 4.2 — ``isinstance`` scans of the
+  events for the basic indexes, and the reference
+  (:mod:`tests.reference_definitions`) for the default version order
+  ("unborn version, then setup versions in first-read order, then the
+  committed transactions' final writes in event order") and the event
+  positions of each transaction;
 * whenever the incremental analysis reports a cycle phenomenon, its
   witness is a real chained cycle drawn from the analysis's own edges;
 * the incremental analysis agrees with the batch checker on every
@@ -16,14 +17,15 @@ Generated histories (predicate reads and aborts included) pin down:
 from hypothesis import given, settings, strategies as st
 
 from repro.checker import check
-from repro.core.events import Abort, Begin, Commit, PredicateRead, Read, Write
+from repro.core.events import Abort, Commit, PredicateRead, Read, Write
 from repro.core.history import History
 from repro.core.incremental import IncrementalAnalysis
 from repro.core.levels import ANSI_CHAIN
-from repro.core.objects import Version
 from repro.core.phenomena import Phenomenon
 from repro.observability.provenance import witness_cycle
 from repro.workloads.generator import synthetic_history
+
+from . import reference_definitions as ref
 
 #: Richer than test_properties' strategy on purpose: predicate reads and
 #: aborts on by default, since those paths carry the trickiest state
@@ -43,7 +45,7 @@ history_params = st.fixed_dictionaries(
 
 
 # ----------------------------------------------------------------------
-# History indexes against definitional oracles
+# History indexes against the definitions
 # ----------------------------------------------------------------------
 
 
@@ -56,58 +58,12 @@ def inferred_order_history(params, drop_loader=False):
     return History(events, default_level=h.default_level, validate=False)
 
 
-def definitional_version_order(events):
-    """Section 4.2's default version order, straight from the rule: per
-    object the unborn version, then its setup versions (read but never
-    written) in first-read order, then the committed transactions' final
-    writes in event order."""
-    committed = {ev.tid for ev in events if isinstance(ev, Commit)}
-    written = [ev.version for ev in events if isinstance(ev, Write)]
-    written_set = set(written)
-    final_seq = {}
-    for v in written:
-        final_seq[v.obj, v.tid] = max(v.seq, final_seq.get((v.obj, v.tid), 0))
-    read = [
-        v
-        for ev in events
-        for v in (
-            [ev.version] if isinstance(ev, Read)
-            else ev.vset.versions() if isinstance(ev, PredicateRead)
-            else ()
-        )
-    ]
-    setup = dict.fromkeys(
-        v for v in read if not v.is_unborn and v not in written_set
-    )
-    installed = [
-        v for v in written
-        if v.tid in committed and v.seq == final_seq[v.obj, v.tid]
-    ]
-    return {
-        obj: (Version.unborn(obj),)
-        + tuple(v for v in setup if v.obj == obj)
-        + tuple(v for v in installed if v.obj == obj)
-        for obj in {v.obj for v in written + read}
-    }
-
-
-def definitional_event_positions(events):
-    pos = {}
-    for i, ev in enumerate(events):
-        slot = pos.setdefault(ev.tid, {"first": i})
-        slot["last"] = i
-        for key, cls in (("begin", Begin), ("commit", Commit), ("abort", Abort)):
-            if isinstance(ev, cls):
-                slot[key] = i
-    return pos
-
-
 @given(history_params, st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_history_indexes_identical(params, drop_loader):
     h = inferred_order_history(params, drop_loader)
     evs = h.events
-    assert h.version_order == definitional_version_order(evs)
+    assert h.version_order == ref.version_order(evs)
     assert h.tids == tuple(dict.fromkeys(ev.tid for ev in evs))
     assert h.committed == {ev.tid for ev in evs if isinstance(ev, Commit)}
     assert h.aborted == {ev.tid for ev in evs if isinstance(ev, Abort)}
@@ -118,7 +74,7 @@ def test_history_indexes_identical(params, drop_loader):
     assert h.predicate_reads == tuple(
         (i, ev) for i, ev in enumerate(evs) if isinstance(ev, PredicateRead)
     )
-    assert h._event_positions == definitional_event_positions(evs)
+    assert h._event_positions == ref.event_positions(evs)
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,14 @@ cycle in the phenomenon's view while the ww+wr view is acyclic must thread
 an anti-dependency edge (Section 5: G1c is a cycle of dependency edges only,
 G2 a cycle with one or more anti-dependency edges).  Only with G1c present
 does it run an SCC pass, over the rows of its edge table.  This file compares those
-answers, after *every* event, with an oracle written from the definitions
-over the materialised edge list — build the kept subgraph, take strongly
-connected components, look for a qualifying edge inside one — and pins the
-two properties the fast path is there for: no level query materialises an
-``Edge``, and the SCC pass runs only while G1c is present.  The monitors
-are tested on their own, on denser graphs, in ``test_cycle_views.py``.
+answers, after *every* event, with the reference's cycle phenomena
+(:func:`tests.reference_definitions.cycle_phenomena`) over the edges the
+analysis holds, and each complete history with the reference's verdicts
+judged from its events on ``to_history()`` — and pins the two properties the
+fast path is there for: no level query materialises an ``Edge``, and the SCC
+pass runs only while G1c is present.  On the bounded corpus the events decide
+after every event too (``test_reference_agreement.py``); the monitors are
+tested on their own, on denser graphs, in ``test_cycle_views.py``.
 """
 
 import itertools
@@ -20,7 +22,7 @@ import pytest
 
 import repro
 from repro.core import cycles, graph
-from repro.core.conflicts import DepKind, EdgeTable, PredicateDepMode
+from repro.core.conflicts import EdgeTable, PredicateDepMode
 from repro.core.events import Commit
 from repro.core.incremental import CORE_PHENOMENA, IncrementalAnalysis
 from repro.core.levels import ANSI_CHAIN, IsolationLevel
@@ -28,45 +30,25 @@ from repro.core.phenomena import Phenomenon
 from repro.observability import MetricsRegistry
 from repro.workloads import synthetic_history
 
+from . import reference_definitions as ref
+
 G1C, G2, G2_ITEM = Phenomenon.G1C, Phenomenon.G2, Phenomenon.G2_ITEM
 FALLBACKS = "incremental_scc_fallbacks_total"
 
 
-def _is_rw(edge):
-    return edge.kind is DepKind.RW
-
-
-def _components(arcs):
-    """``node -> component id`` of the graph whose row ``i`` is ``arcs[i]``
-    (anything with ``src`` and ``dst``)."""
-    src = [a.src for a in arcs]
-    dst = [a.dst for a in arcs]
-    return graph.component_index(graph.adjacency_of(range(len(arcs)), src, dst))
-
-
-def _cycle_through(kept, special):
-    """Some ``special`` edge of ``kept`` has both ends in one strongly
-    connected component of ``kept``, i.e. lies on a cycle of kept edges."""
-    comp = _components(kept)
-    return any(special(e) and comp[e.src] == comp[e.dst] for e in kept)
-
-
-def oracle(analysis):
-    """G1c / G2 / G2-item presence straight from Section 5, over the
-    materialised edges of the analysis."""
-    edges = analysis.edges
-    item_view = [e for e in edges if not (_is_rw(e) and e.via_predicate)]
-    return {
-        G1C: _cycle_through([e for e in edges if not _is_rw(e)], lambda e: True),
-        G2: _cycle_through(edges, _is_rw),
-        G2_ITEM: _cycle_through(item_view, _is_rw),
-    }
+def reference(analysis):
+    """G1c / G2 / G2-item presence by the reference's definitions, over the
+    edges the analysis holds."""
+    arcs = [
+        ref.Arc(e.src, e.dst, str(e.kind), e.via_predicate) for e in analysis.edges
+    ]
+    cycle = ref.cycle_phenomena(arcs)
+    return {p: cycle[str(p)] for p in (G1C, G2, G2_ITEM)}
 
 
 def test_component_index_over_bare_arcs_matches_networkx():
-    # The analysis' fallback and the oracle above both run
-    # ``graph.component_index`` over int rows; networkx, fed the arcs
-    # themselves, is the independent witness.
+    # The analysis' fallback runs ``graph.component_index`` over int rows;
+    # networkx, fed the arcs themselves, is the independent witness.
     import networkx as nx
     from collections import namedtuple
 
@@ -81,7 +63,9 @@ def test_component_index_over_bare_arcs_matches_networkx():
         expected = sorted(
             map(sorted, nx.strongly_connected_components(nx.DiGraph(arcs)))
         )
-        index = _components(arcs)
+        index = graph.component_index(graph.adjacency_of(
+            range(len(arcs)), [a.src for a in arcs], [a.dst for a in arcs]
+        ))
         parts = {}
         for node, cid in index.items():
             parts.setdefault(cid, []).append(node)
@@ -107,7 +91,7 @@ class Tally:
 
 
 def compare(analysis, label, tally=None):
-    want = oracle(analysis)
+    want = reference(analysis)
     got = {p: analysis.exhibits(p) for p in want}
     assert got == want, f"{label}: after {len(analysis.events)} events"
     if tally is not None:
@@ -119,6 +103,11 @@ def feed_comparing(events, label, tally=None, **kwargs):
     for event in events:
         analysis.add(event)
         compare(analysis, label, tally)
+    judged = analysis.to_history()
+    want = ref.phenomena(analysis.events, judged.version_order, analysis.mode.value)
+    assert {
+        name: analysis.exhibits(Phenomenon(name)) for name in ref.CORE
+    } == want, f"{label}: the complete history"
     return analysis
 
 
@@ -189,8 +178,8 @@ def test_every_prefix_matches_definition_through_repairs(make_hint, monkeypatch)
     # A latched monitor stops tracking, so a repair that removed a view's
     # last cycle would leave a stale True.  Count the repairs that put that
     # to the test — item view latched, verdict read from the monitors alone
-    # (dependency view still acyclic) — and let ``compare`` check the oracle
-    # after each.
+    # (dependency view still acyclic) — and let ``compare`` check the
+    # reference after each.
     repairs = {"any": 0, "monitor_only": 0}
     repair_object = IncrementalAnalysis._repair_object
 
@@ -283,8 +272,7 @@ def test_directed_fixtures_match_definition():
 )
 def test_level_queries_never_materialise_edges(events, order_mode, monkeypatch):
     # The reference answers first, with materialisation still allowed.
-    reference = IncrementalAnalysis(order_mode=order_mode).add_all(events)
-    expected = oracle(reference)
+    expected = reference(IncrementalAnalysis(order_mode=order_mode).add_all(events))
 
     def refuse(self, row):
         raise AssertionError("a level query materialised an Edge")
