@@ -145,15 +145,16 @@ def _choices(stacks, counts, tid, obj, reads) -> List[Version]:
 
 def _with_matches(events, preads) -> Iterator[List]:
     """Resolve each predicate read placeholder ``(tid, versions)``: one
-    history per set of matching versions (any subset of the versions the
-    history's events name)."""
+    history per set of matching versions — any subset of the versions the
+    history's events name, but for the predicate readers' own."""
     if not preads:
         yield events
         return
+    readers = {events[at][0] for at in preads}
     named = list(dict.fromkeys(
         v for ev in events
         for v in (ev[1] if isinstance(ev, tuple) else [getattr(ev, "version", None)])
-        if v is not None
+        if v is not None and v.tid not in readers
     ))
     for size in range(len(named) + 1):
         for matching in itertools.combinations(named, size):
@@ -239,14 +240,18 @@ FAMILIES = (
         )),
         objects=("x",), reads="any", orders=False,
     ),
-    # A predicate read over R = {x, y} and a writer of x: phantoms, and
-    # read-dependencies through a changed match.
+    # A predicate read over R = {x, y}, then a write of y, beside a writer
+    # of x: phantoms, read-dependencies through a changed match, and a
+    # version set naming an aborted write.
     Family(
         "predicate",
-        tuple(itertools.product(
-            (program("p, c"), program("p, w y, c")),
-            (program("r y, w x, c"), program("w x, c"), program("w x, a")),
-        )),
+        tuple(
+            (program("p, w y, c"), other)
+            for other in (
+                program("w x, r y, c"), program("r y, w x, c"),
+                program("w x, c"), program("w x, a"),
+            )
+        ),
         orders=False,
     ),
     # No loader: two readers of x and y choose between the setup versions
@@ -274,3 +279,11 @@ def corpus() -> List[Entry]:
 
 #: The corpus, built once per process.
 CORPUS = corpus()
+
+
+def interleaved() -> Iterator[Entry]:
+    """The corpus with its families taken in turn, so that each family's
+    histories come early."""
+    by_family = [[e for e in CORPUS if e.family is family] for family in FAMILIES]
+    for group in itertools.zip_longest(*by_family):
+        yield from (entry for entry in group if entry is not None)

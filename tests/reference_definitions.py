@@ -245,18 +245,20 @@ def event_positions(events) -> Dict[int, Dict[str, int]]:
     return out
 
 
-def commit_and_start(events, order, tid: int) -> Tuple[int, int]:
+def commit_and_start(events, tid: int) -> Tuple[int, int]:
     """A transaction's commit and start as event positions: its ``Begin``
     (else first event) starts it; a setup transaction commits and starts
     before every event, one that never commits commits after all of them."""
-    slot = event_positions(events).get(tid)
-    if slot is None:
+    mine = [i for i, ev in enumerate(events) if ev.tid == tid]
+    if not mine:
         return -1, -1
-    return slot.get("commit", len(events)), slot.get("begin", slot["first"])
+    commits = [i for i in mine if isinstance(events[i], Commit)]
+    begins = [i for i in mine if isinstance(events[i], Begin)]
+    return (commits or [len(events)])[-1], (begins or mine)[-1 if begins else 0]
 
 
-def starts_before(events, order, ti: int, tj: int) -> bool:
-    return commit_and_start(events, order, ti)[0] < commit_and_start(events, order, tj)[1]
+def starts_before(events, ti: int, tj: int) -> bool:
+    return commit_and_start(events, ti)[0] < commit_and_start(events, tj)[1]
 
 
 def start_dependencies(events, order) -> List[Arc]:
@@ -267,7 +269,7 @@ def start_dependencies(events, order) -> List[Arc]:
         Arc(ti, tj, "so")
         for ti in dsg
         for tj in dsg
-        if ti != tj and starts_before(events, order, ti, tj)
+        if ti != tj and starts_before(events, ti, tj)
     ]
 
 
@@ -386,7 +388,7 @@ def phenomena(
         dependency = reachable([arc for arc in arcs if is_dependency(arc)])
         out["G-single"] = one_anti_cycle(arcs)
         out["G-SIa"] = any(
-            is_dependency(arc) and not starts_before(events, order, arc.src, arc.dst)
+            is_dependency(arc) and not starts_before(events, arc.src, arc.dst)
             for arc in arcs
         )
         out["G-SIb"] = one_anti_cycle(ssg)

@@ -1,14 +1,12 @@
 """Exhaustive small-scope checking of the metatheory, over the bounded corpus.
 
 Rather than sampling, :mod:`tests.bounded_corpus` holds *every* history of
-its families, and the metatheory is asserted on each:
+its families, and the metatheory is asserted on each, of the levels the
+definitions (:mod:`tests.reference_definitions`) provide:
 
 * classification is monotone on the ANSI chain;
-* the implication lattice is respected across all levels;
-* preventative acceptance implies generalized acceptance (the realizable
-  fragment: the families whose reads observe the latest preceding write of
-  a transaction that has not aborted yet);
-* a G1-free history is PL-3 exactly when its DSG is acyclic;
+* :meth:`IsolationLevel.implies` is respected across all levels;
+* a G1-free history is PL-3 exactly when the checker's DSG is acyclic;
 * two-transaction single-object histories reading the latest committed
   state are *never* G0 (version order follows write order);
 * the strict ANSI A-reading accepts whatever the generalized definitions
@@ -16,7 +14,8 @@ its families, and the metatheory is asserted on each:
 
 Small-scope exhaustiveness complements the random property tests: within
 the enumerated universe there are *no* missed counterexamples.  That each
-checker path says what the definitions say is
+checker path says what the definitions say — and that preventative
+acceptance implies generalized acceptance — is
 ``test_reference_agreement.py``'s business, on the same corpus.
 """
 
@@ -24,32 +23,25 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.baseline import (
-    PreventativeAnalysis,
-    ansi_strict_satisfies,
-    preventative_satisfies,
-)
+from repro.baseline import ansi_strict_satisfies
 from repro.core import Analysis
 from repro.core.events import Abort, PredicateRead, Read
 from repro.core.levels import ANSI_CHAIN, IsolationLevel as L, satisfies
-from repro.core.phenomena import Phenomenon as G
 
 from . import reference_definitions as ref
 from .bounded_corpus import CORPUS, LEGACY_DIGEST, legacy_texts
+from .test_reference_agreement import events_key, reference
 
-_verdicts = {}
+
+def judged(entry):
+    """The reference's phenomena and levels of the entry (shared with the
+    agreement test, which computes them once per history)."""
+    return reference(events_key(entry.events), entry.events, entry.order)
 
 
-def verdicts(entry):
-    """Every level's verdict on the entry's history, from one analysis."""
-    key = id(entry)
-    if key not in _verdicts:
-        analysis = Analysis(entry.history)
-        _verdicts[key] = analysis, {
-            level: satisfies(entry.history, level, analysis=analysis).ok
-            for level in L
-        }
-    return _verdicts[key]
+def provided(entry):
+    levels = judged(entry)[1]
+    return {level: levels[str(level)] for level in L}
 
 
 def family(name):
@@ -91,13 +83,13 @@ def test_corpus_reaches_past_them():
 class TestMetatheoryExhaustively:
     def test_monotone_on_ansi_chain(self):
         for entry in CORPUS:
-            oks = verdicts(entry)[1]
+            oks = provided(entry)
             for weaker, stronger in zip(ANSI_CHAIN, ANSI_CHAIN[1:]):
                 assert oks[weaker] or not oks[stronger], str(entry.history)
 
     def test_implication_lattice(self):
         for entry in CORPUS:
-            oks = verdicts(entry)[1]
+            oks = provided(entry)
             for a in L:
                 if not oks[a]:
                     continue
@@ -105,43 +97,26 @@ class TestMetatheoryExhaustively:
                     if a.implies(b):
                         assert oks[b], f"{a}->{b} violated by {entry.history}"
 
-    def test_preventative_containment(self):
-        for entry in CORPUS:
-            if entry.family.reads != "latest":
-                continue
-            oks = verdicts(entry)[1]
-            prev = PreventativeAnalysis(entry.history)
-            for level in ANSI_CHAIN:
-                if preventative_satisfies(entry.history, level, analysis=prev):
-                    assert oks[level], str(entry.history)
-
     def test_acyclic_iff_pl3_without_g1(self):
         for entry in CORPUS:
-            analysis, oks = verdicts(entry)
+            oks = provided(entry)
             if oks[L.PL_2]:
-                assert oks[L.PL_3] == analysis.dsg.is_acyclic(), str(entry.history)
+                acyclic = Analysis(entry.history).dsg.is_acyclic()
+                assert oks[L.PL_3] == acyclic, str(entry.history)
 
     def test_single_object_latest_reads_never_g0(self):
         for entry in family("x"):
-            assert not verdicts(entry)[0].exhibits(G.G0), str(entry.history)
+            assert not judged(entry)[0]["G0"], str(entry.history)
 
     def test_ansi_strict_weaker_than_generalized_here(self):
         """Within the single-object universe (latest reads, default order)
         every history the generalized definitions accept at a level, the
         strict A-reading accepts too — A is the weakest of the three."""
         for entry in family("x"):
-            oks = verdicts(entry)[1]
+            oks = provided(entry)
             for level in (L.PL_2, L.PL_2_99, L.PL_3):
                 if oks[level]:
                     assert ansi_strict_satisfies(entry.history, level), str(entry.history)
-
-    def test_dirty_read_abort_consistency(self):
-        """G1a holds exactly when a committed transaction read a version of
-        an aborted one, as the reference reads the events."""
-        for entry in CORPUS:
-            assert verdicts(entry)[0].exhibits(G.G1A) == ref.g1a(entry.events), str(
-                entry.history
-            )
 
 
 class TestTwoObjectUniverse:
@@ -150,7 +125,7 @@ class TestTwoObjectUniverse:
         fails PL-3 and PL-2.99 but passes PL-2+ (and no G1)."""
         found = sum(
             1 for entry in family("xy")
-            if verdicts(entry)[1][L.PL_2PLUS] and not verdicts(entry)[1][L.PL_2_99]
+            if provided(entry)[L.PL_2PLUS] and not provided(entry)[L.PL_2_99]
         )
         assert found > 0
 

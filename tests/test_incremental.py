@@ -310,6 +310,36 @@ class TestEdgeTable:
             assert (witness is not None) == inc.exhibits(phenomenon)
 
 
+class TestRepairs:
+    """A chain repair re-derives an object's edges; the verdicts after it
+    must be the batch checker's on the same version order."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the latched G1c survives a repair that breaks its last cycle",
+    )
+    def test_a_repair_that_moves_a_predicate_dependency(self):
+        # T1 -ww-> T0 on y (y1 << y0) and T0 -pwr-> T1 (x0 changed P's
+        # matches) close a G1c cycle, which latches.  T2's commit installs
+        # x2, hinted before x0 and matching P as x0 does: now x2 is the
+        # changer, T0 -pwr-> T1 goes, and nothing closes a cycle again.
+        history = repro.parse_history(
+            "w0(x0, 0) w0(y0, 0) c0 r1(P: x0*, y0) w1(y1) w2(x2) c1 c2"
+            " [P matches: x2]"
+        )
+        hint = {
+            "x": [Version("x", 2), Version("x", 0)],
+            "y": [Version("y", 1), Version("y", 0)],
+        }
+        inc = IncrementalAnalysis(version_order_hint=hint)
+        for event in history.events:
+            inc.add(event)
+            inc.exhibits(Phenomenon.G1C)
+        batch = repro.check(inc.to_history())
+        assert inc.exhibits(Phenomenon.G1C) == batch.analysis.exhibits(Phenomenon.G1C)
+
+
 class TestInstallOrder:
     """A commit installs its final versions in object-name order, whatever
     order the transaction first wrote them in; rows are appended in that

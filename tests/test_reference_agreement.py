@@ -5,7 +5,9 @@
 
 * batch ``check`` in both predicate modes, with and without
   ``extensions=True``, reports what the reference does, phenomenon by
-  phenomenon and level by level;
+  phenomenon and level by level (a history without a predicate read is
+  checked in one mode: the modes differ only in a predicate read's
+  read-dependencies);
 * ``IncrementalAnalysis`` under both ``order_mode``s agrees with the
   reference after every event on the cycle phenomena (judged on
   ``to_history()`` of the prefix), and on the complete history on every
@@ -14,6 +16,11 @@
   the reference provides it, on the families whose reads observe the latest
   version (a locking engine's histories; a stale read is outside what the
   preventative definitions describe).
+
+And fed with version-order hints that land versions mid-chain, the online
+analysis keeps PR 15's claim as an invariant: after every chain repair each
+view it holds latched cyclic still has a cycle among its rows, and after
+every event with a repair its verdicts are the reference's.
 """
 
 from __future__ import annotations
@@ -29,9 +36,11 @@ from repro.core.levels import ANSI_CHAIN, IsolationLevel
 from repro.core.phenomena import Phenomenon
 
 from . import reference_definitions as ref
-from .bounded_corpus import CORPUS, FAMILIES
+from .bounded_corpus import CORPUS, FAMILIES, interleaved
+from .test_incremental_verdicts import displaced_hint, permuted_hint
 
 CYCLES = ("G0", "G1c", "G2-item", "G2")
+PHENOMENON = {str(p): p for p in Phenomenon}
 
 
 def events_key(events):
@@ -64,7 +73,7 @@ def batch_disagreements(entry, key, mode, extensions):
     report = check(entry.history, mode=mode, extensions=extensions)
     want, want_levels = reference(key, entry.events, entry.order, mode.value)
     names = ref.CORE + ref.EXTENSIONS if extensions else ref.CORE
-    got = {p: report.analysis.exhibits(Phenomenon(p)) for p in names}
+    got = {p: report.analysis.exhibits(PHENOMENON[p]) for p in names}
     got_levels = {str(level): report.ok(level) for level in report.levels}
     return [
         f"batch {mode.value} ext={extensions}: {name} {got[name]} != {want[name]}"
@@ -90,7 +99,7 @@ def incremental_disagreements(entry, key, order_mode):
     out = []
     for n, event in enumerate(entry.events, 1):
         analysis.add(event)
-        got = {name: analysis.exhibits(Phenomenon(name)) for name in CYCLES}
+        got = {name: analysis.exhibits(PHENOMENON[name]) for name in CYCLES}
         if (order_mode, key[:n]) in _compared:
             continue
         _compared.add((order_mode, key[:n]))
@@ -102,7 +111,7 @@ def incremental_disagreements(entry, key, order_mode):
         ]
     want, want_levels = reference(key, entry.events, chains, extensions=False)
     for name in ref.CORE:
-        if analysis.exhibits(Phenomenon(name)) != want[name]:
+        if analysis.exhibits(PHENOMENON[name]) != want[name]:
             out.append(f"incremental {order_mode}: {name}")
     for level in ANSI_CHAIN:
         if analysis.provides(level) != want_levels[str(level)]:
@@ -127,7 +136,8 @@ def disagreements(entry):
     """Every way the checker paths part from the reference on one history."""
     key = events_key(entry.events)
     out = []
-    for mode in PredicateDepMode:
+    predicates = any(isinstance(ev, PredicateRead) for ev in entry.events)
+    for mode in PredicateDepMode if predicates else [PredicateDepMode.LATEST]:
         for extensions in (False, True):
             out += batch_disagreements(entry, key, mode, extensions)
     for order_mode in ("event", "commit"):
@@ -150,3 +160,92 @@ def test_the_reference_reads_extension_levels_too():
     assert set(ref.levels(ref.phenomena([], extensions=True))) == {
         str(level) for level in IsolationLevel
     }
+
+
+#: A view of the online checker's chain (0 = the full DSG .. 3 = ww only),
+#: by the phenomenon whose cycles it holds.
+VIEWS = ("G2", "G2-item", "G1c", "G0")
+
+
+def latched_views_without_a_cycle(analysis):
+    """The views the chain holds latched cyclic that have no cycle of rows."""
+    table = analysis._table
+    arcs = [
+        ref.Arc(e.src, e.dst, str(e.kind), e.via_predicate)
+        for e in map(table.edge, analysis._row_of.values())
+    ]
+    return [
+        VIEWS[view] for view in range(analysis._cycles._live)
+        if not ref.on_cycle([a for a in arcs if ref.CYCLES[VIEWS[view]][0](a)])
+    ]
+
+
+@pytest.fixture
+def repairs(monkeypatch):
+    """The chain repairs the test drives, each as the depth of the live
+    view it ran under (above 0: some view was latched)."""
+    done = []
+    repair_object = IncrementalAnalysis._repair_object
+
+    def counted(self, oid):
+        repair_object(self, oid)
+        done.append(self._cycles._live)
+
+    monkeypatch.setattr(IncrementalAnalysis, "_repair_object", counted)
+    return done
+
+
+def feed_with_hint(entry, seed, make_hint, repairs, after_repair):
+    """Feed the entry's events to an analysis whose version-order hint lands
+    versions mid-chain, asking for the cycle phenomena after each (as a live
+    certifier does, so views latch) and calling ``after_repair(analysis, n,
+    got)`` with the answers after each event that repaired a chain."""
+    analysis = IncrementalAnalysis(version_order_hint=make_hint(entry.history, seed))
+    for n, event in enumerate(entry.events, 1):
+        before = len(repairs)
+        analysis.add(event)
+        got = {name: analysis.exhibits(PHENOMENON[name]) for name in CYCLES}
+        if len(repairs) > before:
+            after_repair(analysis, n, got)
+
+
+@pytest.mark.parametrize("make_hint", [permuted_hint, displaced_hint])
+def test_every_event_with_a_repair_agrees_with_the_reference(make_hint, repairs):
+    for seed, entry in enumerate(CORPUS):
+        key = events_key(entry.events)
+
+        def judge(analysis, n, got):
+            chains = analysis.to_history().version_order
+            want = reference(key[:n], entry.events[:n], chains, extensions=False)[0]
+            assert got == {name: want[name] for name in CYCLES}, _where(entry)
+
+        feed_with_hint(entry, seed, make_hint, repairs, judge)
+    # Repairs under a latched view are the ones the verdicts could lose.
+    assert len(repairs) > 1000 and sum(live > 0 for live in repairs) > 100
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a repair that moves a predicate read-dependency to another "
+    "changer can break a latched view's last cycle",
+)
+@pytest.mark.parametrize("make_hint", [permuted_hint, displaced_hint])
+def test_a_latched_view_keeps_a_cycle_through_every_repair(
+    make_hint, repairs, monkeypatch
+):
+    # PR 15's claim, checked on every repair call.  It fails: in
+    # ``w1(y1) w2(x2) c1 r2(y1) c2`` after ``r1(P: x0*, y0)``, with x2 hinted
+    # before x0 and P matching x2 too, T2's install leaves x0 no longer
+    # changing P's matches, so T0 -pwr-> T1 goes and with it the latched
+    # cycle T1 -ww-> T0 -pwr-> T1.  That commit's own read restores a cycle;
+    # ``test_incremental.py::TestRepairs`` pins a history where nothing does.
+    repair_object = IncrementalAnalysis._repair_object
+
+    def checked(self, oid):
+        repair_object(self, oid)
+        assert latched_views_without_a_cycle(self) == []
+
+    monkeypatch.setattr(IncrementalAnalysis, "_repair_object", checked)
+    for seed, entry in enumerate(interleaved()):
+        feed_with_hint(entry, seed, make_hint, repairs, lambda *_: None)
