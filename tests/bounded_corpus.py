@@ -194,8 +194,11 @@ def histories(family: Family) -> Iterator[Entry]:
 
 #: Single-object programs: reads and writes of x, then commit or abort.
 X_PROGRAMS = tuple(
-    tuple(("c" if op == "c" else "a" if op == "a" else op, "" if op in "ca" else "x") for op in text)
-    for text in ("rc", "wc", "rrc", "rwc", "wrc", "wwc", "rwa", "wa", "rwrc")
+    program(text)
+    for text in (
+        "r x, c", "w x, c", "r x, r x, c", "r x, w x, c", "w x, r x, c",
+        "w x, w x, c", "r x, w x, a", "w x, a", "r x, w x, r x, c",
+    )
 )
 
 #: Two-object programs: write skew on x and on y, a copier, a blind double

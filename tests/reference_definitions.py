@@ -252,9 +252,9 @@ def commit_and_start(events, tid: int) -> Tuple[int, int]:
     mine = [i for i, ev in enumerate(events) if ev.tid == tid]
     if not mine:
         return -1, -1
-    commits = [i for i in mine if isinstance(events[i], Commit)]
-    begins = [i for i in mine if isinstance(events[i], Begin)]
-    return (commits or [len(events)])[-1], (begins or mine)[-1 if begins else 0]
+    commit = next((i for i in mine if isinstance(events[i], Commit)), len(events))
+    start = next((i for i in mine if isinstance(events[i], Begin)), mine[0])
+    return commit, start
 
 
 def starts_before(events, ti: int, tj: int) -> bool:

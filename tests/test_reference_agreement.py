@@ -37,6 +37,7 @@ from repro.core.phenomena import Phenomenon
 
 from . import reference_definitions as ref
 from .bounded_corpus import CORPUS, FAMILIES, interleaved
+from .test_cycle_views import VIEWS
 from .test_incremental_verdicts import displaced_hint, permuted_hint
 
 CYCLES = ("G0", "G1c", "G2-item", "G2")
@@ -160,11 +161,6 @@ def test_the_reference_reads_extension_levels_too():
     assert set(ref.levels(ref.phenomena([], extensions=True))) == {
         str(level) for level in IsolationLevel
     }
-
-
-#: A view of the online checker's chain (0 = the full DSG .. 3 = ww only),
-#: by the phenomenon whose cycles it holds.
-VIEWS = ("G2", "G2-item", "G1c", "G0")
 
 
 def latched_views_without_a_cycle(analysis):
