@@ -3,10 +3,11 @@
 Each family names a few transaction programs, an initial state, and how a
 read chooses its version; the corpus holds *every* history those produce:
 every interleaving of the programs, every version a read may observe, every
-match set of a predicate read, and every version order of the committed
-versions (the default order stands for itself, as ``None``).  Within those
-bounds there is no missed counterexample, and ``tests/test_reference_agreement.py``
-holds every checker path to :mod:`tests.reference_definitions` on all of it.
+match set of a predicate read, and, where the family asks for it, every
+order of the committed versions (the default order stands for itself, as
+``None``).  Within those bounds there is no missed counterexample, and
+``tests/test_reference_agreement.py`` holds every checker path to
+:mod:`tests.reference_definitions` on all of it.
 
 Programs are sequences of ``(op, obj)`` steps: ``r`` reads, ``w`` writes,
 ``p`` reads the predicate ``P`` over relation ``R`` (objects ``x`` and
@@ -34,6 +35,8 @@ from repro.core.events import Abort, Commit, PredicateRead, Read, Write
 from repro.core.history import History
 from repro.core.objects import Version
 from repro.core.predicates import MembershipPredicate, VersionSet
+
+from .reference_definitions import version_order
 
 Program = Tuple[Tuple[str, str], ...]
 
@@ -170,8 +173,7 @@ def _orders(events) -> Iterator[Optional[Dict[str, Tuple[Version, ...]]]]:
     """The default order (``None``), then every other order of each
     object's committed versions — its committed transactions' final writes
     and the setup versions its reads name."""
-    default = History(events, validate=False).version_order
-    installed = {obj: chain[1:] for obj, chain in default.items()}
+    installed = {obj: chain[1:] for obj, chain in version_order(events).items()}
     for chains in itertools.product(
         *(itertools.permutations(chain) for chain in installed.values())
     ):

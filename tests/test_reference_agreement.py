@@ -17,10 +17,11 @@
   version (a locking engine's histories; a stale read is outside what the
   preventative definitions describe).
 
-And fed with version-order hints that land versions mid-chain, the online
-analysis keeps PR 15's claim as an invariant: after every chain repair each
-view it holds latched cyclic still has a cycle among its rows, and after
-every event with a repair its verdicts are the reference's.
+Fed with version-order hints that land versions mid-chain, the online
+analysis's verdicts after every event with a chain repair are the
+reference's.  The view chain's claim that a latched view never loses its
+last cycle under repair is checked on every repair call too; it does not
+hold (a strict xfail, below).
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def test_every_event_with_a_repair_agrees_with_the_reference(make_hint, repairs)
 def test_a_latched_view_keeps_a_cycle_through_every_repair(
     make_hint, repairs, monkeypatch
 ):
-    # PR 15's claim, checked on every repair call.  It fails: in
+    # The view chain's claim, checked on every repair call.  It fails: in
     # ``w1(y1) w2(x2) c1 r2(y1) c2`` after ``r1(P: x0*, y0)``, with x2 hinted
     # before x0 and P matching x2 too, T2's install leaves x0 no longer
     # changing P's matches, so T0 -pwr-> T1 goes and with it the latched
