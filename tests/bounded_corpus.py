@@ -9,9 +9,9 @@ order of the committed versions (the default order stands for itself, as
 ``tests/test_reference_agreement.py`` holds every checker path to
 :mod:`tests.reference_definitions` on all of it.
 
-Programs are sequences of ``(op, obj)`` steps: ``r`` reads, ``w`` writes,
-``p`` reads the predicate ``P`` over relation ``R`` (objects ``x`` and
-``y``), ``c`` commits and ``a`` aborts.  A read chooses its version by one
+Programs are sequences of ``(op, obj)`` steps: ``r`` reads, ``rc`` reads
+through a cursor, ``w`` writes, ``p`` reads the predicate ``P`` over
+relation ``R`` (objects ``x`` and ``y``), ``c`` commits and ``a`` aborts.  A read chooses its version by one
 of two rules:
 
 * ``"latest"`` — the top of the object's in-place stack (the latest write
@@ -123,9 +123,10 @@ def _runs(family, shape, picks) -> Iterator[List]:
                 stacks = {o: [v for v in s if v.tid != tid] for o, s in stacks.items()}
             end = Commit(tid) if op == "c" else Abort(tid)
             yield from step(k + 1, events + [end], stacks, counts, preads)
-        elif op == "r":
+        elif op in ("r", "rc"):
             for version in _choices(stacks, counts, tid, obj, reads):
-                yield from step(k + 1, events + [Read(tid, version)], stacks, counts, preads)
+                read = Read(tid, version, cursor=op == "rc")
+                yield from step(k + 1, events + [read], stacks, counts, preads)
         else:  # "p": a version of each object, its match set chosen later
             for picked in itertools.product(
                 *(_choices(stacks, counts, tid, o, reads) for o in ("x", "y"))
@@ -258,6 +259,16 @@ FAMILIES = (
             )
         ),
         orders=False,
+    ),
+    # Cursor reads of x beside a writer of x: the lost update on a cursor
+    # (G-cursor), every committed version order.
+    Family(
+        "cursor",
+        tuple(itertools.product(
+            (program("rc x, w x, c"), program("rc x, w y, c")),
+            (program("w x, c"), program("rc x, w x, c")),
+        )),
+        reads="any",
     ),
     # No loader: two readers of x and y choose between the setup versions
     # of two implicit transactions, which their reads order.

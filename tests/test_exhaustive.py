@@ -78,6 +78,7 @@ def test_corpus_reaches_past_them():
         Abort(ev.version.tid) in e.events[i:] for e, i, ev in reads
     )
     assert any(not ref.is_final(e.events, ev.version) for e, i, ev in reads)
+    assert any(ev.cursor for e, i, ev in reads)
 
 
 class TestMetatheoryExhaustively:
