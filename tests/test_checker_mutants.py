@@ -16,8 +16,10 @@ import itertools
 
 import pytest
 
-from repro.core import conflicts, cycles, dsg, graph, incremental, levels, phenomena
-from repro.core.conflicts import DEPENDENCY, ITEM, WR, WRITE
+from repro.core import (
+    conflicts, cycles, dsg, extensions, graph, incremental, levels, phenomena,
+)
+from repro.core.conflicts import DEPENDENCY, FULL, ITEM, WR, WRITE
 from repro.core.levels import IsolationLevel as L
 from repro.core.phenomena import Phenomenon as G
 
@@ -116,6 +118,22 @@ def zero_budget(mp):
     )
 
 
+def any_anti_count(mp):
+    """G-single and G-SIb close an anti-dependency by any path, other
+    anti-dependencies included: "exactly one" ignored."""
+
+    def _single_anti(graph_):
+        table, full = graph_.table, graph_.view(FULL)
+        for row, depth in enumerate(table.depth):
+            if depth < DEPENDENCY:
+                path = graph.shortest_edge_path(full, table.dst[row], table.src[row])
+                if path is not None:
+                    return [row, *path]
+        return None
+
+    mp.setattr(extensions, "_single_anti", _single_anti)
+
+
 def no_g1b(mp):
     """``IncrementalAnalysis._add_g1b`` does nothing."""
     mp.setattr(incremental.IncrementalAnalysis, "_add_g1b", lambda self, tid, vid: None)
@@ -130,6 +148,7 @@ MUTANTS = (
     forward_from_strict,
     view_forward_strict,
     zero_budget,
+    any_anti_count,
     no_g1b,
 )
 
