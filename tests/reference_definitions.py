@@ -23,12 +23,17 @@ Readings the paper leaves open, taken as the checker documents them:
 * a predicate read-dependency under ``"latest"`` is on the latest
   match-changing version at or before the one selected, and none when that
   version is the reader's own;
-* a cycle is a closed walk; "some arc lies on a cycle" is "its source is
-  reachable from its target".  For every phenomenon but G-cursor the walk
-  and the simple cycle give the same answer.
+* G-cursor is a simple cycle (distinct nodes) whose one anti-dependency
+  is an item anti-dependency from a cursor read of some ``x`` and which has
+  a ww arc on ``x``, as ``core/extensions.py`` states it.
 
-Cycles are found by brute force: the reflexive-transitive closure of the
-arcs by Warshall's rule, and one look at every arc.
+Cycles are found by brute force.  "Some arc of a kind lies on a cycle" is
+"its source is reachable from its target", by the reflexive-transitive
+closure of the arcs (Warshall's rule) and one look at every arc: a
+shortest path back from the target closes a simple cycle through the arc,
+so for G0, G1c, G2-item, G2, G-single, G-SIb and G-SS a closed walk and a
+simple cycle give the same answer.  G-cursor constrains the whole cycle,
+so its cycles are enumerated, every simple cycle of the DSG once.
 """
 
 from __future__ import annotations
@@ -330,6 +335,30 @@ def cycle_phenomena(arcs: Iterable) -> Dict[str, bool]:
     }
 
 
+def simple_cycles(arcs: Iterable) -> List[Tuple]:
+    """Every simple cycle of ``arcs`` — a closed path whose nodes are
+    distinct — as its arcs, once: from its smallest node."""
+    arcs = list(arcs)
+
+    def extend(start, path):
+        at = path[-1].dst
+        for arc in arcs:
+            if arc.src != at:
+                continue
+            if arc.dst == start:
+                yield (*path, arc)
+            elif arc.dst > start and all(arc.dst != step.dst for step in path):
+                yield from extend(start, path + [arc])
+
+    cycles = []
+    for first in arcs:
+        if first.dst == first.src:
+            cycles.append((first,))
+        elif first.dst > first.src:
+            cycles.extend(extend(first.src, [first]))
+    return cycles
+
+
 def one_anti_cycle(arcs: Sequence) -> bool:
     """A cycle with exactly one anti-dependency arc: an anti-dependency
     closed by a path of dependency arcs."""
@@ -385,7 +414,6 @@ def phenomena(
     out["G1"] = out["G1a"] or out["G1b"] or out["G1c"]
     if extensions:
         ssg = arcs + start_dependencies(events, order)
-        dependency = reachable([arc for arc in arcs if is_dependency(arc)])
         out["G-single"] = one_anti_cycle(arcs)
         out["G-SIa"] = any(
             is_dependency(arc) and not starts_before(events, arc.src, arc.dst)
@@ -394,14 +422,14 @@ def phenomena(
         out["G-SIb"] = one_anti_cycle(ssg)
         out["G-SI"] = out["G-SIa"] or out["G-SIb"]
         out["G-SS"] = on_cycle(ssg, lambda arc: arc.kind in ("rw", "so"))
-        # A cursor-read anti-dependency on x and a write-dependency on x,
-        # joined both ways by dependency paths.
+        # A cycle whose one anti-dependency is a cursor read of x, with a
+        # write-dependency on x.
         out["G-cursor"] = any(
-            anti.cursor and ww.kind == "ww" and ww.obj == anti.obj
-            and ww.src in dependency.get(anti.dst, {anti.dst})
-            and anti.src in dependency.get(ww.dst, {ww.dst})
-            for anti in arcs
-            for ww in arcs
+            anti.cursor
+            and not any(is_anti(arc) for arc in cycle if arc is not anti)
+            and any(arc.kind == "ww" and arc.obj == anti.obj for arc in cycle)
+            for cycle in simple_cycles(arcs)
+            for anti in cycle
         )
     return out
 

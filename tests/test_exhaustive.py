@@ -25,7 +25,7 @@ import hashlib
 
 from repro.baseline import ansi_strict_satisfies
 from repro.core import Analysis
-from repro.core.events import Abort, PredicateRead, Read
+from repro.core.events import Abort, PredicateRead, Read, Write
 from repro.core.levels import ANSI_CHAIN, IsolationLevel as L, satisfies
 
 from . import reference_definitions as ref
@@ -48,9 +48,13 @@ def family(name):
     return [entry for entry in CORPUS if entry.family.name == name]
 
 
+def in_default_order(name):
+    return [entry for entry in family(name) if entry.order is None]
+
+
 def test_corpus_is_substantial():
-    assert len(CORPUS) > 4000
-    assert len(family("x")) > 1000 and len(family("xy")) > 1000
+    assert len(CORPUS) > 8000
+    assert len(in_default_order("x")) > 1000 and len(family("xy")) > 1000
 
 
 def test_corpus_holds_the_two_former_universes():
@@ -79,6 +83,18 @@ def test_corpus_reaches_past_them():
     )
     assert any(not ref.is_final(e.events, ev.version) for e, i, ev in reads)
     assert any(ev.cursor for e, i, ev in reads)
+    # A supplied version order beside an abort, an intermediate version and
+    # a read of the reader's own write.
+    supplied = [e for e in CORPUS if e.order is not None]
+    assert any(any(isinstance(ev, Abort) for ev in e.events) for e in supplied)
+    assert any(
+        any(isinstance(ev, Write) and not ref.is_final(e.events, ev.version) for ev in e.events)
+        for e in supplied
+    )
+    assert any(
+        any(isinstance(ev, Read) and ev.version.tid == ev.tid for ev in e.events)
+        for e in supplied
+    )
 
 
 class TestMetatheoryExhaustively:
@@ -106,14 +122,14 @@ class TestMetatheoryExhaustively:
                 assert oks[L.PL_3] == acyclic, str(entry.history)
 
     def test_single_object_latest_reads_never_g0(self):
-        for entry in family("x"):
+        for entry in in_default_order("x"):
             assert not judged(entry)[0]["G0"], str(entry.history)
 
     def test_ansi_strict_weaker_than_generalized_here(self):
         """Within the single-object universe (latest reads, default order)
         every history the generalized definitions accept at a level, the
         strict A-reading accepts too — A is the weakest of the three."""
-        for entry in family("x"):
+        for entry in in_default_order("x"):
             oks = provided(entry)
             for level in (L.PL_2, L.PL_2_99, L.PL_3):
                 if oks[level]:
